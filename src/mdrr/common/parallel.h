@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <new>
 #include <vector>
 
 namespace mdrr {
@@ -34,6 +35,31 @@ size_t NumChunks(size_t n, size_t chunk_size);
 // clamped to the chunk count).
 size_t ResolveWorkerCount(size_t num_threads, size_t n, size_t chunk_size);
 
+// Allocator whose blocks start on a 64-byte cache-line boundary.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlignment{64};
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
+  }
+  void deallocate(T* p, size_t /*n*/) { ::operator delete(p, kAlignment); }
+
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>& /*other*/) const {
+    return true;
+  }
+  template <typename U>
+  bool operator!=(const CacheLineAllocator<U>& /*other*/) const {
+    return false;
+  }
+};
+
 // Deterministic parallel reduction of floating-point partial sums.
 //
 // Integer counts can be merged per *worker* because integer addition
@@ -45,9 +71,10 @@ size_t ResolveWorkerCount(size_t num_threads, size_t n, size_t chunk_size);
 // worker count.
 class ChunkedDoubleAccumulator {
  public:
-  // `width` slots per chunk, all zero-initialized. Rows are padded to a
-  // 64-byte stride so neighboring chunks' hot `+=` targets never share a
-  // cache line across workers (padding never enters the reduction).
+  // `width` slots per chunk, all zero-initialized. The slots start on a
+  // cache line and rows are padded to a 64-byte stride, so every row
+  // starts on its own line and neighboring chunks' hot `+=` targets never
+  // share one across workers (padding never enters the reduction).
   ChunkedDoubleAccumulator(size_t num_chunks, size_t width)
       : width_(width),
         stride_((width + kDoublesPerCacheLine - 1) / kDoublesPerCacheLine *
@@ -84,7 +111,7 @@ class ChunkedDoubleAccumulator {
 
   size_t width_;
   size_t stride_;
-  std::vector<double> slots_;
+  std::vector<double, CacheLineAllocator<double>> slots_;
 };
 
 }  // namespace mdrr

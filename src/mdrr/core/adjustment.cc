@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
-#include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
 
 namespace mdrr {
@@ -16,8 +16,10 @@ namespace {
 // post-rescale total mass (which is just the target mass of the
 // reachable categories -- no record scan needed) folds the
 // renormalization of the sequential algorithm into the same multiply.
-std::vector<double> NormalizedRatio(const std::vector<double>& implied,
-                                    const std::vector<double>& target) {
+// Fails when the target gives no mass to any reachable category: the
+// step would zero every weight.
+StatusOr<std::vector<double>> NormalizedRatio(
+    const std::vector<double>& implied, const std::vector<double>& target) {
   std::vector<double> ratio(target.size(), 1.0);
   double total_after = 0.0;
   for (size_t v = 0; v < target.size(); ++v) {
@@ -29,9 +31,142 @@ std::vector<double> NormalizedRatio(const std::vector<double>& implied,
     // reweighting (no record carries them); their target mass is
     // unreachable and shows up in max_marginal_gap.
   }
-  MDRR_CHECK_GT(total_after, 0.0);
+  if (!(total_after > 0.0)) {
+    return Status::FailedPrecondition(
+        "adjustment target gives no mass to any category the weighted "
+        "records reach");
+  }
   for (double& r : ratio) r /= total_after;
   return ratio;
+}
+
+// The cells Algorithm 2 sweeps. Records with the same code in every group
+// receive the same ratio at every IPF step, so their weights stay equal
+// and the fit can run over the distinct group-code tuples ("cells"),
+// each weighted by its record count. When more than half the records
+// would need a cell, each record is its own cell instead: `codes` then
+// points at the groups' code vectors, and `count` and `cell_of` are
+// empty.
+struct CellIndex {
+  size_t num_cells = 0;
+  // codes[g][c] is group g's code in cell c.
+  std::vector<const uint32_t*> codes;
+  // Storage behind `codes` when cells are distinct tuples.
+  std::vector<std::vector<uint32_t>> cell_codes;
+  // Records per cell.
+  std::vector<uint32_t> count;
+  // cell_of[i] is the cell of record i.
+  std::vector<uint32_t> cell_of;
+};
+
+// Builds the cell index in one sequential scan, numbering cells in order
+// of first appearance, so the cells never depend on the thread count.
+// Tuples are looked up in an open-addressing table of 64-bit slots: the
+// high half holds the tuple hash's high half, the low half the cell
+// number + 1 (0 marks an empty slot). A tag match is confirmed by
+// comparing the full tuple with the cell's first record, so distinct
+// tuples never share a cell, for any domain sizes.
+//
+// The scan stops as soon as more than half the records would need a cell
+// of their own. The cell sweeps would then save less than half the work
+// of sweeping records, while the index costs a scan, a gather and memory
+// per record, so every record becomes its own cell instead. The same
+// bound keeps the table, with at least `num_records` slots, at most half
+// full.
+CellIndex BuildCellIndex(const std::vector<AdjustmentGroup>& groups,
+                         size_t num_records, size_t chunk_size,
+                         size_t num_threads) {
+  constexpr uint64_t kTagMask = ~uint64_t{0xffffffff};
+  const size_t num_groups = groups.size();
+  const size_t max_cells = num_records / 2;
+  std::vector<const uint32_t*> record_codes(num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    record_codes[g] = groups[g].codes.data();
+  }
+
+  auto hash_of = [&](size_t i) {
+    uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (const uint32_t* codes : record_codes) {
+      h = (h ^ codes[i]) * 0xff51afd7ed558ccdull;
+      h ^= h >> 32;
+    }
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 29);
+  };
+
+  CellIndex index;
+  size_t table_size = 1;
+  while (table_size < num_records) table_size *= 2;
+  std::vector<uint64_t> table(table_size, 0);
+  const size_t mask = table_size - 1;
+  // first[c] is cell c's first record.
+  std::vector<uint32_t> first;
+  index.cell_of.reserve(num_records);
+  // Table probes miss the cache, so the scan hashes kLookahead records
+  // ahead and prefetches their slots; hashes_ahead[i % kLookahead] holds
+  // record i's hash.
+  constexpr size_t kLookahead = 16;
+  uint64_t hashes_ahead[kLookahead];
+  for (size_t i = 0; i < std::min(kLookahead, num_records); ++i) {
+    hashes_ahead[i] = hash_of(i);
+  }
+  for (size_t i = 0; i < num_records; ++i) {
+    const uint64_t h = hashes_ahead[i % kLookahead];
+    if (i + kLookahead < num_records) {
+      const uint64_t next = hash_of(i + kLookahead);
+      hashes_ahead[i % kLookahead] = next;
+      __builtin_prefetch(&table[next & mask]);
+    }
+    const uint64_t tag = h & kTagMask;
+    size_t pos = h & mask;
+    uint32_t cell = 0;
+    while (true) {
+      const uint64_t slot = table[pos];
+      if (slot == 0) {
+        if (first.size() == max_cells) {
+          CellIndex records;
+          records.num_cells = num_records;
+          records.codes = record_codes;
+          return records;
+        }
+        cell = static_cast<uint32_t>(first.size());
+        first.push_back(static_cast<uint32_t>(i));
+        index.count.push_back(0);
+        table[pos] = tag | (uint64_t{cell} + 1);
+        break;
+      }
+      if ((slot & kTagMask) == tag) {
+        cell = static_cast<uint32_t>(slot) - 1;
+        const size_t r = first[cell];
+        size_t g = 0;
+        while (g < num_groups && record_codes[g][r] == record_codes[g][i]) {
+          ++g;
+        }
+        if (g == num_groups) break;
+      }
+      pos = (pos + 1) & mask;
+    }
+    ++index.count[cell];
+    index.cell_of.push_back(cell);
+  }
+  std::vector<uint64_t>().swap(table);
+
+  // Copy each cell's tuple out of its first record.
+  index.num_cells = first.size();
+  index.cell_codes.assign(num_groups, std::vector<uint32_t>(index.num_cells));
+  ParallelChunks(index.num_cells, chunk_size, num_threads,
+                 [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
+                     size_t end) {
+                   for (size_t g = 0; g < num_groups; ++g) {
+                     for (size_t c = begin; c < end; ++c) {
+                       index.cell_codes[g][c] = record_codes[g][first[c]];
+                     }
+                   }
+                 });
+  for (const std::vector<uint32_t>& codes : index.cell_codes) {
+    index.codes.push_back(codes.data());
+  }
+  return index;
 }
 
 }  // namespace
@@ -44,6 +179,10 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
   }
   if (num_records == 0) {
     return Status::InvalidArgument("adjustment needs at least one record");
+  }
+  if (num_records >= std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "adjustment record count exceeds the 32-bit cell index");
   }
   for (const AdjustmentGroup& group : groups) {
     if (group.codes.size() != num_records) {
@@ -66,10 +205,12 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
     }
   }
 
-  const size_t n = num_records;
-  const size_t num_groups = groups.size();
   const size_t chunk_size = std::max<size_t>(1, options.chunk_size);
-  const size_t num_chunks = NumChunks(n, chunk_size);
+  CellIndex cells =
+      BuildCellIndex(groups, num_records, chunk_size, options.num_threads);
+  const size_t num_cells = cells.num_cells;
+  const size_t num_groups = groups.size();
+  const size_t num_chunks = NumChunks(num_cells, chunk_size);
 
   // Flattened layout of all groups' marginals for the combined last pass:
   // group g occupies [group_offset[g], group_offset[g] + |target_g|).
@@ -80,9 +221,15 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
     total_width += groups[g].target.size();
   }
 
+  // mass[c] is the total weight of cell c's records; every record starts
+  // at weight 1 / num_records.
+  const double record_weight = 1.0 / static_cast<double>(num_records);
+  std::vector<double> mass(num_cells, record_weight);
+  for (size_t c = 0; c < cells.count.size(); ++c) {
+    mass[c] = cells.count[c] * record_weight;
+  }
+
   AdjustmentResult result;
-  result.weights.assign(n, 1.0 / static_cast<double>(n));
-  std::vector<double>& weights = result.weights;
 
   // Reused per-chunk partial buffers: one group's marginal for the
   // middle passes, all groups' marginals for the last pass.
@@ -97,13 +244,13 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
   // implied marginal of group 0 under the current weights; maintained
   // across iterations by the combined last pass.
   std::vector<double> implied(groups[0].target.size(), 0.0);
-  ParallelChunks(n, chunk_size, options.num_threads,
+  ParallelChunks(num_cells, chunk_size, options.num_threads,
                  [&](size_t /*worker*/, size_t chunk, size_t begin,
                      size_t end) {
                    double* row = one_group_pool[0].Row(chunk);
-                   const uint32_t* codes = groups[0].codes.data();
-                   for (size_t i = begin; i < end; ++i) {
-                     row[codes[i]] += weights[i];
+                   const uint32_t* codes = cells.codes[0];
+                   for (size_t c = begin; c < end; ++c) {
+                     row[codes[c]] += mass[c];
                    }
                  });
   one_group_pool[0].ReduceInto(implied.data());
@@ -111,23 +258,24 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
     for (size_t g = 0; g < num_groups; ++g) {
       // `implied` holds group g's marginal under the weights after
       // groups 0..g-1 were updated this iteration.
-      std::vector<double> ratio = NormalizedRatio(implied, groups[g].target);
-      const uint32_t* codes_g = groups[g].codes.data();
+      MDRR_ASSIGN_OR_RETURN(std::vector<double> ratio,
+                            NormalizedRatio(implied, groups[g].target));
+      const uint32_t* codes_g = cells.codes[g];
 
       if (g + 1 < num_groups) {
         // Middle pass: apply group g's ratio and accumulate group g+1's
         // implied marginal in the same scan.
         ChunkedDoubleAccumulator& acc = one_group_pool[g + 1];
         acc.Reset();
-        const uint32_t* codes_next = groups[g + 1].codes.data();
-        ParallelChunks(n, chunk_size, options.num_threads,
+        const uint32_t* codes_next = cells.codes[g + 1];
+        ParallelChunks(num_cells, chunk_size, options.num_threads,
                        [&](size_t /*worker*/, size_t chunk, size_t begin,
                            size_t end) {
                          double* row = acc.Row(chunk);
-                         for (size_t i = begin; i < end; ++i) {
-                           double w = weights[i] * ratio[codes_g[i]];
-                           weights[i] = w;
-                           row[codes_next[i]] += w;
+                         for (size_t c = begin; c < end; ++c) {
+                           double w = mass[c] * ratio[codes_g[c]];
+                           mass[c] = w;
+                           row[codes_next[c]] += w;
                          }
                        });
         implied.assign(groups[g + 1].target.size(), 0.0);
@@ -142,34 +290,34 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
           // One group means offset 0 and codes_g is the only code vector:
           // the h-loop collapses to a single flat accumulate (same
           // additions in the same order, just without the indirection).
-          ParallelChunks(n, chunk_size, options.num_threads,
+          ParallelChunks(num_cells, chunk_size, options.num_threads,
                          [&](size_t /*worker*/, size_t chunk, size_t begin,
                              size_t end) {
                            double* row = all_groups.Row(chunk);
-                           for (size_t i = begin; i < end; ++i) {
-                             double w = weights[i] * ratio[codes_g[i]];
-                             weights[i] = w;
-                             row[codes_g[i]] += w;
+                           for (size_t c = begin; c < end; ++c) {
+                             double w = mass[c] * ratio[codes_g[c]];
+                             mass[c] = w;
+                             row[codes_g[c]] += w;
                            }
                          });
         } else {
           // Hoist each group's code pointer + flattened base offset out
-          // of the record loop; the inner loop then runs on two flat
-          // arrays instead of chasing groups[h] members per record.
+          // of the cell loop; the inner loop then runs on two flat
+          // arrays instead of chasing per-group members per cell.
           std::vector<const uint32_t*> scan_codes(num_groups);
           for (size_t h = 0; h < num_groups; ++h) {
-            scan_codes[h] = groups[h].codes.data();
+            scan_codes[h] = cells.codes[h];
           }
           const size_t* offsets = group_offset.data();
-          ParallelChunks(n, chunk_size, options.num_threads,
+          ParallelChunks(num_cells, chunk_size, options.num_threads,
                          [&](size_t /*worker*/, size_t chunk, size_t begin,
                              size_t end) {
                            double* row = all_groups.Row(chunk);
-                           for (size_t i = begin; i < end; ++i) {
-                             double w = weights[i] * ratio[codes_g[i]];
-                             weights[i] = w;
+                           for (size_t c = begin; c < end; ++c) {
+                             double w = mass[c] * ratio[codes_g[c]];
+                             mass[c] = w;
                              for (size_t h = 0; h < num_groups; ++h) {
-                               row[offsets[h] + scan_codes[h][i]] += w;
+                               row[offsets[h] + scan_codes[h][c]] += w;
                              }
                            }
                          });
@@ -203,20 +351,44 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
   // rounding per iteration; settle the invariant exactly with one final
   // chunk-ordered reduction.
   ChunkedDoubleAccumulator totals(num_chunks, 1);
-  ParallelChunks(n, chunk_size, options.num_threads,
+  ParallelChunks(num_cells, chunk_size, options.num_threads,
                  [&](size_t /*worker*/, size_t chunk, size_t begin,
                      size_t end) {
                    double sum = 0.0;
-                   for (size_t i = begin; i < end; ++i) sum += weights[i];
+                   for (size_t c = begin; c < end; ++c) sum += mass[c];
                    *totals.Row(chunk) = sum;
                  });
   double total = 0.0;
   totals.ReduceInto(&total);
-  MDRR_CHECK_GT(total, 0.0);
-  ParallelChunks(n, chunk_size, options.num_threads,
+  if (!(total > 0.0)) {
+    return Status::FailedPrecondition("adjusted weights sum to zero");
+  }
+  // Turn each cell's mass into the normalized weight of one of its
+  // records, then hand every record its cell's weight.
+  const bool records_are_cells = cells.cell_of.empty();
+  ParallelChunks(num_cells, chunk_size, options.num_threads,
                  [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
                      size_t end) {
-                   for (size_t i = begin; i < end; ++i) weights[i] /= total;
+                   for (size_t c = begin; c < end; ++c) {
+                     const double record_mass =
+                         records_are_cells ? mass[c] : mass[c] / cells.count[c];
+                     mass[c] = record_mass / total;
+                   }
+                 });
+  if (records_are_cells) {
+    result.weights = std::move(mass);
+    return result;
+  }
+  // The cells' codes are no longer needed; free them before the weights
+  // grow to one per record.
+  cells.cell_codes.clear();
+  result.weights.resize(num_records);
+  ParallelChunks(num_records, chunk_size, options.num_threads,
+                 [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
+                     size_t end) {
+                   for (size_t i = begin; i < end; ++i) {
+                     result.weights[i] = mass[cells.cell_of[i]];
+                   }
                  });
   return result;
 }

@@ -28,14 +28,14 @@ struct AdjustmentOptions {
   // Converged when the largest absolute gap between an implied marginal
   // entry and its target falls below this.
   double tolerance = 1e-9;
-  // Worker threads for the per-iteration record sweeps; 0 means one per
+  // Worker threads for the per-iteration cell sweeps; 0 means one per
   // hardware core. Never changes results: partial marginal sums are
-  // merged in chunk order, which depends only on (num_records,
+  // merged in chunk order, which depends only on (the cell count,
   // chunk_size).
   size_t num_threads = 1;
-  // Records per reduction chunk. Part of the numeric contract (it fixes
-  // the floating-point summation tree), like shard_size in
-  // BatchPerturbationOptions. 0 is clamped to 1.
+  // Cells (distinct group-code tuples) per reduction chunk. Part of the
+  // numeric contract (it fixes the floating-point summation tree), like
+  // shard_size in BatchPerturbationOptions. 0 is clamped to 1.
   size_t chunk_size = 1 << 16;
 };
 
@@ -48,18 +48,26 @@ struct AdjustmentResult {
   double max_marginal_gap = 0.0;
 };
 
-// Runs Algorithm 2 over the given groups. Fails if groups are empty,
-// sizes are inconsistent, a target is not a distribution, or a code is
-// out of range of its target.
+// Runs Algorithm 2 over the given groups. Fails with InvalidArgument if
+// groups are empty, sizes are inconsistent, a target is not a
+// distribution, or a code is out of range of its target; fails with
+// FailedPrecondition if a group's target gives no mass to any category
+// the weighted records still reach.
 //
-// Each iteration performs exactly one parallel pass over the records per
-// group: pass g applies group g-1's reweighting ratio (with the
-// renormalization folded into the ratio table, so no separate
+// Records with the same code in every group (one "cell") receive the
+// same ratio at every step, so the fit runs over the distinct code
+// tuples, each weighted by its record count. One sequential scan numbers
+// the cells in order of first appearance (exact tuple keys, any domain
+// sizes). If more than half the records would need a cell, cells would
+// save less than half the sweep work, so the scan stops and every record
+// is its own cell. Each iteration then performs exactly one parallel pass
+// over the cells per group: pass g applies group g-1's reweighting ratio
+// (with the renormalization folded into the ratio table, so no separate
 // normalization scan exists) while accumulating group g's implied
 // marginal; the last pass additionally accumulates every group's implied
 // marginal for the convergence test and seeds the next iteration's first
-// group. Output is bit-identical for any num_threads at a fixed
-// chunk_size.
+// group. One final parallel pass hands every record its cell's weight.
+// Output is bit-identical for any num_threads at a fixed chunk_size.
 StatusOr<AdjustmentResult> RunRrAdjustment(
     const std::vector<AdjustmentGroup>& groups, size_t num_records,
     const AdjustmentOptions& options = {});

@@ -142,6 +142,24 @@ TEST(AdjustmentTest, InputValidation) {
   out_of_range[0].codes = {0, 5, 0};
   out_of_range[0].target = {0.5, 0.5};
   EXPECT_FALSE(RunRrAdjustment(out_of_range, 3).ok());
+
+  // A target that gives no mass to any category the records reach fails
+  // with a Status instead of aborting.
+  std::vector<AdjustmentGroup> unreachable_mass(1);
+  unreachable_mass[0].codes = {0, 0, 0};
+  unreachable_mass[0].target = {0.0, 1.0};
+  EXPECT_EQ(RunRrAdjustment(unreachable_mass, 3).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The same when an earlier group's target zeroed every record a later
+  // group's target still gives mass to.
+  std::vector<AdjustmentGroup> zeroed(2);
+  zeroed[0].codes = {0, 0, 1};
+  zeroed[0].target = {0.0, 1.0};
+  zeroed[1].codes = {0, 0, 1};
+  zeroed[1].target = {1.0, 0.0};
+  EXPECT_EQ(RunRrAdjustment(zeroed, 3).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(AdjustmentTest, GroupsFromIndependentShapes) {

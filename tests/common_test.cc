@@ -194,5 +194,17 @@ TEST(ParallelChunksTest, EmptyRangeAndWorkerClamping) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(ChunkedDoubleAccumulatorTest, RowsStartOnCacheLines) {
+  for (size_t num_chunks : {1u, 2u, 5u}) {
+    for (size_t width : {1u, 3u, 8u, 9u, 20u}) {
+      ChunkedDoubleAccumulator acc(num_chunks, width);
+      for (size_t c = 0; c < num_chunks; ++c) {
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(acc.Row(c)) % 64, 0u)
+            << "chunks=" << num_chunks << " width=" << width << " row " << c;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mdrr

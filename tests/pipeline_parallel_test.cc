@@ -195,33 +195,75 @@ std::vector<AdjustmentGroup> MakeAdjustmentGroups(size_t n, uint64_t seed) {
   return groups;
 }
 
+// A target over `width` categories proportional to each category's
+// record count, tilted by a random factor, so all its mass is reachable.
+std::vector<double> ReachableTarget(const std::vector<uint32_t>& codes,
+                                    size_t width, Rng& rng) {
+  std::vector<double> target(width, 0.0);
+  for (uint32_t code : codes) target[code] += 1.0;
+  double total = 0.0;
+  for (double& t : target) {
+    t *= 0.5 + rng.UniformDouble();
+    total += t;
+  }
+  for (double& t : target) t /= total;
+  return target;
+}
+
 TEST(ParallelAdjustmentTest, WeightsBitIdenticalAcrossThreads) {
-  const size_t n = 4000;
-  std::vector<AdjustmentGroup> groups = MakeAdjustmentGroups(n, 17);
-  AdjustmentOptions baseline_options;
-  baseline_options.max_iterations = 200;
-  baseline_options.tolerance = 1e-12;
-  baseline_options.num_threads = 1;
-  baseline_options.chunk_size = 256;
-  auto baseline = RunRrAdjustment(groups, n, baseline_options);
-  ASSERT_TRUE(baseline.ok());
-  for (size_t threads : kThreadSweep) {
-    AdjustmentOptions options = baseline_options;
-    options.num_threads = threads;
-    auto run = RunRrAdjustment(groups, n, options);
-    ASSERT_TRUE(run.ok()) << "threads=" << threads;
-    EXPECT_EQ(baseline.value().weights, run.value().weights)
-        << "threads=" << threads;
-    EXPECT_EQ(baseline.value().iterations, run.value().iterations);
-    EXPECT_EQ(baseline.value().max_marginal_gap,
-              run.value().max_marginal_gap);
-    EXPECT_EQ(baseline.value().converged, run.value().converged);
+  struct Input {
+    const char* name;
+    std::vector<AdjustmentGroup> groups;
+    size_t n;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"random codes", MakeAdjustmentGroups(4000, 17), 4000});
+  {
+    // The groups RR-Clusters hands Algorithm 2 on synthetic Adult.
+    Dataset data = SynthesizeAdult(6000, 43);
+    BatchPerturbationOptions engine_options;
+    engine_options.seed = 3;
+    engine_options.shard_size = 500;
+    engine_options.num_threads = 4;
+    RrClustersOptions cluster_options;
+    cluster_options.keep_probability = 0.7;
+    auto release = BatchPerturbationEngine(engine_options)
+                       .RunClusters(data, cluster_options);
+    ASSERT_TRUE(release.ok());
+    inputs.push_back(
+        {"adult clusters", GroupsFromClusters(*release), data.num_rows()});
+  }
+
+  for (const Input& input : inputs) {
+    AdjustmentOptions baseline_options;
+    baseline_options.max_iterations = 200;
+    baseline_options.tolerance = 1e-12;
+    baseline_options.num_threads = 1;
+    baseline_options.chunk_size = 256;
+    auto baseline = RunRrAdjustment(input.groups, input.n, baseline_options);
+    ASSERT_TRUE(baseline.ok()) << input.name;
+    for (size_t threads : kThreadSweep) {
+      AdjustmentOptions options = baseline_options;
+      options.num_threads = threads;
+      auto run = RunRrAdjustment(input.groups, input.n, options);
+      ASSERT_TRUE(run.ok()) << input.name << " threads=" << threads;
+      EXPECT_EQ(baseline.value().weights, run.value().weights)
+          << input.name << " threads=" << threads;
+      EXPECT_EQ(baseline.value().iterations, run.value().iterations)
+          << input.name;
+      EXPECT_EQ(baseline.value().max_marginal_gap,
+                run.value().max_marginal_gap)
+          << input.name;
+      EXPECT_EQ(baseline.value().converged, run.value().converged)
+          << input.name;
+    }
   }
 }
 
 TEST(ParallelAdjustmentTest, ConvergesInSameIterationCountAsReference) {
   // Representative workloads: consistent random targets, the paper's
-  // Example 1 shape, and an unreachable-mass case.
+  // Example 1 shape, an unreachable-mass case, and the extremes of the
+  // record-to-cell collapse.
   struct Case {
     std::vector<AdjustmentGroup> groups;
     size_t n;
@@ -241,6 +283,80 @@ TEST(ParallelAdjustmentTest, ConvergesInSameIterationCountAsReference) {
     unreachable[0].codes = {0, 0, 0, 0};
     unreachable[0].target = {0.7, 0.3};
     cases.push_back({unreachable, 4});
+  }
+  {
+    // Every record's tuple is distinct: the cell index is abandoned
+    // halfway and each record is its own cell.
+    const size_t n = 1200;
+    Rng rng(29);
+    std::vector<AdjustmentGroup> distinct(3);
+    for (size_t i = 0; i < n; ++i) {
+      distinct[0].codes.push_back(static_cast<uint32_t>(i / 4));
+      distinct[1].codes.push_back(static_cast<uint32_t>((i % 4 + i / 4) % 5));
+      distinct[2].codes.push_back(static_cast<uint32_t>(rng.UniformInt(3)));
+    }
+    distinct[0].target = ReachableTarget(distinct[0].codes, n / 4, rng);
+    distinct[1].target = ReachableTarget(distinct[1].codes, 5, rng);
+    distinct[2].target = ReachableTarget(distinct[2].codes, 3, rng);
+    cases.push_back({distinct, n});
+  }
+  {
+    // Every record shares one tuple: a single cell holds them all.
+    std::vector<AdjustmentGroup> shared(3);
+    shared[0].codes.assign(50, 1);
+    shared[0].target = {0.3, 0.7};
+    shared[1].codes.assign(50, 0);
+    shared[1].target = {1.0};
+    shared[2].codes.assign(50, 2);
+    shared[2].target = {0.2, 0.3, 0.5};
+    cases.push_back({shared, 50});
+  }
+  for (size_t num_tuples : {500, 501}) {
+    // Either side of the half-the-records bound: 500 distinct tuples over
+    // 1000 records run as cells, 501 as records. Records repeat their
+    // tuple in a shuffled order, so repeats and new tuples interleave.
+    const size_t n = 1000;
+    Rng rng(41);
+    std::vector<uint32_t> tuple_of(n);
+    for (size_t i = 0; i < n; ++i) {
+      tuple_of[i] = static_cast<uint32_t>(
+          i < num_tuples ? i : rng.UniformInt(num_tuples));
+    }
+    rng.ShuffleU32(tuple_of.data(), n);
+    std::vector<AdjustmentGroup> boundary(2);
+    for (size_t i = 0; i < n; ++i) {
+      boundary[0].codes.push_back(static_cast<uint32_t>(tuple_of[i] % 25));
+      boundary[1].codes.push_back(static_cast<uint32_t>(tuple_of[i] / 25));
+    }
+    boundary[0].target = ReachableTarget(boundary[0].codes, 25, rng);
+    boundary[1].target =
+        ReachableTarget(boundary[1].codes, (num_tuples + 24) / 25, rng);
+    cases.push_back({boundary, n});
+  }
+  {
+    // 5 groups of 10 000 categories: the domain product 10^20 exceeds
+    // 2^64, so a mixed-radix cell key would wrap. Records draw their
+    // tuples from a pool, so cells repeat.
+    const size_t n = 3000;
+    const size_t width = 10000;
+    Rng rng(37);
+    std::vector<std::vector<uint32_t>> pool(400, std::vector<uint32_t>(5));
+    for (std::vector<uint32_t>& tuple : pool) {
+      for (uint32_t& code : tuple) {
+        code = static_cast<uint32_t>(rng.UniformInt(width));
+      }
+    }
+    std::vector<AdjustmentGroup> wide(5);
+    for (size_t i = 0; i < n; ++i) {
+      const std::vector<uint32_t>& tuple = pool[rng.UniformInt(pool.size())];
+      for (size_t g = 0; g < wide.size(); ++g) {
+        wide[g].codes.push_back(tuple[g]);
+      }
+    }
+    for (AdjustmentGroup& group : wide) {
+      group.target = ReachableTarget(group.codes, width, rng);
+    }
+    cases.push_back({wide, n});
   }
 
   for (size_t k = 0; k < cases.size(); ++k) {
