@@ -20,6 +20,7 @@
 #include "mdrr/release/planner.h"
 #include "mdrr/release/serialization.h"
 #include "mdrr/rng/rng.h"
+#include "spec_fixtures.h"
 
 namespace mdrr {
 namespace {
@@ -361,6 +362,104 @@ TEST(ReleaseSpecSerialization, FullyPopulatedSpecRoundTrips) {
   EXPECT_TRUE(parsed.value() == spec);
   // Printing the parse reproduces the text exactly.
   EXPECT_EQ(release::PrintReleaseSpec(parsed.value()), text);
+}
+
+// Byte-exact goldens of the printer: key order, print-if rules and
+// number formatting are part of the spec file format.
+TEST(ReleaseSpecSerialization, DefaultSpecPrintsGolden) {
+  const std::string golden =
+      "mdrr-release-spec v1\n"
+      "dataset.source provided\n"
+      "dataset.csv_has_header 1\n"
+      "dataset.synthetic_records 32561\n"
+      "dataset.synthetic_seed 42\n"
+      "budget.keep_probability 0.69999999999999996\n"
+      "budget.dependence_keep_probability 0.69999999999999996\n"
+      "budget.max_total_epsilon inf\n"
+      "mechanism.kind clusters\n"
+      "mechanism.joint_attributes\n"
+      "mechanism.clustering.max_combinations 50\n"
+      "mechanism.clustering.min_dependence 0.10000000000000001\n"
+      "mechanism.dependence_source rr\n"
+      "mechanism.use_paper_epsilon_formula 0\n"
+      "mechanism.geometric_epsilon 1\n"
+      "adjustment.enabled 0\n"
+      "adjustment.max_iterations 100\n"
+      "adjustment.tolerance 1.0000000000000001e-09\n"
+      "synthetic.enabled 0\n"
+      "synthetic.records 0\n"
+      "evaluation.utility_report 0\n"
+      "evaluation.sigmas 0.10000000000000001 0.29999999999999999 0.5 "
+      "0.69999999999999996 0.90000000000000002\n"
+      "evaluation.queries_per_sigma 25\n"
+      "evaluation.seed 1\n"
+      "streaming.enabled 0\n"
+      "streaming.window_kind tumbling\n"
+      "streaming.window_size 0\n"
+      "streaming.window_stride 0\n"
+      "streaming.window_epsilon 0\n"
+      "streaming.max_windows 0\n"
+      "execution.policy sequential\n"
+      "execution.seed 1\n"
+      "execution.num_threads 0\n"
+      "execution.shard_size 65536\n"
+      "execution.rng mt19937\n";
+  EXPECT_EQ(release::PrintReleaseSpec(release::ReleaseSpec{}), golden);
+}
+
+TEST(ReleaseSpecSerialization, FullyPrintedSpecPrintsGolden) {
+  const std::string golden =
+      "mdrr-release-spec v1\n"
+      "dataset.source csv\n"
+      "dataset.csv_path /data/adult census.csv\n"
+      "dataset.csv_has_header 0\n"
+      "dataset.synthetic_records 777\n"
+      "dataset.synthetic_seed 123456789\n"
+      "budget.keep_probability 0.55000000000000004\n"
+      "budget.dependence_keep_probability 0.91000000000000003\n"
+      "budget.max_total_epsilon 12.75\n"
+      "mechanism.kind geometric-ordinal\n"
+      "mechanism.joint_attributes 4 6 7\n"
+      "mechanism.clustering.max_combinations 123\n"
+      "mechanism.clustering.min_dependence 0.25\n"
+      "mechanism.dependence_source pairwise\n"
+      "mechanism.use_paper_epsilon_formula 1\n"
+      "mechanism.geometric_epsilon 0.80000000000000004\n"
+      "frequency_oracle.backend olh\n"
+      "frequency_oracle.epsilon 1.5\n"
+      "adjustment.enabled 1\n"
+      "adjustment.max_iterations -3\n"
+      "adjustment.tolerance 9.9999999999999995e-08\n"
+      "adjustment.group 0\n"
+      "adjustment.group 3 1\n"
+      "synthetic.enabled 1\n"
+      "synthetic.records -5\n"
+      "evaluation.utility_report 1\n"
+      "evaluation.sigmas 0.20000000000000001 0.40000000000000002\n"
+      "evaluation.queries_per_sigma -9\n"
+      "evaluation.seed 99\n"
+      "streaming.enabled 1\n"
+      "streaming.window_kind sliding\n"
+      "streaming.window_size 400\n"
+      "streaming.window_stride 200\n"
+      "streaming.window_epsilon 2.5\n"
+      "streaming.max_windows 12\n"
+      "execution.policy distributed\n"
+      "execution.seed 31337\n"
+      "execution.num_threads 6\n"
+      "execution.shard_size 4096\n"
+      "execution.rng philox\n"
+      "execution.num_workers 3\n"
+      "execution.listen_port 7117\n"
+      "execution.worker_deadline_ms -250\n"
+      "output.randomized_csv /out/y.csv\n"
+      "output.synthetic_csv /out/s.csv\n"
+      "output.artifacts /out/a.txt\n";
+  const release::ReleaseSpec spec = FullyPrintedSpec();
+  EXPECT_EQ(release::PrintReleaseSpec(spec), golden);
+  auto parsed = release::ParseReleaseSpec(golden);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(parsed.value() == spec);
 }
 
 TEST(ReleaseSpecSerialization, SignedFieldsRoundTripEvenWhenInvalid) {
