@@ -6,7 +6,6 @@
 #include "mdrr/core/perturber.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/core/synthetic.h"
-#include "mdrr/stats/frequency.h"
 
 namespace mdrr {
 
@@ -16,71 +15,18 @@ namespace {
 // perturbation family at the same engine seed.
 constexpr uint64_t kSyntheticStreamSalt = 0x53594e5448455349ULL;  // "SYNTHESI"
 
-// Randomizes `input` through `matrix`, shard by shard. Under kMt19937,
-// shard s covers rows [s * shard_size, min(n, (s + 1) * shard_size)) and
-// draws exclusively from family.Stream(stream_base + s), so the output is
-// a pure function of (matrix, input, family, stream_base, shard_size).
-// Under kPhilox the shards are mere work slices: every element draws its
-// own counter block of philox stream `counter_stream` at the engine seed
-// (RandomizeRangeCounterInto), so the output is a pure function of
-// (matrix, input, seed, counter_stream) -- shard_size drops out entirely.
+// Fans an oracle backend over one column, shard by shard. Under
+// kMt19937, shard s covers rows [s * shard_size, min(n, (s + 1) *
+// shard_size)) and draws exclusively from family.Stream(stream_base + s),
+// so the output is a pure function of (oracle, input, family,
+// stream_base, shard_size). Under kPhilox the shards are mere work
+// slices: every element draws its own counter block of philox stream
+// `counter_stream` at the engine seed, so shard_size drops out entirely.
 // Counts are accumulated per *worker* (O(threads x r) memory, not
 // O(shards x r) -- joint domains can be huge) and merged after the join;
 // integer sums commute, so the totals are deterministic even though the
-// shard-to-worker assignment is not. The inner kernels are the
-// branch-predictable structured sweeps of rr_matrix.h, with the mixing
-// weight precomputed at matrix construction.
-PerturbedColumn PerturbColumnSharded(const RrMatrix& matrix,
-                                     const std::vector<uint32_t>& input,
-                                     const RngStreamFamily& family,
-                                     uint64_t stream_base, size_t shard_size,
-                                     size_t num_threads, RngKind kind,
-                                     uint64_t counter_stream,
-                                     const ColumnShardPerturber& hook) {
-  if (hook) {
-    // Externalized kernel (distributed coordinator): it receives the
-    // column's full randomness address and owns the determinism contract.
-    return hook(matrix, input, stream_base, counter_stream);
-  }
-  const size_t n = input.size();
-  PerturbedColumn result;
-  result.codes.resize(n);
-
-  // The frequency-oracle seam: the direct-encoding oracle's batched entry
-  // points delegate draw-for-draw to the RrMatrix kernels, so the sharded
-  // transcript is bit-identical to calling the matrix directly.
-  const DirectEncodingOracle oracle(matrix);
-  const size_t workers = ResolveWorkerCount(num_threads, n, shard_size);
-  std::vector<std::vector<int64_t>> worker_counts(
-      workers, std::vector<int64_t>(matrix.size(), 0));
-
-  ParallelChunks(n, shard_size, num_threads,
-                 [&](size_t worker, size_t shard, size_t begin, size_t end) {
-                   if (kind == RngKind::kPhilox) {
-                     oracle.AccumulateRangeCounter(
-                         input, begin, end, family.base_seed(), counter_stream,
-                         result.codes.data(), worker_counts[worker].data());
-                     return;
-                   }
-                   Rng rng = family.Stream(stream_base + shard);
-                   oracle.AccumulateRange(input, begin, end, rng,
-                                          result.codes.data(),
-                                          worker_counts[worker].data());
-                 });
-
-  stats::FrequencyTable total(std::vector<int64_t>(matrix.size(), 0));
-  for (std::vector<int64_t>& partial : worker_counts) {
-    total.Absorb(stats::FrequencyTable(std::move(partial)));
-  }
-  result.lambda = total.Proportions();
-  return result;
-}
-
-// Fans a generic oracle backend over the shard grid with the SAME
-// randomness addressing as PerturbColumnSharded: mt19937 shard s draws
-// family.Stream(stream_base + s); philox records draw element blocks of
-// stream `counter_stream`. Frequency-only backends contribute support
-// counts without a microdata column.
+// shard-to-worker assignment is not. Frequency-only backends contribute
+// support counts without a microdata column.
 OracleColumnResult AccumulateOracleColumnSharded(
     const FrequencyOracle& oracle, const std::vector<uint32_t>& input,
     const RngStreamFamily& family, uint64_t stream_base, size_t shard_size,
@@ -148,42 +94,46 @@ OracleColumnResult BatchPerturbationEngine::RunOracle(
       /*counter_stream=*/1 + column_index);
 }
 
+PerturbedColumn BatchPerturbationEngine::PerturbColumn(
+    const RrMatrix& matrix, const std::vector<uint32_t>& codes,
+    size_t column_index) const {
+  if (options_.shard_perturber) {
+    // Externalized kernel (distributed coordinator): it receives the
+    // column's full randomness address and owns the determinism contract.
+    return options_.shard_perturber(
+        matrix, codes, 1 + column_index * NumShards(codes.size()),
+        /*counter_stream=*/1 + column_index);
+  }
+  // The direct-encoding oracle's batched entry points delegate
+  // draw-for-draw to the RrMatrix kernels, and its lambda (count / n per
+  // entry) is the frequency-table proportion, so this is the matrix's
+  // own sharded transcript.
+  OracleColumnResult column =
+      RunOracle(DirectEncodingOracle(matrix), codes, column_index);
+  return PerturbedColumn{std::move(column.codes), std::move(column.lambda)};
+}
+
 StatusOr<RrIndependentResult> BatchPerturbationEngine::RunIndependent(
     const Dataset& dataset, const RrIndependentOptions& options) const {
-  const size_t num_shards = NumShards(dataset.num_rows());
-  RngStreamFamily family(options_.seed);
   return RunRrIndependentWith(
       dataset, options,
-      [this, &family, num_shards](const RrMatrix& matrix,
-                                  const std::vector<uint32_t>& codes,
-                                  size_t column_index) {
-        return PerturbColumnSharded(matrix, codes, family,
-                                    1 + column_index * num_shards,
-                                    options_.shard_size, options_.num_threads,
-                                    options_.rng,
-                                    /*counter_stream=*/1 + column_index,
-                                    options_.shard_perturber);
+      [this](const RrMatrix& matrix, const std::vector<uint32_t>& codes,
+             size_t column_index) {
+        return PerturbColumn(matrix, codes, column_index);
       });
 }
 
 StatusOr<RrJointResult> BatchPerturbationEngine::RunJoint(
     const Dataset& dataset, const std::vector<size_t>& attributes,
     double epsilon) const {
-  RngStreamFamily family(options_.seed);
   MDRR_ASSIGN_OR_RETURN(
       RrJointPerturbation perturbation,
-      PerturbRrJoint(
-          dataset, attributes, epsilon,
-          [this, &family](const RrMatrix& matrix,
-                          const std::vector<uint32_t>& codes,
-                          size_t /*column_index*/) {
-            return PerturbColumnSharded(matrix, codes, family,
-                                        /*stream_base=*/1,
-                                        options_.shard_size,
-                                        options_.num_threads, options_.rng,
-                                        /*counter_stream=*/1,
-                                        options_.shard_perturber);
-          }));
+      PerturbRrJoint(dataset, attributes, epsilon,
+                     [this](const RrMatrix& matrix,
+                            const std::vector<uint32_t>& codes,
+                            size_t /*column_index*/) {
+                       return PerturbColumn(matrix, codes, 0);
+                     }));
   // Estimation never draws randomness, so routing it through the engine's
   // workers keeps the output bit-identical to the sequential path.
   return EstimateRrJoint(std::move(perturbation),
@@ -192,7 +142,6 @@ StatusOr<RrJointResult> BatchPerturbationEngine::RunJoint(
 
 StatusOr<RrClustersResult> BatchPerturbationEngine::RunClusters(
     const Dataset& dataset, const RrClustersOptions& options) const {
-  const size_t num_shards = NumShards(dataset.num_rows());
   RngStreamFamily family(options_.seed);
   Rng serial_rng = family.Stream(0);
   DependenceEstimatorOptions assessment;
@@ -201,19 +150,14 @@ StatusOr<RrClustersResult> BatchPerturbationEngine::RunClusters(
   assessment.sharding.record_chunk_size = options_.shard_size;
   return RunRrClustersWith(
       dataset, options, serial_rng,
-      [this, &dataset, &family, num_shards](
-          const std::vector<size_t>& cluster, double budget,
-          size_t cluster_index) {
+      [this, &dataset](const std::vector<size_t>& cluster, double budget,
+                       size_t cluster_index) {
         return PerturbRrJoint(
             dataset, cluster, budget,
-            [this, &family, num_shards, cluster_index](
-                const RrMatrix& matrix, const std::vector<uint32_t>& codes,
-                size_t /*column_index*/) {
-              return PerturbColumnSharded(
-                  matrix, codes, family, 1 + cluster_index * num_shards,
-                  options_.shard_size, options_.num_threads, options_.rng,
-                  /*counter_stream=*/1 + cluster_index,
-                  options_.shard_perturber);
+            [this, cluster_index](const RrMatrix& matrix,
+                                  const std::vector<uint32_t>& codes,
+                                  size_t /*column_index*/) {
+              return PerturbColumn(matrix, codes, cluster_index);
             });
       },
       options_.num_threads, &assessment);

@@ -155,6 +155,14 @@ class BatchPerturbationEngine {
   const BatchPerturbationOptions& options() const { return options_; }
 
  private:
+  // Column `column_index` of the stream layout above (the attribute for
+  // Independent, the cluster for Clusters, 0 for Joint) randomized
+  // through `matrix`: options_.shard_perturber when set, else RunOracle
+  // over the matrix's direct-encoding oracle.
+  PerturbedColumn PerturbColumn(const RrMatrix& matrix,
+                                const std::vector<uint32_t>& codes,
+                                size_t column_index) const;
+
   BatchPerturbationOptions options_;
 };
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "mdrr/common/check.h"
+#include "mdrr/common/enum_tokens.h"
 #include "mdrr/core/estimator.h"
 
 namespace mdrr {
@@ -20,29 +21,21 @@ size_t OlhNumBuckets(double epsilon) {
   return static_cast<size_t>(std::max(2.0, std::min(raw, kMaxBuckets)));
 }
 
+constexpr EnumToken<OracleBackend> kOracleBackendTokens[] = {
+    {OracleBackend::kDirect, "de"},
+    {OracleBackend::kSymmetricUnary, "sue"},
+    {OracleBackend::kOptimizedUnary, "oue"},
+    {OracleBackend::kLocalHashing, "olh"},
+};
+
 }  // namespace
 
 const char* ToString(OracleBackend backend) {
-  switch (backend) {
-    case OracleBackend::kDirect:
-      return "de";
-    case OracleBackend::kSymmetricUnary:
-      return "sue";
-    case OracleBackend::kOptimizedUnary:
-      return "oue";
-    case OracleBackend::kLocalHashing:
-      return "olh";
-  }
-  return "unknown";
+  return TokenOf(kOracleBackendTokens, backend);
 }
 
-StatusOr<OracleBackend> OracleBackendFromString(const std::string& token) {
-  if (token == "de") return OracleBackend::kDirect;
-  if (token == "sue") return OracleBackend::kSymmetricUnary;
-  if (token == "oue") return OracleBackend::kOptimizedUnary;
-  if (token == "olh") return OracleBackend::kLocalHashing;
-  return Status::InvalidArgument("unknown oracle backend '" + token +
-                                 "' (expected de|sue|oue|olh)");
+StatusOr<OracleBackend> OracleBackendFromString(std::string_view token) {
+  return ValueOf(kOracleBackendTokens, token, "oracle backend");
 }
 
 StatusOr<std::vector<double>> FrequencyOracle::EstimateFromLambda(

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mdrr/common/status_or.h"
@@ -53,7 +54,7 @@ enum class OracleBackend : uint8_t {
 };
 
 const char* ToString(OracleBackend backend);
-StatusOr<OracleBackend> OracleBackendFromString(const std::string& token);
+StatusOr<OracleBackend> OracleBackendFromString(std::string_view token);
 
 // One per-attribute frequency-oracle backend over a domain of r
 // categories at privacy level epsilon.

@@ -1,10 +1,14 @@
 #include "mdrr/release/serialization.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "mdrr/common/string_util.h"
@@ -16,70 +20,6 @@ namespace {
 constexpr char kSpecHeader[] = "mdrr-release-spec v1";
 constexpr char kArtifactsHeader[] = "mdrr-release-artifacts v1";
 constexpr char kSnapshotHeader[] = "mdrr-streaming-snapshot v1";
-
-void AppendDouble(std::string& out, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
-void AppendLine(std::string& out, const std::string& key, double value) {
-  out += key;
-  out += ' ';
-  AppendDouble(out, value);
-  out += '\n';
-}
-
-void AppendLine(std::string& out, const std::string& key, uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  out += key;
-  out += ' ';
-  out += buf;
-  out += '\n';
-}
-
-// Signed fields (a malformed in-memory spec may hold negatives; they
-// must still round-trip so validation can reject them after a re-read).
-void AppendSigned(std::string& out, const std::string& key, int64_t value) {
-  out += key;
-  out += ' ';
-  out += std::to_string(value);
-  out += '\n';
-}
-
-void AppendLine(std::string& out, const std::string& key, bool value) {
-  out += key;
-  out += value ? " 1\n" : " 0\n";
-}
-
-void AppendLine(std::string& out, const std::string& key,
-                const std::string& value) {
-  out += key;
-  out += ' ';
-  out += value;
-  out += '\n';
-}
-
-void AppendIndexList(std::string& out, const std::string& key,
-                     const std::vector<size_t>& values) {
-  out += key;
-  for (size_t v : values) {
-    out += ' ';
-    out += std::to_string(v);
-  }
-  out += '\n';
-}
-
-void AppendDoubleList(std::string& out, const std::string& key,
-                      const std::vector<double>& values) {
-  out += key;
-  for (double v : values) {
-    out += ' ';
-    AppendDouble(out, v);
-  }
-  out += '\n';
-}
 
 // One stripped, non-comment input line split into a key and value
 // tokens.
@@ -110,72 +50,267 @@ std::vector<SpecLine> TokenizeLines(const std::string& text) {
   return lines;
 }
 
-StatusOr<bool> ParseBool(const SpecLine& line) {
-  if (line.tokens.size() == 1) {
-    if (line.tokens[0] == "1" || line.tokens[0] == "true") return true;
-    if (line.tokens[0] == "0" || line.tokens[0] == "false") return false;
-  }
-  return Status::InvalidArgument("expected 0/1 after '" + line.key + "'");
-}
-
-StatusOr<double> ParseOneDouble(const SpecLine& line) {
-  if (line.tokens.size() != 1) {
-    return Status::InvalidArgument("expected one number after '" + line.key +
+Status ExpectHeader(const std::vector<SpecLine>& lines, const char* header) {
+  if (lines.empty() ||
+      lines.front().key +
+              (lines.front().rest.empty() ? "" : " " + lines.front().rest) !=
+          header) {
+    return Status::InvalidArgument(std::string("expected header '") + header +
                                    "'");
   }
-  return ParseDouble(line.tokens[0]);
+  return Status::OK();
 }
 
-StatusOr<uint64_t> ParseOneUint(const SpecLine& line) {
-  if (line.tokens.size() != 1) {
-    return Status::InvalidArgument("expected one integer after '" + line.key +
+// ---------------------------------------------------------------------------
+// Value codecs, one per field type. PrintValue appends a value's tokens,
+// each after a space; ParseToken reads one token back; ParseValue reads a
+// whole line's value into a field.
+// ---------------------------------------------------------------------------
+
+void PrintValue(std::string& out, double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), " %.17g", value);
+  out += buf;
+}
+
+void PrintValue(std::string& out, bool value) { out += value ? " 1" : " 0"; }
+
+template <typename Int, std::enable_if_t<std::is_integral_v<Int>, int> = 0>
+void PrintValue(std::string& out, Int value) {
+  out += ' ';
+  out += std::to_string(value);
+}
+
+template <typename Enum, std::enable_if_t<std::is_enum_v<Enum>, int> = 0>
+void PrintValue(std::string& out, Enum value) {
+  out += ' ';
+  out += ToString(value);
+}
+
+// Paths print verbatim (they may contain spaces).
+void PrintValue(std::string& out, const std::string& path) {
+  out += ' ';
+  out += path;
+}
+
+template <typename T>
+void PrintValue(std::string& out, const std::vector<T>& values) {
+  for (const T& value : values) PrintValue(out, value);
+}
+
+template <typename T>
+void PrintKey(std::string& out, const char* key, const T& value) {
+  out += key;
+  PrintValue(out, value);
+  out += '\n';
+}
+
+Status ParseToken(std::string_view token, double* value) {
+  MDRR_ASSIGN_OR_RETURN(*value, ParseDouble(token));
+  return Status::OK();
+}
+
+Status ParseToken(std::string_view token, bool* value) {
+  if (token == "1" || token == "true") {
+    *value = true;
+  } else if (token == "0" || token == "false") {
+    *value = false;
+  } else {
+    return Status::InvalidArgument("expected 0/1, got '" + std::string(token) +
                                    "'");
   }
-  MDRR_ASSIGN_OR_RETURN(int64_t value, ParseInt64(line.tokens[0]));
-  if (value < 0) {
-    return Status::InvalidArgument("'" + line.key + "' must be >= 0");
-  }
-  return static_cast<uint64_t>(value);
+  return Status::OK();
 }
 
-StatusOr<int64_t> ParseOneInt(const SpecLine& line) {
+// Integers parse over their own type's full range, nothing wider.
+template <typename Int, std::enable_if_t<std::is_integral_v<Int>, int> = 0>
+Status ParseToken(std::string_view token, Int* value) {
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, *value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(
+        "expected an integer in [" +
+        std::to_string(std::numeric_limits<Int>::min()) + ", " +
+        std::to_string(std::numeric_limits<Int>::max()) + "], got '" +
+        std::string(token) + "'");
+  }
+  return Status::OK();
+}
+
+// Each enum field type's FromString, picked by overload.
+StatusOr<DatasetSpec::Source> FromToken(std::string_view token,
+                                        DatasetSpec::Source) {
+  return DatasetSourceFromString(token);
+}
+StatusOr<MechanismKind> FromToken(std::string_view token, MechanismKind) {
+  return MechanismKindFromString(token);
+}
+StatusOr<DependenceSource> FromToken(std::string_view token,
+                                     DependenceSource) {
+  return DependenceSourceFromString(token);
+}
+StatusOr<OracleBackend> FromToken(std::string_view token, OracleBackend) {
+  return OracleBackendFromString(token);
+}
+StatusOr<WindowKind> FromToken(std::string_view token, WindowKind) {
+  return WindowKindFromString(token);
+}
+StatusOr<PolicyKind> FromToken(std::string_view token, PolicyKind) {
+  return PolicyKindFromString(token);
+}
+StatusOr<RngKind> FromToken(std::string_view token, RngKind) {
+  return RngKindFromString(token);
+}
+
+template <typename Enum, std::enable_if_t<std::is_enum_v<Enum>, int> = 0>
+Status ParseToken(std::string_view token, Enum* value) {
+  MDRR_ASSIGN_OR_RETURN(*value, FromToken(token, *value));
+  return Status::OK();
+}
+
+Status AtKey(const SpecLine& line, const Status& status) {
+  if (status.ok()) return status;
+  return Status::InvalidArgument("'" + line.key + "': " + status.message());
+}
+
+// A scalar takes exactly one token.
+template <typename T>
+Status ParseValue(const SpecLine& line, T* value) {
   if (line.tokens.size() != 1) {
-    return Status::InvalidArgument("expected one integer after '" + line.key +
+    return Status::InvalidArgument("expected one value after '" + line.key +
                                    "'");
   }
-  return ParseInt64(line.tokens[0]);
+  return AtKey(line, ParseToken(line.tokens[0], value));
 }
 
-StatusOr<std::vector<size_t>> ParseIndexList(const SpecLine& line) {
-  std::vector<size_t> values;
-  values.reserve(line.tokens.size());
-  for (const std::string& token : line.tokens) {
-    MDRR_ASSIGN_OR_RETURN(int64_t value, ParseInt64(token));
-    if (value < 0) {
-      return Status::InvalidArgument("negative index after '" + line.key +
-                                     "'");
-    }
-    values.push_back(static_cast<size_t>(value));
-  }
-  return values;
+// A path takes the raw remainder of the line, spaces included.
+Status ParseValue(const SpecLine& line, std::string* path) {
+  *path = line.rest;
+  return Status::OK();
 }
 
-StatusOr<std::vector<double>> ParseDoubleList(const SpecLine& line) {
-  std::vector<double> values;
-  values.reserve(line.tokens.size());
-  for (const std::string& token : line.tokens) {
-    MDRR_ASSIGN_OR_RETURN(double value, ParseDouble(token));
-    values.push_back(value);
+// A list takes every token (none is an empty list).
+template <typename T>
+Status ParseValue(const SpecLine& line, std::vector<T>* values) {
+  values->assign(line.tokens.size(), T{});
+  for (size_t i = 0; i < line.tokens.size(); ++i) {
+    MDRR_RETURN_IF_ERROR(
+        AtKey(line, ParseToken(line.tokens[i], &(*values)[i])));
   }
-  return values;
+  return Status::OK();
 }
 
-StatusOr<std::string> ParseOneToken(const SpecLine& line) {
-  if (line.tokens.size() != 1) {
-    return Status::InvalidArgument("expected one token after '" + line.key +
-                                   "'");
-  }
-  return line.tokens[0];
+// The repeated key: one `adjustment.group` line per group, in order.
+using Groups = std::vector<std::vector<size_t>>;
+
+void PrintKey(std::string& out, const char* key, const Groups& groups) {
+  for (const std::vector<size_t>& group : groups) PrintKey(out, key, group);
+}
+
+Status ParseValue(const SpecLine& line, Groups* groups) {
+  groups->emplace_back();
+  return ParseValue(line, &groups->back());
+}
+
+template <typename T>
+constexpr bool kRepeatable = std::is_same_v<T, Groups>;
+
+// ---------------------------------------------------------------------------
+// ReleaseSpec keys.
+// ---------------------------------------------------------------------------
+
+// When a key is printed. Optional sections stay out of the text at their
+// defaults, so spec files written before a section existed keep their
+// exact bytes; validation pins such a section to its defaults wherever
+// it cannot apply, so a parse of the printed text still compares equal.
+enum class Print {
+  kAlways,
+  kIfSet,  // The value is not zero/empty (paths, oracle epsilon).
+  kNever,
+};
+
+// The spec key list, in print order: the only place that names
+// ReleaseSpec fields. Calls visit(key, print, field...) with that key's
+// field of every spec passed in; print, parse and equality all walk it.
+// Section-dependent print rules read the first spec.
+template <typename Visit, typename... Spec>
+void ForEachSpecKey(Visit&& visit, Spec&... s) {
+  using P = Print;
+  const ReleaseSpec& first = std::get<0>(std::tie(s...));
+  const P if_oracle =
+      first.frequency_oracle.is_default() ? P::kNever : P::kAlways;
+  const P if_distributed = first.execution.kind == PolicyKind::kDistributed
+                               ? P::kAlways
+                               : P::kNever;
+  visit("dataset.source", P::kAlways, s.dataset.source...);
+  visit("dataset.csv_path", P::kIfSet, s.dataset.csv_path...);
+  visit("dataset.csv_has_header", P::kAlways, s.dataset.csv_has_header...);
+  visit("dataset.synthetic_records", P::kAlways,
+        s.dataset.synthetic_records...);
+  visit("dataset.synthetic_seed", P::kAlways, s.dataset.synthetic_seed...);
+
+  visit("budget.keep_probability", P::kAlways, s.budget.keep_probability...);
+  visit("budget.dependence_keep_probability", P::kAlways,
+        s.budget.dependence_keep_probability...);
+  visit("budget.max_total_epsilon", P::kAlways, s.budget.max_total_epsilon...);
+
+  visit("mechanism.kind", P::kAlways, s.mechanism.kind...);
+  visit("mechanism.joint_attributes", P::kAlways,
+        s.mechanism.joint_attributes...);
+  visit("mechanism.clustering.max_combinations", P::kAlways,
+        s.mechanism.clustering.max_combinations...);
+  visit("mechanism.clustering.min_dependence", P::kAlways,
+        s.mechanism.clustering.min_dependence...);
+  visit("mechanism.dependence_source", P::kAlways,
+        s.mechanism.dependence_source...);
+  visit("mechanism.use_paper_epsilon_formula", P::kAlways,
+        s.mechanism.use_paper_epsilon_formula...);
+  visit("mechanism.geometric_epsilon", P::kAlways,
+        s.mechanism.geometric_epsilon...);
+
+  visit("frequency_oracle.backend", if_oracle,
+        s.frequency_oracle.backend...);
+  visit("frequency_oracle.epsilon", P::kIfSet, s.frequency_oracle.epsilon...);
+
+  visit("adjustment.enabled", P::kAlways, s.adjustment.enabled...);
+  visit("adjustment.max_iterations", P::kAlways,
+        s.adjustment.max_iterations...);
+  visit("adjustment.tolerance", P::kAlways, s.adjustment.tolerance...);
+  visit("adjustment.group", P::kAlways, s.adjustment.groups...);
+
+  visit("synthetic.enabled", P::kAlways, s.synthetic.enabled...);
+  visit("synthetic.records", P::kAlways, s.synthetic.records...);
+
+  visit("evaluation.utility_report", P::kAlways,
+        s.evaluation.utility_report...);
+  visit("evaluation.sigmas", P::kAlways, s.evaluation.sigmas...);
+  visit("evaluation.queries_per_sigma", P::kAlways,
+        s.evaluation.queries_per_sigma...);
+  visit("evaluation.seed", P::kAlways, s.evaluation.seed...);
+
+  visit("streaming.enabled", P::kAlways, s.streaming.enabled...);
+  visit("streaming.window_kind", P::kAlways, s.streaming.window_kind...);
+  visit("streaming.window_size", P::kAlways, s.streaming.window_size...);
+  visit("streaming.window_stride", P::kAlways, s.streaming.window_stride...);
+  visit("streaming.window_epsilon", P::kAlways,
+        s.streaming.window_epsilon...);
+  visit("streaming.max_windows", P::kAlways, s.streaming.max_windows...);
+
+  visit("execution.policy", P::kAlways, s.execution.kind...);
+  visit("execution.seed", P::kAlways, s.execution.seed...);
+  visit("execution.num_threads", P::kAlways, s.execution.num_threads...);
+  visit("execution.shard_size", P::kAlways, s.execution.shard_size...);
+  visit("execution.rng", P::kAlways, s.execution.rng...);
+  visit("execution.num_workers", if_distributed,
+        s.execution.num_workers...);
+  visit("execution.listen_port", if_distributed,
+        s.execution.listen_port...);
+  visit("execution.worker_deadline_ms", if_distributed,
+        s.execution.worker_deadline_ms...);
+
+  visit("output.randomized_csv", P::kIfSet, s.output.randomized_csv...);
+  visit("output.synthetic_csv", P::kIfSet, s.output.synthetic_csv...);
+  visit("output.artifacts", P::kIfSet, s.output.artifacts_path...);
 }
 
 Status WriteText(const std::string& text, const std::string& path) {
@@ -200,257 +335,65 @@ StatusOr<std::string> ReadText(const std::string& path) {
   return buffer.str();
 }
 
+// "marginal <len> <p...>", shared by artifacts and window transcripts.
+void PrintMarginal(std::string& out, const std::vector<double>& marginal) {
+  out += "marginal";
+  PrintValue(out, marginal.size());
+  PrintValue(out, marginal);
+  out += '\n';
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // ReleaseSpec.
 // ---------------------------------------------------------------------------
 
+bool operator==(const ReleaseSpec& a, const ReleaseSpec& b) {
+  bool equal = true;
+  ForEachSpecKey([&equal](const char*, Print, const auto& x,
+                          const auto& y) { equal = equal && x == y; },
+                 a, b);
+  return equal;
+}
+
 std::string PrintReleaseSpec(const ReleaseSpec& spec) {
-  std::string out;
-  out += kSpecHeader;
-  out += '\n';
-
-  AppendLine(out, "dataset.source", std::string(ToString(spec.dataset.source)));
-  if (!spec.dataset.csv_path.empty()) {
-    AppendLine(out, "dataset.csv_path", spec.dataset.csv_path);
-  }
-  AppendLine(out, "dataset.csv_has_header", spec.dataset.csv_has_header);
-  AppendLine(out, "dataset.synthetic_records",
-             static_cast<uint64_t>(spec.dataset.synthetic_records));
-  AppendLine(out, "dataset.synthetic_seed", spec.dataset.synthetic_seed);
-
-  AppendLine(out, "budget.keep_probability", spec.budget.keep_probability);
-  AppendLine(out, "budget.dependence_keep_probability",
-             spec.budget.dependence_keep_probability);
-  AppendLine(out, "budget.max_total_epsilon", spec.budget.max_total_epsilon);
-
-  AppendLine(out, "mechanism.kind", std::string(ToString(spec.mechanism.kind)));
-  AppendIndexList(out, "mechanism.joint_attributes",
-                  spec.mechanism.joint_attributes);
-  AppendLine(out, "mechanism.clustering.max_combinations",
-             spec.mechanism.clustering.max_combinations);
-  AppendLine(out, "mechanism.clustering.min_dependence",
-             spec.mechanism.clustering.min_dependence);
-  AppendLine(out, "mechanism.dependence_source",
-             std::string(ToString(spec.mechanism.dependence_source)));
-  AppendLine(out, "mechanism.use_paper_epsilon_formula",
-             spec.mechanism.use_paper_epsilon_formula);
-  AppendLine(out, "mechanism.geometric_epsilon",
-             spec.mechanism.geometric_epsilon);
-
-  // Printed only when non-default so pre-oracle spec files keep their
-  // exact committed text (validation pins the section to its defaults on
-  // every path that cannot serve it, so round-trip equality holds).
-  if (!spec.frequency_oracle.is_default()) {
-    AppendLine(out, "frequency_oracle.backend",
-               std::string(ToString(spec.frequency_oracle.backend)));
-    if (spec.frequency_oracle.epsilon != 0.0) {
-      AppendLine(out, "frequency_oracle.epsilon",
-                 spec.frequency_oracle.epsilon);
-    }
-  }
-
-  AppendLine(out, "adjustment.enabled", spec.adjustment.enabled);
-  AppendSigned(out, "adjustment.max_iterations",
-               spec.adjustment.max_iterations);
-  AppendLine(out, "adjustment.tolerance", spec.adjustment.tolerance);
-  for (const std::vector<size_t>& group : spec.adjustment.groups) {
-    AppendIndexList(out, "adjustment.group", group);
-  }
-
-  AppendLine(out, "synthetic.enabled", spec.synthetic.enabled);
-  AppendSigned(out, "synthetic.records", spec.synthetic.records);
-
-  AppendLine(out, "evaluation.utility_report", spec.evaluation.utility_report);
-  AppendDoubleList(out, "evaluation.sigmas", spec.evaluation.sigmas);
-  AppendSigned(out, "evaluation.queries_per_sigma",
-               spec.evaluation.queries_per_sigma);
-  AppendLine(out, "evaluation.seed", spec.evaluation.seed);
-
-  AppendLine(out, "streaming.enabled", spec.streaming.enabled);
-  AppendLine(out, "streaming.window_kind",
-             std::string(ToString(spec.streaming.window_kind)));
-  AppendLine(out, "streaming.window_size", spec.streaming.window_size);
-  AppendLine(out, "streaming.window_stride", spec.streaming.window_stride);
-  AppendLine(out, "streaming.window_epsilon", spec.streaming.window_epsilon);
-  AppendLine(out, "streaming.max_windows", spec.streaming.max_windows);
-
-  AppendLine(out, "execution.policy",
-             std::string(ToString(spec.execution.kind)));
-  AppendLine(out, "execution.seed", spec.execution.seed);
-  AppendLine(out, "execution.num_threads",
-             static_cast<uint64_t>(spec.execution.num_threads));
-  AppendLine(out, "execution.shard_size",
-             static_cast<uint64_t>(spec.execution.shard_size));
-  AppendLine(out, "execution.rng", std::string(ToString(spec.execution.rng)));
-  // Distributed-only fields, printed only under that policy so pre-
-  // distributed spec files keep their exact text (validation forces the
-  // fields to their defaults under every other policy, so round-trip
-  // equality still holds).
-  if (spec.execution.kind == PolicyKind::kDistributed) {
-    AppendLine(out, "execution.num_workers",
-               static_cast<uint64_t>(spec.execution.num_workers));
-    AppendLine(out, "execution.listen_port",
-               static_cast<uint64_t>(spec.execution.listen_port));
-    AppendSigned(out, "execution.worker_deadline_ms",
-                 spec.execution.worker_deadline_ms);
-  }
-
-  if (!spec.output.randomized_csv.empty()) {
-    AppendLine(out, "output.randomized_csv", spec.output.randomized_csv);
-  }
-  if (!spec.output.synthetic_csv.empty()) {
-    AppendLine(out, "output.synthetic_csv", spec.output.synthetic_csv);
-  }
-  if (!spec.output.artifacts_path.empty()) {
-    AppendLine(out, "output.artifacts", spec.output.artifacts_path);
-  }
+  std::string out = std::string(kSpecHeader) + '\n';
+  ForEachSpecKey(
+      [&out](const char* key, Print print, const auto& value) {
+        using T = std::decay_t<decltype(value)>;
+        if (print == Print::kAlways ||
+            (print == Print::kIfSet && !(value == T{}))) {
+          PrintKey(out, key, value);
+        }
+      },
+      spec);
   return out;
 }
 
 StatusOr<ReleaseSpec> ParseReleaseSpec(const std::string& text) {
   std::vector<SpecLine> lines = TokenizeLines(text);
-  if (lines.empty() || lines.front().key + (lines.front().rest.empty()
-                                                ? ""
-                                                : " " + lines.front().rest) !=
-                           kSpecHeader) {
-    return Status::InvalidArgument(std::string("expected header '") +
-                                   kSpecHeader + "'");
-  }
+  MDRR_RETURN_IF_ERROR(ExpectHeader(lines, kSpecHeader));
 
   ReleaseSpec spec;
+  std::set<std::string> seen;
   for (size_t i = 1; i < lines.size(); ++i) {
     const SpecLine& line = lines[i];
-    const std::string& key = line.key;
-    if (key == "dataset.source") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.dataset.source,
-                            DatasetSourceFromString(token));
-    } else if (key == "dataset.csv_path") {
-      spec.dataset.csv_path = line.rest;
-    } else if (key == "dataset.csv_has_header") {
-      MDRR_ASSIGN_OR_RETURN(spec.dataset.csv_has_header, ParseBool(line));
-    } else if (key == "dataset.synthetic_records") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      spec.dataset.synthetic_records = static_cast<size_t>(value);
-    } else if (key == "dataset.synthetic_seed") {
-      MDRR_ASSIGN_OR_RETURN(spec.dataset.synthetic_seed, ParseOneUint(line));
-    } else if (key == "budget.keep_probability") {
-      MDRR_ASSIGN_OR_RETURN(spec.budget.keep_probability,
-                            ParseOneDouble(line));
-    } else if (key == "budget.dependence_keep_probability") {
-      MDRR_ASSIGN_OR_RETURN(spec.budget.dependence_keep_probability,
-                            ParseOneDouble(line));
-    } else if (key == "budget.max_total_epsilon") {
-      MDRR_ASSIGN_OR_RETURN(spec.budget.max_total_epsilon,
-                            ParseOneDouble(line));
-    } else if (key == "mechanism.kind") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.kind,
-                            MechanismKindFromString(token));
-    } else if (key == "mechanism.joint_attributes") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.joint_attributes,
-                            ParseIndexList(line));
-    } else if (key == "mechanism.clustering.max_combinations") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.clustering.max_combinations,
-                            ParseOneDouble(line));
-    } else if (key == "mechanism.clustering.min_dependence") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.clustering.min_dependence,
-                            ParseOneDouble(line));
-    } else if (key == "mechanism.dependence_source") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.dependence_source,
-                            DependenceSourceFromString(token));
-    } else if (key == "mechanism.use_paper_epsilon_formula") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.use_paper_epsilon_formula,
-                            ParseBool(line));
-    } else if (key == "mechanism.geometric_epsilon") {
-      MDRR_ASSIGN_OR_RETURN(spec.mechanism.geometric_epsilon,
-                            ParseOneDouble(line));
-    } else if (key == "frequency_oracle.backend") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.frequency_oracle.backend,
-                            OracleBackendFromString(token));
-    } else if (key == "frequency_oracle.epsilon") {
-      MDRR_ASSIGN_OR_RETURN(spec.frequency_oracle.epsilon,
-                            ParseOneDouble(line));
-    } else if (key == "adjustment.enabled") {
-      MDRR_ASSIGN_OR_RETURN(spec.adjustment.enabled, ParseBool(line));
-    } else if (key == "adjustment.max_iterations") {
-      MDRR_ASSIGN_OR_RETURN(int64_t value, ParseOneInt(line));
-      spec.adjustment.max_iterations = static_cast<int>(value);
-    } else if (key == "adjustment.tolerance") {
-      MDRR_ASSIGN_OR_RETURN(spec.adjustment.tolerance, ParseOneDouble(line));
-    } else if (key == "adjustment.group") {
-      MDRR_ASSIGN_OR_RETURN(std::vector<size_t> group, ParseIndexList(line));
-      spec.adjustment.groups.push_back(std::move(group));
-    } else if (key == "synthetic.enabled") {
-      MDRR_ASSIGN_OR_RETURN(spec.synthetic.enabled, ParseBool(line));
-    } else if (key == "synthetic.records") {
-      MDRR_ASSIGN_OR_RETURN(spec.synthetic.records, ParseOneInt(line));
-    } else if (key == "evaluation.utility_report") {
-      MDRR_ASSIGN_OR_RETURN(spec.evaluation.utility_report, ParseBool(line));
-    } else if (key == "evaluation.sigmas") {
-      MDRR_ASSIGN_OR_RETURN(spec.evaluation.sigmas, ParseDoubleList(line));
-    } else if (key == "evaluation.queries_per_sigma") {
-      MDRR_ASSIGN_OR_RETURN(int64_t value, ParseOneInt(line));
-      spec.evaluation.queries_per_sigma = static_cast<int>(value);
-    } else if (key == "evaluation.seed") {
-      MDRR_ASSIGN_OR_RETURN(spec.evaluation.seed, ParseOneUint(line));
-    } else if (key == "streaming.enabled") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.enabled, ParseBool(line));
-    } else if (key == "streaming.window_kind") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.window_kind,
-                            WindowKindFromString(token));
-    } else if (key == "streaming.window_size") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.window_size, ParseOneUint(line));
-    } else if (key == "streaming.window_stride") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.window_stride, ParseOneUint(line));
-    } else if (key == "streaming.window_epsilon") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.window_epsilon,
-                            ParseOneDouble(line));
-    } else if (key == "streaming.max_windows") {
-      MDRR_ASSIGN_OR_RETURN(spec.streaming.max_windows, ParseOneUint(line));
-    } else if (key == "execution.policy") {
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.execution.kind, PolicyKindFromString(token));
-    } else if (key == "execution.seed") {
-      MDRR_ASSIGN_OR_RETURN(spec.execution.seed, ParseOneUint(line));
-    } else if (key == "execution.num_threads") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      spec.execution.num_threads = static_cast<size_t>(value);
-    } else if (key == "execution.shard_size") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      spec.execution.shard_size = static_cast<size_t>(value);
-    } else if (key == "execution.rng") {
-      // Absent in pre-philox spec files; the field default keeps those
-      // parsing as mt19937.
-      MDRR_ASSIGN_OR_RETURN(std::string token, ParseOneToken(line));
-      MDRR_ASSIGN_OR_RETURN(spec.execution.rng, RngKindFromString(token));
-    } else if (key == "execution.num_workers") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      spec.execution.num_workers = static_cast<size_t>(value);
-    } else if (key == "execution.listen_port") {
-      MDRR_ASSIGN_OR_RETURN(uint64_t value, ParseOneUint(line));
-      if (value > 65535) {
-        return Status::InvalidArgument(
-            "execution.listen_port must be a TCP port (0-65535)");
-      }
-      spec.execution.listen_port = static_cast<uint16_t>(value);
-    } else if (key == "execution.worker_deadline_ms") {
-      MDRR_ASSIGN_OR_RETURN(spec.execution.worker_deadline_ms,
-                            ParseOneInt(line));
-    } else if (key == "output.randomized_csv") {
-      spec.output.randomized_csv = line.rest;
-    } else if (key == "output.synthetic_csv") {
-      spec.output.synthetic_csv = line.rest;
-    } else if (key == "output.artifacts") {
-      spec.output.artifacts_path = line.rest;
-    } else {
-      return Status::InvalidArgument("unknown spec key '" + key + "'");
-    }
+    Status status =
+        Status::InvalidArgument("unknown spec key '" + line.key + "'");
+    ForEachSpecKey(
+        [&](const char* key, Print, auto& field) {
+          if (line.key != key) return;
+          if (!seen.insert(line.key).second &&
+              !kRepeatable<std::decay_t<decltype(field)>>) {
+            status = Status::InvalidArgument("spec key '" + line.key +
+                                             "' appears more than once");
+            return;
+          }
+          status = ParseValue(line, &field);
+        },
+        spec);
+    MDRR_RETURN_IF_ERROR(status);
   }
   return spec;
 }
@@ -469,65 +412,51 @@ StatusOr<ReleaseSpec> ReadReleaseSpec(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 std::string PrintReleaseArtifacts(const ReleaseArtifacts& artifacts) {
-  std::string out;
-  out += kArtifactsHeader;
-  out += '\n';
-  AppendLine(out, "records", artifacts.num_records);
-  AppendLine(out, "release_epsilon", artifacts.release_epsilon);
-  AppendLine(out, "dependence_epsilon", artifacts.dependence_epsilon);
+  std::string out = std::string(kArtifactsHeader) + '\n';
+  PrintKey(out, "records", artifacts.num_records);
+  PrintKey(out, "release_epsilon", artifacts.release_epsilon);
+  PrintKey(out, "dependence_epsilon", artifacts.dependence_epsilon);
 
-  AppendLine(out, "marginals",
-             static_cast<uint64_t>(artifacts.marginal_estimates.size()));
+  PrintKey(out, "marginals", artifacts.marginal_estimates.size());
   for (const std::vector<double>& marginal : artifacts.marginal_estimates) {
-    out += "marginal ";
-    out += std::to_string(marginal.size());
-    for (double p : marginal) {
-      out += ' ';
-      AppendDouble(out, p);
-    }
-    out += '\n';
+    PrintMarginal(out, marginal);
   }
 
-  AppendLine(out, "clusters",
-             static_cast<uint64_t>(artifacts.clustering.size()));
+  PrintKey(out, "clusters", artifacts.clustering.size());
   for (const std::vector<size_t>& cluster : artifacts.clustering) {
-    AppendIndexList(out, "cluster", cluster);
+    PrintKey(out, "cluster", cluster);
   }
 
-  AppendLine(out, "dependences",
-             static_cast<uint64_t>(artifacts.dependences.rows()));
+  PrintKey(out, "dependences", artifacts.dependences.rows());
   for (size_t i = 0; i < artifacts.dependences.rows(); ++i) {
     out += "deprow";
     for (size_t j = 0; j < artifacts.dependences.cols(); ++j) {
-      out += ' ';
-      AppendDouble(out, artifacts.dependences(i, j));
+      PrintValue(out, artifacts.dependences(i, j));
     }
     out += '\n';
   }
 
   if (artifacts.adjustment.has_value()) {
-    out += "adjustment ";
-    out += std::to_string(artifacts.adjustment->iterations);
-    out += artifacts.adjustment->converged ? " 1 " : " 0 ";
-    AppendDouble(out, artifacts.adjustment->max_marginal_gap);
+    out += "adjustment";
+    PrintValue(out, artifacts.adjustment->iterations);
+    PrintValue(out, artifacts.adjustment->converged);
+    PrintValue(out, artifacts.adjustment->max_marginal_gap);
     out += '\n';
-    AppendDoubleList(out, "weights", artifacts.adjustment->weights);
+    PrintKey(out, "weights", artifacts.adjustment->weights);
   }
 
   if (artifacts.utility.has_value()) {
-    AppendDoubleList(out, "utility.marginal_tv",
-                     artifacts.utility->marginal_tv);
-    AppendDoubleList(out, "utility.median_relative_error",
-                     artifacts.utility->median_relative_error);
-    AppendLine(out, "utility.max_dependence_shift",
-               artifacts.utility->max_dependence_shift);
+    PrintKey(out, "utility.marginal_tv", artifacts.utility->marginal_tv);
+    PrintKey(out, "utility.median_relative_error",
+             artifacts.utility->median_relative_error);
+    PrintKey(out, "utility.max_dependence_shift",
+             artifacts.utility->max_dependence_shift);
   }
 
   for (const StageTiming& timing : artifacts.timings) {
     out += "timing ";
     out += timing.stage;
-    out += ' ';
-    AppendDouble(out, timing.seconds);
+    PrintValue(out, timing.seconds);
     out += '\n';
   }
   return out;
@@ -535,13 +464,7 @@ std::string PrintReleaseArtifacts(const ReleaseArtifacts& artifacts) {
 
 StatusOr<ReleaseArtifacts> ParseReleaseArtifacts(const std::string& text) {
   std::vector<SpecLine> lines = TokenizeLines(text);
-  if (lines.empty() || lines.front().key + (lines.front().rest.empty()
-                                                ? ""
-                                                : " " + lines.front().rest) !=
-                           kArtifactsHeader) {
-    return Status::InvalidArgument(std::string("expected header '") +
-                                   kArtifactsHeader + "'");
-  }
+  MDRR_RETURN_IF_ERROR(ExpectHeader(lines, kArtifactsHeader));
 
   ReleaseArtifacts artifacts;
   uint64_t declared_marginals = 0;
@@ -552,60 +475,53 @@ StatusOr<ReleaseArtifacts> ParseReleaseArtifacts(const std::string& text) {
     const SpecLine& line = lines[i];
     const std::string& key = line.key;
     if (key == "records") {
-      MDRR_ASSIGN_OR_RETURN(artifacts.num_records, ParseOneDouble(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.num_records));
     } else if (key == "release_epsilon") {
-      MDRR_ASSIGN_OR_RETURN(artifacts.release_epsilon, ParseOneDouble(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.release_epsilon));
     } else if (key == "dependence_epsilon") {
-      MDRR_ASSIGN_OR_RETURN(artifacts.dependence_epsilon,
-                            ParseOneDouble(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.dependence_epsilon));
     } else if (key == "marginals") {
-      MDRR_ASSIGN_OR_RETURN(declared_marginals, ParseOneUint(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &declared_marginals));
     } else if (key == "marginal") {
       // "marginal <len> <p...>": the declared length is an integer, not
       // a double (casting an arbitrary double would be UB for NaN or
       // out-of-range values).
-      if (line.tokens.empty()) {
+      size_t declared = 0;
+      if (line.tokens.empty() || !ParseToken(line.tokens[0], &declared).ok() ||
+          declared + 1 != line.tokens.size()) {
         return Status::InvalidArgument("malformed marginal line");
       }
-      MDRR_ASSIGN_OR_RETURN(int64_t declared, ParseInt64(line.tokens[0]));
-      if (declared < 0 ||
-          static_cast<size_t>(declared) + 1 != line.tokens.size()) {
-        return Status::InvalidArgument("malformed marginal line");
-      }
-      std::vector<double> marginal;
-      marginal.reserve(static_cast<size_t>(declared));
-      for (size_t t = 1; t < line.tokens.size(); ++t) {
-        MDRR_ASSIGN_OR_RETURN(double p, ParseDouble(line.tokens[t]));
-        marginal.push_back(p);
+      std::vector<double> marginal(declared);
+      for (size_t t = 0; t < declared; ++t) {
+        MDRR_RETURN_IF_ERROR(ParseToken(line.tokens[t + 1], &marginal[t]));
       }
       artifacts.marginal_estimates.push_back(std::move(marginal));
     } else if (key == "clusters") {
-      MDRR_ASSIGN_OR_RETURN(declared_clusters, ParseOneUint(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &declared_clusters));
     } else if (key == "cluster") {
-      MDRR_ASSIGN_OR_RETURN(std::vector<size_t> cluster,
-                            ParseIndexList(line));
+      std::vector<size_t> cluster;
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &cluster));
       if (cluster.empty()) {
         return Status::InvalidArgument("empty cluster line");
       }
       artifacts.clustering.push_back(std::move(cluster));
     } else if (key == "dependences") {
-      MDRR_ASSIGN_OR_RETURN(declared_dependence_rows, ParseOneUint(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &declared_dependence_rows));
     } else if (key == "deprow") {
-      MDRR_ASSIGN_OR_RETURN(std::vector<double> row, ParseDoubleList(line));
+      std::vector<double> row;
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &row));
       dependence_rows.push_back(std::move(row));
     } else if (key == "adjustment") {
-      if (line.tokens.size() != 3) {
+      if (line.tokens.size() != 3 ||
+          (line.tokens[1] != "0" && line.tokens[1] != "1")) {
         return Status::InvalidArgument("malformed adjustment line");
       }
       AdjustmentResult adjustment;
-      MDRR_ASSIGN_OR_RETURN(int64_t iterations, ParseInt64(line.tokens[0]));
-      adjustment.iterations = static_cast<int>(iterations);
-      if (line.tokens[1] != "0" && line.tokens[1] != "1") {
-        return Status::InvalidArgument("malformed adjustment line");
-      }
+      MDRR_RETURN_IF_ERROR(
+          AtKey(line, ParseToken(line.tokens[0], &adjustment.iterations)));
       adjustment.converged = line.tokens[1] == "1";
-      MDRR_ASSIGN_OR_RETURN(adjustment.max_marginal_gap,
-                            ParseDouble(line.tokens[2]));
+      MDRR_RETURN_IF_ERROR(
+          ParseToken(line.tokens[2], &adjustment.max_marginal_gap));
       if (artifacts.adjustment.has_value()) {
         adjustment.weights = std::move(artifacts.adjustment->weights);
       }
@@ -614,27 +530,25 @@ StatusOr<ReleaseArtifacts> ParseReleaseArtifacts(const std::string& text) {
       if (!artifacts.adjustment.has_value()) {
         artifacts.adjustment.emplace();
       }
-      MDRR_ASSIGN_OR_RETURN(artifacts.adjustment->weights,
-                            ParseDoubleList(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.adjustment->weights));
     } else if (key == "utility.marginal_tv") {
       if (!artifacts.utility.has_value()) artifacts.utility.emplace();
-      MDRR_ASSIGN_OR_RETURN(artifacts.utility->marginal_tv,
-                            ParseDoubleList(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.utility->marginal_tv));
     } else if (key == "utility.median_relative_error") {
       if (!artifacts.utility.has_value()) artifacts.utility.emplace();
-      MDRR_ASSIGN_OR_RETURN(artifacts.utility->median_relative_error,
-                            ParseDoubleList(line));
+      MDRR_RETURN_IF_ERROR(
+          ParseValue(line, &artifacts.utility->median_relative_error));
     } else if (key == "utility.max_dependence_shift") {
       if (!artifacts.utility.has_value()) artifacts.utility.emplace();
-      MDRR_ASSIGN_OR_RETURN(artifacts.utility->max_dependence_shift,
-                            ParseOneDouble(line));
+      MDRR_RETURN_IF_ERROR(
+          ParseValue(line, &artifacts.utility->max_dependence_shift));
     } else if (key == "timing") {
       if (line.tokens.size() != 2) {
         return Status::InvalidArgument("malformed timing line");
       }
       StageTiming timing;
       timing.stage = line.tokens[0];
-      MDRR_ASSIGN_OR_RETURN(timing.seconds, ParseDouble(line.tokens[1]));
+      MDRR_RETURN_IF_ERROR(ParseToken(line.tokens[1], &timing.seconds));
       artifacts.timings.push_back(std::move(timing));
     } else {
       return Status::InvalidArgument("unknown artifacts key '" + key + "'");
@@ -675,33 +589,25 @@ StatusOr<ReleaseArtifacts> ReadReleaseArtifacts(const std::string& path) {
   return ParseReleaseArtifacts(text);
 }
 
-
 // ---------------------------------------------------------------------------
 // StreamingSnapshot.
 // ---------------------------------------------------------------------------
 
 std::string PrintStreamingSnapshot(const StreamingSnapshot& snapshot) {
-  std::string out;
-  out += kSnapshotHeader;
-  out += '\n';
-
-  AppendLine(out, "next_sequence", snapshot.next_sequence);
-  AppendLine(out, "next_window", snapshot.next_window);
-  AppendLine(out, "epsilon_spent", snapshot.epsilon_spent);
-  AppendDoubleList(out, "window_epsilons", snapshot.window_epsilons);
-  AppendIndexList(out, "cardinalities", snapshot.cardinalities);
+  std::string out = std::string(kSnapshotHeader) + '\n';
+  PrintKey(out, "next_sequence", snapshot.next_sequence);
+  PrintKey(out, "next_window", snapshot.next_window);
+  PrintKey(out, "epsilon_spent", snapshot.epsilon_spent);
+  PrintKey(out, "window_epsilons", snapshot.window_epsilons);
+  PrintKey(out, "cardinalities", snapshot.cardinalities);
 
   // "bucket <index> <reports> <counts...>": counts stay signed so any
   // in-memory snapshot round-trips and Resume gets to reject it.
   for (const StreamingSnapshot::BucketCounts& bucket : snapshot.buckets) {
-    out += "bucket ";
-    out += std::to_string(bucket.bucket);
-    out += ' ';
-    out += std::to_string(bucket.num_reports);
-    for (int64_t count : bucket.counts) {
-      out += ' ';
-      out += std::to_string(count);
-    }
+    out += "bucket";
+    PrintValue(out, bucket.bucket);
+    PrintValue(out, bucket.num_reports);
+    PrintValue(out, bucket.counts);
     out += '\n';
   }
   return out;
@@ -709,44 +615,33 @@ std::string PrintStreamingSnapshot(const StreamingSnapshot& snapshot) {
 
 StatusOr<StreamingSnapshot> ParseStreamingSnapshot(const std::string& text) {
   std::vector<SpecLine> lines = TokenizeLines(text);
-  if (lines.empty() || lines.front().key + (lines.front().rest.empty()
-                                                ? ""
-                                                : " " + lines.front().rest) !=
-                           kSnapshotHeader) {
-    return Status::InvalidArgument(std::string("expected header '") +
-                                   kSnapshotHeader + "'");
-  }
+  MDRR_RETURN_IF_ERROR(ExpectHeader(lines, kSnapshotHeader));
 
   StreamingSnapshot snapshot;
   for (size_t i = 1; i < lines.size(); ++i) {
     const SpecLine& line = lines[i];
     const std::string& key = line.key;
     if (key == "next_sequence") {
-      MDRR_ASSIGN_OR_RETURN(snapshot.next_sequence, ParseOneUint(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &snapshot.next_sequence));
     } else if (key == "next_window") {
-      MDRR_ASSIGN_OR_RETURN(snapshot.next_window, ParseOneUint(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &snapshot.next_window));
     } else if (key == "epsilon_spent") {
-      MDRR_ASSIGN_OR_RETURN(snapshot.epsilon_spent, ParseOneDouble(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &snapshot.epsilon_spent));
     } else if (key == "window_epsilons") {
-      MDRR_ASSIGN_OR_RETURN(snapshot.window_epsilons, ParseDoubleList(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &snapshot.window_epsilons));
     } else if (key == "cardinalities") {
-      MDRR_ASSIGN_OR_RETURN(snapshot.cardinalities, ParseIndexList(line));
+      MDRR_RETURN_IF_ERROR(ParseValue(line, &snapshot.cardinalities));
     } else if (key == "bucket") {
       if (line.tokens.size() < 2) {
         return Status::InvalidArgument("malformed bucket line");
       }
       StreamingSnapshot::BucketCounts bucket;
-      MDRR_ASSIGN_OR_RETURN(int64_t index, ParseInt64(line.tokens[0]));
-      MDRR_ASSIGN_OR_RETURN(int64_t reports, ParseInt64(line.tokens[1]));
-      if (index < 0 || reports < 0) {
-        return Status::InvalidArgument("malformed bucket line");
-      }
-      bucket.bucket = static_cast<uint64_t>(index);
-      bucket.num_reports = static_cast<uint64_t>(reports);
-      bucket.counts.reserve(line.tokens.size() - 2);
-      for (size_t t = 2; t < line.tokens.size(); ++t) {
-        MDRR_ASSIGN_OR_RETURN(int64_t count, ParseInt64(line.tokens[t]));
-        bucket.counts.push_back(count);
+      MDRR_RETURN_IF_ERROR(ParseToken(line.tokens[0], &bucket.bucket));
+      MDRR_RETURN_IF_ERROR(ParseToken(line.tokens[1], &bucket.num_reports));
+      bucket.counts.resize(line.tokens.size() - 2);
+      for (size_t t = 0; t < bucket.counts.size(); ++t) {
+        MDRR_RETURN_IF_ERROR(
+            ParseToken(line.tokens[t + 2], &bucket.counts[t]));
       }
       snapshot.buckets.push_back(std::move(bucket));
     } else {
@@ -773,27 +668,18 @@ StatusOr<StreamingSnapshot> ReadStreamingSnapshot(const std::string& path) {
 std::string PrintStreamWindows(const std::vector<StreamWindow>& windows) {
   std::string out;
   for (const StreamWindow& window : windows) {
-    out += "window ";
-    out += std::to_string(window.index);
-    out += ' ';
-    out += std::to_string(window.begin_sequence);
-    out += ' ';
-    out += std::to_string(window.end_sequence);
-    out += ' ';
-    out += std::to_string(window.num_reports);
-    out += window.released ? " released " : " suppressed ";
-    AppendDouble(out, window.epsilon);
+    out += "window";
+    PrintValue(out, window.index);
+    PrintValue(out, window.begin_sequence);
+    PrintValue(out, window.end_sequence);
+    PrintValue(out, window.num_reports);
+    out += window.released ? " released" : " suppressed";
+    PrintValue(out, window.epsilon);
     out += '\n';
     if (!window.released) continue;
     for (const std::vector<double>& marginal :
          window.artifacts.marginal_estimates) {
-      out += "marginal ";
-      out += std::to_string(marginal.size());
-      for (double p : marginal) {
-        out += ' ';
-        AppendDouble(out, p);
-      }
-      out += '\n';
+      PrintMarginal(out, marginal);
     }
   }
   return out;

@@ -3,9 +3,11 @@
 // can be archived next to the published CSVs.
 //
 // ReleaseSpec (line-oriented `key value...`, versioned header
-// `mdrr-release-spec v1`, `#` comments allowed): every field is printed;
-// parsing accepts any subset (missing keys keep their defaults) and
-// rejects unknown keys and malformed values, so
+// `mdrr-release-spec v1`, `#` comments allowed): every field is printed
+// except optional sections at their defaults; parsing accepts any subset
+// (missing keys keep their defaults) and rejects unknown keys, repeated
+// keys (`adjustment.group` excepted: one line per group), malformed
+// values and integers outside their field's type, so
 // ParseReleaseSpec(PrintReleaseSpec(spec)) == spec for every spec.
 //
 // ReleaseArtifacts (`mdrr-release-artifacts v1`): the estimation summary

@@ -4,204 +4,86 @@
 #include <set>
 #include <string>
 
+#include "mdrr/common/enum_tokens.h"
+
 namespace mdrr::release {
 
-bool operator==(const DatasetSpec& a, const DatasetSpec& b) {
-  return a.source == b.source && a.csv_path == b.csv_path &&
-         a.csv_has_header == b.csv_has_header &&
-         a.synthetic_records == b.synthetic_records &&
-         a.synthetic_seed == b.synthetic_seed;
-}
+namespace {
 
-bool operator==(const BudgetSpec& a, const BudgetSpec& b) {
-  return a.keep_probability == b.keep_probability &&
-         a.dependence_keep_probability == b.dependence_keep_probability &&
-         a.max_total_epsilon == b.max_total_epsilon;
-}
+constexpr EnumToken<MechanismKind> kMechanismKindTokens[] = {
+    {MechanismKind::kIndependent, "independent"},
+    {MechanismKind::kJoint, "joint"},
+    {MechanismKind::kClusters, "clusters"},
+    {MechanismKind::kPram, "pram"},
+    {MechanismKind::kGeometricOrdinal, "geometric-ordinal"},
+};
 
-bool operator==(const MechanismSpec& a, const MechanismSpec& b) {
-  return a.kind == b.kind && a.joint_attributes == b.joint_attributes &&
-         a.clustering.max_combinations == b.clustering.max_combinations &&
-         a.clustering.min_dependence == b.clustering.min_dependence &&
-         a.dependence_source == b.dependence_source &&
-         a.use_paper_epsilon_formula == b.use_paper_epsilon_formula &&
-         a.geometric_epsilon == b.geometric_epsilon;
-}
+constexpr EnumToken<PolicyKind> kPolicyKindTokens[] = {
+    {PolicyKind::kSequential, "sequential"},
+    {PolicyKind::kSharded, "sharded"},
+    {PolicyKind::kDistributed, "distributed"},
+};
 
-bool operator==(const FrequencyOracleSpec& a, const FrequencyOracleSpec& b) {
-  return a.backend == b.backend && a.epsilon == b.epsilon;
-}
+constexpr EnumToken<RngKind> kRngKindTokens[] = {
+    {RngKind::kMt19937, "mt19937"},
+    {RngKind::kPhilox, "philox"},
+};
 
-bool operator==(const AdjustmentSpec& a, const AdjustmentSpec& b) {
-  return a.enabled == b.enabled && a.max_iterations == b.max_iterations &&
-         a.tolerance == b.tolerance && a.groups == b.groups;
-}
+constexpr EnumToken<DatasetSpec::Source> kDatasetSourceTokens[] = {
+    {DatasetSpec::Source::kProvided, "provided"},
+    {DatasetSpec::Source::kCsvFile, "csv"},
+    {DatasetSpec::Source::kSyntheticAdult, "synthetic-adult"},
+};
 
-bool operator==(const SyntheticSpec& a, const SyntheticSpec& b) {
-  return a.enabled == b.enabled && a.records == b.records;
-}
+constexpr EnumToken<DependenceSource> kDependenceSourceTokens[] = {
+    {DependenceSource::kOracle, "oracle"},
+    {DependenceSource::kRandomizedResponse, "rr"},
+    {DependenceSource::kSecureSum, "securesum"},
+    {DependenceSource::kPairwiseRr, "pairwise"},
+    {DependenceSource::kProvided, "provided"},
+};
 
-bool operator==(const EvaluationSpec& a, const EvaluationSpec& b) {
-  return a.utility_report == b.utility_report && a.sigmas == b.sigmas &&
-         a.queries_per_sigma == b.queries_per_sigma && a.seed == b.seed;
-}
+constexpr EnumToken<WindowKind> kWindowKindTokens[] = {
+    {WindowKind::kTumbling, "tumbling"},
+    {WindowKind::kSliding, "sliding"},
+};
 
-bool operator==(const StreamingSpec& a, const StreamingSpec& b) {
-  return a.enabled == b.enabled && a.window_kind == b.window_kind &&
-         a.window_size == b.window_size &&
-         a.window_stride == b.window_stride &&
-         a.window_epsilon == b.window_epsilon &&
-         a.max_windows == b.max_windows;
-}
-
-bool operator==(const ExecutionPolicy& a, const ExecutionPolicy& b) {
-  return a.kind == b.kind && a.seed == b.seed &&
-         a.num_threads == b.num_threads && a.shard_size == b.shard_size &&
-         a.rng == b.rng && a.num_workers == b.num_workers &&
-         a.listen_port == b.listen_port &&
-         a.worker_deadline_ms == b.worker_deadline_ms;
-}
-
-bool operator==(const OutputSpec& a, const OutputSpec& b) {
-  return a.randomized_csv == b.randomized_csv &&
-         a.synthetic_csv == b.synthetic_csv &&
-         a.artifacts_path == b.artifacts_path;
-}
-
-bool operator==(const ReleaseSpec& a, const ReleaseSpec& b) {
-  return a.dataset == b.dataset && a.budget == b.budget &&
-         a.mechanism == b.mechanism &&
-         a.frequency_oracle == b.frequency_oracle &&
-         a.adjustment == b.adjustment &&
-         a.synthetic == b.synthetic && a.evaluation == b.evaluation &&
-         a.streaming == b.streaming && a.execution == b.execution &&
-         a.output == b.output;
-}
+}  // namespace
 
 const char* ToString(MechanismKind kind) {
-  switch (kind) {
-    case MechanismKind::kIndependent:
-      return "independent";
-    case MechanismKind::kJoint:
-      return "joint";
-    case MechanismKind::kClusters:
-      return "clusters";
-    case MechanismKind::kPram:
-      return "pram";
-    case MechanismKind::kGeometricOrdinal:
-      return "geometric-ordinal";
-  }
-  return "unknown";
+  return TokenOf(kMechanismKindTokens, kind);
 }
-
 const char* ToString(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kSequential:
-      return "sequential";
-    case PolicyKind::kSharded:
-      return "sharded";
-    case PolicyKind::kDistributed:
-      return "distributed";
-  }
-  return "unknown";
+  return TokenOf(kPolicyKindTokens, kind);
 }
-
+const char* ToString(RngKind kind) { return TokenOf(kRngKindTokens, kind); }
 const char* ToString(DatasetSpec::Source source) {
-  switch (source) {
-    case DatasetSpec::Source::kProvided:
-      return "provided";
-    case DatasetSpec::Source::kCsvFile:
-      return "csv";
-    case DatasetSpec::Source::kSyntheticAdult:
-      return "synthetic-adult";
-  }
-  return "unknown";
+  return TokenOf(kDatasetSourceTokens, source);
 }
-
 const char* ToString(DependenceSource source) {
-  switch (source) {
-    case DependenceSource::kOracle:
-      return "oracle";
-    case DependenceSource::kRandomizedResponse:
-      return "rr";
-    case DependenceSource::kSecureSum:
-      return "securesum";
-    case DependenceSource::kPairwiseRr:
-      return "pairwise";
-    case DependenceSource::kProvided:
-      return "provided";
-  }
-  return "unknown";
+  return TokenOf(kDependenceSourceTokens, source);
+}
+const char* ToString(WindowKind kind) {
+  return TokenOf(kWindowKindTokens, kind);
 }
 
 StatusOr<MechanismKind> MechanismKindFromString(std::string_view token) {
-  if (token == "independent") return MechanismKind::kIndependent;
-  if (token == "joint") return MechanismKind::kJoint;
-  if (token == "clusters") return MechanismKind::kClusters;
-  if (token == "pram") return MechanismKind::kPram;
-  if (token == "geometric-ordinal") return MechanismKind::kGeometricOrdinal;
-  return Status::InvalidArgument("unknown mechanism kind '" +
-                                 std::string(token) + "'");
+  return ValueOf(kMechanismKindTokens, token, "mechanism kind");
 }
-
 StatusOr<PolicyKind> PolicyKindFromString(std::string_view token) {
-  if (token == "sequential") return PolicyKind::kSequential;
-  if (token == "sharded") return PolicyKind::kSharded;
-  if (token == "distributed") return PolicyKind::kDistributed;
-  return Status::InvalidArgument("unknown execution policy '" +
-                                 std::string(token) + "'");
+  return ValueOf(kPolicyKindTokens, token, "execution policy");
 }
-
-const char* ToString(RngKind kind) {
-  switch (kind) {
-    case RngKind::kMt19937:
-      return "mt19937";
-    case RngKind::kPhilox:
-      return "philox";
-  }
-  return "unknown";
-}
-
 StatusOr<RngKind> RngKindFromString(std::string_view token) {
-  if (token == "mt19937") return RngKind::kMt19937;
-  if (token == "philox") return RngKind::kPhilox;
-  return Status::InvalidArgument("unknown rng policy '" + std::string(token) +
-                                 "'");
+  return ValueOf(kRngKindTokens, token, "rng policy");
 }
-
-const char* ToString(WindowKind kind) {
-  switch (kind) {
-    case WindowKind::kTumbling:
-      return "tumbling";
-    case WindowKind::kSliding:
-      return "sliding";
-  }
-  return "unknown";
-}
-
-StatusOr<WindowKind> WindowKindFromString(std::string_view token) {
-  if (token == "tumbling") return WindowKind::kTumbling;
-  if (token == "sliding") return WindowKind::kSliding;
-  return Status::InvalidArgument("unknown window kind '" +
-                                 std::string(token) + "'");
-}
-
 StatusOr<DatasetSpec::Source> DatasetSourceFromString(std::string_view token) {
-  if (token == "provided") return DatasetSpec::Source::kProvided;
-  if (token == "csv") return DatasetSpec::Source::kCsvFile;
-  if (token == "synthetic-adult") return DatasetSpec::Source::kSyntheticAdult;
-  return Status::InvalidArgument("unknown dataset source '" +
-                                 std::string(token) + "'");
+  return ValueOf(kDatasetSourceTokens, token, "dataset source");
 }
-
 StatusOr<DependenceSource> DependenceSourceFromString(std::string_view token) {
-  if (token == "oracle") return DependenceSource::kOracle;
-  if (token == "rr") return DependenceSource::kRandomizedResponse;
-  if (token == "securesum") return DependenceSource::kSecureSum;
-  if (token == "pairwise") return DependenceSource::kPairwiseRr;
-  if (token == "provided") return DependenceSource::kProvided;
-  return Status::InvalidArgument("unknown dependence source '" +
-                                 std::string(token) + "'");
+  return ValueOf(kDependenceSourceTokens, token, "dependence source");
+}
+StatusOr<WindowKind> WindowKindFromString(std::string_view token) {
+  return ValueOf(kWindowKindTokens, token, "window kind");
 }
 
 namespace {

@@ -241,16 +241,9 @@ struct ReleaseSpec {
   OutputSpec output;
 };
 
-bool operator==(const DatasetSpec& a, const DatasetSpec& b);
-bool operator==(const BudgetSpec& a, const BudgetSpec& b);
-bool operator==(const MechanismSpec& a, const MechanismSpec& b);
-bool operator==(const FrequencyOracleSpec& a, const FrequencyOracleSpec& b);
-bool operator==(const AdjustmentSpec& a, const AdjustmentSpec& b);
-bool operator==(const SyntheticSpec& a, const SyntheticSpec& b);
-bool operator==(const EvaluationSpec& a, const EvaluationSpec& b);
-bool operator==(const StreamingSpec& a, const StreamingSpec& b);
-bool operator==(const ExecutionPolicy& a, const ExecutionPolicy& b);
-bool operator==(const OutputSpec& a, const OutputSpec& b);
+// Field-by-field equality over every spec key. Defined next to the key
+// list in release/serialization.cc, so it covers exactly the printed and
+// parsed fields.
 bool operator==(const ReleaseSpec& a, const ReleaseSpec& b);
 inline bool operator!=(const ReleaseSpec& a, const ReleaseSpec& b) {
   return !(a == b);

@@ -188,7 +188,7 @@ TEST(DistributedSpecTest, DistributedFieldsRoundTripThroughText) {
   std::string text = release::PrintReleaseSpec(spec);
   auto parsed = release::ParseReleaseSpec(text);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(parsed.value().execution == spec.execution);
+  EXPECT_TRUE(parsed.value() == spec);
   EXPECT_EQ(release::PrintReleaseSpec(parsed.value()), text);
 }
 

@@ -4,10 +4,12 @@
 // correctness). Catches interaction bugs that targeted unit tests miss.
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mdrr/common/string_util.h"
 #include "mdrr/core/adjustment.h"
 #include "mdrr/core/rr_clusters.h"
 #include "mdrr/core/rr_independent.h"
@@ -18,6 +20,7 @@
 #include "mdrr/release/planner.h"
 #include "mdrr/release/serialization.h"
 #include "mdrr/rng/rng.h"
+#include "spec_fixtures.h"
 
 namespace mdrr {
 namespace {
@@ -392,7 +395,7 @@ TEST(FuzzReleaseSpec, MutatedSpecTextNeverCrashes) {
         mutated.erase(at, 1 + rng.UniformInt(40));
         break;
       }
-      case 2: {  // Duplicate a suffix (repeated keys are accepted).
+      case 2: {  // Duplicate a suffix (repeated keys are rejected).
         size_t at = rng.UniformInt(mutated.size());
         mutated += mutated.substr(at);
         break;
@@ -409,6 +412,50 @@ TEST(FuzzReleaseSpec, MutatedSpecTextNeverCrashes) {
       release::ValidateReleaseSpec(parsed.value(), 8);
     }
   }
+}
+
+// Key-aware mutations: every line of a spec that prints all keys gets
+// each wrong value in turn. The parser must answer with a status, and any
+// text it accepts must print back to a fixed point.
+TEST(FuzzReleaseSpec, WrongValuePerKeyIsParsedOrRejected) {
+  const std::string text = release::PrintReleaseSpec(FullyPrintedSpec());
+  const std::vector<std::string> lines = Split(text, '\n');
+  const char* const wrong_values[] = {
+      "",  "1 2", "x", "-1", "nan", "4294967297", "18446744073709551616"};
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    if (lines[i].empty()) continue;
+    const std::string key = lines[i].substr(0, lines[i].find(' '));
+    for (const char* value : wrong_values) {
+      std::string mutated;
+      for (size_t j = 0; j < lines.size(); ++j) {
+        if (j == i) {
+          mutated += *value == '\0' ? key : key + " " + value;
+        } else {
+          mutated += lines[j];
+        }
+        mutated += '\n';
+      }
+      auto parsed = release::ParseReleaseSpec(mutated);
+      if (!parsed.ok()) {
+        ++rejected;
+        EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+        continue;
+      }
+      ++accepted;
+      const std::string printed = release::PrintReleaseSpec(parsed.value());
+      auto reparsed = release::ParseReleaseSpec(printed);
+      ASSERT_TRUE(reparsed.ok()) << key << " " << value << ": "
+                                 << reparsed.status().ToString();
+      EXPECT_EQ(release::PrintReleaseSpec(reparsed.value()), printed)
+          << key << " " << value;
+    }
+  }
+  // Both outcomes occur: e.g. "-1" fits the signed keys, "x" fits none
+  // but the paths.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // Same for the artifacts summary parser (NaN/huge/negative declared

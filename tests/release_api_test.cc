@@ -5,6 +5,8 @@
 // serialize losslessly; the budget cap and estimator builders behave.
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -482,6 +484,76 @@ TEST(ReleaseSpecSerialization, CommentsAndUnknownKeys) {
   EXPECT_TRUE(with_comment.value() == spec);
   EXPECT_FALSE(release::ParseReleaseSpec(text + "no.such.key 1\n").ok());
   EXPECT_FALSE(release::ParseReleaseSpec("not a spec at all").ok());
+
+  // A repeated key is rejected, naming the key, instead of the last
+  // value silently winning. adjustment.group is the one repeatable key.
+  auto repeated =
+      release::ParseReleaseSpec(text + "budget.keep_probability 0.2\n");
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_EQ(repeated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(repeated.status().message().find("budget.keep_probability"),
+            std::string::npos)
+      << repeated.status().ToString();
+  auto groups = release::ParseReleaseSpec(
+      text + "adjustment.group 0\nadjustment.group 1 2\n");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  EXPECT_EQ(groups.value().adjustment.groups,
+            (std::vector<std::vector<size_t>>{{0}, {1, 2}}));
+}
+
+// Each integer key parses over exactly its field's range: no wrap-around
+// of signed fields, and the whole unsigned 64-bit range for seeds.
+TEST(ReleaseSpecSerialization, IntegerKeysHonourTheirTypeRange) {
+  release::ReleaseSpec spec = FullyPrintedSpec();
+  spec.execution.seed = 18446744073709551615ULL;  // 2^64 - 1
+  spec.dataset.synthetic_seed = 9223372036854775808ULL;  // 2^63
+  spec.evaluation.seed = 9223372036854775808ULL;
+  const std::string text = release::PrintReleaseSpec(spec);
+  auto parsed = release::ParseReleaseSpec(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(parsed.value() == spec);
+  EXPECT_EQ(release::PrintReleaseSpec(parsed.value()), text);
+
+  const std::string base = release::PrintReleaseSpec(release::ReleaseSpec{});
+  auto with = [&base](const std::string& from, const std::string& to) {
+    std::string edited = base;
+    edited.replace(edited.find(from), from.size(), to);
+    return release::ParseReleaseSpec(edited);
+  };
+  auto max_int = with("adjustment.max_iterations 100",
+                      "adjustment.max_iterations 2147483647");
+  ASSERT_TRUE(max_int.ok()) << max_int.status().ToString();
+  EXPECT_EQ(max_int.value().adjustment.max_iterations, 2147483647);
+  auto min_int = with("adjustment.max_iterations 100",
+                      "adjustment.max_iterations -2147483648");
+  ASSERT_TRUE(min_int.ok()) << min_int.status().ToString();
+  EXPECT_EQ(min_int.value().adjustment.max_iterations, -2147483647 - 1);
+
+  const std::vector<std::pair<std::string, std::string>> out_of_range = {
+      {"adjustment.max_iterations 100", "adjustment.max_iterations 4294967297"},
+      {"evaluation.queries_per_sigma 25",
+       "evaluation.queries_per_sigma -4294967290"},
+      {"execution.seed 1", "execution.seed 18446744073709551616"},
+      {"execution.seed 1", "execution.seed -1"},
+      {"execution.num_threads 0", "execution.num_threads -1"}};
+  for (const auto& [from, to] : out_of_range) {
+    auto rejected = with(from, to);
+    ASSERT_FALSE(rejected.ok()) << to;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument) << to;
+  }
+}
+
+TEST(ReleaseArtifactsSerialization, AdjustmentIterationsHonourIntRange) {
+  const std::string head =
+      "mdrr-release-artifacts v1\nmarginals 0\nclusters 0\ndependences 0\n";
+  auto fits = release::ParseReleaseArtifacts(head +
+                                             "adjustment 2147483647 1 0\n");
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits.value().adjustment->iterations, 2147483647);
+  auto wraps = release::ParseReleaseArtifacts(head +
+                                              "adjustment 4294967297 1 0\n");
+  ASSERT_FALSE(wraps.ok());
+  EXPECT_EQ(wraps.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Artifacts serialization round-trips the summary. ---
