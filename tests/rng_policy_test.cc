@@ -1,7 +1,7 @@
 // The RNG-policy contract: philox runs are bit-identical at any thread
 // count AND any shard grain (batch engine, distributed session, streaming
-// ingest); mt19937 stays the default and its committed transcripts are
-// pinned by content hash; the fused perturb+count paths agree with a
+// ingest); mt19937 stays the default; both policies' committed
+// transcripts are pinned by content hash; the fused perturb+count paths agree with a
 // post-hoc histogram; spec validation and serialization round-trip the
 // new execution.rng field.
 
@@ -254,6 +254,65 @@ TEST(RngPolicyTest, MtStreamingTranscriptIsPinned) {
     }
   }
   EXPECT_EQ(h, 0xd8676064d682ab91ull);
+}
+
+// ---------------------------------------------------------------------------
+// Philox golden transcripts. Thread/shard invariance only says a philox
+// run agrees with itself; these pins catch a change to the draws
+// themselves (stream numbering, element addressing, the counter kernel).
+// ---------------------------------------------------------------------------
+
+TEST(RngPolicyTest, PhiloxBatchTranscriptIsPinned) {
+  Dataset data = MakeSurvey(1000, 3);
+  RrIndependentOptions options{0.7};
+  auto run =
+      MakeEngine(RngKind::kPhilox, 2, 256, 5).RunIndependent(data, options);
+  ASSERT_TRUE(run.ok());
+  uint64_t h = HashDataset(kFnvOffset, run.value().randomized);
+  for (const std::vector<double>& lambda : run.value().lambda) {
+    h = HashDoubles(h, lambda);
+  }
+  EXPECT_EQ(h, 0x90d50b939e80286full);
+}
+
+TEST(RngPolicyTest, PhiloxSessionTranscriptIsPinned) {
+  Dataset data = MakeSurvey(600, 29);
+  protocol::SessionOptions options;
+  options.seed = 17;
+  options.num_threads = 2;
+  options.shard_size = 128;
+  options.rng = RngKind::kPhilox;
+  auto run = protocol::RunDistributedSession(data, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  uint64_t h = HashDataset(kFnvOffset, run.value().randomized);
+  for (const std::vector<double>& joint : run.value().cluster_joints) {
+    h = HashDoubles(h, joint);
+  }
+  EXPECT_EQ(h, 0x837b4a91c5bc0061ull);
+}
+
+TEST(RngPolicyTest, PhiloxStreamingTranscriptIsPinned) {
+  Dataset data = MakeSurvey(700, 31);
+  release::ReleaseSpec spec;
+  spec.mechanism.kind = release::MechanismKind::kIndependent;
+  spec.budget.keep_probability = 0.6;
+  spec.streaming.enabled = true;
+  spec.streaming.window_size = 500;
+  spec.execution.seed = 21;
+  spec.execution.rng = RngKind::kPhilox;
+  protocol::StreamingReplayOptions options;
+  options.total_reports = 1500;
+  auto run = protocol::RunStreamingReplay(spec, data, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run.value().windows.size(), 3u);
+  uint64_t h = kFnvOffset;
+  for (const release::StreamWindow& window : run.value().windows) {
+    for (const std::vector<double>& estimate :
+         window.artifacts.marginal_estimates) {
+      h = HashDoubles(h, estimate);
+    }
+  }
+  EXPECT_EQ(h, 0x91bd97351e9c08f7ull);
 }
 
 // ---------------------------------------------------------------------------
