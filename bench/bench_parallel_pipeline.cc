@@ -38,10 +38,9 @@
 // parallel LU + SolveTransposeMany output is bit-identical across thread
 // counts.
 //
-// The session runs twice: protocol-session is the batched fast path at 1
-// vs N threads, and session-batched compares the per-party reference
-// loop against the batched sweep (both sequential), asserting their
-// transcripts bit-equal on every run -- the fast path's golden contract.
+// protocol-session runs the batched session at 1 vs N threads; its
+// golden contract against the per-party reference loop is asserted in
+// tests/session_fast_path_test.cc.
 
 #include <algorithm>
 #include <atomic>
@@ -710,45 +709,6 @@ int main(int argc, char** argv) {
                session_many.value().cluster_joints &&
            SameData(session_one.value().randomized,
                     session_many.value().randomized)});
-  PrintStage(stages.back());
-
-  // --- Session fast path vs the per-party reference loop. Both columns
-  // are sequential runs: t1 is the Party-object loop (the seed
-  // semantics), tN the batched PartyBlock sweep, so the "speedup" column
-  // reads as the fast path's per-party win and the identical column
-  // asserts the transcript contract (publication columns, clustering,
-  // Eq. (2) joints, decoded release, epsilons, message counts) on every
-  // invocation. ---
-  session_options.num_threads = 1;
-  session_options.execution = mdrr::protocol::SessionExecution::kPartyLoop;
-  timer.Restart();
-  auto session_loop =
-      mdrr::protocol::RunDistributedSession(session_data, session_options);
-  double session_loop_t = timer.Seconds();
-  session_options.execution = mdrr::protocol::SessionExecution::kBatched;
-  timer.Restart();
-  auto session_batched =
-      mdrr::protocol::RunDistributedSession(session_data, session_options);
-  double session_batched_t = timer.Seconds();
-  if (!session_loop.ok() || !session_batched.ok()) {
-    std::fprintf(stderr, "session fast-path comparison failed\n");
-    return 1;
-  }
-  stages.push_back(
-      {"session-batched", session_loop_t, session_batched_t,
-       session_loop.value().clusters == session_batched.value().clusters &&
-           session_loop.value().cluster_joints ==
-               session_batched.value().cluster_joints &&
-           session_loop.value().round1_epsilon ==
-               session_batched.value().round1_epsilon &&
-           session_loop.value().round2_epsilon ==
-               session_batched.value().round2_epsilon &&
-           session_loop.value().messages_round1 ==
-               session_batched.value().messages_round1 &&
-           session_loop.value().messages_round2 ==
-               session_batched.value().messages_round2 &&
-           SameData(session_loop.value().randomized,
-                    session_batched.value().randomized)});
   PrintStage(stages.back());
 
   // --- Streaming windowed collection. The collector ingests the session

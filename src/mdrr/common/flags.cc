@@ -24,6 +24,13 @@ bool FlagSet::Has(const std::string& key) const {
   return values_.count(key) > 0;
 }
 
+std::vector<std::string> FlagSet::Keys() const {
+  std::vector<std::string> keys;
+  keys.reserve(values_.size());
+  for (const auto& [key, value] : values_) keys.push_back(key);
+  return keys;
+}
+
 std::string FlagSet::GetString(const std::string& key,
                                const std::string& default_value) const {
   auto it = values_.find(key);

@@ -9,8 +9,10 @@
 #ifndef MDRR_COMMON_FLAGS_H_
 #define MDRR_COMMON_FLAGS_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace mdrr {
 
@@ -21,6 +23,10 @@ class FlagSet {
   void Parse(int argc, char** argv);
 
   bool Has(const std::string& key) const;
+
+  // Every key given on the command line, sorted, so a caller can reject
+  // the ones it does not honour.
+  std::vector<std::string> Keys() const;
 
   // Typed getters with defaults; a malformed value falls back to the
   // default (benches should not crash on a typo'd flag).

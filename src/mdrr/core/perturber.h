@@ -1,11 +1,12 @@
 // The perturbation hook the protocol frames are parameterized on.
 //
-// RunRrIndependentWith / RunRrJointWith perform validation, matrix
-// design, estimation, and privacy accounting; the ColumnPerturber decides
-// *how* a column of codes is pushed through the randomization matrix.
-// SequentialPerturber draws from one Rng in record order (the classic
-// protocols); BatchPerturbationEngine substitutes a sharded
-// multi-threaded perturber without duplicating the protocol frames.
+// RunRrIndependentWith / PerturbRrJoint perform validation and matrix
+// design (and, for RR-Independent, estimation and privacy accounting);
+// the ColumnPerturber decides *how* a column of codes is pushed through
+// the randomization matrix. SequentialPerturber draws from one Rng in
+// record order (the classic protocols); BatchPerturbationEngine
+// substitutes a sharded multi-threaded perturber without duplicating the
+// protocol frames.
 
 #ifndef MDRR_CORE_PERTURBER_H_
 #define MDRR_CORE_PERTURBER_H_

@@ -14,8 +14,8 @@ namespace {
 // draws no randomness, so it is deterministic at any granularity).
 constexpr size_t kDecodeChunkSize = 1 << 16;
 
-}  // namespace
-
+// Runs the configured dependence-assessment round sequentially. Fails if
+// dependence_source is kProvided with no matrix supplied.
 StatusOr<DependenceEstimate> AssessDependences(
     const Dataset& dataset, const RrClustersOptions& options, Rng& rng) {
   switch (options.dependence_source) {
@@ -46,6 +46,8 @@ StatusOr<DependenceEstimate> AssessDependences(
   }
   return Status::Internal("unknown dependence source");
 }
+
+}  // namespace
 
 StatusOr<DependenceEstimate> AssessDependencesSharded(
     const Dataset& dataset, const RrClustersOptions& options, Rng& rng,

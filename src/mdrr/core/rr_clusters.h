@@ -57,20 +57,13 @@ struct RrClustersResult {
   linalg::Matrix dependences;
 };
 
-// Runs the configured dependence-assessment round (the building block
-// RunRrClusters and BatchPerturbationEngine share). Fails if
-// dependence_source is kProvided with no matrix supplied.
-StatusOr<DependenceEstimate> AssessDependences(const Dataset& dataset,
-                                               const RrClustersOptions& options,
-                                               Rng& rng);
-
 // Sharded dependence assessment. Every estimator shards now: kOracle
 // and kRandomizedResponse through the DependenceMatrixSharded pair grid,
 // kSecureSum and kPairwiseRr through the stream-per-pair estimators of
 // dependence_estimators.h (pair p draws on stream 1 + p, so the pair
 // grid parallelizes with output bit-identical at any thread count and
-// shard grain under both RNG policies). Only kProvided falls back to
-// the sequential assessment -- it computes nothing. `estimator.rng`
+// shard grain under both RNG policies). kProvided computes nothing: it
+// copies the supplied matrix, failing if none was supplied. `estimator.rng`
 // selects the draw addressing (kPhilox additionally shards record
 // ranges); the estimator seed is still drawn from `rng`, exactly one
 // engine word per source, like the sequential path.
@@ -103,9 +96,9 @@ using ClusterPerturbRunner = std::function<StatusOr<RrJointPerturbation>(
 // codes back to per-attribute columns -- shard over `postprocess_threads`
 // workers (0 = one per core) with bit-identical output at any thread
 // count. When `assessment_estimator` is non-null the dependence round
-// runs through AssessDependencesSharded instead of AssessDependences
-// (its sharding + RNG-kind options route into the estimators); not
-// owned.
+// runs through AssessDependencesSharded instead of the sequential
+// estimators (its sharding + RNG-kind options route into the
+// estimators); not owned.
 StatusOr<RrClustersResult> RunRrClustersWith(
     const Dataset& dataset, const RrClustersOptions& options, Rng& rng,
     const ClusterPerturbRunner& perturb_runner, size_t postprocess_threads,

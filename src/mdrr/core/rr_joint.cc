@@ -21,17 +21,9 @@ double ClusterEpsilonBudget(const Dataset& dataset,
 StatusOr<RrJointResult> RunRrJoint(const Dataset& dataset,
                                    const std::vector<size_t>& attributes,
                                    double epsilon, Rng& rng) {
-  return RunRrJointWith(dataset, attributes, epsilon,
-                        SequentialPerturber(rng));
-}
-
-StatusOr<RrJointResult> RunRrJointWith(const Dataset& dataset,
-                                       const std::vector<size_t>& attributes,
-                                       double epsilon,
-                                       const ColumnPerturber& perturber) {
   MDRR_ASSIGN_OR_RETURN(RrJointPerturbation perturbation,
                         PerturbRrJoint(dataset, attributes, epsilon,
-                                       perturber));
+                                       SequentialPerturber(rng)));
   return EstimateRrJoint(std::move(perturbation));
 }
 

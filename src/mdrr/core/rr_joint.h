@@ -52,14 +52,6 @@ StatusOr<RrJointResult> RunRrJoint(const Dataset& dataset,
                                    const std::vector<size_t>& attributes,
                                    double epsilon, Rng& rng);
 
-// The protocol frame behind RunRrJoint, with the randomization step
-// pluggable (BatchPerturbationEngine substitutes a sharded perturber).
-// RunRrJoint(..., rng) == RunRrJointWith(..., SequentialPerturber(rng)).
-StatusOr<RrJointResult> RunRrJointWith(const Dataset& dataset,
-                                       const std::vector<size_t>& attributes,
-                                       double epsilon,
-                                       const ColumnPerturber& perturber);
-
 // The randomization half of RR-Joint: validation, matrix design, and the
 // perturbation pass -- everything that consumes randomness -- without the
 // Eq. (2) estimation. RR-Clusters uses this to keep the per-cluster RNG
@@ -81,7 +73,8 @@ StatusOr<RrJointPerturbation> PerturbRrJoint(
 // closed form or blocked parallel LU) plus the Section 6.4 projection and
 // the Expression (4) epsilon. Deterministic: draws no randomness and is
 // bit-identical for any options.num_threads.
-// EstimateRrJoint(PerturbRrJoint(...)) == RunRrJointWith(...).
+// RunRrJoint(..., rng) ==
+// EstimateRrJoint(PerturbRrJoint(..., SequentialPerturber(rng))).
 StatusOr<RrJointResult> EstimateRrJoint(RrJointPerturbation perturbation,
                                         const EstimationOptions& options = {});
 

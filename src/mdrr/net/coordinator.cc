@@ -127,6 +127,10 @@ StatusOr<PerturbedColumn> Coordinator::PerturbColumn(
       return Poison(Status::InvalidArgument(
           "worker " + std::to_string(w) + " returned a malformed partial"));
     }
+    // The worker's counts are only a claim: recount its codes and reject
+    // the partial unless the two agree, so a rogue or buggy worker cannot
+    // skew λ̂ beside valid-looking microdata.
+    std::vector<int64_t> counts(matrix.size(), 0);
     for (size_t i = 0; i < partial->shards.size(); ++i) {
       const ShardResult& got = partial->shards[i];
       const ShardAssignment& want = sent.shards[i];
@@ -141,12 +145,18 @@ StatusOr<PerturbedColumn> Coordinator::PerturbColumn(
               "worker " + std::to_string(w) +
               " returned codes outside the matrix range"));
         }
+        ++counts[code];
       }
       std::copy(got.codes.begin(), got.codes.end(),
                 result.codes.begin() +
                     static_cast<ptrdiff_t>(want.global_begin));
     }
-    total.Absorb(stats::FrequencyTable(partial->counts));
+    if (counts != partial->counts) {
+      return Poison(Status::InvalidArgument(
+          "worker " + std::to_string(w) +
+          " returned counts that disagree with its codes"));
+    }
+    total.Absorb(stats::FrequencyTable(std::move(counts)));
   }
 
   result.lambda = total.Proportions();

@@ -17,9 +17,10 @@
 // reconstructs exactly the generator the in-process engine would use for
 // each shard: mt19937 shard s draws from Stream(stream_base + s); philox
 // elements are addressed by (counter_stream, global index). The
-// coordinator merges worker counts with FrequencyTable::Absorb (integer
-// sums commute) and writes code slices at their global offsets, so the
-// assembled transcript is bit-identical to BatchPerturbationEngine's.
+// coordinator rejects a partial whose counts disagree with its codes,
+// merges the counts with FrequencyTable::Absorb (integer sums commute)
+// and writes code slices at their global offsets, so the assembled
+// transcript is bit-identical to BatchPerturbationEngine's.
 //
 // All Parse* functions accept untrusted bytes and return Status on any
 // malformed input (fuzzed in net_fuzz_test.cc).

@@ -1,13 +1,14 @@
-// Columnar party storage for the batched session fast path.
+// Columnar party storage for the mt19937 session.
 //
-// A PartyBlock holds the same n respondents a vector<Party> would -- the
-// same private records, the same per-party RNG streams seeded in id order
-// -- but stores them flat (row-major records, one contiguous engine
-// array) and executes protocol rounds as sweeps over reused buffers
-// instead of per-object calls that return freshly allocated vectors. The
-// technique follows high-throughput agent-simulation runtimes: batch the
-// per-agent work into cache-friendly passes, keep the semantic model
-// (Party) for the spec and as the golden reference.
+// A PartyBlock holds the same n respondents a vector of Party objects
+// would (tests/session_reference.h) -- the same private records, the same
+// per-party RNG streams seeded in id order -- but stores them flat
+// (row-major records, one contiguous engine array) and executes protocol
+// rounds as sweeps over reused buffers instead of per-object calls that
+// return freshly allocated vectors. The technique follows
+// high-throughput agent-simulation runtimes: batch the per-agent work
+// into cache-friendly passes, and keep the per-object model as the
+// golden reference.
 //
 // Determinism contract: every publication is bit-identical to driving
 // Party objects through the same rounds, for any shard size and thread
@@ -53,7 +54,7 @@ class PartyBlock {
  public:
   // Materializes parties 0..n-1 of `dataset` (row i becomes party i),
   // drawing each party's seed serially from `seeder` -- the identical
-  // seed sequence as constructing Party(i, record_i, seeder.engine()())
+  // seed sequence as constructing Party(record_i, seeder.engine()())
   // in a loop. Engine seeding itself is deferred to the first sweep so it
   // can run sharded and fused with the round-1 publications.
   PartyBlock(const Dataset& dataset, Rng& seeder);

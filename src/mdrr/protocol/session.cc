@@ -1,51 +1,22 @@
 #include "mdrr/protocol/session.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
-#include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
+#include "mdrr/core/rr_joint.h"
+#include "mdrr/core/rr_matrix.h"
 #include "mdrr/protocol/party_block.h"
 #include "mdrr/release/planner.h"
+#include "mdrr/rng/rng.h"
 #include "mdrr/stats/frequency.h"
 
 namespace mdrr::protocol {
 
-Party::Party(uint64_t id, std::vector<uint32_t> true_record, uint64_t seed)
-    : id_(id), true_record_(std::move(true_record)), rng_(seed) {}
-
-std::vector<uint32_t> Party::PublishIndependent(
-    const std::vector<RrMatrix>& matrices) {
-  MDRR_CHECK_EQ(matrices.size(), true_record_.size());
-  std::vector<uint32_t> published(true_record_.size());
-  for (size_t j = 0; j < true_record_.size(); ++j) {
-    published[j] = matrices[j].Randomize(true_record_[j], rng_);
-  }
-  return published;
-}
-
-std::vector<uint32_t> Party::PublishClusters(
-    const AttributeClustering& clusters, const std::vector<Domain>& domains,
-    const std::vector<RrMatrix>& matrices) {
-  MDRR_CHECK_EQ(clusters.size(), domains.size());
-  MDRR_CHECK_EQ(clusters.size(), matrices.size());
-  std::vector<uint32_t> published(clusters.size());
-  std::vector<uint32_t> tuple;
-  for (size_t c = 0; c < clusters.size(); ++c) {
-    tuple.clear();
-    for (size_t j : clusters[c]) {
-      MDRR_CHECK_LT(j, true_record_.size());
-      tuple.push_back(true_record_[j]);
-    }
-    uint32_t true_code = static_cast<uint32_t>(domains[c].Encode(tuple));
-    published[c] = matrices[c].Randomize(true_code, rng_);
-  }
-  return published;
-}
-
 namespace {
 
-// --- Stage helpers shared by both execution paths, so the published
+// --- Stage helpers shared by both RNG policies, so the published
 // matrices, domains and epsilon accounting are identical by construction.
 // ---
 
@@ -95,108 +66,10 @@ StatusOr<std::vector<RrMatrix>> DesignClusterMatrices(
   return matrices;
 }
 
-// --- Reference semantics: one Party object per respondent. The batched
-// fast path below is golden-tested against this loop
-// (tests/session_fast_path_test.cc), so its structure deliberately stays
-// the straightforward reading of the paper's message flow. ---
-StatusOr<SessionResult> RunPartyLoopSession(
-    const Dataset& dataset, const SessionOptions& options,
-    const release::ControllerPlan& controller) {
-  const size_t n = dataset.num_rows();
-  const size_t m = dataset.num_attributes();
-  const size_t shard_size = std::max<size_t>(1, options.shard_size);
-  const size_t threads = options.num_threads;
-
-  // Instantiate the parties. Seeds are drawn serially (the seed sequence
-  // is part of the session transcript); after that each party's
-  // randomness is self-contained, so publications shard freely with
-  // bit-identical output at any thread count.
-  Rng seeder(options.seed);
-  std::vector<Party> parties;
-  parties.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<uint32_t> record(m);
-    for (size_t j = 0; j < m; ++j) record[j] = dataset.at(i, j);
-    parties.emplace_back(i, std::move(record), seeder.engine()());
-  }
-
-  SessionResult result;
-
-  // --- Round 1: per-attribute randomized publication (Section 4.1),
-  // parties publishing in sharded batches. ---
-  std::vector<RrMatrix> round1_matrices =
-      DesignRound1Matrices(dataset, options, &result);
-  std::vector<std::vector<uint32_t>> round1_columns(
-      m, std::vector<uint32_t>(n));
-  ParallelChunks(n, shard_size, threads,
-                 [&](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                     size_t end) {
-                   for (size_t i = begin; i < end; ++i) {
-                     std::vector<uint32_t> published =
-                         parties[i].PublishIndependent(round1_matrices);
-                     for (size_t j = 0; j < m; ++j) {
-                       round1_columns[j][i] = published[j];
-                     }
-                   }
-                 });
-  Dataset round1_data(dataset.schema(), std::move(round1_columns));
-  result.messages_round1 = n;
-
-  // Controller: dependences on the randomized data (pair grid and
-  // contingency accumulation sharded), then Algorithm 1, then one
-  // clustering broadcast to every party.
-  MDRR_ASSIGN_OR_RETURN(result.clusters,
-                        controller.AssessAndCluster(round1_data));
-  result.messages_broadcast = n;
-
-  // --- Round 2: cluster-wise publication (Section 6.3.2 calibration),
-  // again in sharded batches. ---
-  MDRR_ASSIGN_OR_RETURN(
-      std::vector<RrMatrix> cluster_matrices,
-      DesignClusterMatrices(dataset, options, &result));
-  const size_t num_clusters = result.clusters.size();
-  std::vector<std::vector<uint32_t>> cluster_codes(
-      num_clusters, std::vector<uint32_t>(n));
-  ParallelChunks(n, shard_size, threads,
-                 [&](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                     size_t end) {
-                   for (size_t i = begin; i < end; ++i) {
-                     std::vector<uint32_t> published =
-                         parties[i].PublishClusters(result.clusters,
-                                                    result.cluster_domains,
-                                                    cluster_matrices);
-                     for (size_t c = 0; c < num_clusters; ++c) {
-                       cluster_codes[c][i] = published[c];
-                     }
-                   }
-                 });
-  result.messages_round2 = n;
-
-  // Controller: Eq. (2) estimation per cluster, decode Y. Counting is
-  // sharded with per-worker integer buffers (merge order immaterial).
-  result.randomized = dataset;
-  for (size_t c = 0; c < num_clusters; ++c) {
-    const Domain& domain = result.cluster_domains[c];
-    MDRR_ASSIGN_OR_RETURN(
-        std::vector<double> estimated,
-        controller.EstimateDistribution(cluster_matrices[c],
-                                        cluster_codes[c],
-                                        static_cast<size_t>(domain.size())));
-    result.cluster_joints.push_back(std::move(estimated));
-
-    for (size_t position = 0; position < result.clusters[c].size();
-         ++position) {
-      result.randomized.SetColumn(
-          result.clusters[c][position],
-          controller.DecodeColumn(domain, cluster_codes[c], position));
-    }
-  }
-  return result;
-}
-
-// --- Batched fast path: the same protocol as columnar sweeps over a
-// PartyBlock. Publications, clustering input, counts, decode, epsilons
-// and message accounting are all bit-identical to the Party loop. ---
+// --- mt19937 path: the protocol as columnar sweeps over a PartyBlock.
+// Publications, clustering input, counts, decode, epsilons and message
+// accounting are all bit-identical to the one-object-per-party loop of
+// tests/session_reference.h. ---
 StatusOr<SessionResult> RunBatchedSession(
     const Dataset& dataset, const SessionOptions& options,
     const release::ControllerPlan& controller) {
@@ -361,13 +234,6 @@ StatusOr<SessionResult> RunDistributedSession(const Dataset& dataset,
   if (dataset.num_rows() == 0) {
     return Status::InvalidArgument("a session needs at least one party");
   }
-  if (options.rng == RngKind::kPhilox &&
-      options.execution == SessionExecution::kPartyLoop) {
-    return Status::InvalidArgument(
-        "the party-loop reference semantics are the mt19937 per-party "
-        "seeding transcript; run the philox policy with the batched "
-        "execution");
-  }
   // The controller's stage work (dependence assessment, Algorithm 1,
   // Eq. (2) estimation, decode) goes through the release layer's
   // controller plan under one execution policy; the sharded primitives
@@ -382,9 +248,6 @@ StatusOr<SessionResult> RunDistributedSession(const Dataset& dataset,
                                    options.rng}));
   if (options.rng == RngKind::kPhilox) {
     return RunCounterSession(dataset, options, controller);
-  }
-  if (options.execution == SessionExecution::kPartyLoop) {
-    return RunPartyLoopSession(dataset, options, controller);
   }
   return RunBatchedSession(dataset, options, controller);
 }

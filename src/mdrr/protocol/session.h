@@ -13,7 +13,10 @@
 //   publishes; the controller estimates cluster joints with Eq. (2).
 //
 // Parties never reveal true values; the controller sees only randomized
-// publications. Message counts are accounted per phase.
+// publications. Message counts are accounted per phase. The parties are
+// stored columnar in a PartyBlock and publish in sharded sweeps; the
+// one-object-per-party reading of the protocol lives in
+// tests/session_reference.h as the golden reference.
 
 #ifndef MDRR_PROTOCOL_SESSION_H_
 #define MDRR_PROTOCOL_SESSION_H_
@@ -23,54 +26,11 @@
 
 #include "mdrr/common/status_or.h"
 #include "mdrr/core/clustering.h"
-#include "mdrr/core/rr_joint.h"
-#include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
+#include "mdrr/dataset/domain.h"
 #include "mdrr/rng/counter_rng.h"
-#include "mdrr/rng/rng.h"
 
 namespace mdrr::protocol {
-
-// One respondent: owns her true record and a private RNG. The true record
-// is intentionally inaccessible; parties only emit randomized data.
-class Party {
- public:
-  Party(uint64_t id, std::vector<uint32_t> true_record, uint64_t seed);
-
-  uint64_t id() const { return id_; }
-  size_t num_attributes() const { return true_record_.size(); }
-
-  // Round 1: per-attribute randomized publication. `matrices[j]` is the
-  // public randomization matrix of attribute j.
-  std::vector<uint32_t> PublishIndependent(
-      const std::vector<RrMatrix>& matrices);
-
-  // Round 2: cluster-wise publication. For each cluster (a sorted list of
-  // attribute indices with its public domain and matrix), the party
-  // composes her true values and randomizes the composite code.
-  std::vector<uint32_t> PublishClusters(
-      const AttributeClustering& clusters, const std::vector<Domain>& domains,
-      const std::vector<RrMatrix>& matrices);
-
- private:
-  uint64_t id_;
-  std::vector<uint32_t> true_record_;
-  Rng rng_;
-};
-
-// How the party side of the session is executed. Both produce the same
-// transcript, bit for bit; pick by cost.
-enum class SessionExecution {
-  // The fast path (default): parties stored columnar in a PartyBlock,
-  // engines lane-seeded in sharded batches, rounds executed as
-  // zero-allocation sweeps with counting and composite-code decode fused
-  // into the round-2 pass. Several times faster per party; identical
-  // output.
-  kBatched,
-  // The reference semantics: one Party object per respondent, rounds as
-  // per-party calls. The batched path is golden-tested against this.
-  kPartyLoop,
-};
 
 struct SessionOptions {
   double keep_probability = 0.7;
@@ -87,8 +47,6 @@ struct SessionOptions {
   // Parties per publication batch (the work-distribution grain; never
   // changes results).
   size_t shard_size = 1 << 16;
-  // Execution strategy for the party side; never changes results.
-  SessionExecution execution = SessionExecution::kBatched;
   // Party randomness policy. kMt19937 (default) is the committed
   // transcript: party seeds drawn serially from one seeder, each party a
   // self-contained engine. kPhilox replaces the per-party engines with
@@ -96,9 +54,7 @@ struct SessionOptions {
   // stream with party i as element i, round-2 cluster c another -- so no
   // per-party seeding pass runs at all and the transcript is additionally
   // invariant under shard grain by construction. A different (still
-  // deterministic) transcript from kMt19937; requires kBatched (the
-  // per-party reference loop IS the mt19937 seeding semantics, so
-  // kPartyLoop + kPhilox is rejected).
+  // deterministic) transcript from kMt19937.
   RngKind rng = RngKind::kMt19937;
 };
 
@@ -125,8 +81,7 @@ struct SessionResult {
 // private records; the controller path never touches it. The transcript
 // (publications, clustering, estimates, decoded release, epsilons,
 // message counts) is a pure function of (dataset, options.seed,
-// options.rng): execution mode, thread count, and shard grain never
-// change it.
+// options.rng): thread count and shard grain never change it.
 StatusOr<SessionResult> RunDistributedSession(const Dataset& dataset,
                                               const SessionOptions& options);
 

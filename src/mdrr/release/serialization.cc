@@ -398,10 +398,6 @@ StatusOr<ReleaseSpec> ParseReleaseSpec(const std::string& text) {
   return spec;
 }
 
-Status WriteReleaseSpec(const ReleaseSpec& spec, const std::string& path) {
-  return WriteText(PrintReleaseSpec(spec), path);
-}
-
 StatusOr<ReleaseSpec> ReadReleaseSpec(const std::string& path) {
   MDRR_ASSIGN_OR_RETURN(std::string text, ReadText(path));
   return ParseReleaseSpec(text);
@@ -582,11 +578,6 @@ StatusOr<ReleaseArtifacts> ParseReleaseArtifacts(const std::string& text) {
 Status WriteReleaseArtifacts(const ReleaseArtifacts& artifacts,
                              const std::string& path) {
   return WriteText(PrintReleaseArtifacts(artifacts), path);
-}
-
-StatusOr<ReleaseArtifacts> ReadReleaseArtifacts(const std::string& path) {
-  MDRR_ASSIGN_OR_RETURN(std::string text, ReadText(path));
-  return ParseReleaseArtifacts(text);
 }
 
 // ---------------------------------------------------------------------------

@@ -31,14 +31,12 @@ namespace mdrr::release {
 
 std::string PrintReleaseSpec(const ReleaseSpec& spec);
 StatusOr<ReleaseSpec> ParseReleaseSpec(const std::string& text);
-Status WriteReleaseSpec(const ReleaseSpec& spec, const std::string& path);
 StatusOr<ReleaseSpec> ReadReleaseSpec(const std::string& path);
 
 std::string PrintReleaseArtifacts(const ReleaseArtifacts& artifacts);
 StatusOr<ReleaseArtifacts> ParseReleaseArtifacts(const std::string& text);
 Status WriteReleaseArtifacts(const ReleaseArtifacts& artifacts,
                              const std::string& path);
-StatusOr<ReleaseArtifacts> ReadReleaseArtifacts(const std::string& path);
 
 // StreamingSnapshot (`mdrr-streaming-snapshot v1`): the resumable
 // collector state -- sequence and window cursors, the per-window

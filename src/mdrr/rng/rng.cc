@@ -76,11 +76,6 @@ void Rng::ShuffleU32(uint32_t* data, size_t count) {
   }
 }
 
-Rng Rng::Fork() {
-  uint64_t child_seed = engine_();
-  return Rng(child_seed);
-}
-
 RngStreamFamily::RngStreamFamily(uint64_t base_seed)
     : base_seed_(base_seed) {}
 

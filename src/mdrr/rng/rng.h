@@ -79,9 +79,6 @@ class Rng {
   // synthetic release).
   void ShuffleU32(uint32_t* data, size_t count);
 
-  // Derives an independent child generator (for per-party streams).
-  Rng Fork();
-
   std::mt19937_64& engine() { return engine_; }
 
  private:
@@ -92,9 +89,8 @@ class Rng {
 // seed. Stream(i) depends only on (base_seed, i) -- never on how many
 // streams exist or the order they are requested -- so sharded workloads
 // can hand each shard its own generator and produce bit-identical output
-// for any thread count. Unlike Rng::Fork, which advances the parent and
-// therefore ties child streams to the sequence of Fork calls, a family is
-// immutable and safe to share across threads.
+// for any thread count. A family is immutable and safe to share across
+// threads.
 class RngStreamFamily {
  public:
   explicit RngStreamFamily(uint64_t base_seed);

@@ -1,7 +1,7 @@
 // Pins the counter-based backend: Philox4x32-10 against the Random123
-// published test vectors, the O(1) Jump contract, the block-vs-scalar
-// identity of BlockRng, and the element-addressed draw plans of
-// AliasSampler::SampleBlock and RrMatrix::RandomizeRangeCounterInto.
+// published test vectors, the O(1) Jump contract, and the
+// element-addressed draw plans of AliasSampler::SampleBlock and
+// RrMatrix::RandomizeRangeCounterInto.
 
 #include <cstdint>
 #include <vector>
@@ -10,7 +10,6 @@
 
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/rng/alias_sampler.h"
-#include "mdrr/rng/block_rng.h"
 #include "mdrr/rng/counter_rng.h"
 
 namespace mdrr {
@@ -120,68 +119,6 @@ TEST(CounterRngTest, BoundedDrawsRespectBound) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(rng.BoundedU64(1), 0u);
   }
-}
-
-TEST(BlockRngTest, FillU32MatchesScalar) {
-  for (size_t head : {size_t{0}, size_t{1}, size_t{2}, size_t{3}}) {
-    BlockRng block(9, 4);
-    CounterRng scalar(9, 4);
-    block.source().Jump(head);
-    scalar.Jump(head);
-    std::vector<uint32_t> filled(1031);
-    block.FillU32(filled.data(), filled.size());
-    for (uint32_t w : filled) {
-      EXPECT_EQ(w, scalar.NextU32());
-    }
-    EXPECT_EQ(block.source().position(), scalar.position());
-  }
-}
-
-TEST(BlockRngTest, FillU64MatchesScalar) {
-  BlockRng block(13, 2);
-  CounterRng scalar(13, 2);
-  std::vector<uint64_t> filled(777);
-  block.FillU64(filled.data(), filled.size());
-  for (uint64_t w : filled) {
-    EXPECT_EQ(w, scalar.NextU64());
-  }
-}
-
-TEST(BlockRngTest, FillDoubleMatchesScalar) {
-  BlockRng block(13, 2);
-  CounterRng scalar(13, 2);
-  std::vector<double> filled(777);
-  block.FillDouble(filled.data(), filled.size());
-  for (double u : filled) {
-    EXPECT_EQ(u, scalar.NextDouble());
-  }
-}
-
-TEST(BlockRngTest, FillBoundedU64MatchesScalar) {
-  BlockRng block(13, 2);
-  CounterRng scalar(13, 2);
-  std::vector<uint64_t> filled(777);
-  block.FillBoundedU64(101, filled.data(), filled.size());
-  for (uint64_t v : filled) {
-    EXPECT_LT(v, 101u);
-    EXPECT_EQ(v, scalar.BoundedU64(101));
-  }
-}
-
-TEST(BlockRngTest, SplitFillsEqualOneFill) {
-  BlockRng whole(21, 6);
-  std::vector<uint32_t> expect(640);
-  whole.FillU32(expect.data(), expect.size());
-
-  BlockRng split(21, 6);
-  std::vector<uint32_t> got(640);
-  size_t at = 0;
-  for (size_t piece : {size_t{1}, size_t{6}, size_t{121}, size_t{512}}) {
-    split.FillU32(got.data() + at, piece);
-    at += piece;
-  }
-  ASSERT_EQ(at, got.size());
-  EXPECT_EQ(got, expect);
 }
 
 TEST(PhiloxFillTest, ElementDrawsMatchAlignedScalar) {

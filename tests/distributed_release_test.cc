@@ -277,6 +277,68 @@ TEST(DistributedFailureTest, WorkerDisconnectAbortsTheRelease) {
   EXPECT_FALSE(coordinator.Commit().ok());
 }
 
+TEST(DistributedFailureTest, RogueWorkerCountsAbortTheRelease) {
+  Dataset data = TestData();
+  release::ReleaseSpec spec =
+      BaseSpec(release::MechanismKind::kIndependent, RngKind::kMt19937);
+  spec.execution.kind = release::PolicyKind::kDistributed;
+  spec.execution.num_workers = 1;
+  spec.execution.worker_deadline_ms = 2000;
+  // Nothing downstream of the marginals, so only the counts check can
+  // stop the release.
+  spec.adjustment.enabled = false;
+  spec.synthetic.enabled = false;
+  auto plan = release::ReleasePlanner::Plan(spec, &data);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  net::CoordinatorOptions options;
+  options.seed = spec.execution.seed;
+  options.rng = spec.execution.rng;
+  options.shard_size = spec.execution.shard_size;
+  options.deadline_ms = 2000;
+  net::Coordinator coordinator(options);
+  ASSERT_TRUE(coordinator.Listen(0).ok());
+  const uint16_t port = coordinator.port();
+
+  // A worker that returns in-range codes (its true inputs) but claims
+  // every report landed in category 0: counts that disagree with the
+  // codes beside them. It serves every task until the coordinator hangs
+  // up.
+  std::thread rogue([port] {
+    auto conn = net::TcpConnection::Connect(kLoopback, port, 2000);
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    ASSERT_TRUE(
+        net::ClientHandshake(conn.value(), net::PeerRole::kWorker, 2000).ok());
+    for (;;) {
+      auto frame = conn.value().RecvFrame(2000);
+      if (!frame.ok() || frame->type != net::FrameType::kAssignShards) return;
+      auto assign = net::ParseAssignShards(frame->payload);
+      ASSERT_TRUE(assign.ok()) << assign.status().ToString();
+      net::PartialResultMsg reply;
+      reply.task_id = assign->task_id;
+      reply.counts.assign(assign->matrix->size(), 0);
+      for (const net::ShardAssignment& shard : assign->shards) {
+        reply.shards.push_back({shard.shard_index, shard.codes});
+        reply.counts[0] += static_cast<int64_t>(shard.codes.size());
+      }
+      if (!conn.value()
+               .SendFrame(net::FrameType::kPartialResult,
+                          net::EncodePartialResult(reply), 2000)
+               .ok()) {
+        return;
+      }
+    }
+  });
+  ASSERT_TRUE(coordinator.AcceptWorkers(1).ok());
+
+  auto artifacts = plan.value().RunDistributed(coordinator);
+  rogue.join();
+  ASSERT_FALSE(artifacts.ok());
+  EXPECT_EQ(artifacts.status().code(), StatusCode::kInvalidArgument)
+      << artifacts.status().ToString();
+  EXPECT_FALSE(coordinator.Commit().ok());
+}
+
 TEST(DistributedFailureTest, HandshakeRejectsWrongVersion) {
   net::CoordinatorOptions options;
   options.deadline_ms = 2000;

@@ -179,10 +179,13 @@ TEST(ConfidenceHalfWidthTest, WidthsBehaveSanely) {
   std::vector<double> lambda = {0.4, 0.3, 0.3};
   auto narrow = EstimateConfidenceHalfWidths(p, lambda, 10000, 0.05);
   auto wide = EstimateConfidenceHalfWidths(p, lambda, 10000, 0.001);
+  auto few = EstimateConfidenceHalfWidths(p, lambda, 1000, 0.05);
   ASSERT_TRUE(narrow.ok());
   ASSERT_TRUE(wide.ok());
+  ASSERT_TRUE(few.ok());
   for (size_t u = 0; u < 3; ++u) {
     EXPECT_GT(wide.value()[u], narrow.value()[u]);  // Higher confidence.
+    EXPECT_GT(few.value()[u], narrow.value()[u]);   // Shrinks as n grows.
     EXPECT_GT(narrow.value()[u], 0.0);
     EXPECT_LT(narrow.value()[u], 0.1);  // Sensible scale at n = 10000.
   }

@@ -78,6 +78,32 @@ TEST(SubsetQueryTest, RandomAttributesAreDistinctAndSorted) {
   }
 }
 
+TEST(RangeQueryTest, BuildsInclusiveRange) {
+  Dataset ds = SynthesizeAdult(100, 3);
+  CountQuery query = MakeRangeQuery(ds, kAdultEducation, 8, 11);
+  ASSERT_EQ(query.attributes, (std::vector<size_t>{kAdultEducation}));
+  ASSERT_EQ(query.tuples.size(), 4u);
+  EXPECT_EQ(query.tuples.front()[0], 8u);
+  EXPECT_EQ(query.tuples.back()[0], 11u);
+}
+
+TEST(RangeQueryTest, SingleCategoryRange) {
+  Dataset ds = SynthesizeAdult(100, 5);
+  CountQuery query = MakeRangeQuery(ds, kAdultIncome, 1, 1);
+  ASSERT_EQ(query.tuples.size(), 1u);
+}
+
+TEST(RangeQueryTest, CountsMatchManualScan) {
+  Dataset ds = SynthesizeAdult(5000, 7);
+  CountQuery query = MakeRangeQuery(ds, kAdultEducation, 12, 15);
+  EmpiricalCounts counts(ds);
+  double manual = 0.0;
+  for (uint32_t code : ds.column(kAdultEducation)) {
+    if (code >= 12 && code <= 15) manual += 1.0;
+  }
+  EXPECT_DOUBLE_EQ(counts.EstimateCount(query), manual);
+}
+
 TEST(ExperimentTest, MethodNames) {
   EXPECT_STREQ(MethodName(Method::kRandomized), "Randomized");
   EXPECT_STREQ(MethodName(Method::kRrIndependent), "RR-Ind");

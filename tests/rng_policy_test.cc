@@ -1,9 +1,9 @@
 // The RNG-policy contract: philox runs are bit-identical at any thread
 // count AND any shard grain (batch engine, distributed session, streaming
 // ingest); mt19937 stays the default; both policies' committed
-// transcripts are pinned by content hash; the fused perturb+count paths agree with a
-// post-hoc histogram; spec validation and serialization round-trip the
-// new execution.rng field.
+// transcripts are pinned by content hash; the fused perturb+count paths
+// agree with a post-hoc histogram; spec validation and serialization
+// round-trip the new execution.rng field.
 
 #include <cstdint>
 #include <cstring>
@@ -412,16 +412,6 @@ TEST(RngPolicyTest, PhiloxSessionDiffersFromMtSession) {
     }
   }
   EXPECT_TRUE(any_difference);
-}
-
-TEST(RngPolicyTest, PartyLoopRejectsPhilox) {
-  Dataset data = MakeSurvey(50, 47);
-  protocol::SessionOptions options;
-  options.rng = RngKind::kPhilox;
-  options.execution = protocol::SessionExecution::kPartyLoop;
-  auto run = protocol::RunDistributedSession(data, options);
-  EXPECT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

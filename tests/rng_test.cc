@@ -122,16 +122,6 @@ TEST(RngTest, MultinomialMatchesProbabilities) {
   EXPECT_NEAR(counts[2] / 100000.0, 0.1, 0.01);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(31);
-  Rng child = parent.Fork();
-  int same = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (parent.UniformInt(1 << 30) == child.UniformInt(1 << 30)) ++same;
-  }
-  EXPECT_LT(same, 5);
-}
-
 // --- AliasSampler ---
 
 TEST(AliasSamplerTest, UniformWeights) {
@@ -207,7 +197,7 @@ TEST(RngStreamFamilyTest, StreamsAreDeterministic) {
 TEST(RngStreamFamilyTest, StreamsAreIndependentOfRequestOrder) {
   RngStreamFamily family(7);
   // Requesting other streams first must not perturb stream 3: the family
-  // is a pure function, unlike Rng::Fork.
+  // is a pure function.
   Rng direct = family.Stream(3);
   family.Stream(0);
   family.Stream(1);

@@ -1,8 +1,8 @@
-// Golden tests for the batched session fast path: every optimization it
-// layers on top of the per-party reference loop -- the specialized seed
-// sequence, the lane-batched engine seeding, the columnar sweeps with
-// fused counting/decode -- must leave the published transcript bit-wise
-// unchanged.
+// Golden tests for the batched session: every optimization it layers on
+// top of the per-party reference loop of session_reference.h -- the
+// specialized seed sequence, the lane-batched engine seeding, the
+// columnar sweeps with fused counting/decode -- must leave the published
+// transcript bit-wise unchanged.
 
 #include <cstdint>
 #include <random>
@@ -16,6 +16,7 @@
 #include "mdrr/protocol/session.h"
 #include "mdrr/rng/fast_seed.h"
 #include "mdrr/rng/rng.h"
+#include "session_reference.h"
 
 namespace mdrr::protocol {
 namespace {
@@ -114,7 +115,7 @@ TEST(PartyBlockTest, Round1MatchesPartyLoopBitwise) {
   for (size_t i = 0; i < n; ++i) {
     std::vector<uint32_t> record(m);
     for (size_t j = 0; j < m; ++j) record[j] = data.at(i, j);
-    parties.emplace_back(i, std::move(record), loop_seeder.engine()());
+    parties.emplace_back(std::move(record), loop_seeder.engine()());
   }
   std::vector<std::vector<uint32_t>> expected(m, std::vector<uint32_t>(n));
   for (size_t i = 0; i < n; ++i) {
@@ -155,7 +156,7 @@ TEST(PartyBlockTest, Round2MatchesPartyLoopBitwise) {
   for (size_t i = 0; i < n; ++i) {
     std::vector<uint32_t> record(m);
     for (size_t j = 0; j < m; ++j) record[j] = data.at(i, j);
-    parties.emplace_back(i, std::move(record), loop_seeder.engine()());
+    parties.emplace_back(std::move(record), loop_seeder.engine()());
   }
   std::vector<std::vector<uint32_t>> expected_codes(
       clusters.size(), std::vector<uint32_t>(n));
@@ -244,10 +245,8 @@ TEST(SessionFastPathTest, BatchedMatchesPartyLoopOnCorrelatedData) {
   options.clustering = ClusteringOptions{20.0, 0.1};
   options.seed = 5;
 
-  options.execution = SessionExecution::kPartyLoop;
-  auto reference = RunDistributedSession(data, options);
+  auto reference = RunPartyLoopSession(data, options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  options.execution = SessionExecution::kBatched;
   auto batched = RunDistributedSession(data, options);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   ExpectSessionsEqual(reference.value(), batched.value());
@@ -260,10 +259,8 @@ TEST(SessionFastPathTest, BatchedMatchesPartyLoopOnAdultSample) {
   options.clustering = ClusteringOptions{50.0, 0.1};
   options.seed = 42;
 
-  options.execution = SessionExecution::kPartyLoop;
-  auto reference = RunDistributedSession(adult, options);
+  auto reference = RunPartyLoopSession(adult, options);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-  options.execution = SessionExecution::kBatched;
   auto batched = RunDistributedSession(adult, options);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   ExpectSessionsEqual(reference.value(), batched.value());
@@ -273,7 +270,6 @@ TEST(SessionFastPathTest, MessageAccountingMatchesPartyCount) {
   Dataset data = MakeCorrelatedDataset(750, 33);
   SessionOptions options;
   options.clustering = ClusteringOptions{20.0, 0.1};
-  options.execution = SessionExecution::kBatched;
   auto session = RunDistributedSession(data, options);
   ASSERT_TRUE(session.ok());
   EXPECT_EQ(session.value().messages_round1, 750u);
@@ -287,7 +283,6 @@ TEST(SessionFastPathTest, BatchedThreadSweepIsBitIdentical) {
   options.keep_probability = 0.7;
   options.clustering = ClusteringOptions{50.0, 0.1};
   options.seed = 3;
-  options.execution = SessionExecution::kBatched;
   options.shard_size = 512;  // Several shards per worker at every count.
 
   options.num_threads = 1;
@@ -307,15 +302,14 @@ TEST(SessionFastPathTest, PartyLoopThreadSweepIsBitIdentical) {
   options.keep_probability = 0.7;
   options.clustering = ClusteringOptions{50.0, 0.1};
   options.seed = 8;
-  options.execution = SessionExecution::kPartyLoop;
   options.shard_size = 512;
 
   options.num_threads = 1;
-  auto reference = RunDistributedSession(adult, options);
+  auto reference = RunPartyLoopSession(adult, options);
   ASSERT_TRUE(reference.ok());
   for (size_t threads : {size_t{2}, size_t{8}}) {
     options.num_threads = threads;
-    auto run = RunDistributedSession(adult, options);
+    auto run = RunPartyLoopSession(adult, options);
     ASSERT_TRUE(run.ok());
     ExpectSessionsEqual(reference.value(), run.value());
   }
@@ -326,10 +320,8 @@ TEST(SessionFastPathTest, TinySessionsRunOnBothPaths) {
     Dataset data = MakeCorrelatedDataset(n, 100 + n);
     SessionOptions options;
     options.clustering = ClusteringOptions{20.0, 0.1};
-    options.execution = SessionExecution::kPartyLoop;
-    auto reference = RunDistributedSession(data, options);
+    auto reference = RunPartyLoopSession(data, options);
     ASSERT_TRUE(reference.ok()) << "n " << n;
-    options.execution = SessionExecution::kBatched;
     auto batched = RunDistributedSession(data, options);
     ASSERT_TRUE(batched.ok()) << "n " << n;
     ExpectSessionsEqual(reference.value(), batched.value());

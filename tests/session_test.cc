@@ -8,6 +8,7 @@
 #include "mdrr/dataset/adult.h"
 #include "mdrr/protocol/session.h"
 #include "mdrr/rng/rng.h"
+#include "session_reference.h"
 
 namespace mdrr::protocol {
 namespace {
@@ -32,7 +33,7 @@ Dataset MakeCorrelatedDataset(size_t n, uint64_t seed) {
 }
 
 TEST(PartyTest, PublishesValidCodes) {
-  Party party(0, {1, 2}, 7);
+  Party party({1, 2}, 7);
   std::vector<RrMatrix> matrices = {RrMatrix::KeepUniform(3, 0.5),
                                     RrMatrix::KeepUniform(4, 0.5)};
   std::vector<uint32_t> published = party.PublishIndependent(matrices);
@@ -42,7 +43,7 @@ TEST(PartyTest, PublishesValidCodes) {
 }
 
 TEST(PartyTest, ClusterPublicationEncodesJointly) {
-  Party party(0, {1, 2}, 11);
+  Party party({1, 2}, 11);
   AttributeClustering clusters = {{0, 1}};
   std::vector<Domain> domains = {Domain({3, 4})};
   // Identity matrix: the publication must be the exact composite code.

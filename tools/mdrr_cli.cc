@@ -27,8 +27,10 @@
 //       the per-attribute budget of the method's RR design, so backend
 //       swaps compare at equal epsilon).
 //       spec mode:
-//         --spec=release.spec     (a serialized ReleaseSpec; all other
-//                                  release flags are ignored)
+//         --spec=release.spec     (a serialized ReleaseSpec; only the
+//                                  coordinator, streaming and --dump-spec
+//                                  flags below may accompany it -- any
+//                                  other flag is an error, never ignored)
 //
 //       Passing --threads selects the sharded execution policy: every
 //       stage runs through the BatchPerturbationEngine contracts with N
@@ -78,6 +80,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -271,11 +274,25 @@ int RunStreamingSpec(const FlagSet& flags,
   return 0;
 }
 
+// The flags `run --spec` honours; the spec file carries everything else.
+constexpr const char* kSpecModeFlags[] = {
+    "spec",      "listen",    "workers",        "worker_deadline_ms",
+    "dump-spec", "dump_spec", "ingest_threads", "shards",
+    "reports"};
+
 int CmdRun(const FlagSet& flags) {
   namespace release = mdrr::release;
 
   mdrr::release::ReleaseSpec spec;
   if (flags.Has("spec")) {
+    for (const std::string& key : flags.Keys()) {
+      if (std::find(std::begin(kSpecModeFlags), std::end(kSpecModeFlags),
+                    key) == std::end(kSpecModeFlags)) {
+        return Fail(Status::InvalidArgument(
+            "--" + key + " is not honoured with --spec; set it in the spec "
+            "file instead"));
+      }
+    }
     auto parsed = release::ReadReleaseSpec(flags.GetString("spec", ""));
     if (!parsed.ok()) return Fail(parsed.status());
     spec = std::move(parsed).value();
