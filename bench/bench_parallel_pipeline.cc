@@ -43,7 +43,6 @@
 // tests/session_fast_path_test.cc.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -507,31 +506,19 @@ int main(int argc, char** argv) {
       for (std::thread& worker : workers) worker.join();
       return accepted;
     }
-    std::atomic<bool> perturb_failed{false};
     BatchPerturbationOptions engine_options = single.options();
     engine_options.rng = rng_kind;
     engine_options.shard_perturber =
-        [&coordinator, &perturb_failed](
-            const mdrr::RrMatrix& matrix, const std::vector<uint32_t>& codes,
-            uint64_t stream_base,
-            uint64_t counter_stream) -> mdrr::PerturbedColumn {
-      auto column = coordinator.PerturbColumn(matrix, codes, stream_base,
-                                              counter_stream);
-      if (!column.ok()) {
-        perturb_failed.store(true);
-        mdrr::PerturbedColumn zero;
-        zero.codes.assign(codes.size(), 0);
-        zero.lambda.assign(matrix.size(), 0.0);
-        return zero;
-      }
-      return std::move(column).value();
-    };
+        [&coordinator](const mdrr::RrMatrix& matrix,
+                       const std::vector<uint32_t>& codes,
+                       uint64_t stream_base, uint64_t counter_stream) {
+          return coordinator.PerturbColumn(matrix, codes, stream_base,
+                                           counter_stream);
+        };
     auto result = BatchPerturbationEngine(engine_options)
                       .RunIndependent(data, independent_options);
     mdrr::Status committed =
-        perturb_failed.load()
-            ? mdrr::Status::Internal("distributed perturbation failed")
-            : coordinator.Commit();
+        result.ok() ? coordinator.Commit() : result.status();
     if (!committed.ok()) coordinator.Abort(committed.ToString());
     for (std::thread& worker : workers) worker.join();
     if (!result.ok()) return result.status();

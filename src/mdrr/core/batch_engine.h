@@ -12,11 +12,18 @@
 // (same matrices, same estimator) but not bit-for-bit: the random bits
 // come from different streams.
 //
+// The randomness address. This block is the single statement of where
+// every sharded column perturbation draws from; PerturbShard
+// (core/frequency_oracle.h) is the one kernel that maps a shard to it,
+// and the distributed worker (net/worker.h) runs that same kernel on the
+// slices it is sent.
+//
 // Stream layout for seed s (mt19937 policy): stream 0 is reserved for
 // serial randomness (the dependence-assessment round of RunClusters);
 // perturbed column c (attribute for Independent, cluster for Clusters,
 // the composite column for Joint) uses streams
-// [1 + c * num_shards, 1 + (c + 1) * num_shards).
+// [1 + c * num_shards, 1 + (c + 1) * num_shards), shard k of the column
+// drawing Stream(1 + c * num_shards + k) in record order.
 //
 // Under the philox policy (BatchPerturbationOptions::rng) perturbation
 // instead draws element-addressed counter blocks: column c is philox
@@ -52,8 +59,9 @@ namespace mdrr {
 // global index) -- and must honor the engine's determinism contract:
 // return exactly what the in-process kernel would for those addresses.
 // The distributed coordinator (net/coordinator.h) uses this to farm the
-// shards out to worker processes while every serial stage stays local.
-using ColumnShardPerturber = std::function<PerturbedColumn(
+// shards out to worker processes while every serial stage stays local;
+// a failed column surfaces as its Status and stops the release.
+using ColumnShardPerturber = std::function<StatusOr<PerturbedColumn>(
     const RrMatrix& matrix, const std::vector<uint32_t>& codes,
     uint64_t stream_base, uint64_t counter_stream)>;
 
@@ -84,15 +92,6 @@ struct BatchPerturbationOptions {
   ColumnShardPerturber shard_perturber;
 };
 
-// One column's worth of oracle reports: support counts (exact integer
-// sums over all shards), their proportions, and -- for microdata-capable
-// backends only -- the randomized codes.
-struct OracleColumnResult {
-  std::vector<uint32_t> codes;  // Empty unless produces_microdata().
-  std::vector<int64_t> counts;
-  std::vector<double> lambda;  // counts / n (per-entry division).
-};
-
 class BatchPerturbationEngine {
  public:
   explicit BatchPerturbationEngine(const BatchPerturbationOptions& options);
@@ -101,15 +100,12 @@ class BatchPerturbationEngine {
   StatusOr<RrIndependentResult> RunIndependent(
       const Dataset& dataset, const RrIndependentOptions& options) const;
 
-  // Fans a generic frequency-oracle backend over one column with the
-  // engine's sharding and RNG policy, using the SAME randomness
-  // addressing as column `column_index` of RunIndependent (mt19937:
-  // shard s of the column draws family.Stream(1 + column_index *
-  // NumShards(n) + s); philox: record i draws element blocks of counter
-  // stream 1 + column_index). Support counts merge as exact integer
-  // sums, so the result is bit-identical for any thread count -- and
-  // for the direct-encoding backend, bit-identical to RunIndependent's
-  // perturbed column at the same address.
+  // PerturbColumnSharded of a generic frequency-oracle backend over one
+  // column with the engine's sharding and RNG policy, at the SAME
+  // address as column `column_index` of RunIndependent (stream layout
+  // above). Bit-identical for any thread count -- and for the
+  // direct-encoding backend, bit-identical to RunIndependent's perturbed
+  // column at the same address.
   OracleColumnResult RunOracle(const FrequencyOracle& oracle,
                                const std::vector<uint32_t>& codes,
                                size_t column_index) const;
@@ -155,13 +151,16 @@ class BatchPerturbationEngine {
   const BatchPerturbationOptions& options() const { return options_; }
 
  private:
-  // Column `column_index` of the stream layout above (the attribute for
-  // Independent, the cluster for Clusters, 0 for Joint) randomized
-  // through `matrix`: options_.shard_perturber when set, else RunOracle
-  // over the matrix's direct-encoding oracle.
-  PerturbedColumn PerturbColumn(const RrMatrix& matrix,
-                                const std::vector<uint32_t>& codes,
-                                size_t column_index) const;
+  // The address of column `column_index` of the stream layout above (the
+  // attribute for Independent, the cluster for Clusters, 0 for Joint)
+  // for a column of `num_rows` records.
+  ColumnAddress AddressOf(size_t column_index, size_t num_rows) const;
+
+  // That column randomized through `matrix`: options_.shard_perturber
+  // when set, else RunOracle over the matrix's direct-encoding oracle.
+  StatusOr<PerturbedColumn> PerturbColumn(const RrMatrix& matrix,
+                                          const std::vector<uint32_t>& codes,
+                                          size_t column_index) const;
 
   BatchPerturbationOptions options_;
 };

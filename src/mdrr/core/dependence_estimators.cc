@@ -7,6 +7,7 @@
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
 #include "mdrr/core/estimator.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/privacy.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/domain.h"
@@ -87,25 +88,22 @@ Dataset PublishRandomizedRoundCounter(const Dataset& dataset,
                                       double keep_probability, uint64_t seed,
                                       const DependenceShardingOptions& sharding,
                                       double* epsilon) {
-  Dataset randomized = dataset;
-  const size_t n = dataset.num_rows();
-  const size_t chunk_size = std::max<size_t>(1, sharding.record_chunk_size);
-  for (size_t j = 0; j < dataset.num_attributes(); ++j) {
-    size_t r = dataset.attribute(j).cardinality();
-    RrMatrix matrix = RrMatrix::KeepUniform(r, keep_probability);
-    const std::vector<uint32_t>& codes = dataset.column(j);
-    std::vector<uint32_t>& out = randomized.MutableColumn(j);
-    const uint64_t stream = 1 + static_cast<uint64_t>(j);
-    ParallelChunks(n, chunk_size, sharding.num_threads,
-                   [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
-                       size_t end) {
-                     matrix.RandomizeRangeCounterInto(codes, begin, end, seed,
-                                                      stream, out.data(),
-                                                      /*counts=*/nullptr);
-                   });
+  std::vector<std::vector<uint32_t>> columns(dataset.num_attributes());
+  for (size_t j = 0; j < columns.size(); ++j) {
+    RrMatrix matrix =
+        RrMatrix::KeepUniform(dataset.attribute(j).cardinality(),
+                              keep_probability);
     *epsilon += matrix.Epsilon();
+    columns[j] = PerturbColumnSharded(
+                     DirectEncodingOracle(std::move(matrix)),
+                     dataset.column(j),
+                     ColumnAddress{RngKind::kPhilox, seed, 0,
+                                   1 + static_cast<uint64_t>(j)},
+                     std::max<size_t>(1, sharding.record_chunk_size),
+                     sharding.num_threads)
+                     .codes;
   }
-  return randomized;
+  return Dataset(dataset.schema(), std::move(columns));
 }
 
 }  // namespace
@@ -272,7 +270,6 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
 
   const mpc::SecureFrequencyOracle oracle(mode, seed ^ kOracleSeedSalt,
                                           options.rng);
-  const RngStreamFamily mask_family(seed);
   linalg::Matrix deps(m, m, 0.0);
   for (size_t i = 0; i < m; ++i) deps(i, i) = 1.0;
   const std::vector<std::pair<size_t, size_t>> pairs = UpperTrianglePairs(m);
@@ -313,8 +310,8 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
                       std::numeric_limits<uint32_t>::max()));
     const size_t r = static_cast<size_t>(pair_domain.size());
     const uint32_t card_b = static_cast<uint32_t>(b.cardinality());
-    RrMatrix matrix = RrMatrix::KeepUniform(r, keep_probability);
-    pair_epsilon[p] = matrix.Epsilon();
+    const DirectEncodingOracle mask(RrMatrix::KeepUniform(r, keep_probability));
+    pair_epsilon[p] = mask.matrix().Epsilon();
 
     const std::vector<uint32_t>& col_a = dataset.column(i);
     const std::vector<uint32_t>& col_b = dataset.column(j);
@@ -328,6 +325,10 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
       }
     };
 
+    // The pair's column address: mt19937 masks the whole column on one
+    // stream (shard 0 at stream_base = pair_stream), philox addresses
+    // records on counter stream pair_stream.
+    const ColumnAddress address{options.rng, seed, pair_stream, pair_stream};
     if (shard_records && options.rng == RngKind::kPhilox) {
       // Record-range regime: compose and mask [begin, end) per chunk
       // (element-addressed draws make any grain bit-identical); fused
@@ -338,12 +339,13 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
       std::vector<std::vector<int64_t>> worker_counts(
           fast ? record_workers : 0, std::vector<int64_t>(r, 0));
       ParallelChunks(n, chunk_size, options.sharding.num_threads,
-                     [&](size_t worker, size_t /*chunk*/, size_t begin,
+                     [&](size_t worker, size_t chunk, size_t begin,
                          size_t end) {
                        compose_range(begin, end);
-                       matrix.RandomizeRangeCounterInto(
-                           scratch.pair_codes, begin, end, seed, pair_stream,
-                           scratch.masked.data(),
+                       PerturbShard(
+                           mask, address, chunk, begin,
+                           scratch.pair_codes.data() + begin, end - begin,
+                           scratch.masked.data() + begin,
                            fast ? worker_counts[worker].data() : nullptr);
                      });
       for (const std::vector<int64_t>& wc : worker_counts) {
@@ -351,17 +353,9 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
       }
     } else {
       compose_range(0, n);
-      if (options.rng == RngKind::kPhilox) {
-        matrix.RandomizeRangeCounterInto(
-            scratch.pair_codes, 0, n, seed, pair_stream,
-            scratch.masked.data(),
-            fast ? scratch.masked_counts.data() : nullptr);
-      } else {
-        Rng rng = mask_family.Stream(pair_stream);
-        matrix.RandomizeRangeInto(
-            scratch.pair_codes, 0, n, rng, scratch.masked.data(),
-            fast ? scratch.masked_counts.data() : nullptr);
-      }
+      PerturbShard(mask, address, /*shard_index=*/0, /*first_record=*/0,
+                   scratch.pair_codes.data(), n, scratch.masked.data(),
+                   fast ? scratch.masked_counts.data() : nullptr);
     }
 
     if (!fast) {
@@ -385,7 +379,7 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
     }
     std::vector<double> joint;
     MDRR_ASSIGN_OR_RETURN(
-        joint, EstimateProjectedDistribution(matrix, scratch.lambda));
+        joint, EstimateProjectedDistribution(mask.matrix(), scratch.lambda));
     return DependenceFromJoint(joint, a.cardinality(), a.type,
                                b.cardinality(), b.type,
                                static_cast<double>(n));

@@ -41,7 +41,7 @@ struct DependenceEstimate {
 // Under kMt19937 a stream is sequential (drawn start to finish by one
 // worker), so only the pair/attribute grid shards and the transcript is
 // thread-count invariant. Under kPhilox the element is the record index
-// (RandomizeRangeCounterInto) or the protocol word offset
+// (PerturbShard, core/frequency_oracle.h) or the protocol word offset
 // (SecureSumSession::WordsPerLiteralRun), so record ranges shard too and
 // the transcript is invariant to thread count AND chunk grain by
 // construction.

@@ -6,6 +6,7 @@
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/enum_tokens.h"
+#include "mdrr/common/parallel.h"
 #include "mdrr/core/estimator.h"
 
 namespace mdrr {
@@ -102,31 +103,17 @@ StatusOr<std::vector<double>> DirectEncodingOracle::EstimateFrequencies(
   return EstimateFromLambda(EmpiricalDistribution(reports, r_));
 }
 
-void DirectEncodingOracle::AccumulateRange(const std::vector<uint32_t>& codes,
-                                           size_t begin, size_t end, Rng& rng,
-                                           uint32_t* out,
+void DirectEncodingOracle::AccumulateRange(const uint32_t* codes, size_t count,
+                                           Rng& rng, uint32_t* out,
                                            int64_t* counts) const {
-  if (out != nullptr) {
-    matrix_.RandomizeRangeInto(codes, begin, end, rng, out, counts);
-    return;
-  }
-  // Frequency-only caller: the kernel still needs a code buffer (absolute
-  // indexing), but the microdata is dropped.
-  std::vector<uint32_t> scratch(end);
-  matrix_.RandomizeRangeInto(codes, begin, end, rng, scratch.data(), counts);
+  matrix_.RandomizeRangeInto(codes, count, rng, out, counts);
 }
 
 void DirectEncodingOracle::AccumulateRangeCounter(
-    const std::vector<uint32_t>& codes, size_t begin, size_t end,
-    uint64_t seed, uint64_t stream, uint32_t* out, int64_t* counts) const {
-  if (out != nullptr) {
-    matrix_.RandomizeRangeCounterInto(codes, begin, end, seed, stream, out,
-                                      counts);
-    return;
-  }
-  std::vector<uint32_t> scratch(end);
-  matrix_.RandomizeRangeCounterInto(codes, begin, end, seed, stream,
-                                    scratch.data(), counts);
+    const uint32_t* codes, size_t count, uint64_t seed, uint64_t stream,
+    uint64_t first_record, uint32_t* out, int64_t* counts) const {
+  matrix_.RandomizeRangeCounterInto(codes, count, seed, stream, first_record,
+                                    out, counts);
 }
 
 StatusOr<std::vector<double>> DirectEncodingOracle::EstimateFromLambda(
@@ -182,14 +169,12 @@ StatusOr<std::vector<double>> UnaryEncodingOracle::EstimateFromReports(
                              static_cast<int64_t>(reports.size()));
 }
 
-void UnaryEncodingOracle::AccumulateRange(const std::vector<uint32_t>& codes,
-                                          size_t begin, size_t end, Rng& rng,
-                                          uint32_t* /*out*/,
+void UnaryEncodingOracle::AccumulateRange(const uint32_t* codes, size_t count,
+                                          Rng& rng, uint32_t* /*out*/,
                                           int64_t* counts) const {
-  MDRR_CHECK_LE(end, codes.size());
   // Per record, bits flip in value order -- the exact draw sequence of
   // Randomize, so batched and per-record paths share one transcript.
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < count; ++i) {
     const uint32_t code = codes[i];
     MDRR_DCHECK_LT(code, r_);
     for (size_t v = 0; v < r_; ++v) {
@@ -200,16 +185,14 @@ void UnaryEncodingOracle::AccumulateRange(const std::vector<uint32_t>& codes,
 }
 
 void UnaryEncodingOracle::AccumulateRangeCounter(
-    const std::vector<uint32_t>& codes, size_t begin, size_t end,
-    uint64_t seed, uint64_t stream, uint32_t* /*out*/,
-    int64_t* counts) const {
-  MDRR_CHECK_LE(end, codes.size());
+    const uint32_t* codes, size_t count, uint64_t seed, uint64_t stream,
+    uint64_t first_record, uint32_t* /*out*/, int64_t* counts) const {
   // Record i's bit v owns element i * r + v: r elements per record, fixed
   // budget, so the draw plan is invariant under shard grain and threads.
-  for (size_t i = begin; i < end; ++i) {
-    const uint32_t code = codes[i];
+  for (size_t k = 0; k < count; ++k) {
+    const uint32_t code = codes[k];
     MDRR_DCHECK_LT(code, r_);
-    const uint64_t base = static_cast<uint64_t>(i) * r_;
+    const uint64_t base = (first_record + k) * r_;
     for (size_t v = 0; v < r_; ++v) {
       const PhiloxBlock block = PhiloxElementBlock(seed, stream, base + v);
       const double unit = PhiloxUnitFromU64(
@@ -242,12 +225,10 @@ uint32_t LocalHashingOracle::HashBucket(uint64_t hash_seed, uint32_t value,
   return static_cast<uint32_t>(PhiloxBoundedFromRaw(z, num_buckets));
 }
 
-void LocalHashingOracle::AccumulateRange(const std::vector<uint32_t>& codes,
-                                         size_t begin, size_t end, Rng& rng,
-                                         uint32_t* /*out*/,
+void LocalHashingOracle::AccumulateRange(const uint32_t* codes, size_t count,
+                                         Rng& rng, uint32_t* /*out*/,
                                          int64_t* counts) const {
-  MDRR_CHECK_LE(end, codes.size());
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < count; ++i) {
     MDRR_DCHECK_LT(codes[i], r_);
     const uint64_t hash_seed = rng.engine()();
     const uint32_t bucket = HashBucket(hash_seed, codes[i], g_);
@@ -262,19 +243,17 @@ void LocalHashingOracle::AccumulateRange(const std::vector<uint32_t>& codes,
 }
 
 void LocalHashingOracle::AccumulateRangeCounter(
-    const std::vector<uint32_t>& codes, size_t begin, size_t end,
-    uint64_t seed, uint64_t stream, uint32_t* /*out*/,
-    int64_t* counts) const {
-  MDRR_CHECK_LE(end, codes.size());
+    const uint32_t* codes, size_t count, uint64_t seed, uint64_t stream,
+    uint64_t first_record, uint32_t* /*out*/, int64_t* counts) const {
   // Record i owns elements 2i (raw channel = its hash seed) and 2i + 1
   // (the bucket GRR's element block): two elements per record, fixed.
-  for (size_t i = begin; i < end; ++i) {
-    MDRR_DCHECK_LT(codes[i], r_);
-    const uint64_t element = 2 * static_cast<uint64_t>(i);
+  for (size_t k = 0; k < count; ++k) {
+    MDRR_DCHECK_LT(codes[k], r_);
+    const uint64_t element = 2 * (first_record + k);
     const PhiloxBlock block = PhiloxElementBlock(seed, stream, element);
     const uint64_t hash_seed =
         (static_cast<uint64_t>(block.w[3]) << 32) | block.w[2];
-    const uint32_t bucket = HashBucket(hash_seed, codes[i], g_);
+    const uint32_t bucket = HashBucket(hash_seed, codes[k], g_);
     const uint32_t y = grr_.RandomizeCounter(bucket, seed, stream,
                                              element + 1);
     if (counts == nullptr) continue;
@@ -311,6 +290,60 @@ StatusOr<std::unique_ptr<FrequencyOracle>> MakeFrequencyOracle(
           new LocalHashingOracle(r, epsilon));
   }
   return Status::InvalidArgument("unknown oracle backend");
+}
+
+void PerturbShard(const FrequencyOracle& oracle, const ColumnAddress& address,
+                  uint64_t shard_index, uint64_t first_record,
+                  const uint32_t* codes, size_t count, uint32_t* out,
+                  int64_t* counts) {
+  if (address.rng == RngKind::kPhilox) {
+    oracle.AccumulateRangeCounter(codes, count, address.seed,
+                                  address.counter_stream, first_record, out,
+                                  counts);
+    return;
+  }
+  Rng rng = RngStreamFamily(address.seed).Stream(address.stream_base +
+                                                 shard_index);
+  oracle.AccumulateRange(codes, count, rng, out, counts);
+}
+
+OracleColumnResult PerturbColumnSharded(const FrequencyOracle& oracle,
+                                        const std::vector<uint32_t>& codes,
+                                        const ColumnAddress& address,
+                                        size_t shard_size,
+                                        size_t num_threads) {
+  const size_t n = codes.size();
+  const size_t r = oracle.domain_size();
+  OracleColumnResult result;
+  const bool microdata = oracle.produces_microdata();
+  if (microdata) result.codes.resize(n);
+
+  // Per-worker counts: O(threads x r) memory, not O(shards x r) -- joint
+  // domains can be huge.
+  std::vector<std::vector<int64_t>> worker_counts(
+      ResolveWorkerCount(num_threads, n, shard_size),
+      std::vector<int64_t>(r, 0));
+  ParallelChunks(n, shard_size, num_threads,
+                 [&](size_t worker, size_t shard, size_t begin, size_t end) {
+                   PerturbShard(oracle, address, shard, begin,
+                                codes.data() + begin, end - begin,
+                                microdata ? result.codes.data() + begin
+                                          : nullptr,
+                                worker_counts[worker].data());
+                 });
+
+  result.counts.assign(r, 0);
+  for (const std::vector<int64_t>& partial : worker_counts) {
+    for (size_t v = 0; v < r; ++v) result.counts[v] += partial[v];
+  }
+  result.lambda.assign(r, 0.0);
+  if (n > 0) {
+    for (size_t v = 0; v < r; ++v) {
+      result.lambda[v] = static_cast<double>(result.counts[v]) /
+                         static_cast<double>(n);
+    }
+  }
+  return result;
 }
 
 }  // namespace mdrr

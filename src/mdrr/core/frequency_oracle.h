@@ -59,8 +59,8 @@ StatusOr<OracleBackend> OracleBackendFromString(std::string_view token);
 // One per-attribute frequency-oracle backend over a domain of r
 // categories at privacy level epsilon.
 //
-// The batched entry points fuse randomize+count over a record range, in
-// the two draw disciplines the engine layers use:
+// The batched entry points fuse randomize+count over a slice of records,
+// in the two draw disciplines the engine layers use:
 //
 //   * AccumulateRange draws sequentially from one Rng in record order
 //     (the mt19937 policy; shard workers each own a stream);
@@ -69,10 +69,12 @@ StatusOr<OracleBackend> OracleBackendFromString(std::string_view token);
 //     randomness address -- any shard grain or thread count produces
 //     identical counts (the contract of RandomizeRangeCounterInto).
 //
-// `out`, when non-null, receives the randomized microdata codes for
-// records [begin, end) (absolute indexing: out must have room for index
-// end - 1). Only produces_microdata() backends write it; frequency-only
-// backends contribute counts alone and callers pass nullptr.
+// Both take the slice as codes[0, count); `out` receives the randomized
+// microdata codes at out[0, count). Only produces_microdata() backends
+// write it, and for them it is required; frequency-only backends
+// contribute counts alone and callers pass nullptr. Shards of a column
+// reach these through PerturbShard below, which owns the shard -> stream
+// mapping.
 //
 // Implementations are immutable after construction and safe to share
 // across threads (each call site owns its Rng or randomness address).
@@ -93,21 +95,21 @@ class FrequencyOracle {
   // only for direct encoding, the microdata-capable backend.
   virtual bool produces_microdata() const { return false; }
 
-  // Fused randomize+count over codes[begin, end), drawing sequentially
+  // Fused randomize+count over codes[0, count), drawing sequentially
   // from `rng`. `counts` (size r, may be null) accumulates per-category
   // support counts; `out` is written only when produces_microdata().
-  virtual void AccumulateRange(const std::vector<uint32_t>& codes,
-                               size_t begin, size_t end, Rng& rng,
+  virtual void AccumulateRange(const uint32_t* codes, size_t count, Rng& rng,
                                uint32_t* out, int64_t* counts) const = 0;
 
-  // Counter-policy analogue: record i draws from its own element
-  // block(s) of philox stream (seed, stream), mirroring
+  // Counter-policy analogue: slice record k is column record
+  // first_record + k and draws from that record's own element block(s)
+  // of philox stream (seed, stream), mirroring
   // RrMatrix::RandomizeRangeCounterInto. Each backend documents its
   // per-record element budget; budgets are fixed (branch-independent) so
   // the draw plan never depends on data, shard grain, or thread count.
-  virtual void AccumulateRangeCounter(const std::vector<uint32_t>& codes,
-                                      size_t begin, size_t end, uint64_t seed,
-                                      uint64_t stream, uint32_t* out,
+  virtual void AccumulateRangeCounter(const uint32_t* codes, size_t count,
+                                      uint64_t seed, uint64_t stream,
+                                      uint64_t first_record, uint32_t* out,
                                       int64_t* counts) const = 0;
 
   // Unbiased closed-form inversion of the observed support distribution
@@ -168,12 +170,11 @@ class DirectEncodingOracle : public FrequencyOracle {
   StatusOr<std::vector<double>> EstimateFrequencies(
       const std::vector<uint32_t>& reports) const;
 
-  void AccumulateRange(const std::vector<uint32_t>& codes, size_t begin,
-                       size_t end, Rng& rng, uint32_t* out,
-                       int64_t* counts) const override;
-  void AccumulateRangeCounter(const std::vector<uint32_t>& codes,
-                              size_t begin, size_t end, uint64_t seed,
-                              uint64_t stream, uint32_t* out,
+  void AccumulateRange(const uint32_t* codes, size_t count, Rng& rng,
+                       uint32_t* out, int64_t* counts) const override;
+  void AccumulateRangeCounter(const uint32_t* codes, size_t count,
+                              uint64_t seed, uint64_t stream,
+                              uint64_t first_record, uint32_t* out,
                               int64_t* counts) const override;
   StatusOr<std::vector<double>> EstimateFromLambda(
       const std::vector<double>& lambda) const override;
@@ -211,12 +212,11 @@ class UnaryEncodingOracle : public FrequencyOracle {
   StatusOr<std::vector<double>> EstimateFromReports(
       const std::vector<std::vector<uint8_t>>& reports) const;
 
-  void AccumulateRange(const std::vector<uint32_t>& codes, size_t begin,
-                       size_t end, Rng& rng, uint32_t* out,
-                       int64_t* counts) const override;
-  void AccumulateRangeCounter(const std::vector<uint32_t>& codes,
-                              size_t begin, size_t end, uint64_t seed,
-                              uint64_t stream, uint32_t* out,
+  void AccumulateRange(const uint32_t* codes, size_t count, Rng& rng,
+                       uint32_t* out, int64_t* counts) const override;
+  void AccumulateRangeCounter(const uint32_t* codes, size_t count,
+                              uint64_t seed, uint64_t stream,
+                              uint64_t first_record, uint32_t* out,
                               int64_t* counts) const override;
 
  private:
@@ -252,12 +252,11 @@ class LocalHashingOracle : public FrequencyOracle {
   static uint32_t HashBucket(uint64_t hash_seed, uint32_t value,
                              size_t num_buckets);
 
-  void AccumulateRange(const std::vector<uint32_t>& codes, size_t begin,
-                       size_t end, Rng& rng, uint32_t* out,
-                       int64_t* counts) const override;
-  void AccumulateRangeCounter(const std::vector<uint32_t>& codes,
-                              size_t begin, size_t end, uint64_t seed,
-                              uint64_t stream, uint32_t* out,
+  void AccumulateRange(const uint32_t* codes, size_t count, Rng& rng,
+                       uint32_t* out, int64_t* counts) const override;
+  void AccumulateRangeCounter(const uint32_t* codes, size_t count,
+                              uint64_t seed, uint64_t stream,
+                              uint64_t first_record, uint32_t* out,
                               int64_t* counts) const override;
 
  private:
@@ -269,6 +268,52 @@ class LocalHashingOracle : public FrequencyOracle {
 // non-finite / non-positive epsilon.
 StatusOr<std::unique_ptr<FrequencyOracle>> MakeFrequencyOracle(
     OracleBackend backend, size_t r, double epsilon);
+
+// Where one column's randomness lives (the layout across columns is
+// stated once, in core/batch_engine.h). Under kMt19937 shard s of the
+// column draws RngStreamFamily(seed).Stream(stream_base + s) in record
+// order, so the shard grain is part of the address; under kPhilox
+// record i draws element i of philox stream (seed, counter_stream) and
+// the grain drops out.
+struct ColumnAddress {
+  RngKind rng = RngKind::kMt19937;
+  uint64_t seed = 0;
+  uint64_t stream_base = 0;
+  uint64_t counter_stream = 0;
+};
+
+// The one shard kernel: perturbs shard `shard_index` of a column, whose
+// records first_record .. first_record + count - 1 arrive as the slice
+// codes[0, count), at `address`. `out` (microdata backends only, else
+// null) receives the slice's randomized codes; `counts` (size r, may be
+// null) accumulates support counts. Every sharded column perturbation --
+// the engine's fan-out, a distributed worker's slices, the session and
+// dependence rounds -- goes through here, so a shard draws the same
+// randomness wherever it runs.
+void PerturbShard(const FrequencyOracle& oracle, const ColumnAddress& address,
+                  uint64_t shard_index, uint64_t first_record,
+                  const uint32_t* codes, size_t count, uint32_t* out,
+                  int64_t* counts);
+
+// One column's worth of oracle reports: support counts (exact integer
+// sums over all shards), their proportions, and -- for microdata-capable
+// backends only -- the randomized codes.
+struct OracleColumnResult {
+  std::vector<uint32_t> codes;  // Empty unless produces_microdata().
+  std::vector<int64_t> counts;
+  std::vector<double> lambda;  // counts / n (per-entry division).
+};
+
+// Fans PerturbShard over `codes` in shards of `shard_size` records
+// (shard s = records [s * shard_size, min(n, (s + 1) * shard_size))) on
+// up to `num_threads` workers (0 = one per core). Counts accumulate per
+// worker and merge after the join; integer sums commute, so the result
+// is bit-identical for any thread count. Precondition: shard_size > 0.
+OracleColumnResult PerturbColumnSharded(const FrequencyOracle& oracle,
+                                        const std::vector<uint32_t>& codes,
+                                        const ColumnAddress& address,
+                                        size_t shard_size,
+                                        size_t num_threads);
 
 }  // namespace mdrr
 

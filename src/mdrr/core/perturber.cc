@@ -6,7 +6,7 @@ namespace mdrr {
 
 ColumnPerturber SequentialPerturber(Rng& rng) {
   return [&rng](const RrMatrix& matrix, const std::vector<uint32_t>& codes,
-                size_t /*column_index*/) {
+                size_t /*column_index*/) -> StatusOr<PerturbedColumn> {
     PerturbedColumn result;
     result.codes.resize(codes.size());
     // Fused perturb+count through the frequency-oracle seam: the direct-
@@ -18,8 +18,8 @@ ColumnPerturber SequentialPerturber(Rng& rng) {
     // estimates are bit-identical to the unfused path.
     DirectEncodingOracle oracle(matrix);
     std::vector<int64_t> counts(matrix.size(), 0);
-    oracle.AccumulateRange(codes, 0, codes.size(), rng, result.codes.data(),
-                           counts.data());
+    oracle.AccumulateRange(codes.data(), codes.size(), rng,
+                           result.codes.data(), counts.data());
     result.lambda.assign(matrix.size(), 0.0);
     if (!codes.empty()) {
       const double inv_n = 1.0 / static_cast<double>(codes.size());

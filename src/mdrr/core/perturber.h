@@ -15,6 +15,7 @@
 #include <functional>
 #include <vector>
 
+#include "mdrr/common/status_or.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/rng/rng.h"
 
@@ -29,8 +30,10 @@ struct PerturbedColumn {
 // Perturbs `codes` through `matrix`. `column_index` is the 0-based
 // position of the column within the protocol run (attribute index for
 // RR-Independent, always 0 for RR-Joint) so implementations can key
-// per-column RNG sub-streams off it.
-using ColumnPerturber = std::function<PerturbedColumn(
+// per-column RNG sub-streams off it. A perturber that can fail (the
+// distributed coordinator's network round trip) returns its Status, and
+// the protocol frames propagate it.
+using ColumnPerturber = std::function<StatusOr<PerturbedColumn>(
     const RrMatrix& matrix, const std::vector<uint32_t>& codes,
     size_t column_index)>;
 

@@ -40,7 +40,8 @@ StatusOr<RrIndependentResult> RunRrIndependentWith(
   for (size_t j = 0; j < m; ++j) {
     const size_t r = dataset.attribute(j).cardinality();
     RrMatrix matrix = MakeIndependentMatrix(r, options);
-    PerturbedColumn column = perturber(matrix, dataset.column(j), j);
+    MDRR_ASSIGN_OR_RETURN(PerturbedColumn column,
+                          perturber(matrix, dataset.column(j), j));
     result.randomized.SetColumn(j, std::move(column.codes));
     result.lambda[j] = std::move(column.lambda);
     MDRR_ASSIGN_OR_RETURN(result.raw_estimated[j],

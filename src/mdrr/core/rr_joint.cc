@@ -55,7 +55,8 @@ StatusOr<RrJointPerturbation> PerturbRrJoint(
 
   std::vector<uint32_t> true_codes = domain.ComposeColumns(dataset, attributes);
 
-  PerturbedColumn column = perturber(matrix, true_codes, 0);
+  MDRR_ASSIGN_OR_RETURN(PerturbedColumn column,
+                        perturber(matrix, true_codes, 0));
   return RrJointPerturbation{attributes, std::move(domain), std::move(matrix),
                              std::move(column.codes),
                              std::move(column.lambda)};

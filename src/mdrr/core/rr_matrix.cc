@@ -151,16 +151,14 @@ void RrMatrix::RandomizeColumnInto(const std::vector<uint32_t>& codes,
                                    Rng& rng,
                                    std::vector<uint32_t>& out) const {
   out.resize(codes.size());
-  RandomizeRangeInto(codes, 0, codes.size(), rng, out.data(),
+  RandomizeRangeInto(codes.data(), codes.size(), rng, out.data(),
                      /*counts=*/nullptr);
 }
 
-void RrMatrix::RandomizeRangeCounterInto(const std::vector<uint32_t>& codes,
-                                         size_t begin, size_t end,
+void RrMatrix::RandomizeRangeCounterInto(const uint32_t* codes, size_t count,
                                          uint64_t seed, uint64_t stream,
-                                         uint32_t* out,
+                                         uint64_t first_element, uint32_t* out,
                                          int64_t* counts) const {
-  MDRR_CHECK_LE(end, codes.size());
   // Fixed-size SoA staging: uniforms for a tile of elements are drawn in
   // one pass (PhiloxFillElementDraws -- no loop-carried state, free to
   // vectorize), then consumed by branch-predictable loops. The tile size
@@ -172,7 +170,7 @@ void RrMatrix::RandomizeRangeCounterInto(const std::vector<uint32_t>& codes,
   if (structured_) {
     const double alpha = structured_alpha_;
     if (alpha <= 0.0) {  // Identity design: no blocks are ever generated.
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < count; ++i) {
         const uint32_t y = codes[i];
         MDRR_DCHECK_LT(y, size_);
         out[i] = y;
@@ -180,9 +178,10 @@ void RrMatrix::RandomizeRangeCounterInto(const std::vector<uint32_t>& codes,
       }
       return;
     }
-    for (size_t tile = begin; tile < end; tile += kTile) {
-      const size_t len = end - tile < kTile ? end - tile : kTile;
-      PhiloxFillElementDraws(seed, stream, tile, len, units, raws);
+    for (size_t tile = 0; tile < count; tile += kTile) {
+      const size_t len = count - tile < kTile ? count - tile : kTile;
+      PhiloxFillElementDraws(seed, stream, first_element + tile, len, units,
+                             raws);
       if (alpha >= 1.0) {  // Uniform replacement: only the raw word used.
         for (size_t k = 0; k < len; ++k) {
           const uint32_t y =
@@ -208,15 +207,16 @@ void RrMatrix::RandomizeRangeCounterInto(const std::vector<uint32_t>& codes,
   // Dense tiles run the gather/select kernel over the flattened per-row
   // tables: same bucket derivation and the same threshold values as the
   // per-row SampleFrom loop, so the transcript is bit-unchanged.
-  for (size_t tile = begin; tile < end; tile += kTile) {
-    const size_t len = end - tile < kTile ? end - tile : kTile;
+  for (size_t tile = 0; tile < count; tile += kTile) {
+    const size_t len = count - tile < kTile ? count - tile : kTile;
 #ifndef NDEBUG
     for (size_t k = 0; k < len; ++k) MDRR_DCHECK_LT(codes[tile + k], size_);
 #endif
-    PhiloxFillElementDraws(seed, stream, tile, len, units, raws);
+    PhiloxFillElementDraws(seed, stream, first_element + tile, len, units,
+                           raws);
     AliasLookupBlock(dense_thresholds_.data(), dense_aliases_.data(), size_,
-                     dense_thresholds_.size(), codes.data() + tile, units,
-                     raws, len, out + tile);
+                     dense_thresholds_.size(), codes + tile, units, raws,
+                     len, out + tile);
     if (counts != nullptr) {
       for (size_t k = 0; k < len; ++k) ++counts[out[tile + k]];
     }

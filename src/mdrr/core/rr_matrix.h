@@ -120,27 +120,23 @@ class RrMatrix {
   void RandomizeColumnInto(const std::vector<uint32_t>& codes, Rng& rng,
                            std::vector<uint32_t>& out) const;
 
-  // Randomizes codes[begin, end) into out[begin, end) and, if `counts` is
-  // non-null, accumulates the frequency of each output category into
-  // counts[0, size()). The range form lets shard workers fill disjoint
-  // slices of one shared output column without synchronization
-  // (BatchPerturbationEngine, protocol/PartyBlock). Preconditions:
-  // end <= codes.size(), `out` has room for index end - 1.
+  // Randomizes the slice codes[0, count) into out[0, count) and, if
+  // `counts` is non-null, accumulates the frequency of each output
+  // category into counts[0, size()). The slice form lets a shard worker
+  // hand in its part of a shared column or a standalone buffer alike
+  // (PerturbShard in core/frequency_oracle.h).
   //
   // Inline, with the structured design split into three branch-predictable
   // loops keyed off the mixing weight alpha = r * off_diagonal: alpha <= 0
   // copies (an identity design draws nothing), alpha >= 1 replaces every
   // code with a uniform draw, and the mixed case decides per element with
   // one canonical double against the precomputed alpha. The draw sequence
-  // is exactly the per-element Randomize loop's. The range bound is
-  // checked per call; the per-element precondition codes[i] < size() is
-  // debug-only, like Randomize's.
-  void RandomizeRangeInto(const std::vector<uint32_t>& codes, size_t begin,
-                          size_t end, Rng& rng, uint32_t* out,
-                          int64_t* counts) const {
-    MDRR_CHECK_LE(end, codes.size());
+  // is exactly the per-element Randomize loop's. The per-element
+  // precondition codes[i] < size() is debug-only, like Randomize's.
+  void RandomizeRangeInto(const uint32_t* codes, size_t count, Rng& rng,
+                          uint32_t* out, int64_t* counts) const {
     if (!structured_) {
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < count; ++i) {
         uint32_t y =
             static_cast<uint32_t>(row_samplers_[codes[i]].Sample(rng));
         out[i] = y;
@@ -150,7 +146,7 @@ class RrMatrix {
     }
     const double alpha = structured_alpha_;
     if (alpha <= 0.0) {  // Identity design: Bernoulli(0) consumes no draw.
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < count; ++i) {
         uint32_t y = codes[i];
         MDRR_DCHECK_LT(y, size_);
         out[i] = y;
@@ -159,14 +155,14 @@ class RrMatrix {
       return;
     }
     if (alpha >= 1.0) {  // Uniform replacement: Bernoulli(1), no draw.
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = 0; i < count; ++i) {
         uint32_t y = static_cast<uint32_t>(rng.UniformInt(size_));
         out[i] = y;
         if (counts != nullptr) ++counts[y];
       }
       return;
     }
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = 0; i < count; ++i) {
       MDRR_DCHECK_LT(codes[i], size_);
       uint32_t y = rng.UniformDouble() < alpha
                        ? static_cast<uint32_t>(rng.UniformInt(size_))
@@ -177,23 +173,24 @@ class RrMatrix {
   }
 
   // Counter-policy (philox) analogue of RandomizeRangeInto: randomizes
-  // codes[begin, end) into out[begin, end) drawing element i's randomness
-  // from ITS OWN 128-bit block of stream (seed, stream) -- the element
-  // layout of counter_rng.h. Because the draw plan is addressed by
-  // element index, never by consumption order, the output is a pure
-  // function of (matrix, codes, seed, stream): any [begin, end) tiling of
-  // a column -- any shard grain, thread count, or internal chunking --
-  // produces bit-identical columns. Draw plan per element (fixed budget,
-  // one block each, branches never shift later elements):
+  // the slice codes[0, count) into out[0, count), where slice element k
+  // is column element first_element + k and draws its randomness from
+  // ITS OWN 128-bit block of stream (seed, stream) -- the element layout
+  // of counter_rng.h. Because the draw plan is addressed by element
+  // index, never by consumption order, the output is a pure function of
+  // (matrix, codes, seed, stream): any tiling of a column -- any shard
+  // grain, thread count, or internal chunking -- produces bit-identical
+  // columns. Draw plan per element (fixed budget, one block each,
+  // branches never shift later elements):
   //   structured, alpha in (0, 1):  y = unit < alpha ? bounded(r) : code
   //   structured, alpha >= 1:       y = bounded(r)
   //   structured, alpha <= 0:       y = code   (block never generated)
   //   dense:                        y = row_samplers_[code].SampleFrom
   // This is a DIFFERENT documented transcript from the mt19937 kernels
   // above; the two policies never share streams.
-  void RandomizeRangeCounterInto(const std::vector<uint32_t>& codes,
-                                 size_t begin, size_t end, uint64_t seed,
-                                 uint64_t stream, uint32_t* out,
+  void RandomizeRangeCounterInto(const uint32_t* codes, size_t count,
+                                 uint64_t seed, uint64_t stream,
+                                 uint64_t first_element, uint32_t* out,
                                  int64_t* counts) const;
 
   // Single-element counter draw: exactly what RandomizeRangeCounterInto

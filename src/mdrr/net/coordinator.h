@@ -39,7 +39,9 @@ struct CoordinatorOptions {
   uint64_t seed = 1;
   RngKind rng = RngKind::kMt19937;
   // Shard grain -- must equal the ExecutionPolicy's shard_size for the
-  // bit-equality contract to hold. 0 is clamped to 1.
+  // bit-equality contract to hold (ReleasePlan::RunDistributed rejects a
+  // seed, rng or shard_size that differs from its policy). 0 is clamped
+  // to 1.
   size_t shard_size = 1 << 16;
   // Per-operation network deadline; <= 0 uses kDefaultDeadlineMs.
   int64_t deadline_ms = 0;
@@ -59,6 +61,7 @@ class Coordinator {
   Status AcceptWorkers(size_t count);
 
   size_t num_workers() const { return workers_.size(); }
+  const CoordinatorOptions& options() const { return options_; }
 
   // Perturbs one column across the workers. `stream_base` and
   // `counter_stream` carry the engine's randomness addressing for this

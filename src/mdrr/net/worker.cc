@@ -4,11 +4,10 @@
 #include <vector>
 
 #include "mdrr/common/status_or.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/net/protocol.h"
 #include "mdrr/net/socket.h"
 #include "mdrr/net/wire.h"
-#include "mdrr/rng/counter_rng.h"
-#include "mdrr/rng/rng.h"
 
 namespace mdrr {
 namespace net {
@@ -19,40 +18,25 @@ StatusOr<PartialResultMsg> ComputeAssignment(const AssignShardsMsg& msg) {
   if (!msg.matrix.has_value()) {
     return Status::InvalidArgument("assignment carries no matrix");
   }
-  const RrMatrix& matrix = *msg.matrix;
   if (msg.rng_kind != static_cast<uint8_t>(RngKind::kMt19937) &&
       msg.rng_kind != static_cast<uint8_t>(RngKind::kPhilox)) {
     return Status::InvalidArgument("unknown rng policy in assignment");
   }
-  const RngKind rng_kind = static_cast<RngKind>(msg.rng_kind);
+  const DirectEncodingOracle oracle(*msg.matrix);
+  const ColumnAddress address{static_cast<RngKind>(msg.rng_kind), msg.seed,
+                              msg.stream_base, msg.counter_stream};
 
   PartialResultMsg result;
   result.task_id = msg.task_id;
-  result.counts.assign(matrix.size(), 0);
+  result.counts.assign(oracle.domain_size(), 0);
   result.shards.reserve(msg.shards.size());
-
-  RngStreamFamily family(msg.seed);
   for (const ShardAssignment& shard : msg.shards) {
     ShardResult out;
     out.shard_index = shard.shard_index;
     out.codes.resize(shard.codes.size());
-    if (rng_kind == RngKind::kMt19937) {
-      // Fresh per-shard generator, consumed in record order: the same
-      // draws the engine's RandomizeRangeInto makes for this shard.
-      Rng rng = family.Stream(msg.stream_base + shard.shard_index);
-      matrix.RandomizeRangeInto(shard.codes, 0, shard.codes.size(), rng,
-                                out.codes.data(), result.counts.data());
-    } else {
-      // Element-addressed draws: global index, not slice-local.
-      for (size_t k = 0; k < shard.codes.size(); ++k) {
-        uint32_t y =
-            matrix.RandomizeCounter(shard.codes[k], msg.seed,
-                                    msg.counter_stream,
-                                    shard.global_begin + k);
-        out.codes[k] = y;
-        ++result.counts[y];
-      }
-    }
+    PerturbShard(oracle, address, shard.shard_index, shard.global_begin,
+                 shard.codes.data(), shard.codes.size(), out.codes.data(),
+                 result.counts.data());
     result.shards.push_back(std::move(out));
   }
   return result;

@@ -5,15 +5,11 @@
 // (Status::OK), aborts (Status::Unavailable with the reason), or the
 // connection fails. One call serves exactly one release session.
 //
-// Shard computation reproduces the in-process engine draw-for-draw:
-//   kMt19937: shard s draws from RngStreamFamily(seed).Stream(
-//             stream_base + s) via RandomizeRangeInto over the slice --
-//             a fresh generator per shard consumed in record order,
-//             exactly the engine's kernel.
-//   kPhilox:  element k of the slice is element (global_begin + k) of
-//             counter stream (seed, counter_stream) via RandomizeCounter,
-//             which is documented bit-equal to what the engine's
-//             RandomizeRangeCounterInto computes for that global index.
+// Each shard runs PerturbShard (core/frequency_oracle.h) over the
+// matrix's direct-encoding oracle at the address the assignment carries
+// -- the same kernel the in-process engine runs, so the worker reproduces
+// it draw for draw. The address contract is stated in
+// core/batch_engine.h.
 
 #ifndef MDRR_NET_WORKER_H_
 #define MDRR_NET_WORKER_H_

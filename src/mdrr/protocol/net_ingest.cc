@@ -5,8 +5,7 @@
 #include <utility>
 
 #include "mdrr/net/protocol.h"
-#include "mdrr/rng/counter_rng.h"
-#include "mdrr/rng/rng.h"
+#include "mdrr/protocol/stream_ingest.h"
 
 namespace mdrr::protocol {
 namespace {
@@ -187,8 +186,6 @@ StatusOr<StreamIngestClientResult> StreamReportsOverSocket(
                                       net::EncodeStreamOpen(open),
                                       options.deadline_ms));
 
-  const RngStreamFamily family(spec.execution.seed);
-  const bool philox = spec.execution.rng == RngKind::kPhilox;
   const size_t num_attrs = dataset.num_attributes();
 
   for (uint64_t begin = 0; begin < total;
@@ -200,24 +197,11 @@ StatusOr<StreamIngestClientResult> StreamReportsOverSocket(
     batch.num_reports = count;
     batch.num_attributes = static_cast<uint32_t>(num_attrs);
     batch.codes.resize(static_cast<size_t>(count) * num_attrs);
+    // Party-side perturbation keyed off the absolute sequence number:
+    // draw-for-draw what RunStreamingReplay's producers compute.
     for (uint32_t k = 0; k < count; ++k) {
-      const uint64_t s = begin + k;
-      const size_t row = static_cast<size_t>(s % dataset.num_rows());
-      uint32_t* out = batch.codes.data() + static_cast<size_t>(k) * num_attrs;
-      // Party-side perturbation keyed off the absolute sequence number:
-      // draw-for-draw what RunStreamingReplay's producers compute.
-      if (philox) {
-        for (size_t j = 0; j < num_attrs; ++j) {
-          out[j] = matrices[j].RandomizeCounter(dataset.at(row, j),
-                                                spec.execution.seed,
-                                                /*stream=*/s, /*element=*/j);
-        }
-      } else {
-        Rng rng = family.Stream(s);
-        for (size_t j = 0; j < num_attrs; ++j) {
-          out[j] = matrices[j].Randomize(dataset.at(row, j), rng);
-        }
-      }
+      RandomizeReport(spec.execution, matrices, dataset, begin + k,
+                      batch.codes.data() + static_cast<size_t>(k) * num_attrs);
     }
     MDRR_RETURN_IF_ERROR(conn.SendFrame(net::FrameType::kStreamReport,
                                         net::EncodeStreamReport(batch),

@@ -4,7 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "mdrr/common/parallel.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/rr_joint.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/protocol/party_block.h"
@@ -144,25 +144,27 @@ StatusOr<SessionResult> RunCounterSession(
   const size_t n = dataset.num_rows();
   const size_t m = dataset.num_attributes();
   const size_t shard_size = std::max<size_t>(1, options.shard_size);
-  const size_t threads = options.num_threads;
-  const uint64_t seed = options.seed;
 
   SessionResult result;
+
+  // Every publication is one sharded column perturbation whose philox
+  // stream is the only part of its address that matters.
+  auto publish = [&](const RrMatrix& matrix,
+                     const std::vector<uint32_t>& codes, uint64_t stream) {
+    return PerturbColumnSharded(
+        DirectEncodingOracle(matrix), codes,
+        ColumnAddress{RngKind::kPhilox, options.seed, 0, stream}, shard_size,
+        options.num_threads);
+  };
 
   // Round 1: per-attribute publication, one counter stream per attribute.
   std::vector<RrMatrix> round1_matrices =
       DesignRound1Matrices(dataset, options, &result);
-  std::vector<std::vector<uint32_t>> round1_columns(
-      m, std::vector<uint32_t>(n));
+  std::vector<std::vector<uint32_t>> round1_columns(m);
   for (size_t j = 0; j < m; ++j) {
-    const std::vector<uint32_t>& column = dataset.column(j);
-    ParallelChunks(n, shard_size, threads,
-                   [&](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                       size_t end) {
-                     round1_matrices[j].RandomizeRangeCounterInto(
-                         column, begin, end, seed, kRound1StreamBase + j,
-                         round1_columns[j].data(), /*counts=*/nullptr);
-                   });
+    round1_columns[j] = publish(round1_matrices[j], dataset.column(j),
+                                kRound1StreamBase + j)
+                            .codes;
   }
   Dataset round1_data(dataset.schema(), std::move(round1_columns));
   result.messages_round1 = n;
@@ -172,56 +174,28 @@ StatusOr<SessionResult> RunCounterSession(
   result.messages_broadcast = n;
 
   // Round 2: composite codes per cluster, one counter stream per cluster,
-  // with the controller's counting fused into the randomization pass
-  // (per-worker integer buffers; sums commute, so totals are independent
-  // of the shard-to-worker assignment).
+  // with the controller's counting fused into the randomization pass.
   MDRR_ASSIGN_OR_RETURN(
       std::vector<RrMatrix> cluster_matrices,
       DesignClusterMatrices(dataset, options, &result));
   result.messages_round2 = n;
   result.randomized = dataset;
-  std::vector<uint32_t> true_codes(n);
-  std::vector<uint32_t> codes(n);
   for (size_t c = 0; c < result.clusters.size(); ++c) {
     const Domain& domain = result.cluster_domains[c];
     const std::vector<size_t>& cluster = result.clusters[c];
-    const size_t r = cluster_matrices[c].size();
-
-    ParallelChunks(n, shard_size, threads,
-                   [&](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                       size_t end) {
-                     std::vector<uint32_t> tuple(cluster.size());
-                     for (size_t i = begin; i < end; ++i) {
-                       for (size_t k = 0; k < cluster.size(); ++k) {
-                         tuple[k] = dataset.at(i, cluster[k]);
-                       }
-                       true_codes[i] =
-                           static_cast<uint32_t>(domain.Encode(tuple));
-                     }
-                   });
-
-    const size_t workers = ResolveWorkerCount(threads, n, shard_size);
-    std::vector<std::vector<int64_t>> worker_counts(
-        workers, std::vector<int64_t>(r, 0));
-    ParallelChunks(n, shard_size, threads,
-                   [&](size_t worker, size_t /*shard*/, size_t begin,
-                       size_t end) {
-                     cluster_matrices[c].RandomizeRangeCounterInto(
-                         true_codes, begin, end, seed, kRound2StreamBase + c,
-                         codes.data(), worker_counts[worker].data());
-                   });
-    stats::FrequencyTable total(std::vector<int64_t>(r, 0));
-    for (std::vector<int64_t>& partial : worker_counts) {
-      total.Absorb(stats::FrequencyTable(std::move(partial)));
-    }
-
+    OracleColumnResult published =
+        publish(cluster_matrices[c], domain.ComposeColumns(dataset, cluster),
+                kRound2StreamBase + c);
     MDRR_ASSIGN_OR_RETURN(
         std::vector<double> estimated,
-        controller.EstimateFromCounts(cluster_matrices[c], total));
+        controller.EstimateFromCounts(
+            cluster_matrices[c],
+            stats::FrequencyTable(std::move(published.counts))));
     result.cluster_joints.push_back(std::move(estimated));
     for (size_t position = 0; position < cluster.size(); ++position) {
       result.randomized.SetColumn(
-          cluster[position], controller.DecodeColumn(domain, codes, position));
+          cluster[position],
+          controller.DecodeColumn(domain, published.codes, position));
     }
   }
   return result;

@@ -11,6 +11,26 @@
 
 namespace mdrr::protocol {
 
+void RandomizeReport(const release::ExecutionPolicy& execution,
+                     const std::vector<RrMatrix>& matrices,
+                     const Dataset& dataset, uint64_t sequence,
+                     uint32_t* out) {
+  const size_t row = static_cast<size_t>(sequence % dataset.num_rows());
+  if (execution.rng == RngKind::kPhilox) {
+    for (size_t j = 0; j < matrices.size(); ++j) {
+      out[j] = matrices[j].RandomizeCounter(dataset.at(row, j),
+                                            execution.seed,
+                                            /*stream=*/sequence,
+                                            /*element=*/j);
+    }
+    return;
+  }
+  Rng rng = RngStreamFamily(execution.seed).Stream(sequence);
+  for (size_t j = 0; j < matrices.size(); ++j) {
+    out[j] = matrices[j].Randomize(dataset.at(row, j), rng);
+  }
+}
+
 StatusOr<StreamingReplayResult> RunStreamingReplay(
     const release::ReleaseSpec& spec, const Dataset& dataset,
     const StreamingReplayOptions& options) {
@@ -44,7 +64,6 @@ StatusOr<StreamingReplayResult> RunStreamingReplay(
         "the resume cursor is already past the replay range");
   }
 
-  const RngStreamFamily family(spec.execution.seed);
   const std::vector<RrMatrix>& matrices = collector->matrices();
   const size_t num_shards = collector->num_shards();
   const size_t num_producers = std::max<size_t>(1, options.num_ingest_threads);
@@ -57,31 +76,17 @@ StatusOr<StreamingReplayResult> RunStreamingReplay(
   std::atomic<bool> stop_drains{false};
   std::atomic<size_t> live_producers{num_producers};
 
-  // Per-report randomness. mt19937 (default): report s seeds a full
-  // sub-stream of the family -- a seed_seq expansion plus 312 words of
-  // twister state per report. philox: report s is philox stream s of the
-  // execution seed and attribute j its element j -- one 10-round counter
-  // evaluation per attribute, no state to initialize, and the transcript
-  // is identical for any num_ingest_threads either way.
-  const bool philox = spec.execution.rng == RngKind::kPhilox;
+  // Per-report randomness (RandomizeReport). mt19937 (default): report s
+  // seeds a full sub-stream of the family -- a seed_seq expansion plus 312
+  // words of twister state per report. philox: one 10-round counter
+  // evaluation per attribute, no state to initialize. The transcript is
+  // identical for any num_ingest_threads either way.
   auto produce = [&]() {
     std::vector<uint32_t> codes(dataset.num_attributes());
     while (!abort.load(std::memory_order_acquire)) {
       const uint64_t s = next_sequence.fetch_add(1, std::memory_order_relaxed);
       if (s >= limit) break;
-      const size_t row = static_cast<size_t>(s % dataset.num_rows());
-      if (philox) {
-        for (size_t j = 0; j < codes.size(); ++j) {
-          codes[j] = matrices[j].RandomizeCounter(
-              dataset.at(row, j), spec.execution.seed, /*stream=*/s,
-              /*element=*/j);
-        }
-      } else {
-        Rng rng = family.Stream(s);
-        for (size_t j = 0; j < codes.size(); ++j) {
-          codes[j] = matrices[j].Randomize(dataset.at(row, j), rng);
-        }
-      }
+      RandomizeReport(spec.execution, matrices, dataset, s, codes.data());
       const size_t shard = static_cast<size_t>(s % num_shards);
       while (!collector->TrySubmit(shard, s, codes)) {
         if (abort.load(std::memory_order_acquire)) return;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "mdrr/common/status_or.h"
+#include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/release/spec.h"
 #include "mdrr/release/streaming.h"
@@ -62,6 +63,19 @@ struct StreamingReplayResult {
   // True when the stream sealed and every releasable window is out.
   bool finished = false;
 };
+
+// Party-side perturbation of report `sequence`: row sequence % num_rows
+// of `dataset`, attribute j through matrices[j], written to
+// out[0, num_attributes). The report's randomness address is its
+// absolute sequence number s: under mt19937 the attributes draw in order
+// from RngStreamFamily(execution.seed).Stream(s); under philox attribute
+// j is element j of philox stream s. RunStreamingReplay's producers and
+// the socket ingest client (protocol/net_ingest.h) both call this, so the
+// served transcript equals the in-process replay.
+void RandomizeReport(const release::ExecutionPolicy& execution,
+                     const std::vector<RrMatrix>& matrices,
+                     const Dataset& dataset, uint64_t sequence,
+                     uint32_t* out);
 
 StatusOr<StreamingReplayResult> RunStreamingReplay(
     const release::ReleaseSpec& spec, const Dataset& dataset,

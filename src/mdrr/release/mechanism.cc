@@ -149,7 +149,7 @@ class OracleMechanism : public Mechanism {
       if (oracle.produces_microdata()) column.codes.resize(n);
       column.counts.assign(oracle.domain_size(), 0);
       oracle.AccumulateRange(
-          codes, 0, n, rng,
+          codes.data(), n, rng,
           oracle.produces_microdata() ? column.codes.data() : nullptr,
           column.counts.data());
       column.lambda.assign(oracle.domain_size(), 0.0);

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -79,7 +78,7 @@ StatusOr<ReleaseArtifacts> ReleasePlan::Run() const {
   // order a caller composing the stage functions by hand would use.
   if (policy.kind == PolicyKind::kSequential) {
     Rng rng(policy.seed);
-    return ExecuteStages(&rng, nullptr, nullptr);
+    return ExecuteStages(&rng, nullptr);
   }
   BatchPerturbationOptions engine_options;
   engine_options.seed = policy.seed;
@@ -87,7 +86,7 @@ StatusOr<ReleaseArtifacts> ReleasePlan::Run() const {
   engine_options.shard_size = policy.shard_size;
   engine_options.rng = policy.rng;
   BatchPerturbationEngine engine(engine_options);
-  return ExecuteStages(nullptr, &engine, nullptr);
+  return ExecuteStages(nullptr, &engine);
 }
 
 StatusOr<ReleaseArtifacts> ReleasePlan::RunDistributed(
@@ -101,25 +100,21 @@ StatusOr<ReleaseArtifacts> ReleasePlan::RunDistributed(
     return Status::FailedPrecondition(
         "the coordinator has no connected workers");
   }
-
-  // The engine's perturber hook has no Status channel, so network
-  // failures latch here: the hook returns a structurally valid zero
-  // column (never consumed -- the check below fires first) and the
-  // pipeline aborts right after the mechanism stage, before adjustment,
-  // synthesis, artifact assembly, or any output write.
-  struct ErrorLatch {
-    std::mutex mu;
-    Status first = Status::OK();
-    void Record(const Status& status) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (first.ok()) first = status;
-    }
-    Status Get() {
-      std::lock_guard<std::mutex> lock(mu);
-      return first;
-    }
-  };
-  auto latch = std::make_shared<ErrorLatch>();
+  // The coordinator hands out the randomness address: a seed, rng or
+  // shard grain other than the policy's would silently release a
+  // transcript that differs from the sharded one.
+  const net::CoordinatorOptions& hosted = coordinator.options();
+  const char* mismatch = nullptr;
+  if (hosted.seed != policy.seed) mismatch = "seed";
+  if (hosted.rng != policy.rng) mismatch = "rng";
+  if (hosted.shard_size != policy.shard_size) mismatch = "shard_size";
+  if (mismatch != nullptr) {
+    Status status = Status::InvalidArgument(
+        std::string("the coordinator's ") + mismatch +
+        " differs from execution." + mismatch);
+    coordinator.Abort(status.ToString());
+    return status;
+  }
 
   BatchPerturbationOptions engine_options;
   engine_options.seed = policy.seed;
@@ -127,26 +122,17 @@ StatusOr<ReleaseArtifacts> ReleasePlan::RunDistributed(
   engine_options.shard_size = policy.shard_size;
   engine_options.rng = policy.rng;
   engine_options.shard_perturber =
-      [&coordinator, latch](const RrMatrix& matrix,
-                            const std::vector<uint32_t>& codes,
-                            uint64_t stream_base,
-                            uint64_t counter_stream) -> PerturbedColumn {
-    StatusOr<PerturbedColumn> column =
-        coordinator.PerturbColumn(matrix, codes, stream_base, counter_stream);
-    if (column.ok()) return std::move(column).value();
-    latch->Record(column.status());
-    PerturbedColumn zero;
-    zero.codes.assign(codes.size(), 0);
-    zero.lambda.assign(matrix.size(), 0.0);
-    return zero;
-  };
+      [&coordinator](const RrMatrix& matrix,
+                     const std::vector<uint32_t>& codes, uint64_t stream_base,
+                     uint64_t counter_stream) {
+        return coordinator.PerturbColumn(matrix, codes, stream_base,
+                                         counter_stream);
+      };
   BatchPerturbationEngine engine(engine_options);
 
-  std::function<Status()> mechanism_check = [latch]() {
-    return latch->Get();
-  };
-  StatusOr<ReleaseArtifacts> artifacts =
-      ExecuteStages(nullptr, &engine, &mechanism_check);
+  // A failed column stops the mechanism stage with its Status, before
+  // adjustment, synthesis, artifact assembly, or any output write.
+  StatusOr<ReleaseArtifacts> artifacts = ExecuteStages(nullptr, &engine);
   if (!artifacts.ok()) {
     coordinator.Abort(artifacts.status().ToString());
     return artifacts.status();
@@ -156,8 +142,7 @@ StatusOr<ReleaseArtifacts> ReleasePlan::RunDistributed(
 }
 
 StatusOr<ReleaseArtifacts> ReleasePlan::ExecuteStages(
-    Rng* rng, const BatchPerturbationEngine* engine,
-    const std::function<Status()>* mechanism_check) const {
+    Rng* rng, const BatchPerturbationEngine* engine) const {
   const Dataset& data = dataset();
 
   ReleaseArtifacts artifacts;
@@ -170,9 +155,6 @@ StatusOr<ReleaseArtifacts> ReleasePlan::ExecuteStages(
                             ? mechanism_->RunSequential(data, *rng)
                             : mechanism_->RunSharded(data, *engine));
   clock.Stop("mechanism");
-  if (mechanism_check != nullptr) {
-    MDRR_RETURN_IF_ERROR((*mechanism_check)());
-  }
 
   const double total_epsilon =
       output.release_epsilon + output.dependence_epsilon;

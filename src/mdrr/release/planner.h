@@ -29,7 +29,6 @@
 #ifndef MDRR_RELEASE_PLANNER_H_
 #define MDRR_RELEASE_PLANNER_H_
 
-#include <functional>
 #include <memory>
 
 #include "mdrr/common/status_or.h"
@@ -56,8 +55,10 @@ class ReleasePlan {
   // kDistributed only: runs the release over a coordinator the caller
   // already set up (listening, workers accepted) -- the entry point for
   // tests and embedders that need the ephemeral port before workers
-  // launch. Commits on success; aborts the workers and returns the first
-  // failure otherwise, never writing any configured output.
+  // launch. The coordinator's seed, rng and shard_size must equal the
+  // policy's (InvalidArgument naming the field otherwise, with the
+  // workers aborted). Commits on success; aborts the workers and returns
+  // the first failure otherwise, never writing any configured output.
   StatusOr<ReleaseArtifacts> RunDistributed(
       net::Coordinator& coordinator) const;
 
@@ -67,12 +68,9 @@ class ReleasePlan {
               std::unique_ptr<Mechanism> mechanism);
 
   // The stage pipeline shared by every policy: exactly one of rng/engine
-  // is non-null. `mechanism_check` (optional) runs right after the
-  // mechanism stage -- the distributed path uses it to surface a worker
-  // failure before any downstream stage or output write runs.
+  // is non-null.
   StatusOr<ReleaseArtifacts> ExecuteStages(
-      Rng* rng, const BatchPerturbationEngine* engine,
-      const std::function<Status()>* mechanism_check) const;
+      Rng* rng, const BatchPerturbationEngine* engine) const;
 
   ReleaseSpec spec_;
   // kProvided binds by reference (no copy); the other sources own their

@@ -178,8 +178,8 @@ void ExpectTilingInvariant(const RrMatrix& matrix,
 
   std::vector<uint32_t> whole(n);
   std::vector<int64_t> whole_counts(matrix.size(), 0);
-  matrix.RandomizeRangeCounterInto(codes, 0, n, seed, stream, whole.data(),
-                                   whole_counts.data());
+  matrix.RandomizeRangeCounterInto(codes.data(), n, seed, stream, 0,
+                                   whole.data(), whole_counts.data());
 
   // Per-element scalar draws.
   std::vector<int64_t> histogram(matrix.size(), 0);
@@ -196,8 +196,9 @@ void ExpectTilingInvariant(const RrMatrix& matrix,
   size_t step = 1;
   while (begin < n) {
     const size_t end = std::min(n, begin + step);
-    matrix.RandomizeRangeCounterInto(codes, begin, end, seed, stream,
-                                     tiled.data(), tiled_counts.data());
+    matrix.RandomizeRangeCounterInto(codes.data() + begin, end - begin, seed,
+                                     stream, begin, tiled.data() + begin,
+                                     tiled_counts.data());
     begin = end;
     step = step * 3 + 1;
   }
@@ -224,8 +225,8 @@ TEST(RrMatrixCounterTest, IdentityAndUniformDesigns) {
 
   // Identity must pass codes through untouched.
   std::vector<uint32_t> out(codes.size());
-  RrMatrix::Identity(5).RandomizeRangeCounterInto(codes, 0, codes.size(), 1,
-                                                  0, out.data(), nullptr);
+  RrMatrix::Identity(5).RandomizeRangeCounterInto(
+      codes.data(), codes.size(), 1, 0, 0, out.data(), nullptr);
   EXPECT_EQ(out, codes);
 }
 
@@ -250,7 +251,8 @@ TEST(RrMatrixCounterTest, KeepProbabilityIsHonored) {
   const size_t n = 200000;
   std::vector<uint32_t> codes(n, 2);
   std::vector<uint32_t> out(n);
-  matrix.RandomizeRangeCounterInto(codes, 0, n, 23, 0, out.data(), nullptr);
+  matrix.RandomizeRangeCounterInto(codes.data(), n, 23, 0, 0, out.data(),
+                                   nullptr);
   size_t kept = 0;
   for (uint32_t y : out) {
     if (y == 2) ++kept;

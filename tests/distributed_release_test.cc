@@ -166,6 +166,26 @@ TEST_P(DistributedEquality, ClustersMatchesShardedAt124Workers) {
   }
 }
 
+// Only dense matrices take the alias path of the shard kernel; the
+// geometric-ordinal design is dense, so this case compares the worker's
+// dense path against the engine's.
+TEST_P(DistributedEquality, GeometricOrdinalMatchesShardedAt124Workers) {
+  Dataset data = TestData();
+  release::ReleaseSpec spec =
+      BaseSpec(release::MechanismKind::kGeometricOrdinal, GetParam());
+  spec.mechanism.geometric_epsilon = 1.5;
+  spec.execution.kind = release::PolicyKind::kSharded;
+  spec.execution.num_threads = 4;
+  release::ReleaseArtifacts sharded = MustRun(spec, data);
+
+  for (size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    release::ReleaseArtifacts distributed =
+        MustRunDistributed(spec, data, workers);
+    ExpectSameArtifacts(distributed, sharded);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothRngs, DistributedEquality,
                          ::testing::Values(RngKind::kMt19937,
                                            RngKind::kPhilox),
@@ -337,6 +357,58 @@ TEST(DistributedFailureTest, RogueWorkerCountsAbortTheRelease) {
   EXPECT_EQ(artifacts.status().code(), StatusCode::kInvalidArgument)
       << artifacts.status().ToString();
   EXPECT_FALSE(coordinator.Commit().ok());
+}
+
+TEST(DistributedFailureTest, CoordinatorAddressMismatchAbortsTheRelease) {
+  // A coordinator whose seed, rng or shard grain differs from the
+  // policy's would hand out other randomness than the sharded release
+  // draws; RunDistributed must refuse it by name and abort the workers.
+  Dataset data = TestData();
+  release::ReleaseSpec spec =
+      BaseSpec(release::MechanismKind::kIndependent, RngKind::kMt19937);
+  spec.execution.kind = release::PolicyKind::kDistributed;
+  spec.execution.num_workers = 1;
+  auto plan = release::ReleasePlanner::Plan(spec, &data);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  struct Mismatch {
+    const char* field;
+    void (*apply)(net::CoordinatorOptions&);
+  };
+  const Mismatch mismatches[] = {
+      {"seed", [](net::CoordinatorOptions& o) { o.seed += 1; }},
+      {"rng", [](net::CoordinatorOptions& o) { o.rng = RngKind::kPhilox; }},
+      {"shard_size", [](net::CoordinatorOptions& o) { o.shard_size *= 2; }},
+  };
+  for (const Mismatch& mismatch : mismatches) {
+    SCOPED_TRACE(mismatch.field);
+    net::CoordinatorOptions options;
+    options.seed = spec.execution.seed;
+    options.rng = spec.execution.rng;
+    options.shard_size = spec.execution.shard_size;
+    options.deadline_ms = 2000;
+    mismatch.apply(options);
+    net::Coordinator coordinator(options);
+    ASSERT_TRUE(coordinator.Listen(0).ok());
+    const uint16_t port = coordinator.port();
+    Status worker_status;
+    std::thread worker([port, &worker_status] {
+      worker_status = net::RunWorker(kLoopback, port);
+    });
+    ASSERT_TRUE(coordinator.AcceptWorkers(1).ok());
+
+    auto artifacts = plan.value().RunDistributed(coordinator);
+    worker.join();
+    ASSERT_FALSE(artifacts.ok());
+    EXPECT_EQ(artifacts.status().code(), StatusCode::kInvalidArgument)
+        << artifacts.status().ToString();
+    const std::string field = std::string("execution.") + mismatch.field;
+    EXPECT_NE(artifacts.status().message().find(field), std::string::npos)
+        << artifacts.status().ToString();
+    EXPECT_FALSE(worker_status.ok());
+    EXPECT_NE(worker_status.message().find(field), std::string::npos)
+        << worker_status.ToString();
+  }
 }
 
 TEST(DistributedFailureTest, HandshakeRejectsWrongVersion) {

@@ -89,7 +89,7 @@ TEST(DirectEncodingTest, AccumulateRangeMatchesPerRecordRandomize) {
   Rng b(17);
   std::vector<uint32_t> batched(input.size());
   std::vector<int64_t> batched_counts(r, 0);
-  oracle.AccumulateRange(input, 0, input.size(), b, batched.data(),
+  oracle.AccumulateRange(input.data(), input.size(), b, batched.data(),
                          batched_counts.data());
   EXPECT_EQ(expected, batched);
   EXPECT_EQ(expected_counts, batched_counts);
@@ -222,7 +222,7 @@ TEST_P(LocalHashingSweep, EstimatesAreUnbiasedWithinTheoreticalVariance) {
   std::vector<uint32_t> truths(n);
   for (auto& x : truths) x = static_cast<uint32_t>(rng.Discrete(pi));
   std::vector<int64_t> counts(r, 0);
-  oracle.AccumulateRange(truths, 0, truths.size(), rng, /*out=*/nullptr,
+  oracle.AccumulateRange(truths.data(), truths.size(), rng, /*out=*/nullptr,
                          counts.data());
   auto estimates = oracle.EstimateFrequencies(counts, n);
   ASSERT_TRUE(estimates.ok());
@@ -240,27 +240,86 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(60000, 150000)));
 
 TEST(LocalHashingTest, CounterPathIsShardInvariant) {
-  // Philox element addressing: counts from one [0, n) sweep must equal
-  // counts accumulated over any tiling of the same range, because each
-  // record's two elements are addressed by record index, not by
-  // consumption order.
+  // Philox element addressing: a record's draws are addressed by its
+  // index in the column, not by consumption order, so perturbing
+  // standalone slice buffers at their first_record -- the way a
+  // distributed worker holds its shards -- reproduces the whole-column
+  // call: the codes for DE, the summed counts for every backend.
   const size_t r = 12;
-  LocalHashingOracle oracle(r, 2.0);
+  const size_t n = 5000;
   Rng rng(7);
-  std::vector<uint32_t> truths(5000);
+  std::vector<uint32_t> truths(n);
   for (auto& x : truths) x = static_cast<uint32_t>(rng.UniformInt(r));
 
-  std::vector<int64_t> whole(r, 0);
-  oracle.AccumulateRangeCounter(truths, 0, truths.size(), /*seed=*/99,
-                                /*stream=*/3, /*out=*/nullptr, whole.data());
-  std::vector<int64_t> tiled(r, 0);
-  for (size_t begin = 0; begin < truths.size(); begin += 317) {
-    const size_t end = std::min(truths.size(), begin + 317);
-    oracle.AccumulateRangeCounter(truths, begin, end, /*seed=*/99,
-                                  /*stream=*/3, /*out=*/nullptr,
-                                  tiled.data());
+  const ColumnAddress philox{RngKind::kPhilox, /*seed=*/99,
+                             /*stream_base=*/0, /*counter_stream=*/3};
+  for (OracleBackend backend :
+       {OracleBackend::kDirect, OracleBackend::kSymmetricUnary,
+        OracleBackend::kOptimizedUnary, OracleBackend::kLocalHashing}) {
+    SCOPED_TRACE(ToString(backend));
+    auto made = MakeFrequencyOracle(backend, r, 2.0);
+    ASSERT_TRUE(made.ok());
+    const FrequencyOracle& oracle = *made.value();
+    const bool microdata = oracle.produces_microdata();
+
+    std::vector<uint32_t> whole(microdata ? n : 0);
+    std::vector<int64_t> whole_counts(r, 0);
+    oracle.AccumulateRangeCounter(truths.data(), n, philox.seed,
+                                  philox.counter_stream, /*first_record=*/0,
+                                  microdata ? whole.data() : nullptr,
+                                  whole_counts.data());
+
+    // Uneven slices, each copied into its own buffer.
+    std::vector<uint32_t> sliced;
+    std::vector<int64_t> sliced_counts(r, 0);
+    size_t step = 1;
+    for (size_t begin = 0, shard = 0; begin < n; ++shard) {
+      const size_t end = std::min(n, begin + step);
+      const std::vector<uint32_t> slice(truths.begin() + begin,
+                                        truths.begin() + end);
+      std::vector<uint32_t> out(microdata ? slice.size() : 0);
+      PerturbShard(oracle, philox, shard, begin, slice.data(), slice.size(),
+                   microdata ? out.data() : nullptr, sliced_counts.data());
+      sliced.insert(sliced.end(), out.begin(), out.end());
+      begin = end;
+      step = step * 3 + 1;
+    }
+    EXPECT_EQ(sliced, whole);
+    EXPECT_EQ(sliced_counts, whole_counts);
   }
-  EXPECT_EQ(whole, tiled);
+
+  // DE under mt19937: shard s draws Stream(stream_base + s) in record
+  // order, so standalone slices through PerturbShard and the threaded
+  // whole-column fan-out both equal a per-record Randomize loop.
+  const DirectEncodingOracle de(r, 2.0);
+  const ColumnAddress mt{RngKind::kMt19937, /*seed=*/99, /*stream_base=*/40,
+                         /*counter_stream=*/3};
+  constexpr size_t kShard = 317;
+  std::vector<uint32_t> expected;
+  std::vector<int64_t> expected_counts(r, 0);
+  std::vector<uint32_t> sliced;
+  std::vector<int64_t> sliced_counts(r, 0);
+  for (size_t shard = 0; shard * kShard < n; ++shard) {
+    const size_t begin = shard * kShard;
+    const size_t end = std::min(n, begin + kShard);
+    Rng stream = RngStreamFamily(mt.seed).Stream(mt.stream_base + shard);
+    for (size_t i = begin; i < end; ++i) {
+      expected.push_back(de.Randomize(truths[i], stream));
+      ++expected_counts[expected.back()];
+    }
+    const std::vector<uint32_t> slice(truths.begin() + begin,
+                                      truths.begin() + end);
+    std::vector<uint32_t> out(slice.size());
+    PerturbShard(de, mt, shard, begin, slice.data(), slice.size(), out.data(),
+                 sliced_counts.data());
+    sliced.insert(sliced.end(), out.begin(), out.end());
+  }
+  EXPECT_EQ(sliced, expected);
+  EXPECT_EQ(sliced_counts, expected_counts);
+  const OracleColumnResult column =
+      PerturbColumnSharded(de, truths, mt, kShard, /*num_threads=*/4);
+  EXPECT_EQ(column.codes, expected);
+  EXPECT_EQ(column.counts, expected_counts);
 }
 
 TEST(LocalHashingTest, CounterPathEstimatesAreUnbiased) {
@@ -274,8 +333,9 @@ TEST(LocalHashingTest, CounterPathEstimatesAreUnbiased) {
   for (auto& x : truths) x = static_cast<uint32_t>(rng.Discrete(pi));
 
   std::vector<int64_t> counts(r, 0);
-  oracle.AccumulateRangeCounter(truths, 0, truths.size(), /*seed=*/5,
-                                /*stream=*/1, /*out=*/nullptr, counts.data());
+  oracle.AccumulateRangeCounter(truths.data(), truths.size(), /*seed=*/5,
+                                /*stream=*/1, /*first_record=*/0,
+                                /*out=*/nullptr, counts.data());
   auto estimates = oracle.EstimateFrequencies(counts, n);
   ASSERT_TRUE(estimates.ok());
   for (size_t v = 0; v < r; ++v) {

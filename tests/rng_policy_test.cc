@@ -325,7 +325,9 @@ TEST(RngPolicyTest, SequentialFusedLambdaMatchesPosthocHistogram) {
   Rng rng(11);
   ColumnPerturber perturber = SequentialPerturber(rng);
   RrMatrix matrix = RrMatrix::KeepUniform(3, 0.7);
-  PerturbedColumn column = perturber(matrix, data.column(0), 0);
+  StatusOr<PerturbedColumn> perturbed = perturber(matrix, data.column(0), 0);
+  ASSERT_TRUE(perturbed.ok()) << perturbed.status().ToString();
+  const PerturbedColumn& column = perturbed.value();
   ASSERT_EQ(column.codes.size(), data.num_rows());
 
   // Bit-identical to the unfused EmpiricalDistribution arithmetic.

@@ -10,8 +10,10 @@
 // arrives in each AssignShards message.
 //
 // Exit status: 0 after a clean Commit, 1 on any transport, protocol, or
-// compute failure (including a coordinator Abort).
+// compute failure (including a coordinator Abort), and 1 before
+// connecting on an unknown flag or a malformed value, naming the flag.
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
 
@@ -22,6 +24,36 @@
 int main(int argc, char** argv) {
   mdrr::FlagSet flags;
   flags.Parse(argc, argv);
+
+  mdrr::net::WorkerOptions options;
+  struct IntFlag {
+    const char* key;
+    int64_t* value;
+  };
+  const IntFlag int_flags[] = {
+      {"deadline_ms", &options.deadline_ms},
+      {"idle_deadline_ms", &options.idle_deadline_ms},
+  };
+  for (const std::string& key : flags.Keys()) {
+    if (key == "connect") continue;
+    const IntFlag* known = nullptr;
+    for (const IntFlag& flag : int_flags) {
+      if (key == flag.key) known = &flag;
+    }
+    if (known == nullptr) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
+      return 1;
+    }
+    // FlagSet::GetInt would fall back to the default on a typo; a worker
+    // must not silently run with a deadline nobody asked for.
+    auto parsed = mdrr::ParseInt64(flags.GetString(key, ""));
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "error: --%s: %s\n", key.c_str(),
+                   parsed.status().message().c_str());
+      return 1;
+    }
+    *known->value = parsed.value();
+  }
 
   const std::string target = flags.GetString("connect", "");
   const size_t colon = target.rfind(':');
@@ -37,11 +69,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --connect port must be 1..65535\n");
     return 1;
   }
-
-  mdrr::net::WorkerOptions options;
-  options.deadline_ms = flags.GetInt("deadline_ms", options.deadline_ms);
-  options.idle_deadline_ms =
-      flags.GetInt("idle_deadline_ms", options.idle_deadline_ms);
 
   mdrr::Status status = mdrr::net::RunWorker(
       host, static_cast<uint16_t>(port.value()), options);
