@@ -1,5 +1,6 @@
 #include "mdrr/core/batch_engine.h"
 
+#include <memory>
 #include <utility>
 
 #include "mdrr/common/parallel.h"
@@ -43,31 +44,35 @@ OracleColumnResult BatchPerturbationEngine::RunOracle(
 }
 
 StatusOr<PerturbedColumn> BatchPerturbationEngine::PerturbColumn(
-    const RrMatrix& matrix, const std::vector<uint32_t>& codes,
+    const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
     size_t column_index) const {
   if (options_.shard_perturber) {
     // Externalized kernel (distributed coordinator): it receives the
     // column's full randomness address and owns the determinism contract.
+    if (oracle.backend() != OracleBackend::kDirect) {
+      return Status::FailedPrecondition(
+          "the shard perturber ships RR matrices; frequency-only oracle "
+          "backends run in process");
+    }
     const ColumnAddress address = AddressOf(column_index, codes.size());
-    return options_.shard_perturber(matrix, codes, address.stream_base,
-                                    address.counter_stream);
+    return options_.shard_perturber(
+        static_cast<const DirectEncodingOracle&>(oracle).matrix(), codes,
+        address.stream_base, address.counter_stream);
   }
-  // The direct-encoding oracle's batched entry points delegate
-  // draw-for-draw to the RrMatrix kernels, and its lambda (count / n per
-  // entry) is the frequency-table proportion, so this is the matrix's
-  // own sharded transcript.
-  OracleColumnResult column =
-      RunOracle(DirectEncodingOracle(matrix), codes, column_index);
+  OracleColumnResult column = RunOracle(oracle, codes, column_index);
   return PerturbedColumn{std::move(column.codes), std::move(column.lambda)};
 }
 
 StatusOr<RrIndependentResult> BatchPerturbationEngine::RunIndependent(
     const Dataset& dataset, const RrIndependentOptions& options) const {
+  MDRR_ASSIGN_OR_RETURN(
+      std::vector<std::unique_ptr<FrequencyOracle>> oracles,
+      MakeIndependentOracles(dataset, options, OracleBackend::kDirect, 0.0));
   return RunRrIndependentWith(
-      dataset, options,
-      [this](const RrMatrix& matrix, const std::vector<uint32_t>& codes,
+      dataset, oracles, /*microdata=*/true,
+      [this](const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
              size_t column_index) {
-        return PerturbColumn(matrix, codes, column_index);
+        return PerturbColumn(oracle, codes, column_index);
       });
 }
 
@@ -80,7 +85,8 @@ StatusOr<RrJointResult> BatchPerturbationEngine::RunJoint(
                      [this](const RrMatrix& matrix,
                             const std::vector<uint32_t>& codes,
                             size_t /*column_index*/) {
-                       return PerturbColumn(matrix, codes, 0);
+                       return PerturbColumn(DirectEncodingOracle(matrix),
+                                            codes, 0);
                      }));
   // Estimation never draws randomness, so routing it through the engine's
   // workers keeps the output bit-identical to the sequential path.
@@ -105,7 +111,8 @@ StatusOr<RrClustersResult> BatchPerturbationEngine::RunClusters(
             [this, cluster_index](const RrMatrix& matrix,
                                   const std::vector<uint32_t>& codes,
                                   size_t /*column_index*/) {
-              return PerturbColumn(matrix, codes, cluster_index);
+              return PerturbColumn(DirectEncodingOracle(matrix), codes,
+                                   cluster_index);
             });
       },
       options_.num_threads, &assessment);

@@ -100,6 +100,16 @@ class BatchPerturbationEngine {
   StatusOr<RrIndependentResult> RunIndependent(
       const Dataset& dataset, const RrIndependentOptions& options) const;
 
+  // The engine's column perturber: column `column_index` of the stream
+  // layout above randomized through `oracle`. When
+  // options().shard_perturber is set, a direct-encoding oracle's matrix
+  // goes to it (other backends fail: the hook ships RR matrices);
+  // otherwise RunOracle runs the column in process. Every sharded
+  // protocol frame perturbs through here.
+  StatusOr<PerturbedColumn> PerturbColumn(const FrequencyOracle& oracle,
+                                          const std::vector<uint32_t>& codes,
+                                          size_t column_index) const;
+
   // PerturbColumnSharded of a generic frequency-oracle backend over one
   // column with the engine's sharding and RNG policy, at the SAME
   // address as column `column_index` of RunIndependent (stream layout
@@ -155,12 +165,6 @@ class BatchPerturbationEngine {
   // attribute for Independent, the cluster for Clusters, 0 for Joint)
   // for a column of `num_rows` records.
   ColumnAddress AddressOf(size_t column_index, size_t num_rows) const;
-
-  // That column randomized through `matrix`: options_.shard_perturber
-  // when set, else RunOracle over the matrix's direct-encoding oracle.
-  StatusOr<PerturbedColumn> PerturbColumn(const RrMatrix& matrix,
-                                          const std::vector<uint32_t>& codes,
-                                          size_t column_index) const;
 
   BatchPerturbationOptions options_;
 };

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "mdrr/core/estimator.h"
-#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/synthetic.h"
 
 namespace mdrr::release {
@@ -54,35 +52,40 @@ std::vector<std::vector<size_t>> SingletonUnits(size_t m) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 1.
+// Protocol 1, over every frequency-oracle backend.
 // ---------------------------------------------------------------------------
 
+// Serves both per-attribute spec mechanisms (the design difference lives
+// in the options) and every frequency_oracle section: the oracles come
+// from MakeIndependentOracles, and RunRrIndependentWith is the one column
+// loop under both policies. Only the direct backend releases microdata.
 class IndependentMechanism : public Mechanism {
  public:
-  // Serves both per-attribute spec mechanisms: `name` is the spec token
-  // ("independent" or "geometric-ordinal"); the design difference lives
-  // entirely in the options.
-  IndependentMechanism(const RrIndependentOptions& options, const char* name)
-      : options_(options), name_(name) {}
+  IndependentMechanism(const RrIndependentOptions& design,
+                       const FrequencyOracleSpec& oracle, const char* name)
+      : design_(design), oracle_(oracle), name_(name) {}
 
   const char* name() const override { return name_; }
 
   StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
                                           Rng& rng) const override {
-    MDRR_ASSIGN_OR_RETURN(RrIndependentResult result,
-                          RunRrIndependent(dataset, options_, rng));
-    return FromResult(std::move(result));
+    return Run(dataset, [&rng](const FrequencyOracle& oracle,
+                               const std::vector<uint32_t>& codes,
+                               size_t /*column_index*/)
+                   -> StatusOr<PerturbedColumn> {
+      return PerturbColumnSequential(oracle, codes, rng);
+    });
   }
 
   StatusOr<MechanismOutput> RunSharded(
       const Dataset& dataset,
       const BatchPerturbationEngine& engine) const override {
-    MDRR_ASSIGN_OR_RETURN(RrIndependentResult result,
-                          engine.RunIndependent(dataset, options_));
-    return FromResult(std::move(result));
+    return Run(dataset, [&engine](const FrequencyOracle& oracle,
+                                  const std::vector<uint32_t>& codes,
+                                  size_t column_index) {
+      return engine.PerturbColumn(oracle, codes, column_index);
+    });
   }
-
-  bool SupportsSynthesis() const override { return true; }
 
   StatusOr<Dataset> SynthesizeSequential(const MechanismOutput& output,
                                          int64_t n, Rng& rng) const override {
@@ -95,8 +98,6 @@ class IndependentMechanism : public Mechanism {
     return engine.SynthesizeIndependent(*output.independent, n);
   }
 
-  bool SupportsAdjustment() const override { return true; }
-
   StatusOr<std::vector<AdjustmentGroup>> AdjustmentGroupsFor(
       const MechanismOutput& output,
       const std::vector<std::vector<size_t>>& requested) const override {
@@ -107,7 +108,17 @@ class IndependentMechanism : public Mechanism {
   }
 
  private:
-  static MechanismOutput FromResult(RrIndependentResult result) {
+  StatusOr<MechanismOutput> Run(const Dataset& dataset,
+                                const OracleColumnPerturber& perturber) const {
+    MDRR_ASSIGN_OR_RETURN(
+        std::vector<std::unique_ptr<FrequencyOracle>> oracles,
+        MakeIndependentOracles(dataset, design_, oracle_.backend,
+                               oracle_.epsilon));
+    MDRR_ASSIGN_OR_RETURN(
+        RrIndependentResult result,
+        RunRrIndependentWith(dataset, oracles,
+                             oracle_.backend == OracleBackend::kDirect,
+                             perturber));
     MechanismOutput output;
     output.marginal_estimates = result.estimated;
     output.release_epsilon = result.total_epsilon;
@@ -115,105 +126,9 @@ class IndependentMechanism : public Mechanism {
     return output;
   }
 
-  RrIndependentOptions options_;
-  const char* name_;
-};
-
-// ---------------------------------------------------------------------------
-// Frequency-oracle backends (spec.frequency_oracle, non-default).
-// ---------------------------------------------------------------------------
-
-// Per-attribute release through a pluggable frequency oracle (DE with an
-// explicit epsilon, SUE, OUE, or OLH). Shares Protocol 1's column loop
-// and randomness addressing: the sharded run goes through the engine's
-// RunOracle (same stream/counter layout as RunIndependent), and the
-// sequential run threads the policy Rng through the attributes in
-// order. Frequency-only backends (sue|oue|olh) publish closed-form
-// marginals with no microdata column; the direct backend also releases
-// the randomized dataset.
-class OracleMechanism : public Mechanism {
- public:
-  OracleMechanism(const FrequencyOracleSpec& oracle_spec,
-                  const RrIndependentOptions& design)
-      : oracle_spec_(oracle_spec), design_(design) {}
-
-  const char* name() const override { return "frequency-oracle"; }
-
-  StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
-                                          Rng& rng) const override {
-    return RunWith(dataset, [&rng](const FrequencyOracle& oracle,
-                                   const std::vector<uint32_t>& codes,
-                                   size_t /*column_index*/) {
-      const size_t n = codes.size();
-      OracleColumnResult column;
-      if (oracle.produces_microdata()) column.codes.resize(n);
-      column.counts.assign(oracle.domain_size(), 0);
-      oracle.AccumulateRange(
-          codes.data(), n, rng,
-          oracle.produces_microdata() ? column.codes.data() : nullptr,
-          column.counts.data());
-      column.lambda.assign(oracle.domain_size(), 0.0);
-      if (n > 0) {
-        for (size_t v = 0; v < column.counts.size(); ++v) {
-          column.lambda[v] = static_cast<double>(column.counts[v]) /
-                             static_cast<double>(n);
-        }
-      }
-      return column;
-    });
-  }
-
-  StatusOr<MechanismOutput> RunSharded(
-      const Dataset& dataset,
-      const BatchPerturbationEngine& engine) const override {
-    return RunWith(dataset, [&engine](const FrequencyOracle& oracle,
-                                      const std::vector<uint32_t>& codes,
-                                      size_t column_index) {
-      return engine.RunOracle(oracle, codes, column_index);
-    });
-  }
-
- private:
-  // The oracle for one attribute of cardinality r. An explicit
-  // frequency_oracle.epsilon applies uniformly to every attribute;
-  // epsilon 0 inherits the per-attribute budget the spec's RR design
-  // would spend at this cardinality (Expression (4) epsilon), so backend
-  // swaps compare at equal epsilon by construction.
-  StatusOr<std::unique_ptr<FrequencyOracle>> MakeOracle(size_t r) const {
-    double epsilon = oracle_spec_.epsilon;
-    if (epsilon == 0.0) {
-      epsilon = MakeIndependentMatrix(r, design_).Epsilon();
-    }
-    return MakeFrequencyOracle(oracle_spec_.backend, r, epsilon);
-  }
-
-  template <typename ColumnRunner>
-  StatusOr<MechanismOutput> RunWith(const Dataset& dataset,
-                                    const ColumnRunner& run_column) const {
-    const size_t m = dataset.num_attributes();
-    const bool microdata = oracle_spec_.backend == OracleBackend::kDirect;
-    MechanismOutput output;
-    output.marginal_estimates.reserve(m);
-    std::vector<std::vector<uint32_t>> columns(microdata ? m : 0);
-    for (size_t j = 0; j < m; ++j) {
-      const size_t r = dataset.attribute(j).cardinality();
-      MDRR_ASSIGN_OR_RETURN(std::unique_ptr<FrequencyOracle> oracle,
-                            MakeOracle(r));
-      OracleColumnResult column = run_column(*oracle, dataset.column(j), j);
-      MDRR_ASSIGN_OR_RETURN(std::vector<double> raw,
-                            oracle->EstimateFromLambda(column.lambda));
-      output.marginal_estimates.push_back(ProjectToSimplex(raw));
-      output.release_epsilon += oracle->epsilon();
-      if (microdata) columns[j] = std::move(column.codes);
-    }
-    if (microdata) {
-      output.randomized = Dataset(dataset.schema(), std::move(columns));
-    }
-    return output;
-  }
-
-  FrequencyOracleSpec oracle_spec_;
   RrIndependentOptions design_;
+  FrequencyOracleSpec oracle_;
+  const char* name_;
 };
 
 // ---------------------------------------------------------------------------
@@ -321,8 +236,6 @@ class ClustersMechanism : public Mechanism {
     return FromResult(std::move(result));
   }
 
-  bool SupportsSynthesis() const override { return true; }
-
   StatusOr<Dataset> SynthesizeSequential(const MechanismOutput& output,
                                          int64_t n, Rng& rng) const override {
     return SynthesizeFromClusters(*output.clusters, n, rng);
@@ -333,8 +246,6 @@ class ClustersMechanism : public Mechanism {
       const BatchPerturbationEngine& engine) const override {
     return engine.SynthesizeClusters(*output.clusters, n);
   }
-
-  bool SupportsAdjustment() const override { return true; }
 
   StatusOr<std::vector<AdjustmentGroup>> AdjustmentGroupsFor(
       const MechanismOutput& output,
@@ -395,8 +306,6 @@ class PramMechanism : public Mechanism {
     return RunSequential(dataset, rng);
   }
 
-  bool SupportsAdjustment() const override { return true; }
-
   StatusOr<std::vector<AdjustmentGroup>> AdjustmentGroupsFor(
       const MechanismOutput& output,
       const std::vector<std::vector<size_t>>& requested) const override {
@@ -451,28 +360,16 @@ StatusOr<std::vector<AdjustmentGroup>> Mechanism::AdjustmentGroupsFor(
 }
 
 std::unique_ptr<Mechanism> MakeMechanism(const ReleaseSpec& spec) {
-  if (!spec.frequency_oracle.is_default()) {
-    // ValidateReleaseSpec pins non-default oracle sections to the
-    // per-attribute mechanisms; the design options only matter for the
-    // derived equal-epsilon budget when frequency_oracle.epsilon is 0.
-    RrIndependentOptions design;
-    design.keep_probability = spec.budget.keep_probability;
-    if (spec.mechanism.kind == MechanismKind::kGeometricOrdinal) {
-      design.design = IndependentDesign::kGeometricOrdinal;
-      design.geometric_epsilon = spec.mechanism.geometric_epsilon;
-    }
-    return std::make_unique<OracleMechanism>(spec.frequency_oracle, design);
-  }
   switch (spec.mechanism.kind) {
     case MechanismKind::kIndependent:
-      return std::make_unique<IndependentMechanism>(
-          RrIndependentOptions{spec.budget.keep_probability}, "independent");
     case MechanismKind::kGeometricOrdinal: {
-      RrIndependentOptions options;
-      options.design = IndependentDesign::kGeometricOrdinal;
-      options.geometric_epsilon = spec.mechanism.geometric_epsilon;
-      return std::make_unique<IndependentMechanism>(options,
-                                                    "geometric-ordinal");
+      RrIndependentOptions design{spec.budget.keep_probability};
+      if (spec.mechanism.kind == MechanismKind::kGeometricOrdinal) {
+        design.design = IndependentDesign::kGeometricOrdinal;
+        design.geometric_epsilon = spec.mechanism.geometric_epsilon;
+      }
+      return std::make_unique<IndependentMechanism>(
+          design, spec.frequency_oracle, ToString(spec.mechanism.kind));
     }
     case MechanismKind::kJoint:
       return std::make_unique<JointMechanism>(

@@ -4,10 +4,15 @@
 // functions stay the implementation layer, so the sequential policy is
 // bit-identical to calling them directly with the same Rng, and the
 // sharded policy is bit-identical to the corresponding
-// BatchPerturbationEngine call. A mechanism normalizes its protocol
-// result into a MechanismOutput (released columns + per-attribute
-// marginals + epsilons + the protocol-specific payload) and knows how to
-// synthesize microdata and build Algorithm 2 constraint groups from it.
+// BatchPerturbationEngine call. Four adapters: joint, clusters, pram,
+// and one per-attribute mechanism for `independent`,
+// `geometric-ordinal` and every frequency_oracle backend (Protocol 1
+// and the Wang et al. oracles are one algorithm: RunRrIndependentWith
+// over one FrequencyOracle per attribute). A mechanism normalizes its
+// protocol result into a MechanismOutput (released columns +
+// per-attribute marginals + epsilons + the protocol-specific payload)
+// and knows how to synthesize microdata and build Algorithm 2
+// constraint groups from it.
 
 #ifndef MDRR_RELEASE_MECHANISM_H_
 #define MDRR_RELEASE_MECHANISM_H_
@@ -29,12 +34,14 @@ namespace mdrr::release {
 
 // Normalized product of a mechanism run. Exactly one protocol payload
 // is set, holding the stage function's result verbatim; the released
-// columns live inside it (full schema for independent/clusters/pram).
+// columns live inside it (full schema for independent/clusters/pram,
+// empty for the frequency-only oracle backends sue|oue|olh).
 // Only the joint mechanism fills `randomized` itself (the composite
 // codes decoded onto the attribute subset's schema) -- for the others
 // it stays empty here, and ReleasePlan::Run moves the payload's dataset
 // into ReleaseArtifacts::randomized once every stage that reads it has
-// run. `marginal_estimates` is aligned with the released schema.
+// run. `marginal_estimates` is aligned with the released schema (the
+// input schema when no microdata is released).
 struct MechanismOutput {
   Dataset randomized;
   std::vector<std::vector<double>> marginal_estimates;
@@ -66,7 +73,6 @@ class Mechanism {
 
   // Synthetic microdata from the mechanism's estimates. Default:
   // unsupported (ValidateReleaseSpec rejects such specs up front).
-  virtual bool SupportsSynthesis() const { return false; }
   virtual StatusOr<Dataset> SynthesizeSequential(const MechanismOutput& output,
                                                  int64_t n, Rng& rng) const;
   virtual StatusOr<Dataset> SynthesizeSharded(
@@ -76,7 +82,6 @@ class Mechanism {
   // Algorithm 2 constraint groups for this output. `requested` is the
   // spec's explicit group list; empty means one group per mechanism
   // unit. Default: unsupported.
-  virtual bool SupportsAdjustment() const { return false; }
   virtual StatusOr<std::vector<AdjustmentGroup>> AdjustmentGroupsFor(
       const MechanismOutput& output,
       const std::vector<std::vector<size_t>>& requested) const;

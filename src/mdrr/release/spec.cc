@@ -223,26 +223,24 @@ Status ValidateReleaseSpec(const ReleaseSpec& spec, size_t num_attributes) {
           "streaming ingest carries per-report RR codes; the oracle "
           "backend must stay the default RR path");
     }
+  }
+  if (spec.frequency_oracle.backend != OracleBackend::kDirect) {
+    // These read the released microdata, and the distributed wire ships
+    // RR matrices; frequency-only backends have neither.
+    const char* needs_microdata = nullptr;
     if (spec.execution.kind == PolicyKind::kDistributed) {
-      return Status::InvalidArgument(
-          "the distributed wire protocol farms out RR shard kernels; "
-          "oracle backends run under the sequential or sharded policy");
+      needs_microdata = "execution.policy distributed";
     }
-    if (spec.adjustment.enabled) {
-      return Status::InvalidArgument(
-          "frequency-oracle releases publish closed-form marginals only; "
-          "disable adjustment");
+    if (spec.adjustment.enabled) needs_microdata = "adjustment";
+    if (spec.synthetic.enabled) needs_microdata = "synthetic output";
+    if (!spec.output.randomized_csv.empty()) {
+      needs_microdata = "output.randomized_csv";
     }
-    if (spec.synthetic.enabled) {
+    if (needs_microdata != nullptr) {
       return Status::InvalidArgument(
-          "frequency-oracle releases publish closed-form marginals only; "
-          "disable synthetic output");
-    }
-    if (spec.frequency_oracle.backend != OracleBackend::kDirect &&
-        !spec.output.randomized_csv.empty()) {
-      return Status::InvalidArgument(
-          "frequency-only oracle backends (sue|oue|olh) release no "
-          "microdata; drop output.randomized_csv");
+          std::string("frequency-only oracle backends (sue|oue|olh) release "
+                      "no microdata; drop ") +
+          needs_microdata);
     }
   }
 

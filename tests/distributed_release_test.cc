@@ -186,6 +186,27 @@ TEST_P(DistributedEquality, GeometricOrdinalMatchesShardedAt124Workers) {
   }
 }
 
+// The direct frequency-oracle backend at an explicit epsilon runs the
+// same per-attribute mechanism as `independent`, so its optimal-design
+// matrices reach the workers through the same shard perturber.
+TEST_P(DistributedEquality, DirectOracleAtExplicitEpsilonMatchesSharded) {
+  Dataset data = TestData();
+  release::ReleaseSpec spec =
+      BaseSpec(release::MechanismKind::kIndependent, GetParam());
+  spec.frequency_oracle.backend = OracleBackend::kDirect;
+  spec.frequency_oracle.epsilon = 1.0;
+  spec.execution.kind = release::PolicyKind::kSharded;
+  spec.execution.num_threads = 4;
+  release::ReleaseArtifacts sharded = MustRun(spec, data);
+
+  for (size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    release::ReleaseArtifacts distributed =
+        MustRunDistributed(spec, data, workers);
+    ExpectSameArtifacts(distributed, sharded);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothRngs, DistributedEquality,
                          ::testing::Values(RngKind::kMt19937,
                                            RngKind::kPhilox),

@@ -618,6 +618,12 @@ TEST_P(FuzzReleasePlan, ValidSpecsAlwaysExecute) {
                                       OracleBackend::kLocalHashing};
     spec.frequency_oracle.backend = backends[rng.UniformInt(3)];
   }
+  // `de` at an explicit epsilon releases microdata, so it also rides
+  // along with adjustment and synthesis.
+  if (spec.mechanism.kind == release::MechanismKind::kIndependent &&
+      spec.frequency_oracle.is_default() && rng.Bernoulli(0.5)) {
+    spec.frequency_oracle.epsilon = 0.5 + 2.0 * rng.UniformDouble();
+  }
 
   auto plan = release::ReleasePlanner::Plan(spec, &ds);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -646,8 +652,10 @@ TEST_P(FuzzReleasePlan, ValidSpecsAlwaysExecute) {
   EXPECT_TRUE(reparsed.value() == spec);
 }
 
+// Seeds 14 and 17 draw `de` at an explicit epsilon with synthesis (and
+// adjustment), seed 15 draws OUE.
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzReleasePlan,
-                         ::testing::Range<uint64_t>(1, 13));
+                         ::testing::Range<uint64_t>(1, 25));
 
 }  // namespace
 }  // namespace mdrr

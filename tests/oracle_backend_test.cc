@@ -13,7 +13,9 @@
 #include "mdrr/core/batch_engine.h"
 #include "mdrr/core/frequency_oracle.h"
 #include "mdrr/core/rr_independent.h"
+#include "mdrr/core/joint_estimate.h"
 #include "mdrr/dataset/adult.h"
+#include "mdrr/release/artifacts.h"
 #include "mdrr/release/planner.h"
 #include "mdrr/release/serialization.h"
 #include "mdrr/release/spec.h"
@@ -158,6 +160,33 @@ TEST(OracleSpecTest, ValidationPinsContradictions) {
   }
 }
 
+// The direct backend at an explicit epsilon releases microdata and ships
+// an RR matrix, so every stage that reads them validates; only streaming
+// (per-report RR codes at the design's own budget) stays closed.
+TEST(OracleSpecTest, DirectBackendAtExplicitEpsilonValidatesMicrodataStages) {
+  ReleaseSpec base;
+  base.mechanism.kind = release::MechanismKind::kIndependent;
+  base.frequency_oracle.backend = OracleBackend::kDirect;
+  base.frequency_oracle.epsilon = 1.0;
+  ASSERT_FALSE(base.frequency_oracle.is_default());
+
+  ReleaseSpec spec = base;
+  spec.adjustment.enabled = true;
+  spec.synthetic.enabled = true;
+  spec.output.randomized_csv = "y.csv";
+  EXPECT_TRUE(ValidateReleaseSpec(spec, 0).ok());
+  spec.execution.kind = release::PolicyKind::kDistributed;
+  spec.execution.num_workers = 2;
+  EXPECT_TRUE(ValidateReleaseSpec(spec, 0).ok());
+  spec.mechanism.kind = release::MechanismKind::kGeometricOrdinal;
+  EXPECT_TRUE(ValidateReleaseSpec(spec, 0).ok());
+
+  spec = base;
+  spec.streaming.enabled = true;
+  spec.streaming.window_size = 100;
+  EXPECT_FALSE(ValidateReleaseSpec(spec, 0).ok());
+}
+
 ReleaseSpec OracleReleaseSpec(OracleBackend backend, double epsilon) {
   ReleaseSpec spec;
   spec.dataset.source = release::DatasetSpec::Source::kSyntheticAdult;
@@ -239,6 +268,70 @@ TEST(OracleReleaseTest, ShardedReleaseIsThreadInvariant) {
       runs.push_back(artifacts.value().marginal_estimates);
     }
     EXPECT_EQ(runs[0], runs[1]) << rng;
+  }
+}
+
+// Every oracle release carries the per-attribute payload, so each one
+// answers count queries through the independent-marginals product.
+TEST(OracleReleaseTest, JointEstimateAnswersQueriesForEveryBackend) {
+  for (OracleBackend backend :
+       {OracleBackend::kDirect, OracleBackend::kSymmetricUnary,
+        OracleBackend::kOptimizedUnary, OracleBackend::kLocalHashing}) {
+    auto plan = ReleasePlanner::Plan(OracleReleaseSpec(backend, 1.0));
+    ASSERT_TRUE(plan.ok()) << ToString(backend);
+    auto artifacts = plan.value().Run();
+    ASSERT_TRUE(artifacts.ok()) << ToString(backend);
+
+    auto estimate = release::MakeJointEstimate(artifacts.value());
+    ASSERT_TRUE(estimate.ok())
+        << ToString(backend) << ": " << estimate.status().ToString();
+    const std::vector<std::vector<double>>& marginals =
+        artifacts.value().marginal_estimates;
+    const double n = static_cast<double>(plan.value().dataset().num_rows());
+    const CountQuery pair{{0, 1}, {{0, 0}}};
+    EXPECT_NEAR(estimate.value()->EstimateCount(pair),
+                n * marginals[0][0] * marginals[1][0], 1e-9 * n)
+        << ToString(backend);
+  }
+}
+
+// A single-category attribute has nothing to protect: every backend
+// publishes its only value at epsilon 0, under both policies, while the
+// other attributes keep the backend (and its microdata rule).
+TEST(OracleReleaseTest, SingleCategoryAttributeIsPublishedAtEpsilonZero) {
+  const std::vector<uint32_t> varied = {0, 1, 2, 1, 0, 2, 2, 1, 0, 0};
+  const Dataset data(
+      {Attribute{"constant", AttributeType::kNominal, {"only"}},
+       Attribute{"varied", AttributeType::kNominal, {"a", "b", "c"}}},
+      {std::vector<uint32_t>(varied.size(), 0), varied});
+
+  for (OracleBackend backend :
+       {OracleBackend::kDirect, OracleBackend::kSymmetricUnary,
+        OracleBackend::kOptimizedUnary, OracleBackend::kLocalHashing}) {
+    for (release::PolicyKind policy :
+         {release::PolicyKind::kSequential, release::PolicyKind::kSharded}) {
+      ReleaseSpec spec;
+      spec.dataset.source = release::DatasetSpec::Source::kProvided;
+      spec.mechanism.kind = release::MechanismKind::kIndependent;
+      spec.frequency_oracle.backend = backend;
+      spec.frequency_oracle.epsilon = 1.0;
+      spec.execution.kind = policy;
+      auto plan = ReleasePlanner::Plan(spec, &data);
+      ASSERT_TRUE(plan.ok()) << ToString(backend);
+      auto artifacts = plan.value().Run();
+      ASSERT_TRUE(artifacts.ok())
+          << ToString(backend) << ": " << artifacts.status().ToString();
+
+      const release::ReleaseArtifacts& a = artifacts.value();
+      EXPECT_EQ(a.marginal_estimates[0], std::vector<double>{1.0})
+          << ToString(backend);
+      ASSERT_TRUE(a.independent.has_value());
+      EXPECT_EQ(a.independent->epsilons[0], 0.0) << ToString(backend);
+      EXPECT_DOUBLE_EQ(a.release_epsilon, 1.0) << ToString(backend);
+      EXPECT_EQ(a.randomized.num_attributes(),
+                backend == OracleBackend::kDirect ? 2u : 0u)
+          << ToString(backend);
+    }
   }
 }
 

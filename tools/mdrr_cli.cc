@@ -21,7 +21,8 @@
 //
 //       --oracle selects the per-attribute frequency-oracle backend
 //       (independent and geometric-ordinal methods only). The default
-//       keeps the paper's direct-encoding RR path byte-for-byte;
+//       keeps the paper's direct-encoding RR path byte-for-byte; de at
+//       an explicit --oracle_epsilon still releases microdata;
 //       sue/oue/olh publish closed-form marginals with no microdata.
 //       --oracle_epsilon spends that epsilon per attribute (0 inherits
 //       the per-attribute budget of the method's RR design, so backend
@@ -31,6 +32,9 @@
 //                                  coordinator, streaming and --dump-spec
 //                                  flags below may accompany it -- any
 //                                  other flag is an error, never ignored)
+//
+//       In either mode an unknown flag or a malformed number is an
+//       error naming the flag, never a silent default.
 //
 //       Passing --threads selects the sharded execution policy: every
 //       stage runs through the BatchPerturbationEngine contracts with N
@@ -154,6 +158,32 @@ void PrintMarginals(const Dataset& released,
   }
 }
 
+// A numeric `run` flag. FlagSet's getters fall back to the default on
+// a malformed value; a release must never run with a number nobody
+// asked for, so a value `parse` refuses is an error naming the flag.
+template <typename T>
+StatusOr<T> NumberFlag(const FlagSet& flags, const std::string& key,
+                       T default_value,
+                       StatusOr<T> (*parse)(std::string_view)) {
+  if (!flags.Has(key)) return default_value;
+  StatusOr<T> parsed = parse(flags.GetString(key, ""));
+  if (!parsed.ok()) {
+    return Status::InvalidArgument("--" + key + ": " +
+                                   parsed.status().message());
+  }
+  return parsed;
+}
+
+StatusOr<double> DoubleFlag(const FlagSet& flags, const std::string& key,
+                            double default_value) {
+  return NumberFlag(flags, key, default_value, mdrr::ParseDouble);
+}
+
+StatusOr<int64_t> IntFlag(const FlagSet& flags, const std::string& key,
+                          int64_t default_value) {
+  return NumberFlag(flags, key, default_value, mdrr::ParseInt64);
+}
+
 // The ReleaseSpec equivalent of the `run` flag set.
 StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
   namespace release = mdrr::release;
@@ -163,14 +193,16 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
   spec.dataset.csv_path = flags.GetString("input", "");
   spec.dataset.csv_has_header = !flags.GetBool("no_header", false);
 
-  spec.budget.keep_probability = flags.GetDouble("p", 0.7);
+  MDRR_ASSIGN_OR_RETURN(spec.budget.keep_probability,
+                        DoubleFlag(flags, "p", 0.7));
   // The assessment round's keep probability is its own knob with its own
   // default (matching RrClustersOptions), NOT tied to --p: pre-spec
   // command lines must keep producing the same release.
-  spec.budget.dependence_keep_probability = flags.GetDouble("dep_p", 0.7);
-  if (flags.Has("budget")) {
-    spec.budget.max_total_epsilon = flags.GetDouble("budget", 0.0);
-  }
+  MDRR_ASSIGN_OR_RETURN(spec.budget.dependence_keep_probability,
+                        DoubleFlag(flags, "dep_p", 0.7));
+  MDRR_ASSIGN_OR_RETURN(
+      spec.budget.max_total_epsilon,
+      DoubleFlag(flags, "budget", spec.budget.max_total_epsilon));
 
   MDRR_ASSIGN_OR_RETURN(
       spec.mechanism.kind,
@@ -185,15 +217,18 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
       spec.mechanism.joint_attributes.push_back(static_cast<size_t>(index));
     }
   }
-  spec.mechanism.clustering = mdrr::ClusteringOptions{
-      flags.GetDouble("tv", 50.0), flags.GetDouble("td", 0.1)};
+  MDRR_ASSIGN_OR_RETURN(spec.mechanism.clustering.max_combinations,
+                        DoubleFlag(flags, "tv", 50.0));
+  MDRR_ASSIGN_OR_RETURN(spec.mechanism.clustering.min_dependence,
+                        DoubleFlag(flags, "td", 0.1));
   MDRR_ASSIGN_OR_RETURN(
       spec.mechanism.dependence_source,
       release::DependenceSourceFromString(flags.GetString("dep", "rr")));
 
   spec.adjustment.enabled = flags.GetBool("adjust", false);
-  spec.adjustment.max_iterations =
-      static_cast<int>(flags.GetInt("adjust_iters", 100));
+  MDRR_ASSIGN_OR_RETURN(const int64_t adjust_iters,
+                        IntFlag(flags, "adjust_iters", 100));
+  spec.adjustment.max_iterations = static_cast<int>(adjust_iters);
 
   spec.synthetic.enabled = flags.Has("synthetic_out");
   spec.evaluation.utility_report = flags.GetBool("report", false);
@@ -201,16 +236,18 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
   // Any explicit --threads (including 1) selects the sharded policy, so
   // the flag's value never changes the output.
   if (flags.Has("threads")) {
-    const int64_t threads = flags.GetInt("threads", 0);
+    MDRR_ASSIGN_OR_RETURN(const int64_t threads, IntFlag(flags, "threads", 0));
     if (threads < 0) {
       return Status::InvalidArgument("--threads must be >= 0");
     }
+    MDRR_ASSIGN_OR_RETURN(const int64_t shard,
+                          IntFlag(flags, "shard", 1 << 16));
     spec.execution.kind = release::PolicyKind::kSharded;
     spec.execution.num_threads = static_cast<size_t>(threads);
-    spec.execution.shard_size =
-        static_cast<size_t>(flags.GetInt("shard", 1 << 16));
+    spec.execution.shard_size = static_cast<size_t>(shard);
   }
-  spec.execution.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  MDRR_ASSIGN_OR_RETURN(const int64_t seed, IntFlag(flags, "seed", 1));
+  spec.execution.seed = static_cast<uint64_t>(seed);
   MDRR_ASSIGN_OR_RETURN(
       spec.execution.rng,
       release::RngKindFromString(flags.GetString("rng", "mt19937")));
@@ -223,9 +260,8 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
         spec.frequency_oracle.backend,
         mdrr::OracleBackendFromString(flags.GetString("oracle", "de")));
   }
-  if (flags.Has("oracle_epsilon")) {
-    spec.frequency_oracle.epsilon = flags.GetDouble("oracle_epsilon", 0.0);
-  }
+  MDRR_ASSIGN_OR_RETURN(spec.frequency_oracle.epsilon,
+                        DoubleFlag(flags, "oracle_epsilon", 0.0));
 
   spec.output.randomized_csv = flags.GetString("randomized_out", "");
   spec.output.synthetic_csv = flags.GetString("synthetic_out", "");
@@ -237,10 +273,19 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
 // (protocol::RunStreamingReplay) instead of a batch ReleasePlan. Stdout
 // is the window transcript -- byte-identical for any --ingest_threads /
 // --shards at a fixed spec -- plus the ledger line.
-int RunStreamingSpec(const FlagSet& flags,
-                     const mdrr::release::ReleaseSpec& spec) {
+Status RunStreamingSpec(const FlagSet& flags,
+                        const mdrr::release::ReleaseSpec& spec) {
   namespace release = mdrr::release;
-  StatusOr<Dataset> dataset = [&]() -> StatusOr<Dataset> {
+  mdrr::protocol::StreamingReplayOptions options;
+  MDRR_ASSIGN_OR_RETURN(const int64_t ingest_threads,
+                        IntFlag(flags, "ingest_threads", 1));
+  MDRR_ASSIGN_OR_RETURN(const int64_t shards, IntFlag(flags, "shards", 1));
+  MDRR_ASSIGN_OR_RETURN(const int64_t reports, IntFlag(flags, "reports", 0));
+  options.num_ingest_threads = static_cast<size_t>(ingest_threads);
+  options.collector.num_shards = static_cast<size_t>(shards);
+  options.total_reports = static_cast<uint64_t>(reports);
+
+  MDRR_ASSIGN_OR_RETURN(const Dataset dataset, [&]() -> StatusOr<Dataset> {
     switch (spec.dataset.source) {
       case release::DatasetSpec::Source::kCsvFile:
         return mdrr::ReadCsvDataset(spec.dataset.csv_path,
@@ -254,24 +299,16 @@ int RunStreamingSpec(const FlagSet& flags,
             "synthetic-adult)");
     }
     return Status::Internal("unknown dataset source");
-  }();
-  if (!dataset.ok()) return Fail(dataset.status());
+  }());
 
-  mdrr::protocol::StreamingReplayOptions options;
-  options.num_ingest_threads =
-      static_cast<size_t>(flags.GetInt("ingest_threads", 1));
-  options.collector.num_shards =
-      static_cast<size_t>(flags.GetInt("shards", 1));
-  options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
-  auto run = mdrr::protocol::RunStreamingReplay(spec, dataset.value(),
-                                                options);
-  if (!run.ok()) return Fail(run.status());
-  std::fputs(release::PrintStreamWindows(run.value().windows).c_str(),
-             stdout);
+  MDRR_ASSIGN_OR_RETURN(
+      const mdrr::protocol::StreamingReplayResult run,
+      mdrr::protocol::RunStreamingReplay(spec, dataset, options));
+  std::fputs(release::PrintStreamWindows(run.windows).c_str(), stdout);
   std::printf("streamed %llu reports; epsilon spent %.6g\n",
-              static_cast<unsigned long long>(run.value().reports_ingested),
-              run.value().epsilon_spent);
-  return 0;
+              static_cast<unsigned long long>(run.reports_ingested),
+              run.epsilon_spent);
+  return Status::OK();
 }
 
 // The flags `run --spec` honours; the spec file carries everything else.
@@ -280,26 +317,45 @@ constexpr const char* kSpecModeFlags[] = {
     "dump-spec", "dump_spec", "ingest_threads", "shards",
     "reports"};
 
-int CmdRun(const FlagSet& flags) {
-  namespace release = mdrr::release;
+// The flags flag mode honours: SpecFromFlags' release flags plus the
+// coordinator and --dump-spec flags.
+constexpr const char* kFlagModeFlags[] = {
+    "input",              "no_header",     "method",
+    "attrs",              "p",             "dep_p",
+    "budget",             "tv",            "td",
+    "dep",                "adjust",        "adjust_iters",
+    "randomized_out",     "synthetic_out", "report",
+    "artifacts_out",      "seed",          "threads",
+    "shard",              "rng",           "oracle",
+    "oracle_epsilon",     "listen",        "workers",
+    "worker_deadline_ms", "dump-spec",     "dump_spec"};
 
-  mdrr::release::ReleaseSpec spec;
-  if (flags.Has("spec")) {
-    for (const std::string& key : flags.Keys()) {
-      if (std::find(std::begin(kSpecModeFlags), std::end(kSpecModeFlags),
-                    key) == std::end(kSpecModeFlags)) {
-        return Fail(Status::InvalidArgument(
-            "--" + key + " is not honoured with --spec; set it in the spec "
-            "file instead"));
-      }
+// The spec `run` executes: the --spec file or the flag-mode release
+// flags, then the coordinator flags. Any flag the mode does not honour
+// and any malformed number is an error naming the flag, never ignored.
+StatusOr<mdrr::release::ReleaseSpec> RunSpecFromFlags(const FlagSet& flags) {
+  namespace release = mdrr::release;
+  const bool spec_mode = flags.Has("spec");
+  for (const std::string& key : flags.Keys()) {
+    const auto honours = [&key](const auto& list) {
+      return std::find(std::begin(list), std::end(list), key) !=
+             std::end(list);
+    };
+    if (spec_mode && !honours(kSpecModeFlags)) {
+      return Status::InvalidArgument(
+          "--" + key + " is not honoured with --spec; set it in the spec "
+          "file instead");
     }
-    auto parsed = release::ReadReleaseSpec(flags.GetString("spec", ""));
-    if (!parsed.ok()) return Fail(parsed.status());
-    spec = std::move(parsed).value();
+    if (!spec_mode && !honours(kFlagModeFlags)) {
+      return Status::InvalidArgument("--" + key + " is not a run flag");
+    }
+  }
+  release::ReleaseSpec spec;
+  if (spec_mode) {
+    MDRR_ASSIGN_OR_RETURN(
+        spec, release::ReadReleaseSpec(flags.GetString("spec", "")));
   } else {
-    auto built = SpecFromFlags(flags);
-    if (!built.ok()) return Fail(built.status());
-    spec = std::move(built).value();
+    MDRR_ASSIGN_OR_RETURN(spec, SpecFromFlags(flags));
   }
 
   // Coordinator mode: --listen turns the run into a distributed release
@@ -308,30 +364,42 @@ int CmdRun(const FlagSet& flags) {
   // bit-identical to the sharded policy at the same (seed, shard,
   // rng) for any worker count.
   if (flags.Has("listen")) {
-    const int64_t port = flags.GetInt("listen", 0);
+    MDRR_ASSIGN_OR_RETURN(const int64_t port, IntFlag(flags, "listen", 0));
     if (port < 0 || port > 65535) {
-      return Fail(Status::InvalidArgument("--listen must be 0..65535"));
+      return Status::InvalidArgument("--listen must be 0..65535");
     }
     spec.execution.kind = release::PolicyKind::kDistributed;
     spec.execution.listen_port = static_cast<uint16_t>(port);
   }
   if (flags.Has("workers")) {
-    const int64_t workers = flags.GetInt("workers", 0);
+    MDRR_ASSIGN_OR_RETURN(const int64_t workers, IntFlag(flags, "workers", 0));
     if (workers < 1) {
-      return Fail(Status::InvalidArgument("--workers must be >= 1"));
+      return Status::InvalidArgument("--workers must be >= 1");
     }
     spec.execution.num_workers = static_cast<size_t>(workers);
   }
-  if (flags.Has("worker_deadline_ms")) {
-    spec.execution.worker_deadline_ms = flags.GetInt("worker_deadline_ms", 0);
-  }
+  MDRR_ASSIGN_OR_RETURN(
+      spec.execution.worker_deadline_ms,
+      IntFlag(flags, "worker_deadline_ms", spec.execution.worker_deadline_ms));
+  return spec;
+}
+
+int CmdRun(const FlagSet& flags) {
+  namespace release = mdrr::release;
+
+  auto built = RunSpecFromFlags(flags);
+  if (!built.ok()) return Fail(built.status());
+  const release::ReleaseSpec spec = std::move(built).value();
 
   if (flags.GetBool("dump-spec", flags.GetBool("dump_spec", false))) {
     std::fputs(release::PrintReleaseSpec(spec).c_str(), stdout);
     return 0;
   }
 
-  if (spec.streaming.enabled) return RunStreamingSpec(flags, spec);
+  if (spec.streaming.enabled) {
+    Status streamed = RunStreamingSpec(flags, spec);
+    return streamed.ok() ? 0 : Fail(streamed);
+  }
 
   auto plan = release::ReleasePlanner::Plan(spec);
   if (!plan.ok()) return Fail(plan.status());
