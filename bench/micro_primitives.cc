@@ -1,8 +1,12 @@
 // Microbenchmarks of the hot paths every experiment exercises:
 // randomization throughput (structured and alias-table), domain
-// composition, empirical distributions, and the full RR-Independent
-// protocol on Adult-sized data.
+// composition, empirical distributions, the full RR-Independent
+// protocol on Adult-sized data, and the per-report mt19937 stream
+// set-up (seed expansion, engine seeding, sustained draws) that
+// streaming ingest pays once per report.
 
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -13,6 +17,7 @@
 #include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/domain.h"
 #include "mdrr/rng/alias_sampler.h"
+#include "mdrr/rng/fast_seed.h"
 #include "mdrr/rng/rng.h"
 
 namespace {
@@ -78,6 +83,83 @@ void BM_FullRrIndependentOnAdult(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullRrIndependentOnAdult);
+
+// Per-seed cost of the serial 624-word seed expansion (Rng(seed) and
+// RngStreamFamily::Stream pay it once each).
+void BM_SerialSeedExpansion(benchmark::State& state) {
+  std::vector<uint32_t> words(mdrr::kEngineSeedWords);
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    mdrr::FourWordSeedSeq(seed++).GenerateEngineWords(words.data());
+    benchmark::DoNotOptimize(words.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SerialSeedExpansion);
+
+// The same expansion kSeedLanes seeds at a time, on the path
+// GenerateSeedBlock dispatches to on this CPU; items are seeds.
+void BM_SeedBlockExpansion(benchmark::State& state) {
+  std::vector<uint32_t> block(mdrr::kSeedLanes * mdrr::kEngineSeedWords);
+  uint64_t seeds[mdrr::kSeedLanes];
+  uint64_t next = 1;
+  for (auto _ : state) {
+    for (uint64_t& s : seeds) s = next++;
+    mdrr::GenerateSeedBlock(seeds, block.data());
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(mdrr::kSeedLanes));
+}
+BENCHMARK(BM_SeedBlockExpansion);
+
+// Seeds an engine from an expanded word block and draws the 16 words of
+// an eight-attribute report: arg 0 is the library engine, arg 1 is
+// std::mt19937_64 seeded from the same words (it twists all 312 words on
+// the first draw).
+void BM_EngineSetupPlus16Draws(benchmark::State& state) {
+  std::vector<uint32_t> words(mdrr::kEngineSeedWords);
+  mdrr::FourWordSeedSeq(7).GenerateEngineWords(words.data());
+  struct Replay {
+    using result_type = uint32_t;
+    const uint32_t* words;
+    void generate(uint32_t* begin, uint32_t* end) const {
+      for (const uint32_t* w = words; begin != end; ++begin, ++w) *begin = *w;
+    }
+  };
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      mdrr::MersenneTwister64 engine(mdrr::SeedWords{words.data()});
+      for (int d = 0; d < 16; ++d) sum += engine();
+    } else {
+      Replay replay{words.data()};
+      std::mt19937_64 engine(replay);
+      for (int d = 0; d < 16; ++d) sum += engine();
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineSetupPlus16Draws)->Arg(0)->Arg(1);
+
+// Sustained draws (whole-block twists after the first cycle): arg 0 is
+// the library engine, arg 1 is std::mt19937_64; items are draws.
+void BM_EngineSustainedDraws(benchmark::State& state) {
+  mdrr::MersenneTwister64 library(11);
+  std::mt19937_64 reference(11);
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      for (int d = 0; d < 1024; ++d) sum += library();
+    } else {
+      for (int d = 0; d < 1024; ++d) sum += reference();
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1024);
+}
+BENCHMARK(BM_EngineSustainedDraws)->Arg(0)->Arg(1);
 
 }  // namespace
 

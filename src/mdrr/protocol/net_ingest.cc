@@ -199,10 +199,8 @@ StatusOr<StreamIngestClientResult> StreamReportsOverSocket(
     batch.codes.resize(static_cast<size_t>(count) * num_attrs);
     // Party-side perturbation keyed off the absolute sequence number:
     // draw-for-draw what RunStreamingReplay's producers compute.
-    for (uint32_t k = 0; k < count; ++k) {
-      RandomizeReport(spec.execution, matrices, dataset, begin + k,
-                      batch.codes.data() + static_cast<size_t>(k) * num_attrs);
-    }
+    RandomizeReports(spec.execution, matrices, dataset, begin, count,
+                     batch.codes.data());
     MDRR_RETURN_IF_ERROR(conn.SendFrame(net::FrameType::kStreamReport,
                                         net::EncodeStreamReport(batch),
                                         options.deadline_ms));

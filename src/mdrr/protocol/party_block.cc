@@ -60,9 +60,9 @@ PartyBlock::PartyBlock(const Dataset& dataset, Rng& seeder)
 
 void PartyBlock::SeedEngineRange(size_t begin, size_t end) {
   ForEachSeedSequence(seeds_.data() + begin, end - begin,
-                      [this, begin](size_t offset, auto& seq) {
+                      [this, begin](size_t offset, SeedWords words) {
                         new (static_cast<void*>(rngs_ + begin + offset))
-                            Rng(seq);
+                            Rng(words);
                       });
 }
 

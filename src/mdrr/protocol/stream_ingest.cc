@@ -7,16 +7,32 @@
 #include <utility>
 
 #include "mdrr/rng/counter_rng.h"
+#include "mdrr/rng/fast_seed.h"
 #include "mdrr/rng/rng.h"
 
 namespace mdrr::protocol {
+
+namespace {
+
+// The mt19937 body of a report: row sequence % num_rows, attributes in
+// order from the report's own stream.
+void RandomizeRow(const std::vector<RrMatrix>& matrices,
+                  const Dataset& dataset, uint64_t sequence, Rng& rng,
+                  uint32_t* out) {
+  const size_t row = static_cast<size_t>(sequence % dataset.num_rows());
+  for (size_t j = 0; j < matrices.size(); ++j) {
+    out[j] = matrices[j].Randomize(dataset.at(row, j), rng);
+  }
+}
+
+}  // namespace
 
 void RandomizeReport(const release::ExecutionPolicy& execution,
                      const std::vector<RrMatrix>& matrices,
                      const Dataset& dataset, uint64_t sequence,
                      uint32_t* out) {
-  const size_t row = static_cast<size_t>(sequence % dataset.num_rows());
   if (execution.rng == RngKind::kPhilox) {
+    const size_t row = static_cast<size_t>(sequence % dataset.num_rows());
     for (size_t j = 0; j < matrices.size(); ++j) {
       out[j] = matrices[j].RandomizeCounter(dataset.at(row, j),
                                             execution.seed,
@@ -26,8 +42,33 @@ void RandomizeReport(const release::ExecutionPolicy& execution,
     return;
   }
   Rng rng = RngStreamFamily(execution.seed).Stream(sequence);
-  for (size_t j = 0; j < matrices.size(); ++j) {
-    out[j] = matrices[j].Randomize(dataset.at(row, j), rng);
+  RandomizeRow(matrices, dataset, sequence, rng, out);
+}
+
+void RandomizeReports(const release::ExecutionPolicy& execution,
+                      const std::vector<RrMatrix>& matrices,
+                      const Dataset& dataset, uint64_t first, uint64_t count,
+                      uint32_t* out) {
+  const size_t m = matrices.size();
+  if (execution.rng == RngKind::kPhilox) {
+    for (uint64_t k = 0; k < count; ++k) {
+      RandomizeReport(execution, matrices, dataset, first + k, out + k * m);
+    }
+    return;
+  }
+  const RngStreamFamily family(execution.seed);
+  uint64_t seeds[kSeedLanes] = {};
+  for (uint64_t begin = 0; begin < count; begin += kSeedLanes) {
+    const size_t lanes =
+        static_cast<size_t>(std::min<uint64_t>(kSeedLanes, count - begin));
+    for (size_t l = 0; l < lanes; ++l) {
+      seeds[l] = family.StreamSeed(first + begin + l);
+    }
+    ForEachSeedSequence(seeds, lanes, [&](size_t l, SeedWords words) {
+      Rng rng(words);
+      RandomizeRow(matrices, dataset, first + begin + l, rng,
+                   out + (begin + l) * m);
+    });
   }
 }
 
@@ -68,29 +109,42 @@ StatusOr<StreamingReplayResult> RunStreamingReplay(
   const size_t num_shards = collector->num_shards();
   const size_t num_producers = std::max<size_t>(1, options.num_ingest_threads);
 
-  // Producers claim sequences from one shared counter: every claim below
-  // `limit` is always submitted, and claims at or beyond it are abandoned
-  // by everyone, so the submitted range stays contiguous for Snapshot.
+  // Producers claim blocks of sequences from one shared counter: every
+  // sequence below `limit` is always submitted, and sequences at or
+  // beyond it are abandoned by everyone, so the submitted range stays
+  // contiguous for Snapshot.
   std::atomic<uint64_t> next_sequence{start};
   std::atomic<bool> abort{false};
   std::atomic<bool> stop_drains{false};
   std::atomic<size_t> live_producers{num_producers};
 
-  // Per-report randomness (RandomizeReport). mt19937 (default): report s
-  // seeds a full sub-stream of the family -- a seed_seq expansion plus 312
-  // words of twister state per report. philox: one 10-round counter
-  // evaluation per attribute, no state to initialize. The transcript is
-  // identical for any num_ingest_threads either way.
+  // Per-report randomness (RandomizeReports). mt19937 (default): each
+  // report draws from its own sub-stream of the family, and a claim's
+  // kSeedLanes streams are seeded together (one vectorized seed
+  // expansion for the block; each engine twists only the words its
+  // report draws). philox: one 10-round counter evaluation per
+  // attribute, no state to initialize. The transcript is identical for
+  // any num_ingest_threads either way. A claim reaching past `limit` is
+  // clipped there; claims starting at or past it are abandoned.
   auto produce = [&]() {
-    std::vector<uint32_t> codes(dataset.num_attributes());
+    const size_t m = dataset.num_attributes();
+    std::vector<uint32_t> block(kSeedLanes * m);
+    std::vector<uint32_t> codes(m);
     while (!abort.load(std::memory_order_acquire)) {
-      const uint64_t s = next_sequence.fetch_add(1, std::memory_order_relaxed);
-      if (s >= limit) break;
-      RandomizeReport(spec.execution, matrices, dataset, s, codes.data());
-      const size_t shard = static_cast<size_t>(s % num_shards);
-      while (!collector->TrySubmit(shard, s, codes)) {
-        if (abort.load(std::memory_order_acquire)) return;
-        std::this_thread::yield();
+      const uint64_t first =
+          next_sequence.fetch_add(kSeedLanes, std::memory_order_relaxed);
+      if (first >= limit) break;
+      const uint64_t count = std::min<uint64_t>(kSeedLanes, limit - first);
+      RandomizeReports(spec.execution, matrices, dataset, first, count,
+                       block.data());
+      for (uint64_t k = 0; k < count; ++k) {
+        const uint64_t s = first + k;
+        codes.assign(block.begin() + k * m, block.begin() + (k + 1) * m);
+        const size_t shard = static_cast<size_t>(s % num_shards);
+        while (!collector->TrySubmit(shard, s, codes)) {
+          if (abort.load(std::memory_order_acquire)) return;
+          std::this_thread::yield();
+        }
       }
     }
   };

@@ -10,10 +10,11 @@
 // num_ingest_threads and any shard count, and a paused run resumes from
 // a snapshot knowing nothing but the sequence cursor.
 //
-// Threading: `num_ingest_threads` producers claim sequence numbers from
-// one shared atomic counter (so the submitted range stays contiguous --
-// a snapshot never has holes to re-ingest), perturb, and spin-submit
-// under backpressure; one drain thread per shard moves reports into the
+// Threading: `num_ingest_threads` producers claim blocks of kSeedLanes
+// sequence numbers from one shared atomic counter (so the submitted
+// range stays contiguous -- a snapshot never has holes to re-ingest),
+// perturb them, and spin-submit each block in ascending order under
+// backpressure; one drain thread per shard moves reports into the
 // count ring; the calling thread polls windows. The call blocks until
 // the replay completes (or reaches `pause_at` and snapshots).
 
@@ -76,6 +77,16 @@ void RandomizeReport(const release::ExecutionPolicy& execution,
                      const std::vector<RrMatrix>& matrices,
                      const Dataset& dataset, uint64_t sequence,
                      uint32_t* out);
+
+// RandomizeReport for reports [first, first + count), report first + k
+// written to out[k * num_attributes, (k + 1) * num_attributes). Equal to
+// calling RandomizeReport per report; under mt19937 the reports' streams
+// are seeded kSeedLanes at a time (ForEachSeedSequence in
+// rng/fast_seed.h), which is what makes per-report streams cheap.
+void RandomizeReports(const release::ExecutionPolicy& execution,
+                      const std::vector<RrMatrix>& matrices,
+                      const Dataset& dataset, uint64_t first, uint64_t count,
+                      uint32_t* out);
 
 StatusOr<StreamingReplayResult> RunStreamingReplay(
     const release::ReleaseSpec& spec, const Dataset& dataset,

@@ -55,9 +55,10 @@ namespace mdrr {
 // Declared here (the lowest layer that knows both engines exist) so core
 // and release can share the token without a dependency cycle.
 enum class RngKind : uint8_t {
-  // std::mt19937_64 seeded through the bit-exact seed_seq expansion of
-  // rng.h / fast_seed.h. The default; every transcript committed before
-  // the counter backend existed is an mt19937 transcript.
+  // mt19937_64 (MersenneTwister64, bit-exact with std::mt19937_64)
+  // seeded through the bit-exact seed_seq expansion of rng.h /
+  // fast_seed.h. The default; every transcript committed before the
+  // counter backend existed is an mt19937 transcript.
   kMt19937,
   // Philox4x32-10 counter streams (this header). Per-record output is a
   // pure function of (seed, stream, element) -- bit-identical at any

@@ -1,0 +1,93 @@
+#include "mdrr/rng/mersenne_twister.h"
+
+#include <algorithm>
+#include <cstring>
+
+namespace mdrr {
+
+namespace {
+
+// mt19937_64 parameters ([rand.predef]).
+constexpr size_t kN = MersenneTwister64::kStateWords;
+constexpr size_t kM = 156;
+constexpr uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kLowerMask = ~kUpperMask;
+
+inline uint64_t TwistWord(uint64_t upper, uint64_t lower, uint64_t far) {
+  const uint64_t y = (upper & kUpperMask) | (lower & kLowerMask);
+  return far ^ (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
+}
+
+// Twists words [begin, end) of the cycle in place. Word k reads the old
+// words k and k+1 and word (k+m) mod n, which for k >= n-m is already
+// twisted -- the standard loop's order, so any split of [0, n) into
+// ascending ranges gives the standard state.
+void TwistRange(uint64_t* x, size_t begin, size_t end) {
+  size_t k = begin;
+  for (const size_t stop = std::min(end, kN - kM); k < stop; ++k) {
+    x[k] = TwistWord(x[k], x[k + 1], x[k + kM]);
+  }
+  for (const size_t stop = std::min(end, kN - 1); k < stop; ++k) {
+    x[k] = TwistWord(x[k], x[k + 1], x[k + kM - kN]);
+  }
+  if (k < end) x[kN - 1] = TwistWord(x[kN - 1], x[0], x[kM - 1]);
+}
+
+}  // namespace
+
+void MersenneTwister64::seed(result_type value) {
+  state_[0] = value;
+  for (size_t i = 1; i < kN; ++i) {
+    const uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+  next_ = 0;
+  ready_ = 0;
+}
+
+void MersenneTwister64::seed(SeedWords seed_words) {
+  // State word i is seed words 2i (low half) and 2i+1 (high half): on a
+  // little-endian host, the words' own bytes.
+  const uint32_t* words = seed_words.words;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::memcpy(state_, words, sizeof(state_));
+#else
+  for (size_t i = 0; i < kN; ++i) {
+    state_[i] = words[2 * i] | (uint64_t{words[2 * i + 1]} << 32);
+  }
+#endif
+  uint64_t rest = 0;
+  for (size_t i = 1; i < kN; ++i) rest |= state_[i];
+  // An all-zero state would never leave zero; the standard replaces it.
+  if ((state_[0] & kUpperMask) == 0 && rest == 0) {
+    state_[0] = uint64_t{1} << 63;
+  }
+  next_ = 0;
+  ready_ = 0;
+}
+
+void MersenneTwister64::discard(unsigned long long count) {
+  while (count > 0) {
+    if (next_ >= ready_) Twist();
+    const unsigned long long step =
+        std::min<unsigned long long>(count, ready_ - next_);
+    next_ += static_cast<uint32_t>(step);
+    count -= step;
+  }
+}
+
+void MersenneTwister64::Twist() {
+  if (ready_ == 0) {
+    TwistRange(state_, 0, kFirstChunk);
+    ready_ = kFirstChunk;
+  } else if (ready_ < kN) {
+    TwistRange(state_, ready_, kN);
+    ready_ = kN;
+  } else {
+    TwistRange(state_, 0, kN);
+    next_ = 0;
+  }
+}
+
+}  // namespace mdrr

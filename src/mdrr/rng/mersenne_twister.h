@@ -1,0 +1,105 @@
+// A bit-exact std::mt19937_64 whose first cycle twists on demand.
+//
+// The standard engine ([rand.eng.mers]) regenerates all 312 state words
+// the first time it is drawn from, but a randomized report draws only a
+// few words from its own freshly seeded stream (two per attribute). This
+// engine produces the identical output sequence and differs only in when
+// it twists: in the first cycle after seeding it twists one small chunk,
+// then the rest of the block once the chunk is used up. Every later cycle
+// twists the whole block, as std::mt19937_64 does, so sustained draws cost
+// the same. The twist of word k reads words k, k+1 and k+m of the state
+// in place, in ascending k, so splitting the loop anywhere leaves every
+// word bit-identical.
+//
+// result_type, min() and max() equal the standard engine's, so every
+// std distribution and std::shuffle consume it exactly as they consume
+// std::mt19937_64 (tests/rng_test.cc checks both side by side).
+
+#ifndef MDRR_RNG_MERSENNE_TWISTER_H_
+#define MDRR_RNG_MERSENNE_TWISTER_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <type_traits>
+
+namespace mdrr {
+
+// The number of 32-bit words an mt19937_64 requests when seeded from a
+// seed sequence (312 state words x 2 words each).
+inline constexpr size_t kEngineSeedWords = 624;
+
+// A seed sequence's kEngineSeedWords-word expansion, already generated
+// (FourWordSeedSeq::GenerateEngineWords and GenerateSeedBlock in
+// fast_seed.h). Seeding from it equals seeding from the sequence itself,
+// minus the generate() round trip. Non-owning: `words` must stay valid
+// for the seeding call only.
+struct SeedWords {
+  const uint32_t* words;
+};
+
+class MersenneTwister64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr size_t kStateWords = 312;
+  static constexpr result_type default_seed = 5489u;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  MersenneTwister64() { seed(default_seed); }
+  explicit MersenneTwister64(result_type value) { seed(value); }
+  explicit MersenneTwister64(SeedWords seed_words) { seed(seed_words); }
+  template <typename Sseq,
+            typename = std::enable_if_t<
+                !std::is_convertible_v<Sseq, result_type> &&
+                !std::is_same_v<std::remove_cv_t<Sseq>, MersenneTwister64>>>
+  explicit MersenneTwister64(Sseq& seq) {
+    seed(seq);
+  }
+
+  // [rand.eng.mers] seeding from one value.
+  void seed(result_type value);
+  // Seeding from a seed sequence's kEngineSeedWords words, exactly as
+  // std::mt19937_64::seed(Sseq&) composes them.
+  void seed(SeedWords seed_words);
+  template <typename Sseq,
+            typename = std::enable_if_t<
+                !std::is_convertible_v<Sseq, result_type> &&
+                !std::is_same_v<std::remove_cv_t<Sseq>, SeedWords>>>
+  void seed(Sseq& seq) {
+    uint32_t words[kEngineSeedWords];
+    seq.generate(words, words + kEngineSeedWords);
+    seed(SeedWords{words});
+  }
+
+  result_type operator()() {
+    if (next_ >= ready_) Twist();
+    uint64_t z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  // Advances as `count` calls of operator() would.
+  void discard(unsigned long long count);
+
+ private:
+  // Words of the first cycle twisted on its first draw.
+  static constexpr uint32_t kFirstChunk = 16;
+
+  // Makes state_[next_] ready: the first chunk of a freshly seeded
+  // state, the rest of the first cycle, or a whole new cycle.
+  void Twist();
+
+  uint64_t state_[kStateWords];
+  // Index of the next word to temper.
+  uint32_t next_ = 0;
+  // Words [0, ready_) of the current cycle are twisted; 0 right after
+  // seeding, kStateWords once the whole cycle is.
+  uint32_t ready_ = 0;
+};
+
+}  // namespace mdrr
+
+#endif  // MDRR_RNG_MERSENNE_TWISTER_H_

@@ -1,5 +1,7 @@
 #include "mdrr/rng/rng.h"
 
+#include <array>
+
 #include "mdrr/common/check.h"
 #include "mdrr/rng/fast_seed.h"
 
@@ -15,18 +17,19 @@ uint64_t SplitMix64Next(uint64_t& state) {
 
 namespace {
 
-std::mt19937_64 MakeEngine(uint64_t seed) {
-  // Expand the seed through SplitMix64 into a full seed sequence so that
-  // seeds 1, 2, 3, ... give unrelated streams. FourWordSeedSeq is the
-  // historical std::seed_seq expansion, bit for bit, minus its
-  // allocations and generic-index arithmetic (fast_seed.h).
-  FourWordSeedSeq seq(seed);
-  return std::mt19937_64(seq);
+// Expands the seed through SplitMix64 into a full seed sequence so that
+// seeds 1, 2, 3, ... give unrelated streams. FourWordSeedSeq is the
+// historical std::seed_seq expansion, bit for bit, minus its allocations
+// and generic-index arithmetic (fast_seed.h).
+std::array<uint32_t, kEngineSeedWords> ExpandSeed(uint64_t seed) {
+  std::array<uint32_t, kEngineSeedWords> words;
+  FourWordSeedSeq(seed).GenerateEngineWords(words.data());
+  return words;
 }
 
 }  // namespace
 
-Rng::Rng(uint64_t seed) : engine_(MakeEngine(seed)) {}
+Rng::Rng(uint64_t seed) : engine_(SeedWords{ExpandSeed(seed).data()}) {}
 
 size_t Rng::Discrete(const std::vector<double>& weights) {
   MDRR_CHECK(!weights.empty());
@@ -79,13 +82,13 @@ void Rng::ShuffleU32(uint32_t* data, size_t count) {
 RngStreamFamily::RngStreamFamily(uint64_t base_seed)
     : base_seed_(base_seed) {}
 
-Rng RngStreamFamily::Stream(uint64_t index) const {
+uint64_t RngStreamFamily::StreamSeed(uint64_t index) const {
   // Whiten the index before mixing it with the base seed so streams
   // 0, 1, 2, ... are as unrelated as random seeds, then whiten the
   // mixture once more (the Rng constructor expands it further).
   uint64_t index_state = index;
   uint64_t mixed = base_seed_ ^ SplitMix64Next(index_state);
-  return Rng(SplitMix64Next(mixed));
+  return SplitMix64Next(mixed);
 }
 
 }  // namespace mdrr

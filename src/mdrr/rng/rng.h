@@ -9,10 +9,10 @@
 
 #include <cstdint>
 #include <random>
-#include <type_traits>
 #include <vector>
 
 #include "mdrr/common/check.h"
+#include "mdrr/rng/mersenne_twister.h"
 
 namespace mdrr {
 
@@ -24,20 +24,14 @@ uint64_t SplitMix64Next(uint64_t& state);
 // Not thread-safe; use one Rng per thread.
 class Rng {
  public:
+  // The engine seeded from the four-word SplitMix64 expansion of `seed`
+  // (FourWordSeedSeq in fast_seed.h).
   explicit Rng(uint64_t seed);
 
-  // Seeds from a std-style seed sequence. Rng(seed) is shorthand for Rng
-  // over the four-word SplitMix64 expansion of `seed` (FourWordSeedSeq in
-  // fast_seed.h); this constructor is the hook the batched party-seeding
-  // path uses to install precomputed seed blocks. Excluded for integral
-  // arguments (those mean the seed constructor) and for Rng itself (a
-  // copy from a non-const Rng must pick the copy constructor, not try to
-  // treat the source as a seed sequence).
-  template <typename Sseq,
-            typename = std::enable_if_t<
-                !std::is_convertible_v<Sseq, uint64_t> &&
-                !std::is_same_v<std::remove_cv_t<Sseq>, Rng>>>
-  explicit Rng(Sseq& seq) : engine_(seq) {}
+  // The engine seeded from a precomputed seed-sequence expansion: the
+  // hook the lane-batched seeding paths (ForEachSeedSequence in
+  // fast_seed.h) use to install a block's words directly.
+  explicit Rng(SeedWords seed_words) : engine_(seed_words) {}
 
   // Uniform on {0, ..., bound - 1}. Precondition: bound > 0.
   // Inline: one draw of this sits inside every randomized-response
@@ -79,10 +73,10 @@ class Rng {
   // synthetic release).
   void ShuffleU32(uint32_t* data, size_t count);
 
-  std::mt19937_64& engine() { return engine_; }
+  MersenneTwister64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  MersenneTwister64 engine_;
 };
 
 // A deterministic family of independent sub-streams derived from one base
@@ -97,7 +91,11 @@ class RngStreamFamily {
 
   // The index-th sub-stream, in its initial state. Pure function of
   // (base_seed, index).
-  Rng Stream(uint64_t index) const;
+  Rng Stream(uint64_t index) const { return Rng(StreamSeed(index)); }
+
+  // The seed Stream(index) expands, for seeding streams a lane block at
+  // a time (ForEachSeedSequence in fast_seed.h).
+  uint64_t StreamSeed(uint64_t index) const;
 
   uint64_t base_seed() const { return base_seed_; }
 

@@ -1,10 +1,16 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <random>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mdrr/rng/alias_sampler.h"
+#include "mdrr/rng/fast_seed.h"
+#include "mdrr/rng/mersenne_twister.h"
 #include "mdrr/rng/rng.h"
 
 namespace mdrr {
@@ -214,6 +220,160 @@ TEST(RngStreamFamilyTest, DistinctIndicesAndSeedsDiverge) {
   EXPECT_NE(family.Stream(41).engine()(), family.Stream(42).engine()());
   RngStreamFamily other(2);
   EXPECT_NE(family.Stream(0).engine()(), other.Stream(0).engine()());
+}
+
+// --- MersenneTwister64 against std::mt19937_64. ---
+
+static_assert(std::is_same_v<MersenneTwister64::result_type,
+                             std::mt19937_64::result_type>);
+static_assert(MersenneTwister64::min() == std::mt19937_64::min());
+static_assert(MersenneTwister64::max() == std::mt19937_64::max());
+
+// A library engine and a std::mt19937_64 seeded from the same words.
+struct EnginePair {
+  explicit EnginePair(uint64_t seed) : words(kEngineSeedWords) {
+    FourWordSeedSeq(seed).GenerateEngineWords(words.data());
+    engine.seed(SeedWords{words.data()});
+    FourWordSeedSeq seq(seed);
+    reference.seed(seq);
+  }
+  std::vector<uint32_t> words;
+  MersenneTwister64 engine;
+  std::mt19937_64 reference;
+};
+
+void ExpectSameDraws(MersenneTwister64& engine, std::mt19937_64& reference,
+                     int draws) {
+  for (int d = 0; d < draws; ++d) {
+    ASSERT_EQ(engine(), reference()) << "draw " << d;
+  }
+}
+
+TEST(MersenneTwister64Test, DefaultSeedMatchesThePredefinedValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 produces 9981545732273789042.
+  MersenneTwister64 engine;
+  engine.discard(9999);
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+
+  MersenneTwister64 fresh;
+  std::mt19937_64 reference;
+  ExpectSameDraws(fresh, reference, 1000);
+  MersenneTwister64 valued(12345);
+  std::mt19937_64 valued_reference(12345);
+  ExpectSameDraws(valued, valued_reference, 1000);
+}
+
+TEST(MersenneTwister64Test, StdSeedSeqDrawsMatchStd) {
+  std::seed_seq seq{1u, 2u, 3u, 4u, 5u};
+  MersenneTwister64 engine(seq);
+  std::mt19937_64 reference(seq);
+  // 1000 draws cross three twist boundaries (312, 624, 936).
+  ExpectSameDraws(engine, reference, 1000);
+}
+
+TEST(MersenneTwister64Test, SeedWordBlockDrawsMatchStd) {
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{77},
+                        ~uint64_t{0}}) {
+    EnginePair pair(seed);
+    SCOPED_TRACE(seed);
+    ExpectSameDraws(pair.engine, pair.reference, 1000);
+  }
+}
+
+// Words whose composed state is zero outside x[0]'s low 31 bits: the
+// standard replaces x[0] with 2^63, and so must the word seeding.
+TEST(MersenneTwister64Test, DegenerateSeedWordsFollowTheStandard) {
+  struct Fill {
+    using result_type = uint32_t;
+    uint32_t first;
+    void generate(uint32_t* begin, uint32_t* end) const {
+      std::fill(begin, end, 0u);
+      *begin = first;
+    }
+  };
+  for (uint32_t first : {0u, 5u, 0x7fffffffu, 0x80000000u}) {
+    Fill fill{first};
+    MersenneTwister64 engine(fill);
+    std::mt19937_64 reference(fill);
+    SCOPED_TRACE(first);
+    ExpectSameDraws(engine, reference, 700);
+  }
+}
+
+TEST(MersenneTwister64Test, CopiesContinueIdentically) {
+  // Before the first draw, inside the first on-demand chunk, at its end,
+  // mid-cycle, and in a later whole-block cycle.
+  for (int drawn : {0, 3, 16, 17, 100, 700}) {
+    EnginePair pair(9);
+    ExpectSameDraws(pair.engine, pair.reference, drawn);
+    MersenneTwister64 copy = pair.engine;
+    std::mt19937_64 reference_copy = pair.reference;
+    SCOPED_TRACE(drawn);
+    ExpectSameDraws(copy, reference_copy, 1000);
+    ExpectSameDraws(pair.engine, pair.reference, 1000);
+  }
+}
+
+TEST(MersenneTwister64Test, DiscardMatchesStd) {
+  for (int drawn : {0, 5, 16, 400}) {
+    for (unsigned long long skip :
+         {0ULL, 1ULL, 11ULL, 15ULL, 16ULL, 17ULL, 311ULL, 312ULL, 313ULL,
+          1000ULL}) {
+      EnginePair pair(21);
+      ExpectSameDraws(pair.engine, pair.reference, drawn);
+      pair.engine.discard(skip);
+      pair.reference.discard(skip);
+      SCOPED_TRACE(testing::Message() << drawn << " then " << skip);
+      ExpectSameDraws(pair.engine, pair.reference, 400);
+    }
+  }
+}
+
+TEST(MersenneTwister64Test, DistributionsAndShuffleMatchStd) {
+  EnginePair pair(33);
+  MersenneTwister64& engine = pair.engine;
+  std::mt19937_64& reference = pair.reference;
+  for (int i = 0; i < 300; ++i) {
+    std::uniform_int_distribution<uint64_t> bounded(0, 6 + i);
+    ASSERT_EQ(bounded(engine), bounded(reference));
+    std::uniform_int_distribution<int> signed_range(-5, 1000);
+    ASSERT_EQ(signed_range(engine), signed_range(reference));
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    ASSERT_EQ(unit(engine), unit(reference));
+  }
+  // The binomial draws Rng::Multinomial makes, small and large n (the
+  // large ones take the rejection branch). One distribution object per
+  // engine: libstdc++'s caches a normal variate between calls.
+  for (int64_t n : {int64_t{1}, int64_t{10}, int64_t{1000},
+                    int64_t{100000}}) {
+    for (double p : {0.01, 0.3, 0.5, 0.97}) {
+      std::binomial_distribution<int64_t> binomial(n, p);
+      std::binomial_distribution<int64_t> binomial_reference(n, p);
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_EQ(binomial(engine), binomial_reference(reference))
+            << "n " << n << " p " << p;
+      }
+    }
+  }
+  std::vector<int> shuffled(200), shuffled_reference(200);
+  std::iota(shuffled.begin(), shuffled.end(), 0);
+  std::iota(shuffled_reference.begin(), shuffled_reference.end(), 0);
+  std::shuffle(shuffled.begin(), shuffled.end(), engine);
+  std::shuffle(shuffled_reference.begin(), shuffled_reference.end(),
+               reference);
+  EXPECT_EQ(shuffled, shuffled_reference);
+  ExpectSameDraws(engine, reference, 100);
+}
+
+TEST(MersenneTwister64Test, RngStreamsSeedFromTheirStreamSeed) {
+  RngStreamFamily family(17);
+  for (uint64_t index : {uint64_t{0}, uint64_t{1}, uint64_t{999}}) {
+    Rng stream = family.Stream(index);
+    FourWordSeedSeq seq(family.StreamSeed(index));
+    std::mt19937_64 reference(seq);
+    ExpectSameDraws(stream.engine(), reference, 700);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // transcript bit-wise unchanged.
 
 #include <cstdint>
+#include <cstdio>
 #include <random>
 #include <vector>
 
@@ -79,8 +80,42 @@ TEST(FastSeedTest, GenericRequestLengthsMatchStdSeedSeq) {
   }
 }
 
+TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
+  Rng seed_source(5);
+  std::vector<uint32_t> want(kEngineSeedWords);
+  std::vector<uint32_t> portable(kSeedLanes * kEngineSeedWords);
+  std::vector<uint32_t> avx2(kSeedLanes * kEngineSeedWords);
+  bool have_avx2 = false;
+  for (int trial = 0; trial < 20; ++trial) {
+    uint64_t seeds[kSeedLanes];
+    for (uint64_t& s : seeds) s = seed_source.engine()();
+    if (trial == 0) {
+      seeds[0] = 0;
+      seeds[kSeedLanes - 1] = ~uint64_t{0};
+    }
+    GenerateSeedBlockPortable(seeds, portable.data());
+    have_avx2 = GenerateSeedBlockAvx2(seeds, avx2.data());
+    for (size_t l = 0; l < kSeedLanes; ++l) {
+      FourWordSeedSeq(seeds[l]).GenerateEngineWords(want.data());
+      const auto lane = [&](const std::vector<uint32_t>& block) {
+        return std::vector<uint32_t>(
+            block.begin() + l * kEngineSeedWords,
+            block.begin() + (l + 1) * kEngineSeedWords);
+      };
+      ASSERT_EQ(lane(portable), want) << "portable, seed " << seeds[l];
+      if (have_avx2) {
+        ASSERT_EQ(lane(avx2), want) << "avx2, seed " << seeds[l];
+      }
+    }
+  }
+  if (!have_avx2) {
+    std::printf("AVX2 body not checked: the CPU lacks AVX2\n");
+  }
+}
+
 TEST(FastSeedTest, SeedRngRangeMatchesPerPartyConstruction) {
   for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{15}, size_t{16}, size_t{17}, size_t{33},
                        size_t{64}, size_t{130}}) {
     std::vector<uint64_t> seeds(count);
     Rng seed_source(11 + count);

@@ -10,12 +10,14 @@
 
 #include "mdrr/core/estimator.h"
 #include "mdrr/core/rr_independent.h"
+#include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/linalg/lu.h"
 #include "mdrr/protocol/stream_ingest.h"
 #include "mdrr/release/planner.h"
 #include "mdrr/release/serialization.h"
 #include "mdrr/release/streaming.h"
+#include "mdrr/rng/counter_rng.h"
 #include "mdrr/rng/rng.h"
 
 namespace mdrr {
@@ -272,6 +274,37 @@ TEST(StreamingReleaseTest, TranscriptBitIdenticalAcrossIngestThreads) {
   }
 }
 
+// The range form seeds its mt19937 streams a lane block at a time; at
+// any unaligned (first, count) it must equal the per-report loop.
+TEST(StreamingReleaseTest, RandomizeReportsMatchesPerReportLoop) {
+  Dataset data = MakeSurvey(50, 37);
+  std::vector<RrMatrix> matrices;
+  for (size_t j = 0; j < data.num_attributes(); ++j) {
+    matrices.push_back(
+        RrMatrix::KeepUniform(data.attribute(j).cardinality(), 0.6));
+  }
+  const size_t m = matrices.size();
+  for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
+    release::ExecutionPolicy execution;
+    execution.rng = rng;
+    execution.seed = 23;
+    for (uint64_t first : {0, 1, 17, 40}) {
+      for (uint64_t count : {0, 1, 17, 40}) {
+        std::vector<uint32_t> range(count * m);
+        protocol::RandomizeReports(execution, matrices, data, first, count,
+                                   range.data());
+        std::vector<uint32_t> loop(count * m);
+        for (uint64_t k = 0; k < count; ++k) {
+          protocol::RandomizeReport(execution, matrices, data, first + k,
+                                    loop.data() + k * m);
+        }
+        EXPECT_EQ(range, loop) << "rng " << static_cast<int>(rng)
+                               << " first " << first << " count " << count;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Budget.
 // ---------------------------------------------------------------------------
@@ -419,38 +452,43 @@ TEST(StreamingSnapshotTest, KillResumeMatchesUninterruptedRun) {
   const std::string full_transcript =
       release::PrintStreamWindows(baseline.windows);
 
-  // 1000 pauses on a bucket boundary; 1130 pauses mid-bucket.
-  for (uint64_t pause_at : {uint64_t{1000}, uint64_t{1130}}) {
-    protocol::StreamingReplayOptions first_options;
-    first_options.total_reports = 2000;
-    first_options.pause_at = pause_at;
-    first_options.num_ingest_threads = 2;
-    protocol::StreamingReplayResult first =
-        MustReplay(spec, data, first_options);
-    ASSERT_TRUE(first.snapshot.has_value());
-    EXPECT_FALSE(first.finished);
-    EXPECT_EQ(first.snapshot->next_sequence, pause_at);
+  // 1000 pauses on a bucket boundary; 1130 pauses mid-bucket and
+  // mid-claim (producers claim blocks of kSeedLanes = 16 sequences, so
+  // with several producers more than one claim is clipped at it).
+  for (size_t threads : {size_t{1}, size_t{3}}) {
+    for (uint64_t pause_at : {uint64_t{1000}, uint64_t{1130}}) {
+      SCOPED_TRACE(testing::Message() << threads << " producers");
+      protocol::StreamingReplayOptions first_options;
+      first_options.total_reports = 2000;
+      first_options.pause_at = pause_at;
+      first_options.num_ingest_threads = threads;
+      protocol::StreamingReplayResult first =
+          MustReplay(spec, data, first_options);
+      ASSERT_TRUE(first.snapshot.has_value());
+      EXPECT_FALSE(first.finished);
+      EXPECT_EQ(first.snapshot->next_sequence, pause_at);
 
-    // The snapshot survives its own serialization on the way.
-    auto reloaded = release::ParseStreamingSnapshot(
-        release::PrintStreamingSnapshot(*first.snapshot));
-    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+      // The snapshot survives its own serialization on the way.
+      auto reloaded = release::ParseStreamingSnapshot(
+          release::PrintStreamingSnapshot(*first.snapshot));
+      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
 
-    protocol::StreamingReplayOptions second_options;
-    second_options.total_reports = 2000;
-    second_options.num_ingest_threads = 4;
-    second_options.resume = &reloaded.value();
-    protocol::StreamingReplayResult second =
-        MustReplay(spec, data, second_options);
-    EXPECT_TRUE(second.finished);
-    EXPECT_EQ(second.first_sequence, pause_at);
+      protocol::StreamingReplayOptions second_options;
+      second_options.total_reports = 2000;
+      second_options.num_ingest_threads = 4;
+      second_options.resume = &reloaded.value();
+      protocol::StreamingReplayResult second =
+          MustReplay(spec, data, second_options);
+      EXPECT_TRUE(second.finished);
+      EXPECT_EQ(second.first_sequence, pause_at);
 
-    std::vector<release::StreamWindow> combined = first.windows;
-    combined.insert(combined.end(), second.windows.begin(),
-                    second.windows.end());
-    EXPECT_EQ(release::PrintStreamWindows(combined), full_transcript)
-        << "pause_at " << pause_at;
-    EXPECT_DOUBLE_EQ(second.epsilon_spent, baseline.epsilon_spent);
+      std::vector<release::StreamWindow> combined = first.windows;
+      combined.insert(combined.end(), second.windows.begin(),
+                      second.windows.end());
+      EXPECT_EQ(release::PrintStreamWindows(combined), full_transcript)
+          << "pause_at " << pause_at;
+      EXPECT_DOUBLE_EQ(second.epsilon_spent, baseline.epsilon_spent);
+    }
   }
 }
 

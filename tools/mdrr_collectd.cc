@@ -36,10 +36,16 @@
 // ledger, and the sequence cursor.
 //
 // Exit status: 0 on success (including budget-suppressed windows --
-// that is the fail-closed degraded mode, not an error), 1 otherwise.
+// that is the fail-closed degraded mode, not an error), 1 otherwise --
+// including, before any work, an unknown flag or a numeric flag that is
+// not a non-negative integer, naming the flag.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +66,54 @@ using mdrr::Status;
 using mdrr::StatusOr;
 namespace release = mdrr::release;
 namespace protocol = mdrr::protocol;
+
+// The flags mdrr_collectd honours. Numeric ones must parse as integers
+// in [0, max]: FlagSet::GetInt would run "abc" at the default, and the
+// casts below would wrap "-5" to 2^64 - 5.
+constexpr const char* kTextFlags[] = {
+    "spec",   "input",       "no_header",     "snapshot_out",
+    "resume", "windows_out", "verify_replay", "connect"};
+struct NumberFlag {
+  const char* key;
+  int64_t max;
+};
+constexpr NumberFlag kNumberFlags[] = {
+    {"reports", std::numeric_limits<int64_t>::max()},
+    {"ingest_threads", std::numeric_limits<int64_t>::max()},
+    {"shards", std::numeric_limits<int64_t>::max()},
+    {"ring_buckets", std::numeric_limits<int64_t>::max()},
+    {"pause_at", std::numeric_limits<int64_t>::max()},
+    {"listen", std::numeric_limits<int64_t>::max()},
+    {"deadline_ms", std::numeric_limits<int64_t>::max()},
+    {"batch", std::numeric_limits<uint32_t>::max()},
+};
+
+Status ValidateFlags(const FlagSet& flags) {
+  for (const std::string& key : flags.Keys()) {
+    const auto number =
+        std::find_if(std::begin(kNumberFlags), std::end(kNumberFlags),
+                     [&key](const NumberFlag& flag) { return key == flag.key; });
+    if (number != std::end(kNumberFlags)) {
+      StatusOr<int64_t> parsed = mdrr::ParseInt64(flags.GetString(key, ""));
+      if (!parsed.ok()) {
+        return Status::InvalidArgument("--" + key + ": " +
+                                       parsed.status().message());
+      }
+      if (parsed.value() < 0) {
+        return Status::InvalidArgument("--" + key + " must not be negative");
+      }
+      if (parsed.value() > number->max) {
+        return Status::InvalidArgument("--" + key + " must be at most " +
+                                       std::to_string(number->max));
+      }
+    } else if (std::find(std::begin(kTextFlags), std::end(kTextFlags), key) ==
+               std::end(kTextFlags)) {
+      return Status::InvalidArgument("--" + key +
+                                     " is not an mdrr_collectd flag");
+    }
+  }
+  return Status::OK();
+}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -154,6 +208,8 @@ int ConnectSocket(const FlagSet& flags, const release::ReleaseSpec& spec,
 }
 
 int Main(const FlagSet& flags) {
+  Status valid = ValidateFlags(flags);
+  if (!valid.ok()) return Fail(valid);
   const std::string spec_path = flags.GetString("spec", "");
   const std::string input_path = flags.GetString("input", "");
   if (flags.Has("listen")) {
