@@ -19,8 +19,6 @@
 //                  the session stage is memory-bound in parties)
 //   --est_r=R      joint-domain cardinality of the estimation stages
 //                  (default 512)
-//   --json_out=F   write the stage table as JSON (BENCH_pipeline.json
-//                  baseline format)
 //
 // The rng-policy stage reads differently from every other row: its two
 // columns are the two RNG policies at the SAME thread count (t1 =
@@ -741,36 +739,6 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (const StageResult& stage : stages) {
     if (!stage.identical) ++failures;
-  }
-
-  std::string json_out = flags.GetString("json_out", "");
-  if (!json_out.empty()) {
-    std::FILE* f = std::fopen(json_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
-      return 1;
-    }
-    std::fprintf(f,
-                 "{\n  \"bench\": \"parallel_release_pipeline\",\n"
-                 "  \"n\": %zu,\n  \"session_n\": %zu,\n"
-                 "  \"threads\": %zu,\n  \"shard_size\": %zu,\n"
-                 "  \"est_r\": %zu,\n"
-                 "  \"stages\": [\n",
-                 n, session_n, threads, single.options().shard_size, est_r);
-    for (size_t i = 0; i < stages.size(); ++i) {
-      std::fprintf(
-          f,
-          "    {\"stage\": \"%s\", \"t1_seconds\": %.3f, "
-          "\"tN_seconds\": %.3f, \"speedup\": %.2f, "
-          "\"bit_identical\": %s}%s\n",
-          stages[i].name.c_str(), stages[i].t1, stages[i].tn,
-          stages[i].tn > 0.0 ? stages[i].t1 / stages[i].tn : 0.0,
-          stages[i].identical ? "true" : "false",
-          i + 1 < stages.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("# wrote %s\n", json_out.c_str());
   }
 
   if (failures > 0) {

@@ -99,13 +99,6 @@ class ChunkedDoubleAccumulator {
 
   size_t width() const { return width_; }
 
-  // Chunk rows this accumulator holds (the num_chunks it was built
-  // with). Wire codecs (net/wire.h) ship partial rows chunk-by-chunk
-  // and need the row count to bound what a peer may claim.
-  size_t num_chunks() const {
-    return stride_ == 0 ? 0 : slots_.size() / stride_;
-  }
-
  private:
   static constexpr size_t kDoublesPerCacheLine = 8;
 

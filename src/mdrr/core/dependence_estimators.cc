@@ -141,15 +141,6 @@ DependenceEstimate RandomizedResponseDependencesSharded(
   return result;
 }
 
-DependenceEstimate RandomizedResponseDependencesSharded(
-    const Dataset& dataset, double keep_probability, uint64_t seed,
-    const DependenceShardingOptions& sharding) {
-  DependenceEstimatorOptions options;
-  options.sharding = sharding;
-  return RandomizedResponseDependencesSharded(dataset, keep_probability, seed,
-                                              options);
-}
-
 StatusOr<DependenceEstimate> SecureSumDependences(
     const Dataset& dataset, mpc::SimulationMode mode, uint64_t seed,
     const DependenceEstimatorOptions& options) {
@@ -252,13 +243,6 @@ StatusOr<DependenceEstimate> SecureSumDependences(
   result.epsilon = std::numeric_limits<double>::infinity();
   result.messages = messages;
   return result;
-}
-
-StatusOr<DependenceEstimate> SecureSumDependences(const Dataset& dataset,
-                                                  mpc::SimulationMode mode,
-                                                  uint64_t seed) {
-  return SecureSumDependences(dataset, mode, seed,
-                              DependenceEstimatorOptions{});
 }
 
 StatusOr<DependenceEstimate> PairwiseRrDependences(
@@ -441,14 +425,6 @@ StatusOr<DependenceEstimate> PairwiseRrDependences(
   result.epsilon = max_pair_epsilon;
   result.messages = messages;
   return result;
-}
-
-StatusOr<DependenceEstimate> PairwiseRrDependences(const Dataset& dataset,
-                                                   double keep_probability,
-                                                   mpc::SimulationMode mode,
-                                                   uint64_t seed) {
-  return PairwiseRrDependences(dataset, keep_probability, mode, seed,
-                               DependenceEstimatorOptions{});
 }
 
 }  // namespace mdrr

@@ -81,12 +81,6 @@ DependenceEstimate RandomizedResponseDependencesSharded(
     const Dataset& dataset, double keep_probability, uint64_t seed,
     const DependenceEstimatorOptions& options);
 
-// Back-compat form: mt19937 publication + sharded statistics (exactly
-// the historical transcript).
-DependenceEstimate RandomizedResponseDependencesSharded(
-    const Dataset& dataset, double keep_probability, uint64_t seed,
-    const DependenceShardingOptions& sharding);
-
 // Section 4.2: exact bivariate distributions through the secure-sum
 // protocol; no masking, so no differential privacy (epsilon = +inf) but
 // unlinkability of pairs. `mode` selects literal vs fast simulation.
@@ -98,15 +92,11 @@ DependenceEstimate RandomizedResponseDependencesSharded(
 // record scan -- the secure sums are exact, so the sharded histogram IS
 // the protocol output -- while literal pairs stay serial (the share
 // exchange transcript is per pair). Output is bit-identical at every
-// thread count and shard grain under both RNG policies.
+// thread count and shard grain under both RNG policies; the default
+// options run one worker with mt19937 shares.
 StatusOr<DependenceEstimate> SecureSumDependences(
     const Dataset& dataset, mpc::SimulationMode mode, uint64_t seed,
-    const DependenceEstimatorOptions& options);
-
-// Sequential back-compat form (options = one worker, mt19937 shares).
-StatusOr<DependenceEstimate> SecureSumDependences(const Dataset& dataset,
-                                                  mpc::SimulationMode mode,
-                                                  uint64_t seed);
+    const DependenceEstimatorOptions& options = {});
 
 // Section 4.3: every attribute *pair* is masked with KeepUniform RR over
 // the pair domain, aggregated by secure sum, and the true bivariate
@@ -121,16 +111,10 @@ StatusOr<DependenceEstimate> SecureSumDependences(const Dataset& dataset,
 // shards too (element-addressed draws), while kMt19937 masking is
 // drawn sequentially per pair and only the counting shards. Output is
 // bit-identical at every thread count and shard grain under both RNG
-// policies.
+// policies; the default options run one worker with mt19937 draws.
 StatusOr<DependenceEstimate> PairwiseRrDependences(
     const Dataset& dataset, double keep_probability, mpc::SimulationMode mode,
-    uint64_t seed, const DependenceEstimatorOptions& options);
-
-// Sequential back-compat form (options = one worker, mt19937 draws).
-StatusOr<DependenceEstimate> PairwiseRrDependences(const Dataset& dataset,
-                                                   double keep_probability,
-                                                   mpc::SimulationMode mode,
-                                                   uint64_t seed);
+    uint64_t seed, const DependenceEstimatorOptions& options = {});
 
 }  // namespace mdrr
 

@@ -107,58 +107,5 @@ StatusOr<std::vector<uint32_t>> DecodeCodes(WireReader& reader) {
   return codes;
 }
 
-void EncodeFrequencyTable(const stats::FrequencyTable& table,
-                          WireWriter& writer) {
-  EncodeCounts(table.counts(), writer);
-}
-
-StatusOr<stats::FrequencyTable> DecodeFrequencyTable(WireReader& reader) {
-  MDRR_ASSIGN_OR_RETURN(std::vector<int64_t> counts, DecodeCounts(reader));
-  // FrequencyTable CHECKs non-negativity; on wire input that must be a
-  // Status, not a crash.
-  for (int64_t c : counts) {
-    if (c < 0) {
-      return Status::InvalidArgument("frequency table count is negative");
-    }
-  }
-  return stats::FrequencyTable(std::move(counts));
-}
-
-void EncodeChunkRows(const ChunkedDoubleAccumulator& acc, size_t first_chunk,
-                     size_t num_chunks, WireWriter& writer) {
-  writer.U64(num_chunks);
-  writer.U64(acc.width());
-  for (size_t c = first_chunk; c < first_chunk + num_chunks; ++c) {
-    writer.U64(c);
-    const double* row = acc.Row(c);
-    for (size_t j = 0; j < acc.width(); ++j) writer.F64(row[j]);
-  }
-}
-
-Status MergeChunkRowsInto(WireReader& reader, ChunkedDoubleAccumulator& acc) {
-  MDRR_ASSIGN_OR_RETURN(uint64_t num_rows, reader.U64());
-  MDRR_ASSIGN_OR_RETURN(uint64_t width, reader.U64());
-  if (width != acc.width()) {
-    return Status::InvalidArgument("chunk row width mismatch");
-  }
-  // Each row carries a u64 index plus `width` doubles.
-  if (width > 0 &&
-      num_rows > reader.remaining() / (8 + width * 8)) {
-    return Status::OutOfRange("claimed chunk row count exceeds buffer");
-  }
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    MDRR_ASSIGN_OR_RETURN(uint64_t chunk, reader.U64());
-    if (chunk >= acc.num_chunks()) {
-      return Status::OutOfRange("chunk index out of range");
-    }
-    double* row = acc.Row(static_cast<size_t>(chunk));
-    for (uint64_t j = 0; j < width; ++j) {
-      MDRR_ASSIGN_OR_RETURN(double v, reader.F64());
-      row[j] += v;
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace net
 }  // namespace mdrr

@@ -1,5 +1,5 @@
-// Wire codecs for the mergeable partial state that crosses the
-// coordinator/worker boundary.
+// Wire codecs for the values that cross the coordinator/worker
+// boundary: the RR matrix, count buffers and code columns.
 //
 // Everything here is a pure buffer transform (no sockets), so the fuzz
 // suite can drive the decoders with arbitrary bytes. Decoders validate
@@ -23,12 +23,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "mdrr/common/parallel.h"
-#include "mdrr/common/status.h"
 #include "mdrr/common/status_or.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/net/frame.h"
-#include "mdrr/stats/frequency.h"
 
 namespace mdrr {
 namespace net {
@@ -45,29 +42,6 @@ StatusOr<std::vector<int64_t>> DecodeCounts(WireReader& reader);
 
 void EncodeCodes(const uint32_t* codes, size_t len, WireWriter& writer);
 StatusOr<std::vector<uint32_t>> DecodeCodes(WireReader& reader);
-
-// --- FrequencyTable (sharded-histogram partials travel as their merged
-//     count vectors; integer merges commute, so this loses nothing) ---
-
-void EncodeFrequencyTable(const stats::FrequencyTable& table,
-                          WireWriter& writer);
-StatusOr<stats::FrequencyTable> DecodeFrequencyTable(WireReader& reader);
-
-// --- Chunk-ordered double partials ---
-//
-// ChunkedDoubleAccumulator rows must merge in ascending chunk order to
-// stay bit-identical (doubles don't commute). The codec ships rows
-// [first_chunk, first_chunk + num_chunks) tagged with their indices, and
-// the merge side adds each row into the matching row of a local
-// accumulator -- so the final ReduceInto still walks ascending chunk
-// order regardless of which peer computed which rows.
-
-void EncodeChunkRows(const ChunkedDoubleAccumulator& acc, size_t first_chunk,
-                     size_t num_chunks, WireWriter& writer);
-
-// Adds the encoded rows into `acc` (dimensions must match what was
-// encoded; out-of-range chunk indices or width mismatches fail).
-Status MergeChunkRowsInto(WireReader& reader, ChunkedDoubleAccumulator& acc);
 
 }  // namespace net
 }  // namespace mdrr

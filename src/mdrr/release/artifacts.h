@@ -35,8 +35,8 @@ struct ReleaseArtifacts {
   std::vector<std::vector<double>> marginal_estimates;
 
   // Records the estimates refer to. Redundant with randomized.num_rows()
-  // on a fresh run, but survives serialization, where the datasets live
-  // in CSV side files (see OutputSpec) rather than in the summary.
+  // on a fresh run, but printed in the summary, which leaves the
+  // datasets to the CSV side files (see OutputSpec).
   double num_records = 0.0;
 
   // Clusters mechanism only; defaulted otherwise.
@@ -71,7 +71,7 @@ struct ReleaseArtifacts {
 // weights (Algorithm 2) when adjustment ran, the cluster factorization
 // for the clusters mechanism, the joint estimate for the joint
 // mechanism, and the independent-marginals product otherwise. Fails on
-// artifacts with no payload (e.g. parsed summaries).
+// artifacts with no payload.
 StatusOr<std::unique_ptr<JointEstimate>> MakeJointEstimate(
     const ReleaseArtifacts& artifacts);
 

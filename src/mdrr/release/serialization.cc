@@ -458,123 +458,6 @@ std::string PrintReleaseArtifacts(const ReleaseArtifacts& artifacts) {
   return out;
 }
 
-StatusOr<ReleaseArtifacts> ParseReleaseArtifacts(const std::string& text) {
-  std::vector<SpecLine> lines = TokenizeLines(text);
-  MDRR_RETURN_IF_ERROR(ExpectHeader(lines, kArtifactsHeader));
-
-  ReleaseArtifacts artifacts;
-  uint64_t declared_marginals = 0;
-  uint64_t declared_clusters = 0;
-  uint64_t declared_dependence_rows = 0;
-  std::vector<std::vector<double>> dependence_rows;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const SpecLine& line = lines[i];
-    const std::string& key = line.key;
-    if (key == "records") {
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.num_records));
-    } else if (key == "release_epsilon") {
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.release_epsilon));
-    } else if (key == "dependence_epsilon") {
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.dependence_epsilon));
-    } else if (key == "marginals") {
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &declared_marginals));
-    } else if (key == "marginal") {
-      // "marginal <len> <p...>": the declared length is an integer, not
-      // a double (casting an arbitrary double would be UB for NaN or
-      // out-of-range values).
-      size_t declared = 0;
-      if (line.tokens.empty() || !ParseToken(line.tokens[0], &declared).ok() ||
-          declared + 1 != line.tokens.size()) {
-        return Status::InvalidArgument("malformed marginal line");
-      }
-      std::vector<double> marginal(declared);
-      for (size_t t = 0; t < declared; ++t) {
-        MDRR_RETURN_IF_ERROR(ParseToken(line.tokens[t + 1], &marginal[t]));
-      }
-      artifacts.marginal_estimates.push_back(std::move(marginal));
-    } else if (key == "clusters") {
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &declared_clusters));
-    } else if (key == "cluster") {
-      std::vector<size_t> cluster;
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &cluster));
-      if (cluster.empty()) {
-        return Status::InvalidArgument("empty cluster line");
-      }
-      artifacts.clustering.push_back(std::move(cluster));
-    } else if (key == "dependences") {
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &declared_dependence_rows));
-    } else if (key == "deprow") {
-      std::vector<double> row;
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &row));
-      dependence_rows.push_back(std::move(row));
-    } else if (key == "adjustment") {
-      if (line.tokens.size() != 3 ||
-          (line.tokens[1] != "0" && line.tokens[1] != "1")) {
-        return Status::InvalidArgument("malformed adjustment line");
-      }
-      AdjustmentResult adjustment;
-      MDRR_RETURN_IF_ERROR(
-          AtKey(line, ParseToken(line.tokens[0], &adjustment.iterations)));
-      adjustment.converged = line.tokens[1] == "1";
-      MDRR_RETURN_IF_ERROR(
-          ParseToken(line.tokens[2], &adjustment.max_marginal_gap));
-      if (artifacts.adjustment.has_value()) {
-        adjustment.weights = std::move(artifacts.adjustment->weights);
-      }
-      artifacts.adjustment = std::move(adjustment);
-    } else if (key == "weights") {
-      if (!artifacts.adjustment.has_value()) {
-        artifacts.adjustment.emplace();
-      }
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.adjustment->weights));
-    } else if (key == "utility.marginal_tv") {
-      if (!artifacts.utility.has_value()) artifacts.utility.emplace();
-      MDRR_RETURN_IF_ERROR(ParseValue(line, &artifacts.utility->marginal_tv));
-    } else if (key == "utility.median_relative_error") {
-      if (!artifacts.utility.has_value()) artifacts.utility.emplace();
-      MDRR_RETURN_IF_ERROR(
-          ParseValue(line, &artifacts.utility->median_relative_error));
-    } else if (key == "utility.max_dependence_shift") {
-      if (!artifacts.utility.has_value()) artifacts.utility.emplace();
-      MDRR_RETURN_IF_ERROR(
-          ParseValue(line, &artifacts.utility->max_dependence_shift));
-    } else if (key == "timing") {
-      if (line.tokens.size() != 2) {
-        return Status::InvalidArgument("malformed timing line");
-      }
-      StageTiming timing;
-      timing.stage = line.tokens[0];
-      MDRR_RETURN_IF_ERROR(ParseToken(line.tokens[1], &timing.seconds));
-      artifacts.timings.push_back(std::move(timing));
-    } else {
-      return Status::InvalidArgument("unknown artifacts key '" + key + "'");
-    }
-  }
-
-  if (artifacts.marginal_estimates.size() != declared_marginals) {
-    return Status::InvalidArgument("marginal count mismatch");
-  }
-  if (artifacts.clustering.size() != declared_clusters) {
-    return Status::InvalidArgument("cluster count mismatch");
-  }
-  if (dependence_rows.size() != declared_dependence_rows) {
-    return Status::InvalidArgument("dependence row count mismatch");
-  }
-  if (!dependence_rows.empty()) {
-    artifacts.dependences =
-        linalg::Matrix(dependence_rows.size(), dependence_rows.size());
-    for (size_t i = 0; i < dependence_rows.size(); ++i) {
-      if (dependence_rows[i].size() != dependence_rows.size()) {
-        return Status::InvalidArgument("dependence matrix is not square");
-      }
-      for (size_t j = 0; j < dependence_rows[i].size(); ++j) {
-        artifacts.dependences(i, j) = dependence_rows[i][j];
-      }
-    }
-  }
-  return artifacts;
-}
-
 Status WriteReleaseArtifacts(const ReleaseArtifacts& artifacts,
                              const std::string& path) {
   return WriteText(PrintReleaseArtifacts(artifacts), path);

@@ -14,7 +14,9 @@
 // only -- marginals, clustering, dependences, epsilons, adjustment
 // weights, utility scalars, timings. The randomized/synthetic datasets
 // are NOT embedded; they go to the CSV side files named by the spec's
-// OutputSpec. Print/Parse round-trips the summary exactly.
+// OutputSpec. The summary is write-only: no parser reads it back, but
+// every double prints at full precision, so any reader gets it
+// bit-exact.
 
 #ifndef MDRR_RELEASE_SERIALIZATION_H_
 #define MDRR_RELEASE_SERIALIZATION_H_
@@ -34,7 +36,6 @@ StatusOr<ReleaseSpec> ParseReleaseSpec(const std::string& text);
 StatusOr<ReleaseSpec> ReadReleaseSpec(const std::string& path);
 
 std::string PrintReleaseArtifacts(const ReleaseArtifacts& artifacts);
-StatusOr<ReleaseArtifacts> ParseReleaseArtifacts(const std::string& text);
 Status WriteReleaseArtifacts(const ReleaseArtifacts& artifacts,
                              const std::string& path);
 

@@ -265,13 +265,6 @@ TEST(RandomizedResponseShardedTest, MtReplaysSequentialTranscript) {
     DependenceEstimate sharded = RandomizedResponseDependencesSharded(
         ds, 0.7, 67, MakeOptions(RngKind::kMt19937, threads, 256));
     ExpectSameEstimate(sequential, sharded);
-    // The back-compat overload is the same mt19937 path.
-    DependenceShardingOptions sharding;
-    sharding.num_threads = threads;
-    sharding.record_chunk_size = 256;
-    DependenceEstimate compat =
-        RandomizedResponseDependencesSharded(ds, 0.7, 67, sharding);
-    ExpectSameEstimate(sequential, compat);
   }
 }
 

@@ -458,56 +458,7 @@ TEST(FuzzReleaseSpec, WrongValuePerKeyIsParsedOrRejected) {
   EXPECT_GT(rejected, 0u);
 }
 
-// Same for the artifacts summary parser (NaN/huge/negative declared
-// lengths, truncated matrices, garbage numbers).
-TEST(FuzzReleaseSpec, MutatedArtifactsTextNeverCrashes) {
-  const std::string text =
-      "mdrr-release-artifacts v1\n"
-      "records 100\n"
-      "release_epsilon 2.5\n"
-      "dependence_epsilon 0.5\n"
-      "marginals 2\n"
-      "marginal 2 0.25 0.75\n"
-      "marginal 3 0.5 0.25 0.25\n"
-      "clusters 1\n"
-      "cluster 0 1\n"
-      "dependences 2\n"
-      "deprow 1 0.3\n"
-      "deprow 0.3 1\n"
-      "adjustment 7 1 1e-10\n"
-      "weights 0.5 0.25 0.25\n"
-      "utility.marginal_tv 0.1 0.2\n"
-      "utility.median_relative_error 0.05\n"
-      "utility.max_dependence_shift 0.3\n"
-      "timing mechanism 0.25\n";
-  ASSERT_TRUE(release::ParseReleaseArtifacts(text).ok());
-
-  Rng rng(2027);
-  const char garbage[] = "#\n \t-eXz0987.,;inf nan 1e999";
-  for (int round = 0; round < 500; ++round) {
-    std::string mutated = text;
-    switch (rng.UniformInt(3)) {
-      case 0: {
-        size_t at = rng.UniformInt(mutated.size());
-        mutated[at] = garbage[rng.UniformInt(sizeof(garbage) - 1)];
-        break;
-      }
-      case 1: {
-        size_t at = rng.UniformInt(mutated.size());
-        mutated.erase(at, 1 + rng.UniformInt(40));
-        break;
-      }
-      default: {
-        size_t at = rng.UniformInt(mutated.size());
-        mutated.insert(at, &garbage[rng.UniformInt(sizeof(garbage) - 1)]);
-        break;
-      }
-    }
-    release::ParseReleaseArtifacts(mutated);  // ok or error, never a crash.
-  }
-}
-
-// And for the streaming-snapshot parser: a corrupted resume file must
+// Same for the streaming-snapshot parser: a corrupted resume file must
 // come back as a status (or parse into something Resume rejects), never
 // crash the collector.
 TEST(FuzzReleaseSpec, MutatedSnapshotTextNeverCrashes) {

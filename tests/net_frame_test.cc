@@ -8,12 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include "mdrr/common/parallel.h"
 #include "mdrr/net/frame.h"
 #include "mdrr/net/protocol.h"
 #include "mdrr/net/wire.h"
 #include "mdrr/rng/rng.h"
-#include "mdrr/stats/frequency.h"
 
 namespace mdrr {
 namespace net {
@@ -167,50 +165,6 @@ TEST(CountCodecTest, CodesRoundTrip) {
   auto decoded = DecodeCodes(reader);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value(), codes);
-}
-
-TEST(CountCodecTest, FrequencyTableRoundTrip) {
-  stats::FrequencyTable table(std::vector<int64_t>{4, 0, 9});
-  WireWriter writer;
-  EncodeFrequencyTable(table, writer);
-  std::vector<uint8_t> bytes = writer.Release();
-  WireReader reader(bytes);
-  auto decoded = DecodeFrequencyTable(reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().counts(), table.counts());
-}
-
-TEST(ChunkRowCodecTest, PartialRowsMergeAtTheRightChunks) {
-  ChunkedDoubleAccumulator source(4, 3);
-  for (size_t chunk = 0; chunk < 4; ++chunk) {
-    for (size_t i = 0; i < 3; ++i) {
-      source.Row(chunk)[i] = static_cast<double>(chunk * 10 + i) + 0.25;
-    }
-  }
-  // Ship chunks [1, 3) only.
-  WireWriter writer;
-  EncodeChunkRows(source, /*first_chunk=*/1, /*num_chunks=*/2, writer);
-  std::vector<uint8_t> bytes = writer.Release();
-
-  ChunkedDoubleAccumulator target(4, 3);
-  target.Row(1)[0] = 1.0;  // merge adds, it does not overwrite
-  WireReader reader(bytes);
-  ASSERT_TRUE(MergeChunkRowsInto(reader, target).ok());
-  EXPECT_EQ(target.Row(1)[0], source.Row(1)[0] + 1.0);
-  EXPECT_EQ(target.Row(1)[2], source.Row(1)[2]);
-  EXPECT_EQ(target.Row(2)[1], source.Row(2)[1]);
-  EXPECT_EQ(target.Row(0)[0], 0.0);
-  EXPECT_EQ(target.Row(3)[0], 0.0);
-}
-
-TEST(ChunkRowCodecTest, MergeRejectsWidthMismatch) {
-  ChunkedDoubleAccumulator source(2, 3);
-  WireWriter writer;
-  EncodeChunkRows(source, 0, 2, writer);
-  std::vector<uint8_t> bytes = writer.Release();
-  ChunkedDoubleAccumulator narrow(2, 2);
-  WireReader reader(bytes);
-  EXPECT_FALSE(MergeChunkRowsInto(reader, narrow).ok());
 }
 
 // --- Protocol messages ---

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "mdrr/common/parallel.h"
 #include "mdrr/net/frame.h"
 #include "mdrr/net/protocol.h"
 #include "mdrr/net/socket.h"
@@ -94,15 +93,6 @@ void ParseEverything(const std::vector<uint8_t>& bytes) {
     WireReader reader(bytes);
     (void)DecodeCodes(reader);
   }
-  {
-    WireReader reader(bytes);
-    (void)DecodeFrequencyTable(reader);
-  }
-  {
-    WireReader reader(bytes);
-    ChunkedDoubleAccumulator acc(4, 3);
-    (void)MergeChunkRowsInto(reader, acc);
-  }
 }
 
 TEST(NetFuzzTest, EveryTruncationOfEveryExemplarIsHandled) {
@@ -172,16 +162,6 @@ TEST(NetFuzzTest, HostileLengthClaimsFailBeforeAllocating) {
     // 0xFFFFFFFF each.
     for (size_t i = 8; i < 16; ++i) bytes[i] = 0xFF;
     EXPECT_FALSE(ParseStreamReport(bytes).ok());
-  }
-  // Chunk rows targeting indices beyond the local accumulator.
-  {
-    ChunkedDoubleAccumulator big(8, 2);
-    WireWriter writer;
-    EncodeChunkRows(big, /*first_chunk=*/6, /*num_chunks=*/2, writer);
-    std::vector<uint8_t> bytes = writer.Release();
-    ChunkedDoubleAccumulator small(4, 2);
-    WireReader reader(bytes);
-    EXPECT_FALSE(MergeChunkRowsInto(reader, small).ok());
   }
 }
 

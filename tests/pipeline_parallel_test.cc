@@ -121,13 +121,13 @@ TEST(ParallelDependenceTest, EveryMeasureIsThreadCountInvariant) {
 
 TEST(ParallelDependenceTest, RandomizedResponseShardedIsDeterministic) {
   Dataset data = SynthesizeAdult(1200, 5);
-  DependenceShardingOptions one;
-  one.num_threads = 1;
+  DependenceEstimatorOptions one;
+  one.sharding.num_threads = 1;
   DependenceEstimate baseline =
       RandomizedResponseDependencesSharded(data, 0.7, 99, one);
   for (size_t threads : kThreadSweep) {
-    DependenceShardingOptions options;
-    options.num_threads = threads;
+    DependenceEstimatorOptions options;
+    options.sharding.num_threads = threads;
     DependenceEstimate run =
         RandomizedResponseDependencesSharded(data, 0.7, 99, options);
     EXPECT_EQ(baseline.epsilon, run.epsilon);

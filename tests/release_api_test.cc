@@ -2,9 +2,16 @@
 // API: for every mechanism, the façade's output is bit-identical to the
 // corresponding direct stage-function / BatchPerturbationEngine
 // composition at the same seed, under both execution policies; specs
-// serialize losslessly; the budget cap and estimator builders behave.
+// serialize losslessly; the artifacts summary prints every double
+// exactly; the budget cap and estimator builders behave.
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -543,22 +550,29 @@ TEST(ReleaseSpecSerialization, IntegerKeysHonourTheirTypeRange) {
   }
 }
 
-TEST(ReleaseArtifactsSerialization, AdjustmentIterationsHonourIntRange) {
-  const std::string head =
-      "mdrr-release-artifacts v1\nmarginals 0\nclusters 0\ndependences 0\n";
-  auto fits = release::ParseReleaseArtifacts(head +
-                                             "adjustment 2147483647 1 0\n");
-  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
-  EXPECT_EQ(fits.value().adjustment->iterations, 2147483647);
-  auto wraps = release::ParseReleaseArtifacts(head +
-                                              "adjustment 4294967297 1 0\n");
-  ASSERT_FALSE(wraps.ok());
-  EXPECT_EQ(wraps.status().code(), StatusCode::kInvalidArgument);
+// --- The artifacts summary prints every section, each double exactly. ---
+
+// Bit patterns, so -0.0 vs 0.0 and NaN payloads count as differences.
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  return bits;
 }
 
-// --- Artifacts serialization round-trips the summary. ---
+// Reads tokens [skip, end) back through std::strtod; each token must be
+// consumed whole.
+std::vector<double> ReadDoubles(const std::vector<std::string>& tokens,
+                                size_t skip = 0) {
+  std::vector<double> values;
+  for (size_t t = skip; t < tokens.size(); ++t) {
+    char* end = nullptr;
+    values.push_back(std::strtod(tokens[t].c_str(), &end));
+    EXPECT_EQ(*end, '\0') << tokens[t];
+  }
+  return values;
+}
 
-TEST(ReleaseArtifactsSerialization, SummaryRoundTrips) {
+TEST(ReleaseArtifactsSerialization, SummaryPrintsEverySectionBitExact) {
   Dataset data = TestData();
   release::ReleaseSpec spec = BaseSpec(release::MechanismKind::kClusters,
                                        release::PolicyKind::kSequential);
@@ -568,18 +582,102 @@ TEST(ReleaseArtifactsSerialization, SummaryRoundTrips) {
   spec.evaluation.queries_per_sigma = 4;
   spec.evaluation.sigmas = {0.3};
   release::ReleaseArtifacts artifacts = MustRun(spec, data);
+  ASSERT_FALSE(artifacts.clustering.empty());
+  ASSERT_GT(artifacts.dependences.rows(), 0u);
+  ASSERT_TRUE(artifacts.adjustment.has_value());
+  ASSERT_TRUE(artifacts.utility.has_value());
+  ASSERT_FALSE(artifacts.timings.empty());
 
-  std::string text = release::PrintReleaseArtifacts(artifacts);
-  auto parsed = release::ParseReleaseArtifacts(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(release::PrintReleaseArtifacts(parsed.value()), text);
-  EXPECT_EQ(parsed.value().num_records, artifacts.num_records);
-  EXPECT_EQ(parsed.value().marginal_estimates, artifacts.marginal_estimates);
-  EXPECT_EQ(parsed.value().clustering, artifacts.clustering);
-  EXPECT_EQ(parsed.value().adjustment->weights,
-            artifacts.adjustment->weights);
-  EXPECT_EQ(parsed.value().utility->marginal_tv,
-            artifacts.utility->marginal_tv);
+  // Each line's value tokens, grouped by key in print order.
+  std::istringstream text(release::PrintReleaseArtifacts(artifacts));
+  std::string line;
+  ASSERT_TRUE(std::getline(text, line));
+  EXPECT_EQ(line, "mdrr-release-artifacts v1");
+  std::map<std::string, std::vector<std::vector<std::string>>> lines;
+  while (std::getline(text, line)) {
+    std::istringstream tokens(line);
+    std::string key;
+    tokens >> key;
+    std::vector<std::string>& values = lines[key].emplace_back();
+    for (std::string token; tokens >> token;) values.push_back(token);
+  }
+  const std::set<std::string> expected_keys = {
+      "records", "release_epsilon", "dependence_epsilon", "marginals",
+      "marginal", "clusters", "cluster", "dependences", "deprow",
+      "adjustment", "weights", "utility.marginal_tv",
+      "utility.median_relative_error", "utility.max_dependence_shift",
+      "timing"};
+  std::set<std::string> keys;
+  for (const auto& [key, unused] : lines) keys.insert(key);
+  ASSERT_EQ(keys, expected_keys);
+
+  // A key printed once with exactly these doubles.
+  auto expect_doubles = [&lines](const std::string& key,
+                                 const std::vector<double>& values) {
+    ASSERT_EQ(lines[key].size(), 1u) << key;
+    EXPECT_EQ(Bits(ReadDoubles(lines[key][0])), Bits(values)) << key;
+  };
+  expect_doubles("records", {artifacts.num_records});
+  expect_doubles("release_epsilon", {artifacts.release_epsilon});
+  expect_doubles("dependence_epsilon", {artifacts.dependence_epsilon});
+  expect_doubles("utility.marginal_tv", artifacts.utility->marginal_tv);
+  expect_doubles("utility.median_relative_error",
+                 artifacts.utility->median_relative_error);
+  expect_doubles("utility.max_dependence_shift",
+                 {artifacts.utility->max_dependence_shift});
+  expect_doubles("weights", artifacts.adjustment->weights);
+
+  // "marginal <len> <p...>", one line per attribute.
+  const size_t m = artifacts.marginal_estimates.size();
+  EXPECT_EQ(lines["marginals"], (std::vector<std::vector<std::string>>{
+                                    {std::to_string(m)}}));
+  ASSERT_EQ(lines["marginal"].size(), m);
+  for (size_t i = 0; i < m; ++i) {
+    const std::vector<double>& marginal = artifacts.marginal_estimates[i];
+    EXPECT_EQ(lines["marginal"][i][0], std::to_string(marginal.size()));
+    EXPECT_EQ(Bits(ReadDoubles(lines["marginal"][i], 1)), Bits(marginal));
+  }
+
+  const size_t k = artifacts.clustering.size();
+  EXPECT_EQ(lines["clusters"], (std::vector<std::vector<std::string>>{
+                                   {std::to_string(k)}}));
+  ASSERT_EQ(lines["cluster"].size(), k);
+  for (size_t c = 0; c < k; ++c) {
+    std::vector<std::string> attributes;
+    for (size_t j : artifacts.clustering[c]) {
+      attributes.push_back(std::to_string(j));
+    }
+    EXPECT_EQ(lines["cluster"][c], attributes);
+  }
+
+  const linalg::Matrix& dependences = artifacts.dependences;
+  EXPECT_EQ(lines["dependences"],
+            (std::vector<std::vector<std::string>>{
+                {std::to_string(dependences.rows())}}));
+  ASSERT_EQ(lines["deprow"].size(), dependences.rows());
+  for (size_t i = 0; i < dependences.rows(); ++i) {
+    std::vector<double> row(dependences.cols());
+    for (size_t j = 0; j < row.size(); ++j) row[j] = dependences(i, j);
+    EXPECT_EQ(Bits(ReadDoubles(lines["deprow"][i])), Bits(row));
+  }
+
+  // "adjustment <iterations> <converged 0|1> <max_marginal_gap>".
+  ASSERT_EQ(lines["adjustment"].size(), 1u);
+  const std::vector<std::string>& adjustment = lines["adjustment"][0];
+  ASSERT_EQ(adjustment.size(), 3u);
+  EXPECT_EQ(adjustment[0], std::to_string(artifacts.adjustment->iterations));
+  EXPECT_EQ(adjustment[1], artifacts.adjustment->converged ? "1" : "0");
+  EXPECT_EQ(Bits(ReadDoubles(adjustment, 2)),
+            Bits({artifacts.adjustment->max_marginal_gap}));
+
+  // "timing <stage> <seconds>", one line per stage in run order.
+  ASSERT_EQ(lines["timing"].size(), artifacts.timings.size());
+  for (size_t t = 0; t < artifacts.timings.size(); ++t) {
+    ASSERT_EQ(lines["timing"][t].size(), 2u);
+    EXPECT_EQ(lines["timing"][t][0], artifacts.timings[t].stage);
+    EXPECT_EQ(Bits(ReadDoubles(lines["timing"][t], 1)),
+              Bits({artifacts.timings[t].seconds}));
+  }
 }
 
 // --- Budget cap and estimator builder. ---

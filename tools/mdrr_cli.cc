@@ -79,6 +79,10 @@
 //   mdrr_cli risk --r=4 [--p=0.7] [--prior=0.4,0.3,0.2,0.1]
 //       Disclosure-risk analysis of a KeepUniform design: epsilon,
 //       posterior best-guess confidences, expected attacker success.
+//       --r must be >= 2 and --p in [0, 1].
+//
+//   Every command rejects, by name and with exit 1, any flag it does not
+//   honour and any malformed number.
 
 #include <algorithm>
 #include <cmath>
@@ -114,6 +118,20 @@ int Fail(const Status& status) {
   return 1;
 }
 
+// Rejects, by name, any given flag outside `honoured`: a flag the
+// command does not read is an error, never silently ignored.
+template <typename List>
+Status OnlyHonoured(const FlagSet& flags, const List& honoured,
+                    const std::string& why) {
+  for (const std::string& key : flags.Keys()) {
+    if (std::find(std::begin(honoured), std::end(honoured), key) ==
+        std::end(honoured)) {
+      return Status::InvalidArgument("--" + key + " " + why);
+    }
+  }
+  return Status::OK();
+}
+
 StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   std::string path = flags.GetString("input", "");
   if (path.empty()) {
@@ -122,7 +140,11 @@ StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   return mdrr::ReadCsvDataset(path, !flags.GetBool("no_header", false));
 }
 
+constexpr const char* kSchemaFlags[] = {"input", "no_header"};
+
 int CmdSchema(const FlagSet& flags) {
+  Status honoured = OnlyHonoured(flags, kSchemaFlags, "is not a schema flag");
+  if (!honoured.ok()) return Fail(honoured);
   auto dataset = LoadInput(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   std::printf("%zu records, %zu attributes\n", dataset.value().num_rows(),
@@ -158,9 +180,9 @@ void PrintMarginals(const Dataset& released,
   }
 }
 
-// A numeric `run` flag. FlagSet's getters fall back to the default on
-// a malformed value; a release must never run with a number nobody
-// asked for, so a value `parse` refuses is an error naming the flag.
+// A numeric flag. FlagSet's getters fall back to the default on a
+// malformed value; a command must never run with a number nobody asked
+// for, so a value `parse` refuses is an error naming the flag.
 template <typename T>
 StatusOr<T> NumberFlag(const FlagSet& flags, const std::string& key,
                        T default_value,
@@ -336,20 +358,11 @@ constexpr const char* kFlagModeFlags[] = {
 StatusOr<mdrr::release::ReleaseSpec> RunSpecFromFlags(const FlagSet& flags) {
   namespace release = mdrr::release;
   const bool spec_mode = flags.Has("spec");
-  for (const std::string& key : flags.Keys()) {
-    const auto honours = [&key](const auto& list) {
-      return std::find(std::begin(list), std::end(list), key) !=
-             std::end(list);
-    };
-    if (spec_mode && !honours(kSpecModeFlags)) {
-      return Status::InvalidArgument(
-          "--" + key + " is not honoured with --spec; set it in the spec "
-          "file instead");
-    }
-    if (!spec_mode && !honours(kFlagModeFlags)) {
-      return Status::InvalidArgument("--" + key + " is not a run flag");
-    }
-  }
+  MDRR_RETURN_IF_ERROR(
+      spec_mode ? OnlyHonoured(flags, kSpecModeFlags,
+                               "is not honoured with --spec; set it in the "
+                               "spec file instead")
+                : OnlyHonoured(flags, kFlagModeFlags, "is not a run flag"));
   release::ReleaseSpec spec;
   if (spec_mode) {
     MDRR_ASSIGN_OR_RETURN(
@@ -480,11 +493,15 @@ void MarginalTvStats(const Dataset& original,
   if (m > 0) *mean_tv /= static_cast<double>(m);
 }
 
+constexpr const char* kSweepFlags[] = {"specs"};
+
 // Runs every spec file in --specs=DIR and prints one combined
 // utility/risk table. Failures become error rows; the sweep continues.
 int CmdSweep(const FlagSet& flags) {
   namespace fs = std::filesystem;
   namespace release = mdrr::release;
+  Status honoured = OnlyHonoured(flags, kSweepFlags, "is not a sweep flag");
+  if (!honoured.ok()) return Fail(honoured);
   const std::string dir = flags.GetString("specs", "");
   if (dir.empty()) {
     return Fail(Status::InvalidArgument("--specs=DIR is required"));
@@ -601,46 +618,59 @@ int CmdSweep(const FlagSet& flags) {
   return failures == 0 ? 0 : 1;
 }
 
-int CmdRisk(const FlagSet& flags) {
-  const size_t r = static_cast<size_t>(flags.GetInt("r", 4));
-  const double p = flags.GetDouble("p", 0.7);
-  if (r < 2) return Fail(Status::InvalidArgument("--r must be >= 2"));
+constexpr const char* kRiskFlags[] = {"r", "p", "prior"};
+
+Status PrintRisk(const FlagSet& flags) {
+  MDRR_RETURN_IF_ERROR(OnlyHonoured(flags, kRiskFlags, "is not a risk flag"));
+  MDRR_ASSIGN_OR_RETURN(const int64_t r_flag, IntFlag(flags, "r", 4));
+  if (r_flag < 2) return Status::InvalidArgument("--r must be >= 2");
+  const size_t r = static_cast<size_t>(r_flag);
+  MDRR_ASSIGN_OR_RETURN(const double p, DoubleFlag(flags, "p", 0.7));
+  if (!(p >= 0.0 && p <= 1.0)) {
+    return Status::InvalidArgument("--p must be in [0, 1]");
+  }
 
   std::vector<double> prior(r, 1.0 / static_cast<double>(r));
   std::string prior_flag = flags.GetString("prior", "");
   if (!prior_flag.empty()) {
     std::vector<std::string> parts = mdrr::Split(prior_flag, ',');
     if (parts.size() != r) {
-      return Fail(Status::InvalidArgument(
-          "--prior must list exactly r probabilities"));
+      return Status::InvalidArgument(
+          "--prior must list exactly r probabilities");
     }
     for (size_t v = 0; v < r; ++v) {
-      auto parsed = mdrr::ParseDouble(parts[v]);
-      if (!parsed.ok()) return Fail(parsed.status());
+      StatusOr<double> parsed = mdrr::ParseDouble(parts[v]);
+      if (!parsed.ok()) {
+        return Status::InvalidArgument("--prior: " +
+                                       parsed.status().message());
+      }
       prior[v] = parsed.value();
     }
   }
 
   mdrr::RrMatrix matrix = mdrr::RrMatrix::KeepUniform(r, p);
+  MDRR_ASSIGN_OR_RETURN(const std::vector<double> confidence,
+                        mdrr::BestGuessConfidence(matrix, prior));
+  MDRR_ASSIGN_OR_RETURN(const double expected,
+                        mdrr::ExpectedDisclosureRisk(matrix, prior));
+
   std::printf("design: KeepUniform(r=%zu, p=%.2f)\n", r, p);
   std::printf("  epsilon (Expression 4):        %.4f\n", matrix.Epsilon());
   std::printf("  condition number Pmax/Pmin:    %.4f\n",
               matrix.ConditionNumber());
-
-  auto confidence = mdrr::BestGuessConfidence(matrix, prior);
-  if (!confidence.ok()) return Fail(confidence.status());
-  auto expected = mdrr::ExpectedDisclosureRisk(matrix, prior);
-  if (!expected.ok()) return Fail(expected.status());
-
   std::printf("  prior baseline attacker success: %.4f\n",
               mdrr::PriorBaselineRisk(prior));
-  std::printf("  expected attacker success:       %.4f\n",
-              expected.value());
+  std::printf("  expected attacker success:       %.4f\n", expected);
   std::printf("  best-guess confidence per observed value:\n");
   for (size_t v = 0; v < r; ++v) {
-    std::printf("    Y=%zu: %.4f\n", v, confidence.value()[v]);
+    std::printf("    Y=%zu: %.4f\n", v, confidence[v]);
   }
-  return 0;
+  return Status::OK();
+}
+
+int CmdRisk(const FlagSet& flags) {
+  const Status status = PrintRisk(flags);
+  return status.ok() ? 0 : Fail(status);
 }
 
 }  // namespace
