@@ -5,12 +5,14 @@
 // Implements exactly the subset of the google-benchmark API this repo
 // uses: State iteration, range(), iterations(), SetItemsProcessed,
 // SetComplexityN, DoNotOptimize, BENCHMARK with ->Arg / ->Range /
-// ->RangeMultiplier / ->Complexity, BENCHMARK_MAIN, and a substring
-// --benchmark_filter=. Timing is adaptive (each case is rerun with a
-// growing iteration count until it accumulates enough wall time for a
-// stable per-iteration figure). Numbers from this harness are
-// comparable run-to-run on one machine, not to numbers from the real
-// library.
+// ->RangeMultiplier / ->Complexity, BENCHMARK_MAIN, and a
+// --benchmark_filter= of '|'-separated substrings (a benchmark runs if its
+// name contains any of them; a filter that matches nothing exits 1, so a
+// renamed benchmark cannot silently drop out of a run). Timing is
+// adaptive (each case is rerun with a growing iteration count until it
+// accumulates enough wall time for a stable per-iteration figure).
+// Numbers from this harness are comparable run-to-run on one machine, not
+// to numbers from the real library.
 
 #ifndef MDRR_BENCH_COMPAT_BENCHMARK_BENCHMARK_H_
 #define MDRR_BENCH_COMPAT_BENCHMARK_BENCHMARK_H_
@@ -190,6 +192,20 @@ inline void RunOne(const Benchmark& bench,
   }
 }
 
+// Whether `name` contains any '|'-separated alternative of `filter`
+// (an empty filter matches everything).
+inline bool MatchesFilter(const std::string& name, const std::string& filter) {
+  if (filter.empty()) return true;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = filter.find('|', begin);
+    const std::string part = filter.substr(begin, end - begin);
+    if (!part.empty() && name.find(part) != std::string::npos) return true;
+    if (end == std::string::npos) return false;
+    begin = end + 1;
+  }
+}
+
 inline int RunAllBenchmarks(int argc, char** argv) {
   std::string filter;
   for (int i = 1; i < argc; ++i) {
@@ -201,14 +217,18 @@ inline int RunAllBenchmarks(int argc, char** argv) {
   std::printf("# fallback timer harness (libbenchmark not found at "
               "configure time)\n");
   std::printf("%-48s %16s %18s\n", "benchmark", "time/iter", "iterations");
+  size_t matched = 0;
   for (Benchmark* bench : Registry()) {
-    if (!filter.empty() &&
-        bench->name().find(filter) == std::string::npos) {
-      continue;
-    }
+    if (!MatchesFilter(bench->name(), filter)) continue;
+    ++matched;
     for (const std::vector<int64_t>& args : bench->RunSets()) {
       RunOne(*bench, args);
     }
+  }
+  if (matched == 0) {
+    std::fprintf(stderr, "no benchmark matches --benchmark_filter=%s\n",
+                 filter.c_str());
+    return 1;
   }
   return 0;
 }

@@ -3,14 +3,18 @@
 // composition, empirical distributions, the full RR-Independent
 // protocol on Adult-sized data, and the per-report mt19937 stream
 // set-up (seed expansion, engine seeding, sustained draws) that
-// streaming ingest pays once per report.
+// streaming ingest pays once per report, and Algorithm 2 over the
+// RR-Clusters groups of a batch release.
 
 #include <cstdint>
+#include <cstdlib>
 #include <random>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "mdrr/core/adjustment.h"
+#include "mdrr/core/batch_engine.h"
 #include "mdrr/core/estimator.h"
 #include "mdrr/core/rr_independent.h"
 #include "mdrr/core/rr_matrix.h"
@@ -160,6 +164,39 @@ void BM_EngineSustainedDraws(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_EngineSustainedDraws)->Arg(0)->Arg(1);
+
+// Algorithm 2 (cell index + IPF sweeps) at the spec defaults over the
+// cluster groups of 200k synthetic-Adult records (RR-Clusters with the
+// Section 4.1 dependence round, keep probability 0.7). The release is
+// built once, untimed; the arg is the thread count.
+void BM_RunRrAdjustment(benchmark::State& state) {
+  static const auto* const kInput = [] {
+    struct Input {
+      std::vector<mdrr::AdjustmentGroup> groups;
+      size_t num_records;
+    };
+    mdrr::Dataset adult = mdrr::SynthesizeAdult(200000, 13);
+    mdrr::BatchPerturbationOptions engine_options;
+    engine_options.num_threads = 4;
+    mdrr::RrClustersOptions cluster_options;
+    cluster_options.dependence_source =
+        mdrr::DependenceSource::kRandomizedResponse;
+    auto release = mdrr::BatchPerturbationEngine(engine_options)
+                       .RunClusters(adult, cluster_options);
+    if (!release.ok()) std::abort();
+    return new Input{mdrr::GroupsFromClusters(*release), adult.num_rows()};
+  }();
+  mdrr::AdjustmentOptions options;
+  options.num_threads = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    auto result =
+        mdrr::RunRrAdjustment(kInput->groups, kInput->num_records, options);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kInput->num_records));
+}
+BENCHMARK(BM_RunRrAdjustment)->Arg(1)->Arg(4);
 
 }  // namespace
 

@@ -59,97 +59,266 @@ struct CellIndex {
   std::vector<uint32_t> cell_of;
 };
 
-// Builds the cell index in one sequential scan, numbering cells in order
-// of first appearance, so the cells never depend on the thread count.
-// Tuples are looked up in an open-addressing table of 64-bit slots: the
-// high half holds the tuple hash's high half, the low half the cell
-// number + 1 (0 marks an empty slot). A tag match is confirmed by
-// comparing the full tuple with the cell's first record, so distinct
-// tuples never share a cell, for any domain sizes.
+// The code tuples of the records, hashed and compared across all groups.
+class TupleKeys {
+ public:
+  explicit TupleKeys(const std::vector<const uint32_t*>& record_codes)
+      : record_codes_(record_codes) {}
+
+  uint64_t Hash(size_t i) const {
+    uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (const uint32_t* codes : record_codes_) {
+      h = (h ^ codes[i]) * 0xff51afd7ed558ccdull;
+      h ^= h >> 32;
+    }
+    h *= 0xc4ceb9fe1a85ec53ull;
+    return h ^ (h >> 29);
+  }
+
+  void Prefetch(size_t i) const {
+    for (const uint32_t* codes : record_codes_) __builtin_prefetch(&codes[i]);
+  }
+
+  bool Equal(size_t a, size_t b) const {
+    for (const uint32_t* codes : record_codes_) {
+      if (codes[a] != codes[b]) return false;
+    }
+    return true;
+  }
+
+ private:
+  const std::vector<const uint32_t*>& record_codes_;
+};
+
+constexpr uint32_t kNoCell = ~uint32_t{0};
+
+// The power-of-two slot count (>= 2) a table starts at for `cells` cells.
+size_t TableSlots(size_t cells) {
+  size_t size = 2;
+  while (size < cells) size *= 2;
+  return size;
+}
+
+// Distinct tuples numbered in order of first insertion. Tuples are looked
+// up in an open-addressing table of 64-bit slots: the high half holds the
+// tuple hash's high half, the low half the cell number + 1 (0 marks an
+// empty slot). A tag match is confirmed by comparing the full tuple with
+// the cell's first record, so distinct tuples never share a cell, for any
+// domain sizes. The table runs on caller-owned zeroed slots and moves to
+// storage of its own, twice the size, only when it would pass half full;
+// the move recomputes each cell's hash from its first record instead of
+// storing it.
+class CellTable {
+ public:
+  // `slots[0, num_slots)`: zeroed, num_slots a power of two. `first`
+  // receives each new cell's first record.
+  CellTable(const TupleKeys& keys, uint64_t* slots, size_t num_slots,
+            std::vector<uint32_t>& first)
+      : keys_(keys), slots_(slots), mask_(num_slots - 1), first_(first) {}
+
+  void Prefetch(uint64_t hash) const {
+    __builtin_prefetch(&slots_[hash & mask_]);
+  }
+
+  // The cell of record `record` (tuple hash `hash`), numbering its tuple
+  // as a new cell if unseen -- or kNoCell if that cell would be number
+  // `max_cells`.
+  uint32_t FindOrAdd(uint32_t record, uint64_t hash, size_t max_cells) {
+    size_t pos = Probe(hash, record);
+    if (slots_[pos] != 0) return static_cast<uint32_t>(slots_[pos]) - 1;
+    if (first_.size() == max_cells) return kNoCell;
+    if (2 * (first_.size() + 1) > mask_ + 1) {
+      Grow();
+      pos = Probe(hash, record);
+    }
+    const uint32_t cell = static_cast<uint32_t>(first_.size());
+    first_.push_back(record);
+    slots_[pos] = (hash & kTagMask) | (uint64_t{cell} + 1);
+    return cell;
+  }
+
+ private:
+  static constexpr uint64_t kTagMask = ~uint64_t{0xffffffff};
+
+  // The slot holding the tuple of `record`, or the empty slot ending its
+  // probe sequence.
+  size_t Probe(uint64_t hash, uint32_t record) const {
+    const uint64_t tag = hash & kTagMask;
+    size_t pos = hash & mask_;
+    while (slots_[pos] != 0 &&
+           ((slots_[pos] & kTagMask) != tag ||
+            !keys_.Equal(first_[static_cast<uint32_t>(slots_[pos]) - 1],
+                         record))) {
+      pos = (pos + 1) & mask_;
+    }
+    return pos;
+  }
+
+  void Grow() {
+    std::vector<uint64_t> grown(2 * (mask_ + 1), 0);
+    mask_ = grown.size() - 1;
+    for (size_t c = 0; c < first_.size(); ++c) {
+      const uint64_t hash = keys_.Hash(first_[c]);
+      size_t pos = hash & mask_;
+      while (grown[pos] != 0) pos = (pos + 1) & mask_;
+      grown[pos] = (hash & kTagMask) | (uint64_t{c} + 1);
+    }
+    own_slots_.swap(grown);
+    slots_ = own_slots_.data();
+  }
+
+  const TupleKeys& keys_;
+  uint64_t* slots_;
+  size_t mask_;
+  std::vector<uint64_t> own_slots_;
+  std::vector<uint32_t>& first_;
+};
+
+// Calls visit(k, cell) for k in [0, count) with the cell of record
+// record_of(k), in ascending k. Table probes miss the cache, so the loop
+// hashes kLookahead items ahead and prefetches their slots, and prefetches
+// the codes it will hash kLookahead items before that (the merge's
+// records are sparse). Returns false, having stopped, as soon as a new
+// cell would be number `max_cells`.
+template <typename RecordOf, typename Visit>
+bool NumberCells(CellTable& table, const TupleKeys& keys, size_t count,
+                 size_t max_cells, RecordOf record_of, Visit visit) {
+  constexpr size_t kLookahead = 16;
+  uint64_t hashes_ahead[kLookahead];
+  for (size_t k = 0; k < std::min(kLookahead, count); ++k) {
+    hashes_ahead[k] = keys.Hash(record_of(k));
+  }
+  for (size_t k = 0; k < count; ++k) {
+    const uint64_t h = hashes_ahead[k % kLookahead];
+    if (k + kLookahead < count) {
+      const uint64_t next = keys.Hash(record_of(k + kLookahead));
+      hashes_ahead[k % kLookahead] = next;
+      table.Prefetch(next);
+    }
+    if (k + 2 * kLookahead < count) {
+      keys.Prefetch(record_of(k + 2 * kLookahead));
+    }
+    const uint32_t cell = table.FindOrAdd(record_of(k), h, max_cells);
+    if (cell == kNoCell) return false;
+    visit(k, cell);
+  }
+  return true;
+}
+
+// One contiguous range of records and its own cells, numbered in order of
+// first appearance within the range.
+struct CellPart {
+  // first[c] is the first record of the part's cell c until the merge,
+  // which overwrites it with the cell's global number.
+  std::vector<uint32_t> first;
+  // count[c] is the number of the part's records in its cell c.
+  std::vector<uint32_t> count;
+  bool complete = false;
+};
+
+// Builds the cell index with cells numbered in order of first appearance,
+// so the cells never depend on the thread count. The records are split
+// into one contiguous part per worker, and each part numbers its own
+// cells in parallel (cell_of then holds part-local cells). One serial
+// merge walks the parts' cells in part order and gives each tuple the
+// global number of its first appearance, summing the parts' counts; the
+// parts' first-record arrays become their local-to-global maps, and a
+// parallel pass rewrites cell_of through them.
 //
-// The scan stops as soon as more than half the records would need a cell
-// of their own. The cell sweeps would then save less than half the work
-// of sweeping records, while the index costs a scan, a gather and memory
-// per record, so every record becomes its own cell instead. The same
-// bound keeps the table, with at least `num_records` slots, at most half
-// full.
+// The build stops as soon as more than half the records would need a
+// cell of their own (a part alone passing that bound stops early). The
+// cell sweeps would then save less than half the work of sweeping
+// records, while the index costs a scan, a gather and memory per record,
+// so every record becomes its own cell instead.
 CellIndex BuildCellIndex(const std::vector<AdjustmentGroup>& groups,
                          size_t num_records, size_t chunk_size,
                          size_t num_threads) {
-  constexpr uint64_t kTagMask = ~uint64_t{0xffffffff};
   const size_t num_groups = groups.size();
   const size_t max_cells = num_records / 2;
   std::vector<const uint32_t*> record_codes(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
     record_codes[g] = groups[g].codes.data();
   }
+  const TupleKeys keys(record_codes);
+  CellIndex records;
+  records.num_cells = num_records;
+  records.codes = record_codes;
 
-  auto hash_of = [&](size_t i) {
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const uint32_t* codes : record_codes) {
-      h = (h ^ codes[i]) * 0xff51afd7ed558ccdull;
-      h ^= h >> 32;
-    }
-    h *= 0xc4ceb9fe1a85ec53ull;
-    return h ^ (h >> 29);
-  };
-
+  // Every buffer is allocated here, on the calling thread, so the
+  // workers' malloc arenas never hold (and keep) them; only a part table
+  // that passes half full grows on its worker. Part p's table is
+  // slots[slot_begin[p], slot_begin[p + 1]): one zeroed buffer, sized
+  // like a single table of num_records slots, that the merge table reuses
+  // and that is freed as one block, so the heap is left no more
+  // fragmented than by one table.
+  const size_t workers =
+      ResolveWorkerCount(num_threads, num_records, chunk_size);
+  const size_t part_size = (num_records + workers - 1) / workers;
+  const size_t num_parts = NumChunks(num_records, part_size);
   CellIndex index;
-  size_t table_size = 1;
-  while (table_size < num_records) table_size *= 2;
-  std::vector<uint64_t> table(table_size, 0);
-  const size_t mask = table_size - 1;
-  // first[c] is cell c's first record.
+  index.cell_of.resize(num_records);
+  std::vector<CellPart> parts(num_parts);
+  std::vector<size_t> slot_begin(num_parts + 1, 0);
+  for (size_t p = 0; p < num_parts; ++p) {
+    const size_t size = std::min(part_size, num_records - p * part_size);
+    parts[p].first.reserve(std::min(size, max_cells));
+    parts[p].count.reserve(std::min(size, max_cells));
+    slot_begin[p + 1] = slot_begin[p] + TableSlots(size);
+  }
+  std::vector<uint64_t> slots(slot_begin[num_parts], 0);
+  ParallelChunks(
+      num_records, part_size, num_parts,
+      [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
+        CellPart& part = parts[p];
+        CellTable table(keys, slots.data() + slot_begin[p],
+                        slot_begin[p + 1] - slot_begin[p], part.first);
+        part.complete = NumberCells(
+            table, keys, end - begin, max_cells,
+            [&](size_t k) { return static_cast<uint32_t>(begin + k); },
+            [&](size_t k, uint32_t cell) {
+              index.cell_of[begin + k] = cell;
+              if (cell == part.count.size()) part.count.push_back(0);
+              ++part.count[cell];
+            });
+      });
+  size_t local_cells = 0;
+  for (const CellPart& part : parts) {
+    if (!part.complete) return records;
+    local_cells += part.first.size();
+  }
+
+  // The merge table's TableSlots(<= num_records / 2) slots fit in the
+  // buffer, which holds at least num_records.
+  const size_t merged_cells = std::min(local_cells, max_cells);
+  const size_t merge_slots = TableSlots(merged_cells);
+  std::fill_n(slots.data(), merge_slots, 0);
   std::vector<uint32_t> first;
-  index.cell_of.reserve(num_records);
-  // Table probes miss the cache, so the scan hashes kLookahead records
-  // ahead and prefetches their slots; hashes_ahead[i % kLookahead] holds
-  // record i's hash.
-  constexpr size_t kLookahead = 16;
-  uint64_t hashes_ahead[kLookahead];
-  for (size_t i = 0; i < std::min(kLookahead, num_records); ++i) {
-    hashes_ahead[i] = hash_of(i);
-  }
-  for (size_t i = 0; i < num_records; ++i) {
-    const uint64_t h = hashes_ahead[i % kLookahead];
-    if (i + kLookahead < num_records) {
-      const uint64_t next = hash_of(i + kLookahead);
-      hashes_ahead[i % kLookahead] = next;
-      __builtin_prefetch(&table[next & mask]);
+  first.reserve(merged_cells);
+  index.count.reserve(merged_cells);
+  {
+    CellTable merged(keys, slots.data(), merge_slots, first);
+    for (CellPart& part : parts) {
+      const bool complete = NumberCells(
+          merged, keys, part.first.size(), max_cells,
+          [&](size_t c) { return part.first[c]; },
+          [&](size_t c, uint32_t cell) {
+            if (cell == index.count.size()) index.count.push_back(0);
+            index.count[cell] += part.count[c];
+            part.first[c] = cell;
+          });
+      if (!complete) return records;
+      std::vector<uint32_t>().swap(part.count);
     }
-    const uint64_t tag = h & kTagMask;
-    size_t pos = h & mask;
-    uint32_t cell = 0;
-    while (true) {
-      const uint64_t slot = table[pos];
-      if (slot == 0) {
-        if (first.size() == max_cells) {
-          CellIndex records;
-          records.num_cells = num_records;
-          records.codes = record_codes;
-          return records;
-        }
-        cell = static_cast<uint32_t>(first.size());
-        first.push_back(static_cast<uint32_t>(i));
-        index.count.push_back(0);
-        table[pos] = tag | (uint64_t{cell} + 1);
-        break;
-      }
-      if ((slot & kTagMask) == tag) {
-        cell = static_cast<uint32_t>(slot) - 1;
-        const size_t r = first[cell];
-        size_t g = 0;
-        while (g < num_groups && record_codes[g][r] == record_codes[g][i]) {
-          ++g;
-        }
-        if (g == num_groups) break;
-      }
-      pos = (pos + 1) & mask;
-    }
-    ++index.count[cell];
-    index.cell_of.push_back(cell);
   }
-  std::vector<uint64_t>().swap(table);
+  std::vector<uint64_t>().swap(slots);
+  ParallelChunks(num_records, part_size, num_parts,
+                 [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
+                   const uint32_t* global = parts[p].first.data();
+                   for (size_t i = begin; i < end; ++i) {
+                     index.cell_of[i] = global[index.cell_of[i]];
+                   }
+                 });
+  parts.clear();
 
   // Copy each cell's tuple out of its first record.
   index.num_cells = first.size();

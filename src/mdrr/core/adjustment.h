@@ -28,9 +28,10 @@ struct AdjustmentOptions {
   // Converged when the largest absolute gap between an implied marginal
   // entry and its target falls below this.
   double tolerance = 1e-9;
-  // Worker threads for the per-iteration cell sweeps; 0 means one per
-  // hardware core. Never changes results: partial marginal sums are
-  // merged in chunk order, which depends only on (the cell count,
+  // Worker threads for the cell-index build and the per-iteration cell
+  // sweeps; 0 means one per hardware core. Never changes results: the
+  // cells are numbered by first appearance, and partial marginal sums
+  // are merged in chunk order, which depends only on (the cell count,
   // chunk_size).
   size_t num_threads = 1;
   // Cells (distinct group-code tuples) per reduction chunk. Part of the
@@ -56,11 +57,16 @@ struct AdjustmentResult {
 //
 // Records with the same code in every group (one "cell") receive the
 // same ratio at every step, so the fit runs over the distinct code
-// tuples, each weighted by its record count. One sequential scan numbers
-// the cells in order of first appearance (exact tuple keys, any domain
-// sizes). If more than half the records would need a cell, cells would
-// save less than half the sweep work, so the scan stops and every record
-// is its own cell. Each iteration then performs exactly one parallel pass
+// tuples, each weighted by its record count. The cells are numbered in
+// order of first appearance (exact tuple keys, any domain sizes): the
+// records are split into one contiguous part per worker, each part
+// numbers its own tuples in parallel, and one merge walks the parts in
+// order, giving every tuple the number of its first appearance; a
+// parallel pass then renumbers the records' cells. If more than half the
+// records would need a cell, cells would save less than half the sweep
+// work, so the build stops and every record is its own cell. The cells
+// and that decision never depend on the thread count. Each iteration
+// then performs exactly one parallel pass
 // over the cells per group: pass g applies group g-1's reweighting ratio
 // (with the renormalization folded into the ratio table, so no separate
 // normalization scan exists) while accumulating group g's implied

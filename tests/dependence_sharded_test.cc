@@ -305,6 +305,16 @@ TEST(DependenceTranscriptGoldens, SecureSumLiteralTranscript) {
   EXPECT_EQ(HashMatrix(run.value().dependences), 0xdc9ced8855ec02b1ull);
 }
 
+TEST(DependenceTranscriptGoldens, RandomizedResponseMtTranscript) {
+  // The mt19937 publication draws one sequential stream over all
+  // attributes (MtReplaysSequentialTranscript only compares two paths
+  // that share it); this pin fixes the stream's words themselves.
+  Dataset ds = MakeLadderDataset(400, 71);
+  DependenceEstimate run = RandomizedResponseDependencesSharded(
+      ds, 0.7, 89, MakeOptions(RngKind::kMt19937, 4, 64));
+  EXPECT_EQ(HashMatrix(run.dependences), 0xadd133a770a50325ull);
+}
+
 TEST(DependenceTranscriptGoldens, RandomizedResponsePhiloxTranscript) {
   Dataset ds = MakeLadderDataset(400, 71);
   DependenceEstimate run = RandomizedResponseDependencesSharded(

@@ -5,6 +5,7 @@
 // fixed seed. Plus a regression pinning the fused Algorithm 2 rewrite
 // to the sequential seed implementation's convergence behavior.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -380,6 +381,113 @@ TEST(ParallelAdjustmentTest, ConvergesInSameIterationCountAsReference) {
     EXPECT_NEAR(fused.value().max_marginal_gap, reference.max_marginal_gap,
                 1e-9)
         << "case " << k;
+  }
+}
+
+// --- Cell-index edge cases ---
+
+// The cell index splits the records into one contiguous part per worker
+// (ceil(n / workers) records each; the chunk size below leaves the worker
+// count at the thread count), numbers each part's cells in parallel and
+// merges them in part order. These inputs stress the part boundaries; at
+// every thread count the weights must equal the one-part run bit for bit.
+constexpr size_t kCellRecords = 1000;
+constexpr size_t kCellChunk = 16;
+constexpr size_t kCellThreads[] = {2, 3, 4, 7};
+
+size_t FirstPartSize(size_t threads) {
+  return (kCellRecords + threads - 1) / threads;
+}
+
+// Two groups over tuple ids (id % 25, id / 25), with reachable targets.
+std::vector<AdjustmentGroup> GroupsFromTuples(
+    const std::vector<uint32_t>& tuple_of, uint64_t seed) {
+  uint32_t max_tuple = 0;
+  for (uint32_t t : tuple_of) max_tuple = std::max(max_tuple, t);
+  std::vector<AdjustmentGroup> groups(2);
+  for (uint32_t t : tuple_of) {
+    groups[0].codes.push_back(t % 25);
+    groups[1].codes.push_back(t / 25);
+  }
+  Rng rng(seed);
+  groups[0].target = ReachableTarget(groups[0].codes, 25, rng);
+  groups[1].target = ReachableTarget(groups[1].codes, max_tuple / 25 + 1, rng);
+  return groups;
+}
+
+void ExpectSameAsOnePart(const std::vector<AdjustmentGroup>& groups,
+                         size_t threads, const char* name) {
+  AdjustmentOptions options;
+  options.max_iterations = 60;
+  options.tolerance = 1e-12;
+  options.chunk_size = kCellChunk;
+  options.num_threads = 1;
+  auto baseline = RunRrAdjustment(groups, kCellRecords, options);
+  options.num_threads = threads;
+  auto run = RunRrAdjustment(groups, kCellRecords, options);
+  ASSERT_TRUE(baseline.ok()) << name;
+  ASSERT_TRUE(run.ok()) << name << " threads=" << threads;
+  EXPECT_EQ(baseline.value().weights, run.value().weights)
+      << name << " threads=" << threads;
+  EXPECT_EQ(baseline.value().iterations, run.value().iterations)
+      << name << " threads=" << threads;
+  EXPECT_EQ(baseline.value().max_marginal_gap, run.value().max_marginal_gap)
+      << name << " threads=" << threads;
+}
+
+TEST(CellIndexPartsTest, HalfTheRecordsBoundaryCrossedInTheLastPart) {
+  // Tuples 0..499 first appear in records 0..499; the rest of the
+  // records repeat them, except that with 501 tuples the new one first
+  // appears at record 990, inside the last part at every thread count.
+  // 500 tuples over 1000 records run as cells, 501 as records.
+  for (size_t num_tuples : {500, 501}) {
+    Rng rng(43);
+    std::vector<uint32_t> tuple_of(kCellRecords);
+    for (size_t i = 0; i < kCellRecords; ++i) {
+      tuple_of[i] = static_cast<uint32_t>(i < 500 ? i : rng.UniformInt(500));
+    }
+    if (num_tuples == 501) tuple_of[990] = 500;
+    const auto groups = GroupsFromTuples(tuple_of, 47);
+    for (size_t threads : kCellThreads) {
+      ASSERT_GE(990u, (threads - 1) * FirstPartSize(threads));
+      ExpectSameAsOnePart(groups, threads,
+                          num_tuples == 500 ? "500 tuples" : "501 tuples");
+    }
+  }
+}
+
+TEST(CellIndexPartsTest, DistinctFirstPartGrowsItsTable) {
+  // A part's table starts at the power of two >= the part size and grows
+  // once it would pass half full. The first part opens with one distinct
+  // tuple more than that half, so its table grows, and then repeats them,
+  // so the grown table is searched; every later record repeats one of
+  // them too, which keeps the whole input at <= n / 2 cells.
+  for (size_t threads : kCellThreads) {
+    const size_t first_part = FirstPartSize(threads);
+    size_t slots = 1;
+    while (slots < first_part) slots *= 2;
+    const size_t distinct = slots / 2 + 1;
+    ASSERT_LE(distinct, first_part);
+    Rng rng(53 + threads);
+    std::vector<uint32_t> tuple_of(kCellRecords);
+    for (size_t i = 0; i < kCellRecords; ++i) {
+      tuple_of[i] = static_cast<uint32_t>(
+          i < distinct ? i : rng.UniformInt(distinct));
+    }
+    ExpectSameAsOnePart(GroupsFromTuples(tuple_of, 59), threads,
+                        "distinct first part");
+  }
+}
+
+TEST(CellIndexPartsTest, AllDistinctAndAllIdenticalInputs) {
+  std::vector<uint32_t> distinct(kCellRecords);
+  std::iota(distinct.begin(), distinct.end(), 0u);
+  const std::vector<uint32_t> identical(kCellRecords, 7);
+  for (size_t threads : kCellThreads) {
+    ExpectSameAsOnePart(GroupsFromTuples(distinct, 61), threads,
+                        "all distinct");
+    ExpectSameAsOnePart(GroupsFromTuples(identical, 67), threads,
+                        "all identical");
   }
 }
 

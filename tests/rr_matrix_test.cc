@@ -202,6 +202,34 @@ TEST(RrMatrixTest, DenseRandomizeMatchesRow) {
   EXPECT_NEAR(counts[2] / static_cast<double>(trials), 0.2, 0.01);
 }
 
+// FNV-1a pin of the mt19937 column transcript: the mixed (alpha in
+// (0, 1)) and uniform-replacement (alpha = 1) loops at several domain
+// sizes, over enough records that each column crosses at least three
+// 312-word twist cycles of the engine.
+TEST(RrMatrixTest, RandomizeColumnMtTranscript) {
+  constexpr size_t kRecords = 1200;
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t r : {2, 9, 30}) {
+    std::vector<uint32_t> codes(kRecords);
+    for (size_t i = 0; i < kRecords; ++i) {
+      codes[i] = static_cast<uint32_t>((i * 7 + i / r) % r);
+    }
+    for (double keep : {0.6, 0.0}) {
+      Rng rng(1000 + r);
+      std::vector<uint32_t> out;
+      RrMatrix::KeepUniform(r, keep).RandomizeColumnInto(codes, rng, out);
+      ASSERT_EQ(out.size(), kRecords);
+      for (uint32_t y : out) {
+        for (int k = 0; k < 4; ++k) {
+          h ^= (y >> (8 * k)) & 0xffu;
+          h *= 0x100000001b3ull;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0x0f8b247d18915349ull);
+}
+
 TEST(RrMatrixTest, RandomizeColumnLength) {
   RrMatrix m = RrMatrix::KeepUniform(4, 0.5);
   Rng rng(5);

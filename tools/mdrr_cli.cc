@@ -79,7 +79,8 @@
 //   mdrr_cli risk --r=4 [--p=0.7] [--prior=0.4,0.3,0.2,0.1]
 //       Disclosure-risk analysis of a KeepUniform design: epsilon,
 //       posterior best-guess confidences, expected attacker success.
-//       --r must be >= 2 and --p in [0, 1].
+//       --r must be in [2, 4096] (the posterior is a dense r x r
+//       matrix) and --p in [0, 1].
 //
 //   Every command rejects, by name and with exit 1, any flag it does not
 //   honour and any malformed number.
@@ -619,11 +620,18 @@ int CmdSweep(const FlagSet& flags) {
 }
 
 constexpr const char* kRiskFlags[] = {"r", "p", "prior"};
+// The posterior is a dense r x r matrix: 4096^2 doubles are 128 MiB.
+constexpr int64_t kMaxRiskDomain = 4096;
 
 Status PrintRisk(const FlagSet& flags) {
   MDRR_RETURN_IF_ERROR(OnlyHonoured(flags, kRiskFlags, "is not a risk flag"));
   MDRR_ASSIGN_OR_RETURN(const int64_t r_flag, IntFlag(flags, "r", 4));
   if (r_flag < 2) return Status::InvalidArgument("--r must be >= 2");
+  if (r_flag > kMaxRiskDomain) {
+    return Status::InvalidArgument(
+        "--r must be <= " + std::to_string(kMaxRiskDomain) +
+        " (the posterior is a dense r x r matrix)");
+  }
   const size_t r = static_cast<size_t>(r_flag);
   MDRR_ASSIGN_OR_RETURN(const double p, DoubleFlag(flags, "p", 0.7));
   if (!(p >= 0.0 && p <= 1.0)) {
