@@ -3,8 +3,9 @@
 // composition, empirical distributions, the full RR-Independent
 // protocol on Adult-sized data, and the per-report mt19937 stream
 // set-up (seed expansion, engine seeding, sustained draws) that
-// streaming ingest pays once per report, and Algorithm 2 over the
-// RR-Clusters groups of a batch release.
+// streaming ingest pays once per report, Algorithm 2 over the
+// RR-Clusters groups of a batch release, and the distributed release's
+// wire codecs.
 
 #include <cstdint>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/domain.h"
+#include "mdrr/net/protocol.h"
 #include "mdrr/rng/alias_sampler.h"
 #include "mdrr/rng/fast_seed.h"
 #include "mdrr/rng/rng.h"
@@ -197,6 +199,53 @@ void BM_RunRrAdjustment(benchmark::State& state) {
                           static_cast<int64_t>(kInput->num_records));
 }
 BENCHMARK(BM_RunRrAdjustment)->Arg(1)->Arg(4);
+
+// The wire codecs on one worker's share of a 1M-record column at 2
+// workers: 8 shards of 65 536 codes (2 MiB) under a structured matrix.
+// Arg: 0 encode AssignShards, 1 parse it, 2 encode PartialResult, 3 parse
+// it.
+void BM_WireCodecs(benchmark::State& state) {
+  constexpr size_t kShards = 8;
+  constexpr size_t kShardSize = 65536;
+  const mdrr::RrMatrix matrix = mdrr::RrMatrix::KeepUniform(16, 0.7);
+  mdrr::Rng rng(5);
+  mdrr::net::AssignShardsMsg assign;
+  assign.matrix.emplace(matrix);
+  mdrr::net::PartialResultMsg partial;
+  partial.counts.assign(matrix.size(), 0);
+  for (size_t s = 0; s < kShards; ++s) {
+    std::vector<uint32_t> codes(kShardSize);
+    for (uint32_t& code : codes) {
+      code = static_cast<uint32_t>(rng.UniformInt(matrix.size()));
+      ++partial.counts[code];
+    }
+    assign.shards.push_back({2 * s, 2 * s * kShardSize, codes});
+    partial.shards.push_back({2 * s, std::move(codes)});
+  }
+  const std::vector<uint8_t> assign_bytes =
+      mdrr::net::EncodeAssignShards(assign);
+  const std::vector<uint8_t> partial_bytes =
+      mdrr::net::EncodePartialResult(partial);
+  const int64_t op = state.range(0);
+  for (auto _ : state) {
+    if (op == 0) {
+      benchmark::DoNotOptimize(mdrr::net::EncodeAssignShards(assign));
+    } else if (op == 1) {
+      auto parsed = mdrr::net::ParseAssignShards(assign_bytes);
+      if (!parsed.ok()) std::abort();
+      benchmark::DoNotOptimize(parsed);
+    } else if (op == 2) {
+      benchmark::DoNotOptimize(mdrr::net::EncodePartialResult(partial));
+    } else {
+      auto parsed = mdrr::net::ParsePartialResult(partial_bytes);
+      if (!parsed.ok()) std::abort();
+      benchmark::DoNotOptimize(parsed);
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kShards * kShardSize));
+}
+BENCHMARK(BM_WireCodecs)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 }  // namespace
 

@@ -4,19 +4,31 @@
 // The coordinator owns the listen socket and one connection per worker.
 // PerturbColumn cuts the column into the SAME shard grid the threaded
 // BatchPerturbationEngine would use (NumChunks of the configured
-// shard_size), deals shard s to worker s mod W, sends every assignment,
-// then collects one PartialResult per participating worker. Slices land
-// at their global offsets and counts merge through FrequencyTable::Absorb
+// shard_size) and deals shard s to worker s mod W. Each worker's shards
+// stream out as AssignShards frames of one shard group each (one shard
+// under a structured matrix; as many as it takes for the codes to
+// outweigh a dense matrix, which every frame repeats), and its replies
+// stream back in the same order. Slices land at their global offsets and
+// per-worker counts merge through FrequencyTable::Absorb in worker order
 // (integer sums commute), so for a fixed (seed, shard_size, rng) the
 // assembled column is bit-identical to the in-process sharded engine for
 // ANY worker count -- the contract distributed_release_test.cc and the
-// release-distributed bench stage assert.
+// distributed-independent benchmark workload assert.
+//
+// Every connection gets a sender thread and a receiver thread for the
+// column. The sender never waits on the receiver, and the receiver reads
+// each reply as soon as it arrives, so a worker blocked writing a reply
+// is always drained and the sender's next frame always finds a reader:
+// no frame or column size can deadlock on full socket buffers.
 //
 // Failure is fail-closed: any send/recv error, malformed reply, deadline,
 // or worker disconnect poisons the coordinator -- the current and all
 // later PerturbColumn calls fail, Commit refuses, and the caller aborts
-// the release without publishing anything. There are no retries: a
-// re-sent shard could double-count if the first reply was in flight.
+// the release without publishing anything. The first failure shuts every
+// worker socket down so blocked sibling threads return at once, and it
+// is the status the coordinator keeps, not a sibling's consequent
+// broken pipe. There are no retries: a re-sent shard could double-count
+// if the first reply was in flight.
 
 #ifndef MDRR_NET_COORDINATOR_H_
 #define MDRR_NET_COORDINATOR_H_

@@ -11,10 +11,17 @@
 // protocol error, rejected before any allocation.
 //
 // WireWriter/WireReader are the primitive serializers every payload codec
-// builds on. The reader is fully bounds-checked and returns Status on
-// truncation -- frames can come from untrusted peers, so decoders must
-// never index past the buffer or trust embedded lengths (see
-// net_fuzz_test.cc).
+// builds on. Scalars go one at a time; code columns, count buffers and
+// dense matrix rows go through the array primitives, which write the
+// same little-endian bytes with one buffer resize (or one bounds check)
+// per array instead of one per element. The reader is fully
+// bounds-checked and returns Status on truncation -- frames can come
+// from untrusted peers, so decoders must never index past the buffer or
+// trust embedded lengths (see net_fuzz_test.cc).
+//
+// The coordinator streams a column as one AssignShards frame per shard
+// group (protocol.h), so a frame holds a few shards' codes, never a
+// whole column.
 
 #ifndef MDRR_NET_FRAME_H_
 #define MDRR_NET_FRAME_H_
@@ -22,6 +29,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mdrr/common/status.h"
@@ -37,9 +45,9 @@ inline constexpr uint32_t kProtocolMagic = 0x4d445252;
 // Bumped on any incompatible wire change. Handshakes reject mismatches.
 inline constexpr uint32_t kProtocolVersion = 1;
 
-// Hard upper bound on a frame payload (1 GiB). Large enough for any shard
-// assignment at realistic grains, small enough that a hostile length
-// prefix cannot drive an unbounded allocation.
+// Hard upper bound on a frame payload (1 GiB). Far above any shard
+// group's assignment, small enough that a hostile length prefix cannot
+// drive an unbounded allocation.
 inline constexpr uint32_t kMaxFramePayload = 1u << 30;
 
 enum class FrameType : uint8_t {
@@ -65,6 +73,26 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
+// The unsigned word each array element travels as: its own bits for the
+// integers, the IEEE-754 bit pattern for doubles.
+template <typename T>
+using WordOf = std::conditional_t<sizeof(T) == 4, uint32_t, uint64_t>;
+
+template <typename T>
+WordOf<T> ToWord(T value) {
+  static_assert(sizeof(T) == sizeof(WordOf<T>), "4- or 8-byte elements");
+  WordOf<T> word;
+  std::memcpy(&word, &value, sizeof(word));
+  return word;
+}
+
+template <typename T>
+T FromWord(WordOf<T> word) {
+  T value;
+  std::memcpy(&value, &word, sizeof(value));
+  return value;
+}
+
 // Appends little-endian primitives to a byte buffer.
 class WireWriter {
  public:
@@ -86,17 +114,22 @@ class WireWriter {
 
   // IEEE-754 bit pattern, so doubles round-trip exactly (the determinism
   // contract is bitwise; "close" is a failure).
-  void F64(double v) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
+  void F64(double v) { U64(ToWord(v)); }
+
+  // Arrays: the same bytes as one U32/I64/F64 per element, written by
+  // growing the buffer once and shifting each word out over the raw
+  // pointer, so a column encodes at memory speed on any host.
+  void U32Array(const uint32_t* values, size_t n) { PutWords(values, n); }
+  void I64Array(const int64_t* values, size_t n) { PutWords(values, n); }
+  void F64Array(const double* values, size_t n) { PutWords(values, n); }
 
   void Bytes(const void* data, size_t len) {
     const uint8_t* p = static_cast<const uint8_t*>(data);
     buffer_.insert(buffer_.end(), p, p + len);
   }
+
+  // Capacity hint for encoders that know their exact size.
+  void Reserve(size_t bytes) { buffer_.reserve(buffer_.size() + bytes); }
 
   // u32 length prefix + raw bytes.
   void String(const std::string& s) {
@@ -108,6 +141,19 @@ class WireWriter {
   std::vector<uint8_t> Release() { return std::move(buffer_); }
 
  private:
+  template <typename T>
+  void PutWords(const T* values, size_t n) {
+    const size_t at = buffer_.size();
+    buffer_.resize(at + n * sizeof(T));
+    uint8_t* out = buffer_.data() + at;
+    for (size_t i = 0; i < n; ++i, out += sizeof(T)) {
+      const WordOf<T> word = ToWord(values[i]);
+      for (size_t b = 0; b < sizeof(T); ++b) {
+        out[b] = static_cast<uint8_t>(word >> (8 * b));
+      }
+    }
+  }
+
   std::vector<uint8_t> buffer_;
 };
 
@@ -159,10 +205,7 @@ class WireReader {
   StatusOr<double> F64() {
     auto bits = U64();
     if (!bits.ok()) return bits.status();
-    double v;
-    uint64_t b = bits.value();
-    std::memcpy(&v, &b, sizeof(v));
-    return v;
+    return FromWord<double>(bits.value());
   }
 
   StatusOr<std::string> String() {
@@ -174,6 +217,24 @@ class WireReader {
     return s;
   }
 
+  // Array reads: one bounds check for all `n` elements, then the
+  // shift loop that inverts WireWriter's.
+  Status U32Array(uint32_t* out, size_t n) { return GetWords(out, n); }
+  Status I64Array(int64_t* out, size_t n) { return GetWords(out, n); }
+  Status F64Array(double* out, size_t n) { return GetWords(out, n); }
+
+  // Fails unless `claimed` elements of at least `element_bytes` each fit
+  // in what is left, so a decoder can reject a hostile length before
+  // allocating for it.
+  Status CheckClaimed(uint64_t claimed, size_t element_bytes,
+                      const char* what) const {
+    if (claimed > remaining() / element_bytes) {
+      return Status::OutOfRange(std::string("claimed ") + what +
+                                " exceeds buffer");
+    }
+    return Status::OK();
+  }
+
   Status Skip(size_t n) {
     if (remaining() < n) return Truncated("skip");
     pos_ += n;
@@ -181,6 +242,21 @@ class WireReader {
   }
 
  private:
+  template <typename T>
+  Status GetWords(T* out, size_t n) {
+    if (remaining() / sizeof(T) < n) return Truncated("array");
+    const uint8_t* in = data_ + pos_;
+    for (size_t i = 0; i < n; ++i, in += sizeof(T)) {
+      WordOf<T> word = 0;
+      for (size_t b = 0; b < sizeof(T); ++b) {
+        word |= static_cast<WordOf<T>>(in[b]) << (8 * b);
+      }
+      out[i] = FromWord<T>(word);
+    }
+    pos_ += n * sizeof(T);
+    return Status::OK();
+  }
+
   static Status Truncated(const char* what) {
     return Status::OutOfRange(std::string("wire buffer truncated reading ") +
                               what);

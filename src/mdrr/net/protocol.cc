@@ -1,25 +1,12 @@
 #include "mdrr/net/protocol.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "mdrr/net/wire.h"
 
 namespace mdrr {
 namespace net {
-namespace {
-
-// Guard for claimed collection sizes whose elements occupy at least
-// `element_bytes` on the wire each.
-Status CheckClaimed(uint64_t claimed, size_t element_bytes,
-                    const WireReader& reader, const char* what) {
-  if (claimed > reader.remaining() / element_bytes) {
-    return Status::OutOfRange(std::string("claimed ") + what +
-                              " count exceeds buffer");
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 std::vector<uint8_t> EncodeHello(const HelloMsg& msg) {
   WireWriter w;
@@ -109,7 +96,14 @@ StatusOr<PeerRole> ServerHandshake(TcpConnection& conn, int64_t deadline_ms) {
 }
 
 std::vector<uint8_t> EncodeAssignShards(const AssignShardsMsg& msg) {
+  // Header fields, matrix, shard count, then per shard its index, begin,
+  // code count and codes.
+  size_t size = 8 + 1 + 3 * 8 + EncodedMatrixSize(*msg.matrix) + 8;
+  for (const ShardAssignment& shard : msg.shards) {
+    size += 3 * 8 + 4 * shard.codes.size();
+  }
   WireWriter w;
+  w.Reserve(size);
   w.U64(msg.task_id);
   w.U8(msg.rng_kind);
   w.U64(msg.seed);
@@ -138,18 +132,17 @@ StatusOr<AssignShardsMsg> ParseAssignShards(
   msg.matrix.emplace(std::move(matrix));
   MDRR_ASSIGN_OR_RETURN(uint64_t num_shards, r.U64());
   // Each shard is at least shard_index + global_begin + a code length.
-  MDRR_RETURN_IF_ERROR(CheckClaimed(num_shards, 24, r, "shard"));
+  MDRR_RETURN_IF_ERROR(r.CheckClaimed(num_shards, 24, "shard count"));
   msg.shards.reserve(static_cast<size_t>(num_shards));
   for (uint64_t i = 0; i < num_shards; ++i) {
     ShardAssignment shard;
     MDRR_ASSIGN_OR_RETURN(shard.shard_index, r.U64());
     MDRR_ASSIGN_OR_RETURN(shard.global_begin, r.U64());
     MDRR_ASSIGN_OR_RETURN(shard.codes, DecodeCodes(r));
-    for (uint32_t code : shard.codes) {
-      if (code >= msg.matrix->size()) {
-        return Status::InvalidArgument(
-            "shard code out of matrix range");
-      }
+    uint32_t max_code = 0;
+    for (uint32_t code : shard.codes) max_code = std::max(max_code, code);
+    if (max_code >= msg.matrix->size()) {
+      return Status::InvalidArgument("shard code out of matrix range");
     }
     msg.shards.push_back(std::move(shard));
   }
@@ -160,7 +153,14 @@ StatusOr<AssignShardsMsg> ParseAssignShards(
 }
 
 std::vector<uint8_t> EncodePartialResult(const PartialResultMsg& msg) {
+  // Task id, shard count, per shard its index, code count and codes, then
+  // the count buffer's length and entries.
+  size_t size = 2 * 8 + 8 + 8 * msg.counts.size();
+  for (const ShardResult& shard : msg.shards) {
+    size += 2 * 8 + 4 * shard.codes.size();
+  }
   WireWriter w;
+  w.Reserve(size);
   w.U64(msg.task_id);
   w.U64(msg.shards.size());
   for (const ShardResult& shard : msg.shards) {
@@ -177,7 +177,7 @@ StatusOr<PartialResultMsg> ParsePartialResult(
   PartialResultMsg msg;
   MDRR_ASSIGN_OR_RETURN(msg.task_id, r.U64());
   MDRR_ASSIGN_OR_RETURN(uint64_t num_shards, r.U64());
-  MDRR_RETURN_IF_ERROR(CheckClaimed(num_shards, 16, r, "shard result"));
+  MDRR_RETURN_IF_ERROR(r.CheckClaimed(num_shards, 16, "shard result count"));
   msg.shards.reserve(static_cast<size_t>(num_shards));
   for (uint64_t i = 0; i < num_shards; ++i) {
     ShardResult shard;
@@ -225,7 +225,7 @@ StatusOr<StreamOpenMsg> ParseStreamOpen(const std::vector<uint8_t>& payload) {
   WireReader r(payload);
   StreamOpenMsg msg;
   MDRR_ASSIGN_OR_RETURN(uint64_t num_attrs, r.U64());
-  MDRR_RETURN_IF_ERROR(CheckClaimed(num_attrs, 8, r, "cardinality"));
+  MDRR_RETURN_IF_ERROR(r.CheckClaimed(num_attrs, 8, "cardinality count"));
   msg.cardinalities.resize(static_cast<size_t>(num_attrs));
   for (size_t j = 0; j < msg.cardinalities.size(); ++j) {
     MDRR_ASSIGN_OR_RETURN(msg.cardinalities[j], r.U64());
@@ -245,7 +245,7 @@ std::vector<uint8_t> EncodeStreamReport(const StreamReportMsg& msg) {
   w.U64(msg.first_sequence);
   w.U32(msg.num_reports);
   w.U32(msg.num_attributes);
-  for (uint32_t code : msg.codes) w.U32(code);
+  w.U32Array(msg.codes.data(), msg.codes.size());
   return w.Release();
 }
 
@@ -261,11 +261,9 @@ StatusOr<StreamReportMsg> ParseStreamReport(
   }
   uint64_t total = static_cast<uint64_t>(msg.num_reports) *
                    static_cast<uint64_t>(msg.num_attributes);
-  MDRR_RETURN_IF_ERROR(CheckClaimed(total, 4, r, "report code"));
+  MDRR_RETURN_IF_ERROR(r.CheckClaimed(total, 4, "report code count"));
   msg.codes.resize(static_cast<size_t>(total));
-  for (size_t i = 0; i < msg.codes.size(); ++i) {
-    MDRR_ASSIGN_OR_RETURN(msg.codes[i], r.U32());
-  }
+  MDRR_RETURN_IF_ERROR(r.U32Array(msg.codes.data(), msg.codes.size()));
   if (!r.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after StreamReport");
   }

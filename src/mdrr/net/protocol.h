@@ -1,16 +1,22 @@
 // Message schemas for the coordinator/worker and streaming-ingest
 // protocols, plus the version handshake.
 //
-// Release protocol (one column perturbation = one task):
+// Release protocol (one shard group = one task):
 //
 //   worker                         coordinator
 //     | --- Hello(magic,ver,role) --> |
 //     | <-- HelloAck ---------------- |        (or Abort on mismatch)
-//     | <-- AssignShards ------------ |  matrix + RNG addressing + slices
-//     | --- PartialResult ----------> |  perturbed slices + merged counts
-//     |        ... more AssignShards/PartialResult rounds ...
+//     | <-- AssignShards(task 1) ---- |  matrix + RNG addressing + slices
+//     | <-- AssignShards(task 2) ---- |  next shard group, not waiting
+//     | --- PartialResult(task 1) --> |  perturbed slices + merged counts
+//     | <-- AssignShards(task 3) ---- |
+//     | --- PartialResult(task 2) --> |  replies in order per connection
+//     |        ... every shard group of every column ...
 //     | <-- Commit ------------------ |  release published, disconnect
 //     | <-- Abort(reason) ----------- |  fail-closed at any point
+//
+// A column's shards go out one group per AssignShards frame, each with
+// its own task id; the worker answers frames in the order they arrive.
 //
 // Every AssignShards carries the complete randomness address (seed,
 // stream_base, counter_stream) and shard indices, so a worker

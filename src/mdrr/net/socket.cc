@@ -96,6 +96,10 @@ void TcpConnection::Close() {
   }
 }
 
+void TcpConnection::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 StatusOr<TcpConnection> TcpConnection::Connect(const std::string& host,
                                                uint16_t port,
                                                int64_t deadline_ms) {

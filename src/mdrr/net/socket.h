@@ -47,6 +47,12 @@ class TcpConnection {
   bool valid() const { return fd_ >= 0; }
   void Close();
 
+  // Shuts both directions down but keeps the fd open, so a thread blocked
+  // in SendFrame/RecvFrame on this connection returns at once (EPIPE or
+  // EOF, both Unavailable). Safe to call while other threads do I/O on
+  // the connection; Close() afterwards releases the fd.
+  void Shutdown();
+
   // Writes one frame (header + payload), retrying partial writes until
   // everything is out or the deadline lapses.
   Status SendFrame(FrameType type, const std::vector<uint8_t>& payload,

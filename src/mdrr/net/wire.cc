@@ -1,8 +1,5 @@
 #include "mdrr/net/wire.h"
 
-#include <cmath>
-#include <string>
-
 #include "mdrr/linalg/matrix.h"
 #include "mdrr/linalg/structured.h"
 
@@ -13,17 +10,13 @@ namespace {
 constexpr uint8_t kMatrixStructured = 1;
 constexpr uint8_t kMatrixDense = 2;
 
-// Bounds a claimed element count against the bytes actually present.
-Status CheckClaimedLength(uint64_t claimed, size_t element_bytes,
-                          const WireReader& reader, const char* what) {
-  if (claimed > reader.remaining() / element_bytes) {
-    return Status::OutOfRange(std::string("claimed ") + what +
-                              " length exceeds buffer");
-  }
-  return Status::OK();
-}
-
 }  // namespace
+
+size_t EncodedMatrixSize(const RrMatrix& matrix) {
+  // Tag and size, then the two mixture weights or size^2 doubles.
+  return 1 + 8 +
+         8 * (matrix.is_structured() ? 2 : matrix.size() * matrix.size());
+}
 
 void EncodeMatrix(const RrMatrix& matrix, WireWriter& writer) {
   if (matrix.is_structured()) {
@@ -38,9 +31,7 @@ void EncodeMatrix(const RrMatrix& matrix, WireWriter& writer) {
   writer.U8(kMatrixDense);
   writer.U64(dense.rows());
   for (size_t u = 0; u < dense.rows(); ++u) {
-    for (size_t v = 0; v < dense.cols(); ++v) {
-      writer.F64(dense(u, v));
-    }
+    writer.F64Array(dense.RowData(u), dense.cols());
   }
 }
 
@@ -61,16 +52,14 @@ StatusOr<RrMatrix> DecodeMatrix(WireReader& reader) {
     if (r == 0) {
       return Status::InvalidArgument("dense matrix must be nonempty");
     }
-    // r * r doubles must fit in what's actually on the wire.
-    if (r > reader.remaining() / 8 || r * r > reader.remaining() / 8) {
-      return Status::OutOfRange("claimed dense matrix exceeds buffer");
-    }
+    // r * r doubles must fit in what's actually on the wire (bounding r
+    // first keeps r * r from overflowing).
+    MDRR_RETURN_IF_ERROR(reader.CheckClaimed(r, 8, "dense matrix"));
+    MDRR_RETURN_IF_ERROR(reader.CheckClaimed(r * r, 8, "dense matrix"));
     size_t n = static_cast<size_t>(r);
     linalg::Matrix dense(n, n, 0.0);
     for (size_t u = 0; u < n; ++u) {
-      for (size_t v = 0; v < n; ++v) {
-        MDRR_ASSIGN_OR_RETURN(dense(u, v), reader.F64());
-      }
+      MDRR_RETURN_IF_ERROR(reader.F64Array(&dense(u, 0), n));
     }
     return RrMatrix::FromDense(std::move(dense));
   }
@@ -79,31 +68,27 @@ StatusOr<RrMatrix> DecodeMatrix(WireReader& reader) {
 
 void EncodeCounts(const std::vector<int64_t>& counts, WireWriter& writer) {
   writer.U64(counts.size());
-  for (int64_t c : counts) writer.I64(c);
+  writer.I64Array(counts.data(), counts.size());
 }
 
 StatusOr<std::vector<int64_t>> DecodeCounts(WireReader& reader) {
   MDRR_ASSIGN_OR_RETURN(uint64_t len, reader.U64());
-  MDRR_RETURN_IF_ERROR(CheckClaimedLength(len, 8, reader, "count buffer"));
+  MDRR_RETURN_IF_ERROR(reader.CheckClaimed(len, 8, "count buffer length"));
   std::vector<int64_t> counts(static_cast<size_t>(len));
-  for (size_t i = 0; i < counts.size(); ++i) {
-    MDRR_ASSIGN_OR_RETURN(counts[i], reader.I64());
-  }
+  MDRR_RETURN_IF_ERROR(reader.I64Array(counts.data(), counts.size()));
   return counts;
 }
 
 void EncodeCodes(const uint32_t* codes, size_t len, WireWriter& writer) {
   writer.U64(len);
-  for (size_t i = 0; i < len; ++i) writer.U32(codes[i]);
+  writer.U32Array(codes, len);
 }
 
 StatusOr<std::vector<uint32_t>> DecodeCodes(WireReader& reader) {
   MDRR_ASSIGN_OR_RETURN(uint64_t len, reader.U64());
-  MDRR_RETURN_IF_ERROR(CheckClaimedLength(len, 4, reader, "code column"));
+  MDRR_RETURN_IF_ERROR(reader.CheckClaimed(len, 4, "code column length"));
   std::vector<uint32_t> codes(static_cast<size_t>(len));
-  for (size_t i = 0; i < codes.size(); ++i) {
-    MDRR_ASSIGN_OR_RETURN(codes[i], reader.U32());
-  }
+  MDRR_RETURN_IF_ERROR(reader.U32Array(codes.data(), codes.size()));
   return codes;
 }
 

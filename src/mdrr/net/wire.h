@@ -20,6 +20,7 @@
 #ifndef MDRR_NET_WIRE_H_
 #define MDRR_NET_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,6 +34,8 @@ namespace net {
 // --- RrMatrix ---
 
 void EncodeMatrix(const RrMatrix& matrix, WireWriter& writer);
+// Bytes EncodeMatrix appends: 25 structured, 9 + 8 * size^2 dense.
+size_t EncodedMatrixSize(const RrMatrix& matrix);
 StatusOr<RrMatrix> DecodeMatrix(WireReader& reader);
 
 // --- Count buffers (i64) and code columns (u32) ---

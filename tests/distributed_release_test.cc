@@ -6,7 +6,11 @@
 // contract (fail-closed on disconnect and deadline, no partial
 // transcript), the spec surface, and the collectd socket ingest path.
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,11 +18,13 @@
 #include <gtest/gtest.h>
 
 #include "mdrr/core/clustering.h"
+#include "mdrr/core/frequency_oracle.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/net/coordinator.h"
 #include "mdrr/net/frame.h"
 #include "mdrr/net/protocol.h"
 #include "mdrr/net/socket.h"
+#include "mdrr/net/wire.h"
 #include "mdrr/net/worker.h"
 #include "mdrr/protocol/net_ingest.h"
 #include "mdrr/protocol/stream_ingest.h"
@@ -378,6 +384,273 @@ TEST(DistributedFailureTest, RogueWorkerCountsAbortTheRelease) {
   EXPECT_EQ(artifacts.status().code(), StatusCode::kInvalidArgument)
       << artifacts.status().ToString();
   EXPECT_FALSE(coordinator.Commit().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Failures with frames in flight: 2 workers, 4 shards each per column,
+// one AssignShards frame per shard (the matrix is structured). The
+// release must fail with the root cause -- not a sibling's consequent
+// EPIPE -- refuse to commit, and leave no thread behind.
+// ---------------------------------------------------------------------------
+
+// What a worker computes for one assignment: the shard kernel over the
+// matrix's direct-encoding oracle, as RunWorker does.
+net::PartialResultMsg HonestReply(const net::AssignShardsMsg& assign) {
+  const DirectEncodingOracle oracle(*assign.matrix);
+  const ColumnAddress address{static_cast<RngKind>(assign.rng_kind),
+                              assign.seed, assign.stream_base,
+                              assign.counter_stream};
+  net::PartialResultMsg reply;
+  reply.task_id = assign.task_id;
+  reply.counts.assign(oracle.domain_size(), 0);
+  for (const net::ShardAssignment& shard : assign.shards) {
+    net::ShardResult out{shard.shard_index,
+                         std::vector<uint32_t>(shard.codes.size())};
+    PerturbShard(oracle, address, shard.shard_index, shard.global_begin,
+                 shard.codes.data(), shard.codes.size(), out.codes.data(),
+                 reply.counts.data());
+    reply.shards.push_back(std::move(out));
+  }
+  return reply;
+}
+
+// How a scripted worker serves assignment k (numbered from 0 over the
+// session): it sends whatever reply it likes and returns false to hang
+// up.
+using Script = std::function<bool(size_t k, const net::AssignShardsMsg&,
+                                  net::TcpConnection&)>;
+
+// A worker that handshakes, then serves each assignment by `serve`.
+// Returns once `serve` hangs up or the coordinator closes the connection.
+void ScriptedWorker(uint16_t port, const Script& serve) {
+  auto conn = net::TcpConnection::Connect(kLoopback, port, 2000);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ASSERT_TRUE(
+      net::ClientHandshake(conn.value(), net::PeerRole::kWorker, 2000).ok());
+  for (size_t k = 0;; ++k) {
+    auto frame = conn.value().RecvFrame(30000);
+    if (!frame.ok() || frame->type != net::FrameType::kAssignShards) return;
+    auto assign = net::ParseAssignShards(frame->payload);
+    ASSERT_TRUE(assign.ok()) << assign.status().ToString();
+    if (!serve(k, assign.value(), conn.value())) return;
+  }
+}
+
+bool SendReply(net::TcpConnection& conn, const net::PartialResultMsg& reply) {
+  return conn
+      .SendFrame(net::FrameType::kPartialResult,
+                 net::EncodePartialResult(reply), 2000)
+      .ok();
+}
+
+// Reads every assignment and answers none, until the coordinator hangs
+// up: a sibling whose receiver only fails once the socket is shut down.
+bool Silent(size_t, const net::AssignShardsMsg&, net::TcpConnection&) {
+  return true;
+}
+
+// A 2-worker release whose workers run scripts; worker 0 defaults to an
+// honest RunWorker. Worker threads run as futures so the test can assert
+// that every one of them returned.
+class InFlightFailure {
+ public:
+  explicit InFlightFailure(int64_t deadline_ms) : data_(TestData()) {
+    spec_ = BaseSpec(release::MechanismKind::kIndependent, RngKind::kMt19937);
+    spec_.execution.kind = release::PolicyKind::kDistributed;
+    spec_.execution.num_workers = 2;
+    spec_.execution.worker_deadline_ms = deadline_ms;
+    // Nothing downstream of the marginals: only the exchange can fail.
+    spec_.adjustment.enabled = false;
+    spec_.synthetic.enabled = false;
+    net::CoordinatorOptions options;
+    options.seed = spec_.execution.seed;
+    options.rng = spec_.execution.rng;
+    options.shard_size = spec_.execution.shard_size;
+    options.deadline_ms = deadline_ms;
+    coordinator_.emplace(options);
+  }
+
+  StatusOr<release::ReleaseArtifacts> Run(const Script& worker1,
+                                          const Script& worker0 = nullptr) {
+    static_assert((kRecords + kShard - 1) / kShard >= 8, "4 shards a worker");
+    auto plan = release::ReleasePlanner::Plan(spec_, &data_);
+    if (!plan.ok()) return plan.status();
+    MDRR_RETURN_IF_ERROR(coordinator_->Listen(0));
+    const uint16_t port = coordinator_->port();
+    // Accept one at a time so the worker indices are fixed.
+    for (const Script& script : {worker0, worker1}) {
+      workers_.push_back(std::async(std::launch::async, [port, script] {
+        if (!script) return net::RunWorker(kLoopback, port);
+        ScriptedWorker(port, script);
+        return Status::OK();
+      }));
+      MDRR_RETURN_IF_ERROR(coordinator_->AcceptWorkers(1));
+    }
+    return plan.value().RunDistributed(*coordinator_);
+  }
+
+  net::Coordinator& coordinator() { return *coordinator_; }
+
+  // True once every worker thread has returned (waiting up to 5 s each).
+  bool WorkersReturned() {
+    for (std::future<Status>& worker : workers_) {
+      if (worker.wait_for(std::chrono::seconds(5)) !=
+          std::future_status::ready) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  Dataset data_;
+  release::ReleaseSpec spec_;
+  std::optional<net::Coordinator> coordinator_;
+  std::vector<std::future<Status>> workers_;
+};
+
+TEST(DistributedInFlightTest, WorkerDyingAfterItsSecondReplyFailsUnavailable) {
+  InFlightFailure release(/*deadline_ms=*/5000);
+  auto artifacts = release.Run(
+      [](size_t k, const net::AssignShardsMsg& assign,
+         net::TcpConnection& conn) {
+        // Replies to its first two shards, then drops the connection
+        // with later assignments still unread.
+        return k < 2 && SendReply(conn, HonestReply(assign));
+      });
+  ASSERT_FALSE(artifacts.ok());
+  EXPECT_EQ(artifacts.status().code(), StatusCode::kUnavailable)
+      << artifacts.status().ToString();
+  EXPECT_FALSE(release.coordinator().Commit().ok());
+  EXPECT_TRUE(release.WorkersReturned());
+}
+
+// The silent sibling's receiver fails only after the rogue reply is
+// caught (with the shut-down socket's Unavailable); the release must
+// report the rogue counts.
+TEST(DistributedInFlightTest, RogueCountsOnALaterShardFailInvalidArgument) {
+  InFlightFailure release(/*deadline_ms=*/5000);
+  auto artifacts = release.Run(
+      /*worker1=*/
+      [](size_t k, const net::AssignShardsMsg& assign,
+         net::TcpConnection& conn) {
+        net::PartialResultMsg reply = HonestReply(assign);
+        if (k == 2) {
+          // Moves one report between categories: the codes stand, the
+          // claimed counts no longer match them.
+          const size_t from = reply.counts[0] > 0 ? 0 : 1;
+          --reply.counts[from];
+          ++reply.counts[1 - from];
+        }
+        // Keeps serving until the coordinator hangs up.
+        return SendReply(conn, reply);
+      },
+      /*worker0=*/Silent);
+  ASSERT_FALSE(artifacts.ok());
+  EXPECT_EQ(artifacts.status().code(), StatusCode::kInvalidArgument)
+      << artifacts.status().ToString();
+  EXPECT_NE(artifacts.status().message().find("disagree"), std::string::npos)
+      << artifacts.status().ToString();
+  EXPECT_FALSE(release.coordinator().Commit().ok());
+  EXPECT_TRUE(release.WorkersReturned());
+}
+
+TEST(DistributedInFlightTest, StalledWorkerFailsWithinItsDeadline) {
+  constexpr int64_t kDeadlineMs = 500;
+  InFlightFailure release(kDeadlineMs);
+  const auto start = std::chrono::steady_clock::now();
+  auto artifacts = release.Run(
+      [](size_t k, const net::AssignShardsMsg& assign,
+         net::TcpConnection& conn) {
+        // Answers its first shard, then reads on without replying.
+        return k > 0 || SendReply(conn, HonestReply(assign));
+      });
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(artifacts.ok());
+  EXPECT_EQ(artifacts.status().code(), StatusCode::kDeadlineExceeded)
+      << artifacts.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kDeadlineMs + 1000));
+  EXPECT_FALSE(release.coordinator().Commit().ok());
+  EXPECT_TRUE(release.WorkersReturned());
+}
+
+// The first failure shuts the sibling's socket down: a dead worker fails
+// the release at once, with its own Unavailable, while its sibling sits
+// on a long deadline.
+TEST(DistributedInFlightTest, DeadWorkerDoesNotWaitOutAStalledSibling) {
+  constexpr int64_t kDeadlineMs = 10000;
+  InFlightFailure release(kDeadlineMs);
+  const auto start = std::chrono::steady_clock::now();
+  auto artifacts = release.Run(
+      /*worker1=*/
+      [](size_t k, const net::AssignShardsMsg& assign,
+         net::TcpConnection& conn) {
+        return k < 1 && SendReply(conn, HonestReply(assign));
+      },
+      /*worker0=*/Silent);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(artifacts.ok());
+  EXPECT_EQ(artifacts.status().code(), StatusCode::kUnavailable)
+      << artifacts.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kDeadlineMs / 2));
+  EXPECT_FALSE(release.coordinator().Commit().ok());
+  EXPECT_TRUE(release.WorkersReturned());
+}
+
+// ---------------------------------------------------------------------------
+// Deadlock and dense-matrix guards.
+// ---------------------------------------------------------------------------
+
+// One attribute of `cardinality` ordinal categories over `n` records.
+Dataset OneColumn(size_t n, size_t cardinality) {
+  Attribute attribute{"a", AttributeType::kOrdinal, {}};
+  for (size_t c = 0; c < cardinality; ++c) {
+    attribute.categories.push_back(std::to_string(c));
+  }
+  std::vector<uint32_t> codes(n);
+  Rng rng(23);
+  for (uint32_t& code : codes) {
+    code = static_cast<uint32_t>(rng.UniformInt(cardinality));
+  }
+  return Dataset({attribute}, {std::move(codes)});
+}
+
+// A single column moving 16 MiB each way through one worker -- more than
+// the loopback socket buffers hold -- must stream through, not deadlock
+// with both sides blocked on full buffers.
+TEST(DistributedStreamTest, SixteenMebibyteColumnThroughOneWorker) {
+  const Dataset data = OneColumn((16u << 20) / 4 + 1000, 5);
+  release::ReleaseSpec spec =
+      BaseSpec(release::MechanismKind::kIndependent, RngKind::kPhilox);
+  spec.adjustment.enabled = false;
+  spec.synthetic.enabled = false;
+  spec.execution.shard_size = 1 << 16;
+  spec.execution.kind = release::PolicyKind::kSharded;
+  spec.execution.num_threads = 4;
+  release::ReleaseArtifacts sharded = MustRun(spec, data);
+  ExpectSameArtifacts(MustRunDistributed(spec, data, 1), sharded);
+}
+
+// A dense geometric-ordinal matrix of 120 categories encodes to 115 209
+// bytes, so a frame of 256-record shards (1 KiB of codes each) carries
+// 113 of them: several multi-shard frames per worker at 250 077 records.
+TEST(DistributedStreamTest, DenseMatrixOutweighingAShardMatchesSharded) {
+  const RrMatrix matrix = RrMatrix::GeometricOrdinal(120, 1.5);
+  ASSERT_FALSE(matrix.is_structured());
+  ASSERT_EQ(net::EncodedMatrixSize(matrix), 115209u);
+  const Dataset data = OneColumn(250077, 120);
+  release::ReleaseSpec spec =
+      BaseSpec(release::MechanismKind::kGeometricOrdinal, RngKind::kMt19937);
+  spec.mechanism.geometric_epsilon = 1.5;
+  spec.adjustment.enabled = false;
+  spec.synthetic.enabled = false;
+  spec.execution.kind = release::PolicyKind::kSharded;
+  spec.execution.num_threads = 4;
+  release::ReleaseArtifacts sharded = MustRun(spec, data);
+  for (size_t workers : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    ExpectSameArtifacts(MustRunDistributed(spec, data, workers), sharded);
+  }
 }
 
 TEST(DistributedFailureTest, CoordinatorAddressMismatchAbortsTheRelease) {

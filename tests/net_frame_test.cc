@@ -40,6 +40,53 @@ TEST(WireWriterTest, DoubleTravelsAsIeee754Bits) {
   EXPECT_EQ(writer.buffer(), expected);
 }
 
+TEST(WireWriterTest, ArraysWriteTheScalarBytes) {
+  const std::vector<uint32_t> words = {0x11223344u, 0, 0xFFFFFFFFu};
+  const std::vector<int64_t> counts = {-1, 1ll << 40, 0x0102030405060708ll};
+  const std::vector<double> rows = {1.5, -0.125, 0.0};
+  WireWriter arrays;
+  arrays.U32Array(words.data(), words.size());
+  arrays.I64Array(counts.data(), counts.size());
+  arrays.F64Array(rows.data(), rows.size());
+  WireWriter scalars;
+  for (uint32_t w : words) scalars.U32(w);
+  for (int64_t c : counts) scalars.I64(c);
+  for (double d : rows) scalars.F64(d);
+  EXPECT_EQ(arrays.buffer(), scalars.buffer());
+  EXPECT_EQ(arrays.buffer().size(), 3u * 4 + 3u * 8 + 3u * 8);
+  EXPECT_EQ(arrays.buffer()[0], 0x44);  // little-endian on any host
+}
+
+TEST(WireReaderTest, ArraysRoundTripAndRejectTruncation) {
+  const std::vector<uint32_t> words = {7, 0xDEADBEEFu};
+  const std::vector<int64_t> counts = {-42, 1ll << 60};
+  const std::vector<double> rows = {-0.125, 3.0};
+  WireWriter writer;
+  writer.U32Array(words.data(), words.size());
+  writer.I64Array(counts.data(), counts.size());
+  writer.F64Array(rows.data(), rows.size());
+  const std::vector<uint8_t> bytes = writer.Release();
+
+  WireReader reader(bytes);
+  std::vector<uint32_t> words2(2);
+  std::vector<int64_t> counts2(2);
+  std::vector<double> rows2(2);
+  ASSERT_TRUE(reader.U32Array(words2.data(), 2).ok());
+  ASSERT_TRUE(reader.I64Array(counts2.data(), 2).ok());
+  ASSERT_TRUE(reader.F64Array(rows2.data(), 2).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(words2, words);
+  EXPECT_EQ(counts2, counts);
+  EXPECT_EQ(rows2, rows);
+
+  // One element short: the whole read fails and consumes nothing.
+  WireReader short_reader(bytes.data(), 7);
+  EXPECT_FALSE(short_reader.U32Array(words2.data(), 2).ok());
+  EXPECT_EQ(short_reader.remaining(), 7u);
+  EXPECT_FALSE(short_reader.CheckClaimed(2, 4, "code").ok());
+  EXPECT_TRUE(short_reader.CheckClaimed(1, 4, "code").ok());
+}
+
 TEST(WireReaderTest, RoundTripsEveryPrimitive) {
   WireWriter writer;
   writer.U8(7);
@@ -256,6 +303,105 @@ TEST(ProtocolCodecTest, StreamMessagesRoundTrip) {
   EXPECT_EQ(result2.value().reports_ingested, 1000u);
   EXPECT_EQ(result2.value().epsilon_spent, 2.5);
   EXPECT_EQ(result2.value().finished, 1);
+}
+
+// --- Byte goldens ---
+//
+// FNV-1a of each encoder's output on fixed inputs. The wire format is a
+// cross-host contract, so any change to these bytes needs a
+// kProtocolVersion bump, not a golden update.
+
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// `n` pseudo-random words (an LCG's high half), reduced mod `range` when
+// it is nonzero.
+std::vector<uint32_t> PatternWords(size_t n, uint32_t range, uint64_t salt) {
+  std::vector<uint32_t> words(n);
+  uint64_t x = salt;
+  for (uint32_t& word : words) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    word = static_cast<uint32_t>(x >> 32);
+    if (range != 0) word %= range;
+  }
+  return words;
+}
+
+AssignShardsMsg GoldenAssignment(RrMatrix matrix) {
+  AssignShardsMsg msg;
+  msg.task_id = 0x0102030405060708ull;
+  msg.rng_kind = 1;
+  msg.seed = 0xFEDCBA9876543210ull;
+  msg.stream_base = 1 + 3 * 41;
+  msg.counter_stream = 4;
+  const uint32_t r = static_cast<uint32_t>(matrix.size());
+  msg.matrix.emplace(std::move(matrix));
+  msg.shards.push_back({1, 1000, PatternWords(1000, r, 1)});
+  msg.shards.push_back({3, 3000, PatternWords(1000, r, 2)});
+  msg.shards.push_back({5, 5000, PatternWords(617, r, 3)});
+  return msg;
+}
+
+TEST(WireGoldenTest, AssignShardsWithStructuredMatrix) {
+  const std::vector<uint8_t> bytes =
+      EncodeAssignShards(GoldenAssignment(RrMatrix::KeepUniform(9, 0.6)));
+  EXPECT_EQ(bytes.size(), 10606u);
+  EXPECT_EQ(Fnv1a(bytes), 0x6d90b49dde906adcull);
+}
+
+TEST(WireGoldenTest, AssignShardsWithDenseMatrix) {
+  RrMatrix matrix = RrMatrix::GeometricOrdinal(6, 1.25);
+  ASSERT_FALSE(matrix.is_structured());
+  const std::vector<uint8_t> bytes =
+      EncodeAssignShards(GoldenAssignment(std::move(matrix)));
+  EXPECT_EQ(bytes.size(), 10878u);
+  EXPECT_EQ(Fnv1a(bytes), 0x2d2752931874cf5bull);
+}
+
+TEST(WireGoldenTest, PartialResult) {
+  PartialResultMsg msg;
+  msg.task_id = 77;
+  msg.shards.push_back({2, PatternWords(1000, 9, 4)});
+  msg.shards.push_back({6, PatternWords(333, 9, 5)});
+  msg.counts.assign(9, 0);
+  for (const ShardResult& shard : msg.shards) {
+    for (uint32_t code : shard.codes) ++msg.counts[code];
+  }
+  const std::vector<uint8_t> bytes = EncodePartialResult(msg);
+  EXPECT_EQ(bytes.size(), 5460u);
+  EXPECT_EQ(Fnv1a(bytes), 0x97e67dcc9945c79dull);
+}
+
+TEST(WireGoldenTest, StreamReport) {
+  StreamReportMsg msg;
+  msg.first_sequence = 0x123456789ull;
+  msg.num_reports = 250;
+  msg.num_attributes = 3;
+  msg.codes = PatternWords(750, 0, 6);
+  const std::vector<uint8_t> bytes = EncodeStreamReport(msg);
+  EXPECT_EQ(bytes.size(), 3016u);
+  EXPECT_EQ(Fnv1a(bytes), 0x1399186263c1b243ull);
+}
+
+TEST(WireGoldenTest, CountBufferAndCodeColumn) {
+  std::vector<int64_t> counts;
+  for (uint32_t word : PatternWords(200, 0, 7)) {
+    counts.push_back(static_cast<int64_t>((uint64_t{word} << 31) ^ word) -
+                     (int64_t{1} << 61));
+  }
+  WireWriter writer;
+  EncodeCounts(counts, writer);
+  const std::vector<uint32_t> codes = PatternWords(300, 0, 8);
+  EncodeCodes(codes.data(), codes.size(), writer);
+  const std::vector<uint8_t> bytes = writer.Release();
+  EXPECT_EQ(bytes.size(), 2816u);
+  EXPECT_EQ(Fnv1a(bytes), 0xca5f625e3d6a847dull);
 }
 
 TEST(ProtocolCodecTest, HelloRoundTripsAndAbortCarriesReason) {
