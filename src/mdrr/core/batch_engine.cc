@@ -24,6 +24,15 @@ BatchPerturbationEngine::BatchPerturbationEngine(
   if (options_.shard_size == 0) options_.shard_size = 1;
 }
 
+BatchPerturbationEngine BatchPerturbationEngine::Sequential(uint64_t seed) {
+  BatchPerturbationOptions options;
+  options.seed = seed;
+  options.num_threads = 1;
+  BatchPerturbationEngine engine(options);
+  engine.serial_ = std::make_unique<Rng>(seed);
+  return engine;
+}
+
 size_t BatchPerturbationEngine::NumShards(size_t num_rows) const {
   return NumChunks(num_rows, options_.shard_size);
 }
@@ -46,6 +55,9 @@ OracleColumnResult BatchPerturbationEngine::RunOracle(
 StatusOr<PerturbedColumn> BatchPerturbationEngine::PerturbColumn(
     const FrequencyOracle& oracle, const std::vector<uint32_t>& codes,
     size_t column_index) const {
+  if (serial_ != nullptr) {
+    return PerturbColumnSequential(oracle, codes, *serial_);
+  }
   if (options_.shard_perturber) {
     // Externalized kernel (distributed coordinator): it receives the
     // column's full randomness address and owns the determinism contract.
@@ -96,6 +108,7 @@ StatusOr<RrJointResult> BatchPerturbationEngine::RunJoint(
 
 StatusOr<RrClustersResult> BatchPerturbationEngine::RunClusters(
     const Dataset& dataset, const RrClustersOptions& options) const {
+  if (serial_ != nullptr) return RunRrClusters(dataset, options, *serial_);
   RngStreamFamily family(options_.seed);
   Rng serial_rng = family.Stream(0);
   DependenceEstimatorOptions assessment;
@@ -121,13 +134,16 @@ StatusOr<RrClustersResult> BatchPerturbationEngine::RunClusters(
 StatusOr<AdjustmentResult> BatchPerturbationEngine::RunAdjustment(
     const std::vector<AdjustmentGroup>& groups, size_t num_records,
     AdjustmentOptions options) const {
-  options.num_threads = options_.num_threads;
-  options.chunk_size = options_.shard_size;
+  if (serial_ == nullptr) {
+    options.num_threads = options_.num_threads;
+    options.chunk_size = options_.shard_size;
+  }
   return RunRrAdjustment(groups, num_records, options);
 }
 
 StatusOr<Dataset> BatchPerturbationEngine::SynthesizeIndependent(
     const RrIndependentResult& result, int64_t n) const {
+  if (serial_ != nullptr) return SynthesizeFromIndependent(result, n, *serial_);
   RngStreamFamily family(options_.seed ^ kSyntheticStreamSalt);
   return SynthesizeFromIndependentSharded(result, n, family,
                                           options_.shard_size,
@@ -136,6 +152,7 @@ StatusOr<Dataset> BatchPerturbationEngine::SynthesizeIndependent(
 
 StatusOr<Dataset> BatchPerturbationEngine::SynthesizeClusters(
     const RrClustersResult& result, int64_t n) const {
+  if (serial_ != nullptr) return SynthesizeFromClusters(result, n, *serial_);
   RngStreamFamily family(options_.seed ^ kSyntheticStreamSalt);
   return SynthesizeFromClustersSharded(result, n, family,
                                        options_.shard_size,

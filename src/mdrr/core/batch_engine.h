@@ -1,16 +1,25 @@
-// Multi-threaded batch driver for the three release protocols.
+// The one batch driver for the three release protocols, under every
+// execution policy.
 //
-// The column protocols (RunRrIndependent, RunRrJoint, RunRrClusters) pull
-// every random bit from one sequential Rng, so they cannot be parallelized
-// without changing their output. The engine instead shards the records
-// into fixed-size batches and gives shard s its own deterministic
-// sub-stream (RngStreamFamily) for both perturbation and the shard's
-// frequency counts. Shard boundaries and stream indices depend only on
-// the record count and options.shard_size -- never on options.num_threads
-// -- so a run's output is bit-identical for any thread count, including
-// one. Against the sequential protocols the estimates agree statistically
-// (same matrices, same estimator) but not bit-for-bit: the random bits
-// come from different streams.
+// The sequential policy (BatchPerturbationEngine::Sequential) is the
+// reference transcript: one Rng(seed) that every stage draws from in
+// call order, exactly as the stage functions (RunRrIndependent,
+// RunRrJoint, RunRrClusters, SynthesizeFrom*) draw when a caller threads
+// one Rng through them by hand. Such a stream is serial by construction,
+// so a sequential engine runs on one worker, and its calls advance the
+// stream it owns: results depend on the order of calls, and one
+// sequential engine must not be shared between threads.
+//
+// The sharded policy (the options constructor) instead shards the
+// records into fixed-size batches and gives shard s its own
+// deterministic sub-stream (RngStreamFamily) for both perturbation and
+// the shard's frequency counts. Shard boundaries and stream indices
+// depend only on the record count and options.shard_size -- never on
+// options.num_threads -- so a run's output is bit-identical for any
+// thread count, including one, and for any call order. Against the
+// sequential policy the estimates agree statistically (same matrices,
+// same estimator) but not bit-for-bit: the random bits come from
+// different streams.
 //
 // The randomness address. This block is the single statement of where
 // every sharded column perturbation draws from; PerturbShard
@@ -37,6 +46,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "mdrr/common/status_or.h"
@@ -94,18 +104,29 @@ struct BatchPerturbationOptions {
 
 class BatchPerturbationEngine {
  public:
+  // The sharded policy.
   explicit BatchPerturbationEngine(const BatchPerturbationOptions& options);
 
-  // Parallel Protocol 1: same result contract as RunRrIndependent.
+  // The sequential policy: a one-worker engine owning one Rng(seed). Only
+  // PerturbColumn, RunClusters, RunAdjustment and the Synthesize* calls
+  // branch on it (to PerturbColumnSequential, RunRrClusters,
+  // RunRrAdjustment and SynthesizeFrom*); RunIndependent and RunJoint
+  // reach the stream through PerturbColumn. RunOracle is always the
+  // sharded kernel.
+  static BatchPerturbationEngine Sequential(uint64_t seed);
+
+  // Protocol 1: same result contract as RunRrIndependent, and
+  // bit-identical to it on a sequential engine.
   StatusOr<RrIndependentResult> RunIndependent(
       const Dataset& dataset, const RrIndependentOptions& options) const;
 
   // The engine's column perturber: column `column_index` of the stream
-  // layout above randomized through `oracle`. When
+  // layout above randomized through `oracle`. A sequential engine draws
+  // the column from its stream instead. When
   // options().shard_perturber is set, a direct-encoding oracle's matrix
   // goes to it (other backends fail: the hook ships RR matrices);
-  // otherwise RunOracle runs the column in process. Every sharded
-  // protocol frame perturbs through here.
+  // otherwise RunOracle runs the column in process. Every protocol frame
+  // the engine runs perturbs through here.
   StatusOr<PerturbedColumn> PerturbColumn(const FrequencyOracle& oracle,
                                           const std::vector<uint32_t>& codes,
                                           size_t column_index) const;
@@ -120,12 +141,14 @@ class BatchPerturbationEngine {
                                const std::vector<uint32_t>& codes,
                                size_t column_index) const;
 
-  // Parallel Protocol 2: same result contract as RunRrJoint.
+  // Protocol 2: same result contract as RunRrJoint, and bit-identical to
+  // it on a sequential engine.
   StatusOr<RrJointResult> RunJoint(const Dataset& dataset,
                                    const std::vector<size_t>& attributes,
                                    double epsilon) const;
 
-  // Parallel RR-Clusters: same result *shape* as RunRrClusters, agreeing
+  // RR-Clusters. A sequential engine runs RunRrClusters on its stream.
+  // The sharded policy has the same result *shape*, agreeing
   // statistically but not bit-for-bit (different RNG streams, and the
   // Corollary 1 ordinal-ordinal |Pearson| is evaluated from joint counts
   // rather than raw columns -- see DependenceMatrixSharded). The
@@ -138,15 +161,17 @@ class BatchPerturbationEngine {
   StatusOr<RrClustersResult> RunClusters(
       const Dataset& dataset, const RrClustersOptions& options) const;
 
-  // Parallel Algorithm 2: RunRrAdjustment with the engine's threading
-  // (num_threads workers, shard_size reduction chunks). `options`'
-  // num_threads/chunk_size are overridden by the engine's.
+  // Algorithm 2: RunRrAdjustment. The sharded policy overrides
+  // `options`' num_threads/chunk_size with the engine's (num_threads
+  // workers, shard_size reduction chunks); a sequential engine keeps the
+  // caller's, whose defaults are the sequential transcript.
   StatusOr<AdjustmentResult> RunAdjustment(
       const std::vector<AdjustmentGroup>& groups, size_t num_records,
       AdjustmentOptions options = {}) const;
 
-  // Parallel synthetic release: SynthesizeFrom{Independent,Clusters}
-  // with per-shard apportionment and per-shard shuffle streams. Stream
+  // Synthetic release: SynthesizeFrom{Independent,Clusters} on a
+  // sequential engine's stream; otherwise their sharded forms, with
+  // per-shard apportionment and per-shard shuffle streams. Stream
   // layout mirrors perturbation but on a salted family, so synthesis
   // never replays perturbation randomness at the same seed.
   StatusOr<Dataset> SynthesizeIndependent(const RrIndependentResult& result,
@@ -167,6 +192,8 @@ class BatchPerturbationEngine {
   ColumnAddress AddressOf(size_t column_index, size_t num_rows) const;
 
   BatchPerturbationOptions options_;
+  // Set only by Sequential(): the stream every stage draws from.
+  std::unique_ptr<Rng> serial_;
 };
 
 }  // namespace mdrr

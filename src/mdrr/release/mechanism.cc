@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "mdrr/core/synthetic.h"
-
 namespace mdrr::release {
 
 namespace {
@@ -58,7 +56,8 @@ std::vector<std::vector<size_t>> SingletonUnits(size_t m) {
 // Serves both per-attribute spec mechanisms (the design difference lives
 // in the options) and every frequency_oracle section: the oracles come
 // from MakeIndependentOracles, and RunRrIndependentWith is the one column
-// loop under both policies. Only the direct backend releases microdata.
+// loop, perturbing through the engine. Only the direct backend releases
+// microdata.
 class IndependentMechanism : public Mechanism {
  public:
   IndependentMechanism(const RrIndependentOptions& design,
@@ -67,32 +66,30 @@ class IndependentMechanism : public Mechanism {
 
   const char* name() const override { return name_; }
 
-  StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
-                                          Rng& rng) const override {
-    return Run(dataset, [&rng](const FrequencyOracle& oracle,
-                               const std::vector<uint32_t>& codes,
-                               size_t /*column_index*/)
-                   -> StatusOr<PerturbedColumn> {
-      return PerturbColumnSequential(oracle, codes, rng);
-    });
-  }
-
-  StatusOr<MechanismOutput> RunSharded(
+  StatusOr<MechanismOutput> Run(
       const Dataset& dataset,
       const BatchPerturbationEngine& engine) const override {
-    return Run(dataset, [&engine](const FrequencyOracle& oracle,
-                                  const std::vector<uint32_t>& codes,
-                                  size_t column_index) {
-      return engine.PerturbColumn(oracle, codes, column_index);
-    });
+    MDRR_ASSIGN_OR_RETURN(
+        std::vector<std::unique_ptr<FrequencyOracle>> oracles,
+        MakeIndependentOracles(dataset, design_, oracle_.backend,
+                               oracle_.epsilon));
+    MDRR_ASSIGN_OR_RETURN(
+        RrIndependentResult result,
+        RunRrIndependentWith(
+            dataset, oracles, oracle_.backend == OracleBackend::kDirect,
+            [&engine](const FrequencyOracle& oracle,
+                      const std::vector<uint32_t>& codes,
+                      size_t column_index) {
+              return engine.PerturbColumn(oracle, codes, column_index);
+            }));
+    MechanismOutput output;
+    output.marginal_estimates = result.estimated;
+    output.release_epsilon = result.total_epsilon;
+    output.independent = std::move(result);
+    return output;
   }
 
-  StatusOr<Dataset> SynthesizeSequential(const MechanismOutput& output,
-                                         int64_t n, Rng& rng) const override {
-    return SynthesizeFromIndependent(*output.independent, n, rng);
-  }
-
-  StatusOr<Dataset> SynthesizeSharded(
+  StatusOr<Dataset> Synthesize(
       const MechanismOutput& output, int64_t n,
       const BatchPerturbationEngine& engine) const override {
     return engine.SynthesizeIndependent(*output.independent, n);
@@ -108,24 +105,6 @@ class IndependentMechanism : public Mechanism {
   }
 
  private:
-  StatusOr<MechanismOutput> Run(const Dataset& dataset,
-                                const OracleColumnPerturber& perturber) const {
-    MDRR_ASSIGN_OR_RETURN(
-        std::vector<std::unique_ptr<FrequencyOracle>> oracles,
-        MakeIndependentOracles(dataset, design_, oracle_.backend,
-                               oracle_.epsilon));
-    MDRR_ASSIGN_OR_RETURN(
-        RrIndependentResult result,
-        RunRrIndependentWith(dataset, oracles,
-                             oracle_.backend == OracleBackend::kDirect,
-                             perturber));
-    MechanismOutput output;
-    output.marginal_estimates = result.estimated;
-    output.release_epsilon = result.total_epsilon;
-    output.independent = std::move(result);
-    return output;
-  }
-
   RrIndependentOptions design_;
   FrequencyOracleSpec oracle_;
   const char* name_;
@@ -145,15 +124,7 @@ class JointMechanism : public Mechanism {
 
   const char* name() const override { return "joint"; }
 
-  StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
-                                          Rng& rng) const override {
-    MDRR_ASSIGN_OR_RETURN(
-        RrJointResult result,
-        RunRrJoint(dataset, attributes_, Budget(dataset), rng));
-    return FromResult(dataset, std::move(result), /*decode_threads=*/1);
-  }
-
-  StatusOr<MechanismOutput> RunSharded(
+  StatusOr<MechanismOutput> Run(
       const Dataset& dataset,
       const BatchPerturbationEngine& engine) const override {
     MDRR_ASSIGN_OR_RETURN(RrJointResult result,
@@ -221,14 +192,7 @@ class ClustersMechanism : public Mechanism {
 
   const char* name() const override { return "clusters"; }
 
-  StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
-                                          Rng& rng) const override {
-    MDRR_ASSIGN_OR_RETURN(RrClustersResult result,
-                          RunRrClusters(dataset, options_, rng));
-    return FromResult(std::move(result));
-  }
-
-  StatusOr<MechanismOutput> RunSharded(
+  StatusOr<MechanismOutput> Run(
       const Dataset& dataset,
       const BatchPerturbationEngine& engine) const override {
     MDRR_ASSIGN_OR_RETURN(RrClustersResult result,
@@ -236,12 +200,7 @@ class ClustersMechanism : public Mechanism {
     return FromResult(std::move(result));
   }
 
-  StatusOr<Dataset> SynthesizeSequential(const MechanismOutput& output,
-                                         int64_t n, Rng& rng) const override {
-    return SynthesizeFromClusters(*output.clusters, n, rng);
-  }
-
-  StatusOr<Dataset> SynthesizeSharded(
+  StatusOr<Dataset> Synthesize(
       const MechanismOutput& output, int64_t n,
       const BatchPerturbationEngine& engine) const override {
     return engine.SynthesizeClusters(*output.clusters, n);
@@ -289,21 +248,16 @@ class PramMechanism : public Mechanism {
 
   const char* name() const override { return "pram"; }
 
-  StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
-                                          Rng& rng) const override {
-    MDRR_ASSIGN_OR_RETURN(PramResult result,
-                          ApplyPram(dataset, keep_probability_, rng));
-    return FromResult(std::move(result));
-  }
-
-  StatusOr<MechanismOutput> RunSharded(
+  StatusOr<MechanismOutput> Run(
       const Dataset& dataset,
       const BatchPerturbationEngine& engine) const override {
     // PRAM is applied by the controller in one pass over the collected
-    // file and has no sharded perturbation path yet; both policies
-    // produce the sequential transcript at the policy seed.
+    // file and has no sharded perturbation path; every policy produces
+    // the sequential transcript at the policy seed.
     Rng rng(engine.options().seed);
-    return RunSequential(dataset, rng);
+    MDRR_ASSIGN_OR_RETURN(PramResult result,
+                          ApplyPram(dataset, keep_probability_, rng));
+    return FromResult(std::move(result));
   }
 
   StatusOr<std::vector<AdjustmentGroup>> AdjustmentGroupsFor(
@@ -339,13 +293,7 @@ class PramMechanism : public Mechanism {
 
 }  // namespace
 
-StatusOr<Dataset> Mechanism::SynthesizeSequential(
-    const MechanismOutput& /*output*/, int64_t /*n*/, Rng& /*rng*/) const {
-  return Status::Unimplemented(std::string(name()) +
-                               " does not support synthetic output");
-}
-
-StatusOr<Dataset> Mechanism::SynthesizeSharded(
+StatusOr<Dataset> Mechanism::Synthesize(
     const MechanismOutput& /*output*/, int64_t /*n*/,
     const BatchPerturbationEngine& /*engine*/) const {
   return Status::Unimplemented(std::string(name()) +

@@ -1,10 +1,10 @@
 // The pluggable perturbation mechanism behind a ReleasePlan.
 //
-// Each adapter wraps one existing release protocol -- the stage
-// functions stay the implementation layer, so the sequential policy is
-// bit-identical to calling them directly with the same Rng, and the
-// sharded policy is bit-identical to the corresponding
-// BatchPerturbationEngine call. Four adapters: joint, clusters, pram,
+// Each adapter wraps one existing release protocol and runs it through
+// a BatchPerturbationEngine, which alone knows the execution policy: a
+// release is bit-identical to the corresponding engine calls, and so
+// under BatchPerturbationEngine::Sequential to calling the stage
+// functions directly with one Rng. Four adapters: joint, clusters, pram,
 // and one per-attribute mechanism for `independent`,
 // `geometric-ordinal` and every frequency_oracle backend (Protocol 1
 // and the Wang et al. oracles are one algorithm: RunRrIndependentWith
@@ -63,19 +63,14 @@ class Mechanism {
 
   virtual const char* name() const = 0;
 
-  // The perturbation + Eq. (2) estimation stage. Sequential runs draw
-  // from `rng` exactly as the wrapped stage function would; sharded runs
-  // delegate to the engine's contracts.
-  virtual StatusOr<MechanismOutput> RunSequential(const Dataset& dataset,
-                                                  Rng& rng) const = 0;
-  virtual StatusOr<MechanismOutput> RunSharded(
+  // The perturbation + Eq. (2) estimation stage, through `engine`.
+  virtual StatusOr<MechanismOutput> Run(
       const Dataset& dataset, const BatchPerturbationEngine& engine) const = 0;
 
-  // Synthetic microdata from the mechanism's estimates. Default:
-  // unsupported (ValidateReleaseSpec rejects such specs up front).
-  virtual StatusOr<Dataset> SynthesizeSequential(const MechanismOutput& output,
-                                                 int64_t n, Rng& rng) const;
-  virtual StatusOr<Dataset> SynthesizeSharded(
+  // Synthetic microdata from the mechanism's estimates, through `engine`.
+  // Default: unsupported (ValidateReleaseSpec rejects such specs up
+  // front).
+  virtual StatusOr<Dataset> Synthesize(
       const MechanismOutput& output, int64_t n,
       const BatchPerturbationEngine& engine) const;
 

@@ -47,6 +47,16 @@ StatusOr<Dataset> ResolveDataset(const DatasetSpec& spec) {
   return Status::Internal("unknown dataset source");
 }
 
+// The engine options of a sharded or distributed policy.
+BatchPerturbationOptions EngineOptions(const ExecutionPolicy& policy) {
+  BatchPerturbationOptions options;
+  options.seed = policy.seed;
+  options.num_threads = policy.num_threads;
+  options.shard_size = policy.shard_size;
+  options.rng = policy.rng;
+  return options;
+}
+
 }  // namespace
 
 ReleasePlan::ReleasePlan(ReleaseSpec spec, Dataset owned,
@@ -72,21 +82,13 @@ StatusOr<ReleaseArtifacts> ReleasePlan::Run() const {
     MDRR_RETURN_IF_ERROR(coordinator.AcceptWorkers(policy.num_workers));
     return RunDistributed(coordinator);
   }
-  // The sequential stream and the engine: exactly one exists, chosen by
-  // the policy. The sequential Rng is threaded through the stages in
-  // order (mechanism first, synthesis second), which is the same draw
-  // order a caller composing the stage functions by hand would use.
+  // The sequential engine's one stream is drawn by the stages in order
+  // (mechanism first, synthesis second), which is the same draw order a
+  // caller composing the stage functions by hand would use.
   if (policy.kind == PolicyKind::kSequential) {
-    Rng rng(policy.seed);
-    return ExecuteStages(&rng, nullptr);
+    return ExecuteStages(BatchPerturbationEngine::Sequential(policy.seed));
   }
-  BatchPerturbationOptions engine_options;
-  engine_options.seed = policy.seed;
-  engine_options.num_threads = policy.num_threads;
-  engine_options.shard_size = policy.shard_size;
-  engine_options.rng = policy.rng;
-  BatchPerturbationEngine engine(engine_options);
-  return ExecuteStages(nullptr, &engine);
+  return ExecuteStages(BatchPerturbationEngine(EngineOptions(policy)));
 }
 
 StatusOr<ReleaseArtifacts> ReleasePlan::RunDistributed(
@@ -116,11 +118,7 @@ StatusOr<ReleaseArtifacts> ReleasePlan::RunDistributed(
     return status;
   }
 
-  BatchPerturbationOptions engine_options;
-  engine_options.seed = policy.seed;
-  engine_options.num_threads = policy.num_threads;
-  engine_options.shard_size = policy.shard_size;
-  engine_options.rng = policy.rng;
+  BatchPerturbationOptions engine_options = EngineOptions(policy);
   engine_options.shard_perturber =
       [&coordinator](const RrMatrix& matrix,
                      const std::vector<uint32_t>& codes, uint64_t stream_base,
@@ -132,7 +130,7 @@ StatusOr<ReleaseArtifacts> ReleasePlan::RunDistributed(
 
   // A failed column stops the mechanism stage with its Status, before
   // adjustment, synthesis, artifact assembly, or any output write.
-  StatusOr<ReleaseArtifacts> artifacts = ExecuteStages(nullptr, &engine);
+  StatusOr<ReleaseArtifacts> artifacts = ExecuteStages(engine);
   if (!artifacts.ok()) {
     coordinator.Abort(artifacts.status().ToString());
     return artifacts.status();
@@ -142,7 +140,7 @@ StatusOr<ReleaseArtifacts> ReleasePlan::RunDistributed(
 }
 
 StatusOr<ReleaseArtifacts> ReleasePlan::ExecuteStages(
-    Rng* rng, const BatchPerturbationEngine* engine) const {
+    const BatchPerturbationEngine& engine) const {
   const Dataset& data = dataset();
 
   ReleaseArtifacts artifacts;
@@ -150,10 +148,7 @@ StatusOr<ReleaseArtifacts> ReleasePlan::ExecuteStages(
 
   // --- Perturbation + Eq. (2) estimation. ---
   clock.Start();
-  MDRR_ASSIGN_OR_RETURN(MechanismOutput output,
-                        rng != nullptr
-                            ? mechanism_->RunSequential(data, *rng)
-                            : mechanism_->RunSharded(data, *engine));
+  MDRR_ASSIGN_OR_RETURN(MechanismOutput output, mechanism_->Run(data, engine));
   clock.Stop("mechanism");
 
   const double total_epsilon =
@@ -176,10 +171,7 @@ StatusOr<ReleaseArtifacts> ReleasePlan::ExecuteStages(
     adjustment_options.tolerance = spec_.adjustment.tolerance;
     MDRR_ASSIGN_OR_RETURN(
         AdjustmentResult adjusted,
-        rng != nullptr
-            ? RunRrAdjustment(groups, data.num_rows(), adjustment_options)
-            : engine->RunAdjustment(groups, data.num_rows(),
-                                    adjustment_options));
+        engine.RunAdjustment(groups, data.num_rows(), adjustment_options));
     artifacts.adjustment = std::move(adjusted);
     clock.Stop("adjustment");
   }
@@ -190,11 +182,8 @@ StatusOr<ReleaseArtifacts> ReleasePlan::ExecuteStages(
     const int64_t n = spec_.synthetic.records > 0
                           ? spec_.synthetic.records
                           : static_cast<int64_t>(data.num_rows());
-    MDRR_ASSIGN_OR_RETURN(
-        Dataset synthetic,
-        rng != nullptr
-            ? mechanism_->SynthesizeSequential(output, n, *rng)
-            : mechanism_->SynthesizeSharded(output, n, *engine));
+    MDRR_ASSIGN_OR_RETURN(Dataset synthetic,
+                          mechanism_->Synthesize(output, n, engine));
     artifacts.synthetic = std::move(synthetic);
     clock.Stop("synthesis");
   }

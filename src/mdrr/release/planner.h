@@ -6,12 +6,13 @@
 // adjustment, optional synthetic release, optional utility evaluation,
 // and output writing -- under the spec's single ExecutionPolicy:
 //
-//   kSequential   one Rng(seed) threaded through the stages in order,
-//                 bit-identical to calling the stage functions directly;
-//   kSharded      everything through the BatchPerturbationEngine
-//                 contracts, bit-identical for any num_threads at fixed
-//                 (seed, shard_size) and to the corresponding direct
-//                 engine calls;
+//   kSequential   BatchPerturbationEngine::Sequential(seed): one Rng(seed)
+//                 drawn by the stages in order, bit-identical to calling
+//                 the stage functions directly;
+//   kSharded      the options-constructed BatchPerturbationEngine,
+//                 bit-identical for any num_threads at fixed (seed,
+//                 shard_size) and to the corresponding direct engine
+//                 calls;
 //   kDistributed  the kSharded pipeline with column perturbation farmed
 //                 out to worker processes through a net::Coordinator --
 //                 bit-identical to kSharded at the same (seed,
@@ -21,6 +22,9 @@
 //                 an already-connected coordinator instead. Failures are
 //                 fail-closed: a worker error aborts the release before
 //                 any artifact or output file exists.
+//
+// Each policy is one BatchPerturbationEngine, so the stage pipeline is
+// the same code under all three: only the engine knows which runs.
 //
 // Run() is const and re-derives all randomness from the spec, so a plan
 // can be executed repeatedly (or the spec shipped to another machine)
@@ -67,10 +71,10 @@ class ReleasePlan {
   ReleasePlan(ReleaseSpec spec, Dataset owned, const Dataset* provided,
               std::unique_ptr<Mechanism> mechanism);
 
-  // The stage pipeline shared by every policy: exactly one of rng/engine
-  // is non-null.
+  // The stage pipeline shared by every policy; `engine` carries the
+  // policy.
   StatusOr<ReleaseArtifacts> ExecuteStages(
-      Rng* rng, const BatchPerturbationEngine* engine) const;
+      const BatchPerturbationEngine& engine) const;
 
   ReleaseSpec spec_;
   // kProvided binds by reference (no copy); the other sources own their

@@ -42,14 +42,16 @@ enum class MechanismKind {
   kGeometricOrdinal,
 };
 
-// How the plan executes. kSequential is the single-stream reference path
-// (one Rng drawn in stage order); kSharded routes every stage through
-// the BatchPerturbationEngine contracts, bit-identical for any
-// num_threads at fixed (seed, shard_size). kDistributed farms the
-// sharded column perturbations out to worker processes over the net/
-// transport, reproducing the kSharded transcript bit-for-bit at the same
-// (seed, shard_size, rng) for any worker count; every serial stage
-// (adjustment, synthesis, estimation) still runs on the coordinator.
+// How the plan executes; each policy is one BatchPerturbationEngine.
+// kSequential is the single-stream reference path
+// (BatchPerturbationEngine::Sequential: one Rng drawn in stage order);
+// kSharded routes every stage through the sharded engine contracts,
+// bit-identical for any num_threads at fixed (seed, shard_size).
+// kDistributed farms the sharded column perturbations out to worker
+// processes over the net/ transport, reproducing the kSharded transcript
+// bit-for-bit at the same (seed, shard_size, rng) for any worker count;
+// every serial stage (adjustment, synthesis, estimation) still runs on
+// the coordinator.
 enum class PolicyKind {
   kSequential,
   kSharded,
@@ -199,15 +201,18 @@ struct StreamingSpec {
 struct ExecutionPolicy {
   PolicyKind kind = PolicyKind::kSequential;
   uint64_t seed = 1;
-  size_t num_threads = 0;       // kSharded only.
-  size_t shard_size = 1 << 16;  // kSharded only.
+  // kSharded and kDistributed (the coordinator runs its local stages on
+  // num_threads workers). A sequential release runs on one worker and
+  // draws no per-shard streams, so neither changes its output.
+  size_t num_threads = 0;
+  size_t shard_size = 1 << 16;
   // Perturbation stream engine. kMt19937 (default) is the committed
   // transcript: sequential plans replay the reference Rng, sharded plans
   // the (seed, shard_size)-keyed stream family. kPhilox draws
   // element-addressed counter blocks instead, making sharded output
-  // invariant under shard_size as well as num_threads; it requires
-  // kind == kSharded (the sequential reference path is mt19937 by
-  // definition) unless streaming is enabled -- the streaming collector
+  // invariant under shard_size as well as num_threads; it requires the
+  // sharded or distributed kind (the sequential reference path is
+  // mt19937 by definition) unless streaming is enabled -- the streaming collector
   // keys randomness per report and ignores `kind`.
   RngKind rng = RngKind::kMt19937;
   // kDistributed only. Worker processes the coordinator waits for before

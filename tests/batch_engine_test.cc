@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "mdrr/core/adjustment.h"
 #include "mdrr/core/estimator.h"
 #include "mdrr/core/rr_clusters.h"
 #include "mdrr/core/rr_independent.h"
+#include "mdrr/core/rr_joint.h"
+#include "mdrr/core/synthetic.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/attribute.h"
 #include "mdrr/dataset/dataset.h"
@@ -174,6 +177,74 @@ TEST(BatchEngineTest, MatchesSequentialMatrixDesign) {
   EXPECT_EQ(sequential.value().epsilons, batched.value().epsilons);
   EXPECT_EQ(sequential.value().total_epsilon,
             batched.value().total_epsilon);
+}
+
+// A sequential engine draws every stage from its one Rng(seed) in call
+// order: two mechanisms in a row on one engine, with adjustment and
+// synthesis between them, equal the stage functions driven by one Rng
+// in the same order.
+TEST(BatchEngineTest, SequentialEngineDrawsEveryStageFromOneStream) {
+  Dataset data = SmallData(1500);
+  const std::vector<size_t> joint_attributes = {1, 3};
+  RrClustersOptions clusters_options;
+  clusters_options.keep_probability = 0.7;
+  const int64_t n = 900;
+
+  BatchPerturbationEngine engine = BatchPerturbationEngine::Sequential(11);
+  auto joint = engine.RunJoint(data, joint_attributes, 4.0);
+  ASSERT_TRUE(joint.ok());
+  auto clusters = engine.RunClusters(data, clusters_options);
+  ASSERT_TRUE(clusters.ok());
+  auto adjusted = engine.RunAdjustment(GroupsFromClusters(clusters.value()),
+                                       data.num_rows());
+  ASSERT_TRUE(adjusted.ok());
+  auto clusters_synthetic = engine.SynthesizeClusters(clusters.value(), n);
+  ASSERT_TRUE(clusters_synthetic.ok());
+  auto independent = engine.RunIndependent(data, {0.6});
+  ASSERT_TRUE(independent.ok());
+  auto independent_synthetic =
+      engine.SynthesizeIndependent(independent.value(), n);
+  ASSERT_TRUE(independent_synthetic.ok());
+
+  Rng rng(11);
+  auto joint_ref = RunRrJoint(data, joint_attributes, 4.0, rng);
+  ASSERT_TRUE(joint_ref.ok());
+  auto clusters_ref = RunRrClusters(data, clusters_options, rng);
+  ASSERT_TRUE(clusters_ref.ok());
+  auto adjusted_ref = RunRrAdjustment(
+      GroupsFromClusters(clusters_ref.value()), data.num_rows());
+  ASSERT_TRUE(adjusted_ref.ok());
+  auto clusters_synthetic_ref =
+      SynthesizeFromClusters(clusters_ref.value(), n, rng);
+  ASSERT_TRUE(clusters_synthetic_ref.ok());
+  auto independent_ref = RunRrIndependent(data, {0.6}, rng);
+  ASSERT_TRUE(independent_ref.ok());
+  auto independent_synthetic_ref =
+      SynthesizeFromIndependent(independent_ref.value(), n, rng);
+  ASSERT_TRUE(independent_synthetic_ref.ok());
+
+  EXPECT_EQ(joint.value().randomized_codes, joint_ref.value().randomized_codes);
+  EXPECT_EQ(joint.value().estimated, joint_ref.value().estimated);
+
+  ASSERT_EQ(clusters.value().clusters, clusters_ref.value().clusters);
+  EXPECT_TRUE(clusters.value().dependences ==
+              clusters_ref.value().dependences);
+  ExpectSameDataset(clusters.value().randomized,
+                    clusters_ref.value().randomized);
+  for (size_t c = 0; c < clusters.value().cluster_results.size(); ++c) {
+    EXPECT_EQ(clusters.value().cluster_results[c].estimated,
+              clusters_ref.value().cluster_results[c].estimated);
+  }
+  EXPECT_EQ(adjusted.value().weights, adjusted_ref.value().weights);
+  EXPECT_EQ(adjusted.value().iterations, adjusted_ref.value().iterations);
+  ExpectSameDataset(clusters_synthetic.value(),
+                    clusters_synthetic_ref.value());
+
+  ExpectSameDataset(independent.value().randomized,
+                    independent_ref.value().randomized);
+  EXPECT_EQ(independent.value().estimated, independent_ref.value().estimated);
+  ExpectSameDataset(independent_synthetic.value(),
+                    independent_synthetic_ref.value());
 }
 
 }  // namespace

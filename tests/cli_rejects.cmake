@@ -1,18 +1,28 @@
 # Runs `CLI ARGS` (ARGS one space-separated string) and requires exit
-# status 1 with EXPECT somewhere in its stderr: an input the tool must
-# refuse by name rather than crash on or ignore.
+# status STATUS (default 1) with EXPECT somewhere in its output. Status 1
+# is an input the tool must refuse by name rather than crash on or
+# ignore, and EXPECT is looked for in stderr; any other status looks in
+# stdout.
 #
 #   cmake -DCLI=path/to/mdrr_cli "-DARGS=risk --r=1000000" -DEXPECT=--r \
 #         -P tests/cli_rejects.cmake
+if(NOT DEFINED STATUS)
+  set(STATUS 1)
+endif()
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND "${CLI}" ${args}
                 RESULT_VARIABLE status
-                OUTPUT_QUIET
+                OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
-if(NOT status STREQUAL "1")
-  message(FATAL_ERROR "${ARGS}: exit status '${status}', want 1\n${err}")
+if(NOT status STREQUAL "${STATUS}")
+  message(FATAL_ERROR "${ARGS}: exit status '${status}', want ${STATUS}\n${err}")
 endif()
-string(FIND "${err}" "${EXPECT}" at)
+if(STATUS STREQUAL "1")
+  set(searched "${err}")
+else()
+  set(searched "${out}")
+endif()
+string(FIND "${searched}" "${EXPECT}" at)
 if(at EQUAL -1)
-  message(FATAL_ERROR "${ARGS}: stderr does not name '${EXPECT}'\n${err}")
+  message(FATAL_ERROR "${ARGS}: output does not name '${EXPECT}'\n${searched}")
 endif()

@@ -6,9 +6,7 @@
 
 #include "mdrr/dataset/csv.h"
 #include "mdrr/dataset/dataset.h"
-#include "mdrr/dataset/discretize.h"
 #include "mdrr/dataset/domain.h"
-#include "mdrr/rng/rng.h"
 
 namespace mdrr {
 namespace {
@@ -192,44 +190,6 @@ TEST(CsvTest, DatasetFromRowsRejectsRaggedRows) {
 TEST(CsvTest, SchemaLoadRejectsUnknownCategory) {
   std::vector<std::vector<std::string>> rows = {{"purple", "S"}};
   EXPECT_FALSE(DatasetFromRowsWithSchema(rows, SmallSchema(), {0, 1}).ok());
-}
-
-// --- Discretization ---
-
-TEST(DiscretizeTest, EqualWidthBins) {
-  std::vector<double> values = {0.0, 2.5, 5.0, 7.5, 10.0};
-  auto result = EqualWidthDiscretize(values, 2, "metric");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().attribute.cardinality(), 2u);
-  EXPECT_EQ(result.value().attribute.type, AttributeType::kOrdinal);
-  EXPECT_EQ(result.value().codes, (std::vector<uint32_t>{0, 0, 1, 1, 1}));
-}
-
-TEST(DiscretizeTest, MaximumFallsInLastBin) {
-  std::vector<double> values = {1.0, 2.0, 3.0};
-  auto result = EqualWidthDiscretize(values, 4, "metric");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().codes.back(), 3u);
-}
-
-TEST(DiscretizeTest, QuantileBinsBalanceCounts) {
-  std::vector<double> values;
-  Rng rng(5);
-  for (int i = 0; i < 1000; ++i) values.push_back(rng.UniformDouble());
-  auto result = QuantileDiscretize(values, 4, "metric");
-  ASSERT_TRUE(result.ok());
-  std::vector<int> counts(result.value().attribute.cardinality(), 0);
-  for (uint32_t code : result.value().codes) ++counts[code];
-  for (int c : counts) {
-    EXPECT_GT(c, 150);  // Roughly balanced quarters.
-    EXPECT_LT(c, 350);
-  }
-}
-
-TEST(DiscretizeTest, RejectsDegenerateInput) {
-  EXPECT_FALSE(EqualWidthDiscretize({}, 3, "x").ok());
-  EXPECT_FALSE(EqualWidthDiscretize({1.0, 1.0}, 3, "x").ok());
-  EXPECT_FALSE(QuantileDiscretize({2.0, 2.0}, 3, "x").ok());
 }
 
 }  // namespace

@@ -39,12 +39,14 @@
 //       Passing --threads selects the sharded execution policy: every
 //       stage runs through the BatchPerturbationEngine contracts with N
 //       workers (0 = one per core), bit-identical for any N at a fixed
-//       --seed (--shard is part of the randomness contract). Omitting it
-//       selects the sequential policy, which is bit-identical to calling
-//       the stage functions directly with one Rng(seed). --rng=philox
-//       switches perturbation to the counter-based engine (sharded or
-//       streaming runs only): a different deterministic transcript that
-//       is additionally invariant under --shard.
+//       --seed (--shard, >= 1, is part of the randomness contract).
+//       Omitting it selects the sequential policy, which is bit-identical
+//       to calling the stage functions directly with one Rng(seed); it
+//       has no shards, so --shard without --threads or --listen is an
+//       error. --rng=philox switches perturbation to the counter-based
+//       engine (sharded or streaming runs only): a different
+//       deterministic transcript that is additionally invariant under
+//       --shard.
 //
 //       Coordinator mode for a multi-process release:
 //         --listen=PORT [--workers=N] [--worker_deadline_ms=MS]
@@ -263,10 +265,20 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
     if (threads < 0) {
       return Status::InvalidArgument("--threads must be >= 0");
     }
-    MDRR_ASSIGN_OR_RETURN(const int64_t shard,
-                          IntFlag(flags, "shard", 1 << 16));
     spec.execution.kind = release::PolicyKind::kSharded;
     spec.execution.num_threads = static_cast<size_t>(threads);
+  }
+  // --shard is part of the randomness address of the sharded and
+  // distributed policies; the sequential policy has no shards, so there
+  // the flag is an error, never ignored.
+  if (flags.Has("shard")) {
+    if (!flags.Has("threads") && !flags.Has("listen")) {
+      return Status::InvalidArgument(
+          "--shard needs --threads or --listen (the sequential policy has "
+          "no shards)");
+    }
+    MDRR_ASSIGN_OR_RETURN(const int64_t shard, IntFlag(flags, "shard", 0));
+    if (shard < 1) return Status::InvalidArgument("--shard must be >= 1");
     spec.execution.shard_size = static_cast<size_t>(shard);
   }
   MDRR_ASSIGN_OR_RETURN(const int64_t seed, IntFlag(flags, "seed", 1));
