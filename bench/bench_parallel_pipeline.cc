@@ -280,12 +280,12 @@ int main(int argc, char** argv) {
   mdrr::DependenceShardingOptions dependence_many;
   dependence_many.num_threads = threads;
   timer.Restart();
-  mdrr::linalg::Matrix deps_one = mdrr::DependenceMatrixSharded(
-      data, mdrr::DependenceMeasure::kPaperAuto, dependence_one);
+  mdrr::linalg::Matrix deps_one =
+      mdrr::DependenceMatrixSharded(data, dependence_one);
   double dependence_t1 = timer.Seconds();
   timer.Restart();
-  mdrr::linalg::Matrix deps_many = mdrr::DependenceMatrixSharded(
-      data, mdrr::DependenceMeasure::kPaperAuto, dependence_many);
+  mdrr::linalg::Matrix deps_many =
+      mdrr::DependenceMatrixSharded(data, dependence_many);
   double dependence_tn = timer.Seconds();
   stages.push_back({"dependence-assess", dependence_t1, dependence_tn,
                     SameMatrix(deps_one, deps_many)});

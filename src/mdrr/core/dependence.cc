@@ -48,103 +48,6 @@ linalg::Matrix DependenceMatrix(const Dataset& dataset) {
   return deps;
 }
 
-double NormalizedMutualInformationFromJoint(const std::vector<double>& joint,
-                                            size_t cardinality_a,
-                                            size_t cardinality_b) {
-  MDRR_CHECK_EQ(joint.size(), cardinality_a * cardinality_b);
-  double total = 0.0;
-  for (double w : joint) total += std::max(0.0, w);
-  if (total <= 0.0) return 0.0;
-
-  std::vector<double> marginal_a(cardinality_a, 0.0);
-  std::vector<double> marginal_b(cardinality_b, 0.0);
-  for (size_t a = 0; a < cardinality_a; ++a) {
-    for (size_t b = 0; b < cardinality_b; ++b) {
-      double w = std::max(0.0, joint[a * cardinality_b + b]) / total;
-      marginal_a[a] += w;
-      marginal_b[b] += w;
-    }
-  }
-  auto entropy = [](const std::vector<double>& dist) {
-    double h = 0.0;
-    for (double x : dist) {
-      if (x > 0.0) h -= x * std::log(x);
-    }
-    return h;
-  };
-  double h_a = entropy(marginal_a);
-  double h_b = entropy(marginal_b);
-  if (h_a <= 0.0 || h_b <= 0.0) return 0.0;
-
-  double mutual = 0.0;
-  for (size_t a = 0; a < cardinality_a; ++a) {
-    for (size_t b = 0; b < cardinality_b; ++b) {
-      double w = std::max(0.0, joint[a * cardinality_b + b]) / total;
-      if (w <= 0.0) continue;
-      mutual += w * std::log(w / (marginal_a[a] * marginal_b[b]));
-    }
-  }
-  double nmi = mutual / std::min(h_a, h_b);
-  return std::min(1.0, std::max(0.0, nmi));
-}
-
-double NormalizedMutualInformation(const std::vector<uint32_t>& codes_a,
-                                   size_t cardinality_a,
-                                   const std::vector<uint32_t>& codes_b,
-                                   size_t cardinality_b) {
-  MDRR_CHECK_EQ(codes_a.size(), codes_b.size());
-  MDRR_CHECK(!codes_a.empty());
-  std::vector<double> joint(cardinality_a * cardinality_b, 0.0);
-  for (size_t i = 0; i < codes_a.size(); ++i) {
-    MDRR_CHECK_LT(codes_a[i], cardinality_a);
-    MDRR_CHECK_LT(codes_b[i], cardinality_b);
-    joint[codes_a[i] * cardinality_b + codes_b[i]] += 1.0;
-  }
-  return NormalizedMutualInformationFromJoint(joint, cardinality_a,
-                                              cardinality_b);
-}
-
-linalg::Matrix DependenceMatrixWithMeasure(const Dataset& dataset,
-                                           DependenceMeasure measure) {
-  const size_t m = dataset.num_attributes();
-  linalg::Matrix deps(m, m, 0.0);
-  for (size_t i = 0; i < m; ++i) {
-    deps(i, i) = 1.0;
-    const Attribute& a = dataset.attribute(i);
-    for (size_t j = i + 1; j < m; ++j) {
-      const Attribute& b = dataset.attribute(j);
-      double d = 0.0;
-      switch (measure) {
-        case DependenceMeasure::kPaperAuto:
-          d = DependenceBetween(dataset, i, j);
-          break;
-        case DependenceMeasure::kCramersV: {
-          stats::ContingencyTable table(dataset.column(i), a.cardinality(),
-                                        dataset.column(j), b.cardinality());
-          d = table.CramersV();
-          break;
-        }
-        case DependenceMeasure::kAbsPearson: {
-          std::vector<double> x(dataset.column(i).begin(),
-                                dataset.column(i).end());
-          std::vector<double> y(dataset.column(j).begin(),
-                                dataset.column(j).end());
-          d = std::fabs(stats::PearsonCorrelation(x, y));
-          break;
-        }
-        case DependenceMeasure::kNormalizedMutualInformation:
-          d = NormalizedMutualInformation(dataset.column(i), a.cardinality(),
-                                          dataset.column(j),
-                                          b.cardinality());
-          break;
-      }
-      deps(i, j) = d;
-      deps(j, i) = d;
-    }
-  }
-  return deps;
-}
-
 double AbsPearsonFromJoint(const std::vector<double>& joint,
                            size_t cardinality_a, size_t cardinality_b) {
   MDRR_CHECK_EQ(joint.size(), cardinality_a * cardinality_b);
@@ -180,32 +83,6 @@ double AbsPearsonFromJoint(const std::vector<double>& joint,
 
 namespace {
 
-// Dependence statistic from a pair's exact joint counts. A pure function
-// of (counts, measure, types), so any accumulation scheme that produces
-// the same integer counts produces bitwise-identical dependences.
-double DependenceFromJointCounts(const std::vector<int64_t>& counts,
-                                 size_t cardinality_a, AttributeType type_a,
-                                 size_t cardinality_b, AttributeType type_b,
-                                 double n, DependenceMeasure measure) {
-  std::vector<double> joint(counts.begin(), counts.end());
-  switch (measure) {
-    case DependenceMeasure::kPaperAuto:
-      return DependenceFromJoint(joint, cardinality_a, type_a, cardinality_b,
-                                 type_b, n);
-    case DependenceMeasure::kCramersV: {
-      stats::ContingencyTable table(std::move(joint), cardinality_a,
-                                    cardinality_b, n);
-      return table.CramersV();
-    }
-    case DependenceMeasure::kAbsPearson:
-      return AbsPearsonFromJoint(joint, cardinality_a, cardinality_b);
-    case DependenceMeasure::kNormalizedMutualInformation:
-      return NormalizedMutualInformationFromJoint(joint, cardinality_a,
-                                                  cardinality_b);
-  }
-  return 0.0;
-}
-
 // Joint counts of one pair accumulated serially over all records.
 std::vector<int64_t> PairCountsSerial(const std::vector<uint32_t>& codes_a,
                                       const std::vector<uint32_t>& codes_b,
@@ -238,8 +115,7 @@ std::vector<int64_t> PairCountsSharded(const std::vector<uint32_t>& codes_a,
 }  // namespace
 
 linalg::Matrix DependenceMatrixSharded(
-    const Dataset& dataset, DependenceMeasure measure,
-    const DependenceShardingOptions& options) {
+    const Dataset& dataset, const DependenceShardingOptions& options) {
   const size_t m = dataset.num_attributes();
   const size_t n = dataset.num_rows();
   const size_t chunk_size = std::max<size_t>(1, options.record_chunk_size);
@@ -253,13 +129,16 @@ linalg::Matrix DependenceMatrixSharded(
     for (size_t j = i + 1; j < m; ++j) pairs.emplace_back(i, j);
   }
 
+  // A pure function of the pair's exact counts, so any accumulation
+  // scheme that produces the same integer counts produces bitwise-equal
+  // dependences.
   auto stat_for = [&](size_t i, size_t j,
                       const std::vector<int64_t>& counts) {
     const Attribute& a = dataset.attribute(i);
     const Attribute& b = dataset.attribute(j);
-    return DependenceFromJointCounts(counts, a.cardinality(), a.type,
-                                     b.cardinality(), b.type,
-                                     static_cast<double>(n), measure);
+    return DependenceFromJoint(
+        std::vector<double>(counts.begin(), counts.end()), a.cardinality(),
+        a.type, b.cardinality(), b.type, static_cast<double>(n));
   };
 
   // When the pair grid alone can feed every worker, shard pairs (each

@@ -13,40 +13,12 @@
 
 namespace mdrr {
 
-// Selectable dependence statistic. kPaperAuto is the paper's rule
-// (|Pearson| for ordinal pairs, Cramér's V otherwise); the others force
-// one statistic regardless of attribute types. All are bounded in [0, 1],
-// so any of them can drive Algorithm 1.
-enum class DependenceMeasure {
-  kPaperAuto,
-  kCramersV,
-  kAbsPearson,
-  kNormalizedMutualInformation,
-};
-
 // Dependence in [0, 1] between two code columns given their measurement
 // types and cardinalities. Ordinal codes are treated as ranks.
 double DependenceBetweenColumns(const std::vector<uint32_t>& codes_a,
                                 size_t cardinality_a, AttributeType type_a,
                                 const std::vector<uint32_t>& codes_b,
                                 size_t cardinality_b, AttributeType type_b);
-
-// Normalized mutual information I(A;B) / min(H(A), H(B)) in [0, 1];
-// 0 when either variable is constant. Natural-log entropies.
-double NormalizedMutualInformation(const std::vector<uint32_t>& codes_a,
-                                   size_t cardinality_a,
-                                   const std::vector<uint32_t>& codes_b,
-                                   size_t cardinality_b);
-
-// NMI from a joint weight table (probabilities or counts; negatives are
-// clamped to 0), row-major [cardinality_a x cardinality_b].
-double NormalizedMutualInformationFromJoint(const std::vector<double>& joint,
-                                            size_t cardinality_a,
-                                            size_t cardinality_b);
-
-// Pairwise dependence matrix under an explicit measure choice.
-linalg::Matrix DependenceMatrixWithMeasure(const Dataset& dataset,
-                                           DependenceMeasure measure);
 
 // Threading knobs for the sharded dependence assessment. The record
 // chunk size is purely a load-balancing grain here: per-pair joint
@@ -60,19 +32,18 @@ struct DependenceShardingOptions {
   size_t record_chunk_size = 1 << 16;
 };
 
-// Sharded pairwise dependence matrix: the O(d^2) pair grid is split
-// across workers, and when the grid alone cannot feed every worker the
+// Sharded DependenceMatrix: the O(d^2) pair grid is split across
+// workers, and when the grid alone cannot feed every worker the
 // per-pair contingency accumulation is sharded over record ranges
 // instead, with per-worker count buffers merged by
 // stats::FrequencyTable::Absorb. Every statistic is computed from the
-// pair's exact joint counts, so the output is a pure function of the
-// data and the measure -- independent of thread count and chunk size.
-// Cramér's V and NMI values are bitwise equal to the sequential
-// functions above; |Pearson| is computed from the joint table rather
-// than the raw columns and may differ from them in the last few ulps.
+// pair's exact joint counts by DependenceFromJoint, so the output is a
+// pure function of the data -- independent of thread count and chunk
+// size. Cramér's V values are bitwise equal to DependenceMatrix's;
+// |Pearson| is computed from the joint table rather than the raw columns
+// and may differ from it in the last few ulps.
 linalg::Matrix DependenceMatrixSharded(
-    const Dataset& dataset, DependenceMeasure measure,
-    const DependenceShardingOptions& options);
+    const Dataset& dataset, const DependenceShardingOptions& options);
 
 // Dependence between attributes i and j of `dataset`.
 double DependenceBetween(const Dataset& dataset, size_t i, size_t j);

@@ -27,8 +27,7 @@ DependenceEstimate OracleDependences(const Dataset& dataset) {
 DependenceEstimate OracleDependencesSharded(
     const Dataset& dataset, const DependenceShardingOptions& sharding) {
   DependenceEstimate result;
-  result.dependences = DependenceMatrixSharded(
-      dataset, DependenceMeasure::kPaperAuto, sharding);
+  result.dependences = DependenceMatrixSharded(dataset, sharding);
   result.epsilon = 0.0;
   result.messages = 0;
   return result;
@@ -135,8 +134,7 @@ DependenceEstimate RandomizedResponseDependencesSharded(
                                           options.sharding, &result.epsilon)
           : PublishRandomizedRound(dataset, keep_probability, rng,
                                    &result.epsilon);
-  result.dependences = DependenceMatrixSharded(
-      randomized, DependenceMeasure::kPaperAuto, options.sharding);
+  result.dependences = DependenceMatrixSharded(randomized, options.sharding);
   result.messages = static_cast<uint64_t>(dataset.num_rows());
   return result;
 }

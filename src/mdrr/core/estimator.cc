@@ -1,12 +1,10 @@
 #include "mdrr/core/estimator.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
 #include "mdrr/linalg/structured.h"
-#include "mdrr/stats/special_functions.h"
 
 namespace mdrr {
 
@@ -127,67 +125,6 @@ StatusOr<std::vector<double>> EstimateVariances(
                    });
   }
   return variances;
-}
-
-StatusOr<std::vector<double>> EstimateConfidenceHalfWidths(
-    const RrMatrix& p, const std::vector<double>& lambda_hat, int64_t n,
-    double alpha, const EstimationOptions& options) {
-  if (alpha <= 0.0 || alpha >= 1.0) {
-    return Status::InvalidArgument("alpha must be in (0, 1)");
-  }
-  MDRR_ASSIGN_OR_RETURN(std::vector<double> variances,
-                        EstimateVariances(p, lambda_hat, n, options));
-  double z = stats::StandardNormalQuantile(
-      1.0 - alpha / (2.0 * static_cast<double>(p.size())));
-  std::vector<double> half_widths(variances.size());
-  for (size_t u = 0; u < variances.size(); ++u) {
-    half_widths[u] = z * std::sqrt(variances[u]);
-  }
-  return half_widths;
-}
-
-StatusOr<std::vector<double>> IterativeBayesianUpdate(
-    const RrMatrix& p, const std::vector<double>& lambda_hat,
-    const IterativeBayesianOptions& options) {
-  const size_t r = p.size();
-  if (lambda_hat.size() != r) {
-    return Status::InvalidArgument("lambda size does not match matrix size");
-  }
-  std::vector<double> pi(r, 1.0 / static_cast<double>(r));
-  std::vector<double> next(r);
-  std::vector<double> predicted(r);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // predicted[v] = Σ_w π(w) p_wv: the randomized distribution implied by
-    // the current estimate.
-    for (size_t v = 0; v < r; ++v) {
-      double sum = 0.0;
-      for (size_t w = 0; w < r; ++w) sum += pi[w] * p.Prob(w, v);
-      predicted[v] = sum;
-    }
-    for (size_t u = 0; u < r; ++u) {
-      double sum = 0.0;
-      for (size_t v = 0; v < r; ++v) {
-        if (predicted[v] <= 0.0) continue;
-        sum += lambda_hat[v] * p.Prob(u, v) / predicted[v];
-      }
-      next[u] = pi[u] * sum;
-    }
-    // Normalize (guards round-off; the update preserves total mass when
-    // lambda_hat sums to 1).
-    double total = 0.0;
-    for (double x : next) total += x;
-    if (total <= 0.0) {
-      return Status::Internal("iterative Bayesian update lost all mass");
-    }
-    double max_delta = 0.0;
-    for (size_t u = 0; u < r; ++u) {
-      next[u] /= total;
-      max_delta = std::max(max_delta, std::fabs(next[u] - pi[u]));
-    }
-    pi.swap(next);
-    if (max_delta < options.tolerance) break;
-  }
-  return pi;
 }
 
 }  // namespace mdrr

@@ -2,11 +2,8 @@
 //
 // The unbiased estimator of Eq. (2): π̂ = (Pᵀ)⁻¹ λ̂, where λ̂ is the
 // empirical distribution of the randomized data. Because π̂ may leave the
-// probability simplex, two repair strategies are provided:
-//   * ProjectToSimplex -- the paper's Section 6.4 procedure (clamp
-//     negatives to zero, rescale to sum 1);
-//   * IterativeBayesianUpdate -- the EM-style update the paper cites from
-//     Alvim et al. [2], which converges to a proper distribution.
+// probability simplex, ProjectToSimplex repairs it with the paper's
+// Section 6.4 procedure (clamp negatives to zero, rescale to sum 1).
 
 #ifndef MDRR_CORE_ESTIMATOR_H_
 #define MDRR_CORE_ESTIMATOR_H_
@@ -66,27 +63,6 @@ StatusOr<std::vector<double>> EstimateProjectedDistribution(
 StatusOr<std::vector<double>> EstimateVariances(
     const RrMatrix& p, const std::vector<double>& lambda_hat, int64_t n,
     const EstimationOptions& options = {});
-
-// Symmetric two-sided confidence half-widths for each entry of π̂ at
-// simultaneous level 1 - alpha (Bonferroni over categories, normal
-// approximation): half_width[u] = z_{1 - alpha/(2r)} * sqrt(Var(π̂_u)).
-StatusOr<std::vector<double>> EstimateConfidenceHalfWidths(
-    const RrMatrix& p, const std::vector<double>& lambda_hat, int64_t n,
-    double alpha, const EstimationOptions& options = {});
-
-struct IterativeBayesianOptions {
-  int max_iterations = 200;
-  // Stop when max_u |π_{t+1}(u) - π_t(u)| < tolerance.
-  double tolerance = 1e-10;
-};
-
-// Iterative Bayesian update (Agrawal-Aggarwal / Alvim et al. style EM):
-//   π_{t+1}(u) = Σ_v λ̂(v) · π_t(u) p_uv / Σ_w π_t(w) p_wv.
-// Always yields a proper distribution; it is the maximum-likelihood
-// estimate of π in the limit. Starts from the uniform distribution.
-StatusOr<std::vector<double>> IterativeBayesianUpdate(
-    const RrMatrix& p, const std::vector<double>& lambda_hat,
-    const IterativeBayesianOptions& options = {});
 
 }  // namespace mdrr
 

@@ -153,22 +153,6 @@ std::vector<uint8_t> UnaryEncodingOracle::Randomize(uint32_t value,
   return bits;
 }
 
-StatusOr<std::vector<double>> UnaryEncodingOracle::EstimateFromReports(
-    const std::vector<std::vector<uint8_t>>& reports) const {
-  if (reports.empty()) {
-    return Status::InvalidArgument("no reports to estimate from");
-  }
-  std::vector<int64_t> bit_counts(r_, 0);
-  for (const std::vector<uint8_t>& report : reports) {
-    if (report.size() != r_) {
-      return Status::InvalidArgument("report length mismatch");
-    }
-    for (size_t v = 0; v < r_; ++v) bit_counts[v] += report[v];
-  }
-  return EstimateFrequencies(bit_counts,
-                             static_cast<int64_t>(reports.size()));
-}
-
 void UnaryEncodingOracle::AccumulateRange(const uint32_t* codes, size_t count,
                                           Rng& rng, uint32_t* /*out*/,
                                           int64_t* counts) const {

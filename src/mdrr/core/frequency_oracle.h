@@ -208,10 +208,6 @@ class UnaryEncodingOracle : public FrequencyOracle {
   // probability q (if 0).
   std::vector<uint8_t> Randomize(uint32_t value, Rng& rng) const;
 
-  // Convenience: accumulates bit vectors and estimates.
-  StatusOr<std::vector<double>> EstimateFromReports(
-      const std::vector<std::vector<uint8_t>>& reports) const;
-
   void AccumulateRange(const uint32_t* codes, size_t count, Rng& rng,
                        uint32_t* out, int64_t* counts) const override;
   void AccumulateRangeCounter(const uint32_t* codes, size_t count,

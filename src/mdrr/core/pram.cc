@@ -1,7 +1,6 @@
 #include "mdrr/core/pram.h"
 
 #include "mdrr/core/estimator.h"
-#include "mdrr/linalg/matrix.h"
 
 namespace mdrr {
 
@@ -30,39 +29,6 @@ StatusOr<PramResult> ApplyPram(const Dataset& collected,
     result.epsilons[j] = matrix.Epsilon();
   }
   return result;
-}
-
-StatusOr<RrMatrix> InvariantPramMatrix(const RrMatrix& base,
-                                       const std::vector<double>& observed) {
-  const size_t r = base.size();
-  if (observed.size() != r) {
-    return Status::InvalidArgument("distribution size mismatch");
-  }
-  // Invariant PRAM (van den Hout / the two-stage construction): let Q be
-  // the Bayes reverse channel of `base` under prior pi = observed,
-  //   Q_uv = pi_v P_vu / (P^T pi)_u,
-  // which satisfies Q^T (P^T pi) = pi. The invariant matrix is R = P Q:
-  //   R^T pi = Q^T P^T pi = pi,
-  // so publishing data randomized by R preserves the collected marginal
-  // in expectation. Reverse rows with zero implied mass fall back to the
-  // identity row (those categories are never observed after P).
-  std::vector<double> implied(r, 0.0);
-  for (size_t u = 0; u < r; ++u) {
-    for (size_t v = 0; v < r; ++v) {
-      implied[u] += base.Prob(v, u) * observed[v];
-    }
-  }
-  linalg::Matrix reverse(r, r, 0.0);
-  for (size_t u = 0; u < r; ++u) {
-    if (implied[u] <= 0.0) {
-      reverse(u, u) = 1.0;
-      continue;
-    }
-    for (size_t v = 0; v < r; ++v) {
-      reverse(u, v) = observed[v] * base.Prob(v, u) / implied[u];
-    }
-  }
-  return RrMatrix::FromDense(base.ToDense().MatMul(reverse));
 }
 
 }  // namespace mdrr

@@ -34,16 +34,6 @@ struct PramResult {
 StatusOr<PramResult> ApplyPram(const Dataset& collected,
                                double keep_probability, Rng& rng);
 
-// Invariant PRAM: rescales a KeepUniform matrix so that the *expected*
-// marginal of the published file equals the observed marginal of the
-// collected file (the classic invariant-PRAM construction R = P' with
-// P'_uv chosen so that lambda = pi). Returns the invariant matrix for the
-// observed distribution; rows with zero mass fall back to the identity.
-// Fails if the base matrix is singular or the invariant system has no
-// row-stochastic solution for this distribution.
-StatusOr<RrMatrix> InvariantPramMatrix(const RrMatrix& base,
-                                       const std::vector<double>& observed);
-
 }  // namespace mdrr
 
 #endif  // MDRR_CORE_PRAM_H_

@@ -29,15 +29,6 @@ double PaperKeepUniformEpsilon(size_t r, double keep_probability) {
                             (1.0 - keep_probability)));
 }
 
-double SequentialComposition(const std::vector<double>& epsilons) {
-  double total = 0.0;
-  for (double e : epsilons) {
-    MDRR_CHECK_GE(e, 0.0);
-    total += e;
-  }
-  return total;
-}
-
 void PrivacyAccountant::Spend(const std::string& label, double epsilon) {
   MDRR_CHECK_GE(epsilon, 0.0);
   releases_.push_back(Release{label, epsilon, /*parallel=*/false});

@@ -21,10 +21,6 @@ double KeepUniformEpsilon(size_t r, double keep_probability);
 // reproduction of the paper's calibration; see DESIGN.md.
 double PaperKeepUniformEpsilon(size_t r, double keep_probability);
 
-// Sequential composition (Section 4): total epsilon of a sequence of
-// releases is the sum of their epsilons.
-double SequentialComposition(const std::vector<double>& epsilons);
-
 // Records named epsilon expenditures and reports the sequential-
 // composition total. Releases marked `parallel` share the maximum rather
 // than adding (the paper's Section 4.3 argument: unlinkable releases of

@@ -39,14 +39,6 @@ RrMatrix RrMatrix::KeepUniform(size_t r, double keep_probability) {
       r, linalg::UniformMixture{r, keep_probability + off, off});
 }
 
-RrMatrix RrMatrix::FlatOffDiagonal(size_t r, double diagonal_p) {
-  MDRR_CHECK_GE(r, 2u);
-  MDRR_CHECK_GE(diagonal_p, 0.0);
-  MDRR_CHECK_LE(diagonal_p, 1.0);
-  double off = (1.0 - diagonal_p) / static_cast<double>(r - 1);
-  return RrMatrix(r, linalg::UniformMixture{r, diagonal_p, off});
-}
-
 RrMatrix RrMatrix::OptimalForEpsilon(size_t r, double epsilon) {
   MDRR_CHECK_GE(r, 1u);
   MDRR_CHECK_GE(epsilon, 0.0);
@@ -54,17 +46,6 @@ RrMatrix RrMatrix::OptimalForEpsilon(size_t r, double epsilon) {
   double decay = std::exp(-epsilon);
   double diagonal = 1.0 / (1.0 + (rd - 1.0) * decay);
   return RrMatrix(r, linalg::UniformMixture{r, diagonal, diagonal * decay});
-}
-
-RrMatrix RrMatrix::Identity(size_t r) {
-  MDRR_CHECK_GE(r, 1u);
-  return RrMatrix(r, linalg::UniformMixture{r, 1.0, 0.0});
-}
-
-RrMatrix RrMatrix::UniformReplacement(size_t r) {
-  MDRR_CHECK_GE(r, 1u);
-  double uniform = 1.0 / static_cast<double>(r);
-  return RrMatrix(r, linalg::UniformMixture{r, uniform, uniform});
 }
 
 RrMatrix RrMatrix::GeometricOrdinal(size_t r, double epsilon) {

@@ -36,18 +36,10 @@ class RrMatrix {
   // design of Section 6.3.1.
   static RrMatrix KeepUniform(size_t r, double keep_probability);
 
-  // Classic generalized-Warner design: `diagonal_p` on the diagonal and
-  // (1 - diagonal_p)/(r - 1) off it.
-  static RrMatrix FlatOffDiagonal(size_t r, double diagonal_p);
-
   // The differential-privacy-optimal design at level `epsilon` (Sections
   // 2.2/6.3.2; k-ary randomized response): diagonal
   // p = 1 / (1 + (r - 1) e^{-eps}), off-diagonal p e^{-eps}.
   static RrMatrix OptimalForEpsilon(size_t r, double epsilon);
-
-  // Degenerate designs, useful as baselines and in tests.
-  static RrMatrix Identity(size_t r);            // No randomization.
-  static RrMatrix UniformReplacement(size_t r);  // Output independent of X.
 
   // Distance-sensitive design for ordinal attributes (the paper's
   // Section 8 future-work direction): a geometric/staircase mechanism

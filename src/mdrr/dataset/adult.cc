@@ -297,10 +297,6 @@ Dataset SynthesizeAdult(size_t n, uint64_t seed) {
   return Dataset(AdultSchema(), std::move(columns));
 }
 
-Dataset SynthesizeAdultDefault(uint64_t seed) {
-  return SynthesizeAdult(kAdultNumRecords, seed);
-}
-
 StatusOr<Dataset> LoadAdultCsv(const std::string& path) {
   MDRR_ASSIGN_OR_RETURN(std::vector<std::vector<std::string>> rows,
                         ReadCsvRows(path));

@@ -49,9 +49,6 @@ std::vector<Attribute> AdultSchema();
 // Deterministic in `seed`.
 Dataset SynthesizeAdult(size_t n, uint64_t seed);
 
-// Convenience: the standard evaluation data set (n = 32561).
-Dataset SynthesizeAdultDefault(uint64_t seed);
-
 // Loads a real UCI adult.data / adult.test file (15 comma-separated
 // columns) and keeps the 8 categorical attributes. Trailing periods on
 // income labels (adult.test convention) are stripped; rows containing the

@@ -1,11 +1,10 @@
 #include "mdrr/dataset/dataset.h"
 
+#include <utility>
+
 #include "mdrr/common/check.h"
 
 namespace mdrr {
-
-Dataset::Dataset(std::vector<Attribute> schema)
-    : schema_(std::move(schema)), columns_(schema_.size()), num_rows_(0) {}
 
 Dataset::Dataset(std::vector<Attribute> schema,
                  std::vector<std::vector<uint32_t>> columns)
@@ -25,13 +24,6 @@ const Attribute& Dataset::attribute(size_t j) const {
   return schema_[j];
 }
 
-StatusOr<size_t> Dataset::AttributeIndex(const std::string& name) const {
-  for (size_t j = 0; j < schema_.size(); ++j) {
-    if (schema_[j].name == name) return j;
-  }
-  return Status::NotFound("no attribute named '" + name + "'");
-}
-
 const std::vector<uint32_t>& Dataset::column(size_t j) const {
   MDRR_CHECK_LT(j, columns_.size());
   return columns_[j];
@@ -41,15 +33,6 @@ uint32_t Dataset::at(size_t row, size_t j) const {
   MDRR_CHECK_LT(row, num_rows_);
   MDRR_CHECK_LT(j, columns_.size());
   return columns_[j][row];
-}
-
-void Dataset::AppendRow(const std::vector<uint32_t>& codes) {
-  MDRR_CHECK_EQ(codes.size(), schema_.size());
-  for (size_t j = 0; j < codes.size(); ++j) {
-    MDRR_CHECK_LT(codes[j], schema_[j].cardinality());
-    columns_[j].push_back(codes[j]);
-  }
-  ++num_rows_;
 }
 
 void Dataset::SetColumn(size_t j, std::vector<uint32_t> codes) {
@@ -98,15 +81,6 @@ std::vector<int64_t> Dataset::Cardinalities() const {
     result[j] = static_cast<int64_t>(schema_[j].cardinality());
   }
   return result;
-}
-
-std::string Dataset::RowToString(size_t row) const {
-  std::string out;
-  for (size_t j = 0; j < schema_.size(); ++j) {
-    if (j > 0) out += ", ";
-    out += schema_[j].categories[at(row, j)];
-  }
-  return out;
 }
 
 }  // namespace mdrr

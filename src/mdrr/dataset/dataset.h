@@ -6,10 +6,8 @@
 #define MDRR_DATASET_DATASET_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "mdrr/common/status_or.h"
 #include "mdrr/dataset/attribute.h"
 
 namespace mdrr {
@@ -17,9 +15,6 @@ namespace mdrr {
 class Dataset {
  public:
   Dataset() = default;
-
-  // An empty dataset with the given schema.
-  explicit Dataset(std::vector<Attribute> schema);
 
   // Takes ownership of pre-built columns. Preconditions: one column per
   // schema attribute, equal column lengths, codes within cardinality
@@ -33,14 +28,8 @@ class Dataset {
   const std::vector<Attribute>& schema() const { return schema_; }
   const Attribute& attribute(size_t j) const;
 
-  // Index of the attribute called `name`, or NotFound.
-  StatusOr<size_t> AttributeIndex(const std::string& name) const;
-
   const std::vector<uint32_t>& column(size_t j) const;
   uint32_t at(size_t row, size_t j) const;
-
-  // Appends one record given as per-attribute codes.
-  void AppendRow(const std::vector<uint32_t>& codes);
 
   // Replaces column j (same length as num_rows, codes within cardinality).
   void SetColumn(size_t j, std::vector<uint32_t> codes);
@@ -62,9 +51,6 @@ class Dataset {
 
   // Cardinalities of all attributes, in schema order.
   std::vector<int64_t> Cardinalities() const;
-
-  // Human-readable record, e.g. "Private, Bachelors, ...".
-  std::string RowToString(size_t row) const;
 
  private:
   std::vector<Attribute> schema_;

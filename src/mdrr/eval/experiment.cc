@@ -14,22 +14,6 @@
 
 namespace mdrr::eval {
 
-const char* MethodName(Method method) {
-  switch (method) {
-    case Method::kRandomized:
-      return "Randomized";
-    case Method::kRrIndependent:
-      return "RR-Ind";
-    case Method::kRrIndependentAdjusted:
-      return "RR-Ind+Adj";
-    case Method::kRrClusters:
-      return "RR-Cluster";
-    case Method::kRrClustersAdjusted:
-      return "RR-Cluster+Adj";
-  }
-  return "Unknown";
-}
-
 namespace {
 
 // Builds the method's JointEstimate for one protocol execution.

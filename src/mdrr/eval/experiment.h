@@ -25,8 +25,6 @@ enum class Method {
   kRrClustersAdjusted,      // Section 4 + Algorithm 2.
 };
 
-const char* MethodName(Method method);
-
 struct ExperimentConfig {
   Method method = Method::kRrIndependent;
   double keep_probability = 0.7;

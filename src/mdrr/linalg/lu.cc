@@ -26,8 +26,8 @@ constexpr double kSingularPivot = 1e-300;
 // applying updates only within the panel. Row swaps span the full matrix
 // immediately (exact, so the deferred outside-panel updates are
 // unaffected). Returns false on a singular pivot.
-bool FactorPanel(Matrix& lu, std::vector<size_t>& pivots, int& pivot_sign,
-                 size_t k, size_t kend) {
+bool FactorPanel(Matrix& lu, std::vector<size_t>& pivots, size_t k,
+                 size_t kend) {
   const size_t n = lu.rows();
   for (size_t col = k; col < kend; ++col) {
     size_t pivot_row = col;
@@ -45,7 +45,6 @@ bool FactorPanel(Matrix& lu, std::vector<size_t>& pivots, int& pivot_sign,
         std::swap(lu(pivot_row, j), lu(col, j));
       }
       std::swap(pivots[pivot_row], pivots[col]);
-      pivot_sign = -pivot_sign;
     }
     double diag = lu(col, col);
     for (size_t row = col + 1; row < n; ++row) {
@@ -79,13 +78,12 @@ StatusOr<LuDecomposition> LuDecomposition::Factor(const Matrix& a,
   const size_t n = a.rows();
   Matrix lu = a;
   std::vector<size_t> pivots(n);
-  int pivot_sign = 1;
   for (size_t i = 0; i < n; ++i) pivots[i] = i;
 
   const size_t nb = options.block_size == 0 ? n : options.block_size;
   for (size_t k = 0; k < n; k += nb) {
     const size_t kend = std::min(n, k + nb);
-    if (!FactorPanel(lu, pivots, pivot_sign, k, kend)) {
+    if (!FactorPanel(lu, pivots, k, kend)) {
       return Status::FailedPrecondition("matrix is numerically singular");
     }
     if (kend == n) break;
@@ -125,7 +123,7 @@ StatusOr<LuDecomposition> LuDecomposition::Factor(const Matrix& a,
                      }
                    });
   }
-  return LuDecomposition(std::move(lu), std::move(pivots), pivot_sign);
+  return LuDecomposition(std::move(lu), std::move(pivots));
 }
 
 std::vector<double> LuDecomposition::Solve(const std::vector<double>& b) const {
@@ -169,12 +167,6 @@ Matrix LuDecomposition::Inverse() const {
     unit[col] = 0.0;
   }
   return inverse;
-}
-
-double LuDecomposition::Determinant() const {
-  double det = pivot_sign_;
-  for (size_t i = 0; i < dimension(); ++i) det *= lu_(i, i);
-  return det;
 }
 
 StatusOr<Matrix> Invert(const Matrix& a) {

@@ -1,4 +1,4 @@
-// LU decomposition with partial pivoting: solve, inverse, determinant.
+// LU decomposition with partial pivoting: solve and inverse.
 // Used when a randomization matrix has no exploitable structure; the
 // structured fast path lives in structured.h.
 //
@@ -58,18 +58,14 @@ class LuDecomposition {
   // Full inverse; O(n^3).
   Matrix Inverse() const;
 
-  double Determinant() const;
-
   size_t dimension() const { return lu_.rows(); }
 
  private:
-  LuDecomposition(Matrix lu, std::vector<size_t> pivots, int pivot_sign)
-      : lu_(std::move(lu)), pivots_(std::move(pivots)),
-        pivot_sign_(pivot_sign) {}
+  LuDecomposition(Matrix lu, std::vector<size_t> pivots)
+      : lu_(std::move(lu)), pivots_(std::move(pivots)) {}
 
-  Matrix lu_;                    // Combined L (unit diag) and U factors.
-  std::vector<size_t> pivots_;   // Row permutation applied during factoring.
-  int pivot_sign_;               // +1/-1: parity of the permutation.
+  Matrix lu_;                   // Combined L (unit diag) and U factors.
+  std::vector<size_t> pivots_;  // Row permutation applied during factoring.
 };
 
 // Number of LU factorizations executed since process start (successful or

@@ -1,27 +1,13 @@
 #include "mdrr/linalg/matrix.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace mdrr::linalg {
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n, 0.0);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
 
 std::vector<double> Matrix::Row(size_t i) const {
   MDRR_CHECK_LT(i, rows_);
   return std::vector<double>(data_.begin() + i * cols_,
                              data_.begin() + (i + 1) * cols_);
-}
-
-std::vector<double> Matrix::Column(size_t j) const {
-  MDRR_CHECK_LT(j, cols_);
-  std::vector<double> col(rows_);
-  for (size_t i = 0; i < rows_; ++i) col[i] = data_[i * cols_ + j];
-  return col;
 }
 
 Matrix Matrix::Transpose() const {
@@ -59,29 +45,6 @@ std::vector<double> Matrix::MatVec(const std::vector<double>& v) const {
   return result;
 }
 
-std::vector<double> Matrix::TransposeMatVec(
-    const std::vector<double>& v) const {
-  MDRR_CHECK_EQ(v.size(), rows_);
-  std::vector<double> result(cols_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    double vi = v[i];
-    if (vi == 0.0) continue;
-    const double* row = data_.data() + i * cols_;
-    for (size_t j = 0; j < cols_; ++j) result[j] += row[j] * vi;
-  }
-  return result;
-}
-
-double Matrix::MaxAbsDiff(const Matrix& other) const {
-  MDRR_CHECK_EQ(rows_, other.rows_);
-  MDRR_CHECK_EQ(cols_, other.cols_);
-  double max_diff = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(data_[i] - other.data_[i]));
-  }
-  return max_diff;
-}
-
 bool Matrix::IsRowStochastic(double tolerance) const {
   for (size_t i = 0; i < rows_; ++i) {
     double sum = 0.0;
@@ -93,21 +56,6 @@ bool Matrix::IsRowStochastic(double tolerance) const {
     if (std::fabs(sum - 1.0) > tolerance) return false;
   }
   return true;
-}
-
-std::string Matrix::ToString(int precision) const {
-  std::string out;
-  char buf[64];
-  for (size_t i = 0; i < rows_; ++i) {
-    out += "[";
-    for (size_t j = 0; j < cols_; ++j) {
-      std::snprintf(buf, sizeof(buf), "%.*f", precision, (*this)(i, j));
-      out += buf;
-      if (j + 1 < cols_) out += ", ";
-    }
-    out += "]\n";
-  }
-  return out;
 }
 
 }  // namespace mdrr::linalg

@@ -6,7 +6,6 @@
 #define MDRR_LINALG_MATRIX_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "mdrr/common/check.h"
@@ -18,8 +17,6 @@ class Matrix {
   Matrix() : rows_(0), cols_(0) {}
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  static Matrix Identity(size_t n);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -41,7 +38,6 @@ class Matrix {
     return data_.data() + i * cols_;
   }
   std::vector<double> Row(size_t i) const;
-  std::vector<double> Column(size_t j) const;
 
   Matrix Transpose() const;
 
@@ -51,16 +47,8 @@ class Matrix {
   // this * v. Precondition: v.size() == cols().
   std::vector<double> MatVec(const std::vector<double>& v) const;
 
-  // thisᵀ * v without materializing the transpose.
-  std::vector<double> TransposeMatVec(const std::vector<double>& v) const;
-
-  // max_ij |this - other|. Preconditions: same shape.
-  double MaxAbsDiff(const Matrix& other) const;
-
   // True if every row sums to 1 within `tolerance` and entries are >= 0.
   bool IsRowStochastic(double tolerance = 1e-9) const;
-
-  std::string ToString(int precision = 4) const;
 
   bool operator==(const Matrix& other) const {
     return rows_ == other.rows_ && cols_ == other.cols_ &&

@@ -3,14 +3,12 @@
 #include <algorithm>
 
 #include "mdrr/core/estimator.h"
-#include "mdrr/stats/frequency.h"
 
 namespace mdrr::release {
 
 ControllerPlan::ControllerPlan(ClusteringOptions clustering,
-                               DependenceMeasure measure,
                                ExecutionPolicy policy)
-    : clustering_(clustering), measure_(measure), policy_(policy) {
+    : clustering_(clustering), policy_(policy) {
   policy_.shard_size = std::max<size_t>(1, policy_.shard_size);
 }
 
@@ -26,20 +24,10 @@ StatusOr<AttributeClustering> ControllerPlan::AssessAndCluster(
   DependenceShardingOptions sharding;
   sharding.num_threads = Threads();
   sharding.record_chunk_size = policy_.shard_size;
-  linalg::Matrix dependences =
-      DependenceMatrixSharded(published, measure_, sharding);
+  linalg::Matrix dependences = DependenceMatrixSharded(published, sharding);
   if (dependences_out != nullptr) *dependences_out = dependences;
   return ClusterAttributes(published.Cardinalities(), dependences,
                            clustering_);
-}
-
-StatusOr<std::vector<double>> ControllerPlan::EstimateDistribution(
-    const RrMatrix& matrix, const std::vector<uint32_t>& codes,
-    size_t num_categories) const {
-  return EstimateFromCounts(
-      matrix, stats::ShardedHistogram(
-                  codes.size(), num_categories, policy_.shard_size, Threads(),
-                  [&codes](size_t i) { return codes[i]; }));
 }
 
 StatusOr<std::vector<double>> ControllerPlan::EstimateFromCounts(

@@ -7,7 +7,7 @@
 // consumer.
 //
 // Every operation routes through the sharded stage primitives
-// (DependenceMatrixSharded, stats::ShardedHistogram, ParallelChunks), so
+// (DependenceMatrixSharded, DecodeColumnSharded, ParallelChunks), so
 // results are bit-identical for any thread count; kSequential simply
 // pins one worker.
 
@@ -31,8 +31,7 @@ namespace mdrr::release {
 class ControllerPlan {
  public:
   // Use ReleasePlanner::PlanController to obtain a validated plan.
-  ControllerPlan(ClusteringOptions clustering, DependenceMeasure measure,
-                 ExecutionPolicy policy);
+  ControllerPlan(ClusteringOptions clustering, ExecutionPolicy policy);
 
   // Corollary 1 dependences on the published (randomized) data followed
   // by Algorithm 1. `dependences_out`, when non-null, receives the
@@ -41,18 +40,10 @@ class ControllerPlan {
       const Dataset& published,
       linalg::Matrix* dependences_out = nullptr) const;
 
-  // Eq. (2) projected estimate from published composite codes: sharded
-  // counting, then estimation against the public matrix. Every code must
-  // be < num_categories == matrix.size().
-  StatusOr<std::vector<double>> EstimateDistribution(
-      const RrMatrix& matrix, const std::vector<uint32_t>& codes,
-      size_t num_categories) const;
-
-  // Eq. (2) projected estimate from an already-counted publication --
-  // the entry point for sweeps that fuse counting into the randomization
-  // pass (protocol/PartyBlock). EstimateDistribution is exactly
-  // ShardedHistogram + this call, so callers arriving with equal counts
-  // get bit-identical estimates under the plan's policy.
+  // Eq. (2) projected estimate from a counted publication -- sweeps
+  // fuse the counting into the randomization pass (protocol/PartyBlock).
+  // Callers arriving with equal counts get bit-identical estimates at any
+  // thread count under the plan's policy.
   StatusOr<std::vector<double>> EstimateFromCounts(
       const RrMatrix& matrix, const stats::FrequencyTable& counts) const;
 
@@ -68,7 +59,6 @@ class ControllerPlan {
   size_t Threads() const;
 
   ClusteringOptions clustering_;
-  DependenceMeasure measure_;
   ExecutionPolicy policy_;
 };
 

@@ -284,8 +284,7 @@ StatusOr<ReleasePlan> ReleasePlanner::Plan(const ReleaseSpec& spec,
 }
 
 StatusOr<ControllerPlan> ReleasePlanner::PlanController(
-    const ClusteringOptions& clustering, const ExecutionPolicy& policy,
-    DependenceMeasure measure) {
+    const ClusteringOptions& clustering, const ExecutionPolicy& policy) {
   if (!(clustering.max_combinations >= 1.0)) {
     return Status::InvalidArgument(
         "clustering.max_combinations (Tv) must be >= 1");
@@ -298,7 +297,7 @@ StatusOr<ControllerPlan> ReleasePlanner::PlanController(
         "party sessions run on the controller; the distributed policy "
         "applies to batch releases only");
   }
-  return ControllerPlan(clustering, measure, policy);
+  return ControllerPlan(clustering, policy);
 }
 
 }  // namespace mdrr::release

@@ -96,8 +96,7 @@ class ReleasePlanner {
   // Lowers an execution policy into the controller-side stage bundle
   // used when parties perturb their own records (protocol/session.cc).
   static StatusOr<ControllerPlan> PlanController(
-      const ClusteringOptions& clustering, const ExecutionPolicy& policy,
-      DependenceMeasure measure = DependenceMeasure::kPaperAuto);
+      const ClusteringOptions& clustering, const ExecutionPolicy& policy);
 };
 
 }  // namespace mdrr::release

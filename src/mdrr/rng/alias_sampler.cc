@@ -148,29 +148,11 @@ AliasSampler::AliasSampler(const std::vector<double>& weights) {
   for (uint32_t i : small) probability_[i] = 1.0;
 }
 
-void AliasSampler::SampleBlock(const double* units, const uint64_t* raws,
-                               size_t count, uint32_t* out) const {
-  MDRR_CHECK(!probability_.empty());
-  AliasLookupBlock(probability_.data(), alias_.data(), probability_.size(),
-                   probability_.size(), /*rows=*/nullptr, units, raws, count,
-                   out);
-}
-
 void AliasSampler::AppendTables(std::vector<double>& thresholds,
                                 std::vector<uint32_t>& aliases) const {
   thresholds.insert(thresholds.end(), probability_.begin(),
                     probability_.end());
   aliases.insert(aliases.end(), alias_.begin(), alias_.end());
-}
-
-double AliasSampler::ProbabilityOf(size_t i) const {
-  MDRR_CHECK_LT(i, probability_.size());
-  const size_t n = probability_.size();
-  double p = probability_[i];
-  for (size_t j = 0; j < n; ++j) {
-    if (alias_[j] == i && probability_[j] < 1.0) p += 1.0 - probability_[j];
-  }
-  return p / n;
 }
 
 }  // namespace mdrr

@@ -44,14 +44,6 @@ class AliasSampler {
     return unit < probability_[bucket] ? bucket : alias_[bucket];
   }
 
-  // Block draw: out[k] = SampleFrom(units[k], raws[k]) for k in
-  // [0, count). Pure table lookups over pre-drawn uniform pairs -- no
-  // engine calls, no loop-carried state -- routed through the SIMD-lane
-  // AliasLookupBlock kernel below (bitwise identical to the scalar
-  // SampleFrom loop on every platform).
-  void SampleBlock(const double* units, const uint64_t* raws, size_t count,
-                   uint32_t* out) const;
-
   // Appends this table's acceptance thresholds and alias indices to flat
   // SoA arrays -- the gather-friendly row-major layout AliasLookupBlock
   // consumes when many tables (e.g. one per RrMatrix row) are fused into
@@ -61,20 +53,18 @@ class AliasSampler {
 
   size_t size() const { return probability_.size(); }
 
-  // Reconstructed sampling probability of index i (for testing).
-  double ProbabilityOf(size_t i) const;
-
  private:
   std::vector<double> probability_;  // Acceptance threshold per bucket.
   std::vector<uint32_t> alias_;      // Fallback index per bucket.
 };
 
-// Flat-table alias lookup over pre-drawn uniform pairs, shared by
-// AliasSampler::SampleBlock (one table) and RrMatrix's dense tiles (one
-// table per input code). `thresholds`/`aliases` are SoA and row-major
-// with stride `bound` (the per-row bucket count) over `table_entries`
-// total entries; `rows` selects the table per element (nullptr = row 0
-// for every element). For each k in [0, count):
+// Flat-table alias lookup over pre-drawn uniform pairs: the kernel
+// RrMatrix's dense tiles run, with one AppendTables table per input code.
+// Each lookup equals AliasSampler::SampleFrom on the selected table.
+// `thresholds`/`aliases` are SoA and row-major with stride `bound` (the
+// per-row bucket count) over `table_entries` total entries; `rows`
+// selects the table per element (nullptr = row 0 for every element).
+// For each k in [0, count):
 //   bucket = PhiloxBoundedFromRaw(raws[k], bound)
 //   idx    = (rows ? rows[k] : 0) * bound + bucket
 //   out[k] = units[k] < thresholds[idx] ? bucket : aliases[idx]

@@ -292,10 +292,4 @@ void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], uint32_t* out) {
   }
 }
 
-void SeedRngRange(const uint64_t* seeds, size_t count, Rng* out) {
-  ForEachSeedSequence(seeds, count, [out](size_t i, SeedWords words) {
-    out[i].engine().seed(words);
-  });
-}
-
 }  // namespace mdrr

@@ -121,10 +121,6 @@ void ForEachSeedSequence(const uint64_t* seeds, size_t count, Fn&& fn) {
   }
 }
 
-// Seeds out[0, count) from seeds[0, count) in order. Bit-identical to
-// `out[i] = Rng(seeds[i])` for every i (golden-tested).
-void SeedRngRange(const uint64_t* seeds, size_t count, Rng* out);
-
 }  // namespace mdrr
 
 #endif  // MDRR_RNG_FAST_SEED_H_

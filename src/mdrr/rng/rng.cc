@@ -48,28 +48,6 @@ size_t Rng::Discrete(const std::vector<double>& weights) {
   return weights.size() - 1;  // Guards against floating-point round-off.
 }
 
-std::vector<int64_t> Rng::Multinomial(
-    int64_t n, const std::vector<double>& probabilities) {
-  MDRR_CHECK(!probabilities.empty());
-  std::vector<int64_t> counts(probabilities.size(), 0);
-  // Sequential binomial decomposition: conditional on the remaining mass,
-  // each category count is Binomial(remaining_n, p_i / remaining_mass).
-  double remaining_mass = 0.0;
-  for (double p : probabilities) remaining_mass += p;
-  int64_t remaining_n = n;
-  for (size_t i = 0; i + 1 < probabilities.size() && remaining_n > 0; ++i) {
-    double p = remaining_mass > 0.0 ? probabilities[i] / remaining_mass : 0.0;
-    if (p > 1.0) p = 1.0;
-    std::binomial_distribution<int64_t> dist(remaining_n, p);
-    int64_t c = dist(engine_);
-    counts[i] = c;
-    remaining_n -= c;
-    remaining_mass -= probabilities[i];
-  }
-  counts.back() += remaining_n;
-  return counts;
-}
-
 void Rng::ShuffleU32(uint32_t* data, size_t count) {
   for (size_t k = count; k > 1; --k) {
     size_t j = static_cast<size_t>(UniformInt(k));

@@ -61,11 +61,6 @@ class Rng {
   // same distribution use AliasSampler.
   size_t Discrete(const std::vector<double>& weights);
 
-  // Multinomial sample: n trials over `probabilities` (must sum to ~1).
-  // Returns counts per category.
-  std::vector<int64_t> Multinomial(int64_t n,
-                                   const std::vector<double>& probabilities);
-
   // Uniform Fisher-Yates shuffle of data[0, count). Unlike std::shuffle,
   // whose draw sequence is implementation-defined, this consumes exactly
   // count - 1 UniformInt draws in a fixed order, so shuffled output is

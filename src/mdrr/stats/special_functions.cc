@@ -58,14 +58,6 @@ double RegularizedGammaP(double a, double x) {
   return 1.0 - GammaQContinuedFraction(a, x);
 }
 
-double RegularizedGammaQ(double a, double x) {
-  MDRR_CHECK_GT(a, 0.0);
-  MDRR_CHECK_GE(x, 0.0);
-  if (x == 0.0) return 1.0;
-  if (x < a + 1.0) return 1.0 - GammaPSeries(a, x);
-  return GammaQContinuedFraction(a, x);
-}
-
 double StandardNormalCdf(double x) {
   return 0.5 * std::erfc(-x / std::sqrt(2.0));
 }

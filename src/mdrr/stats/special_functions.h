@@ -12,9 +12,6 @@ namespace mdrr::stats {
 // Preconditions: a > 0, x >= 0. Accuracy ~1e-14.
 double RegularizedGammaP(double a, double x);
 
-// Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x).
-double RegularizedGammaQ(double a, double x);
-
 // Standard normal CDF Φ(x).
 double StandardNormalCdf(double x);
 

@@ -49,7 +49,7 @@ TEST(AdultSynthesizerTest, DeterministicInSeed) {
 }
 
 TEST(AdultSynthesizerTest, DefaultSize) {
-  Dataset ds = SynthesizeAdultDefault(1);
+  Dataset ds = SynthesizeAdult(kAdultNumRecords, 1);
   EXPECT_EQ(ds.num_rows(), kAdultNumRecords);
 }
 
@@ -158,7 +158,12 @@ TEST(AdultCsvTest, LoadsWellFormedFile) {
   auto ds = LoadAdultCsv(path);
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   EXPECT_EQ(ds.value().num_rows(), 2u);
-  EXPECT_EQ(ds.value().RowToString(0),
+  std::string first_row;
+  for (size_t j = 0; j < ds.value().num_attributes(); ++j) {
+    if (j > 0) first_row += ", ";
+    first_row += ds.value().attribute(j).categories[ds.value().at(0, j)];
+  }
+  EXPECT_EQ(first_row,
             "State-gov, Bachelors, Never-married, Adm-clerical, "
             "Not-in-family, White, Male, <=50K");
   EXPECT_EQ(ds.value().at(1, kAdultIncome), 1u);

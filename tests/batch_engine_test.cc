@@ -92,8 +92,8 @@ TEST(BatchEngineTest, ClustersIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(BatchEngineTest, EmptyDatasetFails) {
-  Dataset empty(std::vector<Attribute>{
-      Attribute{"a", AttributeType::kNominal, {"0", "1"}}});
+  Dataset empty({Attribute{"a", AttributeType::kNominal, {"0", "1"}}},
+                {std::vector<uint32_t>()});
   BatchPerturbationEngine engine = MakeEngine(4, 64);
   EXPECT_FALSE(engine.RunIndependent(empty, RrIndependentOptions{0.7}).ok());
   EXPECT_FALSE(engine.RunJoint(empty, {0}, 1.0).ok());

@@ -139,13 +139,20 @@ TEST(PhiloxFillTest, ElementDrawsMatchAlignedScalar) {
 }
 
 TEST(AliasSamplerTest, SampleBlockMatchesSampleFrom) {
+  // One table with rows == nullptr: the single-table form of the kernel
+  // RrMatrix's dense tiles run.
   AliasSampler sampler({0.5, 0.2, 0.1, 0.15, 0.05});
+  std::vector<double> thresholds;
+  std::vector<uint32_t> aliases;
+  sampler.AppendTables(thresholds, aliases);
   const size_t count = 4096;
   std::vector<double> units(count);
   std::vector<uint64_t> raws(count);
   PhiloxFillElementDraws(3, 1, 0, count, units.data(), raws.data());
   std::vector<uint32_t> block(count);
-  sampler.SampleBlock(units.data(), raws.data(), count, block.data());
+  AliasLookupBlock(thresholds.data(), aliases.data(), sampler.size(),
+                   thresholds.size(), /*rows=*/nullptr, units.data(),
+                   raws.data(), count, block.data());
   for (size_t k = 0; k < count; ++k) {
     EXPECT_EQ(block[k], sampler.SampleFrom(units[k], raws[k]));
     EXPECT_LT(block[k], sampler.size());
@@ -159,10 +166,10 @@ TEST(AliasSamplerTest, SampleFromTracksWeights) {
   std::vector<double> units(count);
   std::vector<uint64_t> raws(count);
   PhiloxFillElementDraws(99, 0, 0, count, units.data(), raws.data());
-  std::vector<uint32_t> draws(count);
-  sampler.SampleBlock(units.data(), raws.data(), count, draws.data());
   std::vector<size_t> hist(weights.size(), 0);
-  for (uint32_t d : draws) ++hist[d];
+  for (size_t k = 0; k < count; ++k) {
+    ++hist[sampler.SampleFrom(units[k], raws[k])];
+  }
   for (size_t i = 0; i < weights.size(); ++i) {
     EXPECT_NEAR(static_cast<double>(hist[i]) / count, weights[i], 0.01);
   }
@@ -220,12 +227,12 @@ TEST(RrMatrixCounterTest, IdentityAndUniformDesigns) {
   for (size_t i = 0; i < codes.size(); ++i) {
     codes[i] = static_cast<uint32_t>(i % 5);
   }
-  ExpectTilingInvariant(RrMatrix::Identity(5), codes);
-  ExpectTilingInvariant(RrMatrix::UniformReplacement(5), codes);
+  ExpectTilingInvariant(RrMatrix::KeepUniform(5, 1.0), codes);
+  ExpectTilingInvariant(RrMatrix::KeepUniform(5, 0.0), codes);
 
   // Identity must pass codes through untouched.
   std::vector<uint32_t> out(codes.size());
-  RrMatrix::Identity(5).RandomizeRangeCounterInto(
+  RrMatrix::KeepUniform(5, 1.0).RandomizeRangeCounterInto(
       codes.data(), codes.size(), 1, 0, 0, out.data(), nullptr);
   EXPECT_EQ(out, codes);
 }

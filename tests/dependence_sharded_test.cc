@@ -329,6 +329,9 @@ TEST(DependenceTranscriptGoldens, RandomizedResponsePhiloxTranscript) {
 TEST(AliasLookupSimdTest, MatchesScalarAtAllAlignmentsAndTailLengths) {
   AliasSampler sampler(
       std::vector<double>{0.5, 1.5, 3.0, 0.25, 2.0, 1.0, 0.75, 4.0});
+  std::vector<double> thresholds;
+  std::vector<uint32_t> aliases;
+  sampler.AppendTables(thresholds, aliases);
   constexpr size_t kMax = 64;
   std::vector<double> units(kMax);
   std::vector<uint64_t> raws(kMax);
@@ -339,8 +342,10 @@ TEST(AliasLookupSimdTest, MatchesScalarAtAllAlignmentsAndTailLengths) {
   for (size_t offset = 0; offset < 5; ++offset) {
     for (size_t count = 0; count <= 20; ++count) {
       std::vector<uint32_t> block(count, 0xffffffffu);
-      sampler.SampleBlock(units.data() + offset, raws.data() + offset, count,
-                          block.data());
+      AliasLookupBlock(thresholds.data(), aliases.data(), sampler.size(),
+                       thresholds.size(), /*rows=*/nullptr,
+                       units.data() + offset, raws.data() + offset, count,
+                       block.data());
       for (size_t k = 0; k < count; ++k) {
         EXPECT_EQ(block[k],
                   sampler.SampleFrom(units[offset + k], raws[offset + k]))

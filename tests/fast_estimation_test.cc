@@ -83,8 +83,8 @@ TEST(BlockedLuTest, MatchesUnblockedReferenceBitForBitUnderHeavyPivoting) {
         options.num_threads = threads;
         auto blocked = linalg::LuDecomposition::Factor(a, options);
         ASSERT_TRUE(blocked.ok());
-        EXPECT_EQ(blocked.value().Determinant(),
-                  reference.value().Determinant())
+        // The inverse reads every factor entry and the permutation.
+        EXPECT_EQ(blocked.value().Inverse(), reference.value().Inverse())
             << "n=" << n << " block=" << block << " threads=" << threads;
         for (const auto& b : bs) {
           EXPECT_EQ(blocked.value().Solve(b), reference.value().Solve(b))
@@ -110,8 +110,8 @@ TEST(BlockedLuTest, MatchesUnblockedReferenceBitForBit) {
         options.num_threads = threads;
         auto blocked = linalg::LuDecomposition::Factor(a, options);
         ASSERT_TRUE(blocked.ok());
-        EXPECT_EQ(blocked.value().Determinant(),
-                  reference.value().Determinant())
+        // The inverse reads every factor entry and the permutation.
+        EXPECT_EQ(blocked.value().Inverse(), reference.value().Inverse())
             << "n=" << n << " block=" << block << " threads=" << threads;
         for (const auto& b : bs) {
           EXPECT_EQ(blocked.value().Solve(b), reference.value().Solve(b))
@@ -215,7 +215,7 @@ TEST(SolveTransposeManyTest, FactorThreadCountNeverChangesTheCache) {
 TEST(SolveTransposeManyTest, RejectsSizeMismatchAndSingular) {
   RrMatrix m = RrMatrix::KeepUniform(3, 0.5);
   EXPECT_FALSE(m.SolveTransposeMany({{0.5, 0.5}}, 2).ok());
-  RrMatrix uniform = RrMatrix::UniformReplacement(3);
+  RrMatrix uniform = RrMatrix::KeepUniform(3, 0.0);
   EXPECT_FALSE(
       uniform.SolveTransposeMany({{0.3, 0.3, 0.4}}, 2).ok());
 }
@@ -243,14 +243,12 @@ TEST(StructuredBackendTest, StructuredSolveAgreesWithDenseLu) {
 TEST(StructuredBackendTest, FullEstimationPipelineTriggersNoFactorization) {
   RrMatrix m = RrMatrix::KeepUniform(500, 0.3);
   std::vector<double> pi(500, 1.0 / 500.0);
-  std::vector<double> lambda = m.ToDense().TransposeMatVec(pi);
+  std::vector<double> lambda = m.ToDense().Transpose().MatVec(pi);
   uint64_t factorizations_before = linalg::LuFactorizationCount();
   auto estimated = EstimateProjectedDistribution(m, lambda);
   ASSERT_TRUE(estimated.ok());
   auto variances = EstimateVariances(m, lambda, 10000);
   ASSERT_TRUE(variances.ok());
-  auto widths = EstimateConfidenceHalfWidths(m, lambda, 10000, 0.05);
-  ASSERT_TRUE(widths.ok());
   EXPECT_EQ(linalg::LuFactorizationCount(), factorizations_before)
       << "the structured path must never factor";
 }

@@ -165,27 +165,11 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(UnaryEncodingOracle::Variant::kSymmetric,
                           UnaryEncodingOracle::Variant::kOptimized)));
 
-TEST(UnaryEncodingTest, EstimateFromReports) {
-  UnaryEncodingOracle oracle(3, 5.0,
-                             UnaryEncodingOracle::Variant::kOptimized);
-  Rng rng(41);
-  std::vector<std::vector<uint8_t>> reports;
-  for (int i = 0; i < 20000; ++i) {
-    reports.push_back(oracle.Randomize(0, rng));
-  }
-  auto estimates = oracle.EstimateFromReports(reports);
-  ASSERT_TRUE(estimates.ok());
-  EXPECT_NEAR(estimates.value()[0], 1.0, 0.03);
-  EXPECT_NEAR(estimates.value()[1], 0.0, 0.03);
-}
-
 TEST(UnaryEncodingTest, InputValidation) {
   UnaryEncodingOracle oracle(3, 1.0,
                              UnaryEncodingOracle::Variant::kSymmetric);
   EXPECT_FALSE(oracle.EstimateFrequencies({1, 2}, 10).ok());
   EXPECT_FALSE(oracle.EstimateFrequencies({1, 2, 3}, 0).ok());
-  EXPECT_FALSE(oracle.EstimateFromReports({}).ok());
-  EXPECT_FALSE(oracle.EstimateFromReports({{1, 0}}).ok());
 }
 
 TEST(LocalHashingTest, BucketCountTracksEpsilon) {

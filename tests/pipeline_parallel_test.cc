@@ -56,14 +56,12 @@ TEST(ParallelDependenceTest, ShardedMatrixBitIdenticalAcrossThreads) {
   DependenceShardingOptions baseline_options;
   baseline_options.num_threads = 1;
   baseline_options.record_chunk_size = 256;
-  linalg::Matrix baseline = DependenceMatrixSharded(
-      data, DependenceMeasure::kPaperAuto, baseline_options);
+  linalg::Matrix baseline = DependenceMatrixSharded(data, baseline_options);
   for (size_t threads : kThreadSweep) {
     DependenceShardingOptions options;
     options.num_threads = threads;
     options.record_chunk_size = 256;
-    linalg::Matrix run =
-        DependenceMatrixSharded(data, DependenceMeasure::kPaperAuto, options);
+    linalg::Matrix run = DependenceMatrixSharded(data, options);
     ExpectSameMatrix(baseline, run, "dependences");
   }
 }
@@ -78,46 +76,49 @@ TEST(ParallelDependenceTest, ChunkSizeNeverChangesTheMatrix) {
   DependenceShardingOptions b_options;
   b_options.num_threads = 2;
   b_options.record_chunk_size = 1 << 16;
-  ExpectSameMatrix(
-      DependenceMatrixSharded(data, DependenceMeasure::kPaperAuto, a_options),
-      DependenceMatrixSharded(data, DependenceMeasure::kPaperAuto, b_options),
-      "dependences");
+  ExpectSameMatrix(DependenceMatrixSharded(data, a_options),
+                   DependenceMatrixSharded(data, b_options), "dependences");
 }
 
-TEST(ParallelDependenceTest, MatchesSequentialStatistics) {
-  Dataset data = SynthesizeAdult(2000, 11);
-  DependenceShardingOptions options;
-  options.num_threads = 4;
-  options.record_chunk_size = 512;
-  linalg::Matrix sharded =
-      DependenceMatrixSharded(data, DependenceMeasure::kPaperAuto, options);
+// dependence.h's contract for the sharded matrix: every pair with a
+// nominal member (Cramér's V) is bitwise equal to DependenceMatrix;
+// ordinal-ordinal |Pearson| is evaluated from the joint table and may
+// differ in the last ulps.
+void ExpectMatchesSequential(const Dataset& data,
+                             const DependenceShardingOptions& options) {
+  linalg::Matrix sharded = DependenceMatrixSharded(data, options);
   linalg::Matrix sequential = DependenceMatrix(data);
+  ASSERT_EQ(sharded.rows(), data.num_attributes());
+  ASSERT_EQ(sequential.rows(), data.num_attributes());
   for (size_t i = 0; i < sharded.rows(); ++i) {
     for (size_t j = 0; j < sharded.cols(); ++j) {
-      // Cramér's V pairs are bitwise equal; ordinal-ordinal |Pearson| is
-      // evaluated from the joint table and may differ in the last ulps.
-      EXPECT_NEAR(sharded(i, j), sequential(i, j), 1e-9)
-          << "cell " << i << "," << j;
+      if (data.attribute(i).type == AttributeType::kOrdinal &&
+          data.attribute(j).type == AttributeType::kOrdinal && i != j) {
+        EXPECT_NEAR(sharded(i, j), sequential(i, j), 1e-9)
+            << "ordinal cell " << i << "," << j;
+      } else {
+        EXPECT_EQ(sharded(i, j), sequential(i, j))
+            << "cell " << i << "," << j;
+      }
     }
   }
 }
 
-TEST(ParallelDependenceTest, EveryMeasureIsThreadCountInvariant) {
-  Dataset data = SynthesizeAdult(800, 3);
-  for (DependenceMeasure measure :
-       {DependenceMeasure::kPaperAuto, DependenceMeasure::kCramersV,
-        DependenceMeasure::kAbsPearson,
-        DependenceMeasure::kNormalizedMutualInformation}) {
-    DependenceShardingOptions one;
-    one.num_threads = 1;
-    one.record_chunk_size = 128;
-    linalg::Matrix baseline = DependenceMatrixSharded(data, measure, one);
-    DependenceShardingOptions many;
-    many.num_threads = 8;
-    many.record_chunk_size = 128;
-    ExpectSameMatrix(baseline, DependenceMatrixSharded(data, measure, many),
-                     "measure matrix");
-  }
+TEST(ParallelDependenceTest, MatchesSequentialStatistics) {
+  // Adult's 28 pairs feed every worker, so each pair is accumulated
+  // serially on the pair grid.
+  DependenceShardingOptions options;
+  options.num_threads = 4;
+  options.record_chunk_size = 512;
+  ExpectMatchesSequential(SynthesizeAdult(2000, 11), options);
+
+  // 3 pairs cannot feed 4 workers (3 < 2 x 4), so each pair's record
+  // range is sharded instead (PairCountsSharded). Education and Income
+  // are the ordinal pair; Workclass makes the other two Cramér's V.
+  options.record_chunk_size = 256;
+  Dataset projected = SynthesizeAdult(2000, 11).Project(
+      {kAdultEducation, kAdultIncome, kAdultWorkclass});
+  ExpectMatchesSequential(projected, options);
 }
 
 TEST(ParallelDependenceTest, RandomizedResponseShardedIsDeterministic) {

@@ -1,4 +1,3 @@
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,66 +52,10 @@ TEST(PramTest, PublishedFileDiffersFromCollected) {
 }
 
 TEST(PramTest, RejectsEmptyData) {
-  Dataset empty(std::vector<Attribute>{
-      Attribute{"A", AttributeType::kNominal, {"x", "y"}}});
+  Dataset empty({Attribute{"A", AttributeType::kNominal, {"x", "y"}}},
+                {std::vector<uint32_t>()});
   Rng rng(13);
   EXPECT_FALSE(ApplyPram(empty, 0.5, rng).ok());
-}
-
-TEST(InvariantPramTest, MatrixIsRowStochastic) {
-  RrMatrix base = RrMatrix::KeepUniform(3, 0.5);
-  std::vector<double> observed = {0.5, 0.3, 0.2};
-  auto invariant = InvariantPramMatrix(base, observed);
-  ASSERT_TRUE(invariant.ok());
-  EXPECT_TRUE(invariant.value().ToDense().IsRowStochastic(1e-9));
-}
-
-TEST(InvariantPramTest, PreservesMarginalInExpectation) {
-  RrMatrix base = RrMatrix::KeepUniform(3, 0.5);
-  std::vector<double> observed = {0.5, 0.3, 0.2};
-  auto invariant = InvariantPramMatrix(base, observed);
-  ASSERT_TRUE(invariant.ok());
-  // R^T observed = observed: the published marginal equals the collected
-  // one in expectation (the defining invariant-PRAM property).
-  std::vector<double> published =
-      invariant.value().ToDense().TransposeMatVec(observed);
-  for (size_t v = 0; v < observed.size(); ++v) {
-    EXPECT_NEAR(published[v], observed[v], 1e-12);
-  }
-}
-
-TEST(InvariantPramTest, EmpiricalInvariance) {
-  Dataset collected = MakeDataset(100000, 17);
-  std::vector<double> observed =
-      EmpiricalDistribution(collected.column(0), 3);
-  RrMatrix base = RrMatrix::KeepUniform(3, 0.5);
-  auto invariant = InvariantPramMatrix(base, observed);
-  ASSERT_TRUE(invariant.ok());
-  Rng rng(19);
-  std::vector<uint32_t> published =
-      invariant.value().RandomizeColumn(collected.column(0), rng);
-  std::vector<double> published_marginal =
-      EmpiricalDistribution(published, 3);
-  for (size_t v = 0; v < 3; ++v) {
-    EXPECT_NEAR(published_marginal[v], observed[v], 0.01);
-  }
-}
-
-TEST(InvariantPramTest, DegenerateDistributionFallsBackToIdentityRows) {
-  RrMatrix base = RrMatrix::KeepUniform(3, 0.5);
-  // All mass on category 0: rows for unreachable categories become
-  // identity; the matrix must still be row-stochastic.
-  std::vector<double> observed = {1.0, 0.0, 0.0};
-  auto invariant = InvariantPramMatrix(base, observed);
-  ASSERT_TRUE(invariant.ok());
-  EXPECT_TRUE(invariant.value().ToDense().IsRowStochastic(1e-9));
-  // Category 0 can only map to 0 (others have zero observed mass).
-  EXPECT_NEAR(invariant.value().Prob(0, 0), 1.0, 1e-12);
-}
-
-TEST(InvariantPramTest, SizeMismatchFails) {
-  RrMatrix base = RrMatrix::KeepUniform(3, 0.5);
-  EXPECT_FALSE(InvariantPramMatrix(base, {0.5, 0.5}).ok());
 }
 
 }  // namespace

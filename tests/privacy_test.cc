@@ -44,11 +44,6 @@ TEST(PaperKeepUniformEpsilonTest, AbsoluteValueKicksInForSmallP) {
   EXPECT_NEAR(eps, std::fabs(std::log(0.1 * 2 / 0.9)), 1e-12);
 }
 
-TEST(SequentialCompositionTest, Sums) {
-  EXPECT_DOUBLE_EQ(SequentialComposition({0.5, 1.0, 0.25}), 1.75);
-  EXPECT_DOUBLE_EQ(SequentialComposition({}), 0.0);
-}
-
 TEST(PrivacyAccountantTest, SequentialSpending) {
   PrivacyAccountant accountant;
   accountant.Spend("attribute A", 0.5);

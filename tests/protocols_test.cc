@@ -73,8 +73,8 @@ TEST(RrIndependentTest, RandomizedDataHasSameShape) {
 }
 
 TEST(RrIndependentTest, EmptyDatasetFails) {
-  Dataset empty(std::vector<Attribute>{
-      Attribute{"A", AttributeType::kNominal, {"x", "y"}}});
+  Dataset empty({Attribute{"A", AttributeType::kNominal, {"x", "y"}}},
+                {std::vector<uint32_t>()});
   Rng rng(1);
   EXPECT_FALSE(RunRrIndependent(empty, RrIndependentOptions{}, rng).ok());
 }

@@ -27,7 +27,7 @@ TEST(PosteriorMatrixTest, ColumnsAreDistributions) {
 TEST(PosteriorMatrixTest, BayesHandComputed) {
   // Binary Warner design, p = 0.75, prior (0.5, 0.5):
   // Pr(X=0 | Y=0) = 0.75*0.5 / (0.75*0.5 + 0.25*0.5) = 0.75.
-  RrMatrix p = RrMatrix::FlatOffDiagonal(2, 0.75);
+  RrMatrix p = RrMatrix::FromStructured({2, 0.75, 0.25}).value();
   auto posterior = PosteriorMatrix(p, {0.5, 0.5});
   ASSERT_TRUE(posterior.ok());
   EXPECT_NEAR(posterior.value()(0, 0), 0.75, 1e-12);
@@ -35,7 +35,7 @@ TEST(PosteriorMatrixTest, BayesHandComputed) {
 }
 
 TEST(PosteriorMatrixTest, SkewedPriorShiftsPosterior) {
-  RrMatrix p = RrMatrix::FlatOffDiagonal(2, 0.75);
+  RrMatrix p = RrMatrix::FromStructured({2, 0.75, 0.25}).value();
   // A very rare sensitive value stays unlikely even when reported.
   auto posterior = PosteriorMatrix(p, {0.99, 0.01});
   ASSERT_TRUE(posterior.ok());
@@ -53,7 +53,7 @@ TEST(PosteriorMatrixTest, InputValidation) {
 }
 
 TEST(BestGuessConfidenceTest, IdentityMatrixGivesCertainty) {
-  RrMatrix id = RrMatrix::Identity(3);
+  RrMatrix id = RrMatrix::KeepUniform(3, 1.0);
   auto risk = BestGuessConfidence(id, {0.5, 0.3, 0.2});
   ASSERT_TRUE(risk.ok());
   for (double r : risk.value()) EXPECT_NEAR(r, 1.0, 1e-12);
@@ -61,7 +61,7 @@ TEST(BestGuessConfidenceTest, IdentityMatrixGivesCertainty) {
 
 TEST(BestGuessConfidenceTest, UniformReplacementGivesPriorBaseline) {
   // Output independent of input: the attacker only has the prior.
-  RrMatrix uniform = RrMatrix::UniformReplacement(3);
+  RrMatrix uniform = RrMatrix::KeepUniform(3, 0.0);
   std::vector<double> prior = {0.5, 0.3, 0.2};
   auto risk = BestGuessConfidence(uniform, prior);
   ASSERT_TRUE(risk.ok());

@@ -22,13 +22,6 @@ TEST(RrMatrixTest, KeepUniformShape) {
   EXPECT_TRUE(m.ToDense().IsRowStochastic());
 }
 
-TEST(RrMatrixTest, FlatOffDiagonalShape) {
-  RrMatrix m = RrMatrix::FlatOffDiagonal(5, 0.8);
-  EXPECT_DOUBLE_EQ(m.Prob(2, 2), 0.8);
-  EXPECT_DOUBLE_EQ(m.Prob(2, 3), 0.05);
-  EXPECT_TRUE(m.ToDense().IsRowStochastic());
-}
-
 TEST(RrMatrixTest, OptimalForEpsilonIsRowStochasticAndTight) {
   for (size_t r : {2u, 5u, 50u}) {
     for (double eps : {0.1, 1.0, 3.0}) {
@@ -53,12 +46,12 @@ TEST(RrMatrixTest, OptimalForEpsilonMatchesPaperClusterFormula) {
 }
 
 TEST(RrMatrixTest, IdentityAndUniformExtremes) {
-  RrMatrix id = RrMatrix::Identity(3);
+  RrMatrix id = RrMatrix::KeepUniform(3, 1.0);
   EXPECT_DOUBLE_EQ(id.Prob(1, 1), 1.0);
   EXPECT_DOUBLE_EQ(id.Prob(1, 0), 0.0);
   EXPECT_TRUE(std::isinf(id.Epsilon()));
 
-  RrMatrix uniform = RrMatrix::UniformReplacement(4);
+  RrMatrix uniform = RrMatrix::KeepUniform(4, 0.0);
   EXPECT_DOUBLE_EQ(uniform.Prob(0, 3), 0.25);
   EXPECT_DOUBLE_EQ(uniform.Epsilon(), 0.0);  // Perfect privacy.
 }
@@ -143,12 +136,12 @@ TEST(RrMatrixTest, SolveTransposeMatchesLu) {
 }
 
 TEST(RrMatrixTest, SolveTransposeRejectsSingular) {
-  RrMatrix uniform = RrMatrix::UniformReplacement(3);
+  RrMatrix uniform = RrMatrix::KeepUniform(3, 0.0);
   EXPECT_FALSE(uniform.SolveTranspose({0.3, 0.3, 0.4}).ok());
 }
 
 TEST(RrMatrixTest, IdentityRandomizePassesThrough) {
-  RrMatrix id = RrMatrix::Identity(5);
+  RrMatrix id = RrMatrix::KeepUniform(5, 1.0);
   Rng rng(3);
   for (uint32_t u = 0; u < 5; ++u) {
     EXPECT_EQ(id.Randomize(u, rng), u);

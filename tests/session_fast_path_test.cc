@@ -113,7 +113,7 @@ TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
   }
 }
 
-TEST(FastSeedTest, SeedRngRangeMatchesPerPartyConstruction) {
+TEST(FastSeedTest, ForEachSeedSequenceMatchesPerPartyConstruction) {
   for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                        size_t{15}, size_t{16}, size_t{17}, size_t{33},
                        size_t{64}, size_t{130}}) {
@@ -122,7 +122,9 @@ TEST(FastSeedTest, SeedRngRangeMatchesPerPartyConstruction) {
     for (uint64_t& s : seeds) s = seed_source.engine()();
 
     std::vector<Rng> batch(count, Rng(0));
-    SeedRngRange(seeds.data(), count, batch.data());
+    ForEachSeedSequence(seeds.data(), count, [&](size_t i, SeedWords words) {
+      batch[i].engine().seed(words);
+    });
     for (size_t i = 0; i < count; ++i) {
       Rng reference(seeds[i]);
       for (int draw = 0; draw < 350; ++draw) {

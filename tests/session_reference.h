@@ -28,6 +28,7 @@
 #include "mdrr/protocol/session.h"
 #include "mdrr/release/planner.h"
 #include "mdrr/rng/rng.h"
+#include "mdrr/stats/frequency.h"
 
 namespace mdrr::protocol {
 
@@ -159,14 +160,20 @@ inline StatusOr<SessionResult> RunPartyLoopSession(
                  });
   result.messages_round2 = n;
 
-  // Controller: Eq. (2) estimation per cluster, then decode Y.
+  // Controller: sharded counting and Eq. (2) estimation per cluster,
+  // then decode Y.
   result.randomized = dataset;
   for (size_t c = 0; c < num_clusters; ++c) {
     const Domain& domain = result.cluster_domains[c];
+    const std::vector<uint32_t>& codes = cluster_codes[c];
     MDRR_ASSIGN_OR_RETURN(
         std::vector<double> estimated,
-        controller.EstimateDistribution(cluster_matrices[c], cluster_codes[c],
-                                        static_cast<size_t>(domain.size())));
+        controller.EstimateFromCounts(
+            cluster_matrices[c],
+            stats::ShardedHistogram(codes.size(),
+                                    static_cast<size_t>(domain.size()),
+                                    shard_size, threads,
+                                    [&codes](size_t i) { return codes[i]; })));
     result.cluster_joints.push_back(std::move(estimated));
     for (size_t position = 0; position < result.clusters[c].size();
          ++position) {

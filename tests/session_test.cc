@@ -47,7 +47,7 @@ TEST(PartyTest, ClusterPublicationEncodesJointly) {
   AttributeClustering clusters = {{0, 1}};
   std::vector<Domain> domains = {Domain({3, 4})};
   // Identity matrix: the publication must be the exact composite code.
-  std::vector<RrMatrix> matrices = {RrMatrix::Identity(12)};
+  std::vector<RrMatrix> matrices = {RrMatrix::KeepUniform(12, 1.0)};
   std::vector<uint32_t> published =
       party.PublishClusters(clusters, domains, matrices);
   ASSERT_EQ(published.size(), 1u);
@@ -138,8 +138,8 @@ TEST(SessionTest, DeterministicInSeed) {
 }
 
 TEST(SessionTest, RejectsEmptySession) {
-  Dataset empty(std::vector<Attribute>{
-      Attribute{"A", AttributeType::kNominal, {"x", "y"}}});
+  Dataset empty({Attribute{"A", AttributeType::kNominal, {"x", "y"}}},
+                {std::vector<uint32_t>()});
   EXPECT_FALSE(RunDistributedSession(empty, SessionOptions{}).ok());
 }
 

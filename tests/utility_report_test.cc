@@ -98,7 +98,8 @@ TEST(UtilityReportTest, InputValidation) {
   options.queries_per_sigma = 0;
   EXPECT_FALSE(BuildUtilityReport(ds, ds, options).ok());
 
-  Dataset empty(ds.schema());
+  Dataset empty(ds.schema(),
+                std::vector<std::vector<uint32_t>>(ds.num_attributes()));
   options.queries_per_sigma = 5;
   EXPECT_FALSE(BuildUtilityReport(ds, empty, options).ok());
 }

@@ -88,7 +88,9 @@
 //   honour and any malformed number.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
@@ -209,6 +211,29 @@ StatusOr<int64_t> IntFlag(const FlagSet& flags, const std::string& key,
   return NumberFlag(flags, key, default_value, mdrr::ParseInt64);
 }
 
+// Seeds and counts take the full uint64 range, and a negative value is
+// refused rather than wrapped to a huge one.
+StatusOr<uint64_t> ParseUint64(std::string_view input) {
+  const std::string_view digits = mdrr::StripWhitespace(input);
+  if (!digits.empty() && digits.front() == '-') {
+    return Status::InvalidArgument("must not be negative");
+  }
+  uint64_t value = 0;
+  const char* end = digits.data() + digits.size();
+  auto [ptr, ec] = std::from_chars(digits.data(), end, value);
+  if (digits.empty() || ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("expected an integer in [0, " +
+                                   std::to_string(UINT64_MAX) + "], got '" +
+                                   std::string(input) + "'");
+  }
+  return value;
+}
+
+StatusOr<uint64_t> UnsignedFlag(const FlagSet& flags, const std::string& key,
+                                uint64_t default_value) {
+  return NumberFlag(flags, key, default_value, ParseUint64);
+}
+
 // The ReleaseSpec equivalent of the `run` flag set.
 StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
   namespace release = mdrr::release;
@@ -281,8 +306,7 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
     if (shard < 1) return Status::InvalidArgument("--shard must be >= 1");
     spec.execution.shard_size = static_cast<size_t>(shard);
   }
-  MDRR_ASSIGN_OR_RETURN(const int64_t seed, IntFlag(flags, "seed", 1));
-  spec.execution.seed = static_cast<uint64_t>(seed);
+  MDRR_ASSIGN_OR_RETURN(spec.execution.seed, UnsignedFlag(flags, "seed", 1));
   MDRR_ASSIGN_OR_RETURN(
       spec.execution.rng,
       release::RngKindFromString(flags.GetString("rng", "mt19937")));
@@ -312,13 +336,14 @@ Status RunStreamingSpec(const FlagSet& flags,
                         const mdrr::release::ReleaseSpec& spec) {
   namespace release = mdrr::release;
   mdrr::protocol::StreamingReplayOptions options;
-  MDRR_ASSIGN_OR_RETURN(const int64_t ingest_threads,
-                        IntFlag(flags, "ingest_threads", 1));
-  MDRR_ASSIGN_OR_RETURN(const int64_t shards, IntFlag(flags, "shards", 1));
-  MDRR_ASSIGN_OR_RETURN(const int64_t reports, IntFlag(flags, "reports", 0));
+  MDRR_ASSIGN_OR_RETURN(const uint64_t ingest_threads,
+                        UnsignedFlag(flags, "ingest_threads", 1));
+  MDRR_ASSIGN_OR_RETURN(const uint64_t shards,
+                        UnsignedFlag(flags, "shards", 1));
+  MDRR_ASSIGN_OR_RETURN(options.total_reports,
+                        UnsignedFlag(flags, "reports", 0));
   options.num_ingest_threads = static_cast<size_t>(ingest_threads);
   options.collector.num_shards = static_cast<size_t>(shards);
-  options.total_reports = static_cast<uint64_t>(reports);
 
   MDRR_ASSIGN_OR_RETURN(const Dataset dataset, [&]() -> StatusOr<Dataset> {
     switch (spec.dataset.source) {
