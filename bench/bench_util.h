@@ -1,19 +1,77 @@
-// Shared helpers for the experiment benches: dataset acquisition (real
-// adult.data if --adult_csv points at one, the calibrated synthesizer
-// otherwise) and uniform table formatting.
+// Shared helpers for the experiment benches: flag checking, dataset
+// acquisition (real adult.data if --adult_csv points at one, the
+// calibrated synthesizer otherwise) and uniform table formatting.
 
 #ifndef MDRR_BENCH_BENCH_UTIL_H_
 #define MDRR_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
 
 #include "mdrr/common/flags.h"
+#include "mdrr/common/string_util.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/dataset.h"
 
 namespace mdrr::bench {
+
+// What a bench flag's value must parse as.
+enum class FlagValue { kText, kPositiveInt, kNonNegativeInt, kReal };
+
+struct BenchFlag {
+  const char* key;
+  FlagValue value;
+};
+
+// Parses argv for a bench that reads the Adult data (LoadAdult's
+// --adult_csv/--n/--data_seed) and --runs, plus the flags in `own`.
+// Exits 1, naming the flag, on any other flag and on a value that does
+// not parse as its kind: FlagSet's getters would run a typo'd flag or a
+// malformed number at its default, and a negative --seed would wrap.
+inline FlagSet ParseAdultBenchFlags(int argc, char** argv,
+                                    std::initializer_list<BenchFlag> own) {
+  static constexpr BenchFlag kShared[] = {
+      {"adult_csv", FlagValue::kText},
+      {"n", FlagValue::kPositiveInt},
+      {"data_seed", FlagValue::kNonNegativeInt},
+      {"runs", FlagValue::kPositiveInt},
+  };
+  FlagSet flags;
+  flags.Parse(argc, argv);
+  for (const std::string& key : flags.Keys()) {
+    const BenchFlag* flag = nullptr;
+    for (const BenchFlag& shared : kShared) {
+      if (key == shared.key) flag = &shared;
+    }
+    for (const BenchFlag& extra : own) {
+      if (key == extra.key) flag = &extra;
+    }
+    std::string error;
+    const std::string value = flags.GetString(key, "");
+    if (flag == nullptr) {
+      error = "--" + key + " is not a flag of this bench";
+    } else if (flag->value == FlagValue::kReal) {
+      StatusOr<double> parsed = ParseDouble(value);
+      if (!parsed.ok()) error = "--" + key + ": " + parsed.status().message();
+    } else if (flag->value != FlagValue::kText) {
+      StatusOr<int64_t> parsed = ParseInt64(value);
+      const int64_t least = flag->value == FlagValue::kPositiveInt ? 1 : 0;
+      if (!parsed.ok()) {
+        error = "--" + key + ": " + parsed.status().message();
+      } else if (parsed.value() < least) {
+        error = "--" + key + " must be at least " + std::to_string(least);
+      }
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "error: %s\n", error.c_str());
+      std::exit(1);
+    }
+  }
+  return flags;
+}
 
 // Resolves the evaluation dataset. Flags:
 //   --adult_csv=PATH  load a real UCI adult.data file;

@@ -4,7 +4,7 @@
 //
 // Implements exactly the subset of the google-benchmark API this repo
 // uses: State iteration, range(), iterations(), SetItemsProcessed,
-// SetComplexityN, DoNotOptimize, BENCHMARK with ->Arg / ->Range /
+// SetComplexityN, DoNotOptimize, BENCHMARK with ->Arg / ->Args / ->Range /
 // ->RangeMultiplier / ->Complexity, BENCHMARK_MAIN, and a
 // --benchmark_filter= of '|'-separated substrings (a benchmark runs if its
 // name contains any of them; a filter that matches nothing exits 1, so a
@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace benchmark {
@@ -110,6 +111,10 @@ class Benchmark {
 
   Benchmark* Arg(int64_t value) {
     arg_sets_.push_back({value});
+    return this;
+  }
+  Benchmark* Args(std::vector<int64_t> values) {
+    arg_sets_.push_back(std::move(values));
     return this;
   }
   Benchmark* RangeMultiplier(int multiplier) {

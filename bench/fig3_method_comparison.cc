@@ -7,7 +7,9 @@
 // (Tv=50, Td=0.3) for p <= 0.3 and (Tv=50, Td=0.1) for p >= 0.5.
 //
 // Usage: fig3_method_comparison [--runs=25] [--seed=1] [--adult_csv=...]
-//                               [--n=32561] [--adj_iters=30]
+//                               [--n=32561] [--data_seed=2020]
+//                               [--adj_iters=30] [--query_attrs=2]
+// Any other flag, or a malformed or negative number, exits 1.
 
 #include <cstdio>
 
@@ -17,8 +19,12 @@
 #include "mdrr/eval/experiment.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+      argc, argv,
+      {{"query_attrs", FlagValue::kPositiveInt},
+       {"seed", FlagValue::kNonNegativeInt},
+       {"adj_iters", FlagValue::kNonNegativeInt}});
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const int runs = mdrr::bench::RunsFlag(flags);
   const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));

@@ -28,9 +28,12 @@
 
 namespace {
 
+// Args: domain size r, keep probability in percent. 70 is the §4.1
+// publication's default; 50 makes the keep/replace choice a coin flip.
 void BM_StructuredRandomizeColumn(benchmark::State& state) {
   const size_t r = static_cast<size_t>(state.range(0));
-  mdrr::RrMatrix matrix = mdrr::RrMatrix::KeepUniform(r, 0.7);
+  const double keep = static_cast<double>(state.range(1)) / 100.0;
+  mdrr::RrMatrix matrix = mdrr::RrMatrix::KeepUniform(r, keep);
   mdrr::Rng rng(1);
   std::vector<uint32_t> codes(32561);
   for (auto& c : codes) c = static_cast<uint32_t>(rng.UniformInt(r));
@@ -41,7 +44,13 @@ void BM_StructuredRandomizeColumn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(codes.size()));
 }
-BENCHMARK(BM_StructuredRandomizeColumn)->Arg(2)->Arg(16)->Arg(300);
+BENCHMARK(BM_StructuredRandomizeColumn)
+    ->Args({2, 50})
+    ->Args({2, 70})
+    ->Args({16, 50})
+    ->Args({16, 70})
+    ->Args({300, 50})
+    ->Args({300, 70});
 
 void BM_AliasSample(benchmark::State& state) {
   const size_t r = static_cast<size_t>(state.range(0));

@@ -4,6 +4,8 @@
 //
 // Usage: table1_rr_clusters_adult [--runs=25] [--seed=1] [--sigma=0.1]
 //                                 [--adult_csv=...] [--n=32561] [--tile=1]
+//                                 [--data_seed=2020] [--query_attrs=2]
+// Any other flag, or a malformed or negative number, exits 1.
 
 #include <cstdio>
 
@@ -67,8 +69,13 @@ int RunGrid(const mdrr::Dataset& dataset, const mdrr::FlagSet& flags,
 }  // namespace
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+      argc, argv,
+      {{"query_attrs", FlagValue::kPositiveInt},
+       {"sigma", FlagValue::kReal},
+       {"seed", FlagValue::kNonNegativeInt},
+       {"tile", FlagValue::kPositiveInt}});
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   int64_t tile = flags.GetInt("tile", 1);
   if (tile > 1) adult = adult.Tiled(static_cast<size_t>(tile));

@@ -4,6 +4,8 @@
 //
 // Usage: table2_rr_clusters_adult6 [--runs=25] [--seed=1] [--sigma=0.1]
 //                                  [--adult_csv=...] [--n=32561]
+//                                  [--data_seed=2020] [--query_attrs=2]
+// Any other flag, or a malformed or negative number, exits 1.
 
 #include <cstdio>
 
@@ -13,8 +15,12 @@
 #include "mdrr/eval/experiment.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+      argc, argv,
+      {{"query_attrs", FlagValue::kPositiveInt},
+       {"sigma", FlagValue::kReal},
+       {"seed", FlagValue::kNonNegativeInt}});
   mdrr::Dataset adult6 = mdrr::bench::LoadAdult(flags).Tiled(6);
 
   const int runs = mdrr::bench::RunsFlag(flags);

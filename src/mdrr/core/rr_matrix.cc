@@ -1,7 +1,9 @@
 #include "mdrr/core/rr_matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
@@ -9,13 +11,51 @@
 
 namespace mdrr {
 
+namespace {
+
+// The double UniformDouble() makes of the engine word w: the same
+// std::uniform_real_distribution, over a generator with the engine's
+// range that yields w.
+double CanonicalOf(uint64_t w) {
+  struct OneWord {
+    using result_type = MersenneTwister64::result_type;
+    static constexpr result_type min() { return MersenneTwister64::min(); }
+    static constexpr result_type max() { return MersenneTwister64::max(); }
+    result_type operator()() { return word; }
+    result_type word;
+  };
+  OneWord source{w};
+  std::uniform_real_distribution<double> dist(0.0, 1.0);
+  return dist(source);
+}
+
+// The smallest word w with !(CanonicalOf(w) < alpha), by bisection.
+// CanonicalOf is nondecreasing in w, so the words below alpha are the
+// prefix [0, result). 0 unless alpha is in (0, 1): only those designs
+// run the mixed kernel.
+uint64_t TakeBelow(double alpha) {
+  if (!(alpha > 0.0 && alpha < 1.0)) return 0;
+  // CanonicalOf(0) = 0 < alpha, and CanonicalOf(max) is the largest
+  // double below 1, which is >= alpha.
+  uint64_t below = 0;
+  uint64_t at_or_above = std::numeric_limits<uint64_t>::max();
+  while (at_or_above - below > 1) {
+    const uint64_t mid = below + (at_or_above - below) / 2;
+    (CanonicalOf(mid) < alpha ? below : at_or_above) = mid;
+  }
+  return at_or_above;
+}
+
+}  // namespace
+
 RrMatrix::RrMatrix(size_t size, linalg::UniformMixture structured)
     : size_(size),
       structured_(structured),
       // The same product the per-draw path historically evaluated, so the
       // Bernoulli threshold is bit-identical to recomputing it per call.
       structured_alpha_(static_cast<double>(size) *
-                        structured.off_diagonal) {}
+                        structured.off_diagonal),
+      structured_take_below_(TakeBelow(structured_alpha_)) {}
 
 RrMatrix::RrMatrix(size_t size, linalg::Matrix dense)
     : size_(size), dense_(std::move(dense)),
@@ -134,6 +174,121 @@ void RrMatrix::RandomizeColumnInto(const std::vector<uint32_t>& codes,
   out.resize(codes.size());
   RandomizeRangeInto(codes.data(), codes.size(), rng, out.data(),
                      /*counts=*/nullptr);
+}
+
+namespace {
+
+using U128 = unsigned __int128;
+
+// Words the mixed kernel buffers per refill.
+constexpr size_t kWordBlock = 1024;
+
+// Finishes Lemire's draw on [0, r) whose first product (word * r) is
+// `product`, as libstdc++'s uniform_int_distribution<uint64_t> does: a
+// low half below r triggers the exact check against 2^64 mod r, and each
+// rejection redraws from the next word -- buffered words[*next, n)
+// first, then `source`.
+uint64_t FinishBounded(U128 product, uint64_t r, const uint64_t* words,
+                       size_t n, size_t* next, WordSource& source) {
+  if (static_cast<uint64_t>(product) < r) {
+    const uint64_t threshold = (0 - r) % r;
+    while (static_cast<uint64_t>(product) < threshold) {
+      uint64_t word;
+      if (*next < n) {
+        word = words[(*next)++];
+      } else {
+        source.Fill(&word, 1);
+      }
+      product = static_cast<U128>(word) * r;
+    }
+  }
+  return static_cast<uint64_t>(product >> 64);
+}
+
+template <bool kCount>
+void MixedRange(uint64_t take_below, uint64_t r, const uint32_t* codes,
+                size_t count, WordSource& source, uint32_t* out,
+                int64_t* counts) {
+  uint64_t words[kWordBlock];
+  size_t i = 0;
+  while (i < count) {
+    // Each element takes at least one word, so n <= count - i words are
+    // all consumed by the elements left.
+    const size_t n = std::min(kWordBlock, count - i);
+    source.Fill(words, n);
+    size_t p = 0;  // words[p] is element i's first word.
+    while (p + 1 < n) {
+      MDRR_DCHECK_LT(codes[i], r);
+      const uint64_t take = words[p] < take_below;
+      const U128 product = static_cast<U128>(words[p + 1]) * r;
+      uint64_t y;
+      if (__builtin_expect(static_cast<uint64_t>(product) < r, 0) && take) {
+        size_t next = p + 2;
+        y = FinishBounded(product, r, words, n, &next, source);
+        p = next;
+      } else {
+        // A mask, not `take ? hi : code`: GCC 12 compiles the conditional
+        // to a jump on the random take bit.
+        const uint64_t mask = 0 - take;
+        y = (static_cast<uint64_t>(product >> 64) & mask) |
+            (codes[i] & ~mask);
+        p += 1 + take;
+      }
+      out[i] = static_cast<uint32_t>(y);
+      if constexpr (kCount) ++counts[y];
+      ++i;
+    }
+    if (p < n) {  // The last buffered word starts an element.
+      MDRR_DCHECK_LT(codes[i], r);
+      uint64_t y = codes[i];
+      if (words[p] < take_below) {
+        uint64_t word;
+        source.Fill(&word, 1);
+        size_t next = n;
+        y = FinishBounded(static_cast<U128>(word) * r, r, words, n, &next,
+                          source);
+      }
+      out[i] = static_cast<uint32_t>(y);
+      if constexpr (kCount) ++counts[y];
+      ++i;
+    }
+  }
+}
+
+// An engine's words, a block at a time.
+class EngineWords final : public WordSource {
+ public:
+  explicit EngineWords(MersenneTwister64& engine) : engine_(engine) {}
+  void Fill(uint64_t* words, size_t n) override {
+    engine_.Generate(words, n);
+  }
+
+ private:
+  MersenneTwister64& engine_;
+};
+
+}  // namespace
+
+void RrMatrix::RandomizeMixedRangeInto(const uint32_t* codes, size_t count,
+                                       WordSource& words, uint32_t* out,
+                                       int64_t* counts) const {
+  // Dense matrices keep structured_alpha_ at 0, so this also checks
+  // is_structured().
+  MDRR_DCHECK(structured_alpha_ > 0.0 && structured_alpha_ < 1.0);
+  if (counts == nullptr) {
+    MixedRange<false>(structured_take_below_, size_, codes, count, words, out,
+                      nullptr);
+  } else {
+    MixedRange<true>(structured_take_below_, size_, codes, count, words, out,
+                     counts);
+  }
+}
+
+void RrMatrix::RandomizeMixedRangeInto(const uint32_t* codes, size_t count,
+                                       Rng& rng, uint32_t* out,
+                                       int64_t* counts) const {
+  EngineWords words(rng.engine());
+  RandomizeMixedRangeInto(codes, count, words, out, counts);
 }
 
 void RrMatrix::RandomizeRangeCounterInto(const uint32_t* codes, size_t count,

@@ -118,12 +118,12 @@ class RrMatrix {
   // hand in its part of a shared column or a standalone buffer alike
   // (PerturbShard in core/frequency_oracle.h).
   //
-  // Inline, with the structured design split into three branch-predictable
-  // loops keyed off the mixing weight alpha = r * off_diagonal: alpha <= 0
-  // copies (an identity design draws nothing), alpha >= 1 replaces every
-  // code with a uniform draw, and the mixed case decides per element with
-  // one canonical double against the precomputed alpha. The draw sequence
-  // is exactly the per-element Randomize loop's. The per-element
+  // The structured design splits into three loops keyed off the mixing
+  // weight alpha = r * off_diagonal: alpha <= 0 copies (an identity design
+  // draws nothing), alpha >= 1 replaces every code with a uniform draw,
+  // and the mixed case runs the buffered kernel RandomizeMixedRangeInto
+  // out of line. The draw sequence is exactly the per-element Randomize
+  // loop's, and so is the engine state left behind. The per-element
   // precondition codes[i] < size() is debug-only, like Randomize's.
   void RandomizeRangeInto(const uint32_t* codes, size_t count, Rng& rng,
                           uint32_t* out, int64_t* counts) const {
@@ -154,15 +154,25 @@ class RrMatrix {
       }
       return;
     }
-    for (size_t i = 0; i < count; ++i) {
-      MDRR_DCHECK_LT(codes[i], size_);
-      uint32_t y = rng.UniformDouble() < alpha
-                       ? static_cast<uint32_t>(rng.UniformInt(size_))
-                       : codes[i];
-      out[i] = y;
-      if (counts != nullptr) ++counts[y];
-    }
+    RandomizeMixedRangeInto(codes, count, rng, out, counts);
   }
+
+  // The mixed-alpha structured kernel (0 < alpha < 1) over any source of
+  // 64-bit words: RandomizeRangeInto runs it on the Rng's engine, tests
+  // on scripted words. Its transcript is libstdc++'s over mt19937_64,
+  // word for word: per element, Bernoulli(alpha) is generate_canonical's
+  // double(w) / 2^64 < alpha, which for the element's first word w is the
+  // integer compare w < structured_take_below_; a taken element then
+  // draws Lemire's uniform int on [0, r) -- hi64(w' * r) of the next word
+  // w', rejected while lo64(w' * r) < 2^64 mod r -- and a kept one draws
+  // nothing more. The kernel buffers up to 1024 words at a time and picks
+  // each element's output without a branch, but never draws more words
+  // than elements remain, since every element takes at least one: the
+  // engine is left exactly where the per-element loop leaves it.
+  // Precondition: is_structured() with alpha in (0, 1).
+  void RandomizeMixedRangeInto(const uint32_t* codes, size_t count,
+                               WordSource& words, uint32_t* out,
+                               int64_t* counts) const;
 
   // Counter-policy (philox) analogue of RandomizeRangeInto: randomizes
   // the slice codes[0, count) into out[0, count), where slice element k
@@ -246,6 +256,10 @@ class RrMatrix {
   RrMatrix(size_t size, linalg::UniformMixture structured);
   RrMatrix(size_t size, linalg::Matrix dense);
 
+  // RandomizeMixedRangeInto over the Rng's engine.
+  void RandomizeMixedRangeInto(const uint32_t* codes, size_t count, Rng& rng,
+                               uint32_t* out, int64_t* counts) const;
+
   size_t size_;
   // Exactly one of the two representations is active.
   std::optional<linalg::UniformMixture> structured_;
@@ -253,6 +267,10 @@ class RrMatrix {
   // alpha = size * off_diagonal, hoisted out of the per-element Randomize
   // so hot loops never recompute it.
   double structured_alpha_ = 0.0;
+  // For alpha in (0, 1): the smallest engine word whose canonical double
+  // is not below alpha, so UniformDouble() < alpha on word w is exactly
+  // w < structured_take_below_ (found by bisection at construction).
+  uint64_t structured_take_below_ = 0;
   std::optional<linalg::Matrix> dense_;
   // Alias samplers per row (dense representation only).
   std::vector<AliasSampler> row_samplers_;

@@ -7,6 +7,7 @@
 #ifndef MDRR_RNG_RNG_H_
 #define MDRR_RNG_RNG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -20,8 +21,29 @@ namespace mdrr {
 // `state`. Used for seed expansion and as a tiny standalone generator.
 uint64_t SplitMix64Next(uint64_t& state);
 
+// A stream of 64-bit words, read in order a block at a time. The
+// buffered structured RR kernel (RrMatrix::RandomizeMixedRangeInto)
+// reads an Rng's engine through it; tests drive the same kernel with
+// scripted words.
+class WordSource {
+ public:
+  // Writes the next n words of the stream to words[0, n).
+  virtual void Fill(uint64_t* words, size_t n) = 0;
+
+ protected:
+  ~WordSource() = default;  // Sources are never deleted through this base.
+};
+
 // A seeded 64-bit Mersenne Twister with convenience draws.
 // Not thread-safe; use one Rng per thread.
+//
+// UniformDouble and UniformInt are the std:: distributions over the
+// engine, and their libstdc++ algorithms define the mt19937 transcript:
+// generate_canonical<double, 53> takes one word w to double(w) / 2^64
+// (clamped below 1), and uniform_int_distribution<uint64_t> is Lemire's
+// multiply-and-reject over one or more words. RrMatrix's buffered
+// structured kernel reproduces exactly these draws word for word, so
+// these stay the reference it is tested against.
 class Rng {
  public:
   // The engine seeded from the four-word SplitMix64 expansion of `seed`

@@ -323,6 +323,27 @@ TEST(MersenneTwister64Test, DiscardMatchesStd) {
   }
 }
 
+// Generate hands out the words operator() would, in runs that start and
+// end inside the first-cycle chunk, the rest of the first cycle and
+// later whole cycles, interleaved with single draws.
+TEST(MersenneTwister64Test, GenerateMatchesStd) {
+  for (int drawn : {0, 5, 16, 400}) {
+    for (size_t run : {0, 1, 11, 16, 17, 311, 312, 313, 1024}) {
+      EnginePair pair(33);
+      ExpectSameDraws(pair.engine, pair.reference, drawn);
+      SCOPED_TRACE(testing::Message() << drawn << " then runs of " << run);
+      std::vector<uint64_t> words(run);
+      for (int round = 0; round < 4; ++round) {
+        pair.engine.Generate(words.data(), run);
+        for (size_t k = 0; k < run; ++k) {
+          ASSERT_EQ(words[k], pair.reference()) << "round " << round;
+        }
+        ExpectSameDraws(pair.engine, pair.reference, 1);
+      }
+    }
+  }
+}
+
 TEST(MersenneTwister64Test, DistributionsAndShuffleMatchStd) {
   EnginePair pair(33);
   MersenneTwister64& engine = pair.engine;
