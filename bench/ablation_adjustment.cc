@@ -5,6 +5,9 @@
 //
 // Usage: ablation_adjustment [--runs=15] [--p=0.7] [--sigma=0.1]
 //                            [--seed=1] [--n=32561]
+// The Adult flags --adult_csv/--n/--data_seed are read by LoadAdult.
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cstdio>
 
@@ -16,8 +19,13 @@
 #include "mdrr/rng/rng.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+      argc, argv,
+      {{"runs", FlagValue::kPositiveInt},
+       {"p", FlagValue::kReal},
+       {"sigma", FlagValue::kReal},
+       {"seed", FlagValue::kNonNegativeInt}});
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const int runs = mdrr::bench::RunsFlag(flags, 15);
   const double p = flags.GetDouble("p", 0.7);

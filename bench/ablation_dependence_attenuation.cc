@@ -3,6 +3,8 @@
 // p_a * p_b, and the dependence ranking used by Algorithm 1 survives.
 //
 // Usage: ablation_dependence_attenuation [--n=200000] [--seed=1]
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cmath>
 #include <cstdio>
@@ -25,8 +27,11 @@ std::vector<double> ToDouble(const std::vector<uint32_t>& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+      argc, argv,
+      {{"n", FlagValue::kPositiveInt},
+       {"seed", FlagValue::kNonNegativeInt}});
   const size_t n = static_cast<size_t>(flags.GetInt("n", 200000));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
 

@@ -4,6 +4,8 @@
 // Algorithm 1 clustering matches), privacy cost, and communication cost.
 //
 // Usage: ablation_dependence_methods [--n=8000] [--p=0.8] [--seed=1]
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cmath>
 #include <cstdio>
@@ -39,8 +41,12 @@ bool SameClustering(const mdrr::AttributeClustering& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+      argc, argv,
+      {{"n", FlagValue::kPositiveInt},
+       {"p", FlagValue::kReal},
+       {"seed", FlagValue::kNonNegativeInt}});
   const size_t n = static_cast<size_t>(flags.GetInt("n", 8000));
   const double p = flags.GetDouble("p", 0.8);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));

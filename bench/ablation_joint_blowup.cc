@@ -10,6 +10,9 @@
 //
 // Usage: ablation_joint_blowup [--eps_total=4] [--p=0.7] [--max_attrs=5]
 //                              [--n=32561] [--seed=1]
+// The Adult flags --adult_csv/--n/--data_seed are read by LoadAdult.
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cmath>
 #include <cstdio>
@@ -23,8 +26,13 @@
 #include "mdrr/stats/error_bounds.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+      argc, argv,
+      {{"eps_total", FlagValue::kReal},
+       {"p", FlagValue::kReal},
+       {"max_attrs", FlagValue::kPositiveInt},
+       {"seed", FlagValue::kNonNegativeInt}});
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const double eps_total = flags.GetDouble("eps_total", 4.0);
   const double p = flags.GetDouble("p", 0.7);

@@ -6,6 +6,8 @@
 //
 // Usage: ablation_ldp_oracles [--eps=1.0] [--n=20000] [--reps=40]
 //                             [--seed=1]
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cstdio>
 #include <vector>
@@ -32,8 +34,13 @@ double EmpiricalMse(EstimateFn estimate_once, const std::vector<double>& pi,
 }  // namespace
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+      argc, argv,
+      {{"eps", FlagValue::kReal},
+       {"n", FlagValue::kPositiveInt},
+       {"reps", FlagValue::kPositiveInt},
+       {"seed", FlagValue::kNonNegativeInt}});
   const double eps = flags.GetDouble("eps", 1.0);
   const int n = static_cast<int>(flags.GetInt("n", 20000));
   const int reps = static_cast<int>(flags.GetInt("reps", 40));

@@ -9,6 +9,9 @@
 // queries [lo, hi] of every width, errors on raw randomized counts.
 //
 // Usage: ablation_ordinal_mechanism [--alpha=0.4] [--n=32561] [--seed=1]
+// The Adult flags --adult_csv/--n/--data_seed are read by LoadAdult.
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cmath>
 #include <cstdio>
@@ -39,8 +42,11 @@ double WorstAdjacentRatio(const mdrr::RrMatrix& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+      argc, argv,
+      {{"alpha", FlagValue::kReal},
+       {"seed", FlagValue::kNonNegativeInt}});
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const double alpha = flags.GetDouble("alpha", 0.4);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));

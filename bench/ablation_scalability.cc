@@ -7,6 +7,8 @@
 //
 // Usage: ablation_scalability [--runs=10] [--p=0.7] [--tv=60] [--td=0.1]
 //                             [--n=8124] [--seed=1]
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <chrono>
 #include <cstdio>
@@ -20,8 +22,15 @@
 #include "mdrr/rng/rng.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+      argc, argv,
+      {{"n", FlagValue::kPositiveInt},
+       {"p", FlagValue::kReal},
+       {"tv", FlagValue::kReal},
+       {"td", FlagValue::kReal},
+       {"runs", FlagValue::kPositiveInt},
+       {"seed", FlagValue::kNonNegativeInt}});
   const size_t n =
       static_cast<size_t>(flags.GetInt("n", mdrr::kMushroomNumRecords));
   const double p = flags.GetDouble("p", 0.7);

@@ -8,8 +8,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "mdrr/common/flags.h"
 #include "mdrr/common/string_util.h"
@@ -26,28 +26,18 @@ struct BenchFlag {
   FlagValue value;
 };
 
-// Parses argv for a bench that reads the Adult data (LoadAdult's
-// --adult_csv/--n/--data_seed) and --runs, plus the flags in `own`.
-// Exits 1, naming the flag, on any other flag and on a value that does
-// not parse as its kind: FlagSet's getters would run a typo'd flag or a
+// Parses argv for a bench that reads exactly the flags in `own`. Exits
+// 1, naming the flag, on any other flag and on a value that does not
+// parse as its kind: FlagSet's getters would run a typo'd flag or a
 // malformed number at its default, and a negative --seed would wrap.
-inline FlagSet ParseAdultBenchFlags(int argc, char** argv,
-                                    std::initializer_list<BenchFlag> own) {
-  static constexpr BenchFlag kShared[] = {
-      {"adult_csv", FlagValue::kText},
-      {"n", FlagValue::kPositiveInt},
-      {"data_seed", FlagValue::kNonNegativeInt},
-      {"runs", FlagValue::kPositiveInt},
-  };
+inline FlagSet ParseBenchFlags(int argc, char** argv,
+                               const std::vector<BenchFlag>& own) {
   FlagSet flags;
   flags.Parse(argc, argv);
   for (const std::string& key : flags.Keys()) {
     const BenchFlag* flag = nullptr;
-    for (const BenchFlag& shared : kShared) {
-      if (key == shared.key) flag = &shared;
-    }
-    for (const BenchFlag& extra : own) {
-      if (key == extra.key) flag = &extra;
+    for (const BenchFlag& candidate : own) {
+      if (key == candidate.key) flag = &candidate;
     }
     std::string error;
     const std::string value = flags.GetString(key, "");
@@ -73,6 +63,19 @@ inline FlagSet ParseAdultBenchFlags(int argc, char** argv,
   return flags;
 }
 
+// ParseBenchFlags for a bench that reads the Adult data through
+// LoadAdult (--adult_csv/--n/--data_seed) plus the flags in `own`.
+inline FlagSet ParseAdultBenchFlags(int argc, char** argv,
+                                    const std::vector<BenchFlag>& own) {
+  std::vector<BenchFlag> flags = {
+      {"adult_csv", FlagValue::kText},
+      {"n", FlagValue::kPositiveInt},
+      {"data_seed", FlagValue::kNonNegativeInt},
+  };
+  flags.insert(flags.end(), own.begin(), own.end());
+  return ParseBenchFlags(argc, argv, flags);
+}
+
 // Resolves the evaluation dataset. Flags:
 //   --adult_csv=PATH  load a real UCI adult.data file;
 //   --n=N             synthetic record count (default 32561);
@@ -95,7 +98,8 @@ inline Dataset LoadAdult(const FlagSet& flags) {
   return SynthesizeAdult(n, seed);
 }
 
-// Paper default is 1000 runs; benches default lower for CI speed.
+// --runs (kPositiveInt). Paper default is 1000 runs; benches default
+// lower for CI speed.
 inline int RunsFlag(const FlagSet& flags, int default_runs = 25) {
   return static_cast<int>(flags.GetInt("runs", default_runs));
 }

@@ -4,6 +4,8 @@
 // chi-squared distribution with 1 degree of freedom.
 //
 // Usage: fig1_sqrt_b [--alpha=0.05] [--max_r=100000]
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cstdio>
 #include <vector>
@@ -13,8 +15,11 @@
 #include "mdrr/stats/error_bounds.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+      argc, argv,
+      {{"alpha", FlagValue::kReal},
+       {"max_r", FlagValue::kPositiveInt}});
   double alpha = flags.GetDouble("alpha", 0.05);
   int64_t max_r = flags.GetInt("max_r", 100000);
 

@@ -4,6 +4,10 @@
 //
 // Usage: fig2_randomized_vs_rrind [--runs=25] [--p=0.7] [--seed=1]
 //                                 [--adult_csv=...] [--n=32561]
+//                                 [--query_attrs=2]
+// The Adult flags --adult_csv/--n/--data_seed are read by LoadAdult.
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cstdio>
 
@@ -12,8 +16,13 @@
 #include "mdrr/eval/experiment.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+      argc, argv,
+      {{"runs", FlagValue::kPositiveInt},
+       {"query_attrs", FlagValue::kPositiveInt},
+       {"p", FlagValue::kReal},
+       {"seed", FlagValue::kNonNegativeInt}});
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const int runs = mdrr::bench::RunsFlag(flags);
   const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));

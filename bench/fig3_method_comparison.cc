@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   using mdrr::bench::FlagValue;
   const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
       argc, argv,
-      {{"query_attrs", FlagValue::kPositiveInt},
+      {{"runs", FlagValue::kPositiveInt},
+       {"query_attrs", FlagValue::kPositiveInt},
        {"seed", FlagValue::kNonNegativeInt},
        {"adj_iters", FlagValue::kNonNegativeInt}});
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);

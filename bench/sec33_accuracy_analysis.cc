@@ -4,6 +4,8 @@
 // exponential blow-up that motivates RR-Clusters.
 //
 // Usage: sec33_accuracy_analysis [--alpha=0.05] [--n=32561]
+// Any other flag, a malformed number or a negative count or seed
+// exits 1, naming the flag.
 
 #include <cstdio>
 #include <vector>
@@ -13,8 +15,11 @@
 #include "mdrr/stats/error_bounds.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  using mdrr::bench::FlagValue;
+  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+      argc, argv,
+      {{"alpha", FlagValue::kReal},
+       {"n", FlagValue::kPositiveInt}});
   const double alpha = flags.GetDouble("alpha", 0.05);
   const int64_t n = flags.GetInt("n", 32561);
 

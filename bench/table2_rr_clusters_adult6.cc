@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   using mdrr::bench::FlagValue;
   const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
       argc, argv,
-      {{"query_attrs", FlagValue::kPositiveInt},
+      {{"runs", FlagValue::kPositiveInt},
+       {"query_attrs", FlagValue::kPositiveInt},
        {"sigma", FlagValue::kReal},
        {"seed", FlagValue::kNonNegativeInt}});
   mdrr::Dataset adult6 = mdrr::bench::LoadAdult(flags).Tiled(6);

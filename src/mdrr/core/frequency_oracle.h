@@ -283,8 +283,8 @@ struct ColumnAddress {
 // codes[0, count), at `address`. `out` (microdata backends only, else
 // null) receives the slice's randomized codes; `counts` (size r, may be
 // null) accumulates support counts. Every sharded column perturbation --
-// the engine's fan-out, a distributed worker's slices, the session and
-// dependence rounds -- goes through here, so a shard draws the same
+// the engine's fan-out, a distributed worker's slices, the dependence
+// rounds -- goes through here, so a shard draws the same
 // randomness wherever it runs.
 void PerturbShard(const FrequencyOracle& oracle, const ColumnAddress& address,
                   uint64_t shard_index, uint64_t first_record,

@@ -98,17 +98,8 @@ class WireWriter {
  public:
   void U8(uint8_t v) { buffer_.push_back(v); }
 
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buffer_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
+  void U32(uint32_t v) { PutWords(&v, 1); }
+  void U64(uint64_t v) { PutWords(&v, 1); }
 
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
 

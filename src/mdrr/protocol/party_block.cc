@@ -1,8 +1,6 @@
 #include "mdrr/protocol/party_block.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <new>
 #include <type_traits>
 
 #if defined(__linux__)
@@ -11,7 +9,6 @@
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
-#include "mdrr/rng/fast_seed.h"
 
 namespace mdrr::protocol {
 
@@ -58,25 +55,10 @@ PartyBlock::PartyBlock(const Dataset& dataset, Rng& seeder)
 #endif
 }
 
-void PartyBlock::SeedEngineRange(size_t begin, size_t end) {
-  ForEachSeedSequence(seeds_.data() + begin, end - begin,
-                      [this, begin](size_t offset, SeedWords words) {
-                        new (static_cast<void*>(rngs_ + begin + offset))
-                            Rng(words);
-                      });
-}
-
-void PartyBlock::EnsureEnginesSeeded(size_t shard_size, size_t num_threads) {
-  if (engines_seeded_) return;
-  ParallelChunks(num_parties_, shard_size, num_threads,
-                 [this](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                        size_t end) { SeedEngineRange(begin, end); });
-  engines_seeded_ = true;
-}
-
 void PartyBlock::PublishIndependent(
     const std::vector<RrMatrix>& matrices, size_t shard_size,
     size_t num_threads, std::vector<std::vector<uint32_t>>* columns) {
+  MDRR_CHECK(!engines_seeded_);
   const size_t m = num_attributes_;
   MDRR_CHECK_EQ(matrices.size(), m);
   MDRR_CHECK_EQ(columns->size(), m);
@@ -85,27 +67,19 @@ void PartyBlock::PublishIndependent(
     MDRR_CHECK_EQ((*columns)[j].size(), num_parties_);
     column_ptrs[j] = (*columns)[j].data();
   }
-  const RrMatrix* mats = matrices.data();
-  const bool seed_now = !engines_seeded_;
   ParallelChunks(
       num_parties_, shard_size, num_threads,
       [&](size_t /*worker*/, size_t /*shard*/, size_t begin, size_t end) {
-        // Seed a lane batch of engines, then publish those parties while
-        // their states are cache-hot; the lane grouping never changes any
-        // party's engine, so the grain stays load-balancing only.
-        size_t group = begin;
-        while (group < end) {
-          size_t group_end = std::min(group + kSeedLanes, end);
-          if (seed_now) SeedEngineRange(group, group_end);
-          for (size_t i = group; i < group_end; ++i) {
-            Rng& rng = rngs_[i];
-            const uint32_t* record = records_.data() + i * m;
-            for (size_t j = 0; j < m; ++j) {
-              column_ptrs[j][i] = mats[j].Randomize(record[j], rng);
-            }
-          }
-          group = group_end;
-        }
+        // The lane grouping of the seeding never changes any party's
+        // engine, so the grain stays load-balancing only.
+        const uint32_t* records = records_.data() + begin * m;
+        RandomizeRecords(
+            matrices.data(), m, end - begin, seeds_.data() + begin,
+            [&](size_t k) { return rngs_ + begin + k; },
+            [&](size_t k, size_t j) { return records[k * m + j]; },
+            [&](size_t k, size_t j, uint32_t code) {
+              column_ptrs[j][begin + k] = code;
+            });
       });
   engines_seeded_ = true;
 }
@@ -117,7 +91,7 @@ ClusterSweepResult PartyBlock::PublishClusters(
   const size_t num_clusters = clusters.size();
   MDRR_CHECK_EQ(domains.size(), num_clusters);
   MDRR_CHECK_EQ(matrices.size(), num_clusters);
-  EnsureEnginesSeeded(shard_size, num_threads);
+  MDRR_CHECK(engines_seeded_);
 
   // Flatten the cluster structure so the per-party loop runs over plain
   // arrays: member attributes with their mixed-radix strides (the encode
@@ -169,33 +143,36 @@ ClusterSweepResult PartyBlock::PublishClusters(
     }
   }
 
-  const RrMatrix* mats = matrices.data();
   const size_t m = num_attributes_;
   ParallelChunks(
       num_parties_, shard_size, num_threads,
       [&](size_t worker, size_t /*shard*/, size_t begin, size_t end) {
         std::vector<std::vector<int64_t>>& counts = worker_counts[worker];
-        for (size_t i = begin; i < end; ++i) {
-          Rng& rng = rngs_[i];
-          const uint32_t* record = records_.data() + i * m;
-          for (size_t c = 0; c < num_clusters; ++c) {
-            const size_t off = offset[c];
-            const size_t width = cluster_size[c];
-            uint64_t code = 0;
-            for (size_t k = 0; k < width; ++k) {
-              code += member_stride[off + k] * record[member_attr[off + k]];
-            }
-            uint32_t published =
-                mats[c].Randomize(static_cast<uint32_t>(code), rng);
-            if (code_ptr[c] != nullptr) code_ptr[c][i] = published;
-            ++counts[c][published];
-            for (size_t k = 0; k < width; ++k) {
-              decoded_ptr[off + k][i] = static_cast<uint32_t>(
-                  (static_cast<uint64_t>(published) / member_stride[off + k]) %
-                  decode_card[off + k]);
-            }
-          }
-        }
+        const uint32_t* records = records_.data() + begin * m;
+        RandomizeRecords(
+            matrices.data(), num_clusters, end - begin, /*seeds=*/nullptr,
+            [&](size_t k) { return rngs_ + begin + k; },
+            [&](size_t k, size_t c) {
+              const uint32_t* record = records + k * m;
+              const size_t off = offset[c];
+              uint64_t code = 0;
+              for (size_t p = 0; p < cluster_size[c]; ++p) {
+                code += member_stride[off + p] * record[member_attr[off + p]];
+              }
+              return static_cast<uint32_t>(code);
+            },
+            [&](size_t k, size_t c, uint32_t published) {
+              const size_t i = begin + k;
+              const size_t off = offset[c];
+              if (code_ptr[c] != nullptr) code_ptr[c][i] = published;
+              ++counts[c][published];
+              for (size_t p = 0; p < cluster_size[c]; ++p) {
+                decoded_ptr[off + p][i] = static_cast<uint32_t>(
+                    (static_cast<uint64_t>(published) /
+                     member_stride[off + p]) %
+                    decode_card[off + p]);
+              }
+            });
       });
 
   result.counts.resize(num_clusters);

@@ -1,4 +1,5 @@
-// Columnar party storage for the mt19937 session.
+// Columnar party storage for the session, and RandomizeRecords, the
+// per-record randomization kernel it shares with streaming ingest.
 //
 // A PartyBlock holds the same n respondents a vector of Party objects
 // would (tests/session_reference.h) -- the same private records, the same
@@ -16,7 +17,8 @@
 // from the session seeder, in id order), each party's draws happen in the
 // same per-party order as Party::PublishIndependent /
 // Party::PublishClusters, and parties' streams are mutually independent,
-// so sweeps shard freely. Golden-tested against the Party loop in
+// so sweeps shard freely. Both rounds are RandomizeRecords calls over a
+// shard. Golden-tested against the Party loop in
 // tests/session_fast_path_test.cc.
 
 #ifndef MDRR_PROTOCOL_PARTY_BLOCK_H_
@@ -24,15 +26,47 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "mdrr/core/clustering.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/dataset/domain.h"
+#include "mdrr/rng/fast_seed.h"
 #include "mdrr/rng/rng.h"
 
 namespace mdrr::protocol {
+
+// The one per-record randomization kernel: the party rounds below and
+// the streaming reports (protocol/stream_ingest.h) all run it. For
+// records [0, count), draws record k's columns j = 0..num_columns-1 in
+// order through matrices[j].Randomize(value(k, j), engine) and hands
+// each published code to sink(k, j, code).
+//
+// Record k's engine lives at engine(k). With `seeds` non-null it is
+// constructed there from seeds[k] (ForEachSeedSequence, kSeedLanes
+// seeds per expansion block) right before its draws, while its state is
+// cache-hot; engine(k) is then raw storage for an Rng and may be one
+// slot reused for every record. With `seeds` null, engine(k) is an
+// engine seeded earlier, and record k continues its stream.
+template <typename EngineAt, typename ValueAt, typename Sink>
+void RandomizeRecords(const RrMatrix* matrices, size_t num_columns,
+                      size_t count, const uint64_t* seeds, EngineAt&& engine,
+                      ValueAt&& value, Sink&& sink) {
+  auto draw = [&](size_t k, Rng& rng) {
+    for (size_t j = 0; j < num_columns; ++j) {
+      sink(k, j, matrices[j].Randomize(value(k, j), rng));
+    }
+  };
+  if (seeds == nullptr) {
+    for (size_t k = 0; k < count; ++k) draw(k, *engine(k));
+    return;
+  }
+  ForEachSeedSequence(seeds, count, [&](size_t k, SeedWords words) {
+    draw(k, *new (static_cast<void*>(engine(k))) Rng(words));
+  });
+}
 
 // Round-2 output bundle: the two controller by-products that fuse into
 // the publication sweep -- per-category counts (integer merges commute,
@@ -55,8 +89,8 @@ class PartyBlock {
   // Materializes parties 0..n-1 of `dataset` (row i becomes party i),
   // drawing each party's seed serially from `seeder` -- the identical
   // seed sequence as constructing Party(record_i, seeder.engine()())
-  // in a loop. Engine seeding itself is deferred to the first sweep so it
-  // can run sharded and fused with the round-1 publications.
+  // in a loop. Engine seeding itself is deferred to round 1 so it runs
+  // sharded and fused with the round-1 publications.
   PartyBlock(const Dataset& dataset, Rng& seeder);
 
   size_t num_parties() const { return num_parties_; }
@@ -65,19 +99,20 @@ class PartyBlock {
   // Round 1: writes party i's per-attribute publication into
   // columns[j][i] for every attribute j, sharded over `num_threads`
   // workers in chunks of `shard_size` parties. Each columns[j] must
-  // already have size num_parties(). On the first sweep, party engines
-  // are seeded lane-batched (fast_seed.h) immediately before their first
-  // draws, while their state is cache-hot.
+  // already have size num_parties(). Party engines are seeded
+  // lane-batched (fast_seed.h) immediately before their first draws,
+  // while their state is cache-hot. Runs once per block.
   void PublishIndependent(const std::vector<RrMatrix>& matrices,
                           size_t shard_size, size_t num_threads,
                           std::vector<std::vector<uint32_t>>* columns);
 
-  // Round 2: composite-encodes each party's true values per cluster
-  // (mixed-radix, identical arithmetic to Domain::Encode), randomizes the
-  // code, and fuses output-category counting and per-position decode into
-  // the same pass. Sharded like PublishIndependent; parties continue
-  // their round-1 streams. `collect_codes` additionally materializes the
-  // raw composite-code columns (result.codes) for transcript comparisons.
+  // Round 2, after round 1: composite-encodes each party's true values
+  // per cluster (mixed-radix, identical arithmetic to Domain::Encode),
+  // randomizes the code, and fuses output-category counting and
+  // per-position decode into the same pass. Sharded like
+  // PublishIndependent; parties continue their round-1 streams.
+  // `collect_codes` additionally materializes the raw composite-code
+  // columns (result.codes) for transcript comparisons.
   ClusterSweepResult PublishClusters(const AttributeClustering& clusters,
                                      const std::vector<Domain>& domains,
                                      const std::vector<RrMatrix>& matrices,
@@ -88,20 +123,13 @@ class PartyBlock {
   PartyBlock& operator=(const PartyBlock&) = delete;
 
  private:
-  // Seeds engines [begin, end) in place (kSeedLanes at a time); bit-wise
-  // equivalent to Rng(seeds_[i]) per party regardless of grouping.
-  void SeedEngineRange(size_t begin, size_t end);
-
-  // Seeds every engine if no sweep has done so yet (sharded).
-  void EnsureEnginesSeeded(size_t shard_size, size_t num_threads);
-
   size_t num_parties_ = 0;
   size_t num_attributes_ = 0;
   // Row-major private records: records_[i * num_attributes_ + j].
   std::vector<uint32_t> records_;
   // Per-party seeds, drawn serially in id order at construction.
   std::vector<uint64_t> seeds_;
-  // Per-party engines, placement-constructed on first use so the ~2.5 KB
+  // Per-party engines, placement-constructed by round 1 so the ~2.5 KB
   // mt19937_64 states are written exactly once (no default-seeding pass
   // over hundreds of megabytes).
   std::unique_ptr<unsigned char[]> rng_storage_;

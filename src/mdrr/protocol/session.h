@@ -13,7 +13,8 @@
 //   publishes; the controller estimates cluster joints with Eq. (2).
 //
 // Parties never reveal true values; the controller sees only randomized
-// publications. Message counts are accounted per phase. The parties are
+// publications. Message counts are accounted per phase. Each party owns
+// an mt19937 engine seeded serially from options.seed. The parties are
 // stored columnar in a PartyBlock and publish in sharded sweeps; the
 // one-object-per-party reading of the protocol lives in
 // tests/session_reference.h as the golden reference.
@@ -28,7 +29,6 @@
 #include "mdrr/core/clustering.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/dataset/domain.h"
-#include "mdrr/rng/counter_rng.h"
 
 namespace mdrr::protocol {
 
@@ -47,15 +47,6 @@ struct SessionOptions {
   // Parties per publication batch (the work-distribution grain; never
   // changes results).
   size_t shard_size = 1 << 16;
-  // Party randomness policy. kMt19937 (default) is the committed
-  // transcript: party seeds drawn serially from one seeder, each party a
-  // self-contained engine. kPhilox replaces the per-party engines with
-  // element-addressed counter draws -- round-1 attribute j is one philox
-  // stream with party i as element i, round-2 cluster c another -- so no
-  // per-party seeding pass runs at all and the transcript is additionally
-  // invariant under shard grain by construction. A different (still
-  // deterministic) transcript from kMt19937.
-  RngKind rng = RngKind::kMt19937;
 };
 
 struct SessionResult {
@@ -80,8 +71,8 @@ struct SessionResult {
 // (row i becomes party i). The dataset is used only to seed the parties'
 // private records; the controller path never touches it. The transcript
 // (publications, clustering, estimates, decoded release, epsilons,
-// message counts) is a pure function of (dataset, options.seed,
-// options.rng): thread count and shard grain never change it.
+// message counts) is a pure function of (dataset, options.seed): thread
+// count and shard grain never change it.
 StatusOr<SessionResult> RunDistributedSession(const Dataset& dataset,
                                               const SessionOptions& options);
 

@@ -6,69 +6,48 @@
 #include <thread>
 #include <utility>
 
+#include "mdrr/protocol/party_block.h"
 #include "mdrr/rng/counter_rng.h"
 #include "mdrr/rng/fast_seed.h"
 #include "mdrr/rng/rng.h"
 
 namespace mdrr::protocol {
 
-namespace {
-
-// The mt19937 body of a report: row sequence % num_rows, attributes in
-// order from the report's own stream.
-void RandomizeRow(const std::vector<RrMatrix>& matrices,
-                  const Dataset& dataset, uint64_t sequence, Rng& rng,
-                  uint32_t* out) {
-  const size_t row = static_cast<size_t>(sequence % dataset.num_rows());
-  for (size_t j = 0; j < matrices.size(); ++j) {
-    out[j] = matrices[j].Randomize(dataset.at(row, j), rng);
-  }
-}
-
-}  // namespace
-
-void RandomizeReport(const release::ExecutionPolicy& execution,
-                     const std::vector<RrMatrix>& matrices,
-                     const Dataset& dataset, uint64_t sequence,
-                     uint32_t* out) {
-  if (execution.rng == RngKind::kPhilox) {
-    const size_t row = static_cast<size_t>(sequence % dataset.num_rows());
-    for (size_t j = 0; j < matrices.size(); ++j) {
-      out[j] = matrices[j].RandomizeCounter(dataset.at(row, j),
-                                            execution.seed,
-                                            /*stream=*/sequence,
-                                            /*element=*/j);
-    }
-    return;
-  }
-  Rng rng = RngStreamFamily(execution.seed).Stream(sequence);
-  RandomizeRow(matrices, dataset, sequence, rng, out);
-}
-
 void RandomizeReports(const release::ExecutionPolicy& execution,
                       const std::vector<RrMatrix>& matrices,
                       const Dataset& dataset, uint64_t first, uint64_t count,
                       uint32_t* out) {
   const size_t m = matrices.size();
+  const uint64_t num_rows = dataset.num_rows();
   if (execution.rng == RngKind::kPhilox) {
     for (uint64_t k = 0; k < count; ++k) {
-      RandomizeReport(execution, matrices, dataset, first + k, out + k * m);
+      const size_t row = static_cast<size_t>((first + k) % num_rows);
+      for (size_t j = 0; j < m; ++j) {
+        out[k * m + j] = matrices[j].RandomizeCounter(
+            dataset.at(row, j), execution.seed, /*stream=*/first + k,
+            /*element=*/j);
+      }
     }
     return;
   }
+  // One engine slot, re-seeded for every report right before its draws.
+  alignas(Rng) unsigned char engine[sizeof(Rng)];
+  Rng* const slot = reinterpret_cast<Rng*>(engine);
   const RngStreamFamily family(execution.seed);
   uint64_t seeds[kSeedLanes] = {};
+  size_t rows[kSeedLanes] = {};
   for (uint64_t begin = 0; begin < count; begin += kSeedLanes) {
     const size_t lanes =
         static_cast<size_t>(std::min<uint64_t>(kSeedLanes, count - begin));
     for (size_t l = 0; l < lanes; ++l) {
       seeds[l] = family.StreamSeed(first + begin + l);
+      rows[l] = static_cast<size_t>((first + begin + l) % num_rows);
     }
-    ForEachSeedSequence(seeds, lanes, [&](size_t l, SeedWords words) {
-      Rng rng(words);
-      RandomizeRow(matrices, dataset, first + begin + l, rng,
-                   out + (begin + l) * m);
-    });
+    uint32_t* block = out + begin * m;
+    RandomizeRecords(
+        matrices.data(), m, lanes, seeds, [slot](size_t) { return slot; },
+        [&](size_t k, size_t j) { return dataset.at(rows[k], j); },
+        [&](size_t k, size_t j, uint32_t code) { block[k * m + j] = code; });
   }
 }
 

@@ -65,24 +65,18 @@ struct StreamingReplayResult {
   bool finished = false;
 };
 
-// Party-side perturbation of report `sequence`: row sequence % num_rows
-// of `dataset`, attribute j through matrices[j], written to
-// out[0, num_attributes). The report's randomness address is its
-// absolute sequence number s: under mt19937 the attributes draw in order
-// from RngStreamFamily(execution.seed).Stream(s); under philox attribute
-// j is element j of philox stream s. RunStreamingReplay's producers and
-// the socket ingest client (protocol/net_ingest.h) both call this, so the
-// served transcript equals the in-process replay.
-void RandomizeReport(const release::ExecutionPolicy& execution,
-                     const std::vector<RrMatrix>& matrices,
-                     const Dataset& dataset, uint64_t sequence,
-                     uint32_t* out);
-
-// RandomizeReport for reports [first, first + count), report first + k
-// written to out[k * num_attributes, (k + 1) * num_attributes). Equal to
-// calling RandomizeReport per report; under mt19937 the reports' streams
-// are seeded kSeedLanes at a time (ForEachSeedSequence in
-// rng/fast_seed.h), which is what makes per-report streams cheap.
+// Party-side perturbation of reports [first, first + count): report s
+// is row s % num_rows of `dataset`, attribute j through matrices[j],
+// written to out[(s - first) * num_attributes + j]. A report's
+// randomness address is its absolute sequence number s: under mt19937
+// the attributes draw in order from RngStreamFamily(execution.seed)
+// .Stream(s), seeded kSeedLanes reports at a time through
+// RandomizeRecords (protocol/party_block.h), which is what makes
+// per-report streams cheap; under philox attribute j is element j of
+// philox stream s. So any split of a range gives the same codes.
+// RunStreamingReplay's producers and the socket ingest client
+// (protocol/net_ingest.h) both call this, so the served transcript
+// equals the in-process replay.
 void RandomizeReports(const release::ExecutionPolicy& execution,
                       const std::vector<RrMatrix>& matrices,
                       const Dataset& dataset, uint64_t first, uint64_t count,

@@ -38,11 +38,4 @@ StatusOr<std::vector<double>> ControllerPlan::EstimateFromCounts(
                                        EstimationOptions{Threads()});
 }
 
-std::vector<uint32_t> ControllerPlan::DecodeColumn(
-    const Domain& domain, const std::vector<uint32_t>& codes,
-    size_t position) const {
-  return DecodeColumnSharded(domain, codes, position, policy_.shard_size,
-                             Threads());
-}
-
 }  // namespace mdrr::release

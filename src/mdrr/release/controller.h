@@ -1,20 +1,19 @@
 // Controller-side stage bundle for protocols whose perturbation happens
 // remotely (the party-level session of protocol/): the parties randomize
 // their own records, so the controller needs exactly the assessment /
-// clustering / estimation / decode stages -- under the same
-// ExecutionPolicy as a full in-process release. ReleasePlanner lowers a
-// policy into a ControllerPlan (planner.h); protocol/session.cc is the
-// consumer.
+// clustering / estimation stages (the decode fuses into the parties'
+// round-2 sweep) -- under the same ExecutionPolicy as a full in-process
+// release. ReleasePlanner lowers a policy into a ControllerPlan
+// (planner.h); protocol/session.cc is the consumer.
 //
 // Every operation routes through the sharded stage primitives
-// (DependenceMatrixSharded, DecodeColumnSharded, ParallelChunks), so
-// results are bit-identical for any thread count; kSequential simply
-// pins one worker.
+// (DependenceMatrixSharded, the threaded Eq. (2) backend), so results
+// are bit-identical for any thread count; kSequential simply pins one
+// worker.
 
 #ifndef MDRR_RELEASE_CONTROLLER_H_
 #define MDRR_RELEASE_CONTROLLER_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "mdrr/common/status_or.h"
@@ -22,7 +21,6 @@
 #include "mdrr/core/dependence.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
-#include "mdrr/dataset/domain.h"
 #include "mdrr/release/spec.h"
 #include "mdrr/stats/frequency.h"
 
@@ -46,12 +44,6 @@ class ControllerPlan {
   // thread count under the plan's policy.
   StatusOr<std::vector<double>> EstimateFromCounts(
       const RrMatrix& matrix, const stats::FrequencyTable& counts) const;
-
-  // Decodes one position of published composite codes into an attribute
-  // column (deterministic at any thread count).
-  std::vector<uint32_t> DecodeColumn(const Domain& domain,
-                                     const std::vector<uint32_t>& codes,
-                                     size_t position) const;
 
   const ExecutionPolicy& policy() const { return policy_; }
 

@@ -19,8 +19,8 @@
 // Release: about 4.0 us per seed serially and 0.95 us per seed in a
 // block. MersenneTwister64 then seeds straight from the words and
 // twists only what a report draws, which is what makes one engine per
-// report (streaming ingest) or per party (protocol/PartyBlock)
-// affordable.
+// record affordable: per streaming report and per session party, both
+// seeded through ForEachSeedSequence by protocol::RandomizeRecords.
 //
 // Both paths are golden-tested against std::seed_seq in
 // tests/session_fast_path_test.cc; any divergence is a test failure, not

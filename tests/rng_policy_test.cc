@@ -1,9 +1,9 @@
 // The RNG-policy contract: philox runs are bit-identical at any thread
-// count AND any shard grain (batch engine, distributed session, streaming
-// ingest); mt19937 stays the default; both policies' committed
-// transcripts are pinned by content hash; the fused perturb+count paths
-// agree with a post-hoc histogram; spec validation and serialization
-// round-trip the new execution.rng field.
+// count AND any shard grain (batch engine, streaming ingest); mt19937
+// stays the default; both policies' committed transcripts are pinned by
+// content hash; the fused perturb+count paths agree with a post-hoc
+// histogram; spec validation and serialization round-trip the new
+// execution.rng field.
 
 #include <cstdint>
 #include <cstring>
@@ -275,22 +275,6 @@ TEST(RngPolicyTest, PhiloxBatchTranscriptIsPinned) {
   EXPECT_EQ(h, 0x90d50b939e80286full);
 }
 
-TEST(RngPolicyTest, PhiloxSessionTranscriptIsPinned) {
-  Dataset data = MakeSurvey(600, 29);
-  protocol::SessionOptions options;
-  options.seed = 17;
-  options.num_threads = 2;
-  options.shard_size = 128;
-  options.rng = RngKind::kPhilox;
-  auto run = protocol::RunDistributedSession(data, options);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  uint64_t h = HashDataset(kFnvOffset, run.value().randomized);
-  for (const std::vector<double>& joint : run.value().cluster_joints) {
-    h = HashDoubles(h, joint);
-  }
-  EXPECT_EQ(h, 0x837b4a91c5bc0061ull);
-}
-
 TEST(RngPolicyTest, PhiloxStreamingTranscriptIsPinned) {
   Dataset data = MakeSurvey(700, 31);
   release::ReleaseSpec spec;
@@ -356,64 +340,6 @@ TEST(RngPolicyTest, ShardedFusedLambdaMatchesPosthocHistogram) {
                 stats::FrequencyTable(std::move(histogram)).Proportions());
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// The distributed session under philox.
-// ---------------------------------------------------------------------------
-
-void ExpectSameSession(const protocol::SessionResult& a,
-                       const protocol::SessionResult& b) {
-  EXPECT_EQ(a.clusters, b.clusters);
-  EXPECT_EQ(a.cluster_joints, b.cluster_joints);
-  ExpectSameDataset(a.randomized, b.randomized);
-  EXPECT_EQ(a.round1_epsilon, b.round1_epsilon);
-  EXPECT_EQ(a.round2_epsilon, b.round2_epsilon);
-  EXPECT_EQ(a.messages_round1, b.messages_round1);
-  EXPECT_EQ(a.messages_round2, b.messages_round2);
-}
-
-TEST(RngPolicyTest, PhiloxSessionInvariantAcrossThreadsAndShards) {
-  Dataset data = MakeSurvey(800, 43);
-  protocol::SessionOptions options;
-  options.seed = 23;
-  options.rng = RngKind::kPhilox;
-  options.num_threads = 1;
-  options.shard_size = 64;
-  auto baseline = protocol::RunDistributedSession(data, options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  for (size_t threads : {2u, 4u, 8u}) {
-    for (size_t shard : {64u, 256u, 65536u}) {
-      protocol::SessionOptions swept = options;
-      swept.num_threads = threads;
-      swept.shard_size = shard;
-      auto run = protocol::RunDistributedSession(data, swept);
-      ASSERT_TRUE(run.ok()) << "threads=" << threads << " shard=" << shard;
-      ExpectSameSession(baseline.value(), run.value());
-    }
-  }
-}
-
-TEST(RngPolicyTest, PhiloxSessionDiffersFromMtSession) {
-  Dataset data = MakeSurvey(800, 43);
-  protocol::SessionOptions mt_options;
-  mt_options.seed = 23;
-  auto mt = protocol::RunDistributedSession(data, mt_options);
-  protocol::SessionOptions philox_options = mt_options;
-  philox_options.rng = RngKind::kPhilox;
-  auto philox = protocol::RunDistributedSession(data, philox_options);
-  ASSERT_TRUE(mt.ok());
-  ASSERT_TRUE(philox.ok());
-  // Same designs and accounting; different randomness.
-  EXPECT_EQ(mt.value().round1_epsilon, philox.value().round1_epsilon);
-  bool any_difference = false;
-  for (size_t j = 0; j < data.num_attributes(); ++j) {
-    if (mt.value().randomized.column(j) !=
-        philox.value().randomized.column(j)) {
-      any_difference = true;
-    }
-  }
-  EXPECT_TRUE(any_difference);
 }
 
 // ---------------------------------------------------------------------------

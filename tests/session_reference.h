@@ -77,8 +77,7 @@ class Party {
   Rng rng_;
 };
 
-// The whole session through Party objects. Ignores options.rng: the
-// per-party loop IS the mt19937 seeding semantics.
+// The whole session through Party objects.
 inline StatusOr<SessionResult> RunPartyLoopSession(
     const Dataset& dataset, const SessionOptions& options) {
   const size_t n = dataset.num_rows();
@@ -179,7 +178,8 @@ inline StatusOr<SessionResult> RunPartyLoopSession(
          ++position) {
       result.randomized.SetColumn(
           result.clusters[c][position],
-          controller.DecodeColumn(domain, cluster_codes[c], position));
+          DecodeColumnSharded(domain, cluster_codes[c], position, shard_size,
+                              threads));
     }
   }
   return result;

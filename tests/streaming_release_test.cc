@@ -275,7 +275,9 @@ TEST(StreamingReleaseTest, TranscriptBitIdenticalAcrossIngestThreads) {
 }
 
 // The range form seeds its mt19937 streams a lane block at a time; at
-// any unaligned (first, count) it must equal the per-report loop.
+// any unaligned (first, count) it must equal a per-report reference:
+// report s draws its attributes in order from stream s of the family
+// (mt19937), or attribute j from element j of philox stream s.
 TEST(StreamingReleaseTest, RandomizeReportsMatchesPerReportLoop) {
   Dataset data = MakeSurvey(50, 37);
   std::vector<RrMatrix> matrices;
@@ -284,10 +286,11 @@ TEST(StreamingReleaseTest, RandomizeReportsMatchesPerReportLoop) {
         RrMatrix::KeepUniform(data.attribute(j).cardinality(), 0.6));
   }
   const size_t m = matrices.size();
+  const uint64_t seed = 23;
   for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
     release::ExecutionPolicy execution;
     execution.rng = rng;
-    execution.seed = 23;
+    execution.seed = seed;
     for (uint64_t first : {0, 1, 17, 40}) {
       for (uint64_t count : {0, 1, 17, 40}) {
         std::vector<uint32_t> range(count * m);
@@ -295,8 +298,16 @@ TEST(StreamingReleaseTest, RandomizeReportsMatchesPerReportLoop) {
                                    range.data());
         std::vector<uint32_t> loop(count * m);
         for (uint64_t k = 0; k < count; ++k) {
-          protocol::RandomizeReport(execution, matrices, data, first + k,
-                                    loop.data() + k * m);
+          const uint64_t s = first + k;
+          const size_t row = static_cast<size_t>(s % data.num_rows());
+          Rng stream = RngStreamFamily(seed).Stream(s);
+          for (size_t j = 0; j < m; ++j) {
+            loop[k * m + j] =
+                rng == RngKind::kPhilox
+                    ? matrices[j].RandomizeCounter(data.at(row, j), seed, s,
+                                                   j)
+                    : matrices[j].Randomize(data.at(row, j), stream);
+          }
         }
         EXPECT_EQ(range, loop) << "rng " << static_cast<int>(rng)
                                << " first " << first << " count " << count;
