@@ -19,18 +19,16 @@
 #include "mdrr/rng/rng.h"
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"runs", FlagValue::kPositiveInt},
-       {"p", FlagValue::kReal},
-       {"sigma", FlagValue::kReal},
-       {"seed", FlagValue::kNonNegativeInt}});
+      mdrr::bench::AdultFlags({mdrr::bench::kRunsFlag, mdrr::RealFlag("p"),
+                               mdrr::RealFlag("sigma"),
+                               mdrr::UintFlag("seed")}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const int runs = mdrr::bench::RunsFlag(flags, 15);
   const double p = flags.GetDouble("p", 0.7);
   const double sigma = flags.GetDouble("sigma", 0.1);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::bench::PrintHeader(
       "Ablation: RR-Adjustment iteration budget (Algorithm 2 termination)");

@@ -27,13 +27,11 @@ std::vector<double> ToDouble(const std::vector<uint32_t>& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"n", FlagValue::kPositiveInt},
-       {"seed", FlagValue::kNonNegativeInt}});
-  const size_t n = static_cast<size_t>(flags.GetInt("n", 200000));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+      {mdrr::UintFlag("n", 1), mdrr::UintFlag("seed")});
+  const size_t n = flags.GetUint64("n", 200000);
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::bench::PrintHeader(
       "Ablation: Proposition 1 covariance attenuation Cov(Y) = p^2 Cov(X)");

@@ -41,15 +41,12 @@ bool SameClustering(const mdrr::AttributeClustering& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"n", FlagValue::kPositiveInt},
-       {"p", FlagValue::kReal},
-       {"seed", FlagValue::kNonNegativeInt}});
-  const size_t n = static_cast<size_t>(flags.GetInt("n", 8000));
+      {mdrr::UintFlag("n", 1), mdrr::RealFlag("p"), mdrr::UintFlag("seed")});
+  const size_t n = flags.GetUint64("n", 8000);
   const double p = flags.GetDouble("p", 0.8);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::Dataset adult = mdrr::SynthesizeAdult(n, seed);
   mdrr::ClusteringOptions clustering{50.0, 0.1};

@@ -26,18 +26,16 @@
 #include "mdrr/stats/error_bounds.h"
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"eps_total", FlagValue::kReal},
-       {"p", FlagValue::kReal},
-       {"max_attrs", FlagValue::kPositiveInt},
-       {"seed", FlagValue::kNonNegativeInt}});
+      mdrr::bench::AdultFlags({mdrr::RealFlag("eps_total"), mdrr::RealFlag("p"),
+                               mdrr::IntFlag("max_attrs", 1),
+                               mdrr::UintFlag("seed")}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const double eps_total = flags.GetDouble("eps_total", 4.0);
   const double p = flags.GetDouble("p", 0.7);
   const int64_t max_attrs = flags.GetInt("max_attrs", 5);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::bench::PrintHeader(
       "Ablation: empirical RR-Joint blow-up with attribute count");

@@ -9,6 +9,7 @@
 // Any other flag, a malformed number or a negative count or seed
 // exits 1, naming the flag.
 
+#include <climits>
 #include <cstdio>
 #include <vector>
 
@@ -34,17 +35,14 @@ double EmpiricalMse(EstimateFn estimate_once, const std::vector<double>& pi,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"eps", FlagValue::kReal},
-       {"n", FlagValue::kPositiveInt},
-       {"reps", FlagValue::kPositiveInt},
-       {"seed", FlagValue::kNonNegativeInt}});
+      {mdrr::RealFlag("eps"), mdrr::IntFlag("n", 1, INT_MAX),
+       mdrr::IntFlag("reps", 1, INT_MAX), mdrr::UintFlag("seed")});
   const double eps = flags.GetDouble("eps", 1.0);
   const int n = static_cast<int>(flags.GetInt("n", 20000));
   const int reps = static_cast<int>(flags.GetInt("reps", 40));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::bench::PrintHeader(
       "Ablation: LDP frequency oracles (DE vs SUE vs OUE) at equal "

@@ -42,14 +42,13 @@ double WorstAdjacentRatio(const mdrr::RrMatrix& m) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"alpha", FlagValue::kReal},
-       {"seed", FlagValue::kNonNegativeInt}});
+      mdrr::bench::AdultFlags({mdrr::RealFlag("alpha"),
+                               mdrr::UintFlag("seed")}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const double alpha = flags.GetDouble("alpha", 0.4);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   const size_t attr = mdrr::kAdultEducation;
   const size_t r = adult.attribute(attr).cardinality();

@@ -22,22 +22,16 @@
 #include "mdrr/rng/rng.h"
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"n", FlagValue::kPositiveInt},
-       {"p", FlagValue::kReal},
-       {"tv", FlagValue::kReal},
-       {"td", FlagValue::kReal},
-       {"runs", FlagValue::kPositiveInt},
-       {"seed", FlagValue::kNonNegativeInt}});
-  const size_t n =
-      static_cast<size_t>(flags.GetInt("n", mdrr::kMushroomNumRecords));
+      {mdrr::UintFlag("n", 1), mdrr::RealFlag("p"), mdrr::RealFlag("tv"),
+       mdrr::RealFlag("td"), mdrr::bench::kRunsFlag, mdrr::UintFlag("seed")});
+  const size_t n = flags.GetUint64("n", mdrr::kMushroomNumRecords);
   const double p = flags.GetDouble("p", 0.7);
   const double tv = flags.GetDouble("tv", 60.0);
   const double td = flags.GetDouble("td", 0.1);
   const int runs = mdrr::bench::RunsFlag(flags, 10);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::Dataset mushroom = mdrr::SynthesizeMushroom(n, seed);
   mdrr::bench::PrintHeader(

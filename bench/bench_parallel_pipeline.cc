@@ -19,6 +19,8 @@
 //                  the session stage is memory-bound in parties)
 //   --est_r=R      joint-domain cardinality of the estimation stages
 //                  (default 512)
+// Any other flag, or a value that is malformed or out of range (a count
+// below 1, a negative thread count or seed), exits 1, naming the flag.
 //
 // The rng-policy stage reads differently from every other row: its two
 // columns are the two RNG policies at the SAME thread count (t1 =
@@ -116,9 +118,9 @@ BatchPerturbationEngine MakeEngine(const mdrr::FlagSet& flags, size_t threads,
                                    mdrr::RngKind rng =
                                        mdrr::RngKind::kMt19937) {
   BatchPerturbationOptions options;
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  options.seed = flags.GetUint64("seed", 1);
   options.num_threads = threads;
-  options.shard_size = static_cast<size_t>(flags.GetInt("shard", 1 << 16));
+  options.shard_size = flags.GetUint64("shard", 1 << 16);
   options.rng = rng;
   return BatchPerturbationEngine(options);
 }
@@ -132,16 +134,19 @@ void PrintStage(const StageResult& stage) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
+      argc, argv,
+      {mdrr::UintFlag("n", 1), mdrr::UintFlag("threads"),
+       mdrr::UintFlag("shard", 1), mdrr::RealFlag("p"),
+       mdrr::UintFlag("seed"), mdrr::UintFlag("data_seed"),
+       mdrr::UintFlag("session_n", 1), mdrr::UintFlag("est_r", 2)});
 
-  const size_t n = static_cast<size_t>(flags.GetInt("n", 1000000));
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads", 4));
+  const size_t n = flags.GetUint64("n", 1000000);
+  const size_t threads = flags.GetUint64("threads", 4);
   const double p = flags.GetDouble("p", 0.7);
-  const uint64_t data_seed =
-      static_cast<uint64_t>(flags.GetInt("data_seed", 2020));
-  const size_t session_n = static_cast<size_t>(flags.GetInt(
-      "session_n", static_cast<int64_t>(std::min<size_t>(n, 100000))));
+  const uint64_t data_seed = flags.GetUint64("data_seed", 2020);
+  const size_t session_n =
+      flags.GetUint64("session_n", std::min<size_t>(n, 100000));
 
   mdrr::bench::PrintHeader("parallel release pipeline");
   std::printf("# synthesizing %zu Adult records...\n", n);
@@ -299,7 +304,7 @@ int main(int argc, char** argv) {
   // across thread counts under both RNG policies, philox additionally
   // across shard grains, and the two policies producing distinct
   // pairwise-RR transcripts. ---
-  const uint64_t dep_seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t dep_seed = flags.GetUint64("seed", 1);
   auto estimator_options = [&](mdrr::RngKind rng_kind, size_t est_threads,
                                size_t grain) {
     mdrr::DependenceEstimatorOptions options;
@@ -487,7 +492,7 @@ int main(int argc, char** argv) {
   auto run_distributed = [&](mdrr::RngKind rng_kind)
       -> mdrr::StatusOr<mdrr::RrIndependentResult> {
     mdrr::net::CoordinatorOptions coordinator_options;
-    coordinator_options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+    coordinator_options.seed = flags.GetUint64("seed", 1);
     coordinator_options.rng = rng_kind;
     coordinator_options.shard_size = single.options().shard_size;
     mdrr::net::Coordinator coordinator(coordinator_options);
@@ -549,7 +554,7 @@ int main(int argc, char** argv) {
   PrintStage(stages.back());
 
   // --- Eq. (2) estimation on a high-cardinality joint domain. ---
-  const size_t est_r = static_cast<size_t>(flags.GetInt("est_r", 512));
+  const size_t est_r = flags.GetUint64("est_r", 512);
   const int64_t est_n = static_cast<int64_t>(n);
   std::vector<double> est_lambda(est_r);
   {
@@ -654,7 +659,7 @@ int main(int argc, char** argv) {
       session_n == n ? data : mdrr::SynthesizeAdult(session_n, data_seed);
   mdrr::protocol::SessionOptions session_options;
   session_options.keep_probability = p;
-  session_options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  session_options.seed = flags.GetUint64("seed", 1);
   // The session grain is load-balancing only (never changes results), so
   // size it to give the parallel run ~8 batches per worker; the default
   // 65536 would clamp a 100k-party session to 2 workers.

@@ -1,4 +1,4 @@
-// Shared helpers for the experiment benches: flag checking, dataset
+// Shared helpers for the experiment benches: the Adult flags, dataset
 // acquisition (real adult.data if --adult_csv points at one, the
 // calibrated synthesizer otherwise) and uniform table formatting.
 
@@ -6,74 +6,23 @@
 #define MDRR_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "mdrr/common/flags.h"
-#include "mdrr/common/string_util.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/dataset.h"
 
 namespace mdrr::bench {
 
-// What a bench flag's value must parse as.
-enum class FlagValue { kText, kPositiveInt, kNonNegativeInt, kReal };
-
-struct BenchFlag {
-  const char* key;
-  FlagValue value;
-};
-
-// Parses argv for a bench that reads exactly the flags in `own`. Exits
-// 1, naming the flag, on any other flag and on a value that does not
-// parse as its kind: FlagSet's getters would run a typo'd flag or a
-// malformed number at its default, and a negative --seed would wrap.
-inline FlagSet ParseBenchFlags(int argc, char** argv,
-                               const std::vector<BenchFlag>& own) {
-  FlagSet flags;
-  flags.Parse(argc, argv);
-  for (const std::string& key : flags.Keys()) {
-    const BenchFlag* flag = nullptr;
-    for (const BenchFlag& candidate : own) {
-      if (key == candidate.key) flag = &candidate;
-    }
-    std::string error;
-    const std::string value = flags.GetString(key, "");
-    if (flag == nullptr) {
-      error = "--" + key + " is not a flag of this bench";
-    } else if (flag->value == FlagValue::kReal) {
-      StatusOr<double> parsed = ParseDouble(value);
-      if (!parsed.ok()) error = "--" + key + ": " + parsed.status().message();
-    } else if (flag->value != FlagValue::kText) {
-      StatusOr<int64_t> parsed = ParseInt64(value);
-      const int64_t least = flag->value == FlagValue::kPositiveInt ? 1 : 0;
-      if (!parsed.ok()) {
-        error = "--" + key + ": " + parsed.status().message();
-      } else if (parsed.value() < least) {
-        error = "--" + key + " must be at least " + std::to_string(least);
-      }
-    }
-    if (!error.empty()) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      std::exit(1);
-    }
-  }
-  return flags;
-}
-
-// ParseBenchFlags for a bench that reads the Adult data through
-// LoadAdult (--adult_csv/--n/--data_seed) plus the flags in `own`.
-inline FlagSet ParseAdultBenchFlags(int argc, char** argv,
-                                    const std::vector<BenchFlag>& own) {
-  std::vector<BenchFlag> flags = {
-      {"adult_csv", FlagValue::kText},
-      {"n", FlagValue::kPositiveInt},
-      {"data_seed", FlagValue::kNonNegativeInt},
-  };
-  flags.insert(flags.end(), own.begin(), own.end());
-  return ParseBenchFlags(argc, argv, flags);
+// The flag table of a bench that reads the Adult data through LoadAdult:
+// the flags in `own` plus --adult_csv, --n and --data_seed.
+inline std::vector<FlagDef> AdultFlags(std::vector<FlagDef> own) {
+  own.insert(own.end(), {TextFlag("adult_csv"), UintFlag("n", 1),
+                         UintFlag("data_seed")});
+  return own;
 }
 
 // Resolves the evaluation dataset. Flags:
@@ -92,16 +41,15 @@ inline Dataset LoadAdult(const FlagSet& flags) {
     std::fprintf(stderr, "# failed to load %s (%s); falling back to synth\n",
                  path.c_str(), loaded.status().ToString().c_str());
   }
-  size_t n = static_cast<size_t>(
-      flags.GetInt("n", static_cast<int64_t>(kAdultNumRecords)));
-  uint64_t seed = static_cast<uint64_t>(flags.GetInt("data_seed", 2020));
-  return SynthesizeAdult(n, seed);
+  return SynthesizeAdult(flags.GetUint64("n", kAdultNumRecords),
+                         flags.GetUint64("data_seed", 2020));
 }
 
-// --runs (kPositiveInt). Paper default is 1000 runs; benches default
-// lower for CI speed.
+// --runs, declared as kRunsFlag. Paper default is 1000 runs; benches
+// default lower for CI speed.
+inline constexpr FlagDef kRunsFlag = UintFlag("runs", 1, INT_MAX);
 inline int RunsFlag(const FlagSet& flags, int default_runs = 25) {
-  return static_cast<int>(flags.GetInt("runs", default_runs));
+  return static_cast<int>(flags.GetUint64("runs", default_runs));
 }
 
 inline void PrintHeader(const char* title) {

@@ -15,11 +15,9 @@
 #include "mdrr/stats/error_bounds.h"
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"alpha", FlagValue::kReal},
-       {"max_r", FlagValue::kPositiveInt}});
+      {mdrr::RealFlag("alpha"), mdrr::IntFlag("max_r", 1)});
   double alpha = flags.GetDouble("alpha", 0.05);
   int64_t max_r = flags.GetInt("max_r", 100000);
 

@@ -16,18 +16,16 @@
 #include "mdrr/eval/experiment.h"
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"runs", FlagValue::kPositiveInt},
-       {"query_attrs", FlagValue::kPositiveInt},
-       {"p", FlagValue::kReal},
-       {"seed", FlagValue::kNonNegativeInt}});
+      mdrr::bench::AdultFlags({mdrr::bench::kRunsFlag,
+                               mdrr::UintFlag("query_attrs", 1),
+                               mdrr::RealFlag("p"), mdrr::UintFlag("seed")}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const int runs = mdrr::bench::RunsFlag(flags);
-  const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));
+  const size_t query_attrs = flags.GetUint64("query_attrs", 2);
   const double p = flags.GetDouble("p", 0.7);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::bench::PrintHeader(
       "Figure 2: Randomized vs RR-Independent count-query error (p = 0.7)");

@@ -11,6 +11,7 @@
 //                               [--adj_iters=30] [--query_attrs=2]
 // Any other flag, or a malformed or negative number, exits 1.
 
+#include <climits>
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -19,17 +20,16 @@
 #include "mdrr/eval/experiment.h"
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"runs", FlagValue::kPositiveInt},
-       {"query_attrs", FlagValue::kPositiveInt},
-       {"seed", FlagValue::kNonNegativeInt},
-       {"adj_iters", FlagValue::kNonNegativeInt}});
+      mdrr::bench::AdultFlags({mdrr::bench::kRunsFlag,
+                               mdrr::UintFlag("query_attrs", 1),
+                               mdrr::UintFlag("seed"),
+                               mdrr::IntFlag("adj_iters", 0, INT_MAX)}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const int runs = mdrr::bench::RunsFlag(flags);
-  const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const size_t query_attrs = flags.GetUint64("query_attrs", 2);
+  const uint64_t seed = flags.GetUint64("seed", 1);
   const int adj_iters = static_cast<int>(flags.GetInt("adj_iters", 30));
 
   mdrr::bench::PrintHeader(

@@ -15,11 +15,9 @@
 #include "mdrr/stats/error_bounds.h"
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"alpha", FlagValue::kReal},
-       {"n", FlagValue::kPositiveInt}});
+      {mdrr::RealFlag("alpha"), mdrr::IntFlag("n", 1)});
   const double alpha = flags.GetDouble("alpha", 0.05);
   const int64_t n = flags.GetInt("n", 32561);
 

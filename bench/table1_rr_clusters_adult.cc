@@ -19,9 +19,9 @@ namespace {
 int RunGrid(const mdrr::Dataset& dataset, const mdrr::FlagSet& flags,
             const char* title) {
   const int runs = mdrr::bench::RunsFlag(flags);
-  const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));
+  const size_t query_attrs = flags.GetUint64("query_attrs", 2);
   const double sigma = flags.GetDouble("sigma", 0.1);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::bench::PrintHeader(title);
   std::printf("# n = %zu records, %d runs per cell (paper: 1000), sigma=%.2f\n",
@@ -69,14 +69,12 @@ int RunGrid(const mdrr::Dataset& dataset, const mdrr::FlagSet& flags,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"runs", FlagValue::kPositiveInt},
-       {"query_attrs", FlagValue::kPositiveInt},
-       {"sigma", FlagValue::kReal},
-       {"seed", FlagValue::kNonNegativeInt},
-       {"tile", FlagValue::kPositiveInt}});
+      mdrr::bench::AdultFlags({mdrr::bench::kRunsFlag,
+                               mdrr::UintFlag("query_attrs", 1),
+                               mdrr::RealFlag("sigma"), mdrr::UintFlag("seed"),
+                               mdrr::IntFlag("tile", 1)}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   int64_t tile = flags.GetInt("tile", 1);
   if (tile > 1) adult = adult.Tiled(static_cast<size_t>(tile));

@@ -15,19 +15,18 @@
 #include "mdrr/eval/experiment.h"
 
 int main(int argc, char** argv) {
-  using mdrr::bench::FlagValue;
-  const mdrr::FlagSet flags = mdrr::bench::ParseAdultBenchFlags(
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {{"runs", FlagValue::kPositiveInt},
-       {"query_attrs", FlagValue::kPositiveInt},
-       {"sigma", FlagValue::kReal},
-       {"seed", FlagValue::kNonNegativeInt}});
+      mdrr::bench::AdultFlags({mdrr::bench::kRunsFlag,
+                               mdrr::UintFlag("query_attrs", 1),
+                               mdrr::RealFlag("sigma"),
+                               mdrr::UintFlag("seed")}));
   mdrr::Dataset adult6 = mdrr::bench::LoadAdult(flags).Tiled(6);
 
   const int runs = mdrr::bench::RunsFlag(flags);
-  const size_t query_attrs = static_cast<size_t>(flags.GetInt("query_attrs", 2));
+  const size_t query_attrs = flags.GetUint64("query_attrs", 2);
   const double sigma = flags.GetDouble("sigma", 0.1);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
+  const uint64_t seed = flags.GetUint64("seed", 1);
 
   mdrr::bench::PrintHeader(
       "Table 2: RR-Clusters relative error on Adult6 (6x concatenation)");

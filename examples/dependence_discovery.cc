@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "mdrr/common/flags.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/release/planner.h"
 
@@ -43,7 +44,8 @@ void Report(const char* name, const mdrr::Dataset& survey,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  mdrr::ParseFlagsOrExit(argc, argv, {});  // Takes no flags.
   // A moderate survey so the secure-sum simulation stays quick.
   mdrr::Dataset survey = mdrr::SynthesizeAdult(2000, 11);
   std::printf("survey: %zu respondents x %zu attributes\n",

@@ -10,6 +10,7 @@
 // estimated marginal of one attribute.
 //
 // Build & run:  ./build/example_parallel_batch [--n=200000] [--p=0.7]
+// (any other flag, or a malformed --n/--p, exits 1 naming it)
 
 #include <cstdio>
 #include <vector>
@@ -19,9 +20,9 @@
 #include "mdrr/release/planner.h"
 
 int main(int argc, char** argv) {
-  mdrr::FlagSet flags;
-  flags.Parse(argc, argv);
-  const size_t n = static_cast<size_t>(flags.GetInt("n", 200000));
+  const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
+      argc, argv, {mdrr::UintFlag("n", 1), mdrr::RealFlag("p")});
+  const size_t n = flags.GetUint64("n", 200000);
   const double p = flags.GetDouble("p", 0.7);
 
   mdrr::Dataset data = mdrr::SynthesizeAdult(n, /*seed=*/2020);

@@ -13,11 +13,13 @@
 
 #include <cstdio>
 
+#include "mdrr/common/flags.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/release/planner.h"
 #include "mdrr/rng/rng.h"
 
-int main() {
+int main(int argc, char** argv) {
+  mdrr::ParseFlagsOrExit(argc, argv, {});  // Takes no flags.
   const size_t n = 20000;
   const double true_yes_rate = 0.13;  // What the controller cannot see.
 

@@ -18,11 +18,13 @@
 
 #include <cstdio>
 
+#include "mdrr/common/flags.h"
 #include "mdrr/protocol/stream_ingest.h"
 #include "mdrr/release/serialization.h"
 #include "mdrr/rng/rng.h"
 
-int main() {
+int main(int argc, char** argv) {
+  mdrr::ParseFlagsOrExit(argc, argv, {});  // Takes no flags.
   // Four-category sensitive attribute (say, substance-use frequency).
   const std::vector<double> true_distribution = {0.70, 0.17, 0.09, 0.04};
   const double keep_probability = 0.55;

@@ -18,12 +18,14 @@
 
 #include <cstdio>
 
+#include "mdrr/common/flags.h"
 #include "mdrr/core/privacy.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/eval/metrics.h"
 #include "mdrr/release/planner.h"
 
-int main() {
+int main(int argc, char** argv) {
+  mdrr::ParseFlagsOrExit(argc, argv, {});  // Takes no flags.
   // The true microdata, held in shards of one record per individual.
   mdrr::Dataset survey = mdrr::SynthesizeAdult(32561, 42);
   std::printf("survey: %zu respondents x %zu attributes\n",

@@ -10,11 +10,13 @@
 
 #include <cstdio>
 
+#include "mdrr/common/flags.h"
 #include "mdrr/core/dependence.h"
 #include "mdrr/dataset/adult.h"
 #include "mdrr/release/planner.h"
 
 int main(int argc, char** argv) {
+  mdrr::ParseFlagsOrExit(argc, argv, {});  // Takes only the output path.
   const char* output_path = argc > 1 ? argv[1] : "synthetic_adult.csv";
 
   mdrr::Dataset original = mdrr::SynthesizeAdult(32561, 77);

@@ -11,8 +11,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
+
+#include "mdrr/common/string_util.h"
 
 namespace mdrr {
 namespace net {
@@ -24,8 +28,14 @@ int64_t NowMs() {
       .count();
 }
 
-int64_t ResolveDeadline(int64_t deadline_ms) {
-  return deadline_ms <= 0 ? kDefaultDeadlineMs : deadline_ms;
+// The absolute time `deadline_ms` from now (<= 0 means
+// kDefaultDeadlineMs), saturating at INT64_MAX instead of overflowing.
+int64_t DeadlineAt(int64_t deadline_ms) {
+  const int64_t now = NowMs();
+  const int64_t budget = deadline_ms <= 0 ? kDefaultDeadlineMs : deadline_ms;
+  return budget > std::numeric_limits<int64_t>::max() - now
+             ? std::numeric_limits<int64_t>::max()
+             : now + budget;
 }
 
 Status Errno(const char* op) {
@@ -33,7 +43,8 @@ Status Errno(const char* op) {
 }
 
 // Waits until `fd` is ready for `events` (POLLIN/POLLOUT) or the absolute
-// deadline passes. Retries EINTR against the remaining budget.
+// deadline passes. Each poll waits at most INT_MAX ms; EINTR and a poll
+// that times out before the deadline retry against the remaining budget.
 Status WaitReady(int fd, short events, int64_t deadline_at_ms,
                  const char* op) {
   for (;;) {
@@ -45,14 +56,14 @@ Status WaitReady(int fd, short events, int64_t deadline_at_ms,
     pfd.fd = fd;
     pfd.events = events;
     pfd.revents = 0;
-    int rc = poll(&pfd, 1, static_cast<int>(budget));
+    int rc = poll(&pfd, 1,
+                  static_cast<int>(std::min<int64_t>(
+                      budget, std::numeric_limits<int>::max())));
     if (rc < 0) {
       if (errno == EINTR) continue;
       return Errno("poll");
     }
-    if (rc == 0) {
-      return Status::DeadlineExceeded(std::string(op) + " timed out");
-    }
+    if (rc == 0) continue;
     // POLLERR/POLLHUP surface through the subsequent read/write, which
     // reports the precise condition (EOF vs. reset).
     return Status::OK();
@@ -72,6 +83,20 @@ Status SetNonBlocking(int fd, bool nonblocking) {
 }
 
 }  // namespace
+
+StatusOr<HostPort> ParseHostPort(std::string_view target) {
+  const size_t colon = target.rfind(':');
+  const StatusOr<int64_t> port =
+      ParseInt64(colon == std::string_view::npos ? std::string_view()
+                                                 : target.substr(colon + 1));
+  if (!port.ok() || port.value() < 1 || port.value() > 65535) {
+    return Status::InvalidArgument("expected HOST:PORT with PORT in [1, "
+                                   "65535], got '" +
+                                   std::string(target) + "'");
+  }
+  return HostPort{std::string(target.substr(0, colon)),
+                  static_cast<uint16_t>(port.value())};
+}
 
 TcpConnection::~TcpConnection() { Close(); }
 
@@ -103,7 +128,7 @@ void TcpConnection::Shutdown() {
 StatusOr<TcpConnection> TcpConnection::Connect(const std::string& host,
                                                uint16_t port,
                                                int64_t deadline_ms) {
-  int64_t deadline_at = NowMs() + ResolveDeadline(deadline_ms);
+  int64_t deadline_at = DeadlineAt(deadline_ms);
 
   struct addrinfo hints;
   std::memset(&hints, 0, sizeof(hints));
@@ -174,7 +199,7 @@ StatusOr<TcpConnection> TcpConnection::Connect(const std::string& host,
 Status TcpConnection::SendBytes(const void* data, size_t len,
                                 int64_t deadline_ms) {
   if (fd_ < 0) return Status::FailedPrecondition("send on closed connection");
-  int64_t deadline_at = NowMs() + ResolveDeadline(deadline_ms);
+  int64_t deadline_at = DeadlineAt(deadline_ms);
   const uint8_t* p = static_cast<const uint8_t*>(data);
   size_t sent = 0;
   while (sent < len) {
@@ -216,7 +241,7 @@ Status TcpConnection::SendFrame(FrameType type,
 
 Status TcpConnection::RecvExact(void* out, size_t len, int64_t deadline_ms) {
   if (fd_ < 0) return Status::FailedPrecondition("recv on closed connection");
-  int64_t deadline_at = NowMs() + ResolveDeadline(deadline_ms);
+  int64_t deadline_at = DeadlineAt(deadline_ms);
   uint8_t* p = static_cast<uint8_t*>(out);
   size_t got = 0;
   while (got < len) {
@@ -322,7 +347,7 @@ Status TcpListener::Listen(uint16_t port) {
 
 StatusOr<TcpConnection> TcpListener::Accept(int64_t deadline_ms) {
   if (fd_ < 0) return Status::FailedPrecondition("accept on closed listener");
-  int64_t deadline_at = NowMs() + ResolveDeadline(deadline_ms);
+  int64_t deadline_at = DeadlineAt(deadline_ms);
   for (;;) {
     MDRR_RETURN_IF_ERROR(WaitReady(fd_, POLLIN, deadline_at, "accept"));
     int fd = accept(fd_, nullptr, nullptr);

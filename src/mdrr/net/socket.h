@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "mdrr/common/status.h"
 #include "mdrr/common/status_or.h"
@@ -26,6 +27,15 @@ namespace net {
 
 // Default per-operation deadline when the caller passes <= 0.
 inline constexpr int64_t kDefaultDeadlineMs = 30000;
+
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+// Splits "HOST:PORT" at its last colon; the port must be an integer in
+// [1, 65535]. InvalidArgument naming the target otherwise.
+StatusOr<HostPort> ParseHostPort(std::string_view target);
 
 // A connected TCP socket. Move-only; the destructor closes the fd.
 class TcpConnection {

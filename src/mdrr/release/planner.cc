@@ -33,20 +33,6 @@ class StageClock {
   std::chrono::steady_clock::time_point begin_;
 };
 
-// Loads the owned dataset sources (kProvided is bound by reference in
-// ReleasePlanner::Plan and never reaches here).
-StatusOr<Dataset> ResolveDataset(const DatasetSpec& spec) {
-  switch (spec.source) {
-    case DatasetSpec::Source::kProvided:
-      return Status::Internal("provided datasets are bound by reference");
-    case DatasetSpec::Source::kCsvFile:
-      return ReadCsvDataset(spec.csv_path, spec.csv_has_header);
-    case DatasetSpec::Source::kSyntheticAdult:
-      return SynthesizeAdult(spec.synthetic_records, spec.synthetic_seed);
-  }
-  return Status::Internal("unknown dataset source");
-}
-
 // The engine options of a sharded or distributed policy.
 BatchPerturbationOptions EngineOptions(const ExecutionPolicy& policy) {
   BatchPerturbationOptions options;
@@ -58,6 +44,20 @@ BatchPerturbationOptions EngineOptions(const ExecutionPolicy& policy) {
 }
 
 }  // namespace
+
+StatusOr<Dataset> ResolveDataset(const DatasetSpec& spec) {
+  switch (spec.source) {
+    case DatasetSpec::Source::kProvided:
+      return Status::InvalidArgument(
+          "dataset.source provided names a dataset the caller passes in; "
+          "only csv and synthetic-adult sources can be loaded");
+    case DatasetSpec::Source::kCsvFile:
+      return ReadCsvDataset(spec.csv_path, spec.csv_has_header);
+    case DatasetSpec::Source::kSyntheticAdult:
+      return SynthesizeAdult(spec.synthetic_records, spec.synthetic_seed);
+  }
+  return Status::Internal("unknown dataset source");
+}
 
 ReleasePlan::ReleasePlan(ReleaseSpec spec, Dataset owned,
                          const Dataset* provided,

@@ -44,6 +44,12 @@
 
 namespace mdrr::release {
 
+// Loads a csv or synthetic-adult dataset source. kProvided names a
+// dataset the caller binds (ReleasePlanner::Plan's `provided`) and is
+// InvalidArgument here, since `dataset.source provided` can appear in
+// spec text.
+StatusOr<Dataset> ResolveDataset(const DatasetSpec& spec);
+
 class ReleasePlan {
  public:
   const ReleaseSpec& spec() const { return spec_; }

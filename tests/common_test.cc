@@ -2,6 +2,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -144,6 +145,92 @@ TEST(FlagsTest, DefaultsAndMalformedValues) {
   EXPECT_EQ(flags.GetInt("runs", 7), 7);       // Malformed -> default.
   EXPECT_EQ(flags.GetInt("missing", 9), 9);    // Missing -> default.
   EXPECT_FALSE(flags.GetBool("missing", false));
+}
+
+// Parses `args` (after a program name) and checks them against `table`.
+Status CheckFlags(std::vector<const char*> args,
+                  const std::vector<FlagDef>& table) {
+  args.insert(args.begin(), "prog");
+  FlagSet flags;
+  flags.Parse(static_cast<int>(args.size()), const_cast<char**>(args.data()));
+  return flags.Check(table);
+}
+
+// The refusal names the flag.
+void ExpectRefused(const Status& status, const std::string& flag) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << flag;
+  EXPECT_NE(status.message().find("--" + flag), std::string::npos)
+      << status.message();
+}
+
+TEST(FlagsTest, CheckRefusesAnUndeclaredFlag) {
+  const std::vector<FlagDef> table = {UintFlag("runs"), TextFlag("name")};
+  EXPECT_TRUE(CheckFlags({"--runs=3", "--name=x", "positional"}, table).ok());
+  ExpectRefused(CheckFlags({"--runs=3", "--bogus=1"}, table), "bogus");
+  ExpectRefused(CheckFlags({"--bogus"}, {}), "bogus");
+  EXPECT_TRUE(CheckFlags({"positional"}, {}).ok());
+}
+
+TEST(FlagsTest, CheckRefusesMalformedValues) {
+  const std::vector<FlagDef> table = {IntFlag("i"), UintFlag("u"),
+                                      RealFlag("x"), BoolFlag("b")};
+  ExpectRefused(CheckFlags({"--i=12x"}, table), "i");
+  ExpectRefused(CheckFlags({"--i"}, table), "i");
+  ExpectRefused(CheckFlags({"--u=abc"}, table), "u");
+  ExpectRefused(CheckFlags({"--u=-1"}, table), "u");
+  ExpectRefused(CheckFlags({"--u=1.5"}, table), "u");
+  ExpectRefused(CheckFlags({"--x=abc"}, table), "x");
+  ExpectRefused(CheckFlags({"--x="}, table), "x");
+  for (const char* bad : {"--b=maybe", "--b=yes", "--b=", "--b=2"}) {
+    ExpectRefused(CheckFlags({bad}, table), "b");
+  }
+  for (const char* good : {"--b", "--b=true", "--b=false", "--b=1", "--b=0"}) {
+    EXPECT_TRUE(CheckFlags({good}, table).ok()) << good;
+  }
+}
+
+TEST(FlagsTest, CheckRangesAreInclusive) {
+  const std::vector<FlagDef> table = {IntFlag("i", -3, 5),
+                                      UintFlag("u", 2, 4096),
+                                      RealFlag("p", 0.0, 1.0)};
+  EXPECT_TRUE(CheckFlags({"--i=-3", "--u=2", "--p=0"}, table).ok());
+  EXPECT_TRUE(CheckFlags({"--i=5", "--u=4096", "--p=1"}, table).ok());
+  ExpectRefused(CheckFlags({"--i=-4"}, table), "i");
+  ExpectRefused(CheckFlags({"--i=6"}, table), "i");
+  ExpectRefused(CheckFlags({"--u=1"}, table), "u");
+  ExpectRefused(CheckFlags({"--u=4097"}, table), "u");
+  ExpectRefused(CheckFlags({"--p=-0.001"}, table), "p");
+  ExpectRefused(CheckFlags({"--p=1.001"}, table), "p");
+}
+
+TEST(FlagsTest, CheckRefusesNanAndTakesInfinityWithinRange) {
+  const std::vector<FlagDef> table = {RealFlag("budget", 0.0),
+                                      RealFlag("p", 0.0, 1.0), RealFlag("x")};
+  ExpectRefused(CheckFlags({"--x=nan"}, table), "x");
+  ExpectRefused(CheckFlags({"--budget=nan"}, table), "budget");
+  EXPECT_TRUE(CheckFlags({"--budget=inf", "--x=-inf"}, table).ok());
+  ExpectRefused(CheckFlags({"--p=inf"}, table), "p");
+  ExpectRefused(CheckFlags({"--budget=-inf"}, table), "budget");
+}
+
+// Integer bounds are compared exactly: no value passes through a double,
+// which would round 2^53 + 1 to 2^53 and 2^64 - 1 up to 2^64.
+TEST(FlagsTest, CheckComparesIntegersExactly) {
+  const std::vector<FlagDef> table = {
+      UintFlag("seed"), UintFlag("batch", 0, UINT32_MAX),
+      UintFlag("n", 0, (uint64_t{1} << 53) + 1), IntFlag("i")};
+  const char* top[] = {"prog", "--seed=18446744073709551615"};
+  FlagSet flags;
+  flags.Parse(2, const_cast<char**>(top));
+  ASSERT_TRUE(flags.Check(table).ok());
+  EXPECT_EQ(flags.GetUint64("seed", 1), UINT64_MAX);
+  ExpectRefused(CheckFlags({"--seed=18446744073709551616"}, table), "seed");
+  EXPECT_TRUE(CheckFlags({"--batch=4294967295"}, table).ok());
+  ExpectRefused(CheckFlags({"--batch=4294967296"}, table), "batch");
+  EXPECT_TRUE(CheckFlags({"--n=9007199254740993"}, table).ok());
+  ExpectRefused(CheckFlags({"--n=9007199254740994"}, table), "n");
+  EXPECT_TRUE(CheckFlags({"--i=-9223372036854775808"}, table).ok());
+  ExpectRefused(CheckFlags({"--i=9223372036854775808"}, table), "i");
 }
 
 TEST(ParallelChunksTest, CoversEveryIndexExactlyOnce) {

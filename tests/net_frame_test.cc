@@ -1,15 +1,20 @@
 // Unit suite for the net/ wire layer: explicit little-endian framing
 // goldens (the format is a cross-host contract, not whatever the
 // compiler does), bounds-checked reader behavior, and exact round trips
-// for every payload codec and protocol message.
+// for every payload codec and protocol message; plus the socket layer's
+// HOST:PORT parsing and deadline arithmetic.
 
+#include <chrono>
 #include <cstdint>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mdrr/net/frame.h"
 #include "mdrr/net/protocol.h"
+#include "mdrr/net/socket.h"
 #include "mdrr/net/wire.h"
 #include "mdrr/rng/rng.h"
 
@@ -417,6 +422,52 @@ TEST(ProtocolCodecTest, HelloRoundTripsAndAbortCarriesReason) {
   auto abort2 = ParseAbort(EncodeAbort(abort));
   ASSERT_TRUE(abort2.ok()) << abort2.status().ToString();
   EXPECT_EQ(abort2.value().reason, "worker 3 lost");
+}
+
+// --- Socket layer ---
+
+TEST(ParseHostPortTest, SplitsAtTheLastColonAndChecksThePort) {
+  auto parsed = ParseHostPort("host:1");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().host, "host");
+  EXPECT_EQ(parsed.value().port, 1);
+  parsed = ParseHostPort("127.0.0.1:65535");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().host, "127.0.0.1");
+  EXPECT_EQ(parsed.value().port, 65535);
+  for (const char* bad : {"host", "host:0", "host:65536", "host:http"}) {
+    parsed = ParseHostPort(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(bad), std::string::npos);
+  }
+}
+
+// A deadline above INT_MAX ms must not be truncated to poll()'s int: a
+// 2^32 + 50 ms deadline waits for a client 200 ms away instead of
+// timing out after 50 ms.
+TEST(SocketDeadlineTest, AcceptWaitsPastAPollSizedDeadline) {
+  TcpListener listener;
+  ASSERT_TRUE(listener.Listen(0).ok());
+  const uint16_t port = listener.port();
+  std::thread client([port] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    auto conn = TcpConnection::Connect("127.0.0.1", port, 2000);
+    EXPECT_TRUE(conn.ok()) << conn.status().ToString();
+  });
+  auto accepted = listener.Accept((int64_t{1} << 32) + 50);
+  EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
+  client.join();
+}
+
+// The largest deadline saturates instead of overflowing now + deadline.
+TEST(SocketDeadlineTest, AcceptTakesTheLargestDeadline) {
+  TcpListener listener;
+  ASSERT_TRUE(listener.Listen(0).ok());
+  auto conn = TcpConnection::Connect("127.0.0.1", listener.port(), 2000);
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  auto accepted = listener.Accept(std::numeric_limits<int64_t>::max());
+  EXPECT_TRUE(accepted.ok()) << accepted.status().ToString();
 }
 
 }  // namespace

@@ -33,8 +33,8 @@
 //                                  flags below may accompany it -- any
 //                                  other flag is an error, never ignored)
 //
-//       In either mode an unknown flag or a malformed number is an
-//       error naming the flag, never a silent default.
+//       Each mode has its own flag table (RunFlags); a flag outside it
+//       is an error naming the flag, never ignored.
 //
 //       Passing --threads selects the sharded execution policy: every
 //       stage runs through the BatchPerturbationEngine contracts with N
@@ -84,16 +84,18 @@
 //       --r must be in [2, 4096] (the posterior is a dense r x r
 //       matrix) and --p in [0, 1].
 //
-//   Every command rejects, by name and with exit 1, any flag it does not
-//   honour and any malformed number.
+//   Every command checks its flags against its own table before any
+//   work (common/flags.h): a flag it does not honour, a value that does
+//   not parse as the flag's kind (a bool takes only the bare flag, true,
+//   false, 1 or 0) or a number outside the flag's range exits 1, naming
+//   the flag -- never a silent default or a wrapped value.
 
 #include <algorithm>
-#include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -105,7 +107,6 @@
 #include "mdrr/core/privacy.h"
 #include "mdrr/core/risk.h"
 #include "mdrr/core/rr_matrix.h"
-#include "mdrr/dataset/adult.h"
 #include "mdrr/dataset/csv.h"
 #include "mdrr/protocol/stream_ingest.h"
 #include "mdrr/release/planner.h"
@@ -113,28 +114,20 @@
 
 namespace {
 
+using mdrr::BoolFlag;
 using mdrr::Dataset;
+using mdrr::FlagDef;
 using mdrr::FlagSet;
+using mdrr::IntFlag;
+using mdrr::RealFlag;
+using mdrr::TextFlag;
+using mdrr::UintFlag;
 using mdrr::Status;
 using mdrr::StatusOr;
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-// Rejects, by name, any given flag outside `honoured`: a flag the
-// command does not read is an error, never silently ignored.
-template <typename List>
-Status OnlyHonoured(const FlagSet& flags, const List& honoured,
-                    const std::string& why) {
-  for (const std::string& key : flags.Keys()) {
-    if (std::find(std::begin(honoured), std::end(honoured), key) ==
-        std::end(honoured)) {
-      return Status::InvalidArgument("--" + key + " " + why);
-    }
-  }
-  return Status::OK();
 }
 
 StatusOr<Dataset> LoadInput(const FlagSet& flags) {
@@ -145,11 +138,9 @@ StatusOr<Dataset> LoadInput(const FlagSet& flags) {
   return mdrr::ReadCsvDataset(path, !flags.GetBool("no_header", false));
 }
 
-constexpr const char* kSchemaFlags[] = {"input", "no_header"};
-
 int CmdSchema(const FlagSet& flags) {
-  Status honoured = OnlyHonoured(flags, kSchemaFlags, "is not a schema flag");
-  if (!honoured.ok()) return Fail(honoured);
+  Status checked = flags.Check({TextFlag("input"), BoolFlag("no_header")});
+  if (!checked.ok()) return Fail(checked);
   auto dataset = LoadInput(flags);
   if (!dataset.ok()) return Fail(dataset.status());
   std::printf("%zu records, %zu attributes\n", dataset.value().num_rows(),
@@ -185,55 +176,6 @@ void PrintMarginals(const Dataset& released,
   }
 }
 
-// A numeric flag. FlagSet's getters fall back to the default on a
-// malformed value; a command must never run with a number nobody asked
-// for, so a value `parse` refuses is an error naming the flag.
-template <typename T>
-StatusOr<T> NumberFlag(const FlagSet& flags, const std::string& key,
-                       T default_value,
-                       StatusOr<T> (*parse)(std::string_view)) {
-  if (!flags.Has(key)) return default_value;
-  StatusOr<T> parsed = parse(flags.GetString(key, ""));
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("--" + key + ": " +
-                                   parsed.status().message());
-  }
-  return parsed;
-}
-
-StatusOr<double> DoubleFlag(const FlagSet& flags, const std::string& key,
-                            double default_value) {
-  return NumberFlag(flags, key, default_value, mdrr::ParseDouble);
-}
-
-StatusOr<int64_t> IntFlag(const FlagSet& flags, const std::string& key,
-                          int64_t default_value) {
-  return NumberFlag(flags, key, default_value, mdrr::ParseInt64);
-}
-
-// Seeds and counts take the full uint64 range, and a negative value is
-// refused rather than wrapped to a huge one.
-StatusOr<uint64_t> ParseUint64(std::string_view input) {
-  const std::string_view digits = mdrr::StripWhitespace(input);
-  if (!digits.empty() && digits.front() == '-') {
-    return Status::InvalidArgument("must not be negative");
-  }
-  uint64_t value = 0;
-  const char* end = digits.data() + digits.size();
-  auto [ptr, ec] = std::from_chars(digits.data(), end, value);
-  if (digits.empty() || ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument("expected an integer in [0, " +
-                                   std::to_string(UINT64_MAX) + "], got '" +
-                                   std::string(input) + "'");
-  }
-  return value;
-}
-
-StatusOr<uint64_t> UnsignedFlag(const FlagSet& flags, const std::string& key,
-                                uint64_t default_value) {
-  return NumberFlag(flags, key, default_value, ParseUint64);
-}
-
 // The ReleaseSpec equivalent of the `run` flag set.
 StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
   namespace release = mdrr::release;
@@ -243,16 +185,13 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
   spec.dataset.csv_path = flags.GetString("input", "");
   spec.dataset.csv_has_header = !flags.GetBool("no_header", false);
 
-  MDRR_ASSIGN_OR_RETURN(spec.budget.keep_probability,
-                        DoubleFlag(flags, "p", 0.7));
+  spec.budget.keep_probability = flags.GetDouble("p", 0.7);
   // The assessment round's keep probability is its own knob with its own
   // default (matching RrClustersOptions), NOT tied to --p: pre-spec
   // command lines must keep producing the same release.
-  MDRR_ASSIGN_OR_RETURN(spec.budget.dependence_keep_probability,
-                        DoubleFlag(flags, "dep_p", 0.7));
-  MDRR_ASSIGN_OR_RETURN(
-      spec.budget.max_total_epsilon,
-      DoubleFlag(flags, "budget", spec.budget.max_total_epsilon));
+  spec.budget.dependence_keep_probability = flags.GetDouble("dep_p", 0.7);
+  spec.budget.max_total_epsilon =
+      flags.GetDouble("budget", spec.budget.max_total_epsilon);
 
   MDRR_ASSIGN_OR_RETURN(
       spec.mechanism.kind,
@@ -267,18 +206,15 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
       spec.mechanism.joint_attributes.push_back(static_cast<size_t>(index));
     }
   }
-  MDRR_ASSIGN_OR_RETURN(spec.mechanism.clustering.max_combinations,
-                        DoubleFlag(flags, "tv", 50.0));
-  MDRR_ASSIGN_OR_RETURN(spec.mechanism.clustering.min_dependence,
-                        DoubleFlag(flags, "td", 0.1));
+  spec.mechanism.clustering.max_combinations = flags.GetDouble("tv", 50.0);
+  spec.mechanism.clustering.min_dependence = flags.GetDouble("td", 0.1);
   MDRR_ASSIGN_OR_RETURN(
       spec.mechanism.dependence_source,
       release::DependenceSourceFromString(flags.GetString("dep", "rr")));
 
   spec.adjustment.enabled = flags.GetBool("adjust", false);
-  MDRR_ASSIGN_OR_RETURN(const int64_t adjust_iters,
-                        IntFlag(flags, "adjust_iters", 100));
-  spec.adjustment.max_iterations = static_cast<int>(adjust_iters);
+  spec.adjustment.max_iterations =
+      static_cast<int>(flags.GetInt("adjust_iters", 100));
 
   spec.synthetic.enabled = flags.Has("synthetic_out");
   spec.evaluation.utility_report = flags.GetBool("report", false);
@@ -286,12 +222,8 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
   // Any explicit --threads (including 1) selects the sharded policy, so
   // the flag's value never changes the output.
   if (flags.Has("threads")) {
-    MDRR_ASSIGN_OR_RETURN(const int64_t threads, IntFlag(flags, "threads", 0));
-    if (threads < 0) {
-      return Status::InvalidArgument("--threads must be >= 0");
-    }
     spec.execution.kind = release::PolicyKind::kSharded;
-    spec.execution.num_threads = static_cast<size_t>(threads);
+    spec.execution.num_threads = flags.GetUint64("threads", 0);
   }
   // --shard is part of the randomness address of the sharded and
   // distributed policies; the sequential policy has no shards, so there
@@ -302,11 +234,9 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
           "--shard needs --threads or --listen (the sequential policy has "
           "no shards)");
     }
-    MDRR_ASSIGN_OR_RETURN(const int64_t shard, IntFlag(flags, "shard", 0));
-    if (shard < 1) return Status::InvalidArgument("--shard must be >= 1");
-    spec.execution.shard_size = static_cast<size_t>(shard);
+    spec.execution.shard_size = flags.GetUint64("shard", 0);
   }
-  MDRR_ASSIGN_OR_RETURN(spec.execution.seed, UnsignedFlag(flags, "seed", 1));
+  spec.execution.seed = flags.GetUint64("seed", 1);
   MDRR_ASSIGN_OR_RETURN(
       spec.execution.rng,
       release::RngKindFromString(flags.GetString("rng", "mt19937")));
@@ -319,8 +249,7 @@ StatusOr<mdrr::release::ReleaseSpec> SpecFromFlags(const FlagSet& flags) {
         spec.frequency_oracle.backend,
         mdrr::OracleBackendFromString(flags.GetString("oracle", "de")));
   }
-  MDRR_ASSIGN_OR_RETURN(spec.frequency_oracle.epsilon,
-                        DoubleFlag(flags, "oracle_epsilon", 0.0));
+  spec.frequency_oracle.epsilon = flags.GetDouble("oracle_epsilon", 0.0);
 
   spec.output.randomized_csv = flags.GetString("randomized_out", "");
   spec.output.synthetic_csv = flags.GetString("synthetic_out", "");
@@ -336,31 +265,11 @@ Status RunStreamingSpec(const FlagSet& flags,
                         const mdrr::release::ReleaseSpec& spec) {
   namespace release = mdrr::release;
   mdrr::protocol::StreamingReplayOptions options;
-  MDRR_ASSIGN_OR_RETURN(const uint64_t ingest_threads,
-                        UnsignedFlag(flags, "ingest_threads", 1));
-  MDRR_ASSIGN_OR_RETURN(const uint64_t shards,
-                        UnsignedFlag(flags, "shards", 1));
-  MDRR_ASSIGN_OR_RETURN(options.total_reports,
-                        UnsignedFlag(flags, "reports", 0));
-  options.num_ingest_threads = static_cast<size_t>(ingest_threads);
-  options.collector.num_shards = static_cast<size_t>(shards);
-
-  MDRR_ASSIGN_OR_RETURN(const Dataset dataset, [&]() -> StatusOr<Dataset> {
-    switch (spec.dataset.source) {
-      case release::DatasetSpec::Source::kCsvFile:
-        return mdrr::ReadCsvDataset(spec.dataset.csv_path,
-                                    spec.dataset.csv_has_header);
-      case release::DatasetSpec::Source::kSyntheticAdult:
-        return mdrr::SynthesizeAdult(spec.dataset.synthetic_records,
-                                     spec.dataset.synthetic_seed);
-      case release::DatasetSpec::Source::kProvided:
-        return Status::InvalidArgument(
-            "streaming runs need an owned dataset source (csv or "
-            "synthetic-adult)");
-    }
-    return Status::Internal("unknown dataset source");
-  }());
-
+  options.num_ingest_threads = flags.GetUint64("ingest_threads", 1);
+  options.collector.num_shards = flags.GetUint64("shards", 1);
+  options.total_reports = flags.GetUint64("reports", 0);
+  MDRR_ASSIGN_OR_RETURN(const Dataset dataset,
+                        release::ResolveDataset(spec.dataset));
   MDRR_ASSIGN_OR_RETURN(
       const mdrr::protocol::StreamingReplayResult run,
       mdrr::protocol::RunStreamingReplay(spec, dataset, options));
@@ -371,36 +280,38 @@ Status RunStreamingSpec(const FlagSet& flags,
   return Status::OK();
 }
 
-// The flags `run --spec` honours; the spec file carries everything else.
-constexpr const char* kSpecModeFlags[] = {
-    "spec",      "listen",    "workers",        "worker_deadline_ms",
-    "dump-spec", "dump_spec", "ingest_threads", "shards",
-    "reports"};
-
-// The flags flag mode honours: SpecFromFlags' release flags plus the
-// coordinator and --dump-spec flags.
-constexpr const char* kFlagModeFlags[] = {
-    "input",              "no_header",     "method",
-    "attrs",              "p",             "dep_p",
-    "budget",             "tv",            "td",
-    "dep",                "adjust",        "adjust_iters",
-    "randomized_out",     "synthetic_out", "report",
-    "artifacts_out",      "seed",          "threads",
-    "shard",              "rng",           "oracle",
-    "oracle_epsilon",     "listen",        "workers",
-    "worker_deadline_ms", "dump-spec",     "dump_spec"};
+// The flags `run` honours: the coordinator flags and --dump-spec in
+// either mode, plus the streaming knobs with --spec (the spec file
+// carries everything else) or SpecFromFlags' release flags without it.
+std::vector<FlagDef> RunFlags(bool spec_mode) {
+  std::vector<FlagDef> table = {
+      UintFlag("listen", 0, 65535), UintFlag("workers", 1),
+      IntFlag("worker_deadline_ms"), BoolFlag("dump-spec"),
+      BoolFlag("dump_spec")};
+  if (spec_mode) {
+    table.insert(table.end(), {TextFlag("spec"), UintFlag("ingest_threads"),
+                               UintFlag("shards"), UintFlag("reports")});
+    return table;
+  }
+  table.insert(
+      table.end(),
+      {TextFlag("input"), BoolFlag("no_header"), TextFlag("method"),
+       TextFlag("attrs"), RealFlag("p"), RealFlag("dep_p"),
+       RealFlag("budget"), RealFlag("tv"), RealFlag("td"), TextFlag("dep"),
+       BoolFlag("adjust"), IntFlag("adjust_iters", INT_MIN, INT_MAX),
+       TextFlag("randomized_out"), TextFlag("synthetic_out"),
+       BoolFlag("report"), TextFlag("artifacts_out"), UintFlag("seed"),
+       UintFlag("threads"), UintFlag("shard", 1), TextFlag("rng"),
+       TextFlag("oracle"), RealFlag("oracle_epsilon")});
+  return table;
+}
 
 // The spec `run` executes: the --spec file or the flag-mode release
-// flags, then the coordinator flags. Any flag the mode does not honour
-// and any malformed number is an error naming the flag, never ignored.
+// flags, then the coordinator flags.
 StatusOr<mdrr::release::ReleaseSpec> RunSpecFromFlags(const FlagSet& flags) {
   namespace release = mdrr::release;
   const bool spec_mode = flags.Has("spec");
-  MDRR_RETURN_IF_ERROR(
-      spec_mode ? OnlyHonoured(flags, kSpecModeFlags,
-                               "is not honoured with --spec; set it in the "
-                               "spec file instead")
-                : OnlyHonoured(flags, kFlagModeFlags, "is not a run flag"));
+  MDRR_RETURN_IF_ERROR(flags.Check(RunFlags(spec_mode)));
   release::ReleaseSpec spec;
   if (spec_mode) {
     MDRR_ASSIGN_OR_RETURN(
@@ -415,23 +326,14 @@ StatusOr<mdrr::release::ReleaseSpec> RunSpecFromFlags(const FlagSet& flags) {
   // bit-identical to the sharded policy at the same (seed, shard,
   // rng) for any worker count.
   if (flags.Has("listen")) {
-    MDRR_ASSIGN_OR_RETURN(const int64_t port, IntFlag(flags, "listen", 0));
-    if (port < 0 || port > 65535) {
-      return Status::InvalidArgument("--listen must be 0..65535");
-    }
     spec.execution.kind = release::PolicyKind::kDistributed;
-    spec.execution.listen_port = static_cast<uint16_t>(port);
+    spec.execution.listen_port =
+        static_cast<uint16_t>(flags.GetUint64("listen", 0));
   }
-  if (flags.Has("workers")) {
-    MDRR_ASSIGN_OR_RETURN(const int64_t workers, IntFlag(flags, "workers", 0));
-    if (workers < 1) {
-      return Status::InvalidArgument("--workers must be >= 1");
-    }
-    spec.execution.num_workers = static_cast<size_t>(workers);
-  }
-  MDRR_ASSIGN_OR_RETURN(
-      spec.execution.worker_deadline_ms,
-      IntFlag(flags, "worker_deadline_ms", spec.execution.worker_deadline_ms));
+  spec.execution.num_workers =
+      flags.GetUint64("workers", spec.execution.num_workers);
+  spec.execution.worker_deadline_ms =
+      flags.GetInt("worker_deadline_ms", spec.execution.worker_deadline_ms);
   return spec;
 }
 
@@ -531,15 +433,13 @@ void MarginalTvStats(const Dataset& original,
   if (m > 0) *mean_tv /= static_cast<double>(m);
 }
 
-constexpr const char* kSweepFlags[] = {"specs"};
-
 // Runs every spec file in --specs=DIR and prints one combined
 // utility/risk table. Failures become error rows; the sweep continues.
 int CmdSweep(const FlagSet& flags) {
   namespace fs = std::filesystem;
   namespace release = mdrr::release;
-  Status honoured = OnlyHonoured(flags, kSweepFlags, "is not a sweep flag");
-  if (!honoured.ok()) return Fail(honoured);
+  Status checked = flags.Check({TextFlag("specs")});
+  if (!checked.ok()) return Fail(checked);
   const std::string dir = flags.GetString("specs", "");
   if (dir.empty()) {
     return Fail(Status::InvalidArgument("--specs=DIR is required"));
@@ -578,20 +478,7 @@ int CmdSweep(const FlagSet& flags) {
     release::ReleaseSpec spec = std::move(parsed).value();
 
     if (spec.streaming.enabled) {
-      auto dataset = [&]() -> StatusOr<Dataset> {
-        switch (spec.dataset.source) {
-          case release::DatasetSpec::Source::kCsvFile:
-            return mdrr::ReadCsvDataset(spec.dataset.csv_path,
-                                        spec.dataset.csv_has_header);
-          case release::DatasetSpec::Source::kSyntheticAdult:
-            return mdrr::SynthesizeAdult(spec.dataset.synthetic_records,
-                                         spec.dataset.synthetic_seed);
-          case release::DatasetSpec::Source::kProvided:
-            return Status::InvalidArgument(
-                "streaming sweep entries need an owned dataset source");
-        }
-        return Status::Internal("unknown dataset source");
-      }();
+      auto dataset = release::ResolveDataset(spec.dataset);
       if (!dataset.ok()) {
         report_error(dataset.status());
         continue;
@@ -656,24 +543,13 @@ int CmdSweep(const FlagSet& flags) {
   return failures == 0 ? 0 : 1;
 }
 
-constexpr const char* kRiskFlags[] = {"r", "p", "prior"};
-// The posterior is a dense r x r matrix: 4096^2 doubles are 128 MiB.
-constexpr int64_t kMaxRiskDomain = 4096;
-
 Status PrintRisk(const FlagSet& flags) {
-  MDRR_RETURN_IF_ERROR(OnlyHonoured(flags, kRiskFlags, "is not a risk flag"));
-  MDRR_ASSIGN_OR_RETURN(const int64_t r_flag, IntFlag(flags, "r", 4));
-  if (r_flag < 2) return Status::InvalidArgument("--r must be >= 2");
-  if (r_flag > kMaxRiskDomain) {
-    return Status::InvalidArgument(
-        "--r must be <= " + std::to_string(kMaxRiskDomain) +
-        " (the posterior is a dense r x r matrix)");
-  }
-  const size_t r = static_cast<size_t>(r_flag);
-  MDRR_ASSIGN_OR_RETURN(const double p, DoubleFlag(flags, "p", 0.7));
-  if (!(p >= 0.0 && p <= 1.0)) {
-    return Status::InvalidArgument("--p must be in [0, 1]");
-  }
+  // The posterior is a dense r x r matrix: 4096^2 doubles are 128 MiB.
+  MDRR_RETURN_IF_ERROR(flags.Check({UintFlag("r", 2, 4096),
+                                    RealFlag("p", 0.0, 1.0),
+                                    TextFlag("prior")}));
+  const size_t r = flags.GetUint64("r", 4);
+  const double p = flags.GetDouble("p", 0.7);
 
   std::vector<double> prior(r, 1.0 / static_cast<double>(r));
   std::string prior_flag = flags.GetString("prior", "");

@@ -37,21 +37,17 @@
 //
 // Exit status: 0 on success (including budget-suppressed windows --
 // that is the fail-closed degraded mode, not an error), 1 otherwise --
-// including, before any work, an unknown flag or a numeric flag that is
-// not a non-negative integer, naming the flag.
+// including, before any work, a flag outside kFlags or a value that does
+// not parse as its flag's kind within its range, naming the flag.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "mdrr/common/flags.h"
-#include "mdrr/common/string_util.h"
 #include "mdrr/dataset/csv.h"
 #include "mdrr/net/socket.h"
 #include "mdrr/protocol/net_ingest.h"
@@ -67,53 +63,16 @@ using mdrr::StatusOr;
 namespace release = mdrr::release;
 namespace protocol = mdrr::protocol;
 
-// The flags mdrr_collectd honours. Numeric ones must parse as integers
-// in [0, max]: FlagSet::GetInt would run "abc" at the default, and the
-// casts below would wrap "-5" to 2^64 - 5.
-constexpr const char* kTextFlags[] = {
-    "spec",   "input",       "no_header",     "snapshot_out",
-    "resume", "windows_out", "verify_replay", "connect"};
-struct NumberFlag {
-  const char* key;
-  int64_t max;
-};
-constexpr NumberFlag kNumberFlags[] = {
-    {"reports", std::numeric_limits<int64_t>::max()},
-    {"ingest_threads", std::numeric_limits<int64_t>::max()},
-    {"shards", std::numeric_limits<int64_t>::max()},
-    {"ring_buckets", std::numeric_limits<int64_t>::max()},
-    {"pause_at", std::numeric_limits<int64_t>::max()},
-    {"listen", std::numeric_limits<int64_t>::max()},
-    {"deadline_ms", std::numeric_limits<int64_t>::max()},
-    {"batch", std::numeric_limits<uint32_t>::max()},
-};
-
-Status ValidateFlags(const FlagSet& flags) {
-  for (const std::string& key : flags.Keys()) {
-    const auto number =
-        std::find_if(std::begin(kNumberFlags), std::end(kNumberFlags),
-                     [&key](const NumberFlag& flag) { return key == flag.key; });
-    if (number != std::end(kNumberFlags)) {
-      StatusOr<int64_t> parsed = mdrr::ParseInt64(flags.GetString(key, ""));
-      if (!parsed.ok()) {
-        return Status::InvalidArgument("--" + key + ": " +
-                                       parsed.status().message());
-      }
-      if (parsed.value() < 0) {
-        return Status::InvalidArgument("--" + key + " must not be negative");
-      }
-      if (parsed.value() > number->max) {
-        return Status::InvalidArgument("--" + key + " must be at most " +
-                                       std::to_string(number->max));
-      }
-    } else if (std::find(std::begin(kTextFlags), std::end(kTextFlags), key) ==
-               std::end(kTextFlags)) {
-      return Status::InvalidArgument("--" + key +
-                                     " is not an mdrr_collectd flag");
-    }
-  }
-  return Status::OK();
-}
+// The flags mdrr_collectd honours.
+const std::vector<mdrr::FlagDef> kFlags = {
+    mdrr::TextFlag("spec"), mdrr::TextFlag("input"),
+    mdrr::BoolFlag("no_header"), mdrr::TextFlag("snapshot_out"),
+    mdrr::TextFlag("resume"), mdrr::TextFlag("windows_out"),
+    mdrr::BoolFlag("verify_replay"), mdrr::TextFlag("connect"),
+    mdrr::UintFlag("reports"), mdrr::UintFlag("ingest_threads"),
+    mdrr::UintFlag("shards"), mdrr::UintFlag("ring_buckets"),
+    mdrr::UintFlag("pause_at"), mdrr::UintFlag("listen", 0, 65535),
+    mdrr::IntFlag("deadline_ms", 0), mdrr::UintFlag("batch", 0, UINT32_MAX)};
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -138,12 +97,10 @@ StatusOr<protocol::StreamingReplayResult> Run(
     const release::StreamingSnapshot* resume) {
   protocol::StreamingReplayOptions options;
   options.num_ingest_threads = ingest_threads;
-  options.collector.num_shards =
-      static_cast<size_t>(flags.GetInt("shards", 1));
-  options.collector.ring_buckets =
-      static_cast<size_t>(flags.GetInt("ring_buckets", 4));
-  options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
-  options.pause_at = static_cast<uint64_t>(flags.GetInt("pause_at", 0));
+  options.collector.num_shards = flags.GetUint64("shards", 1);
+  options.collector.ring_buckets = flags.GetUint64("ring_buckets", 4);
+  options.total_reports = flags.GetUint64("reports", 0);
+  options.pause_at = flags.GetUint64("pause_at", 0);
   options.resume = resume;
   return protocol::RunStreamingReplay(spec, dataset, options);
 }
@@ -151,20 +108,15 @@ StatusOr<protocol::StreamingReplayResult> Run(
 // Socket server: accept one ingest client, run the collector on its
 // reports, print the transcript.
 int ServeSocket(const FlagSet& flags, const release::ReleaseSpec& spec) {
-  const int64_t port = flags.GetInt("listen", 0);
-  if (port < 0 || port > 65535) {
-    return Fail(Status::InvalidArgument("--listen must be 0..65535"));
-  }
   mdrr::net::TcpListener listener;
-  Status bound = listener.Listen(static_cast<uint16_t>(port));
+  Status bound =
+      listener.Listen(static_cast<uint16_t>(flags.GetUint64("listen", 0)));
   if (!bound.ok()) return Fail(bound);
   std::fprintf(stderr, "listening on port %u\n", listener.port());
 
   protocol::StreamIngestServeOptions options;
-  options.collector.num_shards =
-      static_cast<size_t>(flags.GetInt("shards", 1));
-  options.collector.ring_buckets =
-      static_cast<size_t>(flags.GetInt("ring_buckets", 4));
+  options.collector.num_shards = flags.GetUint64("shards", 1);
+  options.collector.ring_buckets = flags.GetUint64("ring_buckets", 4);
   options.deadline_ms = flags.GetInt("deadline_ms", 0);
   auto served = protocol::ServeStreamIngest(spec, listener, options);
   if (!served.ok()) return Fail(served.status());
@@ -181,23 +133,18 @@ int ServeSocket(const FlagSet& flags, const release::ReleaseSpec& spec) {
 // Socket client: replay the input CSV into a --listen instance.
 int ConnectSocket(const FlagSet& flags, const release::ReleaseSpec& spec,
                   const Dataset& dataset) {
-  const std::string target = flags.GetString("connect", "");
-  const size_t colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    return Fail(Status::InvalidArgument("--connect takes HOST:PORT"));
-  }
-  auto port = mdrr::ParseInt64(target.substr(colon + 1));
-  if (!port.ok() || port.value() < 1 || port.value() > 65535) {
-    return Fail(Status::InvalidArgument("--connect port must be 1..65535"));
+  auto target = mdrr::net::ParseHostPort(flags.GetString("connect", ""));
+  if (!target.ok()) {
+    return Fail(Status::InvalidArgument("--connect: " +
+                                        target.status().message()));
   }
 
   protocol::StreamIngestClientOptions options;
-  options.total_reports = static_cast<uint64_t>(flags.GetInt("reports", 0));
-  options.batch_size = static_cast<uint32_t>(flags.GetInt("batch", 512));
+  options.total_reports = flags.GetUint64("reports", 0);
+  options.batch_size = static_cast<uint32_t>(flags.GetUint64("batch", 512));
   options.deadline_ms = flags.GetInt("deadline_ms", 0);
   auto sent = protocol::StreamReportsOverSocket(
-      spec, dataset, target.substr(0, colon),
-      static_cast<uint16_t>(port.value()), options);
+      spec, dataset, target.value().host, target.value().port, options);
   if (!sent.ok()) return Fail(sent.status());
   std::printf("streamed %llu reports; server ingested %llu; "
               "epsilon spent %.6g\n",
@@ -208,8 +155,6 @@ int ConnectSocket(const FlagSet& flags, const release::ReleaseSpec& spec,
 }
 
 int Main(const FlagSet& flags) {
-  Status valid = ValidateFlags(flags);
-  if (!valid.ok()) return Fail(valid);
   const std::string spec_path = flags.GetString("spec", "");
   const std::string input_path = flags.GetString("input", "");
   if (flags.Has("listen")) {
@@ -258,10 +203,8 @@ int Main(const FlagSet& flags) {
     resume = &resume_snapshot;
   }
 
-  const size_t ingest_threads =
-      static_cast<size_t>(flags.GetInt("ingest_threads", 1));
-  auto run = Run(spec.value(), dataset.value(), flags, ingest_threads,
-                 resume);
+  auto run = Run(spec.value(), dataset.value(), flags,
+                 flags.GetUint64("ingest_threads", 1), resume);
   if (!run.ok()) return Fail(run.status());
   const protocol::StreamingReplayResult& result = run.value();
 
@@ -312,7 +255,5 @@ int Main(const FlagSet& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  FlagSet flags;
-  flags.Parse(argc, argv);
-  return Main(flags);
+  return Main(mdrr::ParseFlagsOrExit(argc, argv, kFlags));
 }
