@@ -84,11 +84,8 @@ int main(int argc, char** argv) {
   report("oracle (trusted party)", oracle);
   report("4.1 per-attribute RR",
          mdrr::RandomizedResponseDependences(adult, p, seed + 1));
-  auto secure = mdrr::SecureSumDependences(
-      adult, mdrr::mpc::SimulationMode::kFastSimulation, seed + 2);
-  if (secure.ok()) report("4.2 secure-sum bivariate", secure.value());
-  auto pairwise = mdrr::PairwiseRrDependences(
-      adult, p, mdrr::mpc::SimulationMode::kFastSimulation, seed + 3);
+  report("4.2 secure-sum bivariate", mdrr::SecureSumDependences(adult));
+  auto pairwise = mdrr::PairwiseRrDependences(adult, p, seed + 3);
   if (pairwise.ok()) report("4.3 pairwise RR + sum", pairwise.value());
 
   std::printf(

@@ -136,7 +136,9 @@ void PrintStage(const StageResult& stage) {
 int main(int argc, char** argv) {
   const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {mdrr::UintFlag("n", 1), mdrr::UintFlag("threads"),
+      {mdrr::UintFlag("n", 1),
+       // --threads is also the streaming stage's num_ingest_threads.
+       mdrr::UintFlag("threads", 0, mdrr::release::kMaxIngestThreads),
        mdrr::UintFlag("shard", 1), mdrr::RealFlag("p"),
        mdrr::UintFlag("seed"), mdrr::UintFlag("data_seed"),
        mdrr::UintFlag("session_n", 1), mdrr::UintFlag("est_r", 2)});
@@ -297,8 +299,8 @@ int main(int argc, char** argv) {
   PrintStage(stages.back());
 
   // --- Privacy-preserving dependence estimators (Sections 4.2/4.3):
-  // stream-per-pair secure sums + pairwise-RR masking, the last
-  // previously-sequential stages. t1/tN time the mt19937 pairwise-RR
+  // exact secure sums + stream-per-pair pairwise-RR masking, both on the
+  // DependencePairGrid scheduler. t1/tN time the mt19937 pairwise-RR
   // estimator at 1 vs --threads workers; the identical bit asserts the
   // full addressing contract on every run -- both estimators bit-equal
   // across thread counts under both RNG policies, philox additionally
@@ -316,30 +318,27 @@ int main(int argc, char** argv) {
   const size_t dep_grain = single.options().shard_size;
   timer.Restart();
   auto pairwise_one = mdrr::PairwiseRrDependences(
-      data, p, mdrr::mpc::SimulationMode::kFastSimulation, dep_seed,
+      data, p, dep_seed,
       estimator_options(mdrr::RngKind::kMt19937, 1, dep_grain));
   double pairwise_t1 = timer.Seconds();
   timer.Restart();
   auto pairwise_many = mdrr::PairwiseRrDependences(
-      data, p, mdrr::mpc::SimulationMode::kFastSimulation, dep_seed,
+      data, p, dep_seed,
       estimator_options(mdrr::RngKind::kMt19937, threads, dep_grain));
   double pairwise_tn = timer.Seconds();
   auto pairwise_philox_one = mdrr::PairwiseRrDependences(
-      data, p, mdrr::mpc::SimulationMode::kFastSimulation, dep_seed,
+      data, p, dep_seed,
       estimator_options(mdrr::RngKind::kPhilox, 1, dep_grain));
   auto pairwise_philox_many = mdrr::PairwiseRrDependences(
-      data, p, mdrr::mpc::SimulationMode::kFastSimulation, dep_seed,
+      data, p, dep_seed,
       estimator_options(mdrr::RngKind::kPhilox, threads,
                         dep_grain / 2 + 1));
-  auto secure_one = mdrr::SecureSumDependences(
-      data, mdrr::mpc::SimulationMode::kFastSimulation, dep_seed,
-      estimator_options(mdrr::RngKind::kMt19937, 1, dep_grain));
-  auto secure_many = mdrr::SecureSumDependences(
-      data, mdrr::mpc::SimulationMode::kFastSimulation, dep_seed,
-      estimator_options(mdrr::RngKind::kPhilox, threads, dep_grain));
+  const mdrr::DependenceEstimate secure_one = mdrr::SecureSumDependences(
+      data, estimator_options(mdrr::RngKind::kMt19937, 1, dep_grain));
+  const mdrr::DependenceEstimate secure_many = mdrr::SecureSumDependences(
+      data, estimator_options(mdrr::RngKind::kPhilox, threads, dep_grain));
   if (!pairwise_one.ok() || !pairwise_many.ok() ||
-      !pairwise_philox_one.ok() || !pairwise_philox_many.ok() ||
-      !secure_one.ok() || !secure_many.ok()) {
+      !pairwise_philox_one.ok() || !pairwise_philox_many.ok()) {
     std::fprintf(stderr, "dependence estimators failed\n");
     return 1;
   }
@@ -352,8 +351,7 @@ int main(int argc, char** argv) {
                   pairwise_philox_one.value().dependences) &&
       // The secure sums are exact, so every policy and schedule must
       // agree bit for bit.
-      SameMatrix(secure_one.value().dependences,
-                 secure_many.value().dependences);
+      SameMatrix(secure_one.dependences, secure_many.dependences);
   stages.push_back({"dependence-pairwise", pairwise_t1, pairwise_tn,
                     pairwise_same});
   PrintStage(stages.back());

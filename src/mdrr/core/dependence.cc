@@ -114,64 +114,81 @@ std::vector<int64_t> PairCountsSharded(const std::vector<uint32_t>& codes_a,
 
 }  // namespace
 
-linalg::Matrix DependenceMatrixSharded(
-    const Dataset& dataset, const DependenceShardingOptions& options) {
-  const size_t m = dataset.num_attributes();
-  const size_t n = dataset.num_rows();
-  const size_t chunk_size = std::max<size_t>(1, options.record_chunk_size);
+StatusOr<linalg::Matrix> DependencePairGrid(
+    size_t num_attributes, size_t num_records,
+    const DependenceShardingOptions& options, const PairDependenceFn& fn) {
+  const size_t m = num_attributes;
   linalg::Matrix deps(m, m, 0.0);
   for (size_t i = 0; i < m; ++i) deps(i, i) = 1.0;
-  if (m < 2 || n == 0) return deps;
+  if (m < 2 || num_records == 0) return deps;
 
-  std::vector<std::pair<size_t, size_t>> pairs;
+  std::vector<AttributePair> pairs;
   pairs.reserve(m * (m - 1) / 2);
   for (size_t i = 0; i < m; ++i) {
-    for (size_t j = i + 1; j < m; ++j) pairs.emplace_back(i, j);
+    for (size_t j = i + 1; j < m; ++j) pairs.push_back({pairs.size(), i, j});
   }
-
-  // A pure function of the pair's exact counts, so any accumulation
-  // scheme that produces the same integer counts produces bitwise-equal
-  // dependences.
-  auto stat_for = [&](size_t i, size_t j,
-                      const std::vector<int64_t>& counts) {
-    const Attribute& a = dataset.attribute(i);
-    const Attribute& b = dataset.attribute(j);
-    return DependenceFromJoint(
-        std::vector<double>(counts.begin(), counts.end()), a.cardinality(),
-        a.type, b.cardinality(), b.type, static_cast<double>(n));
+  // Distinct pairs write distinct (i, j)/(j, i) cells.
+  auto store = [&](const AttributePair& pair, double d) {
+    deps(pair.i, pair.j) = d;
+    deps(pair.j, pair.i) = d;
   };
 
-  // When the pair grid alone can feed every worker, shard pairs (each
-  // pair accumulated serially); otherwise shard each pair's record
-  // range. Both schemes produce the same integer counts, so the choice
-  // never changes the output.
-  const size_t workers = ResolveWorkerCount(options.num_threads, n, chunk_size);
-  if (pairs.size() >= 2 * workers) {
-    ParallelChunks(pairs.size(), 1, options.num_threads,
-                   [&](size_t /*worker*/, size_t pair_index, size_t /*begin*/,
-                       size_t /*end*/) {
-                     auto [i, j] = pairs[pair_index];
-                     std::vector<int64_t> counts = PairCountsSerial(
-                         dataset.column(i), dataset.column(j),
-                         dataset.attribute(i).cardinality(),
-                         dataset.attribute(j).cardinality());
-                     double d = stat_for(i, j, counts);
-                     // Distinct pairs write distinct (i, j)/(j, i) cells.
-                     deps(i, j) = d;
-                     deps(j, i) = d;
-                   });
-  } else {
-    for (auto [i, j] : pairs) {
-      std::vector<int64_t> counts = PairCountsSharded(
-          dataset.column(i), dataset.column(j),
-          dataset.attribute(i).cardinality(),
-          dataset.attribute(j).cardinality(), options, chunk_size);
-      double d = stat_for(i, j, counts);
-      deps(i, j) = d;
-      deps(j, i) = d;
+  const size_t chunk_size = std::max<size_t>(1, options.record_chunk_size);
+  const size_t workers =
+      ResolveWorkerCount(options.num_threads, num_records, chunk_size);
+  if (pairs.size() < 2 * workers) {
+    for (const AttributePair& pair : pairs) {
+      MDRR_ASSIGN_OR_RETURN(double d,
+                            fn(pair, /*worker=*/0, /*shard_records=*/true));
+      store(pair, d);
     }
+    return deps;
   }
+  // An error cannot early-return across workers: statuses are kept per
+  // pair and checked in pair order after the join.
+  std::vector<Status> failures(pairs.size(), Status::OK());
+  ParallelChunks(pairs.size(), /*chunk_size=*/1, options.num_threads,
+                 [&](size_t worker, size_t p, size_t /*begin*/,
+                     size_t /*end*/) {
+                   StatusOr<double> d =
+                       fn(pairs[p], worker, /*shard_records=*/false);
+                   if (d.ok()) {
+                     store(pairs[p], d.value());
+                   } else {
+                     failures[p] = d.status();
+                   }
+                 });
+  for (const Status& s : failures) MDRR_RETURN_IF_ERROR(s);
   return deps;
+}
+
+linalg::Matrix DependenceMatrixSharded(
+    const Dataset& dataset, const DependenceShardingOptions& options) {
+  const size_t chunk_size = std::max<size_t>(1, options.record_chunk_size);
+  // A pure function of the pair's exact counts, so either regime -- the
+  // pair counted serially, or its record range sharded -- produces the
+  // same integer counts and bitwise-equal dependences.
+  return DependencePairGrid(
+             dataset.num_attributes(), dataset.num_rows(), options,
+             [&](const AttributePair& pair, size_t /*worker*/,
+                 bool shard_records) -> StatusOr<double> {
+               const Attribute& a = dataset.attribute(pair.i);
+               const Attribute& b = dataset.attribute(pair.j);
+               const std::vector<uint32_t>& col_a = dataset.column(pair.i);
+               const std::vector<uint32_t>& col_b = dataset.column(pair.j);
+               std::vector<int64_t> counts =
+                   shard_records
+                       ? PairCountsSharded(col_a, col_b, a.cardinality(),
+                                           b.cardinality(), options,
+                                           chunk_size)
+                       : PairCountsSerial(col_a, col_b, a.cardinality(),
+                                          b.cardinality());
+               return DependenceFromJoint(
+                   std::vector<double>(counts.begin(), counts.end()),
+                   a.cardinality(), a.type, b.cardinality(), b.type,
+                   static_cast<double>(dataset.num_rows()));
+             })
+      .value();
 }
 
 double DependenceFromJoint(const std::vector<double>& joint,

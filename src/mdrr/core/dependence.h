@@ -6,8 +6,10 @@
 #define MDRR_CORE_DEPENDENCE_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "mdrr/common/status_or.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/linalg/matrix.h"
 
@@ -32,11 +34,34 @@ struct DependenceShardingOptions {
   size_t record_chunk_size = 1 << 16;
 };
 
-// Sharded DependenceMatrix: the O(d^2) pair grid is split across
-// workers, and when the grid alone cannot feed every worker the
-// per-pair contingency accumulation is sharded over record ranges
-// instead, with per-worker count buffers merged by
-// stats::FrequencyTable::Absorb. Every statistic is computed from the
+// One pair of the row-major upper-triangle grid over m attributes.
+struct AttributePair {
+  size_t index = 0;  // p: the pair's position in the grid.
+  size_t i = 0;      // i < j.
+  size_t j = 0;
+};
+
+// The dependence of one pair, computed by `worker`. With shard_records
+// the pair runs alone and may shard its record range itself.
+using PairDependenceFn = std::function<StatusOr<double>(
+    const AttributePair& pair, size_t worker, bool shard_records)>;
+
+// The pair-grid scheduler of the sharded assessment estimators: the
+// m x m matrix (diagonal 1) with fn's value at (i, j) and (j, i) for
+// every pair. When the grid can feed every worker (pairs >= 2 x the
+// workers `options` resolves for `num_records` records), pairs run
+// concurrently, each whole on one worker (shard_records = false), and
+// worker ids stay below ResolveWorkerCount(options.num_threads, pairs,
+// 1). Otherwise the pairs run in order on the calling thread as worker
+// 0 with shard_records = true. With no records fn is never called and
+// the off-diagonal stays 0. Returns the first failure in pair order.
+StatusOr<linalg::Matrix> DependencePairGrid(
+    size_t num_attributes, size_t num_records,
+    const DependenceShardingOptions& options, const PairDependenceFn& fn);
+
+// Sharded DependenceMatrix on DependencePairGrid: a pair that runs alone
+// shards its contingency accumulation over record ranges, with
+// per-worker count buffers merged by stats::FrequencyTable::Absorb. Every statistic is computed from the
 // pair's exact joint counts by DependenceFromJoint, so the output is a
 // pure function of the data -- independent of thread count and chunk
 // size. Cramér's V values are bitwise equal to DependenceMatrix's;

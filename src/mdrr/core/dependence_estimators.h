@@ -12,7 +12,6 @@
 #include "mdrr/core/dependence.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/linalg/matrix.h"
-#include "mdrr/mpc/secure_sum.h"
 #include "mdrr/rng/counter_rng.h"
 
 namespace mdrr {
@@ -32,19 +31,17 @@ struct DependenceEstimate {
 //
 // Every estimator draw is keyed by (stream, element), never by
 // consumption order:
-//   * pair p of the row-major upper-triangle grid (i < j) owns stream
-//     1 + p -- masking draws on RngStreamFamily(seed) / counter stream
-//     1 + p of `seed`, secure-sum share draws on the same stream index
-//     of the oracle's salted seed;
+//   * pair p of the row-major upper-triangle grid (DependencePairGrid,
+//     i < j) masks on stream 1 + p of the seed -- RngStreamFamily(seed)
+//     or counter stream 1 + p;
 //   * the Section 4.1 round-1 publication gives attribute j stream 1 + j
 //     (stream 0 stays reserved, mirroring the batch engine's layout).
 // Under kMt19937 a stream is sequential (drawn start to finish by one
 // worker), so only the pair/attribute grid shards and the transcript is
 // thread-count invariant. Under kPhilox the element is the record index
-// (PerturbShard, core/frequency_oracle.h) or the protocol word offset
-// (SecureSumSession::WordsPerLiteralRun), so record ranges shard too and
-// the transcript is invariant to thread count AND chunk grain by
-// construction.
+// (PerturbShard, core/frequency_oracle.h), so record ranges shard too
+// and the transcript is invariant to thread count AND chunk grain by
+// construction. The Section 4.2 estimator draws nothing.
 struct DependenceEstimatorOptions {
   RngKind rng = RngKind::kMt19937;
   DependenceShardingOptions sharding;
@@ -81,40 +78,35 @@ DependenceEstimate RandomizedResponseDependencesSharded(
     const Dataset& dataset, double keep_probability, uint64_t seed,
     const DependenceEstimatorOptions& options);
 
-// Section 4.2: exact bivariate distributions through the secure-sum
-// protocol; no masking, so no differential privacy (epsilon = +inf) but
-// unlinkability of pairs. `mode` selects literal vs fast simulation.
-//
-// Pair p's share draws live on stream 1 + p of the oracle (see
-// DependenceEstimatorOptions), so the pair grid shards: when the grid
-// can feed every worker each pair runs serially on its own stream, and
-// otherwise (few pairs, many records) fast-simulation pairs shard their
-// record scan -- the secure sums are exact, so the sharded histogram IS
-// the protocol output -- while literal pairs stay serial (the share
-// exchange transcript is per pair). Output is bit-identical at every
-// thread count and shard grain under both RNG policies; the default
-// options run one worker with mt19937 shares.
-StatusOr<DependenceEstimate> SecureSumDependences(
-    const Dataset& dataset, mpc::SimulationMode mode, uint64_t seed,
-    const DependenceEstimatorOptions& options = {});
+// Section 4.2: exact bivariate distributions through n-party secure
+// sums; no masking, so no differential privacy (epsilon = +inf) but
+// unlinkability of pairs. The sums are exact (0/1 contributions, modulus
+// n + 1), and their shares cancel, so the released dependences are the
+// trusted party's: DependenceMatrixSharded(dataset, options.sharding).
+// `messages` counts the protocol's traffic: per pair, one n-party sum
+// per cell of n^2 + n messages (tests/mpc_test.cc runs the literal share
+// exchange as the reference).
+DependenceEstimate SecureSumDependences(
+    const Dataset& dataset, const DependenceEstimatorOptions& options = {});
 
 // Section 4.3: every attribute *pair* is masked with KeepUniform RR over
 // the pair domain, aggregated by secure sum, and the true bivariate
 // distribution is recovered with Eq. (2). Differentially private; under
 // the paper's unlinkability argument the releases of one attribute
 // compose in parallel, so the reported epsilon is the maximum pair
-// epsilon rather than the sum (Section 4.3).
+// epsilon rather than the sum (Section 4.3). The aggregation is exact,
+// so the masked counts are the secure sums' output; `messages` counts
+// them as for SecureSumDependences.
 //
-// Pair p masks on stream 1 + p of `seed` and draws shares on stream
-// 1 + p of the salted oracle seed. The adaptive split mirrors
-// SecureSumDependences; in the record-range regime kPhilox masking
-// shards too (element-addressed draws), while kMt19937 masking is
-// drawn sequentially per pair and only the counting shards. Output is
+// Pair p masks on stream 1 + p of `seed` and runs on DependencePairGrid;
+// when a pair runs alone, kPhilox masking shards its record range too
+// (element-addressed draws), while kMt19937 masking is drawn
+// sequentially per pair and only the counting shards. Output is
 // bit-identical at every thread count and shard grain under both RNG
 // policies; the default options run one worker with mt19937 draws.
 StatusOr<DependenceEstimate> PairwiseRrDependences(
-    const Dataset& dataset, double keep_probability, mpc::SimulationMode mode,
-    uint64_t seed, const DependenceEstimatorOptions& options = {});
+    const Dataset& dataset, double keep_probability, uint64_t seed,
+    const DependenceEstimatorOptions& options = {});
 
 }  // namespace mdrr
 

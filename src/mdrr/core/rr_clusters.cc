@@ -25,12 +25,14 @@ StatusOr<DependenceEstimate> AssessDependences(
       return RandomizedResponseDependences(
           dataset, options.dependence_keep_probability, rng.engine()());
     case DependenceSource::kSecureSum:
-      return SecureSumDependences(
-          dataset, mpc::SimulationMode::kFastSimulation, rng.engine()());
+      // The exact sums draw nothing, but §4.2 takes the one word of the
+      // serial stream every §4.1-4.3 source takes, so no later
+      // RR-Clusters draw depends on which of them assessed.
+      (void)rng.engine()();
+      return SecureSumDependences(dataset);
     case DependenceSource::kPairwiseRr:
       return PairwiseRrDependences(dataset,
                                    options.dependence_keep_probability,
-                                   mpc::SimulationMode::kFastSimulation,
                                    rng.engine()());
     case DependenceSource::kProvided: {
       if (options.provided_dependences == nullptr) {
@@ -60,13 +62,13 @@ StatusOr<DependenceEstimate> AssessDependencesSharded(
           dataset, options.dependence_keep_probability, rng.engine()(),
           estimator);
     case DependenceSource::kSecureSum:
-      return SecureSumDependences(dataset,
-                                  mpc::SimulationMode::kFastSimulation,
-                                  rng.engine()(), estimator);
+      // One discarded word, as in AssessDependences.
+      (void)rng.engine()();
+      return SecureSumDependences(dataset, estimator);
     case DependenceSource::kPairwiseRr:
-      return PairwiseRrDependences(
-          dataset, options.dependence_keep_probability,
-          mpc::SimulationMode::kFastSimulation, rng.engine()(), estimator);
+      return PairwiseRrDependences(dataset,
+                                   options.dependence_keep_probability,
+                                   rng.engine()(), estimator);
     default:
       // kProvided computes nothing; the sequential path just copies.
       return AssessDependences(dataset, options, rng);

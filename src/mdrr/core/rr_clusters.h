@@ -57,16 +57,18 @@ struct RrClustersResult {
   linalg::Matrix dependences;
 };
 
-// Sharded dependence assessment. Every estimator shards now: kOracle
-// and kRandomizedResponse through the DependenceMatrixSharded pair grid,
-// kSecureSum and kPairwiseRr through the stream-per-pair estimators of
-// dependence_estimators.h (pair p draws on stream 1 + p, so the pair
-// grid parallelizes with output bit-identical at any thread count and
-// shard grain under both RNG policies). kProvided computes nothing: it
-// copies the supplied matrix, failing if none was supplied. `estimator.rng`
-// selects the draw addressing (kPhilox additionally shards record
-// ranges); the estimator seed is still drawn from `rng`, exactly one
-// engine word per source, like the sequential path.
+// Sharded dependence assessment. Every estimator shards on the
+// DependencePairGrid scheduler (core/dependence.h): kOracle, kSecureSum
+// (whose exact sums are the trusted party's matrix) and
+// kRandomizedResponse through DependenceMatrixSharded, and kPairwiseRr
+// through its stream-per-pair masking (pair p draws on stream 1 + p),
+// with output bit-identical at any thread count and shard grain under
+// both RNG policies. kProvided computes nothing: it copies the supplied
+// matrix, failing if none was supplied. `estimator.rng` selects the
+// draw addressing (kPhilox additionally shards record ranges); every
+// source but kOracle and kProvided still takes exactly one engine word
+// from `rng`, like the sequential path, even kSecureSum, which draws
+// nothing with it.
 StatusOr<DependenceEstimate> AssessDependencesSharded(
     const Dataset& dataset, const RrClustersOptions& options, Rng& rng,
     const DependenceEstimatorOptions& estimator);

@@ -1,11 +1,9 @@
 #include "mdrr/eval/experiment.h"
 
-#include <atomic>
 #include <cmath>
 #include <memory>
-#include <mutex>
-#include <thread>
 
+#include "mdrr/common/parallel.h"
 #include "mdrr/core/dependence_estimators.h"
 #include "mdrr/core/joint_estimate.h"
 #include "mdrr/eval/metrics.h"
@@ -97,55 +95,37 @@ StatusOr<ExperimentResult> RunCountQueryExperiment(
   std::vector<double> absolute_errors(config.runs, 0.0);
   std::vector<double> relative_errors(config.runs, 0.0);
   std::vector<char> degenerate(config.runs, 0);
-  std::mutex status_mutex;
-  Status first_error = Status::OK();
+  std::vector<Status> failures(config.runs, Status::OK());
 
-  auto run_one = [&](int run) {
-    Rng rng(config.seed + static_cast<uint64_t>(run) * 0x9e3779b9ULL);
-    auto estimate = BuildEstimate(dataset, config, hoisted, rng);
-    if (!estimate.ok()) {
-      std::lock_guard<std::mutex> lock(status_mutex);
-      if (first_error.ok()) first_error = estimate.status();
-      return;
-    }
-    CountQuery query =
-        config.fixed_query_attributes.empty()
-            ? GenerateCoverageQuery(dataset, config.sigma,
-                                    config.query_attributes, rng)
-            : GenerateCoverageQueryForAttributes(
-                  dataset, config.fixed_query_attributes, config.sigma, rng);
-    double true_count = truth.EstimateCount(query);
-    double estimated = (*estimate)->EstimateCount(query);
-    absolute_errors[run] = AbsoluteError(estimated, true_count);
-    if (true_count == 0.0) {
-      degenerate[run] = 1;
-    } else {
-      relative_errors[run] = RelativeError(estimated, true_count);
-    }
-  };
-
-  int num_threads = config.threads > 0
-                        ? config.threads
-                        : static_cast<int>(std::thread::hardware_concurrency());
-  if (num_threads <= 1 || config.runs == 1) {
-    for (int run = 0; run < config.runs; ++run) run_one(run);
-  } else {
-    std::atomic<int> next_run{0};
-    std::vector<std::thread> workers;
-    int worker_count = std::min(num_threads, config.runs);
-    workers.reserve(static_cast<size_t>(worker_count));
-    for (int t = 0; t < worker_count; ++t) {
-      workers.emplace_back([&] {
-        while (true) {
-          int run = next_run.fetch_add(1);
-          if (run >= config.runs) break;
-          run_one(run);
+  // One run per chunk (threads <= 0: one worker per core). Run r draws
+  // from its own Rng keyed by r, so no result depends on the worker.
+  ParallelChunks(
+      static_cast<size_t>(config.runs), /*chunk_size=*/1,
+      config.threads > 0 ? static_cast<size_t>(config.threads) : 0,
+      [&](size_t /*worker*/, size_t run, size_t /*begin*/, size_t /*end*/) {
+        Rng rng(config.seed + static_cast<uint64_t>(run) * 0x9e3779b9ULL);
+        auto estimate = BuildEstimate(dataset, config, hoisted, rng);
+        if (!estimate.ok()) {
+          failures[run] = estimate.status();
+          return;
+        }
+        CountQuery query =
+            config.fixed_query_attributes.empty()
+                ? GenerateCoverageQuery(dataset, config.sigma,
+                                        config.query_attributes, rng)
+                : GenerateCoverageQueryForAttributes(
+                      dataset, config.fixed_query_attributes, config.sigma,
+                      rng);
+        double true_count = truth.EstimateCount(query);
+        double estimated = (*estimate)->EstimateCount(query);
+        absolute_errors[run] = AbsoluteError(estimated, true_count);
+        if (true_count == 0.0) {
+          degenerate[run] = 1;
+        } else {
+          relative_errors[run] = RelativeError(estimated, true_count);
         }
       });
-    }
-    for (std::thread& w : workers) w.join();
-  }
-  if (!first_error.ok()) return first_error;
+  for (const Status& failure : failures) MDRR_RETURN_IF_ERROR(failure);
 
   ExperimentResult result;
   result.runs = config.runs;

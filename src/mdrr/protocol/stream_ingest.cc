@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -57,6 +58,20 @@ StatusOr<StreamingReplayResult> RunStreamingReplay(
   if (dataset.num_rows() == 0) {
     return Status::InvalidArgument("the replay dataset has no records");
   }
+  if (options.num_ingest_threads > release::kMaxIngestThreads) {
+    return Status::InvalidArgument(
+        "num_ingest_threads (" + std::to_string(options.num_ingest_threads) +
+        ") exceeds the cap of " + std::to_string(release::kMaxIngestThreads));
+  }
+  const uint64_t total = options.total_reports > 0
+                             ? options.total_reports
+                             : static_cast<uint64_t>(dataset.num_rows());
+  if (options.pause_at >= total) {
+    return Status::InvalidArgument(
+        "pause_at (" + std::to_string(options.pause_at) +
+        ") is not before the stream's end at " + std::to_string(total) +
+        " reports: nothing would pause");
+  }
   std::vector<size_t> cardinalities;
   cardinalities.reserve(dataset.num_attributes());
   for (size_t j = 0; j < dataset.num_attributes(); ++j) {
@@ -72,12 +87,9 @@ StatusOr<StreamingReplayResult> RunStreamingReplay(
           : release::StreamingCollector::Create(spec, cardinalities,
                                                 options.collector));
 
-  const uint64_t total = options.total_reports > 0
-                             ? options.total_reports
-                             : static_cast<uint64_t>(dataset.num_rows());
   const uint64_t start =
       options.resume != nullptr ? options.resume->next_sequence : 0;
-  const bool pausing = options.pause_at > 0 && options.pause_at < total;
+  const bool pausing = options.pause_at > 0;
   const uint64_t limit = pausing ? options.pause_at : total;
   if (start > limit) {
     return Status::InvalidArgument(

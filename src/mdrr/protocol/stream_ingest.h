@@ -34,16 +34,18 @@
 namespace mdrr::protocol {
 
 struct StreamingReplayOptions {
-  // Producer threads submitting reports. Purely a throughput knob: the
-  // window transcript is identical for any value.
+  // Producer threads submitting reports, at most
+  // release::kMaxIngestThreads. Purely a throughput knob: the window
+  // transcript is identical for any value.
   size_t num_ingest_threads = 1;
   release::StreamingCollectorOptions collector;
   // Reports to stream in total; 0 = one per dataset row. Beyond
   // num_rows the replay wraps around the dataset.
   uint64_t total_reports = 0;
   // Stop ingesting before this sequence number and return a snapshot
-  // instead of sealing (0 = run to completion). Pausing mid-bucket is
-  // fine; the partial counts travel in the snapshot.
+  // instead of sealing (0 = run to completion). It must lie before the
+  // stream's end. Pausing mid-bucket is fine; the partial counts travel
+  // in the snapshot.
   uint64_t pause_at = 0;
   // Resume state from a previous pause (null = fresh run). The replay
   // continues at resume->next_sequence.
@@ -82,6 +84,9 @@ void RandomizeReports(const release::ExecutionPolicy& execution,
                       const Dataset& dataset, uint64_t first, uint64_t count,
                       uint32_t* out);
 
+// Refuses, before it allocates or starts anything, num_ingest_threads
+// or a collector size above its cap (release/streaming.h) and a
+// pause_at at or past the stream's end.
 StatusOr<StreamingReplayResult> RunStreamingReplay(
     const release::ReleaseSpec& spec, const Dataset& dataset,
     const StreamingReplayOptions& options);

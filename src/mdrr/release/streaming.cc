@@ -74,6 +74,16 @@ StreamingCollector::StreamingCollector(
 StatusOr<std::unique_ptr<StreamingCollector>> StreamingCollector::Create(
     const ReleaseSpec& spec, std::vector<size_t> cardinalities,
     const StreamingCollectorOptions& options) {
+  if (options.num_shards > kMaxStreamingShards) {
+    return Status::InvalidArgument(
+        "num_shards (" + std::to_string(options.num_shards) +
+        ") exceeds the cap of " + std::to_string(kMaxStreamingShards));
+  }
+  if (options.ring_buckets > kMaxRingBuckets) {
+    return Status::InvalidArgument(
+        "ring_buckets (" + std::to_string(options.ring_buckets) +
+        ") exceeds the cap of " + std::to_string(kMaxRingBuckets));
+  }
   MDRR_RETURN_IF_ERROR(ValidateReleaseSpec(spec, cardinalities.size()));
   if (!spec.streaming.enabled) {
     return Status::InvalidArgument(

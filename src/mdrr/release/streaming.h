@@ -55,14 +55,24 @@
 
 namespace mdrr::release {
 
+// Caps on the streaming sizes, refused with InvalidArgument before
+// anything is allocated or started: every shard and every ingest thread
+// is an OS thread, and the count ring holds ring_buckets x num_shards
+// rows of counters.
+inline constexpr size_t kMaxStreamingShards = 256;
+inline constexpr size_t kMaxIngestThreads = 256;
+inline constexpr size_t kMaxRingBuckets = 1024;
+
 struct StreamingCollectorOptions {
-  // Ingest shards: one channel and one drain row each. Purely a
-  // throughput knob; never changes window summaries.
+  // Ingest shards: one channel and one drain row each, at most
+  // kMaxStreamingShards. Purely a throughput knob; never changes window
+  // summaries.
   size_t num_shards = 1;
   // In-flight report capacity per shard channel (backpressure bound).
   size_t channel_capacity = 1 << 10;
-  // Live bucket slots in the count ring (>= 2). Bounds ingest memory
-  // and how far producers may run ahead of the release thread.
+  // Live bucket slots in the count ring (2 to kMaxRingBuckets). Bounds
+  // ingest memory and how far producers may run ahead of the release
+  // thread.
   size_t ring_buckets = 4;
 };
 
@@ -121,7 +131,8 @@ inline bool operator!=(const StreamingSnapshot& a,
 class StreamingCollector {
  public:
   // Builds a collector for a spec with streaming.enabled (must pass
-  // ValidateReleaseSpec for the given schema). Resolves the per-window
+  // ValidateReleaseSpec for the given schema). Refuses, naming the
+  // field, num_shards or ring_buckets above its cap. Resolves the per-window
   // epsilon charge: streaming.window_epsilon == 0 derives it from the
   // design (sum of per-attribute Expression (4) epsilons); a declared
   // value below the derived one fails with FailedPrecondition.

@@ -159,7 +159,9 @@ void PhiloxFillElementDraws(uint64_t seed, uint64_t stream, uint64_t first,
 // Sequential facade over one philox stream: a stateful generator whose
 // output word N is word N & 3 of block N >> 2 -- so it replays exactly
 // the element-block sequence when consumed four words at a time, and any
-// position is reachable in O(1).
+// position is reachable in O(1). No library kernel draws through it: it
+// is the scalar reference counter_rng_test checks the block kernels
+// against.
 //
 // Not thread-safe (like Rng); copy freely -- state is 24 bytes.
 class CounterRng {

@@ -10,35 +10,10 @@
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/rng/rng.h"
 #include "mdrr/stats/descriptive.h"
+#include "ladder_dataset.h"
 
 namespace mdrr {
 namespace {
-
-// Builds a dataset with a controlled dependence ladder:
-// dep(A,B) > dep(C,D) > everything else ~ 0.
-Dataset MakeLadderDataset(size_t n, uint64_t seed) {
-  std::vector<Attribute> schema = {
-      Attribute{"A", AttributeType::kNominal, {"0", "1", "2"}},
-      Attribute{"B", AttributeType::kNominal, {"0", "1", "2"}},
-      Attribute{"C", AttributeType::kNominal, {"0", "1"}},
-      Attribute{"D", AttributeType::kNominal, {"0", "1"}},
-  };
-  Rng rng(seed);
-  std::vector<std::vector<uint32_t>> cols(4);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t a = static_cast<uint32_t>(rng.UniformInt(3));
-    // B copies A 90% of the time: very strong dependence.
-    uint32_t b = rng.Bernoulli(0.9) ? a : static_cast<uint32_t>(rng.UniformInt(3));
-    uint32_t c = static_cast<uint32_t>(rng.UniformInt(2));
-    // D copies C 60% of the time: moderate dependence.
-    uint32_t d = rng.Bernoulli(0.6) ? c : static_cast<uint32_t>(rng.UniformInt(2));
-    cols[0].push_back(a);
-    cols[1].push_back(b);
-    cols[2].push_back(c);
-    cols[3].push_back(d);
-  }
-  return Dataset(schema, std::move(cols));
-}
 
 TEST(OracleDependencesTest, ZeroEpsilonAndCorrectRanking) {
   Dataset ds = MakeLadderDataset(8000, 3);
@@ -97,27 +72,23 @@ TEST(SecureSumDependencesTest, ExactlyMatchesOracle) {
   // Section 4.2 computes exact bivariate distributions, so its dependence
   // matrix must equal the trusted-party matrix.
   Dataset ds = MakeLadderDataset(500, 11);
-  auto secure =
-      SecureSumDependences(ds, mpc::SimulationMode::kLiteralShares, 13);
-  ASSERT_TRUE(secure.ok());
+  DependenceEstimate secure = SecureSumDependences(ds);
   DependenceEstimate oracle = OracleDependences(ds);
   for (size_t i = 0; i < 4; ++i) {
     for (size_t j = 0; j < 4; ++j) {
-      EXPECT_NEAR(secure.value().dependences(i, j),
-                  oracle.dependences(i, j), 1e-9);
+      EXPECT_NEAR(secure.dependences(i, j), oracle.dependences(i, j), 1e-9);
     }
   }
   // Releasing exact distributions is not differentially private.
-  EXPECT_TRUE(std::isinf(secure.value().epsilon));
-  EXPECT_GT(secure.value().messages, 0u);
+  EXPECT_TRUE(std::isinf(secure.epsilon));
+  EXPECT_GT(secure.messages, 0u);
 }
 
 TEST(PairwiseRrDependencesTest, HighKeepProbabilityApproachesOracle) {
   Dataset ds = MakeLadderDataset(30000, 19);
   DependenceEstimate oracle = OracleDependences(ds);
-  auto pairwise = PairwiseRrDependences(
-      ds, /*keep_probability=*/0.95, mpc::SimulationMode::kFastSimulation,
-      /*seed=*/23);
+  auto pairwise = PairwiseRrDependences(ds, /*keep_probability=*/0.95,
+                                        /*seed=*/23);
   ASSERT_TRUE(pairwise.ok());
   // Strong pair recovered within noise.
   EXPECT_NEAR(pairwise.value().dependences(0, 1), oracle.dependences(0, 1),
@@ -132,8 +103,7 @@ TEST(PairwiseRrDependencesTest, HighKeepProbabilityApproachesOracle) {
 TEST(PairwiseRrDependencesTest, EpsilonIsMaxPairEpsilon) {
   Dataset ds = MakeLadderDataset(200, 29);
   const double p = 0.5;
-  auto pairwise = PairwiseRrDependences(
-      ds, p, mpc::SimulationMode::kFastSimulation, 31);
+  auto pairwise = PairwiseRrDependences(ds, p, 31);
   ASSERT_TRUE(pairwise.ok());
   // Largest pair domain is 3*3 = 9.
   RrMatrix largest = RrMatrix::KeepUniform(9, p);
@@ -165,12 +135,8 @@ TEST(DependenceEstimatorsOnAdult, AllMethodsAgreeOnTopPair) {
   EXPECT_EQ(top_pair(OracleDependences(ds).dependences), expected);
   EXPECT_EQ(top_pair(RandomizedResponseDependences(ds, 0.8, 41).dependences),
             expected);
-  auto secure = SecureSumDependences(ds, mpc::SimulationMode::kFastSimulation,
-                                     43);
-  ASSERT_TRUE(secure.ok());
-  EXPECT_EQ(top_pair(secure.value().dependences), expected);
-  auto pairwise = PairwiseRrDependences(
-      ds, 0.9, mpc::SimulationMode::kFastSimulation, 47);
+  EXPECT_EQ(top_pair(SecureSumDependences(ds).dependences), expected);
+  auto pairwise = PairwiseRrDependences(ds, 0.9, 47);
   ASSERT_TRUE(pairwise.ok());
   EXPECT_EQ(top_pair(pairwise.value().dependences), expected);
 }

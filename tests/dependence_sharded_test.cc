@@ -1,7 +1,8 @@
-// The sharded dependence-estimator contract: the Section 4.2/4.3
-// estimators and the Section 4.1 publication are keyed by (stream,
-// element), so their output is bit-identical at every thread count and
-// shard grain under both RNG policies; the redesigned pair-order
+// The sharded dependence-estimator contract: the Section 4.3 masking
+// and the Section 4.1 publication are keyed by (stream, element), and
+// the Section 4.2 sums are exact, so every estimator's output is
+// bit-identical at every thread count and shard grain under both RNG
+// policies; the redesigned pair-order
 // transcripts are pinned by content hash; and the SIMD-lane alias
 // lookup is bitwise identical to the scalar draw plan at every
 // alignment and tail length.
@@ -17,36 +18,10 @@
 #include "mdrr/rng/alias_sampler.h"
 #include "mdrr/rng/counter_rng.h"
 #include "mdrr/rng/rng.h"
+#include "ladder_dataset.h"
 
 namespace mdrr {
 namespace {
-
-// Same controlled dependence ladder as dependence_estimators_test.cc:
-// dep(A,B) > dep(C,D) > everything else ~ 0. All-nominal, so every
-// sharded statistic is bitwise equal to its sequential counterpart.
-Dataset MakeLadderDataset(size_t n, uint64_t seed) {
-  std::vector<Attribute> schema = {
-      Attribute{"A", AttributeType::kNominal, {"0", "1", "2"}},
-      Attribute{"B", AttributeType::kNominal, {"0", "1", "2"}},
-      Attribute{"C", AttributeType::kNominal, {"0", "1"}},
-      Attribute{"D", AttributeType::kNominal, {"0", "1"}},
-  };
-  Rng rng(seed);
-  std::vector<std::vector<uint32_t>> cols(4);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t a = static_cast<uint32_t>(rng.UniformInt(3));
-    uint32_t b =
-        rng.Bernoulli(0.9) ? a : static_cast<uint32_t>(rng.UniformInt(3));
-    uint32_t c = static_cast<uint32_t>(rng.UniformInt(2));
-    uint32_t d =
-        rng.Bernoulli(0.6) ? c : static_cast<uint32_t>(rng.UniformInt(2));
-    cols[0].push_back(a);
-    cols[1].push_back(b);
-    cols[2].push_back(c);
-    cols[3].push_back(d);
-  }
-  return Dataset(schema, std::move(cols));
-}
 
 // m binary attributes with a sliding copy chain, for pair-grid sweeps
 // from a single pair (m = 2) up past the worker count.
@@ -126,38 +101,15 @@ const size_t kGrainSweep[] = {32, 1024, 65536};
 
 TEST(SecureSumShardedTest, FastSimInvariantAcrossThreadsGrainsAndPolicies) {
   Dataset ds = MakeLadderDataset(5000, 11);
-  auto sequential =
-      SecureSumDependences(ds, mpc::SimulationMode::kFastSimulation, 13);
-  ASSERT_TRUE(sequential.ok());
+  DependenceEstimate sequential = SecureSumDependences(ds);
   for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
     for (size_t threads : kThreadSweep) {
       for (size_t grain : kGrainSweep) {
-        auto run = SecureSumDependences(
-            ds, mpc::SimulationMode::kFastSimulation, 13,
-            MakeOptions(rng, threads, grain));
-        ASSERT_TRUE(run.ok()) << "threads=" << threads << " grain=" << grain;
         // The secure sums are exact, so every policy and schedule must
         // reproduce the sequential estimate bit for bit.
-        ExpectSameEstimate(sequential.value(), run.value());
-      }
-    }
-  }
-}
-
-TEST(SecureSumShardedTest, LiteralSharesInvariantAcrossThreadsAndGrains) {
-  Dataset ds = MakeLadderDataset(200, 17);
-  for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
-    auto baseline = SecureSumDependences(
-        ds, mpc::SimulationMode::kLiteralShares, 19,
-        MakeOptions(rng, 1, 64));
-    ASSERT_TRUE(baseline.ok());
-    for (size_t threads : kThreadSweep) {
-      for (size_t grain : kGrainSweep) {
-        auto run = SecureSumDependences(
-            ds, mpc::SimulationMode::kLiteralShares, 19,
-            MakeOptions(rng, threads, grain));
-        ASSERT_TRUE(run.ok()) << "threads=" << threads << " grain=" << grain;
-        ExpectSameEstimate(baseline.value(), run.value());
+        ExpectSameEstimate(
+            sequential,
+            SecureSumDependences(ds, MakeOptions(rng, threads, grain)));
       }
     }
   }
@@ -171,33 +123,12 @@ TEST(PairwiseRrShardedTest, FastSimInvariantAcrossThreadsAndGrains) {
   Dataset ds = MakeLadderDataset(3000, 23);
   for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
     auto baseline = PairwiseRrDependences(
-        ds, 0.7, mpc::SimulationMode::kFastSimulation, 29,
-        MakeOptions(rng, 1, 64));
+        ds, 0.7, 29, MakeOptions(rng, 1, 64));
     ASSERT_TRUE(baseline.ok());
     for (size_t threads : kThreadSweep) {
       for (size_t grain : kGrainSweep) {
         auto run = PairwiseRrDependences(
-            ds, 0.7, mpc::SimulationMode::kFastSimulation, 29,
-            MakeOptions(rng, threads, grain));
-        ASSERT_TRUE(run.ok()) << "threads=" << threads << " grain=" << grain;
-        ExpectSameEstimate(baseline.value(), run.value());
-      }
-    }
-  }
-}
-
-TEST(PairwiseRrShardedTest, LiteralSharesInvariantAcrossThreadsAndGrains) {
-  Dataset ds = MakeLadderDataset(150, 31);
-  for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
-    auto baseline = PairwiseRrDependences(
-        ds, 0.6, mpc::SimulationMode::kLiteralShares, 37,
-        MakeOptions(rng, 1, 64));
-    ASSERT_TRUE(baseline.ok());
-    for (size_t threads : kThreadSweep) {
-      for (size_t grain : kGrainSweep) {
-        auto run = PairwiseRrDependences(
-            ds, 0.6, mpc::SimulationMode::kLiteralShares, 37,
-            MakeOptions(rng, threads, grain));
+            ds, 0.7, 29, MakeOptions(rng, threads, grain));
         ASSERT_TRUE(run.ok()) << "threads=" << threads << " grain=" << grain;
         ExpectSameEstimate(baseline.value(), run.value());
       }
@@ -212,26 +143,19 @@ TEST(PairwiseRrShardedTest, PairGridSweepFromSinglePairPastWorkerCount) {
     Dataset ds = MakeWideDataset(m, 600, 41 + m);
     for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
       auto baseline = PairwiseRrDependences(
-          ds, 0.7, mpc::SimulationMode::kFastSimulation, 43,
-          MakeOptions(rng, 1, 128));
+          ds, 0.7, 43, MakeOptions(rng, 1, 128));
       ASSERT_TRUE(baseline.ok());
       for (size_t threads : {3u, 8u}) {
         auto run = PairwiseRrDependences(
-            ds, 0.7, mpc::SimulationMode::kFastSimulation, 43,
-            MakeOptions(rng, threads, 128));
+            ds, 0.7, 43, MakeOptions(rng, threads, 128));
         ASSERT_TRUE(run.ok()) << "m=" << m << " threads=" << threads;
         ExpectSameEstimate(baseline.value(), run.value());
       }
-      auto secure = SecureSumDependences(
-          ds, mpc::SimulationMode::kFastSimulation, 47,
-          MakeOptions(rng, 1, 128));
-      ASSERT_TRUE(secure.ok());
+      DependenceEstimate secure =
+          SecureSumDependences(ds, MakeOptions(rng, 1, 128));
       for (size_t threads : {3u, 8u}) {
-        auto run = SecureSumDependences(
-            ds, mpc::SimulationMode::kFastSimulation, 47,
-            MakeOptions(rng, threads, 128));
-        ASSERT_TRUE(run.ok()) << "m=" << m << " threads=" << threads;
-        ExpectSameEstimate(secure.value(), run.value());
+        ExpectSameEstimate(
+            secure, SecureSumDependences(ds, MakeOptions(rng, threads, 128)));
       }
     }
   }
@@ -279,8 +203,7 @@ TEST(RandomizedResponseShardedTest, MtReplaysSequentialTranscript) {
 TEST(DependenceTranscriptGoldens, PairwiseRrMtTranscript) {
   Dataset ds = MakeLadderDataset(400, 71);
   auto run = PairwiseRrDependences(
-      ds, 0.6, mpc::SimulationMode::kFastSimulation, 73,
-      MakeOptions(RngKind::kMt19937, 4, 64));
+      ds, 0.6, 73, MakeOptions(RngKind::kMt19937, 4, 64));
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(HashMatrix(run.value().dependences), 0xf41fe8a5146b4889ull);
 }
@@ -288,21 +211,19 @@ TEST(DependenceTranscriptGoldens, PairwiseRrMtTranscript) {
 TEST(DependenceTranscriptGoldens, PairwiseRrPhiloxTranscript) {
   Dataset ds = MakeLadderDataset(400, 71);
   auto run = PairwiseRrDependences(
-      ds, 0.6, mpc::SimulationMode::kFastSimulation, 73,
-      MakeOptions(RngKind::kPhilox, 4, 64));
+      ds, 0.6, 73, MakeOptions(RngKind::kPhilox, 4, 64));
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(HashMatrix(run.value().dependences), 0xc5396469b40cb3c9ull);
 }
 
 TEST(DependenceTranscriptGoldens, SecureSumLiteralTranscript) {
-  // Literal share draws cancel, so this pin is seed-independent; it
-  // guards the exactness of the protocol output under sharding.
+  // Literal share draws cancel (mpc_test.cc rebuilds this matrix from
+  // per-cell literal secure sums), so this pin guards the exactness of
+  // the protocol output under sharding.
   Dataset ds = MakeLadderDataset(120, 79);
-  auto run = SecureSumDependences(
-      ds, mpc::SimulationMode::kLiteralShares, 83,
-      MakeOptions(RngKind::kPhilox, 4, 64));
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(HashMatrix(run.value().dependences), 0xdc9ced8855ec02b1ull);
+  DependenceEstimate run =
+      SecureSumDependences(ds, MakeOptions(RngKind::kPhilox, 4, 64));
+  EXPECT_EQ(HashMatrix(run.dependences), 0xdc9ced8855ec02b1ull);
 }
 
 TEST(DependenceTranscriptGoldens, RandomizedResponseMtTranscript) {

@@ -533,5 +533,64 @@ TEST(StreamingSnapshotTest, SnapshotRequiresQuiescence) {
   EXPECT_TRUE(collector.value()->Snapshot(1).ok());
 }
 
+// ---------------------------------------------------------------------------
+// Size caps: every shard and ingest thread is an OS thread, so a size
+// past its cap is refused by name before anything is allocated or
+// started.
+// ---------------------------------------------------------------------------
+
+void ExpectRefusedNaming(const Status& status, const std::string& field) {
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(field), std::string::npos)
+      << status.ToString();
+}
+
+TEST(StreamingLimitsTest, CollectorRefusesSizesPastTheirCaps) {
+  const release::ReleaseSpec spec = StreamingSpec(400);
+  release::StreamingCollectorOptions shards;
+  shards.num_shards = release::kMaxStreamingShards + 1;
+  ExpectRefusedNaming(
+      release::StreamingCollector::Create(spec, {3, 2, 4}, shards).status(),
+      "num_shards");
+  release::StreamingCollectorOptions ring;
+  ring.ring_buckets = release::kMaxRingBuckets + 1;
+  ExpectRefusedNaming(
+      release::StreamingCollector::Create(spec, {3, 2, 4}, ring).status(),
+      "ring_buckets");
+  ring.ring_buckets = release::kMaxRingBuckets;
+  EXPECT_TRUE(release::StreamingCollector::Create(spec, {3, 2, 4}, ring).ok());
+}
+
+TEST(StreamingLimitsTest, ReplayRefusesSizesPastTheirCaps) {
+  const Dataset data = MakeSurvey(50, 3);
+  const release::ReleaseSpec spec = StreamingSpec(10);
+  protocol::StreamingReplayOptions threads;
+  threads.num_ingest_threads = release::kMaxIngestThreads + 1;
+  ExpectRefusedNaming(
+      protocol::RunStreamingReplay(spec, data, threads).status(),
+      "num_ingest_threads");
+  protocol::StreamingReplayOptions shards;
+  shards.collector.num_shards = release::kMaxStreamingShards + 1;
+  ExpectRefusedNaming(
+      protocol::RunStreamingReplay(spec, data, shards).status(),
+      "num_shards");
+}
+
+TEST(StreamingLimitsTest, ReplayRefusesAPauseAtOrPastTheEnd) {
+  // A pause that never happens would leave no snapshot to resume from.
+  const Dataset data = MakeSurvey(50, 3);
+  const release::ReleaseSpec spec = StreamingSpec(10);
+  protocol::StreamingReplayOptions options;
+  options.total_reports = 80;
+  for (uint64_t pause_at : {uint64_t{80}, uint64_t{200}}) {
+    options.pause_at = pause_at;
+    ExpectRefusedNaming(
+        protocol::RunStreamingReplay(spec, data, options).status(),
+        "pause_at");
+  }
+  options.pause_at = 79;
+  EXPECT_TRUE(MustReplay(spec, data, options).snapshot.has_value());
+}
+
 }  // namespace
 }  // namespace mdrr

@@ -289,8 +289,12 @@ std::vector<FlagDef> RunFlags(bool spec_mode) {
       IntFlag("worker_deadline_ms"), BoolFlag("dump-spec"),
       BoolFlag("dump_spec")};
   if (spec_mode) {
-    table.insert(table.end(), {TextFlag("spec"), UintFlag("ingest_threads"),
-                               UintFlag("shards"), UintFlag("reports")});
+    table.insert(
+        table.end(),
+        {TextFlag("spec"),
+         UintFlag("ingest_threads", 0, mdrr::release::kMaxIngestThreads),
+         UintFlag("shards", 0, mdrr::release::kMaxStreamingShards),
+         UintFlag("reports")});
     return table;
   }
   table.insert(

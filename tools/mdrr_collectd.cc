@@ -3,11 +3,15 @@
 //   mdrr_collectd --spec=stream.spec --input=reports.csv [--no_header]
 //       [--reports=N]          total reports to stream (0 = one per row;
 //                              beyond num_rows the replay wraps around)
-//       [--ingest_threads=T]   producer threads (never changes output)
-//       [--shards=S]           ingest shards / drain threads
-//       [--ring_buckets=B]     live buckets in the count ring
-//       [--pause_at=N]         stop before sequence N and snapshot
-//       [--snapshot_out=FILE]  where the pause snapshot goes
+//       [--ingest_threads=T]   producer threads (never changes output;
+//                              at most 256)
+//       [--shards=S]           ingest shards / drain threads (at most 256)
+//       [--ring_buckets=B]     live buckets in the count ring (at most
+//                              1024)
+//       [--pause_at=N]         stop before sequence N (before the end of
+//                              the stream) and snapshot
+//       [--snapshot_out=FILE]  where the pause snapshot goes (required
+//                              with --pause_at)
 //       [--resume=FILE]        continue from a saved snapshot
 //       [--windows_out=FILE]   write the window transcript here too
 //       [--verify_replay]      re-run single-threaded, require the
@@ -69,8 +73,10 @@ const std::vector<mdrr::FlagDef> kFlags = {
     mdrr::BoolFlag("no_header"), mdrr::TextFlag("snapshot_out"),
     mdrr::TextFlag("resume"), mdrr::TextFlag("windows_out"),
     mdrr::BoolFlag("verify_replay"), mdrr::TextFlag("connect"),
-    mdrr::UintFlag("reports"), mdrr::UintFlag("ingest_threads"),
-    mdrr::UintFlag("shards"), mdrr::UintFlag("ring_buckets"),
+    mdrr::UintFlag("reports"),
+    mdrr::UintFlag("ingest_threads", 0, release::kMaxIngestThreads),
+    mdrr::UintFlag("shards", 0, release::kMaxStreamingShards),
+    mdrr::UintFlag("ring_buckets", 0, release::kMaxRingBuckets),
     mdrr::UintFlag("pause_at"), mdrr::UintFlag("listen", 0, 65535),
     mdrr::IntFlag("deadline_ms", 0), mdrr::UintFlag("batch", 0, UINT32_MAX)};
 
@@ -177,6 +183,12 @@ int Main(const FlagSet& flags) {
                  "[--flags]\nsee the header of tools/mdrr_collectd.cc\n");
     return 1;
   }
+  if (flags.GetUint64("pause_at", 0) > 0 &&
+      flags.GetString("snapshot_out", "").empty()) {
+    return Fail(Status::InvalidArgument(
+        "--pause_at requires --snapshot_out=FILE (the paused state "
+        "would be lost)"));
+  }
 
   auto spec = release::ReadReleaseSpec(spec_path);
   if (!spec.ok()) return Fail(spec.status());
@@ -225,11 +237,6 @@ int Main(const FlagSet& flags) {
   }
   if (result.snapshot.has_value()) {
     const std::string out = flags.GetString("snapshot_out", "");
-    if (out.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--pause_at requires --snapshot_out=FILE (the paused state "
-          "would be lost)"));
-    }
     Status written = release::WriteStreamingSnapshot(*result.snapshot, out);
     if (!written.ok()) return Fail(written);
     std::printf("paused before sequence %llu; snapshot written to %s\n",
