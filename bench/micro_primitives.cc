@@ -209,6 +209,29 @@ void BM_RunRrAdjustment(benchmark::State& state) {
 }
 BENCHMARK(BM_RunRrAdjustment)->Arg(1)->Arg(4);
 
+// The decode of 1M composite codes into one attribute column at one
+// thread. Arg: 1 decodes a one-position domain of 16 categories, 2 the
+// first position of a 16 x 15 domain (a quotient and a remainder).
+void BM_DecodeColumn(benchmark::State& state) {
+  constexpr size_t kRecords = 1 << 20;
+  const mdrr::Domain domain = state.range(0) == 1
+                                  ? mdrr::Domain({16})
+                                  : mdrr::Domain({16, 15});
+  mdrr::Rng rng(7);
+  std::vector<uint32_t> codes(kRecords);
+  for (uint32_t& code : codes) {
+    code = static_cast<uint32_t>(rng.UniformInt(domain.size()));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mdrr::DecodeColumnSharded(
+        domain, codes, /*position=*/0, /*chunk_size=*/1 << 16,
+        /*num_threads=*/1));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRecords));
+}
+BENCHMARK(BM_DecodeColumn)->Arg(1)->Arg(2);
+
 // The wire codecs on one worker's share of a 1M-record column at 2
 // workers: 8 shards of 65 536 codes (2 MiB) under a structured matrix.
 // Arg: 0 encode AssignShards, 1 parse it, 2 encode PartialResult, 3 parse

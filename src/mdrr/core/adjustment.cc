@@ -1,8 +1,10 @@
 #include "mdrr/core/adjustment.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "mdrr/common/parallel.h"
 
@@ -59,281 +61,344 @@ struct CellIndex {
   std::vector<uint32_t> cell_of;
 };
 
-// The code tuples of the records, hashed and compared across all groups.
-class TupleKeys {
- public:
-  explicit TupleKeys(const std::vector<const uint32_t*>& record_codes)
-      : record_codes_(record_codes) {}
+// The numbering splits the records into 2^kBucketBits buckets by the high
+// bits of their mixed keys. A load-balancing grain: the cells never
+// depend on it.
+constexpr int kBucketBits = 10;
+constexpr size_t kNumBuckets = size_t{1} << kBucketBits;
+constexpr size_t kBucketsPerChunk = 16;
+// Records whose keys are built at a time, in a block that stays in L1.
+constexpr size_t kKeyBlock = 1024;
 
-  uint64_t Hash(size_t i) const {
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const uint32_t* codes : record_codes_) {
-      h = (h ^ codes[i]) * 0xff51afd7ed558ccdull;
-      h ^= h >> 32;
-    }
-    h *= 0xc4ceb9fe1a85ec53ull;
-    return h ^ (h >> 29);
-  }
+// A bijection of 64-bit words (MurmurHash3's finalizer): two mixed keys
+// are equal exactly when the keys are, and every bit of the key reaches
+// the high bits that pick the bucket and the low bits that pick the slot.
+uint64_t MixKey(uint64_t key) {
+  key ^= key >> 33;
+  key *= 0xff51afd7ed558ccdull;
+  key ^= key >> 33;
+  key *= 0xc4ceb9fe1a85ec53ull;
+  return key ^ (key >> 33);
+}
 
-  void Prefetch(size_t i) const {
-    for (const uint32_t* codes : record_codes_) __builtin_prefetch(&codes[i]);
-  }
-
-  bool Equal(size_t a, size_t b) const {
-    for (const uint32_t* codes : record_codes_) {
-      if (codes[a] != codes[b]) return false;
-    }
-    return true;
-  }
-
- private:
-  const std::vector<const uint32_t*>& record_codes_;
-};
-
-constexpr uint32_t kNoCell = ~uint32_t{0};
-
-// The power-of-two slot count (>= 2) a table starts at for `cells` cells.
-size_t TableSlots(size_t cells) {
+// The power-of-two slot count (>= 2) for `count` entries.
+size_t TableSlots(size_t count) {
   size_t size = 2;
-  while (size < cells) size *= 2;
+  while (size < count) size *= 2;
   return size;
 }
 
-// Distinct tuples numbered in order of first insertion. Tuples are looked
-// up in an open-addressing table of 64-bit slots: the high half holds the
-// tuple hash's high half, the low half the cell number + 1 (0 marks an
-// empty slot). A tag match is confirmed by comparing the full tuple with
-// the cell's first record, so distinct tuples never share a cell, for any
-// domain sizes. The table runs on caller-owned zeroed slots and moves to
-// storage of its own, twice the size, only when it would pass half full;
-// the move recomputes each cell's hash from its first record instead of
-// storing it.
-class CellTable {
- public:
-  // `slots[0, num_slots)`: zeroed, num_slots a power of two. `first`
-  // receives each new cell's first record.
-  CellTable(const TupleKeys& keys, uint64_t* slots, size_t num_slots,
-            std::vector<uint32_t>& first)
-      : keys_(keys), slots_(slots), mask_(num_slots - 1), first_(first) {}
-
-  void Prefetch(uint64_t hash) const {
-    __builtin_prefetch(&slots_[hash & mask_]);
-  }
-
-  // The cell of record `record` (tuple hash `hash`), numbering its tuple
-  // as a new cell if unseen -- or kNoCell if that cell would be number
-  // `max_cells`.
-  uint32_t FindOrAdd(uint32_t record, uint64_t hash, size_t max_cells) {
-    size_t pos = Probe(hash, record);
-    if (slots_[pos] != 0) return static_cast<uint32_t>(slots_[pos]) - 1;
-    if (first_.size() == max_cells) return kNoCell;
-    if (2 * (first_.size() + 1) > mask_ + 1) {
-      Grow();
-      pos = Probe(hash, record);
-    }
-    const uint32_t cell = static_cast<uint32_t>(first_.size());
-    first_.push_back(record);
-    slots_[pos] = (hash & kTagMask) | (uint64_t{cell} + 1);
-    return cell;
-  }
-
- private:
-  static constexpr uint64_t kTagMask = ~uint64_t{0xffffffff};
-
-  // The slot holding the tuple of `record`, or the empty slot ending its
-  // probe sequence.
-  size_t Probe(uint64_t hash, uint32_t record) const {
-    const uint64_t tag = hash & kTagMask;
-    size_t pos = hash & mask_;
-    while (slots_[pos] != 0 &&
-           ((slots_[pos] & kTagMask) != tag ||
-            !keys_.Equal(first_[static_cast<uint32_t>(slots_[pos]) - 1],
-                         record))) {
-      pos = (pos + 1) & mask_;
-    }
-    return pos;
-  }
-
-  void Grow() {
-    std::vector<uint64_t> grown(2 * (mask_ + 1), 0);
-    mask_ = grown.size() - 1;
-    for (size_t c = 0; c < first_.size(); ++c) {
-      const uint64_t hash = keys_.Hash(first_[c]);
-      size_t pos = hash & mask_;
-      while (grown[pos] != 0) pos = (pos + 1) & mask_;
-      grown[pos] = (hash & kTagMask) | (uint64_t{c} + 1);
-    }
-    own_slots_.swap(grown);
-    slots_ = own_slots_.data();
-  }
-
-  const TupleKeys& keys_;
-  uint64_t* slots_;
-  size_t mask_;
-  std::vector<uint64_t> own_slots_;
-  std::vector<uint32_t>& first_;
+// The exact key of a run of groups [first, last): record i's key is
+// base[i] + sum of codes_g[i] * stride[g - first], its tuple written as a
+// mixed-radix number. `base` numbers the tuples of the groups before
+// `first` (its stride is 1), or is null when `first` is 0.
+struct TupleKey {
+  const uint32_t* base = nullptr;
+  size_t first = 0;
+  size_t last = 0;
+  std::vector<uint64_t> stride;
 };
 
-// Calls visit(k, cell) for k in [0, count) with the cell of record
-// record_of(k), in ascending k. Table probes miss the cache, so the loop
-// hashes kLookahead items ahead and prefetches their slots, and prefetches
-// the codes it will hash kLookahead items before that (the merge's
-// records are sparse). Returns false, having stopped, as soon as a new
-// cell would be number `max_cells`.
-template <typename RecordOf, typename Visit>
-bool NumberCells(CellTable& table, const TupleKeys& keys, size_t count,
-                 size_t max_cells, RecordOf record_of, Visit visit) {
-  constexpr size_t kLookahead = 16;
-  uint64_t hashes_ahead[kLookahead];
-  for (size_t k = 0; k < std::min(kLookahead, count); ++k) {
-    hashes_ahead[k] = keys.Hash(record_of(k));
-  }
+// Writes the mixed keys of records [begin, end) to `out`. Returns false
+// if a code lies outside its group's target range.
+bool MixedKeys(const std::vector<AdjustmentGroup>& groups, const TupleKey& key,
+               size_t begin, size_t end, uint64_t* out) {
+  const size_t count = end - begin;
   for (size_t k = 0; k < count; ++k) {
-    const uint64_t h = hashes_ahead[k % kLookahead];
-    if (k + kLookahead < count) {
-      const uint64_t next = keys.Hash(record_of(k + kLookahead));
-      hashes_ahead[k % kLookahead] = next;
-      table.Prefetch(next);
-    }
-    if (k + 2 * kLookahead < count) {
-      keys.Prefetch(record_of(k + 2 * kLookahead));
-    }
-    const uint32_t cell = table.FindOrAdd(record_of(k), h, max_cells);
-    if (cell == kNoCell) return false;
-    visit(k, cell);
+    out[k] = key.base != nullptr ? key.base[begin + k] : 0;
   }
-  return true;
+  bool in_range = true;
+  for (size_t g = key.first; g < key.last; ++g) {
+    const uint32_t* codes = groups[g].codes.data() + begin;
+    const uint64_t stride = key.stride[g - key.first];
+    uint32_t max_code = 0;
+    for (size_t k = 0; k < count; ++k) {
+      max_code = std::max(max_code, codes[k]);
+      out[k] += codes[k] * stride;
+    }
+    in_range &= max_code < groups[g].target.size();
+  }
+  for (size_t k = 0; k < count; ++k) out[k] = MixKey(out[k]);
+  return in_range;
 }
 
-// One contiguous range of records and its own cells, numbered in order of
-// first appearance within the range.
-struct CellPart {
-  // first[c] is the first record of the part's cell c until the merge,
-  // which overwrites it with the cell's global number.
+Status CodeOutOfRange() {
+  return Status::InvalidArgument("group code out of target range");
+}
+
+// Cells numbered by first appearance: first[c] is cell c's first record
+// and count[c] its record count. Empty when the tuples were too many.
+struct Numbering {
   std::vector<uint32_t> first;
-  // count[c] is the number of the part's records in its cell c.
   std::vector<uint32_t> count;
-  bool complete = false;
 };
 
-// Builds the cell index with cells numbered in order of first appearance,
-// so the cells never depend on the thread count. The records are split
-// into one contiguous part per worker, and each part numbers its own
-// cells in parallel (cell_of then holds part-local cells). One serial
-// merge walks the parts' cells in part order and gives each tuple the
-// global number of its first appearance, summing the parts' counts; the
-// parts' first-record arrays become their local-to-global maps, and a
-// parallel pass rewrites cell_of through them.
+// Numbers the distinct keys of the records in order of first appearance,
+// writing record i's cell to cell_of[i], or stops, returning no cells, as
+// soon as there would be more than `max_cells`.
 //
-// The build stops as soon as more than half the records would need a
-// cell of their own (a part alone passing that bound stops early). The
-// cell sweeps would then save less than half the work of sweeping
-// records, while the index costs a scan, a gather and memory per record,
-// so every record becomes its own cell instead.
-CellIndex BuildCellIndex(const std::vector<AdjustmentGroup>& groups,
-                         size_t num_records, size_t chunk_size,
-                         size_t num_threads) {
+// The records are split into `num_parts` contiguous parts of `part_size`.
+// Each part histograms its mixed keys' high bits, then scatters its
+// (key, record) pairs bucket-major and part-major, so every bucket lists
+// its records in ascending order. Each bucket then finds each key's
+// first record and count in an exact-key table, compacting
+// the cells' keys and counts into the front of its slice of the pairs. A
+// prefix count of first records over the parts numbers the cells by
+// first appearance, and a last pass gives every record its cell. Keys
+// are compared whole, so no record is read back; the cells and the
+// stop never depend on the part count.
+StatusOr<Numbering> NumberKeys(const std::vector<AdjustmentGroup>& groups,
+                               const TupleKey& key, size_t num_records,
+                               size_t part_size, size_t num_parts,
+                               size_t max_cells, uint32_t* cell_of) {
+  constexpr int kShift = 64 - kBucketBits;
+  // Every buffer is allocated here, on the calling thread, so the
+  // workers' malloc arenas never hold (and keep) them.
+  std::vector<size_t> cursor(num_parts * kNumBuckets, 0);
+  std::vector<uint8_t> in_range(num_parts, 1);
+  ParallelChunks(num_records, part_size, num_parts,
+                 [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
+                   uint64_t block[kKeyBlock];
+                   size_t* histogram = cursor.data() + p * kNumBuckets;
+                   for (size_t b = begin; b < end; b += kKeyBlock) {
+                     const size_t e = std::min(end, b + kKeyBlock);
+                     if (!MixedKeys(groups, key, b, e, block)) in_range[p] = 0;
+                     for (size_t k = 0; k < e - b; ++k) {
+                       ++histogram[block[k] >> kShift];
+                     }
+                   }
+                 });
+  for (uint8_t ok : in_range) {
+    if (!ok) return CodeOutOfRange();
+  }
+
+  // Bucket b holds pairs [bucket_begin[b], bucket_begin[b + 1]). Each
+  // part's histogram becomes its write cursors.
+  std::vector<size_t> bucket_begin(kNumBuckets + 1, 0);
+  size_t at = 0;
+  size_t largest_bucket = 0;
+  for (size_t b = 0; b < kNumBuckets; ++b) {
+    bucket_begin[b] = at;
+    for (size_t p = 0; p < num_parts; ++p) {
+      const size_t records = cursor[p * kNumBuckets + b];
+      cursor[p * kNumBuckets + b] = at;
+      at += records;
+    }
+    largest_bucket = std::max(largest_bucket, at - bucket_begin[b]);
+  }
+  bucket_begin[kNumBuckets] = at;
+
+  // Every slot is written by the scatter, so neither array is zeroed.
+  std::unique_ptr<uint64_t[]> keys(new uint64_t[num_records]);
+  std::unique_ptr<uint32_t[]> records(new uint32_t[num_records]);
+  ParallelChunks(num_records, part_size, num_parts,
+                 [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
+                   uint64_t block[kKeyBlock];
+                   size_t* next = cursor.data() + p * kNumBuckets;
+                   for (size_t b = begin; b < end; b += kKeyBlock) {
+                     const size_t e = std::min(end, b + kKeyBlock);
+                     MixedKeys(groups, key, b, e, block);
+                     for (size_t k = 0; k < e - b; ++k) {
+                       const size_t pos = next[block[k] >> kShift]++;
+                       keys[pos] = block[k];
+                       records[pos] = static_cast<uint32_t>(b + k);
+                     }
+                   }
+                 });
+  std::vector<size_t>().swap(cursor);
+
+  // Cell c of bucket b is slot s = bucket_begin[b] + c: keys[s] holds its
+  // key and records[s] its count, and cell_of points every record at its
+  // cell's slot until the numbering below. Bucket b's pair c has been
+  // read by the time cell c exists, so the cells overwrite only read
+  // pairs. is_first marks each cell's first record. Each worker's table
+  // holds the cell + 1 of a key (0 when empty), at most half full; a
+  // bucket zeroes only the slots it uses, so the pages of the largest
+  // bucket's size are touched only by the worker that gets it.
+  const size_t bucket_workers =
+      ResolveWorkerCount(num_parts, kNumBuckets, kBucketsPerChunk);
+  const size_t table_size = TableSlots(2 * largest_bucket);
+  std::unique_ptr<uint32_t[]> tables(new uint32_t[bucket_workers * table_size]);
+  std::vector<uint8_t> is_first(num_records, 0);
+  std::atomic<size_t> cells_so_far{0};
+  std::atomic<bool> too_many{false};
+  ParallelChunks(
+      kNumBuckets, kBucketsPerChunk, bucket_workers,
+      [&](size_t worker, size_t /*chunk*/, size_t b_begin, size_t b_end) {
+        uint32_t* table = tables.get() + worker * table_size;
+        for (size_t b = b_begin; b < b_end; ++b) {
+          if (too_many.load()) return;
+          const size_t offset = bucket_begin[b];
+          uint64_t* bucket_keys = keys.get() + offset;
+          uint32_t* bucket_records = records.get() + offset;
+          const size_t bucket_size = bucket_begin[b + 1] - offset;
+          const size_t num_slots = TableSlots(2 * bucket_size);
+          std::fill_n(table, num_slots, 0);
+          const size_t mask = num_slots - 1;
+          uint32_t cells = 0;
+          for (size_t k = 0; k < bucket_size; ++k) {
+            const uint64_t record_key = bucket_keys[k];
+            const uint32_t record = bucket_records[k];
+            size_t pos = record_key & mask;
+            while (table[pos] != 0 &&
+                   bucket_keys[table[pos] - 1] != record_key) {
+              pos = (pos + 1) & mask;
+            }
+            if (table[pos] == 0) {
+              if (cells == max_cells) {
+                too_many.store(true);
+                return;
+              }
+              table[pos] = ++cells;
+              bucket_keys[cells - 1] = record_key;
+              bucket_records[cells - 1] = 0;
+              is_first[record] = 1;
+            }
+            const uint32_t cell = table[pos] - 1;
+            ++bucket_records[cell];
+            cell_of[record] = static_cast<uint32_t>(offset + cell);
+          }
+          if (cells_so_far.fetch_add(cells) + cells > max_cells) {
+            too_many.store(true);
+          }
+        }
+      });
+  if (too_many.load()) return Numbering{};
+  tables.reset();
+
+  // Cell numbers by first appearance: part p's first records take the
+  // numbers from part_base[p] on, in record order.
+  Numbering numbering;
+  numbering.first.resize(cells_so_far.load());
+  numbering.count.resize(numbering.first.size());
+  std::vector<size_t> part_base(num_parts + 1, 0);
+  ParallelChunks(num_records, part_size, num_parts,
+                 [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
+                   size_t firsts = 0;
+                   for (size_t i = begin; i < end; ++i) firsts += is_first[i];
+                   part_base[p + 1] = firsts;
+                 });
+  for (size_t p = 0; p < num_parts; ++p) part_base[p + 1] += part_base[p];
+  ParallelChunks(num_records, part_size, num_parts,
+                 [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
+                   size_t next = part_base[p];
+                   for (size_t i = begin; i < end; ++i) {
+                     if (!is_first[i]) continue;
+                     const uint32_t slot = cell_of[i];
+                     numbering.first[next] = static_cast<uint32_t>(i);
+                     numbering.count[next] = records[slot];
+                     keys[slot] = next++;
+                   }
+                 });
+  ParallelChunks(num_records, part_size, num_parts,
+                 [&](size_t /*worker*/, size_t /*p*/, size_t begin,
+                     size_t end) {
+                   for (size_t i = begin; i < end; ++i) {
+                     cell_of[i] = static_cast<uint32_t>(keys[cell_of[i]]);
+                   }
+                 });
+  return numbering;
+}
+
+// Checks the codes of groups [first, groups.size()) against their
+// targets' ranges.
+Status CheckCodeRanges(const std::vector<AdjustmentGroup>& groups,
+                       size_t first, size_t num_records, size_t part_size,
+                       size_t num_parts) {
+  std::vector<uint8_t> in_range(num_parts, 1);
+  ParallelChunks(num_records, part_size, num_parts,
+                 [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
+                   for (size_t g = first; g < groups.size(); ++g) {
+                     const uint32_t* codes = groups[g].codes.data();
+                     uint32_t max_code = 0;
+                     for (size_t i = begin; i < end; ++i) {
+                       max_code = std::max(max_code, codes[i]);
+                     }
+                     if (max_code >= groups[g].target.size()) in_range[p] = 0;
+                   }
+                 });
+  for (uint8_t ok : in_range) {
+    if (!ok) return CodeOutOfRange();
+  }
+  return Status::OK();
+}
+
+// Builds the cell index, checking every code against its group's target
+// range on the way. The key of a record is its tuple's exact mixed-radix
+// number, each group's stride the product of the earlier groups' target
+// sizes (a code is below 2^32, so a size past it counts as 2^32). Where
+// the next product would pass 64 bits, the tuples of the groups so far
+// are numbered first, and the key goes on from that number; more than
+// num_records / 2 distinct prefix tuples means at least as many full
+// ones, so the numbering stops there too.
+//
+// When more than half the records would need a cell of their own, the
+// cell sweeps would save less than half the work of sweeping records,
+// while the index costs a scan, a gather and memory per record, so every
+// record becomes its own cell instead.
+StatusOr<CellIndex> BuildCellIndex(const std::vector<AdjustmentGroup>& groups,
+                                   size_t num_records, size_t chunk_size,
+                                   size_t num_threads) {
   const size_t num_groups = groups.size();
   const size_t max_cells = num_records / 2;
-  std::vector<const uint32_t*> record_codes(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    record_codes[g] = groups[g].codes.data();
+  CellIndex index;
+  for (const AdjustmentGroup& group : groups) {
+    index.codes.push_back(group.codes.data());
   }
-  const TupleKeys keys(record_codes);
-  CellIndex records;
-  records.num_cells = num_records;
-  records.codes = record_codes;
-
-  // Every buffer is allocated here, on the calling thread, so the
-  // workers' malloc arenas never hold (and keep) them; only a part table
-  // that passes half full grows on its worker. Part p's table is
-  // slots[slot_begin[p], slot_begin[p + 1]): one zeroed buffer, sized
-  // like a single table of num_records slots, that the merge table reuses
-  // and that is freed as one block, so the heap is left no more
-  // fragmented than by one table.
   const size_t workers =
       ResolveWorkerCount(num_threads, num_records, chunk_size);
   const size_t part_size = (num_records + workers - 1) / workers;
   const size_t num_parts = NumChunks(num_records, part_size);
-  CellIndex index;
-  index.cell_of.resize(num_records);
-  std::vector<CellPart> parts(num_parts);
-  std::vector<size_t> slot_begin(num_parts + 1, 0);
-  for (size_t p = 0; p < num_parts; ++p) {
-    const size_t size = std::min(part_size, num_records - p * part_size);
-    parts[p].first.reserve(std::min(size, max_cells));
-    parts[p].count.reserve(std::min(size, max_cells));
-    slot_begin[p + 1] = slot_begin[p] + TableSlots(size);
-  }
-  std::vector<uint64_t> slots(slot_begin[num_parts], 0);
-  ParallelChunks(
-      num_records, part_size, num_parts,
-      [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
-        CellPart& part = parts[p];
-        CellTable table(keys, slots.data() + slot_begin[p],
-                        slot_begin[p + 1] - slot_begin[p], part.first);
-        part.complete = NumberCells(
-            table, keys, end - begin, max_cells,
-            [&](size_t k) { return static_cast<uint32_t>(begin + k); },
-            [&](size_t k, uint32_t cell) {
-              index.cell_of[begin + k] = cell;
-              if (cell == part.count.size()) part.count.push_back(0);
-              ++part.count[cell];
-            });
-      });
-  size_t local_cells = 0;
-  for (const CellPart& part : parts) {
-    if (!part.complete) return records;
-    local_cells += part.first.size();
-  }
 
-  // The merge table's TableSlots(<= num_records / 2) slots fit in the
-  // buffer, which holds at least num_records.
-  const size_t merged_cells = std::min(local_cells, max_cells);
-  const size_t merge_slots = TableSlots(merged_cells);
-  std::fill_n(slots.data(), merge_slots, 0);
-  std::vector<uint32_t> first;
-  first.reserve(merged_cells);
-  index.count.reserve(merged_cells);
-  {
-    CellTable merged(keys, slots.data(), merge_slots, first);
-    for (CellPart& part : parts) {
-      const bool complete = NumberCells(
-          merged, keys, part.first.size(), max_cells,
-          [&](size_t c) { return part.first[c]; },
-          [&](size_t c, uint32_t cell) {
-            if (cell == index.count.size()) index.count.push_back(0);
-            index.count[cell] += part.count[c];
-            part.first[c] = cell;
-          });
-      if (!complete) return records;
-      std::vector<uint32_t>().swap(part.count);
+  std::vector<uint32_t> cell_of(num_records);
+  TupleKey key;
+  uint64_t radix = 1;
+  Numbering numbering;
+  for (size_t g = 0;; ++g) {
+    const uint64_t width =
+        g < num_groups
+            ? std::min<uint64_t>(groups[g].target.size(), uint64_t{1} << 32)
+            : 0;
+    uint64_t next_radix = 0;
+    if (g == num_groups || __builtin_mul_overflow(radix, width, &next_radix)) {
+      key.last = g;
+      MDRR_ASSIGN_OR_RETURN(numbering,
+                            NumberKeys(groups, key, num_records, part_size,
+                                       num_parts, max_cells, cell_of.data()));
+      if (numbering.first.empty()) {
+        MDRR_RETURN_IF_ERROR(
+            CheckCodeRanges(groups, g, num_records, part_size, num_parts));
+        index.num_cells = num_records;
+        return index;
+      }
+      if (g == num_groups) break;
+      key.base = cell_of.data();
+      key.first = g;
+      key.stride.clear();
+      radix = numbering.first.size();
+      next_radix = radix * width;  // At most 2^31 cells times 2^32.
     }
+    key.stride.push_back(radix);
+    radix = next_radix;
   }
-  std::vector<uint64_t>().swap(slots);
-  ParallelChunks(num_records, part_size, num_parts,
-                 [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
-                   const uint32_t* global = parts[p].first.data();
-                   for (size_t i = begin; i < end; ++i) {
-                     index.cell_of[i] = global[index.cell_of[i]];
-                   }
-                 });
-  parts.clear();
 
   // Copy each cell's tuple out of its first record.
-  index.num_cells = first.size();
+  index.num_cells = numbering.first.size();
+  index.count = std::move(numbering.count);
+  index.cell_of = std::move(cell_of);
   index.cell_codes.assign(num_groups, std::vector<uint32_t>(index.num_cells));
+  const std::vector<uint32_t>& first = numbering.first;
   ParallelChunks(index.num_cells, chunk_size, num_threads,
                  [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
                      size_t end) {
                    for (size_t g = 0; g < num_groups; ++g) {
                      for (size_t c = begin; c < end; ++c) {
-                       index.cell_codes[g][c] = record_codes[g][first[c]];
+                       index.cell_codes[g][c] = index.codes[g][first[c]];
                      }
                    }
                  });
-  for (const std::vector<uint32_t>& codes : index.cell_codes) {
-    index.codes.push_back(codes.data());
+  for (size_t g = 0; g < num_groups; ++g) {
+    index.codes[g] = index.cell_codes[g].data();
   }
   return index;
 }
@@ -367,16 +432,12 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
     if (std::fabs(total - 1.0) > 1e-6) {
       return Status::InvalidArgument("target distribution does not sum to 1");
     }
-    for (uint32_t code : group.codes) {
-      if (code >= group.target.size()) {
-        return Status::InvalidArgument("group code out of target range");
-      }
-    }
   }
 
   const size_t chunk_size = std::max<size_t>(1, options.chunk_size);
-  CellIndex cells =
-      BuildCellIndex(groups, num_records, chunk_size, options.num_threads);
+  MDRR_ASSIGN_OR_RETURN(
+      CellIndex cells,
+      BuildCellIndex(groups, num_records, chunk_size, options.num_threads));
   const size_t num_cells = cells.num_cells;
   const size_t num_groups = groups.size();
   const size_t num_chunks = NumChunks(num_cells, chunk_size);

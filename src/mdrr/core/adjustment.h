@@ -57,16 +57,20 @@ struct AdjustmentResult {
 //
 // Records with the same code in every group (one "cell") receive the
 // same ratio at every step, so the fit runs over the distinct code
-// tuples, each weighted by its record count. The cells are numbered in
-// order of first appearance (exact tuple keys, any domain sizes): the
-// records are split into one contiguous part per worker, each part
-// numbers its own tuples in parallel, and one merge walks the parts in
-// order, giving every tuple the number of its first appearance; a
-// parallel pass then renumbers the records' cells. If more than half the
-// records would need a cell, cells would save less than half the sweep
-// work, so the build stops and every record is its own cell. The cells
-// and that decision never depend on the thread count. Each iteration
-// then performs exactly one parallel pass
+// tuples, each weighted by its record count. A record's key is its tuple
+// written as an exact mixed-radix number (where the domain product would
+// pass 64 bits, the tuples of the groups so far are numbered first and
+// the key goes on from that number), so no record is read back to
+// confirm a match and any domain sizes work. The records are split into
+// one contiguous part per worker; the parts scatter their keys into
+// buckets, each bucket lists its records in ascending order and finds
+// each key's first record and count, and a prefix count of first records
+// over the parts numbers the cells in order of first appearance. The
+// same pass checks every code against its target's range. If more than
+// half the records would need a cell, cells would save less than half
+// the sweep work, so the build stops and every record is its own cell.
+// The cells and that decision never depend on the thread count. Each
+// iteration then performs exactly one parallel pass
 // over the cells per group: pass g applies group g-1's reweighting ratio
 // (with the renormalization folded into the ratio table, so no separate
 // normalization scan exists) while accumulating group g's implied

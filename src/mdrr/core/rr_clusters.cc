@@ -111,7 +111,6 @@ StatusOr<RrClustersResult> RunRrClustersWith(
   result.clusters = clusters;
   result.dependences = dependences.dependences;
   result.dependence_epsilon = dependences.epsilon;
-  result.randomized = dataset;
 
   // Pass 1 -- randomization, cluster by cluster in order: the hook may
   // draw from a shared sequential Rng, so this pass cannot reorder.
@@ -159,20 +158,23 @@ StatusOr<RrClustersResult> RunRrClustersWith(
   }
 
   // Pass 3 -- accounting and decode, again cluster by cluster (the
-  // epsilon sum is ordered; the row decode shards freely).
+  // epsilon sum is ordered; the row decode shards freely). The clusters
+  // partition the attributes, so the decoded columns are the whole
+  // release.
+  std::vector<std::vector<uint32_t>> columns(dataset.num_attributes());
   for (size_t c = 0; c < num_clusters; ++c) {
     MDRR_ASSIGN_OR_RETURN(RrJointResult joint, std::move(estimated[c]));
     const std::vector<size_t>& cluster = clusters[c];
     result.release_epsilon += joint.epsilon;
 
     for (size_t position = 0; position < cluster.size(); ++position) {
-      result.randomized.SetColumn(
-          cluster[position],
+      columns[cluster[position]] =
           DecodeColumnSharded(joint.domain, joint.randomized_codes, position,
-                              kDecodeChunkSize, postprocess_threads));
+                              kDecodeChunkSize, postprocess_threads);
     }
     result.cluster_results.push_back(std::move(joint));
   }
+  result.randomized = Dataset(dataset.schema(), std::move(columns));
   return result;
 }
 

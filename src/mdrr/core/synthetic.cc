@@ -5,6 +5,7 @@
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
+#include "mdrr/dataset/domain.h"
 
 namespace mdrr {
 
@@ -175,11 +176,9 @@ StatusOr<Dataset> SynthesizeFromClusters(const RrClustersResult& result,
     std::vector<uint32_t> composite = ExpandAndShuffle(counts, n, rng);
     for (size_t position = 0; position < result.clusters[c].size();
          ++position) {
-      std::vector<uint32_t> column(composite.size());
-      for (size_t row = 0; row < composite.size(); ++row) {
-        column[row] = joint.domain.DecodeAt(composite[row], position);
-      }
-      columns[result.clusters[c][position]] = std::move(column);
+      columns[result.clusters[c][position]] =
+          DecodeColumnSharded(joint.domain, composite, position,
+                              composite.size(), /*num_threads=*/1);
     }
   }
   return Dataset(source.schema(), std::move(columns));
@@ -221,16 +220,8 @@ StatusOr<Dataset> SynthesizeFromClustersSharded(
     // rows are independent, so the decode shards freely too.
     for (size_t position = 0; position < result.clusters[c].size();
          ++position) {
-      std::vector<uint32_t> column(composite.size());
-      ParallelChunks(composite.size(), shard_size, num_threads,
-                     [&](size_t /*worker*/, size_t /*shard*/, size_t begin,
-                         size_t end) {
-                       for (size_t row = begin; row < end; ++row) {
-                         column[row] =
-                             joint.domain.DecodeAt(composite[row], position);
-                       }
-                     });
-      columns[result.clusters[c][position]] = std::move(column);
+      columns[result.clusters[c][position]] = DecodeColumnSharded(
+          joint.domain, composite, position, shard_size, num_threads);
     }
   }
   return Dataset(source.schema(), std::move(columns));

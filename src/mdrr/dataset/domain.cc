@@ -1,5 +1,6 @@
 #include "mdrr/dataset/domain.h"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 
@@ -103,14 +104,46 @@ std::vector<uint32_t> DecodeColumnSharded(const Domain& domain,
                                           const std::vector<uint32_t>& codes,
                                           size_t position, size_t chunk_size,
                                           size_t num_threads) {
+  MDRR_CHECK_LT(position, domain.num_positions());
+  constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+  const uint64_t size = domain.size();
+  const uint64_t stride = domain.strides()[position];
+  const uint64_t cardinality = domain.cardinalities()[position];
+  MDRR_CHECK_LE(stride, kMax32);
+  MDRR_CHECK_LE(cardinality, kMax32);
+  // Exact 32-bit quotients and remainders by multiply-shift (Lemire,
+  // Kaser & Kurz, "Faster Remainder by Direct Computation", 2019): with
+  // m = ceil(2^64 / d) for d >= 2, floor(x / d) is the high word of m * x
+  // and x % d the high word of (m * x mod 2^64) * d, for every x < 2^32.
+  // A stride of 1 divides nothing.
+  const uint64_t div_magic = stride == 1 ? 0 : ~uint64_t{0} / stride + 1;
+  const uint64_t mod_magic = ~uint64_t{0} / cardinality + 1;
+  using u128 = unsigned __int128;
   std::vector<uint32_t> column(codes.size());
-  ParallelChunks(codes.size(), chunk_size, num_threads,
-                 [&](size_t /*worker*/, size_t /*chunk*/, size_t begin,
-                     size_t end) {
-                   for (size_t row = begin; row < end; ++row) {
-                     column[row] = domain.DecodeAt(codes[row], position);
-                   }
-                 });
+  ParallelChunks(
+      codes.size(), chunk_size, num_threads,
+      [&](size_t /*worker*/, size_t /*chunk*/, size_t begin, size_t end) {
+        uint32_t max_code = 0;
+        if (domain.num_positions() == 1) {
+          for (size_t row = begin; row < end; ++row) {
+            max_code = std::max(max_code, codes[row]);
+            column[row] = codes[row];
+          }
+        } else {
+          for (size_t row = begin; row < end; ++row) {
+            const uint32_t code = codes[row];
+            max_code = std::max(max_code, code);
+            const uint64_t quotient =
+                stride == 1 ? code
+                            : static_cast<uint64_t>(
+                                  (static_cast<u128>(div_magic) * code) >> 64);
+            const uint64_t low = mod_magic * quotient;
+            column[row] = static_cast<uint32_t>(
+                (static_cast<u128>(low) * cardinality) >> 64);
+          }
+        }
+        MDRR_CHECK_LT(max_code, size);
+      });
   return column;
 }
 

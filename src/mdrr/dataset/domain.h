@@ -80,11 +80,15 @@ class Domain {
 
 // Decodes one position of a column of composite codes into an attribute
 // column, sharded over `num_threads` workers (0 = one per core) in
-// chunks of `chunk_size` rows. The decode draws no randomness and each
-// row writes its own slot, so the output is bit-identical at any thread
-// count; the chunk size is a pure load-balancing grain. The one decode
-// loop shared by the clusters frame, the joint mechanism, and the
-// session controller. Precondition: every code < domain.size().
+// chunks of `chunk_size` rows. Each code's quotient by the position's
+// stride and remainder by its cardinality come from an exact 32-bit
+// multiply-shift (equal to DecodeAt), and a one-position domain copies
+// its codes. The decode draws no randomness and each row writes its own
+// slot, so the output is bit-identical at any thread count; the chunk
+// size is a pure load-balancing grain. The one decode loop shared by the
+// clusters frame, the joint mechanism, synthesis and the session
+// controller. CHECK-fails unless every code < domain.size() and the
+// position's stride and cardinality fit in 32 bits.
 std::vector<uint32_t> DecodeColumnSharded(const Domain& domain,
                                           const std::vector<uint32_t>& codes,
                                           size_t position, size_t chunk_size,

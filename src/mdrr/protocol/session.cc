@@ -96,8 +96,9 @@ StatusOr<SessionResult> RunDistributedSession(const Dataset& dataset,
 
   // Controller: Eq. (2) estimation straight from the fused counts (equal
   // to a post-hoc sharded histogram of the codes), decoded columns moved
-  // into the release.
-  result.randomized = dataset;
+  // into the release. The clusters partition the attributes, so the
+  // decoded columns are the whole release.
+  std::vector<std::vector<uint32_t>> columns(dataset.num_attributes());
   for (size_t c = 0; c < result.clusters.size(); ++c) {
     MDRR_ASSIGN_OR_RETURN(
         std::vector<double> estimated,
@@ -107,10 +108,11 @@ StatusOr<SessionResult> RunDistributedSession(const Dataset& dataset,
     result.cluster_joints.push_back(std::move(estimated));
     for (size_t position = 0; position < result.clusters[c].size();
          ++position) {
-      result.randomized.SetColumn(result.clusters[c][position],
-                                  std::move(sweep.decoded[c][position]));
+      columns[result.clusters[c][position]] =
+          std::move(sweep.decoded[c][position]);
     }
   }
+  result.randomized = Dataset(dataset.schema(), std::move(columns));
   return result;
 }
 

@@ -7,6 +7,7 @@
 #include "mdrr/dataset/csv.h"
 #include "mdrr/dataset/dataset.h"
 #include "mdrr/dataset/domain.h"
+#include "mdrr/rng/rng.h"
 
 namespace mdrr {
 namespace {
@@ -95,6 +96,43 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<size_t>{2, 2, 2, 2},
                       std::vector<size_t>{7, 1, 4},
                       std::vector<size_t>{16, 15}));
+
+TEST(DomainTest, DecodeColumnMatchesDecodeAt) {
+  // Every code of the small domains; for the two near 2^32, the first and
+  // last 10 000 codes and 100 000 random ones.
+  const std::vector<std::vector<size_t>> shapes = {
+      {9}, {15, 2}, {6, 2, 5}, {65536, 65535}, {2, (size_t{1} << 31) - 1}};
+  Rng rng(11);
+  for (const std::vector<size_t>& shape : shapes) {
+    Domain domain(shape);
+    std::vector<uint32_t> codes;
+    if (domain.size() <= 1000) {
+      for (uint64_t code = 0; code < domain.size(); ++code) {
+        codes.push_back(static_cast<uint32_t>(code));
+      }
+    } else {
+      for (uint64_t k = 0; k < 10000; ++k) {
+        codes.push_back(static_cast<uint32_t>(k));
+        codes.push_back(static_cast<uint32_t>(domain.size() - 1 - k));
+      }
+      for (int k = 0; k < 100000; ++k) {
+        codes.push_back(static_cast<uint32_t>(rng.UniformInt(domain.size())));
+      }
+    }
+    for (size_t position = 0; position < domain.num_positions(); ++position) {
+      for (size_t threads : {1, 4}) {
+        const std::vector<uint32_t> column =
+            DecodeColumnSharded(domain, codes, position, 1000, threads);
+        ASSERT_EQ(column.size(), codes.size());
+        for (size_t row = 0; row < codes.size(); ++row) {
+          ASSERT_EQ(column[row], domain.DecodeAt(codes[row], position))
+              << "shape size " << domain.size() << " position " << position
+              << " code " << codes[row] << " threads " << threads;
+        }
+      }
+    }
+  }
+}
 
 TEST(DomainTest, ComposeColumns) {
   Dataset ds(SmallSchema(), {{0, 1, 2}, {3, 0, 1}});

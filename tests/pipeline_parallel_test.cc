@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <numeric>
 #include <vector>
 
@@ -389,9 +391,10 @@ TEST(ParallelAdjustmentTest, ConvergesInSameIterationCountAsReference) {
 
 // The cell index splits the records into one contiguous part per worker
 // (ceil(n / workers) records each; the chunk size below leaves the worker
-// count at the thread count), numbers each part's cells in parallel and
-// merges them in part order. These inputs stress the part boundaries; at
-// every thread count the weights must equal the one-part run bit for bit.
+// count at the thread count), scatters their keys into buckets and
+// numbers the cells by first appearance. These inputs stress the part
+// boundaries; at every thread count the weights must equal the one-part
+// run bit for bit.
 constexpr size_t kCellRecords = 1000;
 constexpr size_t kCellChunk = 16;
 constexpr size_t kCellThreads[] = {2, 3, 4, 7};
@@ -490,6 +493,217 @@ TEST(CellIndexPartsTest, AllDistinctAndAllIdenticalInputs) {
     ExpectSameAsOnePart(GroupsFromTuples(identical, 67), threads,
                         "all identical");
   }
+}
+
+// FNV-1a over the weights' bit patterns. The cells' order fixes the
+// summation order of every sweep, so the pins below change when the
+// cells are numbered in any order but first appearance, or when the
+// cells-or-records decision moves.
+uint64_t HashWeights(const std::vector<double>& weights) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (double w : weights) {
+    uint64_t bits;
+    std::memcpy(&bits, &w, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((bits >> (8 * byte)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// `num_groups` groups of `width` categories whose records take tuple
+// tuple_of[i] of a pool of `pool_size` random tuples (tuple 0 is all
+// width - 1, and tuples 1, 2, ... are `fixed`), with reachable targets.
+std::vector<AdjustmentGroup> WideGroups(
+    size_t num_groups, size_t width, const std::vector<uint32_t>& tuple_of,
+    size_t pool_size, uint64_t seed,
+    const std::vector<std::vector<uint32_t>>& fixed = {}) {
+  Rng rng(seed);
+  std::vector<std::vector<uint32_t>> pool(pool_size,
+                                          std::vector<uint32_t>(num_groups));
+  for (size_t t = 0; t < pool_size; ++t) {
+    for (size_t g = 0; g < num_groups; ++g) {
+      pool[t][g] = static_cast<uint32_t>(
+          t == 0 ? width - 1 : rng.UniformInt(width));
+    }
+  }
+  for (size_t t = 0; t < fixed.size(); ++t) pool[t + 1] = fixed[t];
+  std::vector<AdjustmentGroup> groups(num_groups);
+  for (uint32_t t : tuple_of) {
+    for (size_t g = 0; g < num_groups; ++g) {
+      groups[g].codes.push_back(pool[t][g]);
+    }
+  }
+  for (AdjustmentGroup& group : groups) {
+    group.target = ReachableTarget(group.codes, width, rng);
+  }
+  return groups;
+}
+
+// Tuple ids for `n` records: the first `num_tuples` records open one
+// tuple each, the rest repeat them at random.
+std::vector<uint32_t> RepeatedTuples(size_t n, size_t num_tuples,
+                                     uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> tuple_of(n);
+  for (size_t i = 0; i < n; ++i) {
+    tuple_of[i] =
+        static_cast<uint32_t>(i < num_tuples ? i : rng.UniformInt(num_tuples));
+  }
+  rng.ShuffleU32(tuple_of.data(), n);
+  return tuple_of;
+}
+
+// The weights at one thread equal those at every kCellThreads count bit
+// for bit, follow the sequential reference, and hash to `golden`. Wide
+// groups run few iterations: each sweep resets a row of every category
+// per chunk.
+void ExpectCellIndexCase(const std::vector<AdjustmentGroup>& groups, size_t n,
+                         uint64_t golden, const char* name,
+                         int max_iterations = 60) {
+  AdjustmentOptions options;
+  options.max_iterations = max_iterations;
+  options.tolerance = 1e-12;
+  options.chunk_size = kCellChunk;
+  options.num_threads = 1;
+  auto baseline = RunRrAdjustment(groups, n, options);
+  ASSERT_TRUE(baseline.ok()) << name << ": " << baseline.status().ToString();
+  EXPECT_EQ(HashWeights(baseline->weights), golden) << name;
+  for (size_t threads : kCellThreads) {
+    options.num_threads = threads;
+    auto run = RunRrAdjustment(groups, n, options);
+    ASSERT_TRUE(run.ok()) << name << " threads=" << threads;
+    EXPECT_EQ(baseline->weights, run->weights)
+        << name << " threads=" << threads;
+    EXPECT_EQ(baseline->iterations, run->iterations)
+        << name << " threads=" << threads;
+    EXPECT_EQ(baseline->max_marginal_gap, run->max_marginal_gap)
+        << name << " threads=" << threads;
+  }
+  AdjustmentResult reference = ReferenceAdjustment(groups, n, options);
+  EXPECT_EQ(baseline->iterations, reference.iterations) << name;
+  ASSERT_EQ(baseline->weights.size(), reference.weights.size()) << name;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_NEAR(baseline->weights[i], reference.weights[i], 1e-9)
+        << name << " record " << i;
+  }
+}
+
+// Every thread count refuses the groups with InvalidArgument.
+void ExpectOutOfRange(const std::vector<AdjustmentGroup>& groups, size_t n,
+                      const char* name) {
+  AdjustmentOptions options;
+  options.chunk_size = kCellChunk;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                         size_t{7}}) {
+    options.num_threads = threads;
+    auto run = RunRrAdjustment(groups, n, options);
+    ASSERT_FALSE(run.ok()) << name << " threads=" << threads;
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(run.status().message().find("group code out of target range"),
+              std::string::npos)
+        << name << ": " << run.status().ToString();
+  }
+}
+
+// 65 537 = 2^16 + 1 categories per group: four groups' product passes
+// 2^64 by 2^50 (one fold), seven groups' twice (two folds: 400 prefix
+// cells times 65 537^3 passes it again).
+constexpr size_t kWideWidth = 65537;
+
+TEST(CellIndexKeysTest, ProductJustPast64BitsFoldsOnce) {
+  const auto tuple_of = RepeatedTuples(kCellRecords, 400, 71);
+  ExpectCellIndexCase(WideGroups(4, kWideWidth, tuple_of, 400, 73),
+                      kCellRecords, 13649168953013204328ull, "one fold", 2);
+  // With strides 65 537^g, the offsets (1, -4, 6, -4, 1) sum to
+  // (65 537 - 1)^4 = 2^64: two tuples whose keys a wrapping product would
+  // merge into one cell.
+  const std::vector<std::vector<uint32_t>> colliding = {{5, 5, 5, 5, 5},
+                                                        {6, 1, 11, 1, 6}};
+  ExpectCellIndexCase(
+      WideGroups(5, kWideWidth, tuple_of, 400, 131, colliding), kCellRecords,
+      12125144883177774666ull, "wrapping keys collide", 2);
+}
+
+TEST(CellIndexKeysTest, ProductNeedingTwoFolds) {
+  const auto tuple_of = RepeatedTuples(kCellRecords, 400, 79);
+  ExpectCellIndexCase(WideGroups(7, kWideWidth, tuple_of, 400, 83),
+                      kCellRecords, 12177235144038810873ull, "two folds",
+                      2);
+}
+
+TEST(CellIndexKeysTest, FoldedPrefixPastHalfTheRecordsAbandonsToRecords) {
+  // The first three groups alone give every record its own tuple, so the
+  // fold before the fourth stops and every record is its own cell.
+  std::vector<uint32_t> tuple_of(kCellRecords);
+  std::iota(tuple_of.begin(), tuple_of.end(), 0u);
+  auto groups = WideGroups(4, kWideWidth, tuple_of, kCellRecords, 89);
+  ExpectCellIndexCase(groups, kCellRecords, 17473050498540618619ull,
+                      "abandon at fold", 2);
+  // The groups after the fold are still range-checked.
+  groups[3].codes[kCellRecords - 1] = kWideWidth;
+  ExpectOutOfRange(groups, kCellRecords, "abandon at fold, bad last group");
+}
+
+TEST(CellIndexKeysTest, HalfTheRecordsBoundaryPinned) {
+  // 500 tuples over 1000 records run as cells, 501 as records; the pins
+  // fix which side each lands on.
+  for (size_t num_tuples : {500, 501}) {
+    const auto groups =
+        GroupsFromTuples(RepeatedTuples(kCellRecords, num_tuples, 97), 101);
+    ExpectCellIndexCase(groups, kCellRecords,
+                        num_tuples == 500 ? 14399981722318649378ull
+                                          : 5990328339154035251ull,
+                        num_tuples == 500 ? "500 tuples" : "501 tuples");
+  }
+}
+
+TEST(CellIndexKeysTest, OneTupleFillsOneBucket) {
+  std::vector<AdjustmentGroup> groups(3);
+  groups[0].codes.assign(kCellRecords, 2);
+  groups[0].target = {0.2, 0.3, 0.5};
+  groups[1].codes.assign(kCellRecords, 0);
+  groups[1].target = {0.6, 0.4};
+  groups[2].codes.assign(kCellRecords, 6);
+  groups[2].target.assign(7, 1.0 / 7);
+  ExpectCellIndexCase(groups, kCellRecords, 11791883956557858981ull,
+                      "one tuple");
+}
+
+TEST(CellIndexKeysTest, OneRecord) {
+  std::vector<AdjustmentGroup> groups(2);
+  groups[0].codes = {1};
+  groups[0].target = {0.25, 0.75};
+  groups[1].codes = {0};
+  groups[1].target = {1.0};
+  AdjustmentOptions options;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    options.num_threads = threads;
+    auto run = RunRrAdjustment(groups, 1, options);
+    ASSERT_TRUE(run.ok()) << "threads=" << threads;
+    EXPECT_EQ(run->weights, std::vector<double>{1.0});
+    AdjustmentResult reference = ReferenceAdjustment(groups, 1, options);
+    EXPECT_EQ(run->iterations, reference.iterations);
+    EXPECT_EQ(run->converged, reference.converged);
+  }
+}
+
+TEST(CellIndexKeysTest, OutOfRangeCodeInTheLastGroup) {
+  // Without a fold, after one fold that keeps cells, and with a single
+  // group.
+  auto groups = GroupsFromTuples(RepeatedTuples(kCellRecords, 300, 103), 107);
+  groups[1].codes[kCellRecords - 1] =
+      static_cast<uint32_t>(groups[1].target.size());
+  ExpectOutOfRange(groups, kCellRecords, "no fold");
+  auto wide = WideGroups(4, kWideWidth, RepeatedTuples(kCellRecords, 400, 109),
+                         400, 113);
+  wide[3].codes[kCellRecords / 2] = kWideWidth + 5;
+  ExpectOutOfRange(wide, kCellRecords, "one fold");
+  std::vector<AdjustmentGroup> single(1);
+  single[0].codes.assign(kCellRecords, 1);
+  single[0].codes[0] = 9;
+  single[0].target = {0.5, 0.5};
+  ExpectOutOfRange(single, kCellRecords, "one group");
 }
 
 // --- Synthetic release ---

@@ -41,9 +41,11 @@
 //
 // Exit status: 0 on success (including budget-suppressed windows --
 // that is the fail-closed degraded mode, not an error), 1 otherwise --
-// including, before any work, a flag outside kFlags or a value that does
-// not parse as its flag's kind within its range, naming the flag.
+// including, before any work, a flag outside kFlags, a flag its mode does
+// not honour (ModeFlags) or a value that does not parse as its flag's
+// kind within its range, naming the flag.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -79,6 +81,46 @@ const std::vector<mdrr::FlagDef> kFlags = {
     mdrr::UintFlag("ring_buckets", 0, release::kMaxRingBuckets),
     mdrr::UintFlag("pause_at"), mdrr::UintFlag("listen", 0, 65535),
     mdrr::IntFlag("deadline_ms", 0), mdrr::UintFlag("batch", 0, UINT32_MAX)};
+
+// The flags one mode honours: --listen serves one socket client,
+// --connect streams the CSV to a server, and otherwise the CSV replays
+// in process.
+struct ModeFlags {
+  const char* mode;
+  std::vector<std::string> honoured;
+};
+
+ModeFlags ModeFlagsOf(const FlagSet& flags) {
+  if (flags.Has("listen")) {
+    return {"--listen",
+            {"spec", "listen", "shards", "ring_buckets", "deadline_ms"}};
+  }
+  if (flags.Has("connect")) {
+    return {"--connect",
+            {"spec", "input", "no_header", "connect", "reports", "batch",
+             "deadline_ms"}};
+  }
+  return {"the replay",
+          {"spec", "input", "no_header", "snapshot_out", "resume",
+           "windows_out", "verify_replay", "reports", "ingest_threads",
+           "shards", "ring_buckets", "pause_at"}};
+}
+
+// Refuses, naming it, the first given flag that its mode does not
+// honour.
+Status CheckModeFlags(const FlagSet& flags) {
+  const ModeFlags mode = ModeFlagsOf(flags);
+  for (const mdrr::FlagDef& flag : kFlags) {
+    if (flags.Has(flag.name) &&
+        std::find(mode.honoured.begin(), mode.honoured.end(), flag.name) ==
+            mode.honoured.end()) {
+      return Status::InvalidArgument(std::string("--") + flag.name +
+                                     " is not honoured in " + mode.mode +
+                                     " mode");
+    }
+  }
+  return Status::OK();
+}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -262,5 +304,8 @@ int Main(const FlagSet& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return Main(mdrr::ParseFlagsOrExit(argc, argv, kFlags));
+  const FlagSet flags = mdrr::ParseFlagsOrExit(argc, argv, kFlags);
+  const Status honoured = CheckModeFlags(flags);
+  if (!honoured.ok()) return Fail(honoured);
+  return Main(flags);
 }
