@@ -4,7 +4,7 @@
 //
 // Implements exactly the subset of the google-benchmark API this repo
 // uses: State iteration, range(), iterations(), SetItemsProcessed,
-// SetComplexityN, DoNotOptimize, BENCHMARK with ->Arg / ->Args / ->Range /
+// SetComplexityN, SkipWithError, DoNotOptimize, BENCHMARK with ->Arg / ->Args / ->Range /
 // ->RangeMultiplier / ->Complexity, BENCHMARK_MAIN, and a
 // --benchmark_filter= of '|'-separated substrings (a benchmark runs if its
 // name contains any of them; a filter that matches nothing exits 1, so a
@@ -43,6 +43,9 @@ class State {
   int64_t iterations() const { return iterations_; }
   void SetItemsProcessed(int64_t items) { items_processed_ = items; }
   void SetComplexityN(int64_t n) { complexity_n_ = n; }
+  // Marks the case failed; the caller leaves its loop right after.
+  void SkipWithError(const char* message) { error_ = message; }
+  const std::string& error() const { return error_; }
 
   // Range-for protocol: `for (auto _ : state)` runs iterations() times
   // with the timer spanning first increment to exhaustion.
@@ -80,6 +83,7 @@ class State {
   int64_t complexity_n_ = 0;
   bool started_ = false;
   double elapsed_seconds_ = 0.0;
+  std::string error_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -173,6 +177,10 @@ inline void RunOne(const Benchmark& bench,
   for (;;) {
     State state(iterations, args);
     bench.fn()(state);
+    if (!state.error().empty()) {
+      std::printf("%-48s ERROR: %s\n", label.c_str(), state.error().c_str());
+      return;
+    }
     double elapsed = state.elapsed_seconds();
     if (elapsed >= kMinTime || iterations >= kMaxIterations) {
       double per_iter_ns =

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -112,21 +113,31 @@ void BM_SerialSeedExpansion(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialSeedExpansion);
 
-// The same expansion kSeedLanes seeds at a time, on the path
-// GenerateSeedBlock dispatches to on this CPU; items are seeds.
+// The same expansion kSeedLanes seeds at a time, as ForEachSeedSequence
+// runs it (the block, then every lane staged lane-major); items are
+// seeds. The arg picks the body: 0 portable, 1 AVX2, 2 AVX-512. A body
+// the CPU lacks reports an error instead of a time.
 void BM_SeedBlockExpansion(benchmark::State& state) {
-  std::vector<uint32_t> block(mdrr::kSeedLanes * mdrr::kEngineSeedWords);
+  const auto body = static_cast<mdrr::SeedBody>(state.range(0));
+  auto block = std::make_unique<mdrr::SeedBlock>();
+  std::vector<uint32_t> stage(mdrr::kSeedStageLanes * mdrr::kEngineSeedWords);
   uint64_t seeds[mdrr::kSeedLanes];
   uint64_t next = 1;
   for (auto _ : state) {
     for (uint64_t& s : seeds) s = next++;
-    mdrr::GenerateSeedBlock(seeds, block.data());
-    benchmark::DoNotOptimize(block.data());
+    if (!mdrr::GenerateSeedBlockOn(body, seeds, block.get())) {
+      state.SkipWithError("the CPU lacks this seed body");
+      break;
+    }
+    for (size_t l = 0; l < mdrr::kSeedLanes; l += mdrr::kSeedStageLanes) {
+      mdrr::StageSeedLanes(*block, l, stage.data());
+      benchmark::DoNotOptimize(stage.data());
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(mdrr::kSeedLanes));
 }
-BENCHMARK(BM_SeedBlockExpansion);
+BENCHMARK(BM_SeedBlockExpansion)->Arg(0)->Arg(1)->Arg(2);
 
 // Seeds an engine from an expanded word block and draws the 16 words of
 // an eight-attribute report: arg 0 is the library engine, arg 1 is
@@ -183,6 +194,7 @@ BENCHMARK(BM_EngineSustainedDraws)->Arg(0)->Arg(1);
 void BM_RunRrAdjustment(benchmark::State& state) {
   static const auto* const kInput = [] {
     struct Input {
+      mdrr::RrClustersResult release;  // The groups borrow its codes.
       std::vector<mdrr::AdjustmentGroup> groups;
       size_t num_records;
     };
@@ -195,7 +207,9 @@ void BM_RunRrAdjustment(benchmark::State& state) {
     auto release = mdrr::BatchPerturbationEngine(engine_options)
                        .RunClusters(adult, cluster_options);
     if (!release.ok()) std::abort();
-    return new Input{mdrr::GroupsFromClusters(*release), adult.num_rows()};
+    auto* input = new Input{std::move(release).value(), {}, adult.num_rows()};
+    input->groups = mdrr::GroupsFromClusters(input->release);
+    return input;
   }();
   mdrr::AdjustmentOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));

@@ -62,17 +62,14 @@ uint64_t SecureSumMessages(const Dataset& dataset) {
 Dataset PublishRandomizedRound(const Dataset& dataset,
                                double keep_probability, Rng& rng,
                                double* epsilon) {
-  Dataset randomized = dataset;
-  for (size_t j = 0; j < dataset.num_attributes(); ++j) {
+  std::vector<std::vector<uint32_t>> columns(dataset.num_attributes());
+  for (size_t j = 0; j < columns.size(); ++j) {
     size_t r = dataset.attribute(j).cardinality();
     RrMatrix matrix = RrMatrix::KeepUniform(r, keep_probability);
-    // In-place rewrite of the copied column: randomized codes are < r by
-    // construction, and no per-attribute column is allocated.
-    matrix.RandomizeColumnInto(dataset.column(j), rng,
-                               randomized.MutableColumn(j));
+    matrix.RandomizeColumnInto(dataset.column(j), rng, columns[j]);
     *epsilon += matrix.Epsilon();
   }
-  return randomized;
+  return Dataset(dataset.schema(), std::move(columns));
 }
 
 // Counter-policy round-1 publication: attribute j's column is drawn from

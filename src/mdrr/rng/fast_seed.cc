@@ -1,6 +1,5 @@
 #include "mdrr/rng/fast_seed.h"
 
-#include <cstring>
 
 namespace mdrr {
 
@@ -11,6 +10,8 @@ namespace {
 constexpr size_t kN = kEngineSeedWords;
 constexpr size_t kP = 306;
 constexpr size_t kQ = 317;
+// Every word of the request starts as this fill word.
+constexpr uint32_t kFill = 0x8b8b8b8bu;
 
 inline uint32_t Mix(uint32_t x) { return x ^ (x >> 27); }
 
@@ -28,7 +29,7 @@ void FourWordSeedSeq::GenerateEngineWords(
     uint32_t out[kEngineSeedWords]) const {
   // The recurrence runs in place in the output.
   uint32_t* b = out;
-  for (size_t i = 0; i < kN; ++i) b[i] = 0x8b8b8b8bu;
+  for (size_t i = 0; i < kN; ++i) b[i] = kFill;
 
   // First pass: b[k+p] += r1, b[k+q] += r2, b[k] = r2. b[(k-1) % n] is
   // always the previous iteration's r2 (no other write can land on it in
@@ -100,62 +101,137 @@ void FourWordSeedSeq::GenerateEngineWords(
 
 namespace {
 
-// Eight lanes of 32-bit words; a block step works on two of them.
-typedef uint32_t U32x8 __attribute__((vector_size(32)));
-constexpr size_t kHalves = kSeedLanes / 8;
-static_assert(kSeedLanes % 8 == 0, "lanes come in whole 8 x u32 vectors");
-
-// The block's state: b[i][h] holds word i of lanes 8h..8h+7.
-typedef U32x8 BlockWords[kN][kHalves];
+// Lane vectors over SeedBlock rows (may_alias: they load and store the
+// block's uint32_t words). The AVX2 and portable bodies step four
+// U32x8 per word, the AVX-512 body two U32x16; the block's memory layout
+// is the same for all of them.
+typedef uint32_t U32x8 __attribute__((vector_size(32), __may_alias__));
+typedef uint32_t U32x16 __attribute__((vector_size(64), __may_alias__));
+// Unaligned stores into a caller's staging buffer.
+typedef uint32_t U32x8u
+    __attribute__((vector_size(32), __may_alias__, __aligned__(4)));
+static_assert(kSeedLanes % 16 == 0, "lanes come in whole 16 x u32 vectors");
+static_assert(kSeedLanes % kSeedStageLanes == 0 && kSeedStageLanes == 8,
+              "a stage is one 8 x 8 transpose tile");
 
 // Everything below is always_inline so that each target body compiles
 // the whole recurrence for its own ISA.
 #define MDRR_SEED_INLINE __attribute__((always_inline)) inline
 
-// First-pass step k: b[kp] += r1, b[kq] += r2, b[k] = r2.
-MDRR_SEED_INLINE void Pass1Step(BlockWords& b, U32x8* prev, size_t k,
-                                size_t kp, size_t kq, const U32x8* extra) {
-  for (size_t h = 0; h < kHalves; ++h) {
-    const U32x8 x = b[k][h] ^ b[kp][h] ^ prev[h];
-    const U32x8 r1 = 1664525u * (x ^ (x >> 27));
-    const U32x8 r2 = r1 + extra[h];
-    b[kp][h] += r1;
-    b[kq][h] += r2;
-    b[k][h] = r2;
+// A block's words as rows of kVectors lane vectors of type V.
+template <typename V>
+struct Rows {
+  static constexpr size_t kWidth = sizeof(V) / sizeof(uint32_t);
+  static constexpr size_t kVectors = kSeedLanes / kWidth;
+  V (*b)[kVectors];
+};
+
+// First-pass step k: b[kp] += r1, b[kq] += r2, b[k] = r2. The block is
+// never filled: a row no earlier step has written would hold the fill
+// word, so the step uses kFill for it instead of a load. kFreshK,
+// kFreshP and kFreshQ say which of rows k, kp and kq that is.
+template <bool kFreshK, bool kFreshP, bool kFreshQ, typename V>
+MDRR_SEED_INLINE void Pass1Step(Rows<V> rows, V* prev, size_t k, size_t kp,
+                                size_t kq, const V* extra) {
+  const V fill = V{} + kFill;
+  for (size_t h = 0; h < Rows<V>::kVectors; ++h) {
+    const V bk = kFreshK ? fill : rows.b[k][h];
+    const V bp = kFreshP ? fill : rows.b[kp][h];
+    const V x = bk ^ bp ^ prev[h];
+    const V r1 = 1664525u * (x ^ (x >> 27));
+    const V r2 = r1 + extra[h];
+    rows.b[kp][h] = bp + r1;
+    rows.b[kq][h] = (kFreshQ ? fill : rows.b[kq][h]) + r2;
+    rows.b[k][h] = r2;
     prev[h] = r2;
   }
 }
 
-MDRR_SEED_INLINE void Pass1IndexStep(BlockWords& b, U32x8* prev, size_t k,
-                                     size_t kp, size_t kq) {
-  U32x8 index[kHalves];
-  for (size_t h = 0; h < kHalves; ++h) {
-    index[h] = U32x8{} + static_cast<uint32_t>(k);
+// First-pass steps k in [begin, end), with the extra term k. The index
+// vector is carried and incremented rather than splat from k at every
+// step: GCC 12 builds a 16 x u32 splat of a loop variable one masked
+// broadcast per lane.
+template <bool kFreshK, bool kFreshP, bool kFreshQ, typename V>
+MDRR_SEED_INLINE void Pass1Range(Rows<V> rows, V* prev, size_t begin,
+                                 size_t end, size_t wrap_p, size_t wrap_q) {
+  V index = V{} + static_cast<uint32_t>(begin);
+  for (size_t k = begin; k < end; ++k, index += 1u) {
+    V extra[Rows<V>::kVectors];
+    for (V& v : extra) v = index;
+    Pass1Step<kFreshK, kFreshP, kFreshQ>(rows, prev, k, k + kP - wrap_p,
+                                         k + kQ - wrap_q, extra);
   }
-  Pass1Step(b, prev, k, kp, kq, index);
 }
 
-// Second-pass step k: b[kp] ^= r3, b[kq] ^= r4, b[k] = r4.
-MDRR_SEED_INLINE void Pass2Step(BlockWords& b, U32x8* prev, size_t k,
-                                size_t kp, size_t kq) {
-  for (size_t h = 0; h < kHalves; ++h) {
-    const U32x8 x = b[k][h] + b[kp][h] + prev[h];
-    const U32x8 r3 = 1566083941u * (x ^ (x >> 27));
-    const U32x8 r4 = r3 - static_cast<uint32_t>(k);
-    b[kp][h] ^= r3;
-    b[kq][h] ^= r4;
-    b[k][h] = r4;
-    prev[h] = r4;
+// Second-pass steps k in [begin, end): b[kp] ^= r3, b[kq] ^= r4,
+// b[k] = r4.
+template <typename V>
+MDRR_SEED_INLINE void Pass2Range(Rows<V> rows, V* prev, size_t begin,
+                                 size_t end, size_t wrap_p, size_t wrap_q) {
+  V index = V{} + static_cast<uint32_t>(begin);
+  for (size_t k = begin; k < end; ++k, index += 1u) {
+    const size_t kp = k + kP - wrap_p, kq = k + kQ - wrap_q;
+    for (size_t h = 0; h < Rows<V>::kVectors; ++h) {
+      const V x = rows.b[k][h] + rows.b[kp][h] + prev[h];
+      const V r3 = 1566083941u * (x ^ (x >> 27));
+      const V r4 = r3 - index;
+      rows.b[kp][h] ^= r3;
+      rows.b[kq][h] ^= r4;
+      rows.b[k][h] = r4;
+      prev[h] = r4;
+    }
   }
+}
+
+// The GenerateEngineWords recurrence with every scalar replaced by a row
+// of lane vectors, over the same index ranges. No step has cross-lane
+// data flow, so each lane computes exactly its scalar expansion.
+template <typename V>
+MDRR_SEED_INLINE void SeedBlockBody(const uint64_t* seeds, SeedBlock* block) {
+  constexpr size_t kWidth = Rows<V>::kWidth;
+  constexpr size_t kVectors = Rows<V>::kVectors;
+  const Rows<V> rows{reinterpret_cast<V(*)[kVectors]>(block->words)};
+  V entropy[4][kVectors];
+  for (size_t l = 0; l < kSeedLanes; ++l) {
+    uint64_t state = seeds[l];
+    for (size_t w = 0; w < 4; ++w) {
+      entropy[w][l / kWidth][l % kWidth] =
+          static_cast<uint32_t>(SplitMix64Next(state));
+    }
+  }
+  V prev[kVectors];
+  for (V& v : prev) v = V{} + kFill;
+
+  // Before step k, row k has been written iff k >= p (as step k-p's kp)
+  // or k >= q; row k+p iff k >= q-p = 11 (as step k-11's kq); row k+q
+  // (mod n) iff k >= n-q = 307 (as row k+q-n's own step). Every row is
+  // written at its own step, so no fill word survives the first pass.
+  V extra[kVectors];
+  for (V& v : extra) v = V{} + 4u;
+  Pass1Step<true, true, true>(rows, prev, 0, kP, kQ, extra);
+  for (size_t k = 1; k <= 4; ++k) {
+    for (size_t h = 0; h < kVectors; ++h) {
+      extra[h] = entropy[k - 1][h] + static_cast<uint32_t>(k);
+    }
+    Pass1Step<true, true, true>(rows, prev, k, k + kP, k + kQ, extra);
+  }
+  static_assert(kQ - kP == 11 && kN - kQ == 307 && kN - kP == 318,
+                "the ranges below split at these step numbers");
+  Pass1Range<true, true, true>(rows, prev, 5, 11, 0, 0);
+  Pass1Range<true, false, true>(rows, prev, 11, kP, 0, 0);
+  Pass1Range<false, false, true>(rows, prev, kP, kN - kQ, 0, 0);
+  // k+q wrapped, then both wrapped.
+  Pass1Range<false, false, false>(rows, prev, kN - kQ, kN - kP, 0, kN);
+  Pass1Range<false, false, false>(rows, prev, kN - kP, kN, kN, kN);
+
+  Pass2Range(rows, prev, 0, kN - kQ, 0, 0);
+  Pass2Range(rows, prev, kN - kQ, kN - kP, 0, kN);
+  Pass2Range(rows, prev, kN - kP, kN, kN, kN);
 }
 
 // out[l][j] = r_j[l]: rows of words i..i+7 in, one vector per lane out
 // (unpack 32-bit pairs, then 64-bit pairs, then swap 128-bit halves).
-MDRR_SEED_INLINE void Transpose8x8(const U32x8& r0, const U32x8& r1,
-                                   const U32x8& r2, const U32x8& r3,
-                                   const U32x8& r4, const U32x8& r5,
-                                   const U32x8& r6, const U32x8& r7,
-                                   U32x8 out[8]) {
+MDRR_SEED_INLINE void Transpose8x8(const U32x8* r, U32x8 out[8]) {
 #define MDRR_LO32(a, b) __builtin_shufflevector(a, b, 0, 8, 1, 9, 4, 12, 5, 13)
 #define MDRR_HI32(a, b) \
   __builtin_shufflevector(a, b, 2, 10, 3, 11, 6, 14, 7, 15)
@@ -166,10 +242,10 @@ MDRR_SEED_INLINE void Transpose8x8(const U32x8& r0, const U32x8& r1,
   __builtin_shufflevector(a, b, 0, 1, 2, 3, 8, 9, 10, 11)
 #define MDRR_HI128(a, b) \
   __builtin_shufflevector(a, b, 4, 5, 6, 7, 12, 13, 14, 15)
-  const U32x8 t0 = MDRR_LO32(r0, r1), t1 = MDRR_HI32(r0, r1);
-  const U32x8 t2 = MDRR_LO32(r2, r3), t3 = MDRR_HI32(r2, r3);
-  const U32x8 t4 = MDRR_LO32(r4, r5), t5 = MDRR_HI32(r4, r5);
-  const U32x8 t6 = MDRR_LO32(r6, r7), t7 = MDRR_HI32(r6, r7);
+  const U32x8 t0 = MDRR_LO32(r[0], r[1]), t1 = MDRR_HI32(r[0], r[1]);
+  const U32x8 t2 = MDRR_LO32(r[2], r[3]), t3 = MDRR_HI32(r[2], r[3]);
+  const U32x8 t4 = MDRR_LO32(r[4], r[5]), t5 = MDRR_HI32(r[4], r[5]);
+  const U32x8 t6 = MDRR_LO32(r[6], r[7]), t7 = MDRR_HI32(r[6], r[7]);
   const U32x8 u0 = MDRR_LO64(t0, t2), u1 = MDRR_HI64(t0, t2);
   const U32x8 u2 = MDRR_LO64(t1, t3), u3 = MDRR_HI64(t1, t3);
   const U32x8 u4 = MDRR_LO64(t4, t6), u5 = MDRR_HI64(t4, t6);
@@ -190,82 +266,41 @@ MDRR_SEED_INLINE void Transpose8x8(const U32x8& r0, const U32x8& r1,
 #undef MDRR_HI128
 }
 
-// The GenerateEngineWords recurrence with every scalar replaced by a pair
-// of lane vectors, over the same index ranges. No step has cross-lane
-// data flow, so each lane computes exactly its scalar expansion.
-MDRR_SEED_INLINE void SeedBlockBody(const uint64_t* seeds, uint32_t* out) {
-  alignas(32) BlockWords b;
-  U32x8 entropy[4][kHalves];
-  for (size_t l = 0; l < kSeedLanes; ++l) {
-    uint64_t state = seeds[l];
-    for (size_t w = 0; w < 4; ++w) {
-      entropy[w][l / 8][l % 8] = static_cast<uint32_t>(SplitMix64Next(state));
-    }
-  }
-  const U32x8 fill = U32x8{} + 0x8b8b8b8bu;
-  for (size_t i = 0; i < kN; ++i) {
-    for (size_t h = 0; h < kHalves; ++h) b[i][h] = fill;
-  }
-  U32x8 prev[kHalves];
-  for (size_t h = 0; h < kHalves; ++h) prev[h] = fill;
-
-  U32x8 extra[kHalves];
-  for (size_t h = 0; h < kHalves; ++h) extra[h] = U32x8{} + 4u;
-  Pass1Step(b, prev, 0, kP, kQ, extra);
-  for (size_t k = 1; k <= 4; ++k) {
-    for (size_t h = 0; h < kHalves; ++h) {
-      extra[h] = entropy[k - 1][h] + static_cast<uint32_t>(k);
-    }
-    Pass1Step(b, prev, k, k + kP, k + kQ, extra);
-  }
-  for (size_t k = 5; k < kN - kQ; ++k) {
-    Pass1IndexStep(b, prev, k, k + kP, k + kQ);
-  }
-  for (size_t k = kN - kQ; k < kN - kP; ++k) {
-    Pass1IndexStep(b, prev, k, k + kP, k + kQ - kN);
-  }
-  for (size_t k = kN - kP; k < kN; ++k) {
-    Pass1IndexStep(b, prev, k, k + kP - kN, k + kQ - kN);
-  }
-
-  for (size_t k = 0; k < kN - kQ; ++k) Pass2Step(b, prev, k, k + kP, k + kQ);
-  for (size_t k = kN - kQ; k < kN - kP; ++k) {
-    Pass2Step(b, prev, k, k + kP, k + kQ - kN);
-  }
-  for (size_t k = kN - kP; k < kN; ++k) {
-    Pass2Step(b, prev, k, k + kP - kN, k + kQ - kN);
-  }
-
-  // Lane-major output: transpose 8 words x 8 lanes at a time.
+// Lane-major staging of lanes first..first+7, 8 words x 8 lanes at a
+// time.
+MDRR_SEED_INLINE void StageBody(const SeedBlock& block, size_t first,
+                                uint32_t* out) {
   static_assert(kN % 8 == 0, "the transpose takes whole 8-word groups");
   for (size_t i = 0; i < kN; i += 8) {
-    for (size_t h = 0; h < kHalves; ++h) {
-      U32x8 lanes[8];
-      Transpose8x8(b[i + 0][h], b[i + 1][h], b[i + 2][h], b[i + 3][h],
-                   b[i + 4][h], b[i + 5][h], b[i + 6][h], b[i + 7][h],
-                   lanes);
-      for (size_t l = 0; l < 8; ++l) {
-        std::memcpy(out + (8 * h + l) * kN + i, &lanes[l], sizeof(U32x8));
-      }
+    U32x8 rows[8], lanes[8];
+    for (size_t r = 0; r < 8; ++r) {
+      rows[r] = *reinterpret_cast<const U32x8*>(&block.words[i + r][first]);
+    }
+    Transpose8x8(rows, lanes);
+    for (size_t l = 0; l < 8; ++l) {
+      *reinterpret_cast<U32x8u*>(out + l * kN + i) = lanes[l];
     }
   }
 }
 
 #undef MDRR_SEED_INLINE
 
-}  // namespace
-
-void GenerateSeedBlockPortable(const uint64_t seeds[kSeedLanes],
-                               uint32_t* out) {
-  SeedBlockBody(seeds, out);
-}
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-namespace {
+#define MDRR_SEED_X86 1
 
 __attribute__((target("avx2"))) void SeedBlockAvx2(const uint64_t* seeds,
-                                                   uint32_t* out) {
-  SeedBlockBody(seeds, out);
+                                                   SeedBlock* block) {
+  SeedBlockBody<U32x8>(seeds, block);
+}
+
+__attribute__((target("avx512f"))) void SeedBlockAvx512(
+    const uint64_t* seeds, SeedBlock* block) {
+  SeedBlockBody<U32x16>(seeds, block);
+}
+
+__attribute__((target("avx2"))) void StageAvx2(const SeedBlock& block,
+                                               size_t first, uint32_t* out) {
+  StageBody(block, first, out);
 }
 
 bool HaveAvx2() {
@@ -273,23 +308,54 @@ bool HaveAvx2() {
   return have;
 }
 
-}  // namespace
-
-bool GenerateSeedBlockAvx2(const uint64_t seeds[kSeedLanes], uint32_t* out) {
-  if (!HaveAvx2()) return false;
-  SeedBlockAvx2(seeds, out);
-  return true;
-}
-#else
-bool GenerateSeedBlockAvx2(const uint64_t* /*seeds*/, uint32_t* /*out*/) {
-  return false;
+bool HaveAvx512() {
+  static const bool have = __builtin_cpu_supports("avx512f");
+  return have;
 }
 #endif
 
-void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], uint32_t* out) {
-  if (!GenerateSeedBlockAvx2(seeds, out)) {
-    GenerateSeedBlockPortable(seeds, out);
+}  // namespace
+
+bool GenerateSeedBlockOn(SeedBody body, const uint64_t seeds[kSeedLanes],
+                         SeedBlock* block) {
+  switch (body) {
+    case SeedBody::kPortable:
+      SeedBlockBody<U32x8>(seeds, block);
+      return true;
+#ifdef MDRR_SEED_X86
+    case SeedBody::kAvx2:
+      if (!HaveAvx2()) return false;
+      SeedBlockAvx2(seeds, block);
+      return true;
+    case SeedBody::kAvx512:
+      if (!HaveAvx512()) return false;
+      SeedBlockAvx512(seeds, block);
+      return true;
+#endif
+    default:
+      return false;
   }
+}
+
+void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], SeedBlock* block) {
+#ifdef MDRR_SEED_X86
+  static const SeedBody best = HaveAvx512() ? SeedBody::kAvx512
+                               : HaveAvx2() ? SeedBody::kAvx2
+                                            : SeedBody::kPortable;
+#else
+  constexpr SeedBody best = SeedBody::kPortable;
+#endif
+  GenerateSeedBlockOn(best, seeds, block);
+}
+
+void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out) {
+#ifdef MDRR_SEED_X86
+  if (HaveAvx2()) {
+    StageAvx2(block, first, out);
+    return;
+  }
+#endif
+  StageBody(block, first, out);
 }
 
 }  // namespace mdrr

@@ -10,17 +10,21 @@
 //     word carried in a register and each pass split at its two wrap
 //     boundaries, so the hot loops are branch-free and allocation-free.
 //     It is still one serial chain of 1 248 dependent steps per seed.
-//   * GenerateSeedBlock runs kSeedLanes independent expansions at once,
-//     one lane each of two 8 x u32 vectors, so the 16 chains run side by
-//     side (an AVX2 body where the CPU has it, chosen at run time).
+//   * GenerateSeedBlock runs kSeedLanes = 32 independent expansions at
+//     once, one vector lane each, so 32 chains run side by side (AVX-512
+//     and AVX2 bodies where the CPU has them, chosen at run time).
+//     The expansion is latency-bound: what pays is the number of
+//     chains in flight, not the width of one register.
 //
 // Measured by bench_micro_primitives (BM_SerialSeedExpansion,
-// BM_SeedBlockExpansion) on a 4-core Xeon VM with AVX2, GCC 12,
-// Release: about 4.0 us per seed serially and 0.95 us per seed in a
-// block. MersenneTwister64 then seeds straight from the words and
-// twists only what a report draws, which is what makes one engine per
-// record affordable: per streaming report and per session party, both
-// seeded through ForEachSeedSequence by protocol::RandomizeRecords.
+// BM_SeedBlockExpansion/{0,1,2}) on a 4-vCPU AVX-512 Xeon VM, GCC 12,
+// Release: about 3.9 us per seed serially; per seed in a block, staging
+// included, 0.43-0.54 us on the AVX-512 body, 0.47-0.61 us on AVX2 and
+// 1.1-1.7 us portable. MersenneTwister64 then seeds straight from the
+// words and twists only what a report draws, which is what makes one
+// engine per record affordable: per streaming report and per session
+// party, both seeded through ForEachSeedSequence by
+// protocol::RandomizeRecords.
 //
 // Both paths are golden-tested against std::seed_seq in
 // tests/session_fast_path_test.cc; any divergence is a test failure, not
@@ -37,8 +41,14 @@
 
 namespace mdrr {
 
-// Engines seeded per GenerateSeedBlock call: two 8 x u32 vectors.
-inline constexpr size_t kSeedLanes = 16;
+// Engines seeded per GenerateSeedBlock call. Each lane is one serial
+// chain of 1 248 dependent steps, so the lanes are what puts work in
+// flight while a multiply's latency runs: four 8 x u32 vectors or two
+// 16 x u32 per step.
+inline constexpr size_t kSeedLanes = 32;
+
+// Lanes StageSeedLanes copies out at a time: one 8 x 8 transpose tile.
+inline constexpr size_t kSeedStageLanes = 8;
 
 // Drop-in replacement for the library's historical engine seeding
 // sequence std::seed_seq{SplitMix64Next(s) x 4}: generate() output is
@@ -83,40 +93,57 @@ class FourWordSeedSeq {
   uint32_t entropy_[4];
 };
 
-// Runs kSeedLanes FourWordSeedSeq 624-word expansions at once.
-// out[l * kEngineSeedWords + i] is word i of the expansion of seeds[l]
-// (lane-major, so each lane's words are contiguous for an engine to
-// seed from). Runs the AVX2 body where the CPU has AVX2 (decided once,
-// at run time) and the portable body elsewhere; both write the same
-// words.
-void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], uint32_t* out);
+// The expansion state of one seed block, word-major: words[i][l] is word
+// i of lane l's expansion. 80 KB: callers keep it on the seeding
+// thread's stack or in a per-call buffer, never in thread_local storage
+// (glibc zeroes a thread's .tbss when it starts, so every thread would
+// pay for its pages).
+struct alignas(64) SeedBlock {
+  uint32_t words[kEngineSeedWords][kSeedLanes];
+};
 
-// The two bodies GenerateSeedBlock dispatches between, exposed so tests
-// check both. GenerateSeedBlockAvx2 returns false without writing when
-// the CPU or the compiler lacks AVX2.
-void GenerateSeedBlockPortable(const uint64_t seeds[kSeedLanes],
-                               uint32_t* out);
-bool GenerateSeedBlockAvx2(const uint64_t seeds[kSeedLanes], uint32_t* out);
+// The bodies a seed block can run on. Every body writes the same words.
+enum class SeedBody { kPortable, kAvx2, kAvx512 };
+
+// Runs kSeedLanes FourWordSeedSeq 624-word expansions at once into
+// *block, seeds[l] into lane l, on the fastest body the CPU has (decided
+// once, at run time).
+void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], SeedBlock* block);
+
+// The same on one named body, so tests check and benchmarks time each
+// one. Returns false without writing when the CPU or the compiler lacks
+// the body's instructions.
+bool GenerateSeedBlockOn(SeedBody body, const uint64_t seeds[kSeedLanes],
+                         SeedBlock* block);
+
+// Copies lanes [first, first + kSeedStageLanes) of `block` out
+// lane-major, so each lane's words are contiguous for an engine to seed
+// from: out[l * kEngineSeedWords + i] = block.words[i][first + l].
+// `first` is a multiple of kSeedStageLanes.
+void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out);
 
 // The one lane-batching walk over a seed range: invokes
 // fn(index, SeedWords) for every i in [0, count) with the 624-word
 // expansion of seeds[index], kSeedLanes seeds per GenerateSeedBlock
-// call. A final partial block runs through GenerateSeedBlock too, padded
-// with zero seeds whose words nobody reads. The words are exactly
-// std::seed_seq{SplitMix64 x 4}'s for that seed, so each element is a
-// pure function of its own seed and disjoint ranges can be walked
-// concurrently with any grouping. The words are valid during the call
-// only.
+// call, staged kSeedStageLanes lanes at a time. A final partial block
+// runs through GenerateSeedBlock too, padded with zero seeds whose words
+// nobody reads. The words are exactly std::seed_seq{SplitMix64 x 4}'s
+// for that seed, so each element is a pure function of its own seed and
+// disjoint ranges can be walked concurrently with any grouping. The
+// words are valid during the call only.
 template <typename Fn>
 void ForEachSeedSequence(const uint64_t* seeds, size_t count, Fn&& fn) {
-  uint32_t block[kSeedLanes * kEngineSeedWords];
+  SeedBlock block;
+  uint32_t stage[kSeedStageLanes * kEngineSeedWords];
   for (size_t i = 0; i < count; i += kSeedLanes) {
     const size_t lanes = count - i < kSeedLanes ? count - i : kSeedLanes;
     uint64_t lane_seeds[kSeedLanes] = {};
     for (size_t l = 0; l < lanes; ++l) lane_seeds[l] = seeds[i + l];
-    GenerateSeedBlock(lane_seeds, block);
+    GenerateSeedBlock(lane_seeds, &block);
     for (size_t l = 0; l < lanes; ++l) {
-      fn(i + l, SeedWords{block + l * kEngineSeedWords});
+      if (l % kSeedStageLanes == 0) StageSeedLanes(block, l, stage);
+      fn(i + l,
+         SeedWords{stage + (l % kSeedStageLanes) * kEngineSeedWords});
     }
   }
 }

@@ -37,8 +37,8 @@ namespace mdrr {
 inline constexpr size_t kEngineSeedWords = 624;
 
 // A seed sequence's kEngineSeedWords-word expansion, already generated
-// (FourWordSeedSeq::GenerateEngineWords and GenerateSeedBlock in
-// fast_seed.h). Seeding from it equals seeding from the sequence itself,
+// (FourWordSeedSeq::GenerateEngineWords, or GenerateSeedBlock and
+// StageSeedLanes in fast_seed.h). Seeding from it equals seeding from the sequence itself,
 // minus the generate() round trip. Non-owning: `words` must stay valid
 // for the seeding call only.
 struct SeedWords {

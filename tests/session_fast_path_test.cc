@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -81,11 +82,18 @@ TEST(FastSeedTest, GenericRequestLengthsMatchStdSeedSeq) {
 }
 
 TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
+  struct Body {
+    SeedBody body;
+    const char* name;
+    bool ran = false;
+  };
+  Body bodies[] = {{SeedBody::kPortable, "portable"},
+                   {SeedBody::kAvx2, "AVX2"},
+                   {SeedBody::kAvx512, "AVX-512"}};
   Rng seed_source(5);
   std::vector<uint32_t> want(kEngineSeedWords);
-  std::vector<uint32_t> portable(kSeedLanes * kEngineSeedWords);
-  std::vector<uint32_t> avx2(kSeedLanes * kEngineSeedWords);
-  bool have_avx2 = false;
+  std::vector<uint32_t> stage(kSeedStageLanes * kEngineSeedWords);
+  auto block = std::make_unique<SeedBlock>();
   for (int trial = 0; trial < 20; ++trial) {
     uint64_t seeds[kSeedLanes];
     for (uint64_t& s : seeds) s = seed_source.engine()();
@@ -93,30 +101,38 @@ TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
       seeds[0] = 0;
       seeds[kSeedLanes - 1] = ~uint64_t{0};
     }
-    GenerateSeedBlockPortable(seeds, portable.data());
-    have_avx2 = GenerateSeedBlockAvx2(seeds, avx2.data());
-    for (size_t l = 0; l < kSeedLanes; ++l) {
-      FourWordSeedSeq(seeds[l]).GenerateEngineWords(want.data());
-      const auto lane = [&](const std::vector<uint32_t>& block) {
-        return std::vector<uint32_t>(
-            block.begin() + l * kEngineSeedWords,
-            block.begin() + (l + 1) * kEngineSeedWords);
-      };
-      ASSERT_EQ(lane(portable), want) << "portable, seed " << seeds[l];
-      if (have_avx2) {
-        ASSERT_EQ(lane(avx2), want) << "avx2, seed " << seeds[l];
+    for (Body& body : bodies) {
+      body.ran = GenerateSeedBlockOn(body.body, seeds, block.get());
+      if (!body.ran) continue;
+      for (size_t l = 0; l < kSeedLanes; ++l) {
+        FourWordSeedSeq(seeds[l]).GenerateEngineWords(want.data());
+        for (size_t i = 0; i < kEngineSeedWords; ++i) {
+          ASSERT_EQ(block->words[i][l], want[i])
+              << body.name << ", seed " << seeds[l] << ", word " << i;
+        }
+        if (l % kSeedStageLanes == 0) StageSeedLanes(*block, l, stage.data());
+        const size_t at = (l % kSeedStageLanes) * kEngineSeedWords;
+        ASSERT_EQ(std::vector<uint32_t>(stage.begin() + at,
+                                        stage.begin() + at + kEngineSeedWords),
+                  want)
+            << body.name << " staged, seed " << seeds[l];
       }
     }
   }
-  if (!have_avx2) {
-    std::printf("AVX2 body not checked: the CPU lacks AVX2\n");
+  EXPECT_TRUE(bodies[0].ran);
+  for (const Body& body : bodies) {
+    if (!body.ran) {
+      std::printf("%s seed body not checked: the CPU lacks it\n", body.name);
+    }
   }
 }
 
 TEST(FastSeedTest, ForEachSeedSequenceMatchesPerPartyConstruction) {
-  for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
-                       size_t{15}, size_t{16}, size_t{17}, size_t{33},
-                       size_t{64}, size_t{130}}) {
+  constexpr size_t L = kSeedLanes;
+  for (size_t count :
+       {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{15},
+        size_t{16}, size_t{17}, L - 1, L, L + 1, size_t{64}, size_t{130},
+        2 * L + 1}) {
     std::vector<uint64_t> seeds(count);
     Rng seed_source(11 + count);
     for (uint64_t& s : seeds) s = seed_source.engine()();

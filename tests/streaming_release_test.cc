@@ -291,8 +291,10 @@ TEST(StreamingReleaseTest, RandomizeReportsMatchesPerReportLoop) {
     release::ExecutionPolicy execution;
     execution.rng = rng;
     execution.seed = seed;
-    for (uint64_t first : {0, 1, 17, 40}) {
-      for (uint64_t count : {0, 1, 17, 40}) {
+    // first = 13, count = 77: two full seed blocks of kSeedLanes = 32
+    // and a partial one, none starting at a multiple of 32.
+    for (uint64_t first : {0, 1, 13, 17, 40}) {
+      for (uint64_t count : {0, 1, 17, 40, 77}) {
         std::vector<uint32_t> range(count * m);
         protocol::RandomizeReports(execution, matrices, data, first, count,
                                    range.data());
@@ -463,9 +465,10 @@ TEST(StreamingSnapshotTest, KillResumeMatchesUninterruptedRun) {
   const std::string full_transcript =
       release::PrintStreamWindows(baseline.windows);
 
-  // 1000 pauses on a bucket boundary; 1130 pauses mid-bucket and
-  // mid-claim (producers claim blocks of kSeedLanes = 16 sequences, so
-  // with several producers more than one claim is clipped at it).
+  // 1000 pauses on a bucket boundary; 1130 pauses mid-bucket. Both
+  // pause mid-claim: producers claim blocks of kSeedLanes = 32
+  // sequences, and neither is a multiple of 32, so the claim that
+  // straddles the pause is clipped at it.
   for (size_t threads : {size_t{1}, size_t{3}}) {
     for (uint64_t pause_at : {uint64_t{1000}, uint64_t{1130}}) {
       SCOPED_TRACE(testing::Message() << threads << " producers");
