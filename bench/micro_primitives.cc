@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <random>
-#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -115,8 +115,8 @@ BENCHMARK(BM_SerialSeedExpansion);
 
 // The same expansion kSeedLanes seeds at a time, as ForEachSeedSequence
 // runs it (the block, then every lane staged lane-major); items are
-// seeds. The arg picks the body: 0 portable, 1 AVX2, 2 AVX-512. A body
-// the CPU lacks reports an error instead of a time.
+// seeds. The arg picks the body: 0 portable, 1 AVX2. A body the CPU
+// lacks reports an error instead of a time.
 void BM_SeedBlockExpansion(benchmark::State& state) {
   const auto body = static_cast<mdrr::SeedBody>(state.range(0));
   auto block = std::make_unique<mdrr::SeedBlock>();
@@ -130,14 +130,14 @@ void BM_SeedBlockExpansion(benchmark::State& state) {
       break;
     }
     for (size_t l = 0; l < mdrr::kSeedLanes; l += mdrr::kSeedStageLanes) {
-      mdrr::StageSeedLanes(*block, l, stage.data());
+      mdrr::StageSeedLanesOn(body, *block, l, stage.data());
       benchmark::DoNotOptimize(stage.data());
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(mdrr::kSeedLanes));
 }
-BENCHMARK(BM_SeedBlockExpansion)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SeedBlockExpansion)->Arg(0)->Arg(1);
 
 // Seeds an engine from an expanded word block and draws the 16 words of
 // an eight-attribute report: arg 0 is the library engine, arg 1 is
@@ -194,7 +194,6 @@ BENCHMARK(BM_EngineSustainedDraws)->Arg(0)->Arg(1);
 void BM_RunRrAdjustment(benchmark::State& state) {
   static const auto* const kInput = [] {
     struct Input {
-      mdrr::RrClustersResult release;  // The groups borrow its codes.
       std::vector<mdrr::AdjustmentGroup> groups;
       size_t num_records;
     };
@@ -207,9 +206,7 @@ void BM_RunRrAdjustment(benchmark::State& state) {
     auto release = mdrr::BatchPerturbationEngine(engine_options)
                        .RunClusters(adult, cluster_options);
     if (!release.ok()) std::abort();
-    auto* input = new Input{std::move(release).value(), {}, adult.num_rows()};
-    input->groups = mdrr::GroupsFromClusters(input->release);
-    return input;
+    return new Input{mdrr::GroupsFromClusters(*release), adult.num_rows()};
   }();
   mdrr::AdjustmentOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));

@@ -109,7 +109,7 @@ bool MixedKeys(const std::vector<AdjustmentGroup>& groups, const TupleKey& key,
   }
   bool in_range = true;
   for (size_t g = key.first; g < key.last; ++g) {
-    const uint32_t* codes = groups[g].Codes().data() + begin;
+    const uint32_t* codes = groups[g].codes.data() + begin;
     const uint64_t stride = key.stride[g - key.first];
     uint32_t max_code = 0;
     for (size_t k = 0; k < count; ++k) {
@@ -309,7 +309,7 @@ Status CheckCodeRanges(const std::vector<AdjustmentGroup>& groups,
   ParallelChunks(num_records, part_size, num_parts,
                  [&](size_t /*worker*/, size_t p, size_t begin, size_t end) {
                    for (size_t g = first; g < groups.size(); ++g) {
-                     const uint32_t* codes = groups[g].Codes().data();
+                     const uint32_t* codes = groups[g].codes.data();
                      uint32_t max_code = 0;
                      for (size_t i = begin; i < end; ++i) {
                        max_code = std::max(max_code, codes[i]);
@@ -343,7 +343,7 @@ StatusOr<CellIndex> BuildCellIndex(const std::vector<AdjustmentGroup>& groups,
   const size_t max_cells = num_records / 2;
   CellIndex index;
   for (const AdjustmentGroup& group : groups) {
-    index.codes.push_back(group.Codes().data());
+    index.codes.push_back(group.codes.data());
   }
   const size_t workers =
       ResolveWorkerCount(num_threads, num_records, chunk_size);
@@ -419,7 +419,7 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
         "adjustment record count exceeds the 32-bit cell index");
   }
   for (const AdjustmentGroup& group : groups) {
-    if (group.Codes().size() != num_records) {
+    if (group.codes.size() != num_records) {
       return Status::InvalidArgument("group code vector size mismatch");
     }
     double total = 0.0;
@@ -628,8 +628,8 @@ std::vector<AdjustmentGroup> GroupsFromIndependent(
   std::vector<AdjustmentGroup> groups;
   groups.reserve(result.randomized.num_attributes());
   for (size_t j = 0; j < result.randomized.num_attributes(); ++j) {
-    groups.push_back(AdjustmentGroup::Borrowing(result.randomized.column(j),
-                                                result.estimated[j]));
+    groups.push_back(
+        AdjustmentGroup{result.randomized.column(j), result.estimated[j]});
   }
   return groups;
 }
@@ -640,7 +640,7 @@ std::vector<AdjustmentGroup> GroupsFromClusters(
   groups.reserve(result.cluster_results.size());
   for (const RrJointResult& joint : result.cluster_results) {
     groups.push_back(
-        AdjustmentGroup::Borrowing(joint.randomized_codes, joint.estimated));
+        AdjustmentGroup{joint.randomized_codes, joint.estimated});
   }
   return groups;
 }

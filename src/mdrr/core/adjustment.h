@@ -8,7 +8,6 @@
 #define MDRR_CORE_ADJUSTMENT_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "mdrr/common/status_or.h"
@@ -20,29 +19,8 @@ namespace mdrr {
 // One marginal constraint: per-record codes over the group's domain and
 // the target distribution those codes' weighted marginal must match.
 struct AdjustmentGroup {
-  // The group's own codes, unless it borrows them.
   std::vector<uint32_t> codes;
   std::vector<double> target;
-  // Non-null when the group reads a protocol result's code column in
-  // place instead of owning a copy (the builders below, the mechanisms'
-  // AdjustmentGroupsFor); that column must outlive the group.
-  const std::vector<uint32_t>* borrowed_codes = nullptr;
-
-  // A group over `codes` it does not copy (never a temporary).
-  static AdjustmentGroup Borrowing(const std::vector<uint32_t>& codes,
-                                   std::vector<double> target) {
-    AdjustmentGroup group;
-    group.target = std::move(target);
-    group.borrowed_codes = &codes;
-    return group;
-  }
-  static AdjustmentGroup Borrowing(std::vector<uint32_t>&& codes,
-                                   std::vector<double> target) = delete;
-
-  // The codes Algorithm 2 reads: the borrowed column, else `codes`.
-  const std::vector<uint32_t>& Codes() const {
-    return borrowed_codes != nullptr ? *borrowed_codes : codes;
-  }
 };
 
 struct AdjustmentOptions {
@@ -105,17 +83,11 @@ StatusOr<AdjustmentResult> RunRrAdjustment(
     const AdjustmentOptions& options = {});
 
 // Group builders for the two protocols. Each group's target is the
-// protocol's projected Eq. (2) estimate, and each group borrows its codes
-// from `result`, which must outlive the groups (so a temporary result is
-// refused at compile time).
+// protocol's projected Eq. (2) estimate.
 std::vector<AdjustmentGroup> GroupsFromIndependent(
     const RrIndependentResult& result);
 std::vector<AdjustmentGroup> GroupsFromClusters(
     const RrClustersResult& result);
-std::vector<AdjustmentGroup> GroupsFromIndependent(
-    RrIndependentResult&& result) = delete;
-std::vector<AdjustmentGroup> GroupsFromClusters(RrClustersResult&& result) =
-    delete;
 
 // Convenience: adjusted-weights estimator over the protocol's randomized
 // data (the WeightedRecordsEstimate of joint_estimate.h).

@@ -62,14 +62,17 @@ uint64_t SecureSumMessages(const Dataset& dataset) {
 Dataset PublishRandomizedRound(const Dataset& dataset,
                                double keep_probability, Rng& rng,
                                double* epsilon) {
-  std::vector<std::vector<uint32_t>> columns(dataset.num_attributes());
-  for (size_t j = 0; j < columns.size(); ++j) {
+  Dataset randomized = dataset;
+  for (size_t j = 0; j < dataset.num_attributes(); ++j) {
     size_t r = dataset.attribute(j).cardinality();
     RrMatrix matrix = RrMatrix::KeepUniform(r, keep_probability);
-    matrix.RandomizeColumnInto(dataset.column(j), rng, columns[j]);
+    // In-place rewrite of the copied column: randomized codes are < r by
+    // construction, and no per-attribute column is allocated.
+    matrix.RandomizeColumnInto(dataset.column(j), rng,
+                               randomized.MutableColumn(j));
     *epsilon += matrix.Epsilon();
   }
-  return Dataset(dataset.schema(), std::move(columns));
+  return randomized;
 }
 
 // Counter-policy round-1 publication: attribute j's column is drawn from

@@ -1,8 +1,5 @@
 #include "mdrr/core/pram.h"
 
-#include <utility>
-#include <vector>
-
 #include "mdrr/core/estimator.h"
 
 namespace mdrr {
@@ -13,20 +10,24 @@ StatusOr<PramResult> ApplyPram(const Dataset& collected,
     return Status::InvalidArgument("cannot apply PRAM to empty data");
   }
   PramResult result;
+  result.randomized = collected;
   const size_t m = collected.num_attributes();
-  std::vector<std::vector<uint32_t>> columns(m);
   result.estimated.resize(m);
   result.epsilons.resize(m);
   for (size_t j = 0; j < m; ++j) {
     const size_t r = collected.attribute(j).cardinality();
     RrMatrix matrix = RrMatrix::KeepUniform(r, keep_probability);
-    matrix.RandomizeColumnInto(collected.column(j), rng, columns[j]);
-    std::vector<double> lambda = EmpiricalDistribution(columns[j], r);
+    // Randomize straight into the copied column: the output codes are
+    // < r by construction, so the column invariant holds and the
+    // per-attribute pass allocates nothing.
+    matrix.RandomizeColumnInto(collected.column(j), rng,
+                               result.randomized.MutableColumn(j));
+    std::vector<double> lambda =
+        EmpiricalDistribution(result.randomized.column(j), r);
     MDRR_ASSIGN_OR_RETURN(result.estimated[j],
                           EstimateProjectedDistribution(matrix, lambda));
     result.epsilons[j] = matrix.Epsilon();
   }
-  result.randomized = Dataset(collected.schema(), std::move(columns));
   return result;
 }
 

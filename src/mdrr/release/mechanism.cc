@@ -267,8 +267,8 @@ class PramMechanism : public Mechanism {
     std::vector<AdjustmentGroup> all;
     all.reserve(pram.randomized.num_attributes());
     for (size_t j = 0; j < pram.randomized.num_attributes(); ++j) {
-      all.push_back(AdjustmentGroup::Borrowing(pram.randomized.column(j),
-                                               pram.estimated[j]));
+      all.push_back(AdjustmentGroup{pram.randomized.column(j),
+                                    pram.estimated[j]});
     }
     return SelectGroups(std::move(all),
                         SingletonUnits(pram.randomized.num_attributes()),

@@ -102,15 +102,12 @@ void FourWordSeedSeq::GenerateEngineWords(
 namespace {
 
 // Lane vectors over SeedBlock rows (may_alias: they load and store the
-// block's uint32_t words). The AVX2 and portable bodies step four
-// U32x8 per word, the AVX-512 body two U32x16; the block's memory layout
-// is the same for all of them.
+// block's uint32_t words). Both bodies step four U32x8 per word.
 typedef uint32_t U32x8 __attribute__((vector_size(32), __may_alias__));
-typedef uint32_t U32x16 __attribute__((vector_size(64), __may_alias__));
 // Unaligned stores into a caller's staging buffer.
 typedef uint32_t U32x8u
     __attribute__((vector_size(32), __may_alias__, __aligned__(4)));
-static_assert(kSeedLanes % 16 == 0, "lanes come in whole 16 x u32 vectors");
+static_assert(kSeedLanes % 8 == 0, "lanes come in whole 8 x u32 vectors");
 static_assert(kSeedLanes % kSeedStageLanes == 0 && kSeedStageLanes == 8,
               "a stage is one 8 x 8 transpose tile");
 
@@ -118,66 +115,61 @@ static_assert(kSeedLanes % kSeedStageLanes == 0 && kSeedStageLanes == 8,
 // the whole recurrence for its own ISA.
 #define MDRR_SEED_INLINE __attribute__((always_inline)) inline
 
-// A block's words as rows of kVectors lane vectors of type V.
-template <typename V>
-struct Rows {
-  static constexpr size_t kWidth = sizeof(V) / sizeof(uint32_t);
-  static constexpr size_t kVectors = kSeedLanes / kWidth;
-  V (*b)[kVectors];
-};
+// A block's words as rows of kVectors lane vectors.
+constexpr size_t kWidth = sizeof(U32x8) / sizeof(uint32_t);
+constexpr size_t kVectors = kSeedLanes / kWidth;
+using Rows = U32x8 (*)[kVectors];
 
 // First-pass step k: b[kp] += r1, b[kq] += r2, b[k] = r2. The block is
 // never filled: a row no earlier step has written would hold the fill
 // word, so the step uses kFill for it instead of a load. kFreshK,
 // kFreshP and kFreshQ say which of rows k, kp and kq that is.
-template <bool kFreshK, bool kFreshP, bool kFreshQ, typename V>
-MDRR_SEED_INLINE void Pass1Step(Rows<V> rows, V* prev, size_t k, size_t kp,
-                                size_t kq, const V* extra) {
-  const V fill = V{} + kFill;
-  for (size_t h = 0; h < Rows<V>::kVectors; ++h) {
-    const V bk = kFreshK ? fill : rows.b[k][h];
-    const V bp = kFreshP ? fill : rows.b[kp][h];
-    const V x = bk ^ bp ^ prev[h];
-    const V r1 = 1664525u * (x ^ (x >> 27));
-    const V r2 = r1 + extra[h];
-    rows.b[kp][h] = bp + r1;
-    rows.b[kq][h] = (kFreshQ ? fill : rows.b[kq][h]) + r2;
-    rows.b[k][h] = r2;
+template <bool kFreshK, bool kFreshP, bool kFreshQ>
+MDRR_SEED_INLINE void Pass1Step(Rows b, U32x8* prev, size_t k, size_t kp,
+                                size_t kq, const U32x8* extra) {
+  const U32x8 fill = U32x8{} + kFill;
+  for (size_t h = 0; h < kVectors; ++h) {
+    const U32x8 bk = kFreshK ? fill : b[k][h];
+    const U32x8 bp = kFreshP ? fill : b[kp][h];
+    const U32x8 x = bk ^ bp ^ prev[h];
+    const U32x8 r1 = 1664525u * (x ^ (x >> 27));
+    const U32x8 r2 = r1 + extra[h];
+    b[kp][h] = bp + r1;
+    b[kq][h] = (kFreshQ ? fill : b[kq][h]) + r2;
+    b[k][h] = r2;
     prev[h] = r2;
   }
 }
 
 // First-pass steps k in [begin, end), with the extra term k. The index
 // vector is carried and incremented rather than splat from k at every
-// step: GCC 12 builds a 16 x u32 splat of a loop variable one masked
-// broadcast per lane.
-template <bool kFreshK, bool kFreshP, bool kFreshQ, typename V>
-MDRR_SEED_INLINE void Pass1Range(Rows<V> rows, V* prev, size_t begin,
+// step, which saves a broadcast per step.
+template <bool kFreshK, bool kFreshP, bool kFreshQ>
+MDRR_SEED_INLINE void Pass1Range(Rows b, U32x8* prev, size_t begin,
                                  size_t end, size_t wrap_p, size_t wrap_q) {
-  V index = V{} + static_cast<uint32_t>(begin);
+  U32x8 index = U32x8{} + static_cast<uint32_t>(begin);
   for (size_t k = begin; k < end; ++k, index += 1u) {
-    V extra[Rows<V>::kVectors];
-    for (V& v : extra) v = index;
-    Pass1Step<kFreshK, kFreshP, kFreshQ>(rows, prev, k, k + kP - wrap_p,
+    U32x8 extra[kVectors];
+    for (U32x8& v : extra) v = index;
+    Pass1Step<kFreshK, kFreshP, kFreshQ>(b, prev, k, k + kP - wrap_p,
                                          k + kQ - wrap_q, extra);
   }
 }
 
 // Second-pass steps k in [begin, end): b[kp] ^= r3, b[kq] ^= r4,
 // b[k] = r4.
-template <typename V>
-MDRR_SEED_INLINE void Pass2Range(Rows<V> rows, V* prev, size_t begin,
+MDRR_SEED_INLINE void Pass2Range(Rows b, U32x8* prev, size_t begin,
                                  size_t end, size_t wrap_p, size_t wrap_q) {
-  V index = V{} + static_cast<uint32_t>(begin);
+  U32x8 index = U32x8{} + static_cast<uint32_t>(begin);
   for (size_t k = begin; k < end; ++k, index += 1u) {
     const size_t kp = k + kP - wrap_p, kq = k + kQ - wrap_q;
-    for (size_t h = 0; h < Rows<V>::kVectors; ++h) {
-      const V x = rows.b[k][h] + rows.b[kp][h] + prev[h];
-      const V r3 = 1566083941u * (x ^ (x >> 27));
-      const V r4 = r3 - index;
-      rows.b[kp][h] ^= r3;
-      rows.b[kq][h] ^= r4;
-      rows.b[k][h] = r4;
+    for (size_t h = 0; h < kVectors; ++h) {
+      const U32x8 x = b[k][h] + b[kp][h] + prev[h];
+      const U32x8 r3 = 1566083941u * (x ^ (x >> 27));
+      const U32x8 r4 = r3 - index;
+      b[kp][h] ^= r3;
+      b[kq][h] ^= r4;
+      b[k][h] = r4;
       prev[h] = r4;
     }
   }
@@ -186,12 +178,9 @@ MDRR_SEED_INLINE void Pass2Range(Rows<V> rows, V* prev, size_t begin,
 // The GenerateEngineWords recurrence with every scalar replaced by a row
 // of lane vectors, over the same index ranges. No step has cross-lane
 // data flow, so each lane computes exactly its scalar expansion.
-template <typename V>
 MDRR_SEED_INLINE void SeedBlockBody(const uint64_t* seeds, SeedBlock* block) {
-  constexpr size_t kWidth = Rows<V>::kWidth;
-  constexpr size_t kVectors = Rows<V>::kVectors;
-  const Rows<V> rows{reinterpret_cast<V(*)[kVectors]>(block->words)};
-  V entropy[4][kVectors];
+  const Rows b = reinterpret_cast<Rows>(block->words);
+  U32x8 entropy[4][kVectors];
   for (size_t l = 0; l < kSeedLanes; ++l) {
     uint64_t state = seeds[l];
     for (size_t w = 0; w < 4; ++w) {
@@ -199,34 +188,34 @@ MDRR_SEED_INLINE void SeedBlockBody(const uint64_t* seeds, SeedBlock* block) {
           static_cast<uint32_t>(SplitMix64Next(state));
     }
   }
-  V prev[kVectors];
-  for (V& v : prev) v = V{} + kFill;
+  U32x8 prev[kVectors];
+  for (U32x8& v : prev) v = U32x8{} + kFill;
 
   // Before step k, row k has been written iff k >= p (as step k-p's kp)
   // or k >= q; row k+p iff k >= q-p = 11 (as step k-11's kq); row k+q
   // (mod n) iff k >= n-q = 307 (as row k+q-n's own step). Every row is
   // written at its own step, so no fill word survives the first pass.
-  V extra[kVectors];
-  for (V& v : extra) v = V{} + 4u;
-  Pass1Step<true, true, true>(rows, prev, 0, kP, kQ, extra);
+  U32x8 extra[kVectors];
+  for (U32x8& v : extra) v = U32x8{} + 4u;
+  Pass1Step<true, true, true>(b, prev, 0, kP, kQ, extra);
   for (size_t k = 1; k <= 4; ++k) {
     for (size_t h = 0; h < kVectors; ++h) {
       extra[h] = entropy[k - 1][h] + static_cast<uint32_t>(k);
     }
-    Pass1Step<true, true, true>(rows, prev, k, k + kP, k + kQ, extra);
+    Pass1Step<true, true, true>(b, prev, k, k + kP, k + kQ, extra);
   }
   static_assert(kQ - kP == 11 && kN - kQ == 307 && kN - kP == 318,
                 "the ranges below split at these step numbers");
-  Pass1Range<true, true, true>(rows, prev, 5, 11, 0, 0);
-  Pass1Range<true, false, true>(rows, prev, 11, kP, 0, 0);
-  Pass1Range<false, false, true>(rows, prev, kP, kN - kQ, 0, 0);
+  Pass1Range<true, true, true>(b, prev, 5, 11, 0, 0);
+  Pass1Range<true, false, true>(b, prev, 11, kP, 0, 0);
+  Pass1Range<false, false, true>(b, prev, kP, kN - kQ, 0, 0);
   // k+q wrapped, then both wrapped.
-  Pass1Range<false, false, false>(rows, prev, kN - kQ, kN - kP, 0, kN);
-  Pass1Range<false, false, false>(rows, prev, kN - kP, kN, kN, kN);
+  Pass1Range<false, false, false>(b, prev, kN - kQ, kN - kP, 0, kN);
+  Pass1Range<false, false, false>(b, prev, kN - kP, kN, kN, kN);
 
-  Pass2Range(rows, prev, 0, kN - kQ, 0, 0);
-  Pass2Range(rows, prev, kN - kQ, kN - kP, 0, kN);
-  Pass2Range(rows, prev, kN - kP, kN, kN, kN);
+  Pass2Range(b, prev, 0, kN - kQ, 0, 0);
+  Pass2Range(b, prev, kN - kQ, kN - kP, 0, kN);
+  Pass2Range(b, prev, kN - kP, kN, kN, kN);
 }
 
 // out[l][j] = r_j[l]: rows of words i..i+7 in, one vector per lane out
@@ -266,10 +255,23 @@ MDRR_SEED_INLINE void Transpose8x8(const U32x8* r, U32x8 out[8]) {
 #undef MDRR_HI128
 }
 
-// Lane-major staging of lanes first..first+7, 8 words x 8 lanes at a
-// time.
-MDRR_SEED_INLINE void StageBody(const SeedBlock& block, size_t first,
-                                uint32_t* out) {
+// Lane-major staging of lanes first..first+7, word by word. Without
+// 256-bit registers GCC builds Transpose8x8's shuffles lane by lane and
+// the plain loop stages three times faster (~0.5 against ~1.5 us per
+// seed); with them, GCC vectorizes the loop poorly and the transpose
+// wins (~0.18 against ~1.0 us).
+MDRR_SEED_INLINE void StagePortable(const SeedBlock& block, size_t first,
+                                    uint32_t* out) {
+  for (size_t i = 0; i < kN; ++i) {
+    for (size_t l = 0; l < kSeedStageLanes; ++l) {
+      out[l * kN + i] = block.words[i][first + l];
+    }
+  }
+}
+
+// The same, 8 words x 8 lanes at a time.
+MDRR_SEED_INLINE void StageTransposed(const SeedBlock& block, size_t first,
+                                      uint32_t* out) {
   static_assert(kN % 8 == 0, "the transpose takes whole 8-word groups");
   for (size_t i = 0; i < kN; i += 8) {
     U32x8 rows[8], lanes[8];
@@ -290,29 +292,26 @@ MDRR_SEED_INLINE void StageBody(const SeedBlock& block, size_t first,
 
 __attribute__((target("avx2"))) void SeedBlockAvx2(const uint64_t* seeds,
                                                    SeedBlock* block) {
-  SeedBlockBody<U32x8>(seeds, block);
-}
-
-__attribute__((target("avx512f"))) void SeedBlockAvx512(
-    const uint64_t* seeds, SeedBlock* block) {
-  SeedBlockBody<U32x16>(seeds, block);
+  SeedBlockBody(seeds, block);
 }
 
 __attribute__((target("avx2"))) void StageAvx2(const SeedBlock& block,
                                                size_t first, uint32_t* out) {
-  StageBody(block, first, out);
+  StageTransposed(block, first, out);
 }
 
 bool HaveAvx2() {
   static const bool have = __builtin_cpu_supports("avx2");
   return have;
 }
-
-bool HaveAvx512() {
-  static const bool have = __builtin_cpu_supports("avx512f");
-  return have;
-}
 #endif
+
+SeedBody BestBody() {
+#ifdef MDRR_SEED_X86
+  if (HaveAvx2()) return SeedBody::kAvx2;
+#endif
+  return SeedBody::kPortable;
+}
 
 }  // namespace
 
@@ -320,16 +319,29 @@ bool GenerateSeedBlockOn(SeedBody body, const uint64_t seeds[kSeedLanes],
                          SeedBlock* block) {
   switch (body) {
     case SeedBody::kPortable:
-      SeedBlockBody<U32x8>(seeds, block);
+      SeedBlockBody(seeds, block);
       return true;
 #ifdef MDRR_SEED_X86
     case SeedBody::kAvx2:
       if (!HaveAvx2()) return false;
       SeedBlockAvx2(seeds, block);
       return true;
-    case SeedBody::kAvx512:
-      if (!HaveAvx512()) return false;
-      SeedBlockAvx512(seeds, block);
+#endif
+    default:
+      return false;
+  }
+}
+
+bool StageSeedLanesOn(SeedBody body, const SeedBlock& block, size_t first,
+                      uint32_t* out) {
+  switch (body) {
+    case SeedBody::kPortable:
+      StagePortable(block, first, out);
+      return true;
+#ifdef MDRR_SEED_X86
+    case SeedBody::kAvx2:
+      if (!HaveAvx2()) return false;
+      StageAvx2(block, first, out);
       return true;
 #endif
     default:
@@ -338,24 +350,11 @@ bool GenerateSeedBlockOn(SeedBody body, const uint64_t seeds[kSeedLanes],
 }
 
 void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], SeedBlock* block) {
-#ifdef MDRR_SEED_X86
-  static const SeedBody best = HaveAvx512() ? SeedBody::kAvx512
-                               : HaveAvx2() ? SeedBody::kAvx2
-                                            : SeedBody::kPortable;
-#else
-  constexpr SeedBody best = SeedBody::kPortable;
-#endif
-  GenerateSeedBlockOn(best, seeds, block);
+  GenerateSeedBlockOn(BestBody(), seeds, block);
 }
 
 void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out) {
-#ifdef MDRR_SEED_X86
-  if (HaveAvx2()) {
-    StageAvx2(block, first, out);
-    return;
-  }
-#endif
-  StageBody(block, first, out);
+  StageSeedLanesOn(BestBody(), block, first, out);
 }
 
 }  // namespace mdrr

@@ -11,16 +11,16 @@
 //     boundaries, so the hot loops are branch-free and allocation-free.
 //     It is still one serial chain of 1 248 dependent steps per seed.
 //   * GenerateSeedBlock runs kSeedLanes = 32 independent expansions at
-//     once, one vector lane each, so 32 chains run side by side (AVX-512
-//     and AVX2 bodies where the CPU has them, chosen at run time).
-//     The expansion is latency-bound: what pays is the number of
+//     once, one vector lane each, so 32 chains run side by side (an AVX2
+//     body where the CPU has it, chosen at run time, else a portable
+//     one). The expansion is latency-bound: what pays is the number of
 //     chains in flight, not the width of one register.
 //
 // Measured by bench_micro_primitives (BM_SerialSeedExpansion,
-// BM_SeedBlockExpansion/{0,1,2}) on a 4-vCPU AVX-512 Xeon VM, GCC 12,
-// Release: about 3.9 us per seed serially; per seed in a block, staging
-// included, 0.43-0.54 us on the AVX-512 body, 0.47-0.61 us on AVX2 and
-// 1.1-1.7 us portable. MersenneTwister64 then seeds straight from the
+// BM_SeedBlockExpansion/{0,1}) on a 4-vCPU Xeon VM, GCC 12, Release:
+// about 3.7 us per seed serially; per seed in a block, staging
+// included, a median 0.57 us (0.51-0.73) on AVX2 and 1.6 us (1.5-2.1)
+// portable. MersenneTwister64 then seeds straight from the
 // words and twists only what a report draws, which is what makes one
 // engine per record affordable: per streaming report and per session
 // party, both seeded through ForEachSeedSequence by
@@ -43,8 +43,7 @@ namespace mdrr {
 
 // Engines seeded per GenerateSeedBlock call. Each lane is one serial
 // chain of 1 248 dependent steps, so the lanes are what puts work in
-// flight while a multiply's latency runs: four 8 x u32 vectors or two
-// 16 x u32 per step.
+// flight while a multiply's latency runs: four 8 x u32 vectors per step.
 inline constexpr size_t kSeedLanes = 32;
 
 // Lanes StageSeedLanes copies out at a time: one 8 x 8 transpose tile.
@@ -103,7 +102,7 @@ struct alignas(64) SeedBlock {
 };
 
 // The bodies a seed block can run on. Every body writes the same words.
-enum class SeedBody { kPortable, kAvx2, kAvx512 };
+enum class SeedBody { kPortable, kAvx2 };
 
 // Runs kSeedLanes FourWordSeedSeq 624-word expansions at once into
 // *block, seeds[l] into lane l, on the fastest body the CPU has (decided
@@ -119,8 +118,14 @@ bool GenerateSeedBlockOn(SeedBody body, const uint64_t seeds[kSeedLanes],
 // Copies lanes [first, first + kSeedStageLanes) of `block` out
 // lane-major, so each lane's words are contiguous for an engine to seed
 // from: out[l * kEngineSeedWords + i] = block.words[i][first + l].
-// `first` is a multiple of kSeedStageLanes.
+// `first` is a multiple of kSeedStageLanes. Runs on the same body as
+// GenerateSeedBlock.
 void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out);
+
+// The same on one named body; false without writing when the body is
+// unavailable, as for GenerateSeedBlockOn.
+bool StageSeedLanesOn(SeedBody body, const SeedBlock& block, size_t first,
+                      uint32_t* out);
 
 // The one lane-batching walk over a seed range: invokes
 // fn(index, SeedWords) for every i in [0, count) with the 624-word

@@ -152,14 +152,14 @@ AdjustmentResult ReferenceAdjustment(const std::vector<AdjustmentGroup>& groups,
     for (const AdjustmentGroup& group : groups) {
       std::vector<double> implied(group.target.size(), 0.0);
       for (size_t i = 0; i < num_records; ++i) {
-        implied[group.Codes()[i]] += result.weights[i];
+        implied[group.codes[i]] += result.weights[i];
       }
       std::vector<double> ratio(group.target.size(), 1.0);
       for (size_t v = 0; v < ratio.size(); ++v) {
         if (implied[v] > 0.0) ratio[v] = group.target[v] / implied[v];
       }
       for (size_t i = 0; i < num_records; ++i) {
-        result.weights[i] *= ratio[group.Codes()[i]];
+        result.weights[i] *= ratio[group.codes[i]];
       }
       double total = 0.0;
       for (double w : result.weights) total += w;
@@ -170,7 +170,7 @@ AdjustmentResult ReferenceAdjustment(const std::vector<AdjustmentGroup>& groups,
     for (const AdjustmentGroup& group : groups) {
       std::vector<double> implied(group.target.size(), 0.0);
       for (size_t i = 0; i < num_records; ++i) {
-        implied[group.Codes()[i]] += result.weights[i];
+        implied[group.codes[i]] += result.weights[i];
       }
       for (size_t v = 0; v < implied.size(); ++v) {
         max_gap = std::max(max_gap, std::fabs(implied[v] - group.target[v]));
@@ -222,20 +222,21 @@ TEST(ParallelAdjustmentTest, WeightsBitIdenticalAcrossThreads) {
   };
   std::vector<Input> inputs;
   inputs.push_back({"random codes", MakeAdjustmentGroups(4000, 17), 4000});
-  // The groups RR-Clusters hands Algorithm 2 on synthetic Adult; they
-  // borrow the release's codes, so it lives as long as they do.
-  Dataset data = SynthesizeAdult(6000, 43);
-  BatchPerturbationOptions engine_options;
-  engine_options.seed = 3;
-  engine_options.shard_size = 500;
-  engine_options.num_threads = 4;
-  RrClustersOptions cluster_options;
-  cluster_options.keep_probability = 0.7;
-  auto release =
-      BatchPerturbationEngine(engine_options).RunClusters(data, cluster_options);
-  ASSERT_TRUE(release.ok());
-  inputs.push_back(
-      {"adult clusters", GroupsFromClusters(*release), data.num_rows()});
+  {
+    // The groups RR-Clusters hands Algorithm 2 on synthetic Adult.
+    Dataset data = SynthesizeAdult(6000, 43);
+    BatchPerturbationOptions engine_options;
+    engine_options.seed = 3;
+    engine_options.shard_size = 500;
+    engine_options.num_threads = 4;
+    RrClustersOptions cluster_options;
+    cluster_options.keep_probability = 0.7;
+    auto release = BatchPerturbationEngine(engine_options)
+                       .RunClusters(data, cluster_options);
+    ASSERT_TRUE(release.ok());
+    inputs.push_back(
+        {"adult clusters", GroupsFromClusters(*release), data.num_rows()});
+  }
 
   for (const Input& input : inputs) {
     AdjustmentOptions baseline_options;

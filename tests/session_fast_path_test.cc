@@ -88,8 +88,7 @@ TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
     bool ran = false;
   };
   Body bodies[] = {{SeedBody::kPortable, "portable"},
-                   {SeedBody::kAvx2, "AVX2"},
-                   {SeedBody::kAvx512, "AVX-512"}};
+                   {SeedBody::kAvx2, "AVX2"}};
   Rng seed_source(5);
   std::vector<uint32_t> want(kEngineSeedWords);
   std::vector<uint32_t> stage(kSeedStageLanes * kEngineSeedWords);
@@ -110,7 +109,9 @@ TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
           ASSERT_EQ(block->words[i][l], want[i])
               << body.name << ", seed " << seeds[l] << ", word " << i;
         }
-        if (l % kSeedStageLanes == 0) StageSeedLanes(*block, l, stage.data());
+        if (l % kSeedStageLanes == 0) {
+          ASSERT_TRUE(StageSeedLanesOn(body.body, *block, l, stage.data()));
+        }
         const size_t at = (l % kSeedStageLanes) * kEngineSeedWords;
         ASSERT_EQ(std::vector<uint32_t>(stage.begin() + at,
                                         stage.begin() + at + kEngineSeedWords),
