@@ -113,10 +113,13 @@ void BM_SerialSeedExpansion(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialSeedExpansion);
 
-// The same expansion kSeedLanes seeds at a time, as ForEachSeedSequence
-// runs it (the block, then every lane staged lane-major); items are
-// seeds. The arg picks the body: 0 portable, 1 AVX2. A body the CPU
-// lacks reports an error instead of a time.
+// The same expansion kSeedLanes seeds at a time, as
+// ForEachStagedSeedSequence runs it for the session's kept engines (the
+// block, then every lane staged lane-major); items are seeds. A
+// streaming report pays the block only: its engine reads its lane in
+// place (BM_EngineSetupPlus16Draws/2). The arg picks the body: 0
+// portable, 1 AVX2. A body the CPU lacks reports an error instead of a
+// time.
 void BM_SeedBlockExpansion(benchmark::State& state) {
   const auto body = static_cast<mdrr::SeedBody>(state.range(0));
   auto block = std::make_unique<mdrr::SeedBlock>();
@@ -139,13 +142,19 @@ void BM_SeedBlockExpansion(benchmark::State& state) {
 }
 BENCHMARK(BM_SeedBlockExpansion)->Arg(0)->Arg(1);
 
-// Seeds an engine from an expanded word block and draws the 16 words of
-// an eight-attribute report: arg 0 is the library engine, arg 1 is
-// std::mt19937_64 seeded from the same words (it twists all 312 words on
-// the first draw).
+// Seeds an engine from expanded seed words and draws the 16 words of an
+// eight-attribute report: arg 0 is the library engine copying all 624
+// contiguous words, arg 1 is std::mt19937_64 seeded from the same words
+// (it twists all 312 words on the first draw), and arg 2 is what a
+// streaming report pays: the library engine seeded in place from its
+// lane of a seed block (SeedDeferred), copying 33 state words.
 void BM_EngineSetupPlus16Draws(benchmark::State& state) {
   std::vector<uint32_t> words(mdrr::kEngineSeedWords);
   mdrr::FourWordSeedSeq(7).GenerateEngineWords(words.data());
+  auto block = std::make_unique<mdrr::SeedBlock>();
+  uint64_t seeds[mdrr::kSeedLanes];
+  for (size_t l = 0; l < mdrr::kSeedLanes; ++l) seeds[l] = 7 + l;
+  mdrr::GenerateSeedBlock(seeds, block.get());
   struct Replay {
     using result_type = uint32_t;
     const uint32_t* words;
@@ -154,20 +163,26 @@ void BM_EngineSetupPlus16Draws(benchmark::State& state) {
     }
   };
   uint64_t sum = 0;
+  size_t lane = 0;
   for (auto _ : state) {
     if (state.range(0) == 0) {
       mdrr::MersenneTwister64 engine(mdrr::SeedWords{words.data()});
       for (int d = 0; d < 16; ++d) sum += engine();
-    } else {
+    } else if (state.range(0) == 1) {
       Replay replay{words.data()};
       std::mt19937_64 engine(replay);
       for (int d = 0; d < 16; ++d) sum += engine();
+    } else {
+      mdrr::MersenneTwister64 engine(mdrr::LaneWords(*block, lane),
+                                     mdrr::kDeferredSeed);
+      for (int d = 0; d < 16; ++d) sum += engine();
+      lane = (lane + 1) % mdrr::kSeedLanes;
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EngineSetupPlus16Draws)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineSetupPlus16Draws)->Arg(0)->Arg(1)->Arg(2);
 
 // Sustained draws (whole-block twists after the first cycle): arg 0 is
 // the library engine, arg 1 is std::mt19937_64; items are draws.

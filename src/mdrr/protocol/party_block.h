@@ -27,8 +27,10 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
+#include "mdrr/common/check.h"
 #include "mdrr/core/clustering.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
@@ -38,18 +40,31 @@
 
 namespace mdrr::protocol {
 
+// Passed as RandomizeRecords' engine: every record gets an engine of the
+// kernel's own, dropped after the record's draws.
+struct TransientEngines {};
+
 // The one per-record randomization kernel: the party rounds below and
 // the streaming reports (protocol/stream_ingest.h) all run it. For
 // records [0, count), draws record k's columns j = 0..num_columns-1 in
 // order through matrices[j].Randomize(value(k, j), engine) and hands
 // each published code to sink(k, j, code).
 //
-// Record k's engine lives at engine(k). With `seeds` non-null it is
-// constructed there from seeds[k] (ForEachSeedSequence, kSeedLanes
-// seeds per expansion block) right before its draws, while its state is
-// cache-hot; engine(k) is then raw storage for an Rng and may be one
-// slot reused for every record. With `seeds` null, engine(k) is an
-// engine seeded earlier, and record k continues its stream.
+// With `seeds` non-null, record k's engine is seeded from seeds[k]
+// (kSeedLanes seeds per expansion block, fast_seed.h) right before its
+// draws, while its state is cache-hot. Who keeps the engine decides how
+// it is seeded, because a lane's words live only as long as the walk's
+// callback:
+//   * `engine` is TransientEngines{}: the kernel seeds a transient
+//     engine in place from the record's block lane (ForEachSeedSequence,
+//     SeedDeferred: 33 words copied, the rest read only if the record
+//     draws past its first 16 words) and drops it after the record.
+//   * engine(k) is raw storage for an Rng that outlives the call: the
+//     engine is constructed there complete, from the lane staged
+//     contiguous (ForEachStagedSeedSequence), so it reads no seed words
+//     after the block is reused.
+// With `seeds` null, engine(k) is an engine seeded earlier, and record k
+// continues its stream.
 template <typename EngineAt, typename ValueAt, typename Sink>
 void RandomizeRecords(const RrMatrix* matrices, size_t num_columns,
                       size_t count, const uint64_t* seeds, EngineAt&& engine,
@@ -59,13 +74,19 @@ void RandomizeRecords(const RrMatrix* matrices, size_t num_columns,
       sink(k, j, matrices[j].Randomize(value(k, j), rng));
     }
   };
-  if (seeds == nullptr) {
+  if constexpr (std::is_same_v<std::decay_t<EngineAt>, TransientEngines>) {
+    MDRR_CHECK(seeds != nullptr);
+    ForEachSeedSequence(seeds, count, [&](size_t k, SeedWords lane) {
+      Rng rng(lane, kDeferredSeed);
+      draw(k, rng);
+    });
+  } else if (seeds == nullptr) {
     for (size_t k = 0; k < count; ++k) draw(k, *engine(k));
-    return;
+  } else {
+    ForEachStagedSeedSequence(seeds, count, [&](size_t k, SeedWords words) {
+      draw(k, *new (static_cast<void*>(engine(k))) Rng(words));
+    });
   }
-  ForEachSeedSequence(seeds, count, [&](size_t k, SeedWords words) {
-    draw(k, *new (static_cast<void*>(engine(k))) Rng(words));
-  });
 }
 
 // Round-2 output bundle: the two controller by-products that fuse into
@@ -101,7 +122,8 @@ class PartyBlock {
   // workers in chunks of `shard_size` parties. Each columns[j] must
   // already have size num_parties(). Party engines are seeded
   // lane-batched (fast_seed.h) immediately before their first draws,
-  // while their state is cache-hot. Runs once per block.
+  // while their state is cache-hot, and complete: round 2 continues them
+  // long after their seed block is gone. Runs once per block.
   void PublishIndependent(const std::vector<RrMatrix>& matrices,
                           size_t shard_size, size_t num_threads,
                           std::vector<std::vector<uint32_t>>* columns);

@@ -31,9 +31,6 @@ void RandomizeReports(const release::ExecutionPolicy& execution,
     }
     return;
   }
-  // One engine slot, re-seeded for every report right before its draws.
-  alignas(Rng) unsigned char engine[sizeof(Rng)];
-  Rng* const slot = reinterpret_cast<Rng*>(engine);
   const RngStreamFamily family(execution.seed);
   uint64_t seeds[kSeedLanes] = {};
   size_t rows[kSeedLanes] = {};
@@ -46,7 +43,7 @@ void RandomizeReports(const release::ExecutionPolicy& execution,
     }
     uint32_t* block = out + begin * m;
     RandomizeRecords(
-        matrices.data(), m, lanes, seeds, [slot](size_t) { return slot; },
+        matrices.data(), m, lanes, seeds, TransientEngines{},
         [&](size_t k, size_t j) { return dataset.at(rows[k], j); },
         [&](size_t k, size_t j, uint32_t code) { block[k * m + j] = code; });
   }
@@ -112,8 +109,8 @@ StatusOr<StreamingReplayResult> RunStreamingReplay(
   // Per-report randomness (RandomizeReports). mt19937 (default): each
   // report draws from its own sub-stream of the family, and a claim's
   // kSeedLanes streams are seeded together (one vectorized seed
-  // expansion for the block; each engine twists only the words its
-  // report draws). philox: one 10-round counter evaluation per
+  // expansion for the block; each engine loads and twists only the
+  // words its report draws). philox: one 10-round counter evaluation per
   // attribute, no state to initialize. The transcript is identical for
   // any num_ingest_threads either way. A claim reaching past `limit` is
   // clipped there; claims starting at or past it are abandoned.

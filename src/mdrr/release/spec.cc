@@ -152,6 +152,16 @@ Status ValidateReleaseSpec(const ReleaseSpec& spec, size_t num_attributes) {
   }
 
   // Mechanism.
+  if (spec.mechanism.use_paper_epsilon_formula &&
+      spec.mechanism.kind != MechanismKind::kJoint &&
+      spec.mechanism.kind != MechanismKind::kClusters) {
+    // Only the joint and clusters mechanisms read it; anywhere else it
+    // would be accepted and change nothing.
+    return Status::InvalidArgument(
+        std::string("mechanism.use_paper_epsilon_formula applies to the "
+                    "joint and clusters mechanisms only; mechanism.kind ") +
+        ToString(spec.mechanism.kind) + " ignores it");
+  }
   switch (spec.mechanism.kind) {
     case MechanismKind::kJoint: {
       if (spec.mechanism.joint_attributes.empty()) {

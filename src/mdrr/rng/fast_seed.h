@@ -20,11 +20,15 @@
 // BM_SeedBlockExpansion/{0,1}) on a 4-vCPU Xeon VM, GCC 12, Release:
 // about 3.7 us per seed serially; per seed in a block, staging
 // included, a median 0.57 us (0.51-0.73) on AVX2 and 1.6 us (1.5-2.1)
-// portable. MersenneTwister64 then seeds straight from the
-// words and twists only what a report draws, which is what makes one
-// engine per record affordable: per streaming report and per session
-// party, both seeded through ForEachSeedSequence by
-// protocol::RandomizeRecords.
+// portable. A per-report engine then seeds straight from its lane of
+// the block (ForEachSeedSequence, MersenneTwister64::SeedDeferred):
+// it copies the 33 state words its first twist reads and loads the rest
+// only if its report draws past them, so the streaming path neither
+// stages nor copies the other words. Engines that outlive the walk, the
+// session's per-party ones, are seeded complete from lanes staged
+// contiguous (ForEachStagedSeedSequence, StageSeedLanes). Both walks run
+// under protocol::RandomizeRecords, which is what makes one engine per
+// record affordable.
 //
 // Both paths are golden-tested against std::seed_seq in
 // tests/session_fast_path_test.cc; any divergence is a test failure, not
@@ -127,30 +131,64 @@ void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out);
 bool StageSeedLanesOn(SeedBody body, const SeedBlock& block, size_t first,
                       uint32_t* out);
 
-// The one lane-batching walk over a seed range: invokes
-// fn(index, SeedWords) for every i in [0, count) with the 624-word
-// expansion of seeds[index], kSeedLanes seeds per GenerateSeedBlock
-// call, staged kSeedStageLanes lanes at a time. A final partial block
-// runs through GenerateSeedBlock too, padded with zero seeds whose words
-// nobody reads. The words are exactly std::seed_seq{SplitMix64 x 4}'s
-// for that seed, so each element is a pure function of its own seed and
-// disjoint ranges can be walked concurrently with any grouping. The
-// words are valid during the call only.
-template <typename Fn>
-void ForEachSeedSequence(const uint64_t* seeds, size_t count, Fn&& fn) {
-  SeedBlock block;
-  uint32_t stage[kSeedStageLanes * kEngineSeedWords];
+// Lane l of `block` as a seed view: word i is block.words[i][l].
+inline SeedWords LaneWords(const SeedBlock& block, size_t lane) {
+  return SeedWords{&block.words[0][lane], kSeedLanes};
+}
+
+// The block walk under both loops below: for every block start i in
+// [0, count), expands seeds[i, i + lanes) into *block and calls
+// per_block(i, lanes). A final partial block runs through
+// GenerateSeedBlock too, padded with zero seeds whose words nobody
+// reads.
+template <typename PerBlock>
+void ForEachSeedBlock(const uint64_t* seeds, size_t count, SeedBlock* block,
+                      PerBlock&& per_block) {
   for (size_t i = 0; i < count; i += kSeedLanes) {
     const size_t lanes = count - i < kSeedLanes ? count - i : kSeedLanes;
     uint64_t lane_seeds[kSeedLanes] = {};
     for (size_t l = 0; l < lanes; ++l) lane_seeds[l] = seeds[i + l];
-    GenerateSeedBlock(lane_seeds, &block);
+    GenerateSeedBlock(lane_seeds, block);
+    per_block(i, lanes);
+  }
+}
+
+// The one lane-batching walk over a seed range: invokes
+// fn(index, SeedWords) for every index in [0, count) with the 624-word
+// expansion of seeds[index], kSeedLanes seeds per GenerateSeedBlock
+// call. The view is the seed's lane of the word-major block
+// (LaneWords), nothing is copied out, and it is valid during the call
+// only: an engine seeded from it with SeedDeferred must be dropped
+// before fn returns. The words are exactly std::seed_seq{SplitMix64 x
+// 4}'s for that seed, so each element is a pure function of its own
+// seed and disjoint ranges can be walked concurrently with any
+// grouping.
+template <typename Fn>
+void ForEachSeedSequence(const uint64_t* seeds, size_t count, Fn&& fn) {
+  SeedBlock block;
+  ForEachSeedBlock(seeds, count, &block, [&](size_t first, size_t lanes) {
+    for (size_t l = 0; l < lanes; ++l) fn(first + l, LaneWords(block, l));
+  });
+}
+
+// The same walk with each lane's words staged contiguous first
+// (StageSeedLanes, kSeedStageLanes lanes at a time), for engines that
+// outlive the call and so copy every word at seeding: gathering 624
+// words, each on its own block row, costs about twice the staging plus
+// a contiguous copy.
+// The view is again valid during the call only.
+template <typename Fn>
+void ForEachStagedSeedSequence(const uint64_t* seeds, size_t count,
+                               Fn&& fn) {
+  SeedBlock block;
+  uint32_t stage[kSeedStageLanes * kEngineSeedWords];
+  ForEachSeedBlock(seeds, count, &block, [&](size_t first, size_t lanes) {
     for (size_t l = 0; l < lanes; ++l) {
       if (l % kSeedStageLanes == 0) StageSeedLanes(block, l, stage);
-      fn(i + l,
+      fn(first + l,
          SeedWords{stage + (l % kSeedStageLanes) * kEngineSeedWords});
     }
-  }
+  });
 }
 
 }  // namespace mdrr

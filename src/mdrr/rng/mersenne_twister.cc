@@ -104,19 +104,27 @@ void MersenneTwister64::seed(result_type value) {
   }
   next_ = 0;
   ready_ = 0;
+  rest_ = SeedWords{nullptr, 0};
+}
+
+void MersenneTwister64::LoadStateWords(SeedWords seed_words, size_t begin,
+                                       size_t end) {
+  // State word i is seed words 2i (low half) and 2i+1 (high half): on a
+  // little-endian host, a contiguous view's own bytes.
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  if (seed_words.stride == 1) {
+    std::memcpy(state_ + begin, seed_words.words + 2 * begin,
+                (end - begin) * sizeof(uint64_t));
+    return;
+  }
+#endif
+  for (size_t i = begin; i < end; ++i) {
+    state_[i] = seed_words[2 * i] | (uint64_t{seed_words[2 * i + 1]} << 32);
+  }
 }
 
 void MersenneTwister64::seed(SeedWords seed_words) {
-  // State word i is seed words 2i (low half) and 2i+1 (high half): on a
-  // little-endian host, the words' own bytes.
-  const uint32_t* words = seed_words.words;
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  std::memcpy(state_, words, sizeof(state_));
-#else
-  for (size_t i = 0; i < kN; ++i) {
-    state_[i] = words[2 * i] | (uint64_t{words[2 * i + 1]} << 32);
-  }
-#endif
+  LoadStateWords(seed_words, 0, kN);
   uint64_t rest = 0;
   for (size_t i = 1; i < kN; ++i) rest |= state_[i];
   // An all-zero state would never leave zero; the standard replaces it.
@@ -125,6 +133,25 @@ void MersenneTwister64::seed(SeedWords seed_words) {
   }
   next_ = 0;
   ready_ = 0;
+  rest_ = SeedWords{nullptr, 0};
+}
+
+void MersenneTwister64::SeedDeferred(SeedWords seed_words) {
+  // The first chunk's twist of word k reads words k, k+1 and k+m.
+  static_assert(kFirstChunk + 1 <= kM, "the two ranges are disjoint");
+  LoadStateWords(seed_words, 0, kFirstChunk + 1);
+  LoadStateWords(seed_words, kM, kM + kFirstChunk);
+  uint64_t read = state_[0] & kUpperMask;
+  for (size_t i = 1; i <= kFirstChunk; ++i) read |= state_[i];
+  for (size_t i = kM; i < kM + kFirstChunk; ++i) read |= state_[i];
+  if (read == 0) {
+    // Possibly the all-zero state, which only every word can rule out.
+    seed(seed_words);
+    return;
+  }
+  next_ = 0;
+  ready_ = 0;
+  rest_ = seed_words;
 }
 
 void MersenneTwister64::discard(unsigned long long count) {
@@ -153,6 +180,11 @@ void MersenneTwister64::Twist() {
     TwistRange(state_, 0, kFirstChunk);
     ready_ = kFirstChunk;
   } else if (ready_ < kN) {
+    if (rest_.words != nullptr) {
+      LoadStateWords(rest_, kFirstChunk + 1, kM);
+      LoadStateWords(rest_, kM + kFirstChunk, kN);
+      rest_ = SeedWords{nullptr, 0};
+    }
     TwistRange(state_, ready_, kN);
     ready_ = kN;
   } else {

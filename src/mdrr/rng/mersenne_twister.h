@@ -10,6 +10,13 @@
 // reads words k, k+1 and k+m of the state in place, in ascending k, so
 // splitting the loop anywhere leaves every word bit-identical.
 //
+// Seeding from precomputed seed words can defer the load as well
+// (SeedDeferred): the first chunk's twist reads only state words 0-16
+// and 156-171, so those 33 are copied at seeding and the other 279 are
+// read from the caller's words when the twist reaches the rest of the
+// first cycle. A per-report engine seeded from its lane of a seed block
+// (fast_seed.h) then never copies the words its report does not reach.
+//
 // The twist is branch-free: the matrix constant is xored in under a mask
 // made from the low bit of the mixed word. Written as a conditional, GCC
 // 12 at -O3 compiles it to a jump on that random bit, which mispredicts
@@ -37,13 +44,23 @@ namespace mdrr {
 inline constexpr size_t kEngineSeedWords = 624;
 
 // A seed sequence's kEngineSeedWords-word expansion, already generated
-// (FourWordSeedSeq::GenerateEngineWords, or GenerateSeedBlock and
-// StageSeedLanes in fast_seed.h). Seeding from it equals seeding from the sequence itself,
-// minus the generate() round trip. Non-owning: `words` must stay valid
-// for the seeding call only.
+// (FourWordSeedSeq::GenerateEngineWords, or a lane of GenerateSeedBlock's
+// block in fast_seed.h), as a strided view: word i is words[i * stride],
+// stride 1 for a contiguous array and kSeedLanes for a block lane.
+// Seeding from it equals seeding from the sequence itself, minus the
+// generate() round trip. Non-owning: how long the words must stay valid
+// depends on the seeding call (MersenneTwister64::seed, SeedDeferred).
 struct SeedWords {
   const uint32_t* words;
+  size_t stride = 1;
+
+  uint32_t operator[](size_t i) const { return words[i * stride]; }
 };
+
+// Selects the deferring seeding (MersenneTwister64::SeedDeferred) in a
+// constructor.
+struct DeferredSeedTag {};
+inline constexpr DeferredSeedTag kDeferredSeed{};
 
 class MersenneTwister64 {
  public:
@@ -57,6 +74,9 @@ class MersenneTwister64 {
   MersenneTwister64() { seed(default_seed); }
   explicit MersenneTwister64(result_type value) { seed(value); }
   explicit MersenneTwister64(SeedWords seed_words) { seed(seed_words); }
+  MersenneTwister64(SeedWords seed_words, DeferredSeedTag) {
+    SeedDeferred(seed_words);
+  }
   template <typename Sseq,
             typename = std::enable_if_t<
                 !std::is_convertible_v<Sseq, result_type> &&
@@ -68,8 +88,17 @@ class MersenneTwister64 {
   // [rand.eng.mers] seeding from one value.
   void seed(result_type value);
   // Seeding from a seed sequence's kEngineSeedWords words, exactly as
-  // std::mt19937_64::seed(Sseq&) composes them.
+  // std::mt19937_64::seed(Sseq&) composes them. Copies every word, so the
+  // view need only stay valid for this call.
   void seed(SeedWords seed_words);
+  // The same engine, but copies only the 33 state words the first
+  // chunk's twist reads; the rest are read from the view when the twist
+  // first reaches the rest of the first cycle (a draw, Generate or
+  // discard past the first kFirstChunk words). The view must stay valid
+  // until then, or until the engine, and every copy of it, is dropped or
+  // reseeded. Words that may be the standard's all-zero state are all
+  // loaded at once, for its exact check.
+  void SeedDeferred(SeedWords seed_words);
   template <typename Sseq,
             typename = std::enable_if_t<
                 !std::is_convertible_v<Sseq, result_type> &&
@@ -108,12 +137,18 @@ class MersenneTwister64 {
   // state, the rest of the first cycle, or a whole new cycle.
   void Twist();
 
+  // state_[i] = the state word of seed words 2i and 2i+1, for i in
+  // [begin, end).
+  void LoadStateWords(SeedWords seed_words, size_t begin, size_t end);
+
   uint64_t state_[kStateWords];
   // Index of the next word to temper.
   uint32_t next_ = 0;
   // Words [0, ready_) of the current cycle are twisted; 0 right after
   // seeding, kStateWords once the whole cycle is.
   uint32_t ready_ = 0;
+  // The seed words SeedDeferred has not copied yet; null once loaded.
+  SeedWords rest_{nullptr, 0};
 };
 
 }  // namespace mdrr

@@ -203,6 +203,16 @@ TEST(FuzzReleaseSpec, ContradictorySpecsAreRejected) {
     spec.mechanism.dependence_source = DependenceSource::kProvided;
     bad.push_back(spec);
   }
+  {  // The paper's epsilon formula under a mechanism that never reads it.
+    release::ReleaseSpec spec;
+    spec.mechanism.use_paper_epsilon_formula = true;
+    spec.mechanism.kind = release::MechanismKind::kIndependent;
+    bad.push_back(spec);
+    spec.mechanism.kind = release::MechanismKind::kPram;
+    bad.push_back(spec);
+    spec.mechanism.kind = release::MechanismKind::kGeometricOrdinal;
+    bad.push_back(spec);
+  }
   {  // Adjustment groups referencing absent attributes, duplicates,
      // empty groups, non-singletons under independent, groups while
      // disabled, and nonsense iteration knobs.
@@ -349,6 +359,12 @@ TEST(FuzzReleaseSpec, ContradictorySpecsAreRejected) {
     bad_streaming.push_back(spec);  // Streaming is per-attribute marginals only.
     spec = release::ReleaseSpec{};
     spec.streaming.max_windows = 3;  // Knobs without streaming.enabled.
+    bad_streaming.push_back(spec);
+    spec = release::ReleaseSpec{};
+    spec.mechanism.kind = release::MechanismKind::kIndependent;
+    spec.streaming.enabled = true;
+    spec.streaming.window_size = 100;
+    spec.mechanism.use_paper_epsilon_formula = true;  // Nothing reads it.
     bad_streaming.push_back(spec);
   }
 

@@ -694,6 +694,46 @@ TEST(ReleaseApi, BudgetCapFailsClosed) {
   EXPECT_EQ(artifacts.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// mechanism.use_paper_epsilon_formula is read by the joint and clusters
+// mechanisms only. Elsewhere, streaming included, it would be accepted
+// and change nothing, so validation refuses it by name.
+TEST(ReleaseApi, PaperEpsilonFormulaOnlyWhereAMechanismReadsIt) {
+  for (release::MechanismKind kind :
+       {release::MechanismKind::kIndependent, release::MechanismKind::kPram,
+        release::MechanismKind::kGeometricOrdinal}) {
+    release::ReleaseSpec spec =
+        BaseSpec(kind, release::PolicyKind::kSequential);
+    spec.mechanism.use_paper_epsilon_formula = true;
+    Status status = release::ValidateReleaseSpec(spec, 0);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << release::ToString(kind);
+    EXPECT_NE(status.message().find("mechanism.use_paper_epsilon_formula"),
+              std::string::npos)
+        << status.ToString();
+    if (kind != release::MechanismKind::kPram) {
+      spec.streaming.enabled = true;
+      spec.streaming.window_size = 100;
+      EXPECT_EQ(release::ValidateReleaseSpec(spec, 0).code(),
+                StatusCode::kInvalidArgument);
+      spec.mechanism.use_paper_epsilon_formula = false;
+      EXPECT_TRUE(release::ValidateReleaseSpec(spec, 0).ok());
+    }
+  }
+  release::ReleaseSpec joint = BaseSpec(release::MechanismKind::kJoint,
+                                        release::PolicyKind::kSequential);
+  joint.mechanism.joint_attributes = {0, 1};
+  joint.mechanism.use_paper_epsilon_formula = true;
+  EXPECT_TRUE(release::ValidateReleaseSpec(joint, 0).ok());
+
+  // Under clusters the key moves the released epsilon.
+  Dataset data = TestData();
+  release::ReleaseSpec clusters = BaseSpec(release::MechanismKind::kClusters,
+                                           release::PolicyKind::kSequential);
+  const double derived = MustRun(clusters, data).release_epsilon;
+  clusters.mechanism.use_paper_epsilon_formula = true;
+  EXPECT_NE(MustRun(clusters, data).release_epsilon, derived);
+}
+
 TEST(ReleaseApi, MakeJointEstimateAnswersQueries) {
   Dataset data = TestData();
   release::ReleaseSpec spec = BaseSpec(release::MechanismKind::kClusters,

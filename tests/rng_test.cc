@@ -294,6 +294,96 @@ TEST(MersenneTwister64Test, DegenerateSeedWordsFollowTheStandard) {
   }
 }
 
+// Hands a std:: engine the given words as its seed sequence.
+struct Replay {
+  using result_type = uint32_t;
+  const uint32_t* words;
+  void generate(uint32_t* begin, uint32_t* end) const {
+    std::copy(words, words + (end - begin), begin);
+  }
+};
+
+// The words laid out `stride` apart, as a seed block lays out a lane;
+// the gaps hold a word no engine may read.
+std::vector<uint32_t> Strided(const std::vector<uint32_t>& words,
+                              size_t stride) {
+  std::vector<uint32_t> out(words.size() * stride, 0xdeadbeefu);
+  for (size_t i = 0; i < words.size(); ++i) out[i * stride] = words[i];
+  return out;
+}
+
+MersenneTwister64 SeededFrom(SeedWords view, bool deferred) {
+  return deferred ? MersenneTwister64(view, kDeferredSeed)
+                  : MersenneTwister64(view);
+}
+
+// A strided view, seeded complete or deferred, draws what
+// std::mt19937_64 seeded from the same words draws, through operator(),
+// Generate and discard, with the first 0-350 words taken before or
+// after the 16-word first chunk and the 312-word cycle.
+TEST(MersenneTwister64Test, StridedAndDeferredSeedWordsMatchStd) {
+  std::vector<uint32_t> words(kEngineSeedWords);
+  FourWordSeedSeq(41).GenerateEngineWords(words.data());
+  Replay replay{words.data()};
+  std::mt19937_64 reference(replay);
+  std::vector<uint64_t> want(400);
+  for (uint64_t& w : want) w = reference();
+  for (size_t stride : {size_t{1}, size_t{3}, kSeedLanes}) {
+    const std::vector<uint32_t> strided = Strided(words, stride);
+    const SeedWords view{strided.data(), stride};
+    for (bool deferred : {false, true}) {
+      for (size_t split : {0, 1, 15, 16, 17, 200, 311, 312, 313, 350}) {
+        SCOPED_TRACE(testing::Message() << "stride " << stride << " deferred "
+                                        << deferred << " split " << split);
+        MersenneTwister64 drawn = SeededFrom(view, deferred);
+        for (size_t k = 0; k < want.size(); ++k) {
+          ASSERT_EQ(drawn(), want[k]) << "draw " << k;
+        }
+        MersenneTwister64 generated = SeededFrom(view, deferred);
+        std::vector<uint64_t> got(want.size());
+        generated.Generate(got.data(), split);
+        generated.Generate(got.data() + split, got.size() - split);
+        ASSERT_EQ(got, want);
+        MersenneTwister64 skipped = SeededFrom(view, deferred);
+        skipped.discard(split);
+        for (size_t k = split; k < want.size(); ++k) {
+          ASSERT_EQ(skipped(), want[k]) << "draw " << k;
+        }
+      }
+    }
+  }
+}
+
+// SeedDeferred checks only the 33 state words the first chunk's twist
+// reads before it defers the rest. When those are zero apart from word
+// 0's low 31 bits, the state may be the standard's all-zero one, so it
+// must load the rest and decide on every word: with a non-zero seed word
+// in the deferred rest (state words 17-155 and 172-311) the state is
+// kept, with every word zero x[0] becomes 2^63. A non-zero word in the
+// first chunk's ranges never needs the rest.
+TEST(MersenneTwister64Test, DeferredDegenerateSeedWordsFollowTheStandard) {
+  constexpr size_t kNone = kEngineSeedWords;
+  for (uint32_t first : {0u, 5u, 0x7fffffffu, 0x80000000u}) {
+    for (size_t nonzero :
+         {kNone, size_t{3}, size_t{34}, size_t{201}, size_t{311},
+          size_t{312}, size_t{344}, kEngineSeedWords - 1}) {
+      std::vector<uint32_t> words(kEngineSeedWords, 0u);
+      words[0] = first;
+      if (nonzero != kNone) words[nonzero] = 0x10u;
+      for (size_t stride : {size_t{1}, kSeedLanes}) {
+        const std::vector<uint32_t> strided = Strided(words, stride);
+        MersenneTwister64 engine(SeedWords{strided.data(), stride},
+                                 kDeferredSeed);
+        Replay replay{words.data()};
+        std::mt19937_64 reference(replay);
+        SCOPED_TRACE(testing::Message() << first << ", word " << nonzero
+                                        << ", stride " << stride);
+        ExpectSameDraws(engine, reference, 700);
+      }
+    }
+  }
+}
+
 TEST(MersenneTwister64Test, CopiesContinueIdentically) {
   // Before the first draw, inside the first on-demand chunk, at its end,
   // mid-cycle, and in a later whole-block cycle.

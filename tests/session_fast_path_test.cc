@@ -152,6 +152,54 @@ TEST(FastSeedTest, ForEachSeedSequenceMatchesPerPartyConstruction) {
   }
 }
 
+// Every lane of full and partial blocks, seeded in place from its block
+// lane as RandomizeRecords' transient engines are, draws what Rng(seed)
+// and std::mt19937_64 over std::seed_seq{SplitMix64 x 4} draw, through
+// operator(), Generate and discard, with the first 0-350 words taken
+// before or after the 16-word first chunk and the 312-word cycle. Every
+// check runs inside the walk's callback, while the lane is valid.
+TEST(FastSeedTest, LaneViewsSeedDeferredEnginesExactly) {
+  constexpr size_t L = kSeedLanes;
+  for (size_t count : {size_t{1}, L - 1, L, L + 1, 2 * L + 1}) {
+    std::vector<uint64_t> seeds(count);
+    Rng seed_source(31 + count);
+    for (uint64_t& s : seeds) s = seed_source.engine()();
+    size_t visited = 0;
+    ForEachSeedSequence(seeds.data(), count, [&](size_t i, SeedWords lane) {
+      ++visited;
+      uint64_t state = seeds[i];
+      std::seed_seq seq{SplitMix64Next(state), SplitMix64Next(state),
+                        SplitMix64Next(state), SplitMix64Next(state)};
+      std::mt19937_64 reference(seq);
+      Rng library(seeds[i]);
+      std::vector<uint64_t> want(400);
+      for (uint64_t& w : want) {
+        w = reference();
+        ASSERT_EQ(library.engine()(), w) << "count " << count << " rng " << i;
+      }
+      for (size_t split : {0, 1, 15, 16, 17, 100, 311, 312, 313, 350}) {
+        SCOPED_TRACE(testing::Message() << "count " << count << " rng " << i
+                                        << " split " << split);
+        Rng drawn(lane, kDeferredSeed);
+        for (size_t k = 0; k < want.size(); ++k) {
+          ASSERT_EQ(drawn.engine()(), want[k]) << "draw " << k;
+        }
+        Rng generated(lane, kDeferredSeed);
+        std::vector<uint64_t> got(want.size());
+        generated.engine().Generate(got.data(), split);
+        generated.engine().Generate(got.data() + split, got.size() - split);
+        ASSERT_EQ(got, want);
+        Rng skipped(lane, kDeferredSeed);
+        skipped.engine().discard(split);
+        for (size_t k = split; k < want.size(); ++k) {
+          ASSERT_EQ(skipped.engine()(), want[k]) << "draw " << k;
+        }
+      }
+    });
+    EXPECT_EQ(visited, count);
+  }
+}
+
 // --- PartyBlock sweeps vs the Party object loop. ---
 
 TEST(PartyBlockTest, Round1MatchesPartyLoopBitwise) {

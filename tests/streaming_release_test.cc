@@ -278,41 +278,76 @@ TEST(StreamingReleaseTest, TranscriptBitIdenticalAcrossIngestThreads) {
 // any unaligned (first, count) it must equal a per-report reference:
 // report s draws its attributes in order from stream s of the family
 // (mt19937), or attribute j from element j of philox stream s.
-TEST(StreamingReleaseTest, RandomizeReportsMatchesPerReportLoop) {
-  Dataset data = MakeSurvey(50, 37);
-  std::vector<RrMatrix> matrices;
-  for (size_t j = 0; j < data.num_attributes(); ++j) {
-    matrices.push_back(
-        RrMatrix::KeepUniform(data.attribute(j).cardinality(), 0.6));
+// Twelve attributes of 2-7 categories each.
+Dataset MakeWideSurvey(size_t rows, uint64_t seed) {
+  constexpr size_t kAttributes = 12;
+  std::vector<Attribute> schema(kAttributes);
+  for (size_t j = 0; j < kAttributes; ++j) {
+    schema[j].name = "q" + std::to_string(j);
+    for (size_t c = 0; c < 2 + j % 6; ++c) {
+      schema[j].categories.push_back(schema[j].name + "_" +
+                                     std::to_string(c));
+    }
   }
-  const size_t m = matrices.size();
-  const uint64_t seed = 23;
-  for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
-    release::ExecutionPolicy execution;
-    execution.rng = rng;
-    execution.seed = seed;
-    // first = 13, count = 77: two full seed blocks of kSeedLanes = 32
-    // and a partial one, none starting at a multiple of 32.
-    for (uint64_t first : {0, 1, 13, 17, 40}) {
-      for (uint64_t count : {0, 1, 17, 40, 77}) {
-        std::vector<uint32_t> range(count * m);
-        protocol::RandomizeReports(execution, matrices, data, first, count,
-                                   range.data());
-        std::vector<uint32_t> loop(count * m);
-        for (uint64_t k = 0; k < count; ++k) {
-          const uint64_t s = first + k;
-          const size_t row = static_cast<size_t>(s % data.num_rows());
-          Rng stream = RngStreamFamily(seed).Stream(s);
-          for (size_t j = 0; j < m; ++j) {
-            loop[k * m + j] =
-                rng == RngKind::kPhilox
-                    ? matrices[j].RandomizeCounter(data.at(row, j), seed, s,
-                                                   j)
-                    : matrices[j].Randomize(data.at(row, j), stream);
+  Rng rng(seed);
+  std::vector<std::vector<uint32_t>> columns(kAttributes);
+  for (size_t row = 0; row < rows; ++row) {
+    for (size_t j = 0; j < kAttributes; ++j) {
+      columns[j].push_back(
+          static_cast<uint32_t>(rng.UniformInt(schema[j].categories.size())));
+    }
+  }
+  return Dataset(std::move(schema), std::move(columns));
+}
+
+TEST(StreamingReleaseTest, RandomizeReportsMatchesPerReportLoop) {
+  // The three-attribute survey draws at most 6 words per report, inside
+  // its engine's first 16-word chunk. Twelve attributes at keep
+  // probability 0.05 draw about 23, so most reports load the rest of
+  // their seed words from the block lane inside the kernel.
+  struct Case {
+    Dataset data;
+    double keep;
+  };
+  const Case cases[] = {{MakeSurvey(50, 37), 0.6},
+                        {MakeWideSurvey(50, 41), 0.05}};
+  for (const Case& c : cases) {
+    const Dataset& data = c.data;
+    std::vector<RrMatrix> matrices;
+    for (size_t j = 0; j < data.num_attributes(); ++j) {
+      matrices.push_back(
+          RrMatrix::KeepUniform(data.attribute(j).cardinality(), c.keep));
+    }
+    const size_t m = matrices.size();
+    const uint64_t seed = 23;
+    for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
+      release::ExecutionPolicy execution;
+      execution.rng = rng;
+      execution.seed = seed;
+      // first = 13, count = 77: two full seed blocks of kSeedLanes = 32
+      // and a partial one, none starting at a multiple of 32.
+      for (uint64_t first : {0, 1, 13, 17, 40}) {
+        for (uint64_t count : {0, 1, 17, 40, 77}) {
+          std::vector<uint32_t> range(count * m);
+          protocol::RandomizeReports(execution, matrices, data, first, count,
+                                     range.data());
+          std::vector<uint32_t> loop(count * m);
+          for (uint64_t k = 0; k < count; ++k) {
+            const uint64_t s = first + k;
+            const size_t row = static_cast<size_t>(s % data.num_rows());
+            Rng stream = RngStreamFamily(seed).Stream(s);
+            for (size_t j = 0; j < m; ++j) {
+              loop[k * m + j] =
+                  rng == RngKind::kPhilox
+                      ? matrices[j].RandomizeCounter(data.at(row, j), seed,
+                                                     s, j)
+                      : matrices[j].Randomize(data.at(row, j), stream);
+            }
           }
+          EXPECT_EQ(range, loop)
+              << m << " attributes, rng " << static_cast<int>(rng)
+              << " first " << first << " count " << count;
         }
-        EXPECT_EQ(range, loop) << "rng " << static_cast<int>(rng)
-                               << " first " << first << " count " << count;
       }
     }
   }
