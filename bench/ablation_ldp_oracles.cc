@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
       "epsilon");
   std::printf("# eps = %.2f, n = %d respondents, %d replications\n", eps, n,
               reps);
-  std::printf("%6s  %12s %12s %12s   %12s %12s\n", "r", "MSE(DE)",
-              "MSE(SUE)", "MSE(OUE)", "theory DE", "theory OUE");
+  std::printf("%6s  %12s %12s %12s   %12s %12s %12s\n", "r", "MSE(DE)",
+              "MSE(SUE)", "MSE(OUE)", "theory DE", "theory SUE",
+              "theory OUE");
 
   for (size_t r : {2u, 4u, 8u, 16u, 32u, 64u, 128u}) {
     // A skewed distribution: pi_0 = 0.5, rest uniform.
@@ -88,13 +89,30 @@ int main(int argc, char** argv) {
     double mse_oue = EmpiricalMse(
         [&](int) { return unary_once(oue); }, pi, reps);
 
-    std::printf("%6zu  %12.3e %12.3e %12.3e   %12.3e %12.3e\n", r, mse_de,
-                mse_sue, mse_oue, de.TheoreticalVariance(pi[0], n),
+    std::printf("%6zu  %12.3e %12.3e %12.3e   %12.3e %12.3e %12.3e\n", r,
+                mse_de, mse_sue, mse_oue, de.TheoreticalVariance(pi[0], n),
+                sue.TheoreticalVariance(pi[0], n),
                 oue.TheoreticalVariance(pi[0], n));
   }
+  // Neither unary variance depends on r, and each is linear in pi_v:
+  // SUE's is e^(eps/2) / (n (e^(eps/2) - 1)^2) with no pi_v term, OUE's
+  // (4 e^eps / (e^eps - 1)^2 + pi_v) / n. They cross where OUE's slope
+  // has used up its lead at pi_v = 0.
+  const mdrr::UnaryEncodingOracle sue(
+      2, eps, mdrr::UnaryEncodingOracle::Variant::kSymmetric);
+  const mdrr::UnaryEncodingOracle oue(
+      2, eps, mdrr::UnaryEncodingOracle::Variant::kOptimized);
+  const double lead = sue.TheoreticalVariance(0.0, 1) -
+                      oue.TheoreticalVariance(0.0, 1);
+  const double slope =
+      (oue.TheoreticalVariance(1.0, 1) - oue.TheoreticalVariance(0.0, 1)) -
+      (sue.TheoreticalVariance(1.0, 1) - sue.TheoreticalVariance(0.0, 1));
+  const double crossover = lead / slope;
   std::printf(
       "# shape check: DE wins for small r, OUE for large r (its variance\n"
-      "# is independent of r); OUE always beats SUE; empirical matches\n"
-      "# theory columns\n");
+      "# is independent of r); OUE beats SUE only while pi_0 < %.3f at\n"
+      "# this eps, so at pi_0 = 0.5 %s wins; empirical matches theory\n"
+      "# columns\n",
+      crossover, 0.5 < crossover ? "OUE" : "SUE");
   return 0;
 }

@@ -4,7 +4,8 @@
 //
 // Implements exactly the subset of the google-benchmark API this repo
 // uses: State iteration, range(), iterations(), SetItemsProcessed,
-// SetComplexityN, SkipWithError, DoNotOptimize, BENCHMARK with ->Arg / ->Args / ->Range /
+// SetComplexityN, SkipWithError, DoNotOptimize, ClobberMemory,
+// BENCHMARK with ->Arg / ->Args / ->Range /
 // ->RangeMultiplier / ->Complexity, BENCHMARK_MAIN, and a
 // --benchmark_filter= of '|'-separated substrings (a benchmark runs if its
 // name contains any of them; a filter that matches nothing exits 1, so a
@@ -96,12 +97,14 @@ template <class T>
 inline void DoNotOptimize(T& value) {
   asm volatile("" : "+r,m"(value) : : "memory");
 }
+inline void ClobberMemory() { asm volatile("" : : : "memory"); }
 #else
 template <class T>
 inline void DoNotOptimize(T const& value) {
   volatile const T* sink = &value;
   (void)sink;
 }
+inline void ClobberMemory() {}
 #endif
 
 namespace internal {

@@ -1,5 +1,6 @@
 // Microbenchmarks of the hot paths every experiment exercises:
-// randomization throughput (structured and alias-table), domain
+// randomization throughput (structured, alias-table and the philox
+// element fill under the counter-policy kernels), domain
 // composition, empirical distributions, the full RR-Independent
 // protocol on Adult-sized data, and the per-report mt19937 stream
 // set-up (seed expansion, engine seeding, sustained draws) that
@@ -24,6 +25,7 @@
 #include "mdrr/dataset/domain.h"
 #include "mdrr/net/protocol.h"
 #include "mdrr/rng/alias_sampler.h"
+#include "mdrr/rng/counter_rng.h"
 #include "mdrr/rng/fast_seed.h"
 #include "mdrr/rng/rng.h"
 
@@ -52,6 +54,57 @@ BENCHMARK(BM_StructuredRandomizeColumn)
     ->Args({16, 70})
     ->Args({300, 50})
     ->Args({300, 70});
+
+// The element fill under every philox kernel, 512 elements per call
+// (the kernels' tile); items are elements. The arg picks the body: 0
+// portable, 1 AVX2. A body the CPU lacks reports an error instead of a
+// time.
+void BM_PhiloxFillElementDraws(benchmark::State& state) {
+  constexpr size_t kTile = 512;
+  const auto body = static_cast<mdrr::SimdBody>(state.range(0));
+  std::vector<double> units(kTile);
+  std::vector<uint64_t> raws(kTile);
+  uint64_t first = 0;
+  for (auto _ : state) {
+    if (!mdrr::PhiloxFillElementDrawsOn(body, /*seed=*/9, /*stream=*/2,
+                                        first, kTile, units.data(),
+                                        raws.data())) {
+      state.SkipWithError("the CPU lacks this fill body");
+      break;
+    }
+    first += kTile;
+    benchmark::DoNotOptimize(units.data());
+    benchmark::DoNotOptimize(raws.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kTile));
+}
+BENCHMARK(BM_PhiloxFillElementDraws)->Arg(0)->Arg(1);
+
+// The philox column kernel (the Section 4.1 publication's and a
+// distributed worker's shard) over 2^20 elements of one stream, r = 16
+// at keep probability 0.7, with counts; items are elements.
+void BM_RandomizeRangeCounter(benchmark::State& state) {
+  constexpr size_t kElements = 1 << 20;
+  const mdrr::RrMatrix matrix = mdrr::RrMatrix::KeepUniform(16, 0.7);
+  mdrr::Rng rng(3);
+  std::vector<uint32_t> codes(kElements);
+  for (auto& c : codes) c = static_cast<uint32_t>(rng.UniformInt(16));
+  std::vector<uint32_t> out(kElements);
+  std::vector<int64_t> counts(16);
+  for (auto _ : state) {
+    matrix.RandomizeRangeCounterInto(codes.data(), kElements, /*seed=*/5,
+                                     /*stream=*/1, /*first_element=*/0,
+                                     out.data(), counts.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kElements));
+}
+BENCHMARK(BM_RandomizeRangeCounter);
 
 void BM_AliasSample(benchmark::State& state) {
   const size_t r = static_cast<size_t>(state.range(0));
@@ -121,7 +174,7 @@ BENCHMARK(BM_SerialSeedExpansion);
 // portable, 1 AVX2. A body the CPU lacks reports an error instead of a
 // time.
 void BM_SeedBlockExpansion(benchmark::State& state) {
-  const auto body = static_cast<mdrr::SeedBody>(state.range(0));
+  const auto body = static_cast<mdrr::SimdBody>(state.range(0));
   auto block = std::make_unique<mdrr::SeedBlock>();
   std::vector<uint32_t> stage(mdrr::kSeedStageLanes * mdrr::kEngineSeedWords);
   uint64_t seeds[mdrr::kSeedLanes];

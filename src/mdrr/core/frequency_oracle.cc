@@ -173,16 +173,27 @@ void UnaryEncodingOracle::AccumulateRangeCounter(
     uint64_t first_record, uint32_t* /*out*/, int64_t* counts) const {
   // Record i's bit v owns element i * r + v: r elements per record, fixed
   // budget, so the draw plan is invariant under shard grain and threads.
-  for (size_t k = 0; k < count; ++k) {
-    const uint32_t code = codes[k];
-    MDRR_DCHECK_LT(code, r_);
-    const uint64_t base = (first_record + k) * r_;
-    for (size_t v = 0; v < r_; ++v) {
-      const PhiloxBlock block = PhiloxElementBlock(seed, stream, base + v);
-      const double unit = PhiloxUnitFromU64(
-          (static_cast<uint64_t>(block.w[1]) << 32) | block.w[0]);
-      const bool bit = unit < (v == code ? p_ : q_);
-      if (counts != nullptr && bit) ++counts[v];
+  // The range's elements are contiguous, so they are drawn a tile at a
+  // time through the element fill; (k, v) walks them in order. The bit
+  // counts are the only output.
+  if (counts == nullptr) return;
+  constexpr size_t kTile = 512;
+  double units[kTile];
+  uint64_t raws[kTile];
+  const size_t elements = count * r_;
+  size_t k = 0;
+  size_t v = 0;
+  for (size_t tile = 0; tile < elements; tile += kTile) {
+    const size_t len = std::min(kTile, elements - tile);
+    PhiloxFillElementDraws(seed, stream, first_record * r_ + tile, len, units,
+                           raws);
+    for (size_t e = 0; e < len; ++e) {
+      MDRR_DCHECK_LT(codes[k], r_);
+      counts[v] += units[e] < (v == codes[k] ? p_ : q_);
+      if (++v == r_) {
+        v = 0;
+        ++k;
+      }
     }
   }
 }

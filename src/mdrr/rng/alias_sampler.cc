@@ -3,9 +3,9 @@
 #include <limits>
 
 #include "mdrr/common/check.h"
+#include "mdrr/rng/simd_body.h"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define MDRR_ALIAS_AVX2 1
+#ifdef MDRR_RNG_X86
 #include <immintrin.h>
 #endif
 
@@ -29,7 +29,7 @@ void AliasLookupScalar(const double* thresholds, const uint32_t* aliases,
   }
 }
 
-#ifdef MDRR_ALIAS_AVX2
+#ifdef MDRR_RNG_X86
 // Four lanes per step: buckets come from the scalar 64x64->128 Lemire
 // high-multiply (no AVX2 equivalent, and it is not the bottleneck), the
 // threshold/alias loads are gathers, and the accept/alias choice is a
@@ -77,12 +77,7 @@ __attribute__((target("avx2"))) void AliasLookupAvx2(
                     rows != nullptr ? rows + k : nullptr, units + k, raws + k,
                     count - k, out + k);
 }
-
-bool HaveAvx2() {
-  static const bool have = __builtin_cpu_supports("avx2");
-  return have;
-}
-#endif  // MDRR_ALIAS_AVX2
+#endif  // MDRR_RNG_X86
 
 }  // namespace
 
@@ -90,7 +85,7 @@ void AliasLookupBlock(const double* thresholds, const uint32_t* aliases,
                       uint64_t bound, size_t table_entries,
                       const uint32_t* rows, const double* units,
                       const uint64_t* raws, size_t count, uint32_t* out) {
-#ifdef MDRR_ALIAS_AVX2
+#ifdef MDRR_RNG_X86
   if (table_entries <=
           static_cast<size_t>(std::numeric_limits<int32_t>::max()) &&
       HaveAvx2()) {

@@ -287,9 +287,7 @@ MDRR_SEED_INLINE void StageTransposed(const SeedBlock& block, size_t first,
 
 #undef MDRR_SEED_INLINE
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define MDRR_SEED_X86 1
-
+#ifdef MDRR_RNG_X86
 __attribute__((target("avx2"))) void SeedBlockAvx2(const uint64_t* seeds,
                                                    SeedBlock* block) {
   SeedBlockBody(seeds, block);
@@ -299,30 +297,18 @@ __attribute__((target("avx2"))) void StageAvx2(const SeedBlock& block,
                                                size_t first, uint32_t* out) {
   StageTransposed(block, first, out);
 }
-
-bool HaveAvx2() {
-  static const bool have = __builtin_cpu_supports("avx2");
-  return have;
-}
 #endif
-
-SeedBody BestBody() {
-#ifdef MDRR_SEED_X86
-  if (HaveAvx2()) return SeedBody::kAvx2;
-#endif
-  return SeedBody::kPortable;
-}
 
 }  // namespace
 
-bool GenerateSeedBlockOn(SeedBody body, const uint64_t seeds[kSeedLanes],
+bool GenerateSeedBlockOn(SimdBody body, const uint64_t seeds[kSeedLanes],
                          SeedBlock* block) {
   switch (body) {
-    case SeedBody::kPortable:
+    case SimdBody::kPortable:
       SeedBlockBody(seeds, block);
       return true;
-#ifdef MDRR_SEED_X86
-    case SeedBody::kAvx2:
+#ifdef MDRR_RNG_X86
+    case SimdBody::kAvx2:
       if (!HaveAvx2()) return false;
       SeedBlockAvx2(seeds, block);
       return true;
@@ -332,14 +318,14 @@ bool GenerateSeedBlockOn(SeedBody body, const uint64_t seeds[kSeedLanes],
   }
 }
 
-bool StageSeedLanesOn(SeedBody body, const SeedBlock& block, size_t first,
+bool StageSeedLanesOn(SimdBody body, const SeedBlock& block, size_t first,
                       uint32_t* out) {
   switch (body) {
-    case SeedBody::kPortable:
+    case SimdBody::kPortable:
       StagePortable(block, first, out);
       return true;
-#ifdef MDRR_SEED_X86
-    case SeedBody::kAvx2:
+#ifdef MDRR_RNG_X86
+    case SimdBody::kAvx2:
       if (!HaveAvx2()) return false;
       StageAvx2(block, first, out);
       return true;
@@ -350,11 +336,11 @@ bool StageSeedLanesOn(SeedBody body, const SeedBlock& block, size_t first,
 }
 
 void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], SeedBlock* block) {
-  GenerateSeedBlockOn(BestBody(), seeds, block);
+  GenerateSeedBlockOn(BestSimdBody(), seeds, block);
 }
 
 void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out) {
-  StageSeedLanesOn(BestBody(), block, first, out);
+  StageSeedLanesOn(BestSimdBody(), block, first, out);
 }
 
 }  // namespace mdrr

@@ -42,6 +42,7 @@
 #include <random>
 
 #include "mdrr/rng/rng.h"
+#include "mdrr/rng/simd_body.h"
 
 namespace mdrr {
 
@@ -105,9 +106,6 @@ struct alignas(64) SeedBlock {
   uint32_t words[kEngineSeedWords][kSeedLanes];
 };
 
-// The bodies a seed block can run on. Every body writes the same words.
-enum class SeedBody { kPortable, kAvx2 };
-
 // Runs kSeedLanes FourWordSeedSeq 624-word expansions at once into
 // *block, seeds[l] into lane l, on the fastest body the CPU has (decided
 // once, at run time).
@@ -116,7 +114,7 @@ void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], SeedBlock* block);
 // The same on one named body, so tests check and benchmarks time each
 // one. Returns false without writing when the CPU or the compiler lacks
 // the body's instructions.
-bool GenerateSeedBlockOn(SeedBody body, const uint64_t seeds[kSeedLanes],
+bool GenerateSeedBlockOn(SimdBody body, const uint64_t seeds[kSeedLanes],
                          SeedBlock* block);
 
 // Copies lanes [first, first + kSeedStageLanes) of `block` out
@@ -128,7 +126,7 @@ void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out);
 
 // The same on one named body; false without writing when the body is
 // unavailable, as for GenerateSeedBlockOn.
-bool StageSeedLanesOn(SeedBody body, const SeedBlock& block, size_t first,
+bool StageSeedLanesOn(SimdBody body, const SeedBlock& block, size_t first,
                       uint32_t* out);
 
 // Lane l of `block` as a seed view: word i is block.words[i][l].

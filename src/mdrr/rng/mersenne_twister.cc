@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "mdrr/rng/simd_body.h"
+
 namespace mdrr {
 
 namespace {
@@ -52,7 +54,7 @@ MDRR_MT_INLINE void TemperRunBody(const uint64_t* x, size_t n,
 // four words wide: sustained Generate goes from about 2.5 to 1.2 ns per
 // word (4-core Xeon VM, GCC 12, Release). Either body computes the same
 // words; the AVX2 one runs where the CPU has it.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#ifdef MDRR_RNG_X86
 __attribute__((target("avx2"))) void TwistRangeAvx2(uint64_t* x,
                                                     size_t begin,
                                                     size_t end) {
@@ -63,36 +65,27 @@ __attribute__((target("avx2"))) void TemperRunAvx2(const uint64_t* x,
                                                    size_t n, uint64_t* out) {
   TemperRunBody(x, n, out);
 }
-
-bool HaveAvx2() {
-  static const bool have = __builtin_cpu_supports("avx2");
-  return have;
-}
+#endif
 
 void TwistRange(uint64_t* x, size_t begin, size_t end) {
+#ifdef MDRR_RNG_X86
   if (HaveAvx2()) {
     TwistRangeAvx2(x, begin, end);
-  } else {
-    TwistRangeBody(x, begin, end);
+    return;
   }
-}
-
-void TemperRun(const uint64_t* x, size_t n, uint64_t* out) {
-  if (HaveAvx2()) {
-    TemperRunAvx2(x, n, out);
-  } else {
-    TemperRunBody(x, n, out);
-  }
-}
-#else
-void TwistRange(uint64_t* x, size_t begin, size_t end) {
+#endif
   TwistRangeBody(x, begin, end);
 }
 
 void TemperRun(const uint64_t* x, size_t n, uint64_t* out) {
+#ifdef MDRR_RNG_X86
+  if (HaveAvx2()) {
+    TemperRunAvx2(x, n, out);
+    return;
+  }
+#endif
   TemperRunBody(x, n, out);
 }
-#endif
 
 }  // namespace
 

@@ -1,9 +1,12 @@
 // Pins the counter-based backend: Philox4x32-10 against the Random123
 // published test vectors, the O(1) Jump contract, and the
 // element-addressed draw plans of AliasSampler::SampleBlock and
-// RrMatrix::RandomizeRangeCounterInto.
+// RrMatrix::RandomizeRangeCounterInto, and every body of the element
+// fill byte for byte.
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,6 +138,91 @@ TEST(PhiloxFillTest, ElementDrawsMatchAlignedScalar) {
   for (size_t k = 0; k < count; ++k) {
     EXPECT_EQ(units[k], scalar.NextDouble());
     EXPECT_EQ(raws[k], scalar.NextU64());
+  }
+}
+
+// Each body this build and CPU have must write exactly the bytes of a
+// PhiloxElementBlock loop: at counts around the 16-element step and the
+// 512-element tile, at firsts whose low counter word wraps inside a
+// step, and at seeds and streams with their high words set.
+TEST(PhiloxFillTest, EveryBodyMatchesElementBlocksByteForByte) {
+  struct Body {
+    SimdBody body;
+    const char* name;
+    bool ran = false;
+  };
+  Body bodies[] = {{SimdBody::kPortable, "portable"},
+                   {SimdBody::kAvx2, "AVX2"}};
+  const uint64_t high = 0xfedcba9800000000ull;
+  const uint64_t keys[] = {0, 0x0123456789abcdefull, high | 5};
+  const uint64_t firsts[] = {0, 7, (1ull << 32) - 5, (1ull << 32) - 300,
+                             ~uint64_t{0} - 599};
+  const size_t counts[] = {0, 1, 15, 16, 17, 511, 512, 513};
+  for (uint64_t seed : keys) {
+    for (uint64_t stream : keys) {
+      for (uint64_t first : firsts) {
+        for (size_t count : counts) {
+          // One spare slot past the end, which no body may touch.
+          std::vector<double> want_units(count + 1, -1.0);
+          std::vector<uint64_t> want_raws(count + 1, 42);
+          for (size_t k = 0; k < count; ++k) {
+            const PhiloxBlock b = PhiloxElementBlock(seed, stream, first + k);
+            want_units[k] = PhiloxUnitFromU64(
+                (static_cast<uint64_t>(b.w[1]) << 32) | b.w[0]);
+            want_raws[k] = (static_cast<uint64_t>(b.w[3]) << 32) | b.w[2];
+          }
+          for (Body& body : bodies) {
+            std::vector<double> units(count + 1, -1.0);
+            std::vector<uint64_t> raws(count + 1, 42);
+            body.ran = PhiloxFillElementDrawsOn(body.body, seed, stream,
+                                                first, count, units.data(),
+                                                raws.data());
+            if (!body.ran) continue;
+            SCOPED_TRACE(::testing::Message()
+                         << body.name << ": seed " << seed << ", stream "
+                         << stream << ", first " << first << ", count "
+                         << count);
+            ASSERT_EQ(std::memcmp(units.data(), want_units.data(),
+                                  units.size() * sizeof(double)),
+                      0);
+            ASSERT_EQ(std::memcmp(raws.data(), want_raws.data(),
+                                  raws.size() * sizeof(uint64_t)),
+                      0);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(bodies[0].ran);
+  for (const Body& body : bodies) {
+    if (!body.ran) {
+      std::printf("%s fill body not checked: the build or the CPU lacks it\n",
+                  body.name);
+    }
+  }
+}
+
+// The vector body's unit conversion: x = (w1:w0) >> 11 split at bit 32
+// under the exponent words of counter_internal, biased back and scaled,
+// is PhiloxUnitFromU64's double bit for bit, at the ends of each half
+// and of the 53-bit range.
+TEST(PhiloxFillTest, UnitSplitIsExact) {
+  const auto as_double = [](uint64_t bits) {
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    return d;
+  };
+  const uint64_t k32 = 1ull << 32;
+  const uint64_t k52 = 1ull << 52;
+  const uint64_t xs[] = {0, 1, k32 - 1, k32, k52 - 1, k52, 2 * k52 - 1};
+  for (uint64_t x : xs) {
+    const double hi = as_double(counter_internal::kUnitHiExponent | (x >> 32));
+    const double lo =
+        as_double(counter_internal::kUnitLoExponent | (x & 0xffffffffu));
+    const double split = ((hi - counter_internal::kUnitBias) + lo) * 0x1.0p-53;
+    const double want = PhiloxUnitFromU64(x << 11);
+    EXPECT_EQ(std::memcmp(&split, &want, sizeof want), 0) << "x = " << x;
+    EXPECT_EQ(want, static_cast<double>(x) * 0x1.0p-53) << "x = " << x;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "mdrr/core/estimator.h"
 #include "mdrr/core/frequency_oracle.h"
+#include "mdrr/rng/counter_rng.h"
 #include "mdrr/rng/rng.h"
 
 namespace mdrr {
@@ -170,6 +171,37 @@ TEST(UnaryEncodingTest, InputValidation) {
                              UnaryEncodingOracle::Variant::kSymmetric);
   EXPECT_FALSE(oracle.EstimateFrequencies({1, 2}, 10).ok());
   EXPECT_FALSE(oracle.EstimateFrequencies({1, 2, 3}, 0).ok());
+}
+
+TEST(UnaryEncodingTest, CounterPathDrawsEachBitAtItsElement) {
+  // Record i's bit v is set iff the unit of element i * r + v falls
+  // below p (v is the record's value) or q. 97 records of r = 12 span
+  // three 512-element fill tiles, none aligned to a record.
+  const size_t r = 12;
+  const size_t n = 97;
+  const uint64_t first_record = 1000;
+  Rng rng(11);
+  std::vector<uint32_t> truths(n);
+  for (auto& x : truths) x = static_cast<uint32_t>(rng.UniformInt(r));
+  for (auto variant : {UnaryEncodingOracle::Variant::kSymmetric,
+                       UnaryEncodingOracle::Variant::kOptimized}) {
+    const UnaryEncodingOracle oracle(r, 1.5, variant);
+    std::vector<int64_t> counts(r, 0);
+    oracle.AccumulateRangeCounter(truths.data(), n, /*seed=*/21,
+                                  /*stream=*/4, first_record, nullptr,
+                                  counts.data());
+    std::vector<int64_t> want(r, 0);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t v = 0; v < r; ++v) {
+        const PhiloxBlock block =
+            PhiloxElementBlock(21, 4, (first_record + i) * r + v);
+        const double unit = PhiloxUnitFromU64(
+            (static_cast<uint64_t>(block.w[1]) << 32) | block.w[0]);
+        if (unit < (v == truths[i] ? oracle.p() : oracle.q())) ++want[v];
+      }
+    }
+    EXPECT_EQ(counts, want);
+  }
 }
 
 TEST(LocalHashingTest, BucketCountTracksEpsilon) {
@@ -356,6 +388,55 @@ TEST(OracleComparisonTest, OueBeatsSueAtEqualEpsilon) {
   UnaryEncodingOracle oue(32, eps, UnaryEncodingOracle::Variant::kOptimized);
   EXPECT_LT(oue.TheoreticalVariance(0.05, n),
             sue.TheoreticalVariance(0.05, n));
+}
+
+// Wang et al.'s variance q(1-q)/(n(p-q)^2) + pi(1-p-q)/(n(p-q)) in
+// closed form per oracle, at the LDP-oracle ablation's inputs (eps = 1,
+// n = 20000, pi_0 = 0.5; DE at r = 8, OLH at its g = floor(e^eps) + 1).
+TEST(OracleComparisonTest, TheoreticalVarianceMatchesClosedForms) {
+  const double eps = 1.0;
+  const int64_t n = 20000;
+  const double nd = static_cast<double>(n);
+  const double pi = 0.5;
+  const double e = std::exp(eps);
+  const double h = std::exp(eps / 2.0);
+  const auto expect_close = [](double got, double want, const char* name) {
+    EXPECT_NEAR(got, want, 1e-12 * want) << name;
+  };
+
+  const double r = 8.0;
+  expect_close(DirectEncodingOracle(8, eps).TheoreticalVariance(pi, n),
+               ((e + r - 2.0) / ((e - 1.0) * (e - 1.0)) +
+                pi * (r - 2.0) / (e - 1.0)) /
+                   nd,
+               "DE");
+  expect_close(
+      UnaryEncodingOracle(8, eps, UnaryEncodingOracle::Variant::kSymmetric)
+          .TheoreticalVariance(pi, n),
+      h / ((h - 1.0) * (h - 1.0)) / nd, "SUE");
+  expect_close(
+      UnaryEncodingOracle(8, eps, UnaryEncodingOracle::Variant::kOptimized)
+          .TheoreticalVariance(pi, n),
+      (4.0 * e / ((e - 1.0) * (e - 1.0)) + pi) / nd, "OUE");
+  const double g = std::floor(e) + 1.0;
+  expect_close(LocalHashingOracle(8, eps).TheoreticalVariance(pi, n),
+               ((e + g - 1.0) * (e + g - 1.0) /
+                    ((e - 1.0) * (e - 1.0) * (g - 1.0)) +
+                pi * ((g - 1.0) * (g - 1.0) - e) / ((e - 1.0) * (g - 1.0))) /
+                   nd,
+               "OLH");
+}
+
+// OUE is optimal only as pi -> 0: its variance carries a +pi/n term that
+// SUE's lacks, so at the ablation's pi_0 = 0.5 SUE has the lower
+// variance (1.96e-4 against 2.09e-4).
+TEST(OracleComparisonTest, SueBeatsOueAtHalfFrequency) {
+  const double eps = 1.0;
+  const int64_t n = 20000;
+  UnaryEncodingOracle sue(32, eps, UnaryEncodingOracle::Variant::kSymmetric);
+  UnaryEncodingOracle oue(32, eps, UnaryEncodingOracle::Variant::kOptimized);
+  EXPECT_LT(sue.TheoreticalVariance(0.5, n),
+            oue.TheoreticalVariance(0.5, n));
 }
 
 TEST(OracleComparisonTest, OlhBeatsDirectEncodingAtLargeDomains) {

@@ -83,12 +83,12 @@ TEST(FastSeedTest, GenericRequestLengthsMatchStdSeedSeq) {
 
 TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
   struct Body {
-    SeedBody body;
+    SimdBody body;
     const char* name;
     bool ran = false;
   };
-  Body bodies[] = {{SeedBody::kPortable, "portable"},
-                   {SeedBody::kAvx2, "AVX2"}};
+  Body bodies[] = {{SimdBody::kPortable, "portable"},
+                   {SimdBody::kAvx2, "AVX2"}};
   Rng seed_source(5);
   std::vector<uint32_t> want(kEngineSeedWords);
   std::vector<uint32_t> stage(kSeedStageLanes * kEngineSeedWords);
