@@ -1,9 +1,9 @@
 // Microbenchmarks of the hot paths every experiment exercises:
-// randomization throughput (structured, alias-table and the philox
-// element fill under the counter-policy kernels), domain
-// composition, empirical distributions, the full RR-Independent
-// protocol on Adult-sized data, and the per-report mt19937 stream
-// set-up (seed expansion, engine seeding, sustained draws) that
+// randomization throughput (structured, alias-table, the philox
+// element fill and the keep-or-uniform select under the counter-policy
+// kernels), domain composition, empirical distributions, the full
+// RR-Independent protocol on Adult-sized data, and the per-report
+// mt19937 stream set-up (seed expansion, engine seeding, sustained draws) that
 // streaming ingest pays once per report, Algorithm 2 over the
 // RR-Clusters groups of a batch release, and the distributed release's
 // wire codecs.
@@ -81,6 +81,37 @@ void BM_PhiloxFillElementDraws(benchmark::State& state) {
                           static_cast<int64_t>(kTile));
 }
 BENCHMARK(BM_PhiloxFillElementDraws)->Arg(0)->Arg(1);
+
+// The structured tile's keep-or-uniform select over one 512-element
+// tile of pre-drawn pairs, r = 16 at keep probability 0.7 (alpha 0.3);
+// items are elements. The arg picks the body: 0 portable, 1 AVX2. A body
+// the CPU lacks reports an error instead of a time.
+void BM_KeepUniformBlock(benchmark::State& state) {
+  constexpr size_t kTile = 512;
+  const auto body = static_cast<mdrr::SimdBody>(state.range(0));
+  const double alpha = 0.3;  // The mixing weight 1 - keep.
+  mdrr::Rng rng(4);
+  std::vector<uint32_t> codes(kTile);
+  for (auto& c : codes) c = static_cast<uint32_t>(rng.UniformInt(16));
+  std::vector<double> units(kTile);
+  std::vector<uint64_t> raws(kTile);
+  mdrr::PhiloxFillElementDraws(/*seed=*/9, /*stream=*/2, /*first=*/0, kTile,
+                               units.data(), raws.data());
+  std::vector<uint32_t> out(kTile);
+  for (auto _ : state) {
+    if (!mdrr::KeepUniformBlockOn(body, codes.data(), units.data(),
+                                  raws.data(), alpha, /*bound=*/16, kTile,
+                                  out.data())) {
+      state.SkipWithError("the CPU lacks this keep-uniform body");
+      break;
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kTile));
+}
+BENCHMARK(BM_KeepUniformBlock)->Arg(0)->Arg(1);
 
 // The philox column kernel (the Section 4.1 publication's and a
 // distributed worker's shard) over 2^20 elements of one stream, r = 16

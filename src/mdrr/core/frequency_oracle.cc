@@ -242,19 +242,27 @@ void LocalHashingOracle::AccumulateRangeCounter(
     uint64_t first_record, uint32_t* /*out*/, int64_t* counts) const {
   // Record i owns elements 2i (raw channel = its hash seed) and 2i + 1
   // (the bucket GRR's element block): two elements per record, fixed.
-  for (size_t k = 0; k < count; ++k) {
-    MDRR_DCHECK_LT(codes[k], r_);
-    const uint64_t element = 2 * (first_record + k);
-    const PhiloxBlock block = PhiloxElementBlock(seed, stream, element);
-    const uint64_t hash_seed =
-        (static_cast<uint64_t>(block.w[3]) << 32) | block.w[2];
-    const uint32_t bucket = HashBucket(hash_seed, codes[k], g_);
-    const uint32_t y = grr_.RandomizeCounter(bucket, seed, stream,
-                                             element + 1);
-    if (counts == nullptr) continue;
-    for (size_t v = 0; v < r_; ++v) {
-      if (HashBucket(hash_seed, static_cast<uint32_t>(v), g_) == y) {
-        ++counts[v];
+  // The range's elements are contiguous, so they are drawn a tile at a
+  // time through the element fill. The support counts are the only
+  // output.
+  if (counts == nullptr) return;
+  constexpr size_t kTileRecords = 256;
+  double units[2 * kTileRecords];
+  uint64_t raws[2 * kTileRecords];
+  for (size_t tile = 0; tile < count; tile += kTileRecords) {
+    const size_t len = std::min(kTileRecords, count - tile);
+    PhiloxFillElementDraws(seed, stream, 2 * (first_record + tile), 2 * len,
+                           units, raws);
+    for (size_t k = 0; k < len; ++k) {
+      MDRR_DCHECK_LT(codes[tile + k], r_);
+      const uint64_t hash_seed = raws[2 * k];
+      const uint32_t bucket = HashBucket(hash_seed, codes[tile + k], g_);
+      const uint32_t y =
+          grr_.RandomizeFrom(bucket, units[2 * k + 1], raws[2 * k + 1]);
+      for (size_t v = 0; v < r_; ++v) {
+        if (HashBucket(hash_seed, static_cast<uint32_t>(v), g_) == y) {
+          ++counts[v];
+        }
       }
     }
   }

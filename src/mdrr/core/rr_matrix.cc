@@ -291,72 +291,98 @@ void RrMatrix::RandomizeMixedRangeInto(const uint32_t* codes, size_t count,
   RandomizeMixedRangeInto(codes, count, words, out, counts);
 }
 
+namespace {
+
+// The histogram of a call's outputs, added into counts[0, r) (nullptr:
+// nothing is counted). Consecutive increments of one category would form
+// a store-to-load chain through one counter, so up to
+// RrMatrix::kSplitCountDomain categories element k goes to sub-histogram
+// k mod 4, interleaved as split_[4 * y + k mod 4], and Finish adds the
+// four into counts; a larger domain, or a call too short to pay for
+// clearing and summing 4r counters, counts directly. Integer sums
+// commute, so the counts are the same either way.
+class OutputCounts {
+ public:
+  OutputCounts(size_t r, size_t count, int64_t* counts)
+      : r_(r),
+        counts_(counts),
+        split_active_(counts != nullptr &&
+                      r <= RrMatrix::kSplitCountDomain && count >= 4 * r) {
+    if (split_active_) std::fill_n(split_, 4 * r_, int64_t{0});
+  }
+
+  void Add(const uint32_t* ys, size_t n) {
+    if (counts_ == nullptr) return;
+    if (!split_active_) {
+      for (size_t k = 0; k < n; ++k) ++counts_[ys[k]];
+      return;
+    }
+    size_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+      ++split_[4 * static_cast<size_t>(ys[k])];
+      ++split_[4 * static_cast<size_t>(ys[k + 1]) + 1];
+      ++split_[4 * static_cast<size_t>(ys[k + 2]) + 2];
+      ++split_[4 * static_cast<size_t>(ys[k + 3]) + 3];
+    }
+    for (; k < n; ++k) ++split_[4 * static_cast<size_t>(ys[k])];
+  }
+
+  void Finish() {
+    if (!split_active_) return;
+    for (size_t y = 0; y < r_; ++y) {
+      counts_[y] += (split_[4 * y] + split_[4 * y + 1]) +
+                    (split_[4 * y + 2] + split_[4 * y + 3]);
+    }
+  }
+
+ private:
+  const size_t r_;
+  int64_t* const counts_;
+  const bool split_active_;
+  int64_t split_[4 * RrMatrix::kSplitCountDomain];
+};
+
+}  // namespace
+
 void RrMatrix::RandomizeRangeCounterInto(const uint32_t* codes, size_t count,
                                          uint64_t seed, uint64_t stream,
                                          uint64_t first_element, uint32_t* out,
                                          int64_t* counts) const {
-  // Fixed-size SoA staging: uniforms for a tile of elements are drawn in
-  // one pass (PhiloxFillElementDraws, sixteen elements a step on AVX2),
-  // then consumed by branch-predictable loops. The tile size is
-  // invisible in the output: draws are addressed by element index.
+  // Fixed-size SoA staging: a tile's draws are filled in one pass
+  // (PhiloxFillElementDraws, sixteen elements a step on AVX2), then one
+  // branch-free block kernel picks the outputs -- KeepUniformBlock for a
+  // structured design (four lanes a step on AVX2), AliasLookupBlock's
+  // gathers over the flattened per-row tables for a dense one -- and the
+  // tile's outputs are counted. The tile size is invisible in the
+  // output: draws are addressed by element index. An identity design
+  // (alpha <= 0) copies its codes and generates no blocks.
   constexpr size_t kTile = 512;
   double units[kTile];
   uint64_t raws[kTile];
-
-  if (structured_) {
-    const double alpha = structured_alpha_;
-    if (alpha <= 0.0) {  // Identity design: no blocks are ever generated.
-      for (size_t i = 0; i < count; ++i) {
-        const uint32_t y = codes[i];
-        MDRR_DCHECK_LT(y, size_);
-        out[i] = y;
-        if (counts != nullptr) ++counts[y];
-      }
-      return;
-    }
-    for (size_t tile = 0; tile < count; tile += kTile) {
-      const size_t len = count - tile < kTile ? count - tile : kTile;
-      PhiloxFillElementDraws(seed, stream, first_element + tile, len, units,
-                             raws);
-      if (alpha >= 1.0) {  // Uniform replacement: only the raw word used.
-        for (size_t k = 0; k < len; ++k) {
-          const uint32_t y =
-              static_cast<uint32_t>(PhiloxBoundedFromRaw(raws[k], size_));
-          out[tile + k] = y;
-          if (counts != nullptr) ++counts[y];
-        }
-        continue;
-      }
-      for (size_t k = 0; k < len; ++k) {
-        MDRR_DCHECK_LT(codes[tile + k], size_);
-        const uint32_t y =
-            units[k] < alpha
-                ? static_cast<uint32_t>(PhiloxBoundedFromRaw(raws[k], size_))
-                : codes[tile + k];
-        out[tile + k] = y;
-        if (counts != nullptr) ++counts[y];
-      }
-    }
-    return;
-  }
-
-  // Dense tiles run the gather/select kernel over the flattened per-row
-  // tables: same bucket derivation and the same threshold values as the
-  // per-row SampleFrom loop, so the transcript is bit-unchanged.
+  const bool identity = structured_ && structured_alpha_ <= 0.0;
+  OutputCounts tally(size_, count, counts);
   for (size_t tile = 0; tile < count; tile += kTile) {
     const size_t len = count - tile < kTile ? count - tile : kTile;
 #ifndef NDEBUG
     for (size_t k = 0; k < len; ++k) MDRR_DCHECK_LT(codes[tile + k], size_);
 #endif
-    PhiloxFillElementDraws(seed, stream, first_element + tile, len, units,
-                           raws);
-    AliasLookupBlock(dense_thresholds_.data(), dense_aliases_.data(), size_,
-                     dense_thresholds_.size(), codes + tile, units, raws,
-                     len, out + tile);
-    if (counts != nullptr) {
-      for (size_t k = 0; k < len; ++k) ++counts[out[tile + k]];
+    if (identity) {
+      std::copy_n(codes + tile, len, out + tile);
+    } else {
+      PhiloxFillElementDraws(seed, stream, first_element + tile, len, units,
+                             raws);
+      if (structured_) {
+        KeepUniformBlock(codes + tile, units, raws, structured_alpha_, size_,
+                         len, out + tile);
+      } else {
+        AliasLookupBlock(dense_thresholds_.data(), dense_aliases_.data(),
+                         size_, dense_thresholds_.size(), codes + tile, units,
+                         raws, len, out + tile);
+      }
     }
+    tally.Add(out + tile, len);
   }
+  tally.Finish();
 }
 
 double RrMatrix::Epsilon() const {

@@ -184,16 +184,22 @@ class RrMatrix {
   // grain, thread count, or internal chunking -- produces bit-identical
   // columns. Draw plan per element (fixed budget, one block each,
   // branches never shift later elements):
-  //   structured, alpha in (0, 1):  y = unit < alpha ? bounded(r) : code
-  //   structured, alpha >= 1:       y = bounded(r)
-  //   structured, alpha <= 0:       y = code   (block never generated)
-  //   dense:                        y = row_samplers_[code].SampleFrom
-  // This is a DIFFERENT documented transcript from the mt19937 kernels
-  // above; the two policies never share streams.
+  //   structured, alpha > 0:   y = unit < alpha ? bounded(r) : code
+  //   structured, alpha <= 0:  y = code   (block never generated)
+  //   dense:                   y = row_samplers_[code].SampleFrom
+  // (at alpha >= 1 every unit in [0, 1) is below alpha, so the first line
+  // replaces every code). This is a DIFFERENT documented transcript from
+  // the mt19937 kernels above; the two policies never share streams.
   void RandomizeRangeCounterInto(const uint32_t* codes, size_t count,
                                  uint64_t seed, uint64_t stream,
                                  uint64_t first_element, uint32_t* out,
                                  int64_t* counts) const;
+
+  // The largest domain whose RandomizeRangeCounterInto counts go through
+  // four interleaved sub-histograms (so repeats of one category do not
+  // queue on one counter's store); larger domains count directly. The
+  // counts are the same either way.
+  static constexpr size_t kSplitCountDomain = 256;
 
   // Single-element counter draw: exactly what RandomizeRangeCounterInto
   // computes for `element`, exposed for per-report paths (streaming
@@ -202,24 +208,28 @@ class RrMatrix {
   uint32_t RandomizeCounter(uint32_t u, uint64_t seed, uint64_t stream,
                             uint64_t element) const {
     MDRR_DCHECK_LT(u, size_);
-    if (structured_) {
-      const double alpha = structured_alpha_;
-      if (alpha <= 0.0) return u;
-      const PhiloxBlock block = PhiloxElementBlock(seed, stream, element);
-      const uint64_t raw =
-          (static_cast<uint64_t>(block.w[3]) << 32) | block.w[2];
-      const uint32_t replacement =
-          static_cast<uint32_t>(PhiloxBoundedFromRaw(raw, size_));
-      if (alpha >= 1.0) return replacement;
-      const double unit = PhiloxUnitFromU64(
-          (static_cast<uint64_t>(block.w[1]) << 32) | block.w[0]);
-      return unit < alpha ? replacement : u;
-    }
+    // Identity design: the block is never generated.
+    if (structured_ && structured_alpha_ <= 0.0) return u;
     const PhiloxBlock block = PhiloxElementBlock(seed, stream, element);
-    return row_samplers_[u].SampleFrom(
+    return RandomizeFrom(
+        u,
         PhiloxUnitFromU64((static_cast<uint64_t>(block.w[1]) << 32) |
                           block.w[0]),
         (static_cast<uint64_t>(block.w[3]) << 32) | block.w[2]);
+  }
+
+  // The counter draw of input u from an element's pre-drawn unit double
+  // and raw word (PhiloxFillElementDraws' pair): the draw plan of
+  // RandomizeRangeCounterInto, for callers that draw a tile of elements at
+  // once. Precondition u < size() is debug-only, like Randomize's.
+  uint32_t RandomizeFrom(uint32_t u, double unit, uint64_t raw) const {
+    MDRR_DCHECK_LT(u, size_);
+    if (structured_) {
+      return unit < structured_alpha_
+                 ? static_cast<uint32_t>(PhiloxBoundedFromRaw(raw, size_))
+                 : u;
+    }
+    return row_samplers_[u].SampleFrom(unit, raw);
   }
 
   // The differential privacy level of Expression (4):

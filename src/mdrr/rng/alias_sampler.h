@@ -10,6 +10,7 @@
 
 #include "mdrr/rng/counter_rng.h"
 #include "mdrr/rng/rng.h"
+#include "mdrr/rng/simd_body.h"
 
 namespace mdrr {
 
@@ -68,15 +69,45 @@ class AliasSampler {
 //   bucket = PhiloxBoundedFromRaw(raws[k], bound)
 //   idx    = (rows ? rows[k] : 0) * bound + bucket
 //   out[k] = units[k] < thresholds[idx] ? bucket : aliases[idx]
-// On x86-64 hosts with AVX2 the threshold/alias gathers and the
-// branch-free select run four lanes at a time (runtime-dispatched);
-// the scalar path is the same arithmetic, so output is bitwise
-// identical regardless of ISA -- the philox transcript contract never
-// depends on the host.
+// On x86-64 hosts with AVX2 the bucket multiply, the threshold/alias
+// gathers and the branch-free select run four lanes at a time
+// (runtime-dispatched); the portable body is the same arithmetic, so
+// output is bitwise identical regardless of ISA -- the philox transcript
+// contract never depends on the host.
 void AliasLookupBlock(const double* thresholds, const uint32_t* aliases,
                       uint64_t bound, size_t table_entries,
                       const uint32_t* rows, const double* units,
                       const uint64_t* raws, size_t count, uint32_t* out);
+
+// The same on one named body, so tests check and benchmarks time each
+// one. Returns false without writing when the CPU or the compiler lacks
+// the body's instructions.
+bool AliasLookupBlockOn(SimdBody body, const double* thresholds,
+                        const uint32_t* aliases, uint64_t bound,
+                        size_t table_entries, const uint32_t* rows,
+                        const double* units, const uint64_t* raws,
+                        size_t count, uint32_t* out);
+
+// Keep-or-uniform lookup over pre-drawn uniform pairs: the kernel
+// RrMatrix's structured (uniform-mixture) tiles run. For each k in
+// [0, count):
+//   out[k] = units[k] < alpha ? PhiloxBoundedFromRaw(raws[k], bound)
+//                             : codes[k]
+// Neither body branches on the draw. The AVX2 body runs four lanes a
+// step (the bounded draw as two 32 x 32 -> 64 multiplies, exact for
+// bound < 2^32; a larger bound runs the portable body), the portable body
+// selects through a mask. Both write the same words. Precondition:
+// bound > 0.
+void KeepUniformBlock(const uint32_t* codes, const double* units,
+                      const uint64_t* raws, double alpha, uint64_t bound,
+                      size_t count, uint32_t* out);
+
+// KeepUniformBlock on one named body; returns false without writing when
+// the CPU or the compiler lacks the body's instructions.
+bool KeepUniformBlockOn(SimdBody body, const uint32_t* codes,
+                        const double* units, const uint64_t* raws,
+                        double alpha, uint64_t bound, size_t count,
+                        uint32_t* out);
 
 }  // namespace mdrr
 

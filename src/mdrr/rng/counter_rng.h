@@ -17,8 +17,9 @@
 //     or chunking.
 //
 // Stream/element layout used by every counter-policy kernel in the
-// library (RrMatrix::RandomizeRangeCounterInto, AliasLookupBlock, the
-// batch engine, streaming ingest and the protocol session):
+// library (RrMatrix::RandomizeRangeCounterInto, AliasLookupBlock and
+// KeepUniformBlock, the batch engine, streaming ingest and the protocol
+// session):
 //
 //   key     = { lo32(seed),    hi32(seed)    }
 //   counter = { lo32(element), hi32(element), lo32(stream), hi32(stream) }

@@ -2,10 +2,11 @@
 // one run-time probe that picks between them.
 //
 // Each kernel with a vector body (the seed-block expansion, the mt19937
-// twist and temper, the Philox element fill, the alias lookup) compiles
-// that body under __attribute__((target("avx2"))) inside an
-// MDRR_RNG_X86 block, keeps its portable body for every other host, and
-// asks HaveAvx2() once per call which one to run. Every body computes
+// twist and temper, the Philox element fill, the alias lookup and the
+// keep-or-uniform select) compiles that body under
+// __attribute__((target("avx2"))) inside an MDRR_RNG_X86 block, keeps
+// its portable body for every other host, and asks HaveAvx2() once per
+// call which one to run. Every body computes
 // the same words, so the choice never shows in an output.
 
 #ifndef MDRR_RNG_SIMD_BODY_H_

@@ -2,8 +2,10 @@
 // published test vectors, the O(1) Jump contract, and the
 // element-addressed draw plans of AliasSampler::SampleBlock and
 // RrMatrix::RandomizeRangeCounterInto, and every body of the element
-// fill byte for byte.
+// fill and of the keep-or-uniform and alias block kernels byte for
+// byte.
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -226,6 +228,153 @@ TEST(PhiloxFillTest, UnitSplitIsExact) {
   }
 }
 
+// Fills `count` pre-drawn pairs from stream (seed, 0) and overwrites
+// some with the edge values the block kernels must get right: raw words
+// at the ends of each 32-bit half, units at 0, just below 1 and exactly
+// at, just below and just above `alpha` (the compare is strict).
+void EdgeDraws(uint64_t seed, size_t count, double alpha,
+               std::vector<double>& units, std::vector<uint64_t>& raws) {
+  units.assign(count, 0.0);
+  raws.assign(count, 0);
+  PhiloxFillElementDraws(seed, 0, 0, count, units.data(), raws.data());
+  const uint64_t edge_raws[] = {0, 1, 0xffffffffull, 1ull << 32,
+                                ~uint64_t{0}};
+  const double edge_units[] = {0.0, std::nextafter(1.0, 0.0), alpha,
+                               std::nextafter(alpha, 0.0),
+                               std::nextafter(alpha, 2.0)};
+  for (size_t k = 0; k < count; k += 3) {
+    raws[k] = edge_raws[(k / 3) % 5];
+    units[k] = edge_units[(k / 3 + k / 15) % 5];
+  }
+}
+
+// Each body of KeepUniformBlock this build and CPU have writes exactly
+// the words of the scalar formula, at bounds on both sides of the AVX2
+// body's 2^32 limit, at alphas from tiny through >= 1, and at counts
+// around its four-lane step and the 512-element tile, leaving one slot
+// past the end untouched.
+TEST(KeepUniformBlockTest, EveryBodyMatchesScalarFormula) {
+  struct Body {
+    SimdBody body;
+    const char* name;
+    bool ran = false;
+  };
+  Body bodies[] = {{SimdBody::kPortable, "portable"},
+                   {SimdBody::kAvx2, "AVX2"}};
+  const uint64_t bounds[] = {2,          5,           16,
+                             300,        65537,       (1ull << 31) + 11,
+                             0xffffffffull, 1ull << 32};
+  const double alphas[] = {1e-9, 0.3, std::nextafter(1.0, 0.0), 1.0, 1.5};
+  const size_t counts[] = {0, 1, 3, 4, 5, 511, 512, 513};
+  for (uint64_t bound : bounds) {
+    for (double alpha : alphas) {
+      for (size_t count : counts) {
+        std::vector<double> units;
+        std::vector<uint64_t> raws;
+        EdgeDraws(bound + count, count, alpha, units, raws);
+        std::vector<uint32_t> codes(count);
+        for (size_t k = 0; k < count; ++k) {
+          codes[k] = static_cast<uint32_t>(raws[k] >> 17) ^
+                     (k % 2 == 0 ? 0xffffffffu : 0u);
+        }
+        std::vector<uint32_t> want(count + 1, 0xabcdef01u);
+        for (size_t k = 0; k < count; ++k) {
+          const auto bucket =
+              static_cast<uint32_t>(PhiloxBoundedFromRaw(raws[k], bound));
+          want[k] = units[k] < alpha ? bucket : codes[k];
+        }
+        for (Body& body : bodies) {
+          std::vector<uint32_t> out(count + 1, 0xabcdef01u);
+          body.ran = KeepUniformBlockOn(body.body, codes.data(), units.data(),
+                                        raws.data(), alpha, bound, count,
+                                        out.data());
+          if (!body.ran) continue;
+          SCOPED_TRACE(::testing::Message()
+                       << body.name << ": bound " << bound << ", alpha "
+                       << alpha << ", count " << count);
+          ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                                out.size() * sizeof(uint32_t)),
+                    0);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(bodies[0].ran);
+  for (const Body& body : bodies) {
+    if (!body.ran) {
+      std::printf("%s keep-uniform body not checked: the build or the CPU "
+                  "lacks it\n",
+                  body.name);
+    }
+  }
+}
+
+// Each body of AliasLookupBlockOn writes exactly the words of per-row
+// AliasSampler::SampleFrom, with one table (rows == nullptr) and with
+// per-element rows over fused tables, at the same counts.
+TEST(AliasLookupBlockTest, EveryBodyMatchesSampleFrom) {
+  struct Body {
+    SimdBody body;
+    const char* name;
+    bool ran = false;
+  };
+  Body bodies[] = {{SimdBody::kPortable, "portable"},
+                   {SimdBody::kAvx2, "AVX2"}};
+  const size_t bounds[] = {2, 5, 16, 300};
+  const size_t counts[] = {0, 1, 3, 4, 5, 511, 512, 513};
+  for (size_t bound : bounds) {
+    // Three tables with different weights, fused row-major.
+    std::vector<AliasSampler> samplers;
+    std::vector<double> thresholds;
+    std::vector<uint32_t> aliases;
+    for (size_t t = 0; t < 3; ++t) {
+      std::vector<double> weights(bound);
+      for (size_t v = 0; v < bound; ++v) {
+        weights[v] = 1.0 + static_cast<double>((v * (t + 3)) % 7);
+      }
+      samplers.emplace_back(weights);
+      samplers.back().AppendTables(thresholds, aliases);
+    }
+    for (size_t count : counts) {
+      std::vector<double> units;
+      std::vector<uint64_t> raws;
+      EdgeDraws(bound + count, count, 0.5, units, raws);
+      std::vector<uint32_t> rows(count);
+      for (size_t k = 0; k < count; ++k) rows[k] = (k * 7 + 1) % 3;
+      for (const bool fused : {false, true}) {
+        std::vector<uint32_t> want(count + 1, 0xabcdef01u);
+        for (size_t k = 0; k < count; ++k) {
+          want[k] = samplers[fused ? rows[k] : 0].SampleFrom(units[k],
+                                                             raws[k]);
+        }
+        for (Body& body : bodies) {
+          std::vector<uint32_t> out(count + 1, 0xabcdef01u);
+          body.ran = AliasLookupBlockOn(
+              body.body, thresholds.data(), aliases.data(), bound,
+              fused ? thresholds.size() : bound,
+              fused ? rows.data() : nullptr, units.data(), raws.data(),
+              count, out.data());
+          if (!body.ran) continue;
+          SCOPED_TRACE(::testing::Message()
+                       << body.name << ": bound " << bound << ", count "
+                       << count << (fused ? ", fused rows" : ", one table"));
+          ASSERT_EQ(std::memcmp(out.data(), want.data(),
+                                out.size() * sizeof(uint32_t)),
+                    0);
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(bodies[0].ran);
+  for (const Body& body : bodies) {
+    if (!body.ran) {
+      std::printf("%s alias body not checked: the build or the CPU lacks "
+                  "it\n",
+                  body.name);
+    }
+  }
+}
+
 TEST(AliasSamplerTest, SampleBlockMatchesSampleFrom) {
   // One table with rows == nullptr: the single-table form of the kernel
   // RrMatrix's dense tiles run.
@@ -338,6 +487,62 @@ TEST(RrMatrixCounterTest, DenseTilingInvariant) {
     codes[i] = static_cast<uint32_t>(i % 3);
   }
   ExpectTilingInvariant(matrix.value(), codes);
+}
+
+// The counts a range call adds equal the histogram of the column it
+// writes, for domains on both sides of the sub-histogram cutoff and for
+// calls long and short enough to use them, structured and dense.
+TEST(RrMatrixCounterTest, CountsMatchOutputHistogramAroundSplitCutoff) {
+  const size_t cutoff = RrMatrix::kSplitCountDomain;
+  for (size_t r : {cutoff - 1, cutoff, cutoff + 1}) {
+    const RrMatrix structured = RrMatrix::KeepUniform(r, 0.4);
+    const RrMatrix dense = RrMatrix::GeometricOrdinal(r, 3.0);
+    ASSERT_FALSE(dense.is_structured());
+    for (const RrMatrix* matrix : {&structured, &dense}) {
+      for (size_t n : {size_t{7}, 4 * r + 3}) {
+        std::vector<uint32_t> codes(n);
+        for (size_t i = 0; i < n; ++i) {
+          codes[i] = static_cast<uint32_t>((i * 37) % r);
+        }
+        std::vector<uint32_t> out(n);
+        std::vector<int64_t> counts(r, 5);  // Counts add to what is there.
+        matrix->RandomizeRangeCounterInto(codes.data(), n, /*seed=*/41,
+                                          /*stream=*/2, /*first_element=*/9,
+                                          out.data(), counts.data());
+        std::vector<int64_t> histogram(r, 5);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(out[i], matrix->RandomizeCounter(codes[i], 41, 2, 9 + i));
+          ++histogram[out[i]];
+        }
+        EXPECT_EQ(counts, histogram)
+            << "r = " << r << ", n = " << n
+            << (matrix->is_structured() ? ", structured" : ", dense");
+      }
+    }
+  }
+}
+
+// Keep probability 0 replaces every code with the element's bounded raw
+// word, as the per-element draw does: alpha = r * (1 / r) is at least 1
+// here, and every unit lies below it.
+TEST(RrMatrixCounterTest, KeepZeroReplacesEveryCodeWithItsBoundedDraw) {
+  for (size_t r : {size_t{3}, size_t{5}, size_t{7}, size_t{16}, size_t{300}}) {
+    const RrMatrix matrix = RrMatrix::KeepUniform(r, 0.0);
+    const size_t n = 1100;
+    std::vector<uint32_t> codes(n);
+    for (size_t i = 0; i < n; ++i) codes[i] = static_cast<uint32_t>(i % r);
+    std::vector<uint32_t> out(n);
+    matrix.RandomizeRangeCounterInto(codes.data(), n, /*seed=*/8,
+                                     /*stream=*/3, /*first_element=*/100,
+                                     out.data(), nullptr);
+    for (size_t i = 0; i < n; ++i) {
+      const PhiloxBlock block = PhiloxElementBlock(8, 3, 100 + i);
+      const uint64_t raw =
+          (static_cast<uint64_t>(block.w[3]) << 32) | block.w[2];
+      ASSERT_EQ(out[i], PhiloxBoundedFromRaw(raw, r)) << "r = " << r;
+      ASSERT_EQ(out[i], matrix.RandomizeCounter(codes[i], 8, 3, 100 + i));
+    }
+  }
 }
 
 TEST(RrMatrixCounterTest, KeepProbabilityIsHonored) {

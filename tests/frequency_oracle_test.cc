@@ -8,6 +8,7 @@
 
 #include "mdrr/core/estimator.h"
 #include "mdrr/core/frequency_oracle.h"
+#include "mdrr/core/rr_matrix.h"
 #include "mdrr/rng/counter_rng.h"
 #include "mdrr/rng/rng.h"
 
@@ -336,6 +337,50 @@ TEST(LocalHashingTest, CounterPathIsShardInvariant) {
       PerturbColumnSharded(de, truths, mt, kShard, /*num_threads=*/4);
   EXPECT_EQ(column.codes, expected);
   EXPECT_EQ(column.counts, expected_counts);
+}
+
+TEST(LocalHashingTest, CounterPathMatchesPerElementBlocks) {
+  // Reference: record i's hash seed is the raw word of element
+  // 2 * (first_record + i) and its bucket GRR draws element
+  // 2 * (first_record + i) + 1, one PhiloxElementBlock each. 255, 256 and
+  // 257 records end on both sides of a 512-element fill tile.
+  const size_t r = 11;
+  const double eps = 1.5;
+  const LocalHashingOracle oracle(r, eps);
+  const RrMatrix grr = RrMatrix::OptimalForEpsilon(oracle.num_buckets(), eps);
+  const uint64_t seed = 13;
+  const uint64_t stream = 6;
+  for (uint64_t first_record :
+       {uint64_t{0}, uint64_t{7}, (uint64_t{1} << 31) + 3}) {
+    for (size_t n : {size_t{255}, size_t{256}, size_t{257}}) {
+      Rng rng(first_record + n);
+      std::vector<uint32_t> truths(n);
+      for (auto& x : truths) x = static_cast<uint32_t>(rng.UniformInt(r));
+      std::vector<int64_t> counts(r, 0);
+      oracle.AccumulateRangeCounter(truths.data(), n, seed, stream,
+                                    first_record, nullptr, counts.data());
+      std::vector<int64_t> want(r, 0);
+      for (size_t k = 0; k < n; ++k) {
+        const uint64_t element = 2 * (first_record + k);
+        const PhiloxBlock block = PhiloxElementBlock(seed, stream, element);
+        const uint64_t hash_seed =
+            (static_cast<uint64_t>(block.w[3]) << 32) | block.w[2];
+        const uint32_t bucket = LocalHashingOracle::HashBucket(
+            hash_seed, truths[k], oracle.num_buckets());
+        const uint32_t y =
+            grr.RandomizeCounter(bucket, seed, stream, element + 1);
+        for (size_t v = 0; v < r; ++v) {
+          if (LocalHashingOracle::HashBucket(hash_seed,
+                                             static_cast<uint32_t>(v),
+                                             oracle.num_buckets()) == y) {
+            ++want[v];
+          }
+        }
+      }
+      EXPECT_EQ(counts, want)
+          << "first_record = " << first_record << ", n = " << n;
+    }
+  }
 }
 
 TEST(LocalHashingTest, CounterPathEstimatesAreUnbiased) {
