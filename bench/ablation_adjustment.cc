@@ -21,7 +21,8 @@
 int main(int argc, char** argv) {
   const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      mdrr::bench::AdultFlags({mdrr::bench::kRunsFlag, mdrr::RealFlag("p"),
+      mdrr::bench::AdultFlags({mdrr::bench::kRunsFlag,
+                               mdrr::RealFlag("p", 0.0, 1.0),
                                mdrr::RealFlag("sigma"),
                                mdrr::UintFlag("seed")}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);

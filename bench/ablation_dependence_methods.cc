@@ -43,7 +43,8 @@ bool SameClustering(const mdrr::AttributeClustering& a,
 int main(int argc, char** argv) {
   const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {mdrr::UintFlag("n", 1), mdrr::RealFlag("p"), mdrr::UintFlag("seed")});
+      {mdrr::UintFlag("n", 1), mdrr::RealFlag("p", 0.0, 1.0),
+       mdrr::UintFlag("seed")});
   const size_t n = flags.GetUint64("n", 8000);
   const double p = flags.GetDouble("p", 0.8);
   const uint64_t seed = flags.GetUint64("seed", 1);

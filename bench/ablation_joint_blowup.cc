@@ -28,7 +28,8 @@
 int main(int argc, char** argv) {
   const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      mdrr::bench::AdultFlags({mdrr::RealFlag("eps_total"), mdrr::RealFlag("p"),
+      mdrr::bench::AdultFlags({mdrr::RealFlag("eps_total"),
+                               mdrr::RealFlag("p", 0.0, 1.0),
                                mdrr::IntFlag("max_attrs", 1),
                                mdrr::UintFlag("seed")}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);

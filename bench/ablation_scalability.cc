@@ -24,8 +24,9 @@
 int main(int argc, char** argv) {
   const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
       argc, argv,
-      {mdrr::UintFlag("n", 1), mdrr::RealFlag("p"), mdrr::RealFlag("tv"),
-       mdrr::RealFlag("td"), mdrr::bench::kRunsFlag, mdrr::UintFlag("seed")});
+      {mdrr::UintFlag("n", 1), mdrr::RealFlag("p", 0.0, 1.0),
+       mdrr::RealFlag("tv"), mdrr::RealFlag("td"), mdrr::bench::kRunsFlag,
+       mdrr::UintFlag("seed")});
   const size_t n = flags.GetUint64("n", mdrr::kMushroomNumRecords);
   const double p = flags.GetDouble("p", 0.7);
   const double tv = flags.GetDouble("tv", 60.0);

@@ -10,17 +10,16 @@
 //   --n=N          records (default 1000000)
 //   --threads=T    parallel thread count to compare against 1 (default 4)
 //   --shard=S      records per shard (default 65536)
-//   --p=P          keep probability (default 0.7)
+//   --p=P          keep probability in [0, 1] (default 0.7)
 //   --seed=S       engine seed (default 1)
 //   --data_seed=S  synthetic-workload seed, independent of --seed
 //                  (default 2020)
-//   --session_n=N  parties in the session stage (default min(n, 100000);
-//                  each simulated party carries its own mt19937_64, so
-//                  the session stage is memory-bound in parties)
+//   --session_n=N  parties in the session stage (default min(n, 100000))
 //   --est_r=R      joint-domain cardinality of the estimation stages
 //                  (default 512)
 // Any other flag, or a value that is malformed or out of range (a count
-// below 1, a negative thread count or seed), exits 1, naming the flag.
+// below 1, a negative thread count or seed, a --p outside [0, 1]), exits
+// 1, naming the flag.
 //
 // The rng-policy stage reads differently from every other row: its two
 // columns are the two RNG policies at the SAME thread count (t1 =
@@ -139,7 +138,7 @@ int main(int argc, char** argv) {
       {mdrr::UintFlag("n", 1),
        // --threads is also the streaming stage's num_ingest_threads.
        mdrr::UintFlag("threads", 0, mdrr::release::kMaxIngestThreads),
-       mdrr::UintFlag("shard", 1), mdrr::RealFlag("p"),
+       mdrr::UintFlag("shard", 1), mdrr::RealFlag("p", 0.0, 1.0),
        mdrr::UintFlag("seed"), mdrr::UintFlag("data_seed"),
        mdrr::UintFlag("session_n", 1), mdrr::UintFlag("est_r", 2)});
 
@@ -664,19 +663,6 @@ int main(int argc, char** argv) {
   session_options.shard_size = std::max<size_t>(
       1, session_n / std::max<size_t>(1, 8 * threads));
   session_options.num_threads = 1;
-  // Untimed warm-up: the session stages are the first allocations of the
-  // party state (~2.5 KB of engine per party), and on virtualized runners
-  // first-ever RSS growth faults in at a fraction of reuse bandwidth --
-  // a one-time provisioning cost that would otherwise land on whichever
-  // session run happens to execute first and distort every ratio below.
-  {
-    auto warmup =
-        mdrr::protocol::RunDistributedSession(session_data, session_options);
-    if (!warmup.ok()) {
-      std::fprintf(stderr, "session warm-up failed\n");
-      return 1;
-    }
-  }
   timer.Restart();
   auto session_one =
       mdrr::protocol::RunDistributedSession(session_data, session_options);

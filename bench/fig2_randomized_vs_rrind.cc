@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
       argc, argv,
       mdrr::bench::AdultFlags({mdrr::bench::kRunsFlag,
                                mdrr::UintFlag("query_attrs", 1),
-                               mdrr::RealFlag("p"), mdrr::UintFlag("seed")}));
+                               mdrr::RealFlag("p", 0.0, 1.0),
+                               mdrr::UintFlag("seed")}));
   mdrr::Dataset adult = mdrr::bench::LoadAdult(flags);
   const int runs = mdrr::bench::RunsFlag(flags);
   const size_t query_attrs = flags.GetUint64("query_attrs", 2);

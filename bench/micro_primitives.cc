@@ -197,17 +197,14 @@ void BM_SerialSeedExpansion(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialSeedExpansion);
 
-// The same expansion kSeedLanes seeds at a time, as
-// ForEachStagedSeedSequence runs it for the session's kept engines (the
-// block, then every lane staged lane-major); items are seeds. A
-// streaming report pays the block only: its engine reads its lane in
-// place (BM_EngineSetupPlus16Draws/2). The arg picks the body: 0
-// portable, 1 AVX2. A body the CPU lacks reports an error instead of a
-// time.
+// The same expansion kSeedLanes seeds at a time, as ForEachSeedSequence
+// runs it under RandomizeRecords; items are seeds. Each record's engine
+// then reads its lane in place (BM_EngineSetupPlus16Draws/2). The arg
+// picks the body: 0 portable, 1 AVX2. A body the CPU lacks reports an
+// error instead of a time.
 void BM_SeedBlockExpansion(benchmark::State& state) {
   const auto body = static_cast<mdrr::SimdBody>(state.range(0));
   auto block = std::make_unique<mdrr::SeedBlock>();
-  std::vector<uint32_t> stage(mdrr::kSeedStageLanes * mdrr::kEngineSeedWords);
   uint64_t seeds[mdrr::kSeedLanes];
   uint64_t next = 1;
   for (auto _ : state) {
@@ -216,10 +213,8 @@ void BM_SeedBlockExpansion(benchmark::State& state) {
       state.SkipWithError("the CPU lacks this seed body");
       break;
     }
-    for (size_t l = 0; l < mdrr::kSeedLanes; l += mdrr::kSeedStageLanes) {
-      mdrr::StageSeedLanesOn(body, *block, l, stage.data());
-      benchmark::DoNotOptimize(stage.data());
-    }
+    benchmark::DoNotOptimize(block.get());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(mdrr::kSeedLanes));

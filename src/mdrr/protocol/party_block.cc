@@ -1,22 +1,11 @@
 #include "mdrr/protocol/party_block.h"
 
 #include <cstdint>
-#include <type_traits>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
 
 #include "mdrr/common/check.h"
 #include "mdrr/common/parallel.h"
 
 namespace mdrr::protocol {
-
-// Engines live in raw storage and are placement-constructed exactly once
-// (seeded state, no throwaway default seeding); freeing the storage
-// without destructor calls requires triviality.
-static_assert(std::is_trivially_destructible_v<Rng>,
-              "PartyBlock skips Rng destructor calls");
 
 PartyBlock::PartyBlock(const Dataset& dataset, Rng& seeder)
     : num_parties_(dataset.num_rows()),
@@ -37,28 +26,12 @@ PartyBlock::PartyBlock(const Dataset& dataset, Rng& seeder)
   for (size_t i = 0; i < num_parties_; ++i) {
     seeds_[i] = seeder.engine()();
   }
-  // The engine array spans ~2.5 KB per party -- hundreds of megabytes at
-  // protocol scale -- and is written exactly once, in the first sweep.
-  // Demand-faulting it 4 KB at a time can dominate that sweep once the
-  // process carries real RSS, so on Linux the block is aligned to the
-  // transparent-huge-page boundary and advised MADV_HUGEPAGE, cutting
-  // the fault count by the 2 MB / 4 KB ratio. Purely advisory: any
-  // kernel refusal leaves plain pages and identical results.
-  constexpr size_t kHugePage = size_t{1} << 21;
-  const size_t bytes = num_parties_ * sizeof(Rng);
-  rng_storage_.reset(new unsigned char[bytes + kHugePage]);
-  uintptr_t raw = reinterpret_cast<uintptr_t>(rng_storage_.get());
-  uintptr_t aligned = (raw + kHugePage - 1) & ~(kHugePage - 1);
-  rngs_ = reinterpret_cast<Rng*>(aligned);
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-  madvise(reinterpret_cast<void*>(aligned), bytes, MADV_HUGEPAGE);
-#endif
 }
 
 void PartyBlock::PublishIndependent(
     const std::vector<RrMatrix>& matrices, size_t shard_size,
     size_t num_threads, std::vector<std::vector<uint32_t>>* columns) {
-  MDRR_CHECK(!engines_seeded_);
+  MDRR_CHECK(round1_.empty());
   const size_t m = num_attributes_;
   MDRR_CHECK_EQ(matrices.size(), m);
   MDRR_CHECK_EQ(columns->size(), m);
@@ -75,13 +48,12 @@ void PartyBlock::PublishIndependent(
         const uint32_t* records = records_.data() + begin * m;
         RandomizeRecords(
             matrices.data(), m, end - begin, seeds_.data() + begin,
-            [&](size_t k) { return rngs_ + begin + k; },
             [&](size_t k, size_t j) { return records[k * m + j]; },
             [&](size_t k, size_t j, uint32_t code) {
               column_ptrs[j][begin + k] = code;
             });
       });
-  engines_seeded_ = true;
+  round1_ = matrices;
 }
 
 ClusterSweepResult PartyBlock::PublishClusters(
@@ -91,7 +63,8 @@ ClusterSweepResult PartyBlock::PublishClusters(
   const size_t num_clusters = clusters.size();
   MDRR_CHECK_EQ(domains.size(), num_clusters);
   MDRR_CHECK_EQ(matrices.size(), num_clusters);
-  MDRR_CHECK(engines_seeded_);
+  const size_t m = num_attributes_;
+  MDRR_CHECK_EQ(round1_.size(), m);
 
   // Flatten the cluster structure so the per-party loop runs over plain
   // arrays: member attributes with their mixed-radix strides (the encode
@@ -143,17 +116,24 @@ ClusterSweepResult PartyBlock::PublishClusters(
     }
   }
 
-  const size_t m = num_attributes_;
+  // Column j < m of a party's sweep replays its round-1 draw for
+  // attribute j (the same design over the same true value, so the same
+  // words), and column m + c publishes cluster c: the re-seeded engine
+  // reaches round 2 in the state round 1 left it.
+  std::vector<RrMatrix> designs = round1_;
+  designs.insert(designs.end(), matrices.begin(), matrices.end());
   ParallelChunks(
       num_parties_, shard_size, num_threads,
       [&](size_t worker, size_t /*shard*/, size_t begin, size_t end) {
         std::vector<std::vector<int64_t>>& counts = worker_counts[worker];
         const uint32_t* records = records_.data() + begin * m;
         RandomizeRecords(
-            matrices.data(), num_clusters, end - begin, /*seeds=*/nullptr,
-            [&](size_t k) { return rngs_ + begin + k; },
-            [&](size_t k, size_t c) {
+            designs.data(), m + num_clusters, end - begin,
+            seeds_.data() + begin,
+            [&](size_t k, size_t j) {
               const uint32_t* record = records + k * m;
+              if (j < m) return record[j];
+              const size_t c = j - m;
               const size_t off = offset[c];
               uint64_t code = 0;
               for (size_t p = 0; p < cluster_size[c]; ++p) {
@@ -161,7 +141,9 @@ ClusterSweepResult PartyBlock::PublishClusters(
               }
               return static_cast<uint32_t>(code);
             },
-            [&](size_t k, size_t c, uint32_t published) {
+            [&](size_t k, size_t j, uint32_t published) {
+              if (j < m) return;  // Round 1 published this code already.
+              const size_t c = j - m;
               const size_t i = begin + k;
               const size_t off = offset[c];
               if (code_ptr[c] != nullptr) code_ptr[c][i] = published;

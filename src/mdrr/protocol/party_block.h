@@ -4,9 +4,9 @@
 // A PartyBlock holds the same n respondents a vector of Party objects
 // would (tests/session_reference.h) -- the same private records, the same
 // per-party RNG streams seeded in id order -- but stores them flat
-// (row-major records, one contiguous engine array) and executes protocol
-// rounds as sweeps over reused buffers instead of per-object calls that
-// return freshly allocated vectors. The technique follows
+// (row-major records and one seed per party, no engines) and executes
+// protocol rounds as sweeps over reused buffers instead of per-object
+// calls that return freshly allocated vectors. The technique follows
 // high-throughput agent-simulation runtimes: batch the per-agent work
 // into cache-friendly passes, and keep the per-object model as the
 // golden reference.
@@ -18,19 +18,20 @@
 // same per-party order as Party::PublishIndependent /
 // Party::PublishClusters, and parties' streams are mutually independent,
 // so sweeps shard freely. Both rounds are RandomizeRecords calls over a
-// shard. Golden-tested against the Party loop in
+// shard. Because an engine is a pure function of its seed, the block
+// keeps seeds, not engines: round 2 re-seeds each party's engine and
+// replays its round-1 draws (the same designs over the same record)
+// before it draws round 2, which continues the stream exactly where
+// round 1 left it. Golden-tested against the Party loop in
 // tests/session_fast_path_test.cc.
 
 #ifndef MDRR_PROTOCOL_PARTY_BLOCK_H_
 #define MDRR_PROTOCOL_PARTY_BLOCK_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <type_traits>
 #include <vector>
 
-#include "mdrr/common/check.h"
 #include "mdrr/core/clustering.h"
 #include "mdrr/core/rr_matrix.h"
 #include "mdrr/dataset/dataset.h"
@@ -40,53 +41,29 @@
 
 namespace mdrr::protocol {
 
-// Passed as RandomizeRecords' engine: every record gets an engine of the
-// kernel's own, dropped after the record's draws.
-struct TransientEngines {};
-
 // The one per-record randomization kernel: the party rounds below and
 // the streaming reports (protocol/stream_ingest.h) all run it. For
-// records [0, count), draws record k's columns j = 0..num_columns-1 in
-// order through matrices[j].Randomize(value(k, j), engine) and hands
-// each published code to sink(k, j, code).
+// records [0, count), seeds a transient engine from seeds[k] and draws
+// record k's columns j = 0..num_columns-1 in order through
+// matrices[j].Randomize(value(k, j), engine), handing each published
+// code to sink(k, j, code).
 //
-// With `seeds` non-null, record k's engine is seeded from seeds[k]
-// (kSeedLanes seeds per expansion block, fast_seed.h) right before its
-// draws, while its state is cache-hot. Who keeps the engine decides how
-// it is seeded, because a lane's words live only as long as the walk's
-// callback:
-//   * `engine` is TransientEngines{}: the kernel seeds a transient
-//     engine in place from the record's block lane (ForEachSeedSequence,
-//     SeedDeferred: 33 words copied, the rest read only if the record
-//     draws past its first 16 words) and drops it after the record.
-//   * engine(k) is raw storage for an Rng that outlives the call: the
-//     engine is constructed there complete, from the lane staged
-//     contiguous (ForEachStagedSeedSequence), so it reads no seed words
-//     after the block is reused.
-// With `seeds` null, engine(k) is an engine seeded earlier, and record k
-// continues its stream.
-template <typename EngineAt, typename ValueAt, typename Sink>
+// The engines are seeded kSeedLanes seeds per expansion block
+// (ForEachSeedSequence, fast_seed.h), each in place from its block lane
+// right before its record's draws (SeedDeferred: 33 words copied, the
+// rest read only if the record draws past its first 16 words), and
+// dropped after them: a lane's words live only as long as the walk's
+// callback.
+template <typename ValueAt, typename Sink>
 void RandomizeRecords(const RrMatrix* matrices, size_t num_columns,
-                      size_t count, const uint64_t* seeds, EngineAt&& engine,
-                      ValueAt&& value, Sink&& sink) {
-  auto draw = [&](size_t k, Rng& rng) {
+                      size_t count, const uint64_t* seeds, ValueAt&& value,
+                      Sink&& sink) {
+  ForEachSeedSequence(seeds, count, [&](size_t k, SeedWords lane) {
+    Rng rng(lane, kDeferredSeed);
     for (size_t j = 0; j < num_columns; ++j) {
       sink(k, j, matrices[j].Randomize(value(k, j), rng));
     }
-  };
-  if constexpr (std::is_same_v<std::decay_t<EngineAt>, TransientEngines>) {
-    MDRR_CHECK(seeds != nullptr);
-    ForEachSeedSequence(seeds, count, [&](size_t k, SeedWords lane) {
-      Rng rng(lane, kDeferredSeed);
-      draw(k, rng);
-    });
-  } else if (seeds == nullptr) {
-    for (size_t k = 0; k < count; ++k) draw(k, *engine(k));
-  } else {
-    ForEachStagedSeedSequence(seeds, count, [&](size_t k, SeedWords words) {
-      draw(k, *new (static_cast<void*>(engine(k))) Rng(words));
-    });
-  }
+  });
 }
 
 // Round-2 output bundle: the two controller by-products that fuse into
@@ -110,8 +87,8 @@ class PartyBlock {
   // Materializes parties 0..n-1 of `dataset` (row i becomes party i),
   // drawing each party's seed serially from `seeder` -- the identical
   // seed sequence as constructing Party(record_i, seeder.engine()())
-  // in a loop. Engine seeding itself is deferred to round 1 so it runs
-  // sharded and fused with the round-1 publications.
+  // in a loop. Engines are seeded only inside the round sweeps, sharded
+  // and fused with the publications.
   PartyBlock(const Dataset& dataset, Rng& seeder);
 
   size_t num_parties() const { return num_parties_; }
@@ -120,10 +97,8 @@ class PartyBlock {
   // Round 1: writes party i's per-attribute publication into
   // columns[j][i] for every attribute j, sharded over `num_threads`
   // workers in chunks of `shard_size` parties. Each columns[j] must
-  // already have size num_parties(). Party engines are seeded
-  // lane-batched (fast_seed.h) immediately before their first draws,
-  // while their state is cache-hot, and complete: round 2 continues them
-  // long after their seed block is gone. Runs once per block.
+  // already have size num_parties(). Keeps a copy of `matrices` for
+  // round 2's replay. Runs once per block.
   void PublishIndependent(const std::vector<RrMatrix>& matrices,
                           size_t shard_size, size_t num_threads,
                           std::vector<std::vector<uint32_t>>* columns);
@@ -132,7 +107,8 @@ class PartyBlock {
   // per cluster (mixed-radix, identical arithmetic to Domain::Encode),
   // randomizes the code, and fuses output-category counting and
   // per-position decode into the same pass. Sharded like
-  // PublishIndependent; parties continue their round-1 streams.
+  // PublishIndependent; each party's re-seeded engine replays its
+  // round-1 draws first, so round 2 continues the round-1 stream.
   // `collect_codes` additionally materializes the raw composite-code
   // columns (result.codes) for transcript comparisons.
   ClusterSweepResult PublishClusters(const AttributeClustering& clusters,
@@ -151,12 +127,9 @@ class PartyBlock {
   std::vector<uint32_t> records_;
   // Per-party seeds, drawn serially in id order at construction.
   std::vector<uint64_t> seeds_;
-  // Per-party engines, placement-constructed by round 1 so the ~2.5 KB
-  // mt19937_64 states are written exactly once (no default-seeding pass
-  // over hundreds of megabytes).
-  std::unique_ptr<unsigned char[]> rng_storage_;
-  Rng* rngs_ = nullptr;
-  bool engines_seeded_ = false;
+  // Round 1's per-attribute designs, which round 2 replays; empty
+  // until round 1 runs.
+  std::vector<RrMatrix> round1_;
 };
 
 }  // namespace mdrr::protocol

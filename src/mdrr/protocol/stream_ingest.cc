@@ -43,7 +43,7 @@ void RandomizeReports(const release::ExecutionPolicy& execution,
     }
     uint32_t* block = out + begin * m;
     RandomizeRecords(
-        matrices.data(), m, lanes, seeds, TransientEngines{},
+        matrices.data(), m, lanes, seeds,
         [&](size_t k, size_t j) { return dataset.at(rows[k], j); },
         [&](size_t k, size_t j, uint32_t code) { block[k * m + j] = code; });
   }

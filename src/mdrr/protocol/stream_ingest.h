@@ -72,9 +72,11 @@ struct StreamingReplayResult {
 // written to out[(s - first) * num_attributes + j]. A report's
 // randomness address is its absolute sequence number s: under mt19937
 // the attributes draw in order from RngStreamFamily(execution.seed)
-// .Stream(s), seeded kSeedLanes reports at a time through
-// RandomizeRecords (protocol/party_block.h), which is what makes
-// per-report streams cheap; under philox attribute j is element j of
+// .Stream(s), run through RandomizeRecords (protocol/party_block.h),
+// the kernel both session rounds run: kSeedLanes reports share one seed
+// expansion and each report's engine seeds in place from its lane and
+// is dropped after the report, which is what makes per-report streams
+// cheap; under philox attribute j is element j of
 // philox stream s. So any split of a range gives the same codes.
 // RunStreamingReplay's producers and the socket ingest client
 // (protocol/net_ingest.h) both call this, so the served transcript

@@ -104,12 +104,7 @@ namespace {
 // Lane vectors over SeedBlock rows (may_alias: they load and store the
 // block's uint32_t words). Both bodies step four U32x8 per word.
 typedef uint32_t U32x8 __attribute__((vector_size(32), __may_alias__));
-// Unaligned stores into a caller's staging buffer.
-typedef uint32_t U32x8u
-    __attribute__((vector_size(32), __may_alias__, __aligned__(4)));
 static_assert(kSeedLanes % 8 == 0, "lanes come in whole 8 x u32 vectors");
-static_assert(kSeedLanes % kSeedStageLanes == 0 && kSeedStageLanes == 8,
-              "a stage is one 8 x 8 transpose tile");
 
 // Everything below is always_inline so that each target body compiles
 // the whole recurrence for its own ISA.
@@ -218,84 +213,12 @@ MDRR_SEED_INLINE void SeedBlockBody(const uint64_t* seeds, SeedBlock* block) {
   Pass2Range(b, prev, kN - kP, kN, kN, kN);
 }
 
-// out[l][j] = r_j[l]: rows of words i..i+7 in, one vector per lane out
-// (unpack 32-bit pairs, then 64-bit pairs, then swap 128-bit halves).
-MDRR_SEED_INLINE void Transpose8x8(const U32x8* r, U32x8 out[8]) {
-#define MDRR_LO32(a, b) __builtin_shufflevector(a, b, 0, 8, 1, 9, 4, 12, 5, 13)
-#define MDRR_HI32(a, b) \
-  __builtin_shufflevector(a, b, 2, 10, 3, 11, 6, 14, 7, 15)
-#define MDRR_LO64(a, b) __builtin_shufflevector(a, b, 0, 1, 8, 9, 4, 5, 12, 13)
-#define MDRR_HI64(a, b) \
-  __builtin_shufflevector(a, b, 2, 3, 10, 11, 6, 7, 14, 15)
-#define MDRR_LO128(a, b) \
-  __builtin_shufflevector(a, b, 0, 1, 2, 3, 8, 9, 10, 11)
-#define MDRR_HI128(a, b) \
-  __builtin_shufflevector(a, b, 4, 5, 6, 7, 12, 13, 14, 15)
-  const U32x8 t0 = MDRR_LO32(r[0], r[1]), t1 = MDRR_HI32(r[0], r[1]);
-  const U32x8 t2 = MDRR_LO32(r[2], r[3]), t3 = MDRR_HI32(r[2], r[3]);
-  const U32x8 t4 = MDRR_LO32(r[4], r[5]), t5 = MDRR_HI32(r[4], r[5]);
-  const U32x8 t6 = MDRR_LO32(r[6], r[7]), t7 = MDRR_HI32(r[6], r[7]);
-  const U32x8 u0 = MDRR_LO64(t0, t2), u1 = MDRR_HI64(t0, t2);
-  const U32x8 u2 = MDRR_LO64(t1, t3), u3 = MDRR_HI64(t1, t3);
-  const U32x8 u4 = MDRR_LO64(t4, t6), u5 = MDRR_HI64(t4, t6);
-  const U32x8 u6 = MDRR_LO64(t5, t7), u7 = MDRR_HI64(t5, t7);
-  out[0] = MDRR_LO128(u0, u4);
-  out[1] = MDRR_LO128(u1, u5);
-  out[2] = MDRR_LO128(u2, u6);
-  out[3] = MDRR_LO128(u3, u7);
-  out[4] = MDRR_HI128(u0, u4);
-  out[5] = MDRR_HI128(u1, u5);
-  out[6] = MDRR_HI128(u2, u6);
-  out[7] = MDRR_HI128(u3, u7);
-#undef MDRR_LO32
-#undef MDRR_HI32
-#undef MDRR_LO64
-#undef MDRR_HI64
-#undef MDRR_LO128
-#undef MDRR_HI128
-}
-
-// Lane-major staging of lanes first..first+7, word by word. Without
-// 256-bit registers GCC builds Transpose8x8's shuffles lane by lane and
-// the plain loop stages three times faster (~0.5 against ~1.5 us per
-// seed); with them, GCC vectorizes the loop poorly and the transpose
-// wins (~0.18 against ~1.0 us).
-MDRR_SEED_INLINE void StagePortable(const SeedBlock& block, size_t first,
-                                    uint32_t* out) {
-  for (size_t i = 0; i < kN; ++i) {
-    for (size_t l = 0; l < kSeedStageLanes; ++l) {
-      out[l * kN + i] = block.words[i][first + l];
-    }
-  }
-}
-
-// The same, 8 words x 8 lanes at a time.
-MDRR_SEED_INLINE void StageTransposed(const SeedBlock& block, size_t first,
-                                      uint32_t* out) {
-  static_assert(kN % 8 == 0, "the transpose takes whole 8-word groups");
-  for (size_t i = 0; i < kN; i += 8) {
-    U32x8 rows[8], lanes[8];
-    for (size_t r = 0; r < 8; ++r) {
-      rows[r] = *reinterpret_cast<const U32x8*>(&block.words[i + r][first]);
-    }
-    Transpose8x8(rows, lanes);
-    for (size_t l = 0; l < 8; ++l) {
-      *reinterpret_cast<U32x8u*>(out + l * kN + i) = lanes[l];
-    }
-  }
-}
-
 #undef MDRR_SEED_INLINE
 
 #ifdef MDRR_RNG_X86
 __attribute__((target("avx2"))) void SeedBlockAvx2(const uint64_t* seeds,
                                                    SeedBlock* block) {
   SeedBlockBody(seeds, block);
-}
-
-__attribute__((target("avx2"))) void StageAvx2(const SeedBlock& block,
-                                               size_t first, uint32_t* out) {
-  StageTransposed(block, first, out);
 }
 #endif
 
@@ -318,29 +241,8 @@ bool GenerateSeedBlockOn(SimdBody body, const uint64_t seeds[kSeedLanes],
   }
 }
 
-bool StageSeedLanesOn(SimdBody body, const SeedBlock& block, size_t first,
-                      uint32_t* out) {
-  switch (body) {
-    case SimdBody::kPortable:
-      StagePortable(block, first, out);
-      return true;
-#ifdef MDRR_RNG_X86
-    case SimdBody::kAvx2:
-      if (!HaveAvx2()) return false;
-      StageAvx2(block, first, out);
-      return true;
-#endif
-    default:
-      return false;
-  }
-}
-
 void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], SeedBlock* block) {
   GenerateSeedBlockOn(BestSimdBody(), seeds, block);
-}
-
-void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out) {
-  StageSeedLanesOn(BestSimdBody(), block, first, out);
 }
 
 }  // namespace mdrr

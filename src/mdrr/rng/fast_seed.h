@@ -18,17 +18,15 @@
 //
 // Measured by bench_micro_primitives (BM_SerialSeedExpansion,
 // BM_SeedBlockExpansion/{0,1}) on a 4-vCPU Xeon VM, GCC 12, Release:
-// about 3.7 us per seed serially; per seed in a block, staging
-// included, a median 0.57 us (0.51-0.73) on AVX2 and 1.6 us (1.5-2.1)
-// portable. A per-report engine then seeds straight from its lane of
-// the block (ForEachSeedSequence, MersenneTwister64::SeedDeferred):
-// it copies the 33 state words its first twist reads and loads the rest
-// only if its report draws past them, so the streaming path neither
-// stages nor copies the other words. Engines that outlive the walk, the
-// session's per-party ones, are seeded complete from lanes staged
-// contiguous (ForEachStagedSeedSequence, StageSeedLanes). Both walks run
-// under protocol::RandomizeRecords, which is what makes one engine per
-// record affordable.
+// about 3.1 us per seed serially; per seed in a block, a median
+// 0.35 us (0.33-0.40) on AVX2 and 0.94 us (0.86-1.25) portable. An
+// engine then seeds straight from its lane of the block
+// (ForEachSeedSequence, MersenneTwister64::SeedDeferred): it copies the
+// 33 state words its first twist reads and loads the rest only if its
+// record draws past them, so no lane is ever copied out whole. The walk
+// runs under protocol::RandomizeRecords, which is what makes one engine
+// per record (a streaming report, a session party in either round)
+// affordable.
 //
 // Both paths are golden-tested against std::seed_seq in
 // tests/session_fast_path_test.cc; any divergence is a test failure, not
@@ -50,9 +48,6 @@ namespace mdrr {
 // chain of 1 248 dependent steps, so the lanes are what puts work in
 // flight while a multiply's latency runs: four 8 x u32 vectors per step.
 inline constexpr size_t kSeedLanes = 32;
-
-// Lanes StageSeedLanes copies out at a time: one 8 x 8 transpose tile.
-inline constexpr size_t kSeedStageLanes = 8;
 
 // Drop-in replacement for the library's historical engine seeding
 // sequence std::seed_seq{SplitMix64Next(s) x 4}: generate() output is
@@ -117,44 +112,16 @@ void GenerateSeedBlock(const uint64_t seeds[kSeedLanes], SeedBlock* block);
 bool GenerateSeedBlockOn(SimdBody body, const uint64_t seeds[kSeedLanes],
                          SeedBlock* block);
 
-// Copies lanes [first, first + kSeedStageLanes) of `block` out
-// lane-major, so each lane's words are contiguous for an engine to seed
-// from: out[l * kEngineSeedWords + i] = block.words[i][first + l].
-// `first` is a multiple of kSeedStageLanes. Runs on the same body as
-// GenerateSeedBlock.
-void StageSeedLanes(const SeedBlock& block, size_t first, uint32_t* out);
-
-// The same on one named body; false without writing when the body is
-// unavailable, as for GenerateSeedBlockOn.
-bool StageSeedLanesOn(SimdBody body, const SeedBlock& block, size_t first,
-                      uint32_t* out);
-
 // Lane l of `block` as a seed view: word i is block.words[i][l].
 inline SeedWords LaneWords(const SeedBlock& block, size_t lane) {
   return SeedWords{&block.words[0][lane], kSeedLanes};
 }
 
-// The block walk under both loops below: for every block start i in
-// [0, count), expands seeds[i, i + lanes) into *block and calls
-// per_block(i, lanes). A final partial block runs through
-// GenerateSeedBlock too, padded with zero seeds whose words nobody
-// reads.
-template <typename PerBlock>
-void ForEachSeedBlock(const uint64_t* seeds, size_t count, SeedBlock* block,
-                      PerBlock&& per_block) {
-  for (size_t i = 0; i < count; i += kSeedLanes) {
-    const size_t lanes = count - i < kSeedLanes ? count - i : kSeedLanes;
-    uint64_t lane_seeds[kSeedLanes] = {};
-    for (size_t l = 0; l < lanes; ++l) lane_seeds[l] = seeds[i + l];
-    GenerateSeedBlock(lane_seeds, block);
-    per_block(i, lanes);
-  }
-}
-
 // The one lane-batching walk over a seed range: invokes
 // fn(index, SeedWords) for every index in [0, count) with the 624-word
 // expansion of seeds[index], kSeedLanes seeds per GenerateSeedBlock
-// call. The view is the seed's lane of the word-major block
+// call (a final partial block is padded with zero seeds whose words
+// nobody reads). The view is the seed's lane of the word-major block
 // (LaneWords), nothing is copied out, and it is valid during the call
 // only: an engine seeded from it with SeedDeferred must be dropped
 // before fn returns. The words are exactly std::seed_seq{SplitMix64 x
@@ -164,29 +131,13 @@ void ForEachSeedBlock(const uint64_t* seeds, size_t count, SeedBlock* block,
 template <typename Fn>
 void ForEachSeedSequence(const uint64_t* seeds, size_t count, Fn&& fn) {
   SeedBlock block;
-  ForEachSeedBlock(seeds, count, &block, [&](size_t first, size_t lanes) {
-    for (size_t l = 0; l < lanes; ++l) fn(first + l, LaneWords(block, l));
-  });
-}
-
-// The same walk with each lane's words staged contiguous first
-// (StageSeedLanes, kSeedStageLanes lanes at a time), for engines that
-// outlive the call and so copy every word at seeding: gathering 624
-// words, each on its own block row, costs about twice the staging plus
-// a contiguous copy.
-// The view is again valid during the call only.
-template <typename Fn>
-void ForEachStagedSeedSequence(const uint64_t* seeds, size_t count,
-                               Fn&& fn) {
-  SeedBlock block;
-  uint32_t stage[kSeedStageLanes * kEngineSeedWords];
-  ForEachSeedBlock(seeds, count, &block, [&](size_t first, size_t lanes) {
-    for (size_t l = 0; l < lanes; ++l) {
-      if (l % kSeedStageLanes == 0) StageSeedLanes(block, l, stage);
-      fn(first + l,
-         SeedWords{stage + (l % kSeedStageLanes) * kEngineSeedWords});
-    }
-  });
+  for (size_t i = 0; i < count; i += kSeedLanes) {
+    const size_t lanes = count - i < kSeedLanes ? count - i : kSeedLanes;
+    uint64_t lane_seeds[kSeedLanes] = {};
+    for (size_t l = 0; l < lanes; ++l) lane_seeds[l] = seeds[i + l];
+    GenerateSeedBlock(lane_seeds, &block);
+    for (size_t l = 0; l < lanes; ++l) fn(i + l, LaneWords(block, l));
+  }
 }
 
 }  // namespace mdrr

@@ -51,12 +51,11 @@ class Rng {
   explicit Rng(uint64_t seed);
 
   // The engine seeded from a precomputed seed-sequence expansion: the
-  // hook the lane-batched seeding paths (ForEachSeedSequence in
-  // fast_seed.h) use to install a block's words directly. The first
-  // copies every word; the second (MersenneTwister64::SeedDeferred)
-  // keeps reading the view until its first cycle is twisted, so it
-  // suits an engine dropped while the view is still valid.
-  explicit Rng(SeedWords seed_words) : engine_(seed_words) {}
+  // hook the lane-batched seeding walk (ForEachSeedSequence in
+  // fast_seed.h) uses to seed from a block's lane in place.
+  // MersenneTwister64::SeedDeferred keeps reading the view until its
+  // first cycle is twisted, so the engine must be dropped while the view
+  // is still valid.
   Rng(SeedWords seed_words, DeferredSeedTag tag) : engine_(seed_words, tag) {}
 
   // Uniform on {0, ..., bound - 1}. Precondition: bound > 0.

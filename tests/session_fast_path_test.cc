@@ -4,10 +4,12 @@
 // columnar sweeps with fused counting/decode -- must leave the published
 // transcript bit-wise unchanged.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,7 +93,6 @@ TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
                    {SimdBody::kAvx2, "AVX2"}};
   Rng seed_source(5);
   std::vector<uint32_t> want(kEngineSeedWords);
-  std::vector<uint32_t> stage(kSeedStageLanes * kEngineSeedWords);
   auto block = std::make_unique<SeedBlock>();
   for (int trial = 0; trial < 20; ++trial) {
     uint64_t seeds[kSeedLanes];
@@ -109,14 +110,6 @@ TEST(FastSeedTest, SeedBlockBodiesMatchFourWordSeedSeq) {
           ASSERT_EQ(block->words[i][l], want[i])
               << body.name << ", seed " << seeds[l] << ", word " << i;
         }
-        if (l % kSeedStageLanes == 0) {
-          ASSERT_TRUE(StageSeedLanesOn(body.body, *block, l, stage.data()));
-        }
-        const size_t at = (l % kSeedStageLanes) * kEngineSeedWords;
-        ASSERT_EQ(std::vector<uint32_t>(stage.begin() + at,
-                                        stage.begin() + at + kEngineSeedWords),
-                  want)
-            << body.name << " staged, seed " << seeds[l];
       }
     }
   }
@@ -233,32 +226,30 @@ TEST(PartyBlockTest, Round1MatchesPartyLoopBitwise) {
   EXPECT_EQ(expected, actual);
 }
 
-TEST(PartyBlockTest, Round2MatchesPartyLoopBitwise) {
-  const size_t n = 5000;
-  Dataset data = MakeCorrelatedDataset(n, 22);
+// Runs round 1 (`round1`) and round 2 (`matrices` over `clusters`)
+// through Party objects and through a PartyBlock, and requires the same
+// codes, the fused counts equal to their histogram and the fused decode
+// equal to Domain::DecodeAt. Sets the fewest and most engine words a
+// party drew over both rounds.
+void ExpectRound2MatchesPartyLoop(const Dataset& data,
+                                  const AttributeClustering& clusters,
+                                  const std::vector<Domain>& domains,
+                                  const std::vector<RrMatrix>& round1,
+                                  const std::vector<RrMatrix>& matrices,
+                                  uint64_t seed, size_t* fewest_words,
+                                  size_t* most_words) {
+  const size_t n = data.num_rows();
   const size_t m = data.num_attributes();
-  AttributeClustering clusters = {{0, 1}, {2}, {3}};
-  std::vector<Domain> domains;
-  std::vector<RrMatrix> matrices;
-  for (const std::vector<size_t>& cluster : clusters) {
-    domains.push_back(Domain::ForAttributes(data, cluster));
-    matrices.push_back(RrMatrix::KeepUniform(
-        static_cast<size_t>(domains.back().size()), 0.6));
-  }
-  std::vector<RrMatrix> round1;
-  for (size_t j = 0; j < m; ++j) {
-    round1.push_back(
-        RrMatrix::KeepUniform(data.attribute(j).cardinality(), 0.8));
-  }
-
   // Reference: both rounds through Party objects, so round 2 continues
   // each party's round-1 stream exactly as in a real session.
-  Rng loop_seeder(7);
+  Rng loop_seeder(seed);
   std::vector<Party> parties;
+  std::vector<uint64_t> party_seeds;
   for (size_t i = 0; i < n; ++i) {
     std::vector<uint32_t> record(m);
     for (size_t j = 0; j < m; ++j) record[j] = data.at(i, j);
-    parties.emplace_back(std::move(record), loop_seeder.engine()());
+    party_seeds.push_back(loop_seeder.engine()());
+    parties.emplace_back(std::move(record), party_seeds.back());
   }
   std::vector<std::vector<uint32_t>> expected_codes(
       clusters.size(), std::vector<uint32_t>(n));
@@ -271,7 +262,28 @@ TEST(PartyBlockTest, Round2MatchesPartyLoopBitwise) {
     }
   }
 
-  Rng block_seeder(7);
+  // Words per party: replay the party's draws on its own engine, then
+  // find the next word in a fresh copy of its stream.
+  *fewest_words = SIZE_MAX;
+  *most_words = 0;
+  for (size_t i = 0; i < n; ++i) {
+    Rng drawn(party_seeds[i]);
+    for (size_t j = 0; j < m; ++j) round1[j].Randomize(data.at(i, j), drawn);
+    for (size_t c = 0; c < clusters.size(); ++c) {
+      std::vector<uint32_t> tuple;
+      for (size_t j : clusters[c]) tuple.push_back(data.at(i, j));
+      matrices[c].Randomize(static_cast<uint32_t>(domains[c].Encode(tuple)),
+                            drawn);
+    }
+    const uint64_t next = drawn.engine()();
+    Rng fresh(party_seeds[i]);
+    size_t words = 0;
+    while (fresh.engine()() != next) ++words;
+    *fewest_words = std::min(*fewest_words, words);
+    *most_words = std::max(*most_words, words);
+  }
+
+  Rng block_seeder(seed);
   PartyBlock block(data, block_seeder);
   std::vector<std::vector<uint32_t>> round1_columns(
       m, std::vector<uint32_t>(n));
@@ -297,6 +309,79 @@ TEST(PartyBlockTest, Round2MatchesPartyLoopBitwise) {
   }
 }
 
+// Twelve uniform attributes of cardinality 2-5: enough draws per party
+// for round 1 plus round 2 to run past an engine's 16-word first chunk.
+Dataset MakeWideDataset(size_t n, uint64_t seed) {
+  std::vector<Attribute> schema;
+  std::vector<std::vector<uint32_t>> cols;
+  Rng rng(seed);
+  for (size_t j = 0; j < 12; ++j) {
+    Attribute attribute{"W" + std::to_string(j), AttributeType::kNominal,
+                        {}};
+    for (size_t v = 0; v < 2 + j % 4; ++v) {
+      attribute.categories.push_back(std::to_string(v));
+    }
+    std::vector<uint32_t> column(n);
+    for (uint32_t& value : column) {
+      value = static_cast<uint32_t>(rng.UniformInt(attribute.cardinality()));
+    }
+    schema.push_back(std::move(attribute));
+    cols.push_back(std::move(column));
+  }
+  return Dataset(schema, std::move(cols));
+}
+
+TEST(PartyBlockTest, Round2MatchesPartyLoopBitwise) {
+  {
+    const size_t n = 5000;
+    Dataset data = MakeCorrelatedDataset(n, 22);
+    const size_t m = data.num_attributes();
+    AttributeClustering clusters = {{0, 1}, {2}, {3}};
+    std::vector<Domain> domains;
+    std::vector<RrMatrix> matrices;
+    for (const std::vector<size_t>& cluster : clusters) {
+      domains.push_back(Domain::ForAttributes(data, cluster));
+      matrices.push_back(RrMatrix::KeepUniform(
+          static_cast<size_t>(domains.back().size()), 0.6));
+    }
+    std::vector<RrMatrix> round1;
+    for (size_t j = 0; j < m; ++j) {
+      round1.push_back(
+          RrMatrix::KeepUniform(data.attribute(j).cardinality(), 0.8));
+    }
+    size_t fewest = 0, most = 0;
+    ExpectRound2MatchesPartyLoop(data, clusters, domains, round1, matrices,
+                                 /*seed=*/7, &fewest, &most);
+  }
+  // Every party draws past its engine's 16-word first chunk, so each
+  // re-seeded engine loads the rest of its lane mid-record: 12 keep-
+  // uniform attributes in round 1 (one or two words each) and six dense
+  // cluster designs in round 2 (alias draws, two words each).
+  {
+    Dataset data = MakeWideDataset(3000, 24);
+    const size_t m = data.num_attributes();
+    AttributeClustering clusters = {{0, 1}, {2, 3, 4}, {5},
+                                    {6, 7},  {8},       {9, 10, 11}};
+    std::vector<Domain> domains;
+    std::vector<RrMatrix> matrices;
+    for (const std::vector<size_t>& cluster : clusters) {
+      domains.push_back(Domain::ForAttributes(data, cluster));
+      matrices.push_back(RrMatrix::GeometricOrdinal(
+          static_cast<size_t>(domains.back().size()), 1.0));
+    }
+    std::vector<RrMatrix> round1;
+    for (size_t j = 0; j < m; ++j) {
+      round1.push_back(
+          RrMatrix::KeepUniform(data.attribute(j).cardinality(), 0.5));
+    }
+    size_t fewest = 0, most = 0;
+    ExpectRound2MatchesPartyLoop(data, clusters, domains, round1, matrices,
+                                 /*seed=*/9, &fewest, &most);
+    EXPECT_GT(fewest, 16u);
+    std::printf("wide case: %zu-%zu words per party\n", fewest, most);
+  }
+}
+
 TEST(PartyBlockTest, ShardGrainAndLaneTailsNeverChangePublications) {
   const size_t n = 1037;  // Prime-ish: exercises ragged lane tails.
   Dataset data = MakeCorrelatedDataset(n, 23);
@@ -306,7 +391,18 @@ TEST(PartyBlockTest, ShardGrainAndLaneTailsNeverChangePublications) {
     matrices.push_back(
         RrMatrix::KeepUniform(data.attribute(j).cardinality(), 0.7));
   }
+  // Round 2 re-expands the seeds in lane blocks keyed on each shard's
+  // start, so it is swept over the same grains.
+  AttributeClustering clusters = {{0, 1}, {2}, {3}};
+  std::vector<Domain> domains;
+  std::vector<RrMatrix> cluster_matrices;
+  for (const std::vector<size_t>& cluster : clusters) {
+    domains.push_back(Domain::ForAttributes(data, cluster));
+    cluster_matrices.push_back(RrMatrix::KeepUniform(
+        static_cast<size_t>(domains.back().size()), 0.6));
+  }
   std::vector<std::vector<uint32_t>> reference;
+  ClusterSweepResult reference_sweep;
   for (size_t shard_size : {size_t{1}, size_t{3}, size_t{8}, size_t{64},
                             size_t{1037}, size_t{4096}}) {
     Rng seeder(13);
@@ -314,10 +410,20 @@ TEST(PartyBlockTest, ShardGrainAndLaneTailsNeverChangePublications) {
     std::vector<std::vector<uint32_t>> columns(m, std::vector<uint32_t>(n));
     block.PublishIndependent(matrices, shard_size, /*num_threads=*/2,
                              &columns);
+    ClusterSweepResult sweep = block.PublishClusters(
+        clusters, domains, cluster_matrices, shard_size, /*num_threads=*/2,
+        /*collect_codes=*/true);
     if (reference.empty()) {
       reference = std::move(columns);
+      reference_sweep = std::move(sweep);
     } else {
       EXPECT_EQ(reference, columns) << "shard_size " << shard_size;
+      EXPECT_EQ(reference_sweep.codes, sweep.codes)
+          << "shard_size " << shard_size;
+      EXPECT_EQ(reference_sweep.counts, sweep.counts)
+          << "shard_size " << shard_size;
+      EXPECT_EQ(reference_sweep.decoded, sweep.decoded)
+          << "shard_size " << shard_size;
     }
   }
 }

@@ -1,3 +1,5 @@
+#include <sys/resource.h>
+
 #include <cmath>
 #include <vector>
 
@@ -168,6 +170,33 @@ TEST(SessionTest, MarginalsRecoveredOnAdultSample) {
       }
     }
   }
+}
+
+// The session keeps a seed per party, not an engine: a party's round-2
+// engine is re-seeded and replays round 1. Kept mt19937_64 engines would
+// cost ~2.5 KB per party; records, seeds and the published columns cost
+// about a hundred bytes.
+TEST(SessionTest, PartyStateDoesNotScaleWithEngines) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(__linux__)
+  GTEST_SKIP() << "RSS is measured on plain Linux builds only (sanitizer "
+                  "allocators and shadow memory change it)";
+#endif
+  const size_t n = 200000;
+  Dataset adult = SynthesizeAdult(n, 23);
+  SessionOptions options;
+  options.clustering = ClusteringOptions{50.0, 0.1};
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  auto session = RunDistributedSession(adult, options);
+  ASSERT_TRUE(session.ok());
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  // ru_maxrss is the peak resident set in kilobytes on Linux.
+  const double growth_kb =
+      static_cast<double>(after.ru_maxrss - before.ru_maxrss);
+  EXPECT_LT(growth_kb / static_cast<double>(n), 1.0)
+      << "peak RSS grew " << growth_kb << " KB over " << n << " parties";
 }
 
 }  // namespace
