@@ -10,7 +10,8 @@
 // estimated marginal of one attribute.
 //
 // Build & run:  ./build/example_parallel_batch [--n=200000] [--p=0.7]
-// (any other flag, or a malformed --n/--p, exits 1 naming it)
+// (any other flag, a malformed --n/--p or a --p outside [0, 1] exits 1
+// naming it)
 
 #include <cstdio>
 #include <vector>
@@ -21,7 +22,7 @@
 
 int main(int argc, char** argv) {
   const mdrr::FlagSet flags = mdrr::ParseFlagsOrExit(
-      argc, argv, {mdrr::UintFlag("n", 1), mdrr::RealFlag("p")});
+      argc, argv, {mdrr::UintFlag("n", 1), mdrr::RealFlag("p", 0.0, 1.0)});
   const size_t n = flags.GetUint64("n", 200000);
   const double p = flags.GetDouble("p", 0.7);
 
@@ -51,7 +52,8 @@ int main(int argc, char** argv) {
   auto one = run_with_threads(1);
   auto many = run_with_threads(0);  // One worker per hardware core.
   if (!one.ok() || !many.ok()) {
-    std::fprintf(stderr, "release failed\n");
+    const mdrr::Status& failed = one.ok() ? many.status() : one.status();
+    std::fprintf(stderr, "release failed: %s\n", failed.ToString().c_str());
     return 1;
   }
   const mdrr::release::ReleaseArtifacts& a1 = one.value();

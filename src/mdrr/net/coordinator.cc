@@ -1,6 +1,8 @@
 #include "mdrr/net/coordinator.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -40,19 +42,84 @@ class FailureLatch {
   Status first_;
 };
 
+// Runs one exchange thread's body: an exception (an allocation failing)
+// becomes the thread's status instead of ending the program.
+template <typename Body>
+Status Guarded(Body body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    return Status::Internal(std::string("exchange thread: ") + e.what());
+  }
+}
+
+// Orders the sizing of one output column against its exchange. The
+// coordinator thread starts once a sender has put its first frame on the
+// wire and sizes the column in steps; a receiver waits only until the
+// step holding its next slice is in, so it keeps draining its socket
+// while the rest of the column is sized.
+class ColumnSizing {
+ public:
+  // Records are sized this many at a time (256 KiB of codes).
+  static constexpr size_t kStep = size_t{1} << 16;
+
+  // Sender, after its first frame (sent or not).
+  void FrameSent() { Update([&] { frame_sent_ = true; }); }
+  // Coordinator thread.
+  void WaitFirstFrame() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [&] { return frame_sent_; });
+  }
+  // Coordinator thread: `data` holds `sized` value-initialized codes, and
+  // keeps its address until the column is complete.
+  void Sized(uint32_t* data, size_t sized) {
+    Update([&] {
+      data_ = data;
+      sized_ = sized;
+    });
+  }
+  // Coordinator thread, when the column cannot be sized.
+  void Fail() { Update([&] { failed_ = true; }); }
+
+  // Receiver: the column once records [0, end) are sized; null if it
+  // could not be.
+  uint32_t* WaitSized(size_t end) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [&] { return failed_ || sized_ >= end; });
+    return failed_ ? nullptr : data_;
+  }
+
+ private:
+  template <typename Change>
+  void Update(Change change) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      change();
+    }
+    changed_.notify_all();
+  }
+
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool frame_sent_ = false;
+  bool failed_ = false;
+  uint32_t* data_ = nullptr;
+  size_t sized_ = 0;
+};
+
 // One column on the engine's shard grid: shard s goes to worker s mod W,
 // and each worker's shards travel in frames of `per_frame` consecutive
 // ones (its i-th shard is s = w + i * W). A frame repeats the matrix, so
 // it carries as many shards as it takes for their codes to outweigh it:
 // one for a structured matrix, more for a large dense one. The two
 // threads of worker w share only read-only state; its receiver writes
-// the worker's own slices of `out` and its own tally.
+// the worker's own slices of the output and its own tally.
 class ColumnExchange {
  public:
   ColumnExchange(const CoordinatorOptions& options, size_t num_workers,
                  uint64_t first_task_id, const RrMatrix& matrix,
                  const std::vector<uint32_t>& codes, uint64_t stream_base,
-                 uint64_t counter_stream, uint32_t* out)
+                 uint64_t counter_stream)
       : options_(options),
         num_workers_(num_workers),
         first_task_id_(first_task_id),
@@ -60,7 +127,6 @@ class ColumnExchange {
         codes_(codes),
         stream_base_(stream_base),
         counter_stream_(counter_stream),
-        out_(out),
         num_shards_(codes.empty()
                         ? 0
                         : NumChunks(codes.size(), options.shard_size)),
@@ -73,7 +139,7 @@ class ColumnExchange {
   uint64_t num_task_ids() const { return frames(0) * num_workers_; }
 
   // Streams worker w's AssignShards frames, one per shard group.
-  Status Send(size_t w, TcpConnection& conn) const {
+  Status Send(size_t w, TcpConnection& conn, ColumnSizing& sizing) const {
     for (size_t f = 0; f < frames(w); ++f) {
       AssignShardsMsg msg;
       msg.task_id = TaskId(w, f);
@@ -92,6 +158,7 @@ class ColumnExchange {
       Status sent = conn.SendFrame(FrameType::kAssignShards,
                                    EncodeAssignShards(msg),
                                    options_.deadline_ms);
+      if (f == 0) sizing.FrameSent();
       if (!sent.ok()) {
         return Status(sent.code(), "assigning shards to worker " +
                                        std::to_string(w) + ": " +
@@ -102,9 +169,9 @@ class ColumnExchange {
   }
 
   // Reads worker w's replies in order, checks each against what was
-  // dealt, writes its slices at their global offsets and adds its
-  // recounted categories to `tally`.
-  Status Receive(size_t w, TcpConnection& conn,
+  // dealt, writes its slices at their global offsets once `sizing` has
+  // sized them and adds its recounted categories to `tally`.
+  Status Receive(size_t w, TcpConnection& conn, ColumnSizing& sizing,
                  std::vector<int64_t>& tally) const {
     const std::string who = "worker " + std::to_string(w);
     std::vector<int64_t> counts(tally.size());
@@ -150,7 +217,11 @@ class ColumnExchange {
           }
           ++counts[code];
         }
-        std::copy(got.codes.begin(), got.codes.end(), out_ + Begin(s));
+        uint32_t* out = sizing.WaitSized(End(s));
+        if (out == nullptr) {
+          return Status::Internal("no output column for " + who);
+        }
+        std::copy(got.codes.begin(), got.codes.end(), out + Begin(s));
       }
       if (counts != partial->counts) {
         return Status::InvalidArgument(
@@ -185,7 +256,6 @@ class ColumnExchange {
   const std::vector<uint32_t>& codes_;
   const uint64_t stream_base_;
   const uint64_t counter_stream_;
-  uint32_t* const out_;
   const size_t num_shards_;
   const size_t per_frame_;
 };
@@ -230,28 +300,55 @@ StatusOr<PerturbedColumn> Coordinator::PerturbColumn(
     return Poison(Status::FailedPrecondition("no workers connected"));
   }
 
-  PerturbedColumn result;
-  result.codes.assign(codes.size(), 0);
   const ColumnExchange exchange(options_, workers_.size(), next_task_id_,
-                                matrix, codes, stream_base, counter_stream,
-                                result.codes.data());
+                                matrix, codes, stream_base, counter_stream);
   next_task_id_ += exchange.num_task_ids();
 
   // One sender and one receiver thread per worker. Sending never waits on
   // receiving, and the receiver drains replies as they come, so neither
   // side can fill the other's socket buffers for good: no frame or column
   // size deadlocks. Plain threads, not ParallelChunks: a connection's two
-  // threads must run at the same time.
+  // threads must run at the same time. The senders read only `codes`, so
+  // nothing runs on this thread before the first frame is on the wire;
+  // then it sizes the output column step by step (ColumnSizing) while the
+  // workers compute. Every thread is joined on every path, including a
+  // failure to size the column or to start a thread.
   FailureLatch latch(workers_);
   std::vector<std::vector<int64_t>> tallies(
       workers_.size(), std::vector<int64_t>(matrix.size(), 0));
+  ColumnSizing sizing;
+  PerturbedColumn result;
   std::vector<std::thread> threads;
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    if (exchange.frames(w) == 0) continue;
-    threads.emplace_back(
-        [&, w] { latch.Check(exchange.Send(w, workers_[w])); });
-    threads.emplace_back(
-        [&, w] { latch.Check(exchange.Receive(w, workers_[w], tallies[w])); });
+  try {
+    threads.reserve(2 * workers_.size());
+    for (size_t w = 0; w < workers_.size(); ++w) {
+      if (exchange.frames(w) == 0) continue;
+      threads.emplace_back([&, w] {
+        latch.Check(
+            Guarded([&] { return exchange.Send(w, workers_[w], sizing); }));
+        sizing.FrameSent();  // also when the first frame never went out
+      });
+    }
+    for (size_t w = 0; w < workers_.size(); ++w) {
+      if (exchange.frames(w) == 0) continue;
+      threads.emplace_back([&, w] {
+        latch.Check(Guarded([&] {
+          return exchange.Receive(w, workers_[w], sizing, tallies[w]);
+        }));
+      });
+    }
+    if (!threads.empty()) sizing.WaitFirstFrame();
+    // Reserved once, the column keeps its address while it grows.
+    result.codes.reserve(codes.size());
+    while (result.codes.size() < codes.size()) {
+      result.codes.resize(
+          std::min(codes.size(), result.codes.size() + ColumnSizing::kStep));
+      sizing.Sized(result.codes.data(), result.codes.size());
+    }
+  } catch (const std::exception& e) {
+    latch.Check(Status::Internal(std::string("distributing a column: ") +
+                                 e.what()));
+    sizing.Fail();
   }
   for (std::thread& thread : threads) thread.join();
   if (!latch.status().ok()) return Poison(latch.status());

@@ -21,6 +21,22 @@
 // is always drained and the sender's next frame always finds a reader:
 // no frame or column size can deadlock on full socket buffers.
 //
+// Nothing runs on the calling thread before a column's first frame is on
+// the wire: the senders read only the input column, and the output
+// column is sized afterwards, 65 536 records at a time, while the
+// workers compute. A receiver waits only until the step holding its next
+// slice is sized, so it keeps draining its socket meanwhile.
+//
+// The buffers a code crosses: the sender copies a shard's input codes
+// into its AssignShardsMsg and encodes that into the frame payload; the
+// worker parses the payload into one vector per shard, perturbs each
+// into another and encodes those into its reply; the receiver parses the
+// reply into one vector per shard and copies each to its offset in the
+// output column. Encoding straight from the column, decoding straight
+// into the output and reusing the worker's buffers measured no faster
+// on the distributed-independent benchmark workload, so the message
+// codecs of protocol.h stay the only ones.
+//
 // Failure is fail-closed: any send/recv error, malformed reply, deadline,
 // or worker disconnect poisons the coordinator -- the current and all
 // later PerturbColumn calls fail, Commit refuses, and the caller aborts

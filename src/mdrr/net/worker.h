@@ -10,6 +10,11 @@
 // -- the same kernel the in-process engine runs, so the worker reproduces
 // it draw for draw. The address contract is stated in
 // core/batch_engine.h.
+//
+// A frame's codes cross four buffers here: the received payload, one
+// parsed vector per shard, one perturbed vector per shard, and the reply
+// payload they are encoded into (net/coordinator.h lists the
+// coordinator's side).
 
 #ifndef MDRR_NET_WORKER_H_
 #define MDRR_NET_WORKER_H_

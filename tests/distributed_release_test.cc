@@ -414,6 +414,111 @@ net::PartialResultMsg HonestReply(const net::AssignShardsMsg& assign) {
   return reply;
 }
 
+// A coordinator's end of one RunWorker session on loopback: serves the
+// worker each payload in turn and collects the reply frames, then
+// commits. Returns the worker's status.
+Status ServeWorker(const std::vector<std::vector<uint8_t>>& payloads,
+                   std::vector<net::Frame>* replies) {
+  net::TcpListener listener;
+  Status listening = listener.Listen(0);
+  if (!listening.ok()) return listening;
+  Status worker_status;
+  std::thread worker([&worker_status, port = listener.port()] {
+    worker_status = net::RunWorker(kLoopback, port);
+  });
+  {
+    auto conn = listener.Accept(5000);
+    if (conn.ok() && net::ServerHandshake(conn.value(), 5000).ok()) {
+      for (const std::vector<uint8_t>& payload : payloads) {
+        if (!conn.value()
+                 .SendFrame(net::FrameType::kAssignShards, payload, 5000)
+                 .ok()) {
+          break;
+        }
+        auto frame = conn.value().RecvFrame(5000);
+        if (!frame.ok()) break;
+        replies->push_back(std::move(frame).value());
+        if (replies->back().type != net::FrameType::kPartialResult) break;
+      }
+      (void)conn.value().SendFrame(net::FrameType::kCommit, {}, 5000);
+    } else {
+      ADD_FAILURE() << "the worker did not connect";
+    }
+  }  // Closing the connection ends a session the worker still serves.
+  worker.join();
+  return worker_status;
+}
+
+// RunWorker's replies must be the bytes of the per-shard message
+// HonestReply builds. One session answers every frame in turn:
+// structured and dense matrices, both rngs, and a short tail shard in
+// every frame.
+TEST(WorkerReplyTest, RepliesMatchTheMessageEncoding) {
+  struct Case {
+    RrMatrix matrix;
+    size_t shard_size;
+    size_t num_shards;
+  };
+  // The dense case is DenseMatrixOutweighingAShardMatchesSharded's
+  // frame: 113 shards of 256 codes under 120 categories.
+  std::vector<Case> cases;
+  cases.push_back({RrMatrix::KeepUniform(16, 0.7), 1 << 16, 1});
+  cases.push_back({RrMatrix::GeometricOrdinal(120, 1.5), 256, 113});
+  cases.push_back({RrMatrix::KeepUniform(5, 0.6), 1000, 3});
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<std::vector<uint8_t>> expected;
+  for (const Case& c : cases) {
+    for (RngKind rng : {RngKind::kMt19937, RngKind::kPhilox}) {
+      net::AssignShardsMsg assign;
+      assign.task_id = payloads.size() + 1;
+      assign.rng_kind = static_cast<uint8_t>(rng);
+      assign.seed = kSeed;
+      assign.stream_base = 3;
+      assign.counter_stream = 2;
+      assign.matrix.emplace(c.matrix);
+      Rng codes_rng(payloads.size());
+      for (size_t i = 0; i < c.num_shards; ++i) {
+        // Every other shard of a 2-worker grid; the last one is short.
+        const size_t s = 1 + 2 * i;
+        const size_t count =
+            i + 1 < c.num_shards ? c.shard_size : c.shard_size / 3 + 1;
+        net::ShardAssignment shard{s, s * c.shard_size,
+                                   std::vector<uint32_t>(count)};
+        for (uint32_t& code : shard.codes) {
+          code = static_cast<uint32_t>(codes_rng.UniformInt(c.matrix.size()));
+        }
+        assign.shards.push_back(std::move(shard));
+      }
+      payloads.push_back(net::EncodeAssignShards(assign));
+      auto parsed = net::ParseAssignShards(payloads.back());
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      expected.push_back(
+          net::EncodePartialResult(HonestReply(parsed.value())));
+    }
+  }
+  std::vector<net::Frame> replies;
+  const Status served = ServeWorker(payloads, &replies);
+  EXPECT_TRUE(served.ok()) << served.ToString();
+  ASSERT_EQ(replies.size(), expected.size());
+  for (size_t k = 0; k < replies.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "frame " << k);
+    EXPECT_EQ(replies[k].type, net::FrameType::kPartialResult);
+    EXPECT_EQ(replies[k].payload, expected[k]);
+  }
+}
+
+TEST(WorkerReplyTest, CodeOutsideTheMatrixAbortsTheSession) {
+  net::AssignShardsMsg assign;
+  assign.matrix.emplace(RrMatrix::KeepUniform(3, 0.6));
+  assign.shards.push_back({0, 0, {0, 1, 3}});  // 3 >= size 3
+  std::vector<net::Frame> replies;
+  const Status served =
+      ServeWorker({net::EncodeAssignShards(assign)}, &replies);
+  EXPECT_EQ(served.code(), StatusCode::kInvalidArgument) << served.ToString();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, net::FrameType::kAbort);
+}
+
 // How a scripted worker serves assignment k (numbered from 0 over the
 // session): it sends whatever reply it likes and returns false to hang
 // up.
@@ -553,6 +658,69 @@ TEST(DistributedInFlightTest, RogueCountsOnALaterShardFailInvalidArgument) {
       << artifacts.status().ToString();
   EXPECT_FALSE(release.coordinator().Commit().ok());
   EXPECT_TRUE(release.WorkersReturned());
+}
+
+// Worker 1 tampers with its reply to its third assignment, with later
+// frames in flight; worker 0 reads on silently. The receiver must refuse
+// the reply with InvalidArgument naming worker 1 and `what`.
+void ExpectTamperedReplyRefused(
+    const std::function<void(net::PartialResultMsg&, uint32_t r)>& tamper,
+    const std::string& what) {
+  InFlightFailure release(/*deadline_ms=*/5000);
+  auto artifacts = release.Run(
+      /*worker1=*/
+      [&tamper](size_t k, const net::AssignShardsMsg& assign,
+                net::TcpConnection& conn) {
+        net::PartialResultMsg reply = HonestReply(assign);
+        if (k == 2) {
+          tamper(reply, static_cast<uint32_t>(assign.matrix->size()));
+        }
+        return SendReply(conn, reply);
+      },
+      /*worker0=*/Silent);
+  ASSERT_FALSE(artifacts.ok());
+  EXPECT_EQ(artifacts.status().code(), StatusCode::kInvalidArgument)
+      << artifacts.status().ToString();
+  EXPECT_NE(artifacts.status().message().find("worker 1"), std::string::npos)
+      << artifacts.status().ToString();
+  EXPECT_NE(artifacts.status().message().find(what), std::string::npos)
+      << artifacts.status().ToString();
+  EXPECT_FALSE(release.coordinator().Commit().ok());
+  EXPECT_TRUE(release.WorkersReturned());
+}
+
+TEST(DistributedInFlightTest, ReplyToTheWrongTaskFailsInvalidArgument) {
+  ExpectTamperedReplyRefused(
+      [](net::PartialResultMsg& reply, uint32_t) { reply.task_id += 2; },
+      "wrong task");
+}
+
+TEST(DistributedInFlightTest, CodeOutsideTheMatrixFailsInvalidArgument) {
+  ExpectTamperedReplyRefused(
+      [](net::PartialResultMsg& reply, uint32_t r) {
+        // Refused by the range check, ahead of the recount.
+        reply.shards[0].codes[5] = r;
+      },
+      "outside the matrix range");
+}
+
+TEST(DistributedInFlightTest, ShardOfTheWrongLengthFailsInvalidArgument) {
+  ExpectTamperedReplyRefused(
+      [](net::PartialResultMsg& reply, uint32_t) {
+        std::vector<uint32_t>& codes = reply.shards[0].codes;
+        --reply.counts[codes.back()];
+        codes.pop_back();
+      },
+      "mismatched shards");
+}
+
+TEST(DistributedInFlightTest, ShardIndexOutOfOrderFailsInvalidArgument) {
+  ExpectTamperedReplyRefused(
+      [](net::PartialResultMsg& reply, uint32_t) {
+        // Worker 1's next shard of 2 workers.
+        reply.shards[0].shard_index += 2;
+      },
+      "mismatched shards");
 }
 
 TEST(DistributedInFlightTest, StalledWorkerFailsWithinItsDeadline) {
